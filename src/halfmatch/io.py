@@ -129,19 +129,28 @@ def parse_instance_text(text: str) -> Instance:
     gamma = None
     if "gamma" in doc:
         gamma = {}
-        for eid, sides in doc["gamma"].items():
-            for v, pair in sides.items():
-                gamma[(eid, v)] = (
-                    parse_rational(pair["gamma"]),
-                    parse_rational(pair["delta"]),
-                )
+        try:
+            for eid, sides in doc["gamma"].items():
+                for v, pair in sides.items():
+                    gamma[(eid, v)] = (
+                        parse_rational(pair["gamma"]),
+                        parse_rational(pair["delta"]),
+                    )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InstanceError(
+                "malformed gamma section: each edge maps its endpoints to "
+                "objects with 'gamma' and 'delta' rationals"
+            ) from exc
+    critical = doc.get("critical")
+    if critical is not None and not isinstance(critical, list):
+        raise InstanceError("the critical set must be a list of vertices")
     return validate_instance(
         vertices=doc["vertices"],
         edges=edges,
         pref=pref,
         weights=weights or None,
         gamma=gamma,
-        critical=doc.get("critical"),
+        critical=critical,
     )
 
 

@@ -1,18 +1,50 @@
 """A small exact linear-program solver over rationals.
 
 Two-phase primal simplex on a dense tableau with Bland's smallest-index
-pivoting, which cannot cycle, so termination is guaranteed. Everything
-is a Fraction; no tolerance appears anywhere. Intended for the desk
-scale problems in this package (a few hundred variables), not for
-serious LP work.
+pivoting, which cannot cycle, so termination is guaranteed. Intended for
+the desk-scale problems in this package (a few hundred variables), not
+for serious LP work.
+
+Numbers enter and leave as Fractions, but the tableau holds Python ints
+and pivots fraction-free (Edmonds 1967, "Systems of distinct
+representatives and linear algebra"; Bareiss 1968, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination"; the integer
+pivoting of Avis's lrs). The rows and right-hand sides are scaled by the
+lcm of their denominators. Let D be the last pivot element (1 at the
+start): D times the rational tableau is then, up to one common sign, the
+integer matrix adj(B) * [A | b] of the current basis B, and D is det(B)
+up to the same sign. A pivot on p = T[r][c] keeps row r and replaces
+every other row by (p*T[i] - T[i][c]*T[r]) / D, then sets D = p;
+Sylvester's identity makes the division exact, so no gcd is ever taken
+and entries never outgrow the minors of the input.
+
+Two refinements keep the work down and every sign test plain. A row whose
+entry in the pivot column is zero would only be multiplied by p/D; since
+those factors telescope, such a row is left alone and remembers the D it
+was last written over, its denominator, and is rescaled only when it
+becomes the pivot row or enters an objective row. Every other row is
+updated by (p*R[i] - R[i][c]*T[r]) / den[i], again exact. A negative
+pivot, which only the pivot-out of leftover artificials can choose,
+first negates its row; that flips the common sign and keeps every
+denominator positive, so a stored entry has the sign of the rational
+entry and the ratio test compares by cross-multiplication. No float and
+no tolerance appears anywhere.
+
+Scaling the rows leaves the artificial columns at coefficient 1, which
+rescales the artificial variables and the phase-1 objective by the same
+positive factor; the phase-2 costs are scaled by the lcm of their
+denominators. Positive rescaling keeps every sign Bland's rule reads and
+the order of the ratios within each column, so the pivot sequence, and
+with it the returned basic solution, is exactly the one a Fraction
+tableau would take.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Infeasible(ValueError):
@@ -36,87 +68,116 @@ def solve_min(
     if any(len(r) != n for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent LP dimensions")
 
+    scale = lcm(*{a.denominator for row in rows for a in row},
+                *{b.denominator for b in rhs})
     tableau = []
-    b = []
     for i in range(m):
-        row = list(rows[i])
-        bi = rhs[i]
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        art = [ZERO] * m
-        art[i] = ONE
-        tableau.append(row + art + [bi])
-        b.append(bi)
-    basis = list(range(n, n + m))
+        sign = -1 if rhs[i] < 0 else 1
+        *row, b = _integers(list(rows[i]) + [rhs[i]], sign * scale)
+        art = [0] * m
+        art[i] = 1
+        tableau.append(row + art + [b])
+    lp = _Tableau(tableau, list(range(n, n + m)))
     width = n + m
 
     # phase 1: minimize the artificial mass
-    phase1 = [ZERO] * n + [ONE] * m
-    z = _objective_row(tableau, basis, phase1, width)
-    _iterate(tableau, basis, z, width)
+    z = lp.objective_row([0] * n + [1] * m)
+    lp.iterate(z, width)
     if z[width] != 0:
         raise Infeasible("no feasible point")
 
     # pivot leftover artificials out of the basis where possible; any that
     # remain sit in redundant rows at value zero and are harmless
     for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+        if lp.basis[i] >= n:
+            col = next((j for j in range(n) if lp.rows[i][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, i, col, z, width)
+                lp.pivot(i, col, None)
 
     # phase 2 on the real objective, artificial columns frozen
-    z = _objective_row(tableau, basis, list(costs) + [ZERO] * m, width)
-    _iterate(tableau, basis, z, width, limit=n)
+    cost_scale = lcm(*{c.denominator for c in costs})
+    z = lp.objective_row(_integers(costs, cost_scale) + [0] * m)
+    lp.iterate(z, n)
 
     x = [ZERO] * n
     for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][width]
+        if lp.basis[i] < n:
+            x[lp.basis[i]] = Fraction(lp.rows[i][width], lp.den[i])
     value = sum((costs[j] * x[j] for j in range(n)), ZERO)
     return x, value
 
 
-def _objective_row(tableau, basis, costs, width):
-    z = [ZERO] * (width + 1)
-    for j in range(width + 1):
-        z[j] = sum(
-            (costs[basis[i]] * tableau[i][j] for i in range(len(tableau))), ZERO
-        )
-    for j in range(width):
-        z[j] -= costs[j]
-    return z
+def _integers(values, scale):
+    """The values times scale, as ints; scale is a multiple of every denominator."""
+    return [a.numerator * (scale // a.denominator) for a in values]
 
 
-def _iterate(tableau, basis, z, width, limit=None):
-    cols = width if limit is None else limit
-    while True:
-        enter = next((j for j in range(cols) if z[j] > 0), None)
-        if enter is None:
-            return
-        best = None
-        for i in range(len(tableau)):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][width] / a
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            raise Unbounded("objective unbounded below")
-        _pivot(tableau, basis, best[1], enter, z, width)
+class _Tableau:
+    """Integer rows R[i] over positive denominators den[i]: R[i] / den[i] is
+    row i of the rational tableau, and R[i] * D / den[i] that row over D."""
 
+    def __init__(self, rows, basis):
+        self.rows = rows
+        self.den = [1] * len(rows)
+        self.basis = basis
+        self.d = 1
 
-def _pivot(tableau, basis, row, col, z, width):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * p for a, p in zip(tableau[i], tableau[row])]
-    if z[col] != 0:
-        f = z[col]
-        for j in range(width + 1):
-            z[j] -= f * tableau[row][j]
-    basis[row] = col
+    def current(self, i):
+        """Row i over the current D."""
+        row, q = self.rows[i], self.den[i]
+        return row if q == self.d else [a * self.d // q for a in row]
+
+    def objective_row(self, costs):
+        """The reduced-cost row c_B B^-1 [A | b] - [c | 0], over D."""
+        z = [-self.d * c for c in costs] + [0]
+        for i in range(len(self.rows)):
+            cb = costs[self.basis[i]]
+            if cb:
+                z = [a + cb * t for a, t in zip(z, self.current(i))]
+        return z
+
+    def iterate(self, z, cols):
+        """Bland's rule over the first cols columns until z shows optimality."""
+        width = len(z) - 1
+        rows, basis = self.rows, self.basis
+        while True:
+            enter = next((j for j in range(cols) if z[j] > 0), None)
+            if enter is None:
+                return
+            best = None
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    if best is None:
+                        best = i
+                        continue
+                    # row[width] / a against the best row's ratio; both
+                    # ratios are free of the rows' denominators
+                    here = row[width] * rows[best][enter]
+                    there = rows[best][width] * a
+                    if here < there or (here == there and basis[i] < basis[best]):
+                        best = i
+            if best is None:
+                raise Unbounded("objective unbounded below")
+            self.pivot(best, enter, z)
+
+    def pivot(self, r, c, z):
+        """Fraction-free pivot on entry (r, c); updates z, kept over D, unless None."""
+        pr = self.current(r)
+        if pr[c] < 0:
+            pr = [-a for a in pr]
+        p, d = pr[c], self.d
+        rows, den = self.rows, self.den
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                q = den[i]
+                rows[i] = [(p * a - f * b) // q for a, b in zip(row, pr)]
+                den[i] = p
+        rows[r] = pr
+        den[r] = p
+        if z is not None:
+            f = z[c]
+            z[:] = [(p * a - f * b) // d for a, b in zip(z, pr)]
+        self.basis[r] = c
+        self.d = p

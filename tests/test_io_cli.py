@@ -223,3 +223,42 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["solve-max-srti", "--input", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["solve-max-srti", "--input", str(tmp_path / "missing.json")]) == 2
+
+
+def _pair_market(**extra):
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "ab", "u": "a", "v": "b"}],
+        "prefs": {"a": [["ab"]], "b": [["ab"]]},
+    }
+    doc.update(extra)
+    return doc
+
+
+def test_cli_rejects_a_critical_set_given_as_a_string(tmp_path, capsys):
+    # "ab" would otherwise iterate as the vertex set {a, b}
+    path = tmp_path / "crit.json"
+    path.write_text(json.dumps(_pair_market(critical="ab")))
+    out = tmp_path / "out.json"
+    assert main(["solve-pop-crit", "--input", str(path), "--output", str(out)]) == 2
+    assert "critical set must be a list" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text(json.dumps(_pair_market(critical=["a", "b"])))
+    assert main(["solve-pop-crit", "--input", str(path), "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("sides", [
+    {"a": {"gamma": "1/2"}, "b": {"gamma": "1/2", "delta": "3/2"}},
+    {"a": {"delta": "3/2"}, "b": {"gamma": "1/2", "delta": "3/2"}},
+    {"a": "1/2", "b": {"gamma": "1/2", "delta": "3/2"}},
+    ["a", "b"],
+    {"a": {"gamma": 0.5, "delta": "3/2"}, "b": {"gamma": "1/2", "delta": "3/2"}},
+])
+def test_cli_rejects_a_malformed_gamma_entry(tmp_path, capsys, sides):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(_pair_market(gamma={"ab": sides})))
+    with pytest.raises(InstanceError, match="malformed gamma section"):
+        parse_instance_text(path.read_text())
+    assert main(["solve-gamma", "--input", str(path),
+                 "--output", str(tmp_path / "out.json")]) == 2
+    assert "malformed gamma section" in capsys.readouterr().err
