@@ -3,9 +3,9 @@
 Agents are vertices of a multigraph and rank their *incident edges*
 (parallel edges are distinct alternatives, so two agents may share
 several contracts). Matchings assign each edge a rational value with
-per-vertex sums at most one. Every quantity in this package is a
-`fractions.Fraction`; stability and popularity predicates compare
-exactly, never through floats.
+per-vertex sums at most one. Every quantity is an exact rational, never
+a float: valuations are `int`s when integral (as all parsed, generated
+and derived ones are), all else is `Fraction`; predicates compare exactly.
 
 Instances and matchings are immutable by convention once built: all
 operations here are pure functions of their inputs and safe to share
@@ -36,6 +36,10 @@ class MatchingError(ValueError):
     """A matching is invalid for the given instance."""
 
 
+class VerificationFailed(RuntimeError):
+    """A self-check failed; this indicates a bug, not bad input."""
+
+
 class Edge(NamedTuple):
     eid: str
     u: str
@@ -44,6 +48,12 @@ class Edge(NamedTuple):
 
 def _rat(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _valuation(x: Rational) -> int | Fraction:
+    """A valuation, held as an ``int`` when integral."""
+    r = x if type(x) is int else _rat(x)
+    return r.numerator if r.denominator == 1 else r
 
 
 @dataclass(frozen=True)
@@ -61,8 +71,8 @@ class Instance:
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    pref: Mapping[str, Mapping[str, Fraction]]
-    pref_empty: Mapping[str, Fraction]
+    pref: Mapping[str, Mapping[str, int | Fraction]]
+    pref_empty: Mapping[str, int | Fraction]
     weights: Mapping[str, Fraction] | None
     gamma: Mapping[tuple[str, str], tuple[Fraction, Fraction]] | None
     critical: frozenset[str]
@@ -97,18 +107,14 @@ class Instance:
 
     # -- preferences ---------------------------------------------------
 
-    def pval(self, v: str, eid: str) -> Fraction:
+    def pval(self, v: str, eid: str) -> int | Fraction:
         try:
             return self.pref[v][eid]
         except KeyError:
             raise InstanceError(f"no preference of {v!r} for edge {eid!r}") from None
 
-    def pempty(self, v: str) -> Fraction:
+    def pempty(self, v: str) -> int | Fraction:
         return self.pref_empty[v]
-
-    def prefers(self, v: str, eid: str, fid: str) -> bool:
-        """True when v strictly prefers edge eid over edge fid."""
-        return self.pval(v, eid) > self.pval(v, fid)
 
     def is_strict(self) -> bool:
         """Whether every vertex's valuation is injective on its edges."""
@@ -127,7 +133,7 @@ class Instance:
 
         Edges inside a group are in canonical id order.
         """
-        groups: dict[Fraction, list[str]] = {}
+        groups: dict[int | Fraction, list[str]] = {}
         for eid in self._incident[v]:
             groups.setdefault(self.pref[v][eid], []).append(eid)
         return [groups[val] for val in sorted(groups, reverse=True)]
@@ -193,24 +199,24 @@ def validate_instance(
         incident[e.v].append(e.eid)
     inc = {v: tuple(sorted(ids)) for v, ids in incident.items()}
 
-    p_empty = {v: ZERO for v in vs}
+    p_empty: dict[str, int | Fraction] = {v: 0 for v in vs}
     if pref_empty:
         for v, val in pref_empty.items():
             if v not in vset:
                 raise InstanceError(f"pref_empty for unknown vertex {v!r}")
-            r = _rat(val)
+            r = _valuation(val)
             if r > 0:
                 raise InstanceError(f"pref_empty of {v!r} must be <= 0")
             p_empty[v] = r
 
-    p: dict[str, dict[str, Fraction]] = {}
+    p: dict[str, dict[str, int | Fraction]] = {}
     for v in vs:
         given = dict(pref.get(v, {}))
-        mine: dict[str, Fraction] = {}
+        mine: dict[str, int | Fraction] = {}
         for eid in inc[v]:
             if eid not in given:
                 raise InstanceError(f"missing preference of {v!r} for edge {eid!r}")
-            r = _rat(given.pop(eid))
+            r = _valuation(given.pop(eid))
             if r < 0:
                 raise InstanceError(f"preference of {v!r} for {eid!r} is negative")
             if r <= p_empty[v]:
@@ -275,7 +281,7 @@ def matching_size(m: Mapping[str, Fraction]) -> Fraction:
 
 
 def vertex_load(inst: Instance, m: Mapping[str, Fraction], v: str) -> Fraction:
-    return sum((m.get(eid, ZERO) for eid in inst.incident(v)), ZERO)
+    return sum((m[eid] for eid in inst.incident(v) if eid in m), ZERO)
 
 
 def check_matching(inst: Instance, m: Mapping[str, Fraction], half: bool = False) -> None:
@@ -302,7 +308,7 @@ def is_saturated(inst: Instance, m: Mapping[str, Fraction], v: str) -> bool:
     return vertex_load(inst, m, v) == 1
 
 
-def assigned_value(inst: Instance, v: str, m: Mapping[str, Fraction]) -> Fraction:
+def assigned_value(inst: Instance, v: str, m: Mapping[str, Fraction]) -> int | Fraction:
     """Agent v's worst positively-held edge value, or the unmatched value.
 
     Saturated agents are valued by the minimum over edges they hold with
@@ -330,20 +336,36 @@ def blocking_edges(
         raise ValueError(f"unknown blocking mode {mode!r}")
     if mode == "gamma" and not inst.has_full_gamma():
         raise InstanceError("gamma mode requires gamma/delta on every (edge, endpoint)")
-    assigned = {v: assigned_value(inst, v, m) for v in inst.vertices}
+    # one pass over m: each vertex's load and worst positively-held valuation
+    pref = inst.pref
+    load: dict[str, Fraction] = {}
+    worst: dict[str, int | Fraction] = {}
+    for eid, val in m.items():
+        e = inst._by_id.get(eid)
+        if e is None:
+            continue
+        positive = val > 0
+        for x in (e.u, e.v):
+            load[x] = load.get(x, ZERO) + val
+            if positive and (x not in worst or pref[x][eid] < worst[x]):
+                worst[x] = pref[x][eid]
+    assigned = dict(inst.pref_empty)
+    assigned.update((x, p) for x, p in worst.items() if load[x] == 1)
+
+    if mode == "weak":
+        return [
+            eid for eid, u, v in inst.edges
+            if pref[u][eid] > assigned[u] and pref[v][eid] > assigned[v]
+            and m.get(eid, ZERO) < 1
+        ]
     out = []
-    for e in inst.edges:
-        val = m.get(e.eid, ZERO)
-        du = inst.pval(e.u, e.eid) - assigned[e.u]
-        dv = inst.pval(e.v, e.eid) - assigned[e.v]
-        if mode == "weak":
-            if val < 1 and du > 0 and dv > 0:
-                out.append(e.eid)
-        else:
-            gu, deltau = inst.gamma_of(e.eid, e.u)
-            gv, deltav = inst.gamma_of(e.eid, e.v)
-            if min(du - gu, dv - deltav) >= 0 or min(du - deltau, dv - gv) >= 0:
-                out.append(e.eid)
+    for eid, u, v in inst.edges:
+        du = pref[u][eid] - assigned[u]
+        dv = pref[v][eid] - assigned[v]
+        gu, deltau = inst.gamma[(eid, u)]
+        gv, deltav = inst.gamma[(eid, v)]
+        if (du >= gu and dv >= deltav) or (du >= deltau and dv >= gv):
+            out.append(eid)
     return out
 
 

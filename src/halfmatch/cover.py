@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import HALF, ZERO, Instance, half_support
+from .core import HALF, ZERO, Instance, VerificationFailed, half_support
 
 
 class CoverEdge(NamedTuple):
@@ -253,18 +253,22 @@ def max_weight_cover_matching(
 
     y_left, y_right = solver.y_left, solver.y_right
     for ce in cover.edges:
-        gap = y_left[ce.left] + y_right[ce.right] - solver.weight_of(ce)
-        assert gap >= 0, f"dual infeasible at {ce.cid}"
+        if y_left[ce.left] + y_right[ce.right] < solver.weight_of(ce):
+            raise VerificationFailed(f"cover dual infeasible at {ce.cid}")
     for cid in matched:
         ce = cover.edge(cid)
-        assert y_left[ce.left] + y_right[ce.right] == solver.weight_of(ce)
-    assert all(y >= 0 for y in y_left.values())
-    assert all(y >= 0 for y in y_right.values())
+        if y_left[ce.left] + y_right[ce.right] != solver.weight_of(ce):
+            raise VerificationFailed(f"matched cover edge {cid} is slack")
+    if any(y < 0 for y in y_left.values()) or any(y < 0 for y in y_right.values()):
+        raise VerificationFailed("negative cover potential")
     matched_left = {cover.edge(cid).left for cid in matched}
     matched_right = {cover.edge(cid).right for cid in matched}
-    assert all(y_left[v] == 0 for v in y_left if v not in matched_left)
-    assert all(y_right[v] == 0 for v in y_right if v not in matched_right)
-    assert total == sum(y_left.values(), ZERO) + sum(y_right.values(), ZERO)
+    if any(y_left[v] != 0 for v in y_left if v not in matched_left) or any(
+        y_right[v] != 0 for v in y_right if v not in matched_right
+    ):
+        raise VerificationFailed("positive potential on an unmatched cover vertex")
+    if total != sum(y_left.values(), ZERO) + sum(y_right.values(), ZERO):
+        raise VerificationFailed("cover matching weight differs from the dual objective")
     return CoverMatchingResult(
         matched=matched, y_left=dict(y_left), y_right=dict(y_right), weight=total
     )

@@ -38,6 +38,7 @@ from .core import (
     HALF,
     ONE,
     Instance,
+    VerificationFailed,
     blocking_edges,
     matching_size,
 )
@@ -122,16 +123,13 @@ class StablePartitionCert:
     """A stable half-matching together with its support decomposition.
 
     ``ones`` lists the value-1 edges; ``odd_cycles`` the half-value
-    cycles as aligned (vertices, edge ids) tuples. ``even_cycles`` is
-    kept for shape but always empty: the engine resolves even cycles
-    into value-1 edges before returning. Construction re-verifies that
-    no blocking edge exists.
+    cycles as aligned (vertices, edge ids) tuples. Construction
+    re-verifies that no blocking edge exists.
     """
 
     matching: dict[str, Fraction]
     ones: tuple[str, ...]
     odd_cycles: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    even_cycles: tuple = ()
 
 
 class _Court:
@@ -142,16 +140,9 @@ class _Court:
         self.lists: dict[str, list[str]] = {
             v: inst.strict_order(v) for v in inst.vertices
         }
-        self.rank: dict[tuple[str, str], int] = {}
-        for v, lst in self.lists.items():
-            for i, eid in enumerate(lst):
-                self.rank[(v, eid)] = i
         self.held: dict[str, str | None] = {v: None for v in inst.vertices}
         self.accepted: dict[str, bool] = {v: False for v in inst.vertices}
         self.queue: deque[str] = deque(v for v in inst.vertices if self.lists[v])
-
-    def better(self, v: str, e: str, f: str) -> bool:
-        return self.rank[(v, e)] < self.rank[(v, f)]
 
     def delete(self, eid: str) -> None:
         """Remove an edge from both endpoint lists, freeing any proposer."""
@@ -181,7 +172,7 @@ class _Court:
             if h == eid:
                 self.accepted[v] = True
                 continue
-            if h is None or self.better(w, eid, h):
+            if h is None or self.inst.pref[w][eid] > self.inst.pref[w][h]:
                 self.accepted[v] = True
                 self.held[w] = eid
                 tail = self.lists[w][self.lists[w].index(eid) + 1:]
@@ -204,10 +195,12 @@ class _Court:
         x = start
         while x not in pos:
             pos[x] = len(seq)
-            assert len(self.lists[x]) >= 2
+            if len(self.lists[x]) < 2:
+                raise VerificationFailed(f"rotation walk meets a short list at {x!r}")
             second = self.lists[x][1]
             y = self.inst.other(second, x)
-            assert len(self.lists[y]) >= 2
+            if len(self.lists[y]) < 2:
+                raise VerificationFailed(f"rotation walk meets a short list at {y!r}")
             last = self.lists[y][-1]
             seq.append((x, second, y))
             x = self.inst.other(last, y)
@@ -219,7 +212,8 @@ class _Court:
         for _, second, y in rotation:
             tail = self.lists[y][self.lists[y].index(second) + 1:]
             doomed.update(tail)
-        assert doomed
+        if not doomed:
+            raise VerificationFailed("rotation eliminates nothing")
         for g in sorted(doomed):
             self.delete(g)
 
@@ -251,7 +245,8 @@ def stable_half_matching(inst: Instance) -> StablePartitionCert:
         if len(lst) == 1:
             eid = lst[0]
             w = inst.other(eid, v)
-            assert court.lists[w] == [eid]
+            if court.lists[w] != [eid]:
+                raise VerificationFailed(f"singleton list of {v!r} is not mirrored")
             m[eid] = ONE
             ones.append(eid)
             done.update((v, w))
@@ -261,7 +256,8 @@ def stable_half_matching(inst: Instance) -> StablePartitionCert:
         eids = [lst[0]]
         x = inst.other(lst[0], v)
         while x != v:
-            assert len(court.lists[x]) == 2
+            if len(court.lists[x]) != 2:
+                raise VerificationFailed(f"courting cycle meets {x!r} with a long list")
             verts.append(x)
             eids.append(court.lists[x][0])
             x = inst.other(court.lists[x][0], x)
@@ -275,7 +271,8 @@ def stable_half_matching(inst: Instance) -> StablePartitionCert:
                 m[eids[t]] = ONE
                 ones.append(eids[t])
 
-    assert blocking_edges(inst, m, "weak") == [], "engine produced a blocked matching"
+    if blocking_edges(inst, m, "weak"):
+        raise VerificationFailed("engine produced a blocked matching")
     return StablePartitionCert(
         matching=m, ones=tuple(sorted(ones)), odd_cycles=tuple(odd)
     )

@@ -79,7 +79,7 @@ def generate_random(
         incident[u].append(eid)
         incident[v].append(eid)
 
-    pref: dict[str, dict[str, Fraction]] = {}
+    pref: dict[str, dict[str, int]] = {}
     for v in vertices:
         order = sorted(incident[v])
         rng.shuffle(order)
@@ -89,10 +89,10 @@ def generate_random(
                 classes[-1].append(eid)
             else:
                 classes.append([eid])
-        vals: dict[str, Fraction] = {}
+        vals: dict[str, int] = {}
         for depth, group in enumerate(classes):
             for eid in group:
-                vals[eid] = Fraction(len(classes) - depth)
+                vals[eid] = len(classes) - depth
         pref[v] = vals
 
     weights = None

@@ -1,15 +1,15 @@
 """Instance and result files.
 
 Both formats are canonical JSON (sorted keys, two-space indent, trailing
-newline) so identical inputs produce byte-identical files; no floats
-ever appear, rationals travel as "p/q" strings ("3", "1/2").
+newline) so identical inputs produce byte-identical files. Numbers are
+exact rationals, never floats, and travel as "p/q" strings ("3", "1/2").
 
 An instance file stores preferences *ordinally*: per vertex, a list of
 tie groups of edge ids, best group first. Parsing assigns canonical
-valuations (descending integers per group, worst group 1), and gamma or
-delta entries are read on that same scale. Serializing an instance
-reconstructs the groups from its valuations, so parse and serialize are
-mutually inverse on canonical files.
+valuations, held as ``int`` (descending per group, worst group 1), and
+gamma or delta entries are read on that same scale. Serializing an
+instance reconstructs the groups from its valuations, so parse and
+serialize are mutually inverse on canonical files.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise InstanceError(f"malformed rational {text!r}: not a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -92,6 +94,8 @@ def parse_instance_text(text: str) -> Instance:
     for key in ("vertices", "edges", "prefs"):
         if key not in doc:
             raise InstanceError(f"instance file lacks the {key!r} section")
+    if not isinstance(doc["vertices"], list):
+        raise InstanceError("the vertex set must be a list of vertex ids")
 
     edges = []
     weights: dict[str, Fraction] = {}
@@ -104,9 +108,9 @@ def parse_instance_text(text: str) -> Instance:
             weights[record["id"]] = parse_rational(record["weight"])
     known = {eid for eid, _, _ in edges}
 
-    pref: dict[str, dict[str, Fraction]] = {}
+    pref: dict[str, dict[str, int]] = {}
     for v, groups in doc["prefs"].items():
-        vals: dict[str, Fraction] = {}
+        vals: dict[str, int] = {}
         for depth, group in enumerate(groups):
             if not isinstance(group, list):
                 raise InstanceError(
@@ -123,7 +127,7 @@ def parse_instance_text(text: str) -> Instance:
                         text, eid,
                         f"preference list of {v!r} mentions edge {eid!r} twice",
                     )
-                vals[eid] = Fraction(len(groups) - depth)
+                vals[eid] = len(groups) - depth
         pref[v] = vals
 
     gamma = None
@@ -136,7 +140,7 @@ def parse_instance_text(text: str) -> Instance:
                         parse_rational(pair["gamma"]),
                         parse_rational(pair["delta"]),
                     )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, InstanceError) as exc:
             raise InstanceError(
                 "malformed gamma section: each edge maps its endpoints to "
                 "objects with 'gamma' and 'delta' rationals"
@@ -185,22 +189,28 @@ def build_result(
     inst: Instance,
     matching: Mapping[str, Fraction],
     verification: Mapping[str, Any],
+    digest: str,
     seed: int | None = None,
 ) -> dict[str, Any]:
-    stats = matching_stats(inst, matching)
+    """A result record; ``digest`` is :func:`instance_digest` of ``inst``."""
     return {
         "solver": solver,
-        "instance_digest": instance_digest(inst),
+        "instance_digest": digest,
         "seed": seed,
         "matching": format_matching(matching),
-        "stats": {
-            "size": format_rational(stats.size),
-            "saturated": list(stats.saturated),
-            "unsaturated": list(stats.unsaturated),
-            "integral": stats.integral,
-            "critical_ok": stats.critical_ok,
-        },
+        "stats": _stats_record(inst, matching),
         "verification": dict(verification),
+    }
+
+
+def _stats_record(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, Any]:
+    stats = matching_stats(inst, m)
+    return {
+        "size": format_rational(stats.size),
+        "saturated": list(stats.saturated),
+        "unsaturated": list(stats.unsaturated),
+        "integral": stats.integral,
+        "critical_ok": stats.critical_ok,
     }
 
 
@@ -216,20 +226,15 @@ def load_result(path: str) -> dict[str, Any]:
             raise InstanceError(f"result file is not valid JSON: {exc}") from exc
 
 
-def save_result(result: Mapping[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_result(result))
-
-
-def check_result(inst: Instance, result: Mapping[str, Any]) -> list[str]:
+def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list[str]:
     """Re-derive everything a result file claims; returns the failures.
 
-    A clean re-verification returns an empty list. The matching is
-    re-validated, the digest, stats and the per-solver verification
+    A clean re-verification returns an empty list. The recorded digest
+    must equal ``digest``, :func:`instance_digest` of ``inst``; the
+    matching is re-validated, and the stats and per-solver verification
     summary are recomputed from scratch and compared field by field.
     """
     problems: list[str] = []
-    digest = instance_digest(inst)
     if result.get("instance_digest") != digest:
         problems.append("instance digest mismatch")
     try:
@@ -242,16 +247,8 @@ def check_result(inst: Instance, result: Mapping[str, Any]) -> list[str]:
         problems.append(f"matching invalid: {exc}")
         return problems
 
-    stats = matching_stats(inst, m)
     recorded = result.get("stats", {})
-    expect = {
-        "size": format_rational(stats.size),
-        "saturated": list(stats.saturated),
-        "unsaturated": list(stats.unsaturated),
-        "integral": stats.integral,
-        "critical_ok": stats.critical_ok,
-    }
-    for key, val in expect.items():
+    for key, val in _stats_record(inst, m).items():
         if recorded.get(key) != val:
             problems.append(f"stats field {key!r} does not re-derive")
 

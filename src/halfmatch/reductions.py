@@ -34,6 +34,7 @@ from .core import (
     Instance,
     InstanceError,
     MatchingError,
+    VerificationFailed,
     ZERO,
     check_matching,
     validate_instance,
@@ -97,17 +98,20 @@ class DerivedInstance:
         return out
 
 
-def _finish(construction, origin, copy_edges, origin_of, orders, kind, level=None):
+def _finish(construction, origin, origin_of, orders, kind, level=None):
     """Materialize a derived instance from explicit per-vertex orders."""
     pref = {}
     for v in origin.vertices:
         order = orders[v]
-        pref[v] = {cid: Fraction(len(order) - i) for i, cid in enumerate(order)}
+        pref[v] = {cid: len(order) - i for i, cid in enumerate(order)}
     inst = validate_instance(
-        vertices=list(origin.vertices), edges=copy_edges, pref=pref
+        vertices=list(origin.vertices),
+        edges=[(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()],
+        pref=pref,
     )
     for v in origin.vertices:  # the explicit order must be a strict total order
-        assert len(set(orders[v])) == len(orders[v]) == len(inst.incident(v))
+        if not len(set(orders[v])) == len(orders[v]) == len(inst.incident(v)):
+            raise VerificationFailed(f"derived order at {v!r} is not strict and total")
     copies_of: dict[str, list[str]] = {}
     for cid, eid in origin_of.items():
         copies_of.setdefault(eid, []).append(cid)
@@ -138,7 +142,6 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
 
-    copy_edges = []
     origin_of: dict[str, str] = {}
     kind: dict[tuple[str, str], str] = {}
     roles_low = {1: "best", 2: "second", 3: "third", 4: "last"}
@@ -147,7 +150,6 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
         high = origin.other(e.eid, low)
         for k in range(1, 5):
             cid = f"{e.eid}~{k}"
-            copy_edges.append((cid, e.u, e.v))
             origin_of[cid] = e.eid
             kind[(cid, low)] = roles_low[k]
             kind[(cid, high)] = roles_low[5 - k]
@@ -171,7 +173,7 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
         tail.sort()
         orders[v] = [item[-1] for item in keep] + [item[-1] for item in tail]
 
-    return _finish("gamma4", origin, copy_edges, origin_of, orders, kind)
+    return _finish("gamma4", origin, origin_of, orders, kind)
 
 
 def build_srti_reduction(origin: Instance) -> DerivedInstance:
@@ -182,7 +184,6 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
     order), and finally appends the copies it ranks bottom, ordered by
     its original valuation with edge-id tie-break.
     """
-    copy_edges = []
     origin_of: dict[str, str] = {}
     kind: dict[tuple[str, str], str] = {}
     top_of: dict[tuple[str, str], str] = {}
@@ -195,7 +196,6 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
             ("~w", "bottom", "top"),
         ):
             cid = e.eid + suffix
-            copy_edges.append((cid, e.u, e.v))
             origin_of[cid] = e.eid
             kind[(cid, low)] = low_role
             kind[(cid, high)] = high_role
@@ -219,7 +219,7 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
         )
         orders[v] = seq
 
-    return _finish("srti3", origin, copy_edges, origin_of, orders, kind)
+    return _finish("srti3", origin, origin_of, orders, kind)
 
 
 def build_pri_reduction(origin: Instance) -> DerivedInstance:
@@ -229,7 +229,6 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
     then all its bad copies in the same order.
     """
     origin.require_strict("the popular-matching reduction")
-    copy_edges = []
     origin_of: dict[str, str] = {}
     kind: dict[tuple[str, str], str] = {}
     good_of: dict[tuple[str, str], str] = {}
@@ -238,7 +237,6 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
         high = origin.other(e.eid, low)
         for suffix, low_role in (("~a", "good"), ("~b", "bad")):
             cid = e.eid + suffix
-            copy_edges.append((cid, e.u, e.v))
             origin_of[cid] = e.eid
             high_role = "bad" if low_role == "good" else "good"
             kind[(cid, low)] = low_role
@@ -256,7 +254,7 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
         bad = [eid + flip[good_of[(eid, v)][-2:]] for eid in mine]
         orders[v] = good + bad
 
-    return _finish("pri2", origin, copy_edges, origin_of, orders, kind)
+    return _finish("pri2", origin, origin_of, orders, kind)
 
 
 def build_crit_reduction(
@@ -282,13 +280,11 @@ def build_crit_reduction(
         )
     s = len(crit)
 
-    copy_edges = []
     origin_of: dict[str, str] = {}
     kind: dict[tuple[str, str], str] = {}
     level: dict[tuple[str, str], int] = {}
     for e in origin.edges:
         cid = e.eid + "~0"
-        copy_edges.append((cid, e.u, e.v))
         origin_of[cid] = e.eid
         for x in (e.u, e.v):
             kind[(cid, x)] = "middle"
@@ -301,7 +297,6 @@ def build_crit_reduction(
             partner = high if x == low else low
             for j in range(1, s + 1):
                 cid = f"{e.eid}~{tag}{j}"
-                copy_edges.append((cid, e.u, e.v))
                 origin_of[cid] = e.eid
                 kind[(cid, x)] = "worst"
                 kind[(cid, partner)] = "best"
@@ -309,9 +304,8 @@ def build_crit_reduction(
                 level[(cid, partner)] = j
 
     by_vertex_level: dict[str, dict[int, list[str]]] = {v: {} for v in origin.vertices}
-    for cid, u, v in copy_edges:
-        for x in (u, v):
-            by_vertex_level[x].setdefault(level[(cid, x)], []).append(cid)
+    for (cid, x), lev in level.items():
+        by_vertex_level[x].setdefault(lev, []).append(cid)
 
     orders = {}
     for v in origin.vertices:
@@ -323,4 +317,4 @@ def build_crit_reduction(
             seq.extend(bucket)
         orders[v] = seq
 
-    return _finish("crit", origin, copy_edges, origin_of, orders, kind, level=level)
+    return _finish("crit", origin, origin_of, orders, kind, level=level)

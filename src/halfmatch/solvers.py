@@ -34,6 +34,7 @@ from .core import (
     ZERO,
     Instance,
     InstanceError,
+    VerificationFailed,
     blocking_edges,
     is_saturated,
     validate_instance,
@@ -49,19 +50,13 @@ from .reductions import (
 )
 
 
-class VerificationFailed(RuntimeError):
-    """A solver's self-check failed; this indicates a bug, not bad input."""
-
-
 class InfeasibleCritical(ValueError):
     """No fractional matching can saturate the requested critical set."""
 
 
 def _run_pipeline(derived: DerivedInstance) -> dict[str, Fraction]:
-    cert = stable_half_matching(derived.inst)
-    if blocking_edges(derived.inst, cert.matching, "weak"):
-        raise VerificationFailed("derived half-matching is not stable")
-    return derived.project(cert.matching)
+    # the engine certifies its output stable on the derived market
+    return derived.project(stable_half_matching(derived.inst).matching)
 
 
 def solve_max_srti(inst: Instance) -> dict[str, Fraction]:
@@ -214,6 +209,13 @@ def solve_pop_maxw(
     pipeline; the output's weight is checked against the dual objective
     exactly.
     """
+    return _pop_maxw(inst, weights)[0]
+
+
+def _pop_maxw(
+    inst: Instance, weights: Mapping[str, Fraction]
+) -> tuple[dict[str, Fraction], DualSolution]:
+    """:func:`solve_pop_maxw`'s matching together with the dual it used."""
     inst.require_strict("solve_pop_maxw")
     dual = max_weight_dual(inst, weights)
     reduced = restrict_to_edges(inst, set(dual.tight_edges))
@@ -225,4 +227,4 @@ def solve_pop_maxw(
         raise VerificationFailed(
             f"output weight {got} differs from the optimum {dual.objective}"
         )
-    return out
+    return out, dual

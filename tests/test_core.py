@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,15 @@ from halfmatch.core import (
     validate_instance,
     vertex_load,
 )
+from halfmatch.generate import generate_random
+from halfmatch.io import parse_instance_text, serialize_instance
+from halfmatch.reductions import (
+    build_crit_reduction,
+    build_gamma_reduction,
+    build_pri_reduction,
+    build_srti_reduction,
+)
+from halfmatch.solvers import solve_max_gamma, solve_max_srti
 
 from conftest import make_path, make_triangle
 
@@ -250,6 +260,135 @@ def test_blocking_matches_naive_everywhere(five_agent_market, cyclic_triangle):
             continue
         for m in enumerate_all_halves(inst):
             assert blocking_edges(inst, m) == naive_blocking(inst, m)
+
+
+# -- the one-pass scan kernel against the per-vertex reference -------------
+
+
+def _assigned_reference(inst, v, m):
+    """assigned_value as a sum and a minimum over every incident edge."""
+    positive = [inst.pval(v, eid) for eid in inst.incident(v) if m.get(eid, ZERO) > 0]
+    load = sum((m.get(eid, ZERO) for eid in inst.incident(v)), ZERO)
+    if positive and load == 1:
+        return min(positive)
+    return inst.pempty(v)
+
+
+def _blocking_reference(inst, m, mode="weak"):
+    """The per-vertex blocking scan the one-pass kernel replaced."""
+    assigned = {v: _assigned_reference(inst, v, m) for v in inst.vertices}
+    out = []
+    for e in inst.edges:
+        val = m.get(e.eid, ZERO)
+        du = inst.pval(e.u, e.eid) - assigned[e.u]
+        dv = inst.pval(e.v, e.eid) - assigned[e.v]
+        if mode == "weak":
+            if val < 1 and du > 0 and dv > 0:
+                out.append(e.eid)
+        else:
+            gu, deltau = inst.gamma_of(e.eid, e.u)
+            gv, deltav = inst.gamma_of(e.eid, e.v)
+            if min(du - gu, dv - deltav) >= 0 or min(du - deltau, dv - gv) >= 0:
+                out.append(e.eid)
+    return out
+
+
+def _random_half_matching(rng, inst):
+    """A random half-matching, sometimes with explicit zero entries."""
+    room = {v: ONE for v in inst.vertices}
+    m = {}
+    order = list(inst.edges)
+    rng.shuffle(order)
+    for e in order:
+        cap = min(room[e.u], room[e.v])
+        val = rng.choice([v for v in (ZERO, H, ONE) if v <= cap])
+        if val or rng.random() < 0.2:
+            m[e.eid] = val
+            room[e.u] -= val
+            room[e.v] -= val
+    return m
+
+
+def _random_value_map(rng, inst):
+    """Arbitrary values, overloads and a stray edge id: not a matching,
+    but both scans must still agree on it."""
+    m = {e.eid: rng.choice([-H, ZERO, F(1, 3), H, ONE, F(3, 2)])
+         for e in inst.edges if rng.random() < 0.5}
+    m["stray"] = ONE
+    return m
+
+
+def _rational_market(rng, seed):
+    """A generated market revalued with non-integral Fractions and a
+    negative unmatched value; ties and parallel edges survive."""
+    base = generate_random(seed, rng.randint(3, 7), edge_density=0.6,
+                           parallel_prob=0.3, tie_prob=0.4)
+    scale = F(rng.randint(1, 5), rng.randint(2, 4))
+    pref = {v: {eid: val * scale for eid, val in base.pref[v].items()}
+            for v in base.vertices}
+    pref_empty = {v: -F(rng.randint(0, 3), rng.randint(1, 3)) for v in base.vertices}
+    gamma = {}
+    for e in base.edges:
+        for x in (e.u, e.v):
+            lo = F(rng.randint(1, 6), rng.randint(1, 4))
+            gamma[(e.eid, x)] = (lo, lo + F(rng.randint(1, 4), rng.randint(1, 3)))
+    return validate_instance(list(base.vertices), [tuple(e) for e in base.edges],
+                             pref, pref_empty=pref_empty, gamma=gamma)
+
+
+def test_blocking_kernel_matches_reference():
+    rng = random.Random(20240)
+    pairs = 0
+    kinds = {"fraction": 0, "negative_empty": 0, "parallel": 0, "tie": 0, "gamma": 0}
+    for seed in range(160):
+        if seed % 2:
+            inst = _rational_market(rng, seed)
+        else:
+            inst = generate_random(seed, rng.randint(3, 8), edge_density=0.5,
+                                   parallel_prob=0.3, tie_prob=0.4,
+                                   gamma_preset=("none", "generic")[seed % 4 == 0])
+        kinds["fraction"] += any(type(p) is F for v in inst.vertices
+                                 for p in inst.pref[v].values())
+        kinds["negative_empty"] += any(p < 0 for p in inst.pref_empty.values())
+        kinds["parallel"] += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
+        kinds["tie"] += not inst.is_strict()
+        modes = ["weak", "gamma"] if inst.has_full_gamma() else ["weak"]
+        kinds["gamma"] += len(modes) - 1
+        matchings = [_random_half_matching(rng, inst) for _ in range(6)]
+        matchings.append(_random_value_map(rng, inst))
+        matchings.append(solve_max_srti(inst))
+        if inst.has_full_gamma():
+            matchings.append(solve_max_gamma(inst))
+        for m in matchings:
+            for mode in modes:
+                assert blocking_edges(inst, m, mode) == _blocking_reference(inst, m, mode)
+                pairs += 1
+            for v in inst.vertices:
+                assert assigned_value(inst, v, m) == _assigned_reference(inst, v, m)
+                assert vertex_load(inst, m, v) == sum(
+                    (m.get(eid, ZERO) for eid in inst.incident(v)), ZERO)
+    assert pairs >= 1000
+    assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_parsed_and_derived_valuations_are_int():
+    inst = generate_random(3, 8, edge_density=0.6, parallel_prob=0.3, tie_prob=0.4,
+                           gamma_preset="generic")
+    strict = generate_random(4, 8, edge_density=0.6, parallel_prob=0.3)
+    markets = [inst, parse_instance_text(serialize_instance(inst))]
+    markets += [build(inst).inst for build in (build_srti_reduction, build_gamma_reduction)]
+    markets += [build_pri_reduction(strict).inst,
+                build_crit_reduction(strict, frozenset(strict.vertices[:3])).inst]
+    for market in markets:
+        for v in market.vertices:
+            assert type(market.pempty(v)) is int
+            assert all(type(p) is int for p in market.pref[v].values())
+    # integral library valuations become ints, non-integral ones stay Fractions
+    lib = validate_instance(["a", "b"], [("e", "a", "b")],
+                            pref={"a": {"e": F(4, 2)}, "b": {"e": F(1, 2)}},
+                            pref_empty={"b": F(-1, 3)})
+    assert type(lib.pval("a", "e")) is int and lib.pval("a", "e") == 2
+    assert type(lib.pval("b", "e")) is F and type(lib.pempty("b")) is F
 
 
 # -- convex decomposition monotonicity ---------------------------------------

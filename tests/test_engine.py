@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import halfmatch
 from halfmatch.core import HALF, ONE, blocking_edges, matching_size, validate_instance
 from halfmatch.engine import (
     BoundExceeded,
@@ -177,3 +182,35 @@ def test_generator_gamma_presets_respect_gap_regimes():
         generic = generate_random(seed, 6, edge_density=0.7, gamma_preset="generic")
         for gam, delta in (generic.gamma or {}).values():
             assert 0 < gam < delta
+
+
+def test_engine_postcondition_raises_under_optimize():
+    # python -O strips assert statements; the engine's certificate is the
+    # only stability check on a derived market, so it must survive -O
+    script = textwrap.dedent("""
+        import halfmatch.engine as engine
+        from halfmatch import VerificationFailed
+        from halfmatch.core import validate_instance
+
+        assert False, "-O must strip this"
+        inst = validate_instance(["a", "b"], [("e", "a", "b")],
+                                 pref={"a": {"e": 1}, "b": {"e": 1}})
+        engine.blocking_edges = lambda *args, **kwargs: ["x"]
+        try:
+            engine.stable_half_matching(inst)
+        except VerificationFailed as exc:
+            print("raised:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(halfmatch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: engine produced a blocked matching\n"
+
+
+def test_verification_failed_is_one_class():
+    from halfmatch import core, solvers
+
+    assert halfmatch.VerificationFailed is core.VerificationFailed
+    assert solvers.VerificationFailed is core.VerificationFailed

@@ -83,12 +83,12 @@ def test_check_result_detects_tampering(five_agent_market):
     m = {"u1w1": ONE, "u2w2": ONE}
     result = build_result(
         "solve-max-srti", inst, m,
-        {"mode": "weak", "blocking_edges": [], "stable": True},
+        {"mode": "weak", "blocking_edges": [], "stable": True}, instance_digest(inst),
     )
-    assert check_result(inst, result) == []
+    assert check_result(inst, result, instance_digest(inst)) == []
     tampered = json.loads(serialize_result(result))
     tampered["matching"]["u3w2"] = "1"
-    problems = check_result(inst, tampered)
+    problems = check_result(inst, tampered, instance_digest(inst))
     assert any("blocking" in p or "invalid" in p or "stats" in p for p in problems)
 
 
@@ -262,3 +262,30 @@ def test_cli_rejects_a_malformed_gamma_entry(tmp_path, capsys, sides):
     assert main(["solve-gamma", "--input", str(path),
                  "--output", str(tmp_path / "out.json")]) == 2
     assert "malformed gamma section" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_vertex_set_given_as_a_string(tmp_path, capsys):
+    # "ab" would otherwise iterate as the vertex set {a, b}
+    path = tmp_path / "verts.json"
+    path.write_text(json.dumps(_pair_market(vertices="ab")))
+    out = tmp_path / "out.json"
+    assert main(["solve-max-srti", "--input", str(path), "--output", str(out)]) == 2
+    assert "vertex set must be a list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [3, 1.5, None, ["1"]])
+def test_cli_rejects_a_weight_that_is_not_a_string(tmp_path, capsys, weight):
+    doc = _pair_market()
+    doc["edges"][0]["weight"] = weight
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match="malformed rational"):
+        parse_instance_text(path.read_text())
+    assert main(["solve-max-srti", "--input", str(path),
+                 "--output", str(tmp_path / "out.json")]) == 2
+    assert "malformed rational" in capsys.readouterr().err
+    doc["edges"][0]["weight"] = "3"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-pop-maxw", "--input", str(path),
+                 "--output", str(tmp_path / "out.json")]) == 0
