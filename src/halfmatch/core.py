@@ -308,16 +308,32 @@ def is_saturated(inst: Instance, m: Mapping[str, Fraction], v: str) -> bool:
     return vertex_load(inst, m, v) == 1
 
 
-def assigned_value(inst: Instance, v: str, m: Mapping[str, Fraction]) -> int | Fraction:
-    """Agent v's worst positively-held edge value, or the unmatched value.
+def _assigned(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, int | Fraction]:
+    """Every agent's assigned value, in one pass over the support of m.
 
     Saturated agents are valued by the minimum over edges they hold with
     positive weight; unsaturated agents by ``pref_empty``.
     """
-    positive = [inst.pval(v, eid) for eid in inst.incident(v) if m.get(eid, ZERO) > 0]
-    if positive and vertex_load(inst, m, v) == 1:
-        return min(positive)
-    return inst.pempty(v)
+    pref = inst.pref
+    load: dict[str, Fraction] = {}
+    worst: dict[str, int | Fraction] = {}
+    for eid, val in m.items():
+        e = inst._by_id.get(eid)
+        if e is None:
+            continue
+        positive = val > 0
+        for x in (e.u, e.v):
+            load[x] = load.get(x, ZERO) + val
+            if positive and (x not in worst or pref[x][eid] < worst[x]):
+                worst[x] = pref[x][eid]
+    assigned = dict(inst.pref_empty)
+    assigned.update((x, p) for x, p in worst.items() if load[x] == 1)
+    return assigned
+
+
+def assigned_value(inst: Instance, v: str, m: Mapping[str, Fraction]) -> int | Fraction:
+    """Agent v's worst positively-held edge value, or the unmatched value."""
+    return _assigned(inst, m)[v]
 
 
 def blocking_edges(
@@ -336,21 +352,8 @@ def blocking_edges(
         raise ValueError(f"unknown blocking mode {mode!r}")
     if mode == "gamma" and not inst.has_full_gamma():
         raise InstanceError("gamma mode requires gamma/delta on every (edge, endpoint)")
-    # one pass over m: each vertex's load and worst positively-held valuation
     pref = inst.pref
-    load: dict[str, Fraction] = {}
-    worst: dict[str, int | Fraction] = {}
-    for eid, val in m.items():
-        e = inst._by_id.get(eid)
-        if e is None:
-            continue
-        positive = val > 0
-        for x in (e.u, e.v):
-            load[x] = load.get(x, ZERO) + val
-            if positive and (x not in worst or pref[x][eid] < worst[x]):
-                worst[x] = pref[x][eid]
-    assigned = dict(inst.pref_empty)
-    assigned.update((x, p) for x, p in worst.items() if load[x] == 1)
+    assigned = _assigned(inst, m)
 
     if mode == "weak":
         return [
