@@ -44,10 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InstanceError, MatchingError, InfeasibleCritical, BoundExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InstanceError, MatchingError, InfeasibleCritical, BoundExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailed as exc:
@@ -128,7 +125,6 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
     tag = args.tag
-    verification: dict = {}
 
     # each solver certifies its own claims; check_result re-derives them below
     if tag == "solve-max-srti":

@@ -86,36 +86,50 @@ def _located(text: str, token: str, message: str) -> InstanceError:
     return InstanceError(message)
 
 
+def _list_of(kind: type, items: Any, message: str) -> list:
+    """``items`` itself if it is a list of ``kind`` values, else InstanceError."""
+    if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+        raise InstanceError(message)
+    return items
+
+
 def parse_instance_text(text: str) -> Instance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceError("an instance file must hold a JSON object")
     for key in ("vertices", "edges", "prefs"):
         if key not in doc:
             raise InstanceError(f"instance file lacks the {key!r} section")
-    if not isinstance(doc["vertices"], list):
-        raise InstanceError("the vertex set must be a list of vertex ids")
+    vertices = _list_of(str, doc["vertices"], "the vertex set must be a list of vertex ids")
+    _list_of(dict, doc["edges"], "the edges section must be a list of edge records")
+    if not isinstance(doc["prefs"], dict):
+        raise InstanceError("the prefs section must map vertex ids to tie groups")
 
     edges = []
     weights: dict[str, Fraction] = {}
     for record in doc["edges"]:
         try:
-            edges.append((record["id"], record["u"], record["v"]))
-        except (KeyError, TypeError) as exc:
+            ids = [record["id"], record["u"], record["v"]]
+        except KeyError as exc:
             raise InstanceError(f"malformed edge record {record!r}") from exc
+        edges.append(_list_of(str, ids, f"edge record {record!r}: ids must be strings"))
         if "weight" in record:
             weights[record["id"]] = parse_rational(record["weight"])
     known = {eid for eid, _, _ in edges}
 
+    vertex_set = set(vertices)
     pref: dict[str, dict[str, int]] = {}
     for v, groups in doc["prefs"].items():
+        if v not in vertex_set:
+            raise InstanceError(f"preferences given for unknown vertex {v!r}")
+        _list_of(list, groups, f"preference list of {v!r} must be a list of tie groups")
         vals: dict[str, int] = {}
         for depth, group in enumerate(groups):
-            if not isinstance(group, list):
-                raise InstanceError(
-                    f"preference list of {v!r} must contain tie groups (lists)"
-                )
+            _list_of(str, group, f"preference list of {v!r} must contain tie groups "
+                                 "(lists of edge ids)")
             for eid in group:
                 if eid not in known:
                     raise _located(
@@ -146,10 +160,10 @@ def parse_instance_text(text: str) -> Instance:
                 "objects with 'gamma' and 'delta' rationals"
             ) from exc
     critical = doc.get("critical")
-    if critical is not None and not isinstance(critical, list):
-        raise InstanceError("the critical set must be a list of vertices")
+    if critical is not None:
+        _list_of(str, critical, "the critical set must be a list of vertices")
     return validate_instance(
-        vertices=doc["vertices"],
+        vertices=vertices,
         edges=edges,
         pref=pref,
         weights=weights or None,
@@ -221,9 +235,15 @@ def serialize_result(result: Mapping[str, Any]) -> str:
 def load_result(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"result file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceError("a result file must hold a JSON object")
+    for key in ("matching", "stats", "verification"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise InstanceError(f"the {key!r} section of a result file must be an object")
+    return doc
 
 
 def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list[str]:

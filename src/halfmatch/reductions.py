@@ -19,9 +19,12 @@ the guarantee the construction was designed for:
   endpoint, |C| leveled copies: the projection saturates the critical
   set and is popular among matchings that do.
 
-The orientation (which endpoint sees which copy as best) follows the
-instance's canonical vertex order, and every remaining tie is broken by
-edge id, so all four constructions are deterministic.
+A construction is nothing but each vertex's strict order over the
+copies. Copy ids are ``<edge id>~<suffix>``; for the endpoint first in
+the canonical vertex order (the other sees the reverse) ``~u``/``~w``
+is srti's top/bottom copy, ``~1..~4`` gamma's best..last, ``~a``/``~b``
+pri's good/bad, ``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared
+middle copy. Remaining ties go by edge id: all four are deterministic.
 """
 
 from __future__ import annotations
@@ -45,40 +48,9 @@ from .core import (
 class DerivedInstance:
     """A strict multigraph built from copies of another market's edges."""
 
-    construction: str
     inst: Instance
     origin: Instance
     origin_of: Mapping[str, str]
-    copies_of: Mapping[str, tuple[str, ...]]
-    kind: Mapping[tuple[str, str], str]        # (copy id, vertex) -> role
-    level: Mapping[tuple[str, str], int] | None = None
-
-    def copies(self, origin_eid: str) -> tuple[str, ...]:
-        return self.copies_of[origin_eid]
-
-    def role(self, cid: str, v: str) -> str:
-        return self.kind[(cid, v)]
-
-    def level_of(self, cid: str, v: str) -> int:
-        if self.level is None:
-            raise InstanceError("levels exist only for the critical construction")
-        return self.level[(cid, v)]
-
-    def best_copy(self, v: str, origin_eid: str, j: int) -> str | None:
-        """The copy of the edge at level +j for v, if any."""
-        return self._leveled(v, origin_eid, j)
-
-    def worst_copy(self, v: str, origin_eid: str, j: int) -> str | None:
-        """The copy of the edge at level -j for v, if any."""
-        return self._leveled(v, origin_eid, -j)
-
-    def _leveled(self, v: str, origin_eid: str, lev: int) -> str | None:
-        if self.level is None:
-            raise InstanceError("levels exist only for the critical construction")
-        for cid in self.copies_of[origin_eid]:
-            if self.level.get((cid, v)) == lev:
-                return cid
-        return None
 
     def project(self, m: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """Sum copy values per origin edge; the result is a valid
@@ -98,12 +70,15 @@ class DerivedInstance:
         return out
 
 
-def _finish(construction, origin, origin_of, orders, kind, level=None):
+def _copies(origin, v, eid, low_first):
+    """An edge's copies in ``low_first`` suffix order, reversed unless v is its lower end."""
+    order = low_first if origin.lower_endpoint(eid) == v else low_first[::-1]
+    return [eid + suffix for suffix in order]
+
+
+def _finish(origin, origin_of, orders):
     """Materialize a derived instance from explicit per-vertex orders."""
-    pref = {}
-    for v in origin.vertices:
-        order = orders[v]
-        pref[v] = {cid: len(order) - i for i, cid in enumerate(order)}
+    pref = {v: {cid: len(o) - i for i, cid in enumerate(o)} for v, o in orders.items()}
     inst = validate_instance(
         vertices=list(origin.vertices),
         edges=[(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()],
@@ -112,26 +87,16 @@ def _finish(construction, origin, origin_of, orders, kind, level=None):
     for v in origin.vertices:  # the explicit order must be a strict total order
         if not len(set(orders[v])) == len(orders[v]) == len(inst.incident(v)):
             raise VerificationFailed(f"derived order at {v!r} is not strict and total")
-    copies_of: dict[str, list[str]] = {}
-    for cid, eid in origin_of.items():
-        copies_of.setdefault(eid, []).append(cid)
-    return DerivedInstance(
-        construction=construction,
-        inst=inst,
-        origin=origin,
-        origin_of=dict(origin_of),
-        copies_of={eid: tuple(sorted(cids)) for eid, cids in copies_of.items()},
-        kind=kind,
-        level=level,
-    )
+    return DerivedInstance(inst=inst, origin=origin, origin_of=origin_of)
 
 
 def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     """Four copies per edge with gamma/delta thresholds woven in.
 
-    For the lower endpoint copies 1..4 run best to last; for the higher
-    endpoint 4..1 do. A vertex values its best copy at p(e), its second
-    at p(e)-gamma, its third at p(e)-delta, so for edges e, f at v:
+    For the lower endpoint copies ``~1..~4`` are its best, second, third
+    and last copy; for the higher endpoint ``~4..~1`` are. A vertex
+    values its best copy at p(e), its second at p(e)-gamma, its third at
+    p(e)-delta, so for edges e, f at v:
 
     * second(f) beats best(e)  iff  p(f) >= p(e) + gamma_f
     * third(f) beats best(e)   iff  p(f) >= p(e) + delta_f
@@ -142,119 +107,69 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
 
-    origin_of: dict[str, str] = {}
-    kind: dict[tuple[str, str], str] = {}
-    roles_low = {1: "best", 2: "second", 3: "third", 4: "last"}
-    for e in origin.edges:
-        low = origin.lower_endpoint(e.eid)
-        high = origin.other(e.eid, low)
-        for k in range(1, 5):
-            cid = f"{e.eid}~{k}"
-            origin_of[cid] = e.eid
-            kind[(cid, low)] = roles_low[k]
-            kind[(cid, high)] = roles_low[5 - k]
-
-    role_rank = {"third": 0, "second": 1, "best": 2}
+    origin_of = {f"{e.eid}~{k}": e.eid for e in origin.edges for k in range(1, 5)}
     orders = {}
     for v in origin.vertices:
-        keep = []   # (-value, role rank, origin eid, copy id)
+        keep = []   # (-value, third 0 / second 1 / best 2, origin eid, copy id)
         tail = []   # last copies: by origin valuation, then edge id
         for eid in origin.incident(v):
             p = origin.pval(v, eid)
             gam, delta = origin.gamma_of(eid, v)
-            value = {"best": p, "second": p - gam, "third": p - delta}
-            for cid in (f"{eid}~{k}" for k in range(1, 5)):
-                role = kind[(cid, v)]
-                if role == "last":
-                    tail.append((-p, eid, cid))
-                else:
-                    keep.append((-value[role], role_rank[role], eid, cid))
+            best, second, third, last = _copies(origin, v, eid, ("~1", "~2", "~3", "~4"))
+            keep.append((-p, 2, eid, best))
+            keep.append((gam - p, 1, eid, second))
+            keep.append((delta - p, 0, eid, third))
+            tail.append((-p, eid, last))
         keep.sort()
         tail.sort()
         orders[v] = [item[-1] for item in keep] + [item[-1] for item in tail]
 
-    return _finish("gamma4", origin, origin_of, orders, kind)
+    return _finish(origin, origin_of, orders)
 
 
 def build_srti_reduction(origin: Instance) -> DerivedInstance:
-    """Three copies per edge: own-top, shared middle, other's-top.
+    """Three copies per edge: ``~u`` is the lower endpoint's top copy and
+    the higher endpoint's bottom one, ``~w`` the reverse, ``~0`` the
+    shared middle.
 
     Each vertex expands its weak order class by class, emitting the top
     copies of the class then the middle copies (members in edge-id
     order), and finally appends the copies it ranks bottom, ordered by
     its original valuation with edge-id tie-break.
     """
-    origin_of: dict[str, str] = {}
-    kind: dict[tuple[str, str], str] = {}
-    top_of: dict[tuple[str, str], str] = {}
-    for e in origin.edges:
-        low = origin.lower_endpoint(e.eid)
-        high = origin.other(e.eid, low)
-        for suffix, low_role, high_role in (
-            ("~u", "top", "bottom"),
-            ("~0", "middle", "middle"),
-            ("~w", "bottom", "top"),
-        ):
-            cid = e.eid + suffix
-            origin_of[cid] = e.eid
-            kind[(cid, low)] = low_role
-            kind[(cid, high)] = high_role
-            if low_role == "top":
-                top_of[(e.eid, low)] = cid
-            if high_role == "top":
-                top_of[(e.eid, high)] = cid
-
+    origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~u", "~0", "~w")}
     orders = {}
     for v in origin.vertices:
+        top = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in origin.incident(v)}
         seq = []
         for group in origin.tie_classes(v):
-            seq.extend(top_of[(eid, v)] for eid in group)
+            seq.extend(top[eid][0] for eid in group)
             seq.extend(eid + "~0" for eid in group)
         bottoms = sorted(
             origin.incident(v), key=lambda eid: (-origin.pval(v, eid), eid)
         )
-        other = {"~u": "~w", "~w": "~u"}
-        seq.extend(
-            eid + other[top_of[(eid, v)][-2:]] for eid in bottoms
-        )
+        seq.extend(top[eid][1] for eid in bottoms)
         orders[v] = seq
 
-    return _finish("srti3", origin, origin_of, orders, kind)
+    return _finish(origin, origin_of, orders)
 
 
 def build_pri_reduction(origin: Instance) -> DerivedInstance:
-    """Two copies per edge, one good for each endpoint.
+    """Two copies per edge, one good for each endpoint: ``~a`` is good
+    for the lower endpoint and bad for the higher one, ``~b`` the reverse.
 
     Every vertex ranks all its good copies in its original strict order,
     then all its bad copies in the same order.
     """
     origin.require_strict("the popular-matching reduction")
-    origin_of: dict[str, str] = {}
-    kind: dict[tuple[str, str], str] = {}
-    good_of: dict[tuple[str, str], str] = {}
-    for e in origin.edges:
-        low = origin.lower_endpoint(e.eid)
-        high = origin.other(e.eid, low)
-        for suffix, low_role in (("~a", "good"), ("~b", "bad")):
-            cid = e.eid + suffix
-            origin_of[cid] = e.eid
-            high_role = "bad" if low_role == "good" else "good"
-            kind[(cid, low)] = low_role
-            kind[(cid, high)] = high_role
-            if low_role == "good":
-                good_of[(e.eid, low)] = cid
-            else:
-                good_of[(e.eid, high)] = cid
-
-    flip = {"~a": "~b", "~b": "~a"}
+    origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~a", "~b")}
     orders = {}
     for v in origin.vertices:
         mine = origin.strict_order(v)
-        good = [good_of[(eid, v)] for eid in mine]
-        bad = [eid + flip[good_of[(eid, v)][-2:]] for eid in mine]
-        orders[v] = good + bad
+        good_bad = [_copies(origin, v, eid, ("~a", "~b")) for eid in mine]
+        orders[v] = [good for good, _ in good_bad] + [bad for _, bad in good_bad]
 
-    return _finish("pri2", origin, origin_of, orders, kind)
+    return _finish(origin, origin_of, orders)
 
 
 def build_crit_reduction(
@@ -265,10 +180,11 @@ def build_crit_reduction(
     An extra copy at level j (1-based) is the j-th best for the
     non-critical side and the j-th worst for the critical side; an
     endpoint in C on edge (u, v) contributes copies that are worst for
-    it and best for its partner. With both endpoints critical, both
+    it and best for its partner: ``~u1..~u{s}`` for the lower endpoint,
+    ``~w1..~w{s}`` for the higher one. With both endpoints critical, both
     bundles are added. Each vertex ranks levels +s..+1, then the middle
-    copies, then levels -1..-s, with its original strict order inside
-    every level class. An empty critical set degenerates to an
+    copies ``~0``, then levels -1..-s, with its original strict order
+    inside every level class. An empty critical set degenerates to an
     isomorphic copy of the input.
     """
     origin.require_strict("the critical reduction")
@@ -280,41 +196,22 @@ def build_crit_reduction(
         )
     s = len(crit)
 
-    origin_of: dict[str, str] = {}
-    kind: dict[tuple[str, str], str] = {}
-    level: dict[tuple[str, str], int] = {}
+    origin_of = {e.eid + "~0": e.eid for e in origin.edges}
     for e in origin.edges:
-        cid = e.eid + "~0"
-        origin_of[cid] = e.eid
-        for x in (e.u, e.v):
-            kind[(cid, x)] = "middle"
-            level[(cid, x)] = 0
         low = origin.lower_endpoint(e.eid)
-        high = origin.other(e.eid, low)
-        for x, tag in ((low, "u"), (high, "w")):
-            if x not in crit:
-                continue
-            partner = high if x == low else low
-            for j in range(1, s + 1):
-                cid = f"{e.eid}~{tag}{j}"
-                origin_of[cid] = e.eid
-                kind[(cid, x)] = "worst"
-                kind[(cid, partner)] = "best"
-                level[(cid, x)] = -j
-                level[(cid, partner)] = j
-
-    by_vertex_level: dict[str, dict[int, list[str]]] = {v: {} for v in origin.vertices}
-    for (cid, x), lev in level.items():
-        by_vertex_level[x].setdefault(lev, []).append(cid)
+        for x, tag in ((low, "u"), (origin.other(e.eid, low), "w")):
+            if x in crit:
+                origin_of.update((f"{e.eid}~{tag}{j}", e.eid) for j in range(1, s + 1))
 
     orders = {}
     for v in origin.vertices:
-        posn = {eid: i for i, eid in enumerate(origin.strict_order(v))}
-        seq = []
-        for lev in range(s, -s - 1, -1):
-            bucket = by_vertex_level[v].get(lev, [])
-            bucket.sort(key=lambda cid: (posn[origin_of[cid]], cid))
-            seq.extend(bucket)
-        orders[v] = seq
+        mine = origin.strict_order(v)
+        bundles = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in mine}
+        # v's own bundle (first) ranks below the middle copies, its partner's above
+        up = [bundles[eid][1] for eid in mine if origin.other(eid, v) in crit]
+        down = [bundles[eid][0] for eid in mine] if v in crit else []
+        above = [f"{c}{j}" for j in range(s, 0, -1) for c in up]
+        below = [f"{c}{j}" for j in range(1, s + 1) for c in down]
+        orders[v] = above + [eid + "~0" for eid in mine] + below
 
-    return _finish("crit", origin, origin_of, orders, kind, level=level)
+    return _finish(origin, origin_of, orders)

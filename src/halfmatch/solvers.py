@@ -33,7 +33,6 @@ from typing import Mapping
 from .core import (
     ZERO,
     Instance,
-    InstanceError,
     VerificationFailed,
     blocking_edges,
     is_saturated,
@@ -161,14 +160,12 @@ def solve_pop_crit(
     """
     inst.require_strict("solve_pop_crit")
     crit = frozenset(critical)
-    unknown = crit - set(inst.vertices)
-    if unknown:
-        raise InstanceError(f"unknown critical vertex {sorted(unknown)[0]!r}")
+    derived = build_crit_reduction(inst, crit)  # rejects unknown vertices
     if not max_cardinality_saturating(double_cover(inst), crit):
         raise InfeasibleCritical(
             "no fractional matching saturates the critical set"
         )
-    out = _run_pipeline(build_crit_reduction(inst, crit))
+    out = _run_pipeline(derived)
     open_crit = [v for v in sorted(crit) if not is_saturated(inst, out, v)]
     if open_crit:
         raise VerificationFailed(f"critical vertices left open: {open_crit}")
@@ -219,7 +216,10 @@ def _pop_maxw(
     inst.require_strict("solve_pop_maxw")
     dual = max_weight_dual(inst, weights)
     reduced = restrict_to_edges(inst, set(dual.tight_edges))
-    out = solve_pop_crit(reduced, dual.critical)
+    # No feasibility run or saturation scan: the dual's witness saturates
+    # the critical set, and on tight edges weight = sum_v y_v * load(v) <=
+    # sum_v y_v, so weight == objective saturates every y_v > 0 vertex.
+    out = _run_pipeline(build_crit_reduction(reduced, dual.critical))
     got = sum(
         (Fraction(weights.get(eid, ZERO)) * val for eid, val in out.items()), ZERO
     )

@@ -264,14 +264,61 @@ def test_cli_rejects_a_malformed_gamma_entry(tmp_path, capsys, sides):
     assert "malformed gamma section" in capsys.readouterr().err
 
 
-def test_cli_rejects_a_vertex_set_given_as_a_string(tmp_path, capsys):
+@pytest.mark.parametrize("doc, message", [
     # "ab" would otherwise iterate as the vertex set {a, b}
-    path = tmp_path / "verts.json"
-    path.write_text(json.dumps(_pair_market(vertices="ab")))
+    pytest.param(_pair_market(vertices="ab"), "vertex set must be a list",
+                 id="vertex-set-as-string"),
+    pytest.param(_pair_market(vertices=[["a"], "b"]), "vertex set must be a list",
+                 id="unhashable-vertex"),
+    pytest.param(_pair_market(edges=3), "edges section must be a list",
+                 id="edges-not-a-list"),
+    pytest.param(_pair_market(edges=[{"id": ["ab"], "u": "a", "v": "b"}]),
+                 "ids must be strings", id="unhashable-edge-id"),
+    pytest.param(_pair_market(prefs=[["ab"]]), "prefs section must map",
+                 id="prefs-as-list"),
+    pytest.param(_pair_market(prefs={"a": 5, "b": [["ab"]]}),
+                 "must be a list of tie groups", id="tie-groups-not-a-list"),
+    pytest.param(_pair_market(prefs={"a": [[["ab"]]], "b": [["ab"]]}),
+                 "must contain tie groups", id="unhashable-tie-group-entry"),
+    pytest.param(_pair_market(prefs={"a": [["ab"]], "b": [["ab"]], "z": []}),
+                 "unknown vertex 'z'", id="prefs-for-unknown-vertex"),
+    pytest.param(_pair_market(critical=[["a"]]), "critical set must be a list",
+                 id="unhashable-critical-vertex"),
+    pytest.param(5, "must hold a JSON object", id="top-level-number"),
+])
+def test_cli_rejects_a_malformed_instance_file(tmp_path, capsys, doc, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match=message):
+        parse_instance_text(path.read_text())
     out = tmp_path / "out.json"
     assert main(["solve-max-srti", "--input", str(path), "--output", str(out)]) == 2
-    assert "vertex set must be a list" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(None, [], id="top-level-list"),
+    pytest.param("matching", ["ab"], id="matching-as-list"),
+    pytest.param("stats", "size 1", id="stats-as-string"),
+    pytest.param("verification", 1, id="verification-as-number"),
+])
+def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
+    inst_path = tmp_path / "inst.json"
+    res_path = tmp_path / "result.json"
+    inst_path.write_text(json.dumps(_pair_market()))
+    assert main(["solve-max-srti", "--input", str(inst_path),
+                 "--output", str(res_path)]) == 0
+    doc = json.loads(res_path.read_text())
+    if key is None:
+        doc = value
+    else:
+        doc[key] = value
+    res_path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match="must be an object|must hold a JSON object"):
+        load_result(str(res_path))
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", [3, 1.5, None, ["1"]])

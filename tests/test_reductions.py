@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,15 @@ def derived_order(der, v):
     return sorted(der.inst.incident(v), key=lambda c: -der.inst.pval(v, c))
 
 
+def copies(der, eid):
+    return sorted(c for c, origin in der.origin_of.items() if origin == eid)
+
+
+def gamma_copy(inst, eid, v, rank):
+    """The copy of eid that v ranks ``rank``-th of four (1 best, 4 last)."""
+    return f"{eid}~{rank if inst.lower_endpoint(eid) == v else 5 - rank}"
+
+
 def gamma_market(prefs, gammas, vertices, edges):
     return validate_instance(vertices, edges, pref=prefs, gamma=gammas)
 
@@ -36,7 +47,8 @@ def test_gamma_single_edge_order():
     # v is the lower endpoint: copies 1..4 run best..last for it
     assert derived_order(der, "v") == ["e~1", "e~2", "e~3", "e~4"]
     assert derived_order(der, "x") == ["e~4", "e~3", "e~2", "e~1"]
-    assert der.role("e~2", "v") == "second" and der.role("e~2", "x") == "third"
+    # so e~2 is v's second copy and x's third
+    assert derived_order(der, "v")[1] == "e~2" and derived_order(der, "x")[2] == "e~2"
 
 
 def two_edge_gamma(pe=2, pf=1, gam=F(1, 2), delta=F(3, 2)):
@@ -86,9 +98,9 @@ def test_gamma_comparator_iff_rules_exhaustively():
             for e in inst.incident(v):
                 for f in inst.incident(v):
                     gam_f, delta_f = inst.gamma_of(f, v)
-                    best_e = next(c for c in der.copies(e) if der.role(c, v) == "best")
-                    second_f = next(c for c in der.copies(f) if der.role(c, v) == "second")
-                    third_f = next(c for c in der.copies(f) if der.role(c, v) == "third")
+                    best_e = gamma_copy(inst, e, v, 1)
+                    second_f = gamma_copy(inst, f, v, 2)
+                    third_f = gamma_copy(inst, f, v, 3)
                     assert (pos[second_f] < pos[best_e]) == (
                         inst.pval(v, f) >= inst.pval(v, e) + gam_f
                     ), (seed, v, e, f)
@@ -96,7 +108,8 @@ def test_gamma_comparator_iff_rules_exhaustively():
                         inst.pval(v, f) >= inst.pval(v, e) + delta_f
                     ), (seed, v, e, f)
             # worst copies trail every best/second/third copy
-            lasts = [c for c in order if der.role(c, v) == "last"]
+            last = {gamma_copy(inst, e, v, 4) for e in inst.incident(v)}
+            lasts = [c for c in order if c in last]
             assert order[-len(lasts):] == lasts
 
 
@@ -152,7 +165,7 @@ def test_srti_derived_is_strict_on_random_instances():
         der = build_srti_reduction(inst)
         assert der.inst.is_strict()
         for e in inst.edges:
-            assert len(der.copies(e.eid)) == 3
+            assert copies(der, e.eid) == [e.eid + s for s in ("~0", "~u", "~w")]
 
 
 # -- two-copy construction ---------------------------------------------------
@@ -179,7 +192,12 @@ def test_pri_triangle_blocks(cyclic_triangle):
     assert len(der.inst.edges) == 6
     for v in cyclic_triangle.vertices:
         order = derived_order(der, v)
-        roles = [der.role(c, v) for c in order]
+        # ~a is good for the lower endpoint, ~b for the higher one
+        good = {
+            eid + ("~a" if cyclic_triangle.lower_endpoint(eid) == v else "~b")
+            for eid in cyclic_triangle.incident(v)
+        }
+        roles = ["good" if c in good else "bad" for c in order]
         assert roles == ["good", "good", "bad", "bad"]
         # both blocks preserve the vertex's original order
         original = cyclic_triangle.strict_order(v)
@@ -214,7 +232,10 @@ def test_crit_single_edge_one_critical(single_edge):
     assert sorted(e.eid for e in der.inst.edges) == ["e~0", "e~u1"]
     assert derived_order(der, "a") == ["e~0", "e~u1"]
     assert derived_order(der, "b") == ["e~u1", "e~0"]
-    assert der.level_of("e~u1", "a") == -1 and der.level_of("e~u1", "b") == 1
+    # e~u1 sits at level -1 for a (one below the middle copy), +1 for b
+    order_a, order_b = derived_order(der, "a"), derived_order(der, "b")
+    assert order_a[order_a.index("e~0") + 1] == "e~u1"
+    assert order_b[order_b.index("e~0") - 1] == "e~u1"
 
 
 def test_crit_single_edge_both_critical(single_edge):
@@ -224,9 +245,11 @@ def test_crit_single_edge_both_critical(single_edge):
     ]
     assert derived_order(der, "a") == ["e~w2", "e~w1", "e~0", "e~u1", "e~u2"]
     assert derived_order(der, "b") == ["e~u2", "e~u1", "e~0", "e~w1", "e~w2"]
-    assert der.best_copy("a", "e", 2) == "e~w2"
-    assert der.worst_copy("a", "e", 2) == "e~u2"
-    assert der.best_copy("b", "e", 1) == "e~u1"
+    # level +j is j places above the middle copy, level -j j places below
+    order_a, order_b = derived_order(der, "a"), derived_order(der, "b")
+    assert order_a[order_a.index("e~0") - 2] == "e~w2"
+    assert order_a[order_a.index("e~0") + 2] == "e~u2"
+    assert order_b[order_b.index("e~0") - 1] == "e~u1"
 
 
 def test_crit_copy_counts_on_random_instances():
@@ -237,7 +260,7 @@ def test_crit_copy_counts_on_random_instances():
         s = len(crit)
         for e in inst.edges:
             endpoints_in = sum(1 for x in (e.u, e.v) if x in crit)
-            assert len(der.copies(e.eid)) == 1 + s * endpoints_in
+            assert len(copies(der, e.eid)) == 1 + s * endpoints_in
         assert der.inst.is_strict()
 
 
@@ -265,5 +288,36 @@ def test_pipeline_projects_triangle_to_all_halves(cyclic_triangle):
 def test_project_single_copy_identity():
     inst = make_triangle()
     der = build_srti_reduction(inst)
-    assigned = {der.copies(e.eid)[0]: HALF for e in inst.edges}
+    assigned = {copies(der, e.eid)[0]: HALF for e in inst.edges}
     assert der.project(assigned) == {e.eid: HALF for e in inst.edges}
+
+
+# -- golden pin ----------------------------------------------------------------
+
+
+def test_derived_markets_match_the_golden_digest():
+    # edges, preferences and copy origins of 300 derived markets, as the
+    # four constructions built them before they were rewritten
+    digest = hashlib.sha256()
+    for seed in range(60):
+        n = 4 + seed % 9
+        tied = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                               tie_prob=0.4, gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                                 critical_count=seed % (n + 1))
+        for der in (
+            build_srti_reduction(tied),
+            build_gamma_reduction(tied),
+            build_pri_reduction(strict),
+            build_crit_reduction(strict, strict.critical),
+            build_crit_reduction(strict, frozenset(strict.vertices)),
+        ):
+            record = {
+                "edges": [list(e) for e in der.inst.edges],
+                "pref": {v: sorted(der.inst.pref[v].items()) for v in der.inst.vertices},
+                "origin_of": sorted(der.origin_of.items()),
+            }
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "bf747f49bfbcae5759eb881585c547a8b797047f0b4cb35270d743a789bd15da"
+    )

@@ -345,6 +345,28 @@ def test_pop_maxw_popular_among_max_weight_rivals():
     assert done >= 10
 
 
+def test_pop_maxw_runs_no_feasibility_matching(monkeypatch):
+    # the dual witness already saturates the critical set, so the maxw
+    # path must match the critical pipeline without a cover matching
+    markets = []
+    for seed in range(30):
+        inst = generate_random(
+            seed, 4 + seed % 6, edge_density=0.6, parallel_prob=0.15,
+            weight_range=(0, 4),
+        )
+        w = inst.weights or {}
+        dual = max_weight_dual(inst, w)
+        reduced = restrict_to_edges(inst, set(dual.tight_edges))
+        markets.append((inst, w, solve_pop_crit(reduced, dual.critical)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_cardinality_saturating called on the maxw path")
+
+    monkeypatch.setattr("halfmatch.solvers.max_cardinality_saturating", refuse)
+    for inst, w, expected in markets:
+        assert solve_pop_maxw(inst, w) == expected
+
+
 def test_restrict_to_edges(cyclic_triangle):
     sub = restrict_to_edges(cyclic_triangle, {"ab", "bc"})
     assert [e.eid for e in sub.edges] == ["ab", "bc"]
