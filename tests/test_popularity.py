@@ -1,11 +1,15 @@
+import dataclasses
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfmatch.core import HALF, ONE, ZERO, InstanceError, vertex_load
+from halfmatch.core import HALF, ONE, ZERO, InstanceError, validate_instance, vertex_load
 from halfmatch.engine import enumerate_half_matchings, stable_half_matching
 from halfmatch.generate import generate_random
 from halfmatch.popularity import (
@@ -228,9 +232,9 @@ def test_delta_decomposition_matches_monolithic_lp():
     insts = [make_triangle(), make_path("a"),
              generate_random(3, 5, edge_density=0.6, tie_prob=0.0)]
     for inst in insts:
-        if len(inst.edges) > 5:
+        if len(inst.edges) > 6:
             continue
-        rivals = list(enumerate_half_matchings(inst, bound=5))
+        rivals = list(enumerate_half_matchings(inst, bound=6))
         for m in rivals[:: max(1, len(rivals) // 8)]:
             for n in rivals[:: max(1, len(rivals) // 8)]:
                 assert delta_feasible(inst, m, n).value == monolithic_feasible_delta(
@@ -357,3 +361,62 @@ def test_sampled_scope_runs(five_agent_market):
     for n in sample_fractional_matchings(inst, seed=9, count=10):
         for v in inst.vertices:
             assert vertex_load(inst, n, v) <= 1
+
+
+# -- golden pin ----------------------------------------------------------------
+
+
+def _plain(x):
+    """A JSON-ready copy that keeps iteration order and tells ints from Fractions."""
+    if isinstance(x, Fraction):
+        return f"F{x}"
+    if isinstance(x, dict):
+        return [[_plain(k), _plain(v)] for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_plain(y) for y in x]
+    if dataclasses.is_dataclass(x):
+        return [_plain(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    return x
+
+
+def test_comparisons_and_verdicts_match_the_golden_digest():
+    # values, votes and pairings of the three comparisons, every field of
+    # the three verdicts and transport plans up to 4x4, as computed before
+    # the comparison layer valued staying unmatched by pref_empty
+    digest = hashlib.sha256()
+    put = lambda obj: digest.update(json.dumps(_plain(obj)).encode())
+    for seed in range(40):
+        inst = generate_random(seed, 3 + seed % 3, edge_density=0.5, parallel_prob=0.3)
+        if seed % 2:  # staying unmatched valued below zero at every other vertex
+            inst = validate_instance(
+                inst.vertices, inst.edges, inst.pref,
+                pref_empty={v: F(-1 - i, 2) for i, v in enumerate(inst.vertices[::2])},
+            )
+        if len(inst.edges) > 6:
+            continue
+        rivals = list(enumerate_half_matchings(inst, bound=6))
+        mine = rivals[:: max(1, len(rivals) // 3)]
+        for m in mine:
+            for n in rivals[:: max(1, len(rivals) // 5)]:
+                put(delta_feasible(inst, m, n))
+                put(delta_sensible(inst, m, n))
+                put(delta_product(inst, m, n))
+        for m in mine[:2] + [stable_half_matching(inst).matching]:
+            saturated = [v for v in inst.vertices if vertex_load(inst, m, v) == 1]
+            put(is_popular(inst, m, bound=6))
+            put(is_popular(inst, m, bound=6, scope="sampled", samples=4, seed=seed))
+            put(is_popular_mixed(inst, m, bound=6))
+            put(is_popular_critical(inst, m, saturated[:2], bound=6))
+    rng = random.Random(11)
+    items = ["a", "b", None, "c"]
+    for _ in range(300):
+        sup = {k: F(rng.randint(1, 4), 2) for k in rng.sample(items, rng.randint(1, 4))}
+        halves = int(sum(sup.values()) * 2)
+        cuts = sorted(rng.randint(0, halves) for _ in range(rng.randint(0, 3)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [halves])]
+        dem = {k: F(p, 2) for k, p in zip(rng.sample(items, len(parts)), parts)}
+        costs = {(s, d): rng.choice((-1, 0, 1, F(1, 2))) for s in sup for d in dem}
+        put(min_cost_transport(sup, dem, lambda s, d: costs[(s, d)]))
+    assert digest.hexdigest() == (
+        "0e8fbff029466b256cea48c9ec0e041634167ddd83f8063f9d4b79588c88ba64"
+    )
