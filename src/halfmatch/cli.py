@@ -64,16 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(tag, help=f"run {tag} and write a self-verified result")
         p.add_argument("--input", required=True, help="instance file")
         p.add_argument("--output", help="result file (stdout when omitted)")
-        p.add_argument("--critical", help="comma-separated critical vertices "
-                       "(solve-pop-crit; defaults to the instance's set)")
-        p.add_argument("--weights", choices=["instance", "unit"], default="instance",
-                       help="weight source for solve-pop-maxw")
-        p.add_argument("--oracle-bound", type=int, default=0,
-                       help="when positive and the instance is small enough, "
-                       "also record a popularity check (solve-max-pri)")
-        p.add_argument("--scope", choices=["half", "sampled"], default="half")
         p.add_argument("--seed", type=int, default=None,
                        help="generator seed to record in the result file")
+        if tag == "solve-max-pri":
+            p.add_argument("--oracle-bound", type=int, default=0,
+                           help="when positive and the instance is small enough, "
+                           "also record a popularity check")
+            p.add_argument("--scope", choices=["half", "sampled"], default="half")
+        elif tag == "solve-pop-crit":
+            p.add_argument("--critical", help="comma-separated critical vertices "
+                           "(defaults to the instance's set)")
+        elif tag == "solve-pop-maxw":
+            p.add_argument("--weights", choices=["instance", "unit"],
+                           default="instance", help="weight source")
         p.set_defaults(handler=_cmd_solve, tag=tag)
 
     p = sub.add_parser("verify", help="re-check a result file from scratch")
@@ -186,13 +189,14 @@ def _cmd_verify(args) -> int:
     result = load_result(args.result)
     problems = check_result(inst, result, instance_digest(inst))
     ver = result.get("verification", {})
-    if args.oracle_bound and 0 < len(inst.edges) <= args.oracle_bound:
+    # the oracle re-checks only a matching whose recorded claims re-derive
+    if not problems and 0 < len(inst.edges) <= args.oracle_bound:
         m = parse_matching(result.get("matching", {}))
         if "popular" in ver:
             verdict = is_popular(inst, m, bound=args.oracle_bound, scope=args.scope)
             if verdict.popular != ver["popular"]:
                 problems.append("popularity verdict does not re-derive")
-        if "critical" in ver and ver.get("critical") is not None:
+        if "critical" in ver:
             try:
                 crit_ok = is_popular_critical(
                     inst, m, frozenset(ver["critical"]), bound=args.oracle_bound

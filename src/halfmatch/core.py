@@ -142,7 +142,7 @@ class Instance:
         """Incident edges best-first; requires a tie-free valuation at v."""
         classes = self.tie_classes(v)
         if any(len(c) > 1 for c in classes):
-            raise InstanceError(f"vertex {v!r} has tied preferences")
+            raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
         return [c[0] for c in classes]
 
     def gamma_of(self, eid: str, v: str) -> tuple[Fraction, Fraction]:
@@ -387,13 +387,13 @@ def matching_stats(
     """Aggregate size, saturation, integrality and critical coverage of m."""
     crit = frozenset(critical) if critical is not None else inst.critical
     sat = tuple(v for v in inst.vertices if is_saturated(inst, m, v))
-    unsat = tuple(v for v in inst.vertices if v not in set(sat))
+    sat_set = set(sat)
     return MatchingStats(
         size=matching_size(m),
         saturated=sat,
-        unsaturated=unsat,
+        unsaturated=tuple(v for v in inst.vertices if v not in sat_set),
         integral=all(val in (ZERO, ONE) for val in m.values()),
-        critical_ok=all(v in set(sat) for v in crit),
+        critical_ok=crit <= sat_set,
     )
 
 

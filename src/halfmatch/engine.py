@@ -227,7 +227,6 @@ def stable_half_matching(inst: Instance) -> StablePartitionCert:
     that admit no odd half-cycle (bipartite ones in particular) the
     result is integral.
     """
-    inst.require_strict("stable_half_matching")
     court = _Court(inst)
     court.cascade()
     while any(len(court.lists[v]) >= 3 for v in inst.vertices):

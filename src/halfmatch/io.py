@@ -243,6 +243,9 @@ def load_result(path: str) -> dict[str, Any]:
     for key in ("matching", "stats", "verification"):
         if not isinstance(doc.get(key, {}), dict):
             raise InstanceError(f"the {key!r} section of a result file must be an object")
+    if "critical" in doc.get("verification", {}):
+        _list_of(str, doc["verification"]["critical"],
+                 "the recorded critical set must be a list of vertices")
     return doc
 
 
@@ -283,8 +286,12 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         if bad:
             problems.append(f"matching is blocked by {bad}")
     if "critical" in ver:
+        known = set(inst.vertices)
         crit = ver["critical"]
-        open_crit = [v for v in crit if not is_saturated(inst, m, v)]
+        unknown = [v for v in crit if v not in known]
+        if unknown:
+            problems.append(f"critical set names unknown vertices: {unknown}")
+        open_crit = [v for v in crit if v in known and not is_saturated(inst, m, v)]
         if open_crit:
             problems.append(f"critical vertices left open: {open_crit}")
     if "weight" in ver:

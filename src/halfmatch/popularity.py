@@ -1,8 +1,9 @@
 """Head-to-head comparison of fractional matchings.
 
-An agent compares two incident edges (or being unmatched) with a vote
-in {-1, 0, +1}. Two matchings M and N are compared by pairing the mass
-where M exceeds N against the mass where N exceeds M:
+An agent votes in {-1, 0, +1} between two alternatives by their value,
+staying unmatched being worth its ``pref_empty``. Matchings M and N are
+compared by pairing the mass where M exceeds N against the mass where N
+exceeds M:
 
 * a *feasible* pairing at each vertex transports exactly the surplus
   masses (plus unmatched slack) onto each other, so the adversarial
@@ -34,7 +35,6 @@ from .core import (
     check_matching,
     is_saturated,
     matching_size,
-    vertex_load,
 )
 from .engine import BoundExceeded, enumerate_half_matchings
 from . import simplex
@@ -49,20 +49,12 @@ class ImbalancedTransport(ValueError):
 def vote(inst: Instance, v: str, x: Item, y: Item) -> int:
     """+1 when v strictly prefers x over y, -1 for the reverse, 0 if equal.
 
-    Either side may be None (unmatched), which loses to every edge.
+    None (unmatched) is valued at v's ``pref_empty``, below every edge.
     Arguments must be incident to v; preferences are assumed strict.
     """
-    px = None if x is None else inst.pval(v, x)
-    py = None if y is None else inst.pval(v, y)
-    if x == y:
-        return 0
-    if px is None:
-        return -1
-    if py is None:
-        return 1
-    if px == py:
-        return 0
-    return 1 if px > py else -1
+    px = inst.pempty(v) if x is None else inst.pval(v, x)
+    py = inst.pempty(v) if y is None else inst.pval(v, y)
+    return (px > py) - (px < py)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +162,13 @@ class DeltaResult:
     votes: Mapping[str, Fraction]  # per-vertex contribution under the witness
 
 
+def _masses(inst: Instance, m: Mapping[str, Fraction], v: str) -> dict[Item, Fraction]:
+    """v's mass on each incident edge under m, and on None its unmatched rest."""
+    held: dict[Item, Fraction] = {eid: m.get(eid, ZERO) for eid in inst.incident(v)}
+    held[None] = 1 - sum(held.values(), ZERO)
+    return held
+
+
 def delta_feasible(
     inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
 ) -> DeltaResult:
@@ -182,24 +181,21 @@ def delta_feasible(
     inst.require_strict("delta over feasible pairings")
     check_matching(inst, m)
     check_matching(inst, n)
+    return _delta_feasible(inst, m, n)
+
+
+def _delta_feasible(
+    inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
+) -> DeltaResult:
+    """:func:`delta_feasible` on a strict instance and valid matchings."""
     total = ZERO
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {}
     votes: dict[str, Fraction] = {}
     for v in inst.vertices:
-        supply: dict[Item, Fraction] = {}
-        demand: dict[Item, Fraction] = {}
-        load_m = vertex_load(inst, m, v)
-        load_n = vertex_load(inst, n, v)
-        for eid in inst.incident(v):
-            up = m.get(eid, ZERO) - n.get(eid, ZERO)
-            if up > 0:
-                supply[eid] = up
-            elif up < 0:
-                demand[eid] = -up
-        if load_n > load_m:
-            supply[None] = load_n - load_m
-        elif load_m > load_n:
-            demand[None] = load_m - load_n
+        mass_m = _masses(inst, m, v)
+        mass_n = _masses(inst, n, v)
+        supply = {x: a - mass_n[x] for x, a in mass_m.items() if a > mass_n[x]}
+        demand = {x: b - mass_m[x] for x, b in mass_n.items() if b > mass_m[x]}
         cost = lambda x, y, v=v: vote(inst, v, x, y)
         value, plan = min_cost_transport(supply, demand, cost)
         total += value
@@ -239,22 +235,12 @@ def delta_sensible(
             f"over the limit of {SENSIBLE_LP_LIMIT}"
         )
 
-    variables: list[tuple[str, Item, Item]] = []  # ("diag", eid) merged below
-    index: dict[tuple[str, Item, Item], int] = {}
-    diag_index: dict[str, int] = {}
+    # columns in order of first use; both endpoints share an edge's diagonal
+    index: dict[tuple, int] = {}
 
     def var(v: str, x: Item, y: Item) -> int:
-        if x == y and x is not None:
-            eid = x
-            if eid not in diag_index:
-                diag_index[eid] = len(variables)
-                variables.append(("diag", eid, eid))
-            return diag_index[eid]
-        key = (v, x, y)
-        if key not in index:
-            index[key] = len(variables)
-            variables.append(key)
-        return index[key]
+        key = (x, y) if x == y and x is not None else (v, x, y)
+        return index.setdefault(key, len(index))
 
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
@@ -276,7 +262,7 @@ def delta_sensible(
                 j = var(v, x, y)
                 costs[j] = costs.get(j, ZERO) + Fraction(vote(inst, v, x, y))
 
-    nvars = len(variables)
+    nvars = len(index)
     cost_vec = [costs.get(j, ZERO) for j in range(nvars)]
     dense = []
     for row in rows:
@@ -288,17 +274,17 @@ def delta_sensible(
 
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {v: {} for v in inst.vertices}
     votes: dict[str, Fraction] = {v: ZERO for v in inst.vertices}
-    for j, val in enumerate(x):
+    for key, val in zip(index, x):
         if val == 0:
             continue
-        tag, a, b = variables[j]
-        if tag == "diag":
-            e = inst.edge(a)
-            phi[e.u][(a, b)] = val
-            phi[e.v][(a, b)] = val
+        if len(key) == 2:
+            e = inst.edge(key[0])
+            phi[e.u][key] = val
+            phi[e.v][key] = val
         else:
-            phi[tag][(a, b)] = val
-            votes[tag] += val * vote(inst, tag, a, b)
+            v, a, b = key
+            phi[v][(a, b)] = val
+            votes[v] += val * vote(inst, v, a, b)
     return DeltaResult(value=value, pairing=Pairing("sensible", phi), votes=votes)
 
 
@@ -311,21 +297,20 @@ def delta_product(
 ) -> Fraction:
     """Vote mass under the independent product pairing of M and N."""
     inst.require_strict("the product comparison")
+    return _delta_product(inst, m, n)
+
+
+def _delta_product(
+    inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
+) -> Fraction:
     total = ZERO
     for v in inst.vertices:
-        load_m = vertex_load(inst, m, v)
-        load_n = vertex_load(inst, n, v)
-        for e in inst.incident(v):
-            me = m.get(e, ZERO)
-            ne = n.get(e, ZERO)
-            if me:
-                for f in inst.incident(v):
-                    nf = n.get(f, ZERO)
-                    if nf:
-                        total += me * nf * vote(inst, v, e, f)
-                total += me * (1 - load_n)  # vote against being unmatched is +1
-            if ne:
-                total -= ne * (1 - load_m)
+        mass_n = _masses(inst, n, v)
+        for x, a in _masses(inst, m, v).items():
+            if a:
+                for y, b in mass_n.items():
+                    if b:
+                        total += a * b * vote(inst, v, x, y)
     return total
 
 
@@ -347,32 +332,20 @@ def _canonical_key(n: Mapping[str, Fraction]) -> tuple:
 
 
 def _scan(
-    inst: Instance,
-    m: Mapping[str, Fraction],
     rivals: Iterable[Mapping[str, Fraction]],
-    compare: Callable[[Mapping[str, Fraction]], Fraction | DeltaResult],
+    compare: Callable[[Mapping[str, Fraction]], DeltaResult],
     scope: str,
 ) -> PopularityVerdict:
-    worst = None  # (value, -size, canonical key, rival, result)
-    checked = 0
-    for rival in rivals:
-        outcome = compare(rival)
-        value = outcome.value if isinstance(outcome, DeltaResult) else outcome
-        checked += 1
-        key = (value, -matching_size(rival), _canonical_key(rival))
+    worst = None  # ((value, -size, canonical key), rival, result)
+    for checked, rival in enumerate(rivals, 1):
+        result = compare(rival)
+        key = (result.value, -matching_size(rival), _canonical_key(rival))
         if worst is None or key < worst[0]:
-            worst = (key, dict(rival), outcome)
+            worst = (key, dict(rival), result)
     if worst is None:
         return PopularityVerdict(True, scope, 0, ZERO, None)
-    (value, _, _), rival, outcome = worst
-    counter = None
-    if value < 0:
-        result = (
-            outcome
-            if isinstance(outcome, DeltaResult)
-            else DeltaResult(value, Pairing("product", {}), {})
-        )
-        counter = (rival, result)
+    (value, _, _), rival, result = worst
+    counter = (rival, result) if value < 0 else None
     return PopularityVerdict(value >= 0, scope, checked, value, counter)
 
 
@@ -397,17 +370,23 @@ def is_popular(
         rivals += sample_fractional_matchings(inst, seed=seed, count=samples)
     elif scope != "half":
         raise ValueError(f"unknown popularity scope {scope!r}")
+    # rivals are valid by construction: enumerated, or checked when sampled
+    inst.require_strict("delta over feasible pairings")
+    check_matching(inst, m)
     label = "popular (half-integral scope)" if scope == "half" else "popular (sampled scope)"
-    return _scan(inst, m, rivals, lambda n: delta_feasible(inst, m, n), label)
+    return _scan(rivals, lambda n: _delta_feasible(inst, m, n), label)
 
 
 def is_popular_mixed(
     inst: Instance, m: Mapping[str, Fraction], bound: int = 10
 ) -> PopularityVerdict:
     """Whether no half-integral rival beats m under the product pairing."""
-    rivals = enumerate_half_matchings(inst, bound)
+    inst.require_strict("the product comparison")
+    check_matching(inst, m)
     return _scan(
-        inst, m, rivals, lambda n: delta_product(inst, m, n), "popular mixed"
+        enumerate_half_matchings(inst, bound),
+        lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
+        "popular mixed",
     )
 
 
@@ -418,6 +397,8 @@ def is_popular_critical(
     bound: int = 10,
 ) -> PopularityVerdict:
     """Popularity restricted to rivals saturating the critical set."""
+    inst.require_strict("delta over feasible pairings")
+    check_matching(inst, m)
     crit = frozenset(critical)
     for v in crit:
         if not is_saturated(inst, m, v):
@@ -428,7 +409,7 @@ def is_popular_critical(
         if all(is_saturated(inst, n, v) for v in crit)
     )
     return _scan(
-        inst, m, rivals, lambda n: delta_feasible(inst, m, n),
+        rivals, lambda n: _delta_feasible(inst, m, n),
         "popular among critical (half-integral scope)",
     )
 

@@ -161,7 +161,6 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
     Every vertex ranks all its good copies in its original strict order,
     then all its bad copies in the same order.
     """
-    origin.require_strict("the popular-matching reduction")
     origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~a", "~b")}
     orders = {}
     for v in origin.vertices:
@@ -187,7 +186,6 @@ def build_crit_reduction(
     inside every level class. An empty critical set degenerates to an
     isomorphic copy of the input.
     """
-    origin.require_strict("the critical reduction")
     crit = frozenset(critical)
     unknown = crit - set(origin.vertices)
     if unknown:

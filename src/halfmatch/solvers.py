@@ -87,7 +87,6 @@ def solve_max_pri(inst: Instance) -> dict[str, Fraction]:
     fractional rival; the desk-scale verifier certifies it against all
     half-integral rivals.
     """
-    inst.require_strict("solve_max_pri")
     return _run_pipeline(build_pri_reduction(inst))
 
 
@@ -158,7 +157,6 @@ def solve_pop_crit(
     Fails with :class:`InfeasibleCritical` before running the pipeline
     when no fractional matching saturates the set.
     """
-    inst.require_strict("solve_pop_crit")
     crit = frozenset(critical)
     derived = build_crit_reduction(inst, crit)  # rejects unknown vertices
     if not max_cardinality_saturating(double_cover(inst), crit):
@@ -213,6 +211,7 @@ def _pop_maxw(
     inst: Instance, weights: Mapping[str, Fraction]
 ) -> tuple[dict[str, Fraction], DualSolution]:
     """:func:`solve_pop_maxw`'s matching together with the dual it used."""
+    # checked here: restricting to tight edges could hide a tie among slack ones
     inst.require_strict("solve_pop_maxw")
     dual = max_weight_dual(inst, weights)
     reduced = restrict_to_edges(inst, set(dual.tight_edges))

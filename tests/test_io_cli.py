@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfmatch.cli import main
 from halfmatch.core import ONE, InstanceError
@@ -302,6 +308,11 @@ def test_cli_rejects_a_malformed_instance_file(tmp_path, capsys, doc, message):
     pytest.param("matching", ["ab"], id="matching-as-list"),
     pytest.param("stats", "size 1", id="stats-as-string"),
     pytest.param("verification", 1, id="verification-as-number"),
+    pytest.param("critical", 5, id="critical-as-number"),
+    pytest.param("critical", [["a"]], id="unhashable-critical-vertex"),
+    # "a" would otherwise iterate as the vertex set {a}
+    pytest.param("critical", "a", id="critical-as-string"),
+    pytest.param("critical", None, id="critical-as-null"),
 ])
 def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
     inst_path = tmp_path / "inst.json"
@@ -312,13 +323,33 @@ def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
     doc = json.loads(res_path.read_text())
     if key is None:
         doc = value
+    elif key == "critical":
+        doc["verification"]["critical"] = value
     else:
         doc[key] = value
     res_path.write_text(json.dumps(doc))
-    with pytest.raises(InstanceError, match="must be an object|must hold a JSON object"):
+    with pytest.raises(InstanceError,
+                       match="must be an object|must hold a JSON object|must be a list"):
         load_result(str(res_path))
-    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for oracle in ([], ["--oracle-bound", "5"]):
+        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
+                     *oracle]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_cli_verify_names_an_unknown_critical_vertex(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    res_path = tmp_path / "result.json"
+    inst_path.write_text(json.dumps(_pair_market(critical=["a", "b"])))
+    assert main(["solve-pop-crit", "--input", str(inst_path),
+                 "--output", str(res_path)]) == 0
+    doc = json.loads(res_path.read_text())
+    doc["verification"]["critical"] = ["zz"]
+    res_path.write_text(json.dumps(doc))
+    for oracle in ([], ["--oracle-bound", "5"]):
+        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
+                     *oracle]) == 1
+        assert "unknown vertices: ['zz']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", [3, 1.5, None, ["1"]])
@@ -336,3 +367,103 @@ def test_cli_rejects_a_weight_that_is_not_a_string(tmp_path, capsys, weight):
     path.write_text(json.dumps(doc))
     assert main(["solve-pop-maxw", "--input", str(path),
                  "--output", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("tag, flag", [
+    ("solve-max-srti", ["--weights", "unit"]),
+    ("solve-max-srti", ["--critical", "a"]),
+    ("solve-gamma", ["--oracle-bound", "3"]),
+    ("solve-gamma", ["--scope", "sampled"]),
+    ("solve-max-pri", ["--weights", "unit"]),
+    ("solve-pop-crit", ["--oracle-bound", "3"]),
+    ("solve-pop-maxw", ["--critical", "a"]),
+    ("solve-pop-maxw", ["--scope", "half"]),
+])
+def test_solve_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, tag, flag):
+    sides = {"a": {"gamma": "1/2", "delta": "3/2"}, "b": {"gamma": "1/2", "delta": "3/2"}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_pair_market(critical=["a", "b"], gamma={"ab": sides})))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([tag, "--input", str(path), "--output", str(out), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main([tag, "--input", str(path), "--output", str(out)]) == 0
+
+
+# -- fuzzing the CLI contract ---------------------------------------------------
+
+SOLVE_TAGS = ("solve-max-srti", "solve-gamma", "solve-max-pri",
+              "solve-pop-crit", "solve-pop-maxw")
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([0.5, -1.0]),
+    st.text("abv0~/1", max_size=4), st.sampled_from(["v00", "e0", "1/2", "weak"]),
+    st.lists(st.text("av0", max_size=3), max_size=2),
+    st.just([["e0"]]), st.just({}), st.just({"gamma": "1/2"}),
+)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A market every solver accepts, and one result file per solver."""
+    work = tmp_path_factory.mktemp("fuzz")
+    inst = generate_random(1, 5, edge_density=0.6, weight_range=(1, 3),
+                           gamma_preset="generic", critical_count=1)
+    inst_path = work / "inst.json"
+    save_instance(inst, str(inst_path))
+    files = {"instance": json.loads(inst_path.read_text())}
+    for tag in SOLVE_TAGS:
+        out = work / f"{tag}.json"
+        extra = ["--oracle-bound", "8"] if tag == "solve-max-pri" else []
+        assert main([tag, "--input", str(inst_path), "--output", str(out), *extra]) == 0
+        files[tag] = json.loads(out.read_text())
+    return work, files
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(data, doc):
+    """doc with one value replaced by junk, one key dropped, or one key added."""
+    path = (0,) + data.draw(st.sampled_from(list(_paths(doc))))
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    root = [copy.deepcopy(doc)]  # so that the top level has a parent too
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], root)
+    if action == "replace":
+        parent[path[-1]] = data.draw(JUNK)
+    elif action == "drop" and len(path) > 1:
+        del parent[path[-1]]
+    elif action == "add" and isinstance(parent[path[-1]], dict):
+        key = data.draw(st.sampled_from(["critical", "gamma", "weight", "popular", "x"]))
+        parent[path[-1]][key] = data.draw(JUNK)
+    return root[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_contract_holds_on_mutated_files(valid_files, data):
+    # solve-* exits 0 or 2 and verify 0, 1 or 2; main never raises
+    work, files = valid_files
+    inst_path, res_path = work / "mutated-inst.json", work / "mutated-result.json"
+    target = data.draw(st.sampled_from(sorted(files)))
+    tag = target if target != "instance" else data.draw(st.sampled_from(SOLVE_TAGS))
+    mutated = _mutate(data, files[target])
+    inst_path.write_text(json.dumps(mutated if target == "instance" else files["instance"]))
+    res_path.write_text(json.dumps(mutated if target != "instance" else files[tag]))
+    oracle = data.draw(st.sampled_from([[], ["--oracle-bound", "8"]]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if target == "instance":
+            argv = [tag, "--input", str(inst_path), "--output", str(work / "out.json")]
+            assert main(argv) in (0, 2)
+        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
+                     *oracle]) in (0, 1, 2)
