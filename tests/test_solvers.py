@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,11 @@ from halfmatch.core import (
     is_saturated,
     matching_size,
     validate_instance,
+)
+from halfmatch.cover import (
+    double_cover,
+    max_cardinality_saturating,
+    max_weight_cover_matching,
 )
 from halfmatch.engine import (
     brute_force_max_stable,
@@ -30,6 +38,7 @@ from halfmatch.solvers import (
 )
 
 from conftest import make_path
+from test_popularity import _plain
 
 F = Fraction
 H = HALF
@@ -383,3 +392,70 @@ def test_everything_tolerates_an_edgeless_market():
     assert max_weight_dual(inst, {}).objective == 0
     with pytest.raises(InfeasibleCritical):
         solve_pop_crit(inst, {"a"})
+
+
+# -- golden pin ----------------------------------------------------------------
+
+
+def _reordered(inst, order):
+    """The same market with its vertex list in ``order``."""
+    return validate_instance(
+        list(order),
+        [(e.eid, e.u, e.v) for e in inst.edges],
+        pref={v: dict(inst.pref[v]) for v in inst.vertices},
+    )
+
+
+def _golden_markets():
+    """Seeded markets, each also with its vertex list reversed, and weights
+    that are integral, rational, negative or zero, or missing."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        inst = generate_random(seed, 3 + seed % 8, edge_density=0.6, parallel_prob=0.3)
+        kind = seed % 4
+        weights = {}
+        for e in inst.edges:
+            if kind == 0:
+                weights[e.eid] = F(rng.randint(1, 9))
+            elif kind == 1:
+                weights[e.eid] = F(rng.randint(1, 12), rng.randint(1, 4))
+            elif kind == 2:
+                weights[e.eid] = F(rng.randint(-3, 3), rng.choice((1, 2)))
+            elif rng.random() < 0.7:  # the rest count as zero
+                weights[e.eid] = F(1)
+        yield inst, weights, rng
+        yield _reordered(inst, reversed(inst.vertices)), weights, rng
+    for seed, n in ((1, 110), (2, 130)):  # past v99 name order and list order differ
+        inst = generate_random(seed, n, edge_density=0.03, parallel_prob=0.2)
+        rng = random.Random(seed)
+        yield inst, {e.eid: F(rng.randint(1, 4)) for e in inst.edges}, rng
+
+
+def test_dual_layer_matches_the_golden_digest():
+    # cover matchings and potentials, optimal duals, saturation verdicts and
+    # the maxw and crit matchings built on them, as the cover solver computed
+    # them when it still ran on name-keyed maps
+    digest = hashlib.sha256()
+    put = lambda obj: digest.update(json.dumps(_plain(obj)).encode())
+    for inst, weights, rng in _golden_markets():
+        cov = double_cover(inst)
+        res = max_weight_cover_matching(cov, weights)
+        put([sorted(res.matched), res.y_left, res.y_right, res.weight])
+        dual = max_weight_dual(inst, weights)
+        put([dual.y, dual.objective, dual.tight_edges, sorted(dual.critical),
+             dual.witness])
+        names = sorted(inst.vertices)
+        for k in (1, 2, 3, len(names)):
+            required = frozenset(rng.sample(names, min(k, len(names))))
+            put(max_cardinality_saturating(cov, required))
+        if len(inst.vertices) > 10:
+            continue
+        put(solve_pop_maxw(inst, weights))
+        crit = frozenset(rng.sample(names, rng.randint(0, len(names))))
+        try:
+            put(solve_pop_crit(inst, crit))
+        except InfeasibleCritical:
+            put("infeasible")
+    assert digest.hexdigest() == (
+        "2ad66290ce1e03ef7686f4173bd971767140c7be33e233ed56a01f10c8e4f266"
+    )
