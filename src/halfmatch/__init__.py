@@ -8,7 +8,6 @@ and brute-force oracles certify every guarantee at desk scale.
 
 from .core import (
     Edge,
-    HalfSupport,
     Instance,
     InstanceError,
     MatchingError,
@@ -16,7 +15,6 @@ from .core import (
     assigned_value,
     blocking_edges,
     check_matching,
-    half_support,
     is_half_matching,
     is_saturated,
     matching_size,

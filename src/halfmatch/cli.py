@@ -88,14 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep seeds, compare against brute force, emit CSV")
-    p.add_argument("--seeds", type=int, required=True, help="number of seeds (0..k-1)")
-    p.add_argument("--n", type=int, required=True, help="vertices per instance")
+    p.add_argument("--seeds", type=_count, required=True, help="number of seeds (0..k-1)")
+    p.add_argument("--n", type=_count, required=True, help="vertices per instance")
     p.add_argument("--oracle-bound", type=int, default=8,
                    help="run the brute-force oracle when |E| is at most this")
     p.add_argument("--output", help="CSV path (stdout when omitted)")
-    p.add_argument("--edge-density", type=float, default=0.5)
-    p.add_argument("--parallel-prob", type=float, default=0.2)
-    p.add_argument("--tie-prob", type=float, default=0.4)
+    p.add_argument("--edge-density", type=_probability, default=0.5)
+    p.add_argument("--parallel-prob", type=_probability, default=0.2)
+    p.add_argument("--tie-prob", type=_probability, default=0.4)
     p.add_argument("--gamma-preset", choices=list(GAMMA_PRESETS), default="none",
                    help="with a preset, bench solve-gamma instead of solve-max-srti")
     p.add_argument("--bipartite", action="store_true")
@@ -103,18 +103,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a seeded random instance file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--output", help="instance path (stdout when omitted)")
-    p.add_argument("--edge-density", type=float, default=0.5)
-    p.add_argument("--parallel-prob", type=float, default=0.0)
-    p.add_argument("--tie-prob", type=float, default=0.0)
+    p.add_argument("--edge-density", type=_probability, default=0.5)
+    p.add_argument("--parallel-prob", type=_probability, default=0.0)
+    p.add_argument("--tie-prob", type=_probability, default=0.0)
     p.add_argument("--weight-min", type=int, default=None)
     p.add_argument("--weight-max", type=int, default=None)
     p.add_argument("--gamma-preset", choices=list(GAMMA_PRESETS), default="none")
     p.add_argument("--bipartite", action="store_true")
-    p.add_argument("--critical-count", type=int, default=0)
+    p.add_argument("--critical-count", type=_count, default=0)
     p.set_defaults(handler=_cmd_generate)
     return parser
+
+
+def _count(text: str) -> int:
+    """argparse type of a nonnegative integer flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """argparse type of a probability flag."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -248,7 +264,15 @@ def _cmd_generate(args) -> int:
     if args.weight_min is not None or args.weight_max is not None:
         lo = args.weight_min if args.weight_min is not None else 0
         hi = args.weight_max if args.weight_max is not None else max(lo, 1)
+        if lo > hi:
+            raise InstanceError(
+                f"empty weight range: --weight-min {lo} > --weight-max {hi}"
+            )
         weight_range = (lo, hi)
+    if args.critical_count > args.n:
+        raise InstanceError(
+            f"--critical-count {args.critical_count} exceeds --n {args.n}"
+        )
     inst = generate_random(
         args.seed,
         args.n,

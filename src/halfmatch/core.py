@@ -395,78 +395,3 @@ def matching_stats(
         integral=all(val in (ZERO, ONE) for val in m.values()),
         critical_ok=crit <= sat_set,
     )
-
-
-# ---------------------------------------------------------------------------
-# support decomposition of half-matchings
-
-
-@dataclass(frozen=True)
-class HalfSupport:
-    """Support of a half-matching split into its structural components.
-
-    ``ones`` are the saturated edges. Each cycle/path is a pair of
-    aligned tuples ``(vertices, edge_ids)``: for a path of k+1 vertices
-    there are k edges, edge t joining vertices t and t+1; for a cycle of
-    k vertices there are k edges, edge t joining vertices t and t+1 mod k
-    (a two-vertex cycle uses two parallel edges).
-    """
-
-    ones: tuple[str, ...]
-    cycles: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    paths: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-
-
-def half_support(inst: Instance, m: Mapping[str, Fraction]) -> HalfSupport:
-    """Decompose a half-matching's support; deterministic traversal order.
-
-    Paths start at their lower-indexed endpoint; cycles start at their
-    lowest-indexed vertex and step first along the smaller incident
-    half-edge id.
-    """
-    check_matching(inst, m, half=True)
-    ones = tuple(sorted(eid for eid, val in m.items() if val == ONE))
-    halves: dict[str, list[str]] = {}
-    for eid, val in m.items():
-        if val == HALF:
-            e = inst.edge(eid)
-            halves.setdefault(e.u, []).append(eid)
-            halves.setdefault(e.v, []).append(eid)
-    for ids in halves.values():
-        ids.sort()
-
-    seen_edges: set[str] = set()
-    cycles = []
-    paths = []
-    # degree-1 vertices seed paths; remaining components are cycles
-    endpoints = sorted(
-        (v for v, ids in halves.items() if len(ids) == 1), key=inst.index
-    )
-    for start in endpoints:
-        eid = halves[start][0]
-        if eid in seen_edges:
-            continue
-        verts, eids = _walk(inst, halves, start, eid, seen_edges)
-        paths.append((tuple(verts), tuple(eids)))
-    for start in sorted(halves, key=inst.index):
-        nxt = [eid for eid in halves[start] if eid not in seen_edges]
-        if not nxt:
-            continue
-        verts, eids = _walk(inst, halves, start, nxt[0], seen_edges)
-        cycles.append((tuple(verts[:-1]), tuple(eids)))
-    return HalfSupport(ones=ones, cycles=tuple(cycles), paths=tuple(paths))
-
-
-def _walk(inst, halves, start, first_eid, seen_edges):
-    verts = [start]
-    eids = []
-    v, eid = start, first_eid
-    while True:
-        seen_edges.add(eid)
-        eids.append(eid)
-        v = inst.other(eid, v)
-        verts.append(v)
-        options = [g for g in halves[v] if g != eid and g not in seen_edges]
-        if not options:
-            return verts, eids
-        eid = options[0]

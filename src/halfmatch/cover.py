@@ -1,10 +1,15 @@
-"""Bipartite double cover of an instance and its matching correspondence.
+"""Bipartite double cover of an instance and its maximum-weight matching.
 
 Every graph G unfolds into a bipartite graph on two copies of its vertex
 set: each edge (u, v) becomes the two cover edges (u, v') and (v, u').
-Half-matchings of G correspond to matchings of the cover at exactly
-twice the size, which lets bipartite machinery (augmenting paths, dual
-potentials) answer fractional questions about G exactly.
+A cover matching projects to a half-matching of G of half its size, and
+the cover's maximum weight is twice G's fractional one, which lets
+bipartite machinery (augmenting paths, dual potentials) answer
+fractional questions about G exactly.
+
+The Hungarian method here runs on lists indexed by vertex-name rank and
+cover-id rank. Phases are rooted in canonical vertex order; every other
+choice goes to the least vertex name, then to the least cover id.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import HALF, ZERO, Instance, VerificationFailed, half_support
+from .core import HALF, ZERO, Instance, VerificationFailed
 
 
 class CoverEdge(NamedTuple):
@@ -40,10 +45,6 @@ class DoubleCover:
     def edge(self, cid: str) -> CoverEdge:
         return self._by_id[cid]
 
-    def pair(self, eid: str) -> tuple[str, str]:
-        """The two cover ids of an origin edge."""
-        return (eid + ">", eid + "<")
-
     def check_cover_matching(self, cids: set[str] | frozenset[str]) -> None:
         left_used: set[str] = set()
         right_used: set[str] = set()
@@ -53,36 +54,6 @@ class DoubleCover:
                 raise ValueError(f"cover matching reuses a vertex at {cid!r}")
             left_used.add(ce.left)
             right_used.add(ce.right)
-
-    def lift(self, m: Mapping[str, Fraction]) -> set[str]:
-        """Unfold a half-matching into a cover matching of twice its size.
-
-        Saturated edges contribute both cover copies. Each half-cycle on k
-        vertices contributes k cover edges oriented around the cycle, and
-        each half-path on k vertices contributes k-1 edges oriented from
-        its lower-indexed end.
-        """
-        sup = half_support(self.inst, m)
-        out: set[str] = set()
-        for eid in sup.ones:
-            out.update(self.pair(eid))
-        for verts, eids in sup.cycles:
-            k = len(verts)
-            for t, eid in enumerate(eids):
-                out.add(self._oriented(eid, verts[t], verts[(t + 1) % k]))
-        for verts, eids in sup.paths:
-            for t, eid in enumerate(eids):
-                out.add(self._oriented(eid, verts[t], verts[t + 1]))
-        self.check_cover_matching(out)
-        return out
-
-    def _oriented(self, eid: str, left: str, right: str) -> str:
-        e = self.inst.edge(eid)
-        if (e.u, e.v) == (left, right):
-            return eid + ">"
-        if (e.v, e.u) == (left, right):
-            return eid + "<"
-        raise ValueError(f"edge {eid!r} does not join {left!r} and {right!r}")
 
     def project(self, cids: set[str] | frozenset[str]) -> dict[str, Fraction]:
         """Fold a cover matching back to a half-matching of half its size."""
@@ -115,123 +86,63 @@ class CoverMatchingResult:
     weight: Fraction
 
 
-class _Tree:
-    """Alternating tree of one Hungarian phase, rooted at an unmatched left."""
-
-    def __init__(self, solver: "_CoverSolver", root: str):
-        self.solver = solver
-        self.root = root
-        self.lefts = {root}
-        self.rights: set[str] = set()
-        self.entry: dict[str, str] = {}  # right vertex -> tight cover id into it
-        # least-slack tree arc toward each outside right: right -> (slack, cid)
-        self.slack: dict[str, tuple[Fraction, str]] = {}
-        self._scan(root)
-
-    def _scan(self, left: str) -> None:
-        s = self.solver
-        for ce in s.arcs[left]:
-            if ce.right in self.rights:
-                continue
-            gap = s.y_left[left] + s.y_right[ce.right] - s.weight_of(ce)
-            key = (gap, ce.cid)
-            if ce.right not in self.slack or key < self.slack[ce.right]:
-                self.slack[ce.right] = key
-
-    def add_left(self, left: str) -> None:
-        self.lefts.add(left)
-        self._scan(left)
-
-    def adopt_right(self, right: str, cid: str) -> None:
-        self.rights.add(right)
-        self.entry[right] = cid
-        del self.slack[right]
-
-    def shift(self, delta: Fraction) -> None:
-        s = self.solver
-        for v in self.lefts:
-            s.y_left[v] -= delta
-        for r in self.rights:
-            s.y_right[r] += delta
-        for r, (gap, cid) in self.slack.items():
-            self.slack[r] = (gap - delta, cid)
-
-
-class _CoverSolver:
-    def __init__(self, cover: DoubleCover, weights: Mapping[str, Fraction]):
-        self.cover = cover
-        self.weights = weights
-        verts = cover.inst.vertices
-        self.arcs: dict[str, list[CoverEdge]] = {v: [] for v in verts}
-        for ce in cover.edges:
-            if self.weight_of(ce) > 0:
-                self.arcs[ce.left].append(ce)
-        for lst in self.arcs.values():
-            lst.sort()
-        self.y_left = {
-            v: max((self.weight_of(ce) for ce in self.arcs[v]), default=ZERO)
-            for v in verts
-        }
-        self.y_right = {v: ZERO for v in verts}
-        self.mate_left: dict[str, str | None] = {v: None for v in verts}
-        self.mate_right: dict[str, str | None] = {v: None for v in verts}
-
-    def weight_of(self, ce: CoverEdge) -> Fraction:
-        return self.weights.get(ce.origin, ZERO)
-
-    def run(self) -> None:
-        for root in self.cover.inst.vertices:
-            if self.y_left[root] > 0 and self.mate_left[root] is None:
-                self._phase(root)
-
-    def _phase(self, root: str) -> None:
-        tree = _Tree(self, root)
-        while True:
-            ready = sorted(r for r, (gap, _) in tree.slack.items() if gap == 0)
-            if ready:
-                r = ready[0]
-                cid = tree.slack[r][1]
-                if self.mate_right[r] is None:
-                    tree.adopt_right(r, cid)
-                    self._rematch_upward(tree, r)
-                    return
-                tree.adopt_right(r, cid)
-                nxt = self.cover.edge(self.mate_right[r]).left
-                if self.y_left[nxt] == 0:
-                    # free this zero-potential left and shift the path to the root
-                    self.mate_left[nxt] = None
-                    self.mate_right[r] = None
-                    self._rematch_upward(tree, r)
-                    return
-                tree.add_left(nxt)
-                continue
-            gaps = [gap for gap, _ in tree.slack.values()]
-            bound = min(self.y_left[v] for v in tree.lefts)
-            delta = min(gaps + [bound])
-            if delta > 0:
-                tree.shift(delta)
-            zeroed = sorted(v for v in tree.lefts if self.y_left[v] == 0)
-            if zeroed:
-                v = zeroed[0]
-                if v == root:
-                    return  # the root may stay unmatched at zero potential
-                r = self.cover.edge(self.mate_left[v]).right
-                self.mate_left[v] = None
-                self.mate_right[r] = None
-                self._rematch_upward(tree, r)
-                return
-
-    def _rematch_upward(self, tree: _Tree, right: str) -> None:
-        """Alternate tree arcs into the matching from `right` up to the root."""
-        while True:
-            cid = tree.entry[right]
-            left = self.cover.edge(cid).left
-            old = self.mate_left[left]
-            self.mate_left[left] = cid
-            self.mate_right[right] = cid
-            if old is None:
-                return  # reached the root
-            right = self.cover.edge(old).right
+def _phase(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right) -> None:
+    """One Hungarian phase: grow an alternating tree from the unmatched left
+    ``root`` until a path to a free right or to a zero-potential left flips
+    into the matching, or the root itself falls to zero potential. Vertices
+    are name ranks and edges cover-id ranks, so the least index wins a tie.
+    """
+    lefts = [root]
+    entry: dict[int, int] = {}  # right in the tree -> tight cover edge into it
+    slack: dict[int, tuple[Fraction, int]] = {}  # outside right -> least (gap, edge)
+    new: int | None = root
+    while True:
+        if new is not None:  # scan the arcs of the left that just joined
+            for c in arcs[new]:
+                r = head[c]
+                if r not in entry:
+                    key = (y_left[new] + y_right[r] - w[c], c)
+                    if r not in slack or key < slack[r]:
+                        slack[r] = key
+            new = None
+        ready = [r for r, (gap, _) in slack.items() if gap == 0]
+        if ready:
+            r = min(ready)
+            entry[r] = slack.pop(r)[1]
+            c = mate_right[r]
+            if c is None:
+                break
+            if y_left[tail[c]] == 0:
+                # free this zero-potential left and shift the path to the root
+                mate_left[tail[c]] = mate_right[r] = None
+                break
+            new = tail[c]
+            lefts.append(new)
+            continue
+        bound = min(y_left[u] for u in lefts)
+        delta = min([gap for gap, _ in slack.values()] + [bound])
+        if delta > 0:
+            for u in lefts:
+                y_left[u] -= delta
+            for r in entry:
+                y_right[r] += delta
+            for r, (gap, c) in slack.items():
+                slack[r] = (gap - delta, c)
+        zeroed = [u for u in lefts if y_left[u] == 0]
+        if zeroed:
+            u = min(zeroed)
+            if u == root:
+                return  # the root may stay unmatched at zero potential
+            r = head[mate_left[u]]
+            mate_left[u] = mate_right[r] = None
+            break
+    while True:  # alternate tree arcs into the matching from r up to the root
+        c = entry[r]
+        old = mate_left[tail[c]]
+        mate_left[tail[c]] = mate_right[r] = c
+        if old is None:
+            return
+        r = head[old]
 
 
 def max_weight_cover_matching(
@@ -243,34 +154,53 @@ def max_weight_cover_matching(
     an edge inherit its weight. Returns a matching and nonnegative
     potentials satisfying y_l + y_r >= w on every cover edge, tightness
     on matched edges, and positivity only on matched vertices, which
-    certifies optimality. Deterministic: roots are processed in
-    canonical vertex order and every scan is sorted.
+    certifies optimality. Deterministic: phases are rooted in canonical
+    vertex order, and every tie goes to the least vertex name, then to
+    the least cover id.
     """
-    solver = _CoverSolver(cover, weights)
-    solver.run()
-    matched = frozenset(cid for cid in solver.mate_left.values() if cid is not None)
-    total = sum((solver.weight_of(cover.edge(cid)) for cid in matched), ZERO)
+    verts = cover.inst.vertices
+    rank = {v: i for i, v in enumerate(sorted(verts))}
+    n = len(verts)
+    # cover.edges is sorted by cover id, so its positions are cover-id ranks
+    tail = [rank[ce.left] for ce in cover.edges]
+    head = [rank[ce.right] for ce in cover.edges]
+    w = [weights.get(ce.origin, ZERO) for ce in cover.edges]
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    for c, u in enumerate(tail):
+        if w[c] > 0:
+            arcs[u].append(c)
+    y_left = [max((w[c] for c in arcs[u]), default=ZERO) for u in range(n)]
+    y_right = [ZERO] * n
+    mate_left: list[int | None] = [None] * n
+    mate_right: list[int | None] = [None] * n
+    for v in verts:
+        u = rank[v]
+        if y_left[u] > 0 and mate_left[u] is None:
+            _phase(u, arcs, tail, head, w, y_left, y_right, mate_left, mate_right)
 
-    y_left, y_right = solver.y_left, solver.y_right
-    for ce in cover.edges:
-        if y_left[ce.left] + y_right[ce.right] < solver.weight_of(ce):
+    matched = [c for c in mate_left if c is not None]
+    total = sum((w[c] for c in matched), ZERO)
+    for c, ce in enumerate(cover.edges):
+        if y_left[tail[c]] + y_right[head[c]] < w[c]:
             raise VerificationFailed(f"cover dual infeasible at {ce.cid}")
-    for cid in matched:
-        ce = cover.edge(cid)
-        if y_left[ce.left] + y_right[ce.right] != solver.weight_of(ce):
-            raise VerificationFailed(f"matched cover edge {cid} is slack")
-    if any(y < 0 for y in y_left.values()) or any(y < 0 for y in y_right.values()):
+    for c in matched:
+        if y_left[tail[c]] + y_right[head[c]] != w[c]:
+            raise VerificationFailed(f"matched cover edge {cover.edges[c].cid} is slack")
+    if any(y < 0 for y in y_left) or any(y < 0 for y in y_right):
         raise VerificationFailed("negative cover potential")
-    matched_left = {cover.edge(cid).left for cid in matched}
-    matched_right = {cover.edge(cid).right for cid in matched}
-    if any(y_left[v] != 0 for v in y_left if v not in matched_left) or any(
-        y_right[v] != 0 for v in y_right if v not in matched_right
+    matched_left = {tail[c] for c in matched}
+    matched_right = {head[c] for c in matched}
+    if any(y_left[u] != 0 for u in range(n) if u not in matched_left) or any(
+        y_right[r] != 0 for r in range(n) if r not in matched_right
     ):
         raise VerificationFailed("positive potential on an unmatched cover vertex")
-    if total != sum(y_left.values(), ZERO) + sum(y_right.values(), ZERO):
+    if total != sum(y_left, ZERO) + sum(y_right, ZERO):
         raise VerificationFailed("cover matching weight differs from the dual objective")
     return CoverMatchingResult(
-        matched=matched, y_left=dict(y_left), y_right=dict(y_right), weight=total
+        matched=frozenset(cover.edges[c].cid for c in matched),
+        y_left={v: y_left[rank[v]] for v in verts},
+        y_right={v: y_right[rank[v]] for v in verts},
+        weight=total,
     )
 
 

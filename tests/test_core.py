@@ -14,7 +14,6 @@ from halfmatch.core import (
     assigned_value,
     blocking_edges,
     check_matching,
-    half_support,
     is_half_matching,
     matching_size,
     matching_stats,
@@ -172,32 +171,6 @@ def test_check_matching_rejects_overload(single_edge):
         check_matching(inst, {"ab": ONE, "ac": H})
     with pytest.raises(MatchingError, match="not in"):
         check_matching(single_edge, {"e": F(1, 3)}, half=True)
-
-
-def test_half_support_shapes(cyclic_triangle):
-    sup = half_support(cyclic_triangle, {"ab": H, "bc": H, "ca": H})
-    assert sup.ones == () and sup.paths == ()
-    (verts, eids), = sup.cycles
-    assert verts == ("a", "b", "c") and eids == ("ab", "bc", "ca")
-
-    path = make_path("a")
-    sup = half_support(path, {"ab": H, "bc": H})
-    (verts, eids), = sup.paths
-    assert verts == ("a", "b", "c") and eids == ("ab", "bc")
-
-    sup = half_support(path, {"ab": ONE})
-    assert sup.ones == ("ab",) and sup.cycles == () and sup.paths == ()
-
-
-def test_half_support_parallel_two_cycle():
-    inst = validate_instance(
-        ["a", "b"],
-        [("e1", "a", "b"), ("e2", "a", "b")],
-        pref={"a": {"e1": 2, "e2": 1}, "b": {"e1": 1, "e2": 2}},
-    )
-    sup = half_support(inst, {"e1": H, "e2": H})
-    (verts, eids), = sup.cycles
-    assert verts == ("a", "b") and eids == ("e1", "e2")
 
 
 # -- blocking cross-check against an independent evaluator ------------------

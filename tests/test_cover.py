@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from halfmatch.core import HALF, matching_size, validate_instance
+from halfmatch.core import validate_instance
 from halfmatch.cover import (
     double_cover,
     max_cardinality_saturating,
@@ -27,23 +27,6 @@ def test_triangle_cover_is_six_cycle():
     for v in "abc":
         assert sum(1 for ce in cov.edges if ce.left == v) == 2
         assert sum(1 for ce in cov.edges if ce.right == v) == 2
-
-
-def test_lift_cycle_rule():
-    inst = make_triangle()
-    cov = double_cover(inst)
-    lifted = cov.lift({"ab": HALF, "bc": HALF, "ca": HALF})
-    # one cover edge per original pair, oriented around the cycle
-    assert lifted == {"ab>", "bc>", "ca>"}
-
-
-def test_lift_project_roundtrip_and_cardinality():
-    for inst in (make_triangle(), make_path("a"), make_path("c")):
-        cov = double_cover(inst)
-        for m in enumerate_all_halves(inst):
-            lifted = cov.lift(m)
-            assert len(lifted) == 2 * matching_size(m)
-            assert cov.project(lifted) == m
 
 
 def test_dual_single_edge_weight_four(single_edge):

@@ -135,15 +135,35 @@ def test_engine_output_is_stable_on_larger_instances():
 
 
 def test_engine_support_is_pairs_and_odd_cycles_only():
-    from halfmatch.core import half_support
-
+    cycles = 0
     for seed in range(80):
         inst = random_strict(seed, 5 + seed % 6)
         cert = stable_half_matching(inst)
-        sup = half_support(inst, cert.matching)
-        assert sup.paths == (), f"seed {seed}: engine emitted a half-path"
-        for verts, _ in sup.cycles:
-            assert len(verts) % 2 == 1, f"seed {seed}: even half-cycle survived"
+        halves: dict[str, list[str]] = {}  # vertex -> its 1/2-edges
+        for eid, val in cert.matching.items():
+            if val == HALF:
+                e = inst.edge(eid)
+                halves.setdefault(e.u, []).append(eid)
+                halves.setdefault(e.v, []).append(eid)
+        assert all(len(ids) == 2 for ids in halves.values()), (
+            f"seed {seed}: engine emitted a half-path"
+        )
+        seen: set[str] = set()
+        for start in halves:
+            if start in seen:
+                continue
+            component, todo = {start}, [start]
+            while todo:
+                v = todo.pop()
+                for eid in halves[v]:
+                    x = inst.other(eid, v)
+                    if x not in component:
+                        component.add(x)
+                        todo.append(x)
+            seen |= component
+            assert len(component) % 2 == 1, f"seed {seed}: even half-cycle survived"
+            cycles += 1
+    assert cycles >= 5  # enough half-cycles actually exercised
 
 
 def test_engine_integral_on_bipartite():

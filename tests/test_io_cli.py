@@ -231,6 +231,26 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["solve-max-srti", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "1", "--n", "-1"],
+    ["generate", "--seed", "1", "--n", "4", "--edge-density", "2"],
+    ["generate", "--seed", "1", "--n", "4", "--critical-count", "9"],
+    ["generate", "--seed", "1", "--n", "4", "--weight-min", "5", "--weight-max", "1"],
+    ["bench", "--seeds", "1", "--n", "4", "--edge-density", "2"],
+    ["bench", "--seeds", "1", "--n", "-3"],
+    ["bench", "--seeds", "-2", "--n", "4"],
+])
+def test_cli_rejects_out_of_range_generator_flags(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a single flag itself
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def _pair_market(**extra):
     doc = {
         "vertices": ["a", "b"],
