@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .core import (
@@ -110,11 +111,14 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     origin_of = {f"{e.eid}~{k}": e.eid for e in origin.edges for k in range(1, 5)}
     orders = {}
     for v in origin.vertices:
+        values = {eid: (origin.pval(v, eid), *origin.gamma_of(eid, v))
+                  for eid in origin.incident(v)}
+        # scaled by the lcm of v's denominators, every sort key is an int
+        scale = lcm(*(x.denominator for triple in values.values() for x in triple))
         keep = []   # (-value, third 0 / second 1 / best 2, origin eid, copy id)
         tail = []   # last copies: by origin valuation, then edge id
-        for eid in origin.incident(v):
-            p = origin.pval(v, eid)
-            gam, delta = origin.gamma_of(eid, v)
+        for eid, triple in values.items():
+            p, gam, delta = (x.numerator * (scale // x.denominator) for x in triple)
             best, second, third, last = _copies(origin, v, eid, ("~1", "~2", "~3", "~4"))
             keep.append((-p, 2, eid, best))
             keep.append((gam - p, 1, eid, second))

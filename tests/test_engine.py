@@ -2,20 +2,38 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 import halfmatch
-from halfmatch.core import HALF, ONE, blocking_edges, matching_size, validate_instance
+from halfmatch.core import (
+    HALF,
+    ONE,
+    Instance,
+    InstanceError,
+    VerificationFailed,
+    blocking_edges,
+    matching_size,
+    validate_instance,
+)
 from halfmatch.engine import (
     BoundExceeded,
+    _partition,
+    _reduce,
     brute_force_max_stable,
     enumerate_half_matchings,
     iter_stable_half_matchings,
     stable_half_matching,
 )
 from halfmatch.generate import generate_random
+from halfmatch.reductions import (
+    build_crit_reduction,
+    build_gamma_reduction,
+    build_pri_reduction,
+    build_srti_reduction,
+)
 
 from conftest import make_path
 
@@ -234,3 +252,150 @@ def test_verification_failed_is_one_class():
 
     assert halfmatch.VerificationFailed is core.VerificationFailed
     assert solvers.VerificationFailed is core.VerificationFailed
+
+
+# -- the list-based court as an oracle -------------------------------------------
+#
+# The engine once kept every preference list as a Python list of edge ids
+# (O(list length) per deletion and acceptance). It is kept here unchanged:
+# the integer-indexed engine must reach the same final lists on every market.
+
+
+class _Court:
+    """Mutable proposal state over strict preference lists."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.lists: dict[str, list[str]] = {
+            v: inst.strict_order(v) for v in inst.vertices
+        }
+        self.held: dict[str, str | None] = {v: None for v in inst.vertices}
+        self.accepted: dict[str, bool] = {v: False for v in inst.vertices}
+        self.queue: deque[str] = deque(v for v in inst.vertices if self.lists[v])
+
+    def delete(self, eid: str) -> None:
+        """Remove an edge from both endpoint lists, freeing any proposer."""
+        edge = self.inst.edge(eid)
+        for x in (edge.u, edge.v):
+            lst = self.lists[x]
+            if eid not in lst:
+                return  # already gone (deletions are always two-sided)
+            was_first = lst[0] == eid
+            lst.remove(eid)
+            if self.held[x] == eid:
+                self.held[x] = None
+            if was_first:
+                self.accepted[x] = False
+            if not self.accepted[x] and lst:
+                self.queue.append(x)
+
+    def cascade(self) -> None:
+        """Run proposals until every agent with a nonempty list is accepted."""
+        while self.queue:
+            v = self.queue.popleft()
+            if self.accepted[v] or not self.lists[v]:
+                continue
+            eid = self.lists[v][0]
+            w = self.inst.other(eid, v)
+            h = self.held[w]
+            if h == eid:
+                self.accepted[v] = True
+                continue
+            if h is None or self.inst.pref[w][eid] > self.inst.pref[w][h]:
+                self.accepted[v] = True
+                self.held[w] = eid
+                tail = self.lists[w][self.lists[w].index(eid) + 1:]
+                for g in tail:
+                    self.delete(g)
+            else:
+                self.delete(eid)
+
+    def find_rotation(self) -> list[tuple[str, str, str]]:
+        """Walk second/last pointers from a length>=3 list to a cycle.
+
+        Returns the cyclic part as (agent, its second entry, acceptor)
+        triples. The walk can never enter a cycle whose members all have
+        length-two lists, so eliminating the result never destroys a
+        settled half-cycle.
+        """
+        start = next(v for v in self.inst.vertices if len(self.lists[v]) >= 3)
+        seq: list[tuple[str, str, str]] = []
+        pos: dict[str, int] = {}
+        x = start
+        while x not in pos:
+            pos[x] = len(seq)
+            if len(self.lists[x]) < 2:
+                raise VerificationFailed(f"rotation walk meets a short list at {x!r}")
+            second = self.lists[x][1]
+            y = self.inst.other(second, x)
+            if len(self.lists[y]) < 2:
+                raise VerificationFailed(f"rotation walk meets a short list at {y!r}")
+            last = self.lists[y][-1]
+            seq.append((x, second, y))
+            x = self.inst.other(last, y)
+        return seq[pos[x]:]
+
+    def eliminate(self, rotation: list[tuple[str, str, str]]) -> None:
+        """Drop everything below the rotation's improved proposals, as a batch."""
+        doomed: set[str] = set()
+        for _, second, y in rotation:
+            tail = self.lists[y][self.lists[y].index(second) + 1:]
+            doomed.update(tail)
+        if not doomed:
+            raise VerificationFailed("rotation eliminates nothing")
+        for g in sorted(doomed):
+            self.delete(g)
+
+
+def oracle_lists(inst: Instance) -> dict[str, list[str]]:
+    court = _Court(inst)
+    court.cascade()
+    while any(len(court.lists[v]) >= 3 for v in inst.vertices):
+        court.eliminate(court.find_rotation())
+        court.cascade()
+    return court.lists
+
+
+def assert_matches_oracle(inst: Instance, label: str) -> None:
+    lists = oracle_lists(inst)
+    assert _reduce(inst) == lists, label
+    assert stable_half_matching(inst) == _partition(inst, lists), label
+
+
+def test_engine_matches_the_list_court_on_derived_markets():
+    markets = 0
+    for seed in range(40):
+        n = 4 + seed % 20
+        tied = generate_random(seed, n, edge_density=0.4, parallel_prob=0.25,
+                               tie_prob=0.3, gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.4, parallel_prob=0.25,
+                                 critical_count=seed % (n + 1))
+        for kind, der in (
+            ("srti", build_srti_reduction(tied)),
+            ("gamma", build_gamma_reduction(tied)),
+            ("pri", build_pri_reduction(strict)),
+            ("crit", build_crit_reduction(strict, strict.critical)),
+            ("crit-all", build_crit_reduction(strict, frozenset(strict.vertices))),
+        ):
+            assert_matches_oracle(der.inst, f"{kind} seed {seed} n {n}")
+            markets += 1
+    assert markets >= 150
+
+
+def test_engine_matches_the_list_court_on_a_large_crit_market():
+    # every vertex critical at n=34: 1 + 2n copies per edge, as in the
+    # unit-weight maxw requests of the benchmark
+    inst = generate_random(34, 34, edge_density=0.3)
+    der = build_crit_reduction(inst, frozenset(inst.vertices))
+    assert len(der.inst.edges) >= 9000
+    assert_matches_oracle(der.inst, "crit-all n 34")
+
+
+def test_engine_raises_the_list_courts_tie_message():
+    tied = generate_random(5, 9, edge_density=0.6, tie_prob=0.5)
+    with pytest.raises(InstanceError) as want:
+        oracle_lists(tied)
+    with pytest.raises(InstanceError) as got:
+        stable_half_matching(tied)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("strict preferences required: vertex ")

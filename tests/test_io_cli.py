@@ -333,6 +333,9 @@ def test_cli_rejects_a_malformed_instance_file(tmp_path, capsys, doc, message):
     # "a" would otherwise iterate as the vertex set {a}
     pytest.param("critical", "a", id="critical-as-string"),
     pytest.param("critical", None, id="critical-as-null"),
+    pytest.param("matching-value", 1, id="matching-value-as-number"),
+    pytest.param("matching-value", None, id="matching-value-as-null"),
+    pytest.param("matching-value", ["1"], id="matching-value-as-list"),
 ])
 def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
     inst_path = tmp_path / "inst.json"
@@ -345,11 +348,13 @@ def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
         doc = value
     elif key == "critical":
         doc["verification"]["critical"] = value
+    elif key == "matching-value":
+        doc["matching"]["ab"] = value
     else:
         doc[key] = value
     res_path.write_text(json.dumps(doc))
-    with pytest.raises(InstanceError,
-                       match="must be an object|must hold a JSON object|must be a list"):
+    with pytest.raises(InstanceError, match="must be an object|must hold a JSON object"
+                                            "|must be a list|must be rationals"):
         load_result(str(res_path))
     for oracle in ([], ["--oracle-bound", "5"]):
         assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
@@ -481,9 +486,13 @@ def test_cli_contract_holds_on_mutated_files(valid_files, data):
     inst_path.write_text(json.dumps(mutated if target == "instance" else files["instance"]))
     res_path.write_text(json.dumps(mutated if target != "instance" else files[tag]))
     oracle = data.draw(st.sampled_from([[], ["--oracle-bound", "8"]]))
+    # a matching value that is not a string is malformed input, not a failure
+    matching = mutated.get("matching") if isinstance(mutated, dict) else None
+    malformed = (target != "instance" and isinstance(matching, dict)
+                 and not all(isinstance(x, str) for x in matching.values()))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if target == "instance":
             argv = [tag, "--input", str(inst_path), "--output", str(work / "out.json")]
             assert main(argv) in (0, 2)
-        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
-                     *oracle]) in (0, 1, 2)
+        code = main(["verify", "--input", str(inst_path), "--result", str(res_path), *oracle])
+    assert code == 2 if malformed else code in (0, 1, 2)
