@@ -243,8 +243,7 @@ def load_result(path: str) -> dict[str, Any]:
     for key in ("matching", "stats", "verification"):
         if not isinstance(doc.get(key, {}), dict):
             raise InstanceError(f"the {key!r} section of a result file must be an object")
-    if not all(isinstance(x, str) for x in doc.get("matching", {}).values()):
-        raise InstanceError("matching values must be rationals written as strings")
+    parse_matching(doc.get("matching", {}))  # a malformed value is bad input
     if "critical" in doc.get("verification", {}):
         _list_of(str, doc["verification"]["critical"],
                  "the recorded critical set must be a list of vertices")

@@ -17,7 +17,10 @@ exceeds M:
 M is popular when Delta(M, N) >= 0 against every rival N; the verifiers
 below certify that over all enumerated half-integral rivals (the
 vertices of the degree-constrained polytope), optionally supplemented
-by seeded random fractional rivals.
+by seeded random fractional rivals. They compare rivals by the value of
+Delta alone, computed in integers, and build a pairing (with its
+per-vertex votes) only for the worst rival, and only when it is a
+counterexample.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping
 
 from .core import (
@@ -204,6 +208,47 @@ def _delta_feasible(
     return DeltaResult(value=total, pairing=Pairing("feasible", phi), votes=votes)
 
 
+def _feasible_value(
+    inst: Instance, m: Mapping[str, Fraction]
+) -> Callable[[Mapping[str, Fraction]], Fraction]:
+    """The value of :func:`_delta_feasible` against any rival, in integers.
+
+    Supply and demand sit on different items, so every vote costs +1 or
+    -1, by v's strict order in which staying unmatched ranks last. v's
+    optimum is then T - 2U: T is its surplus mass, U the largest part of
+    T that can move to a strictly better demand item. One sweep from the
+    best item finds U: a demand item adds to a pool, and a surplus item
+    takes what it can from it. Masses are integers over the lcm ``d`` of
+    all denominators; m's are scaled once here, not once per rival.
+    """
+    base = lcm(*(val.denominator for val in m.values()))
+    rows = [
+        [(eid, m[eid].numerator * (base // m[eid].denominator) if eid in m else 0)
+         for eid in inst.strict_order(v)]
+        for v in inst.vertices
+    ]
+
+    def value(n: Mapping[str, Fraction]) -> Fraction:
+        d = lcm(base, *(val.denominator for val in n.values()))
+        k = d // base
+        held = {eid: val.numerator * (d // val.denominator) for eid, val in n.items()}
+        total = 0
+        for row in rows:
+            diffs = [a * k - held.get(eid, 0) for eid, a in row]
+            diffs.append(-sum(diffs))  # staying unmatched, the rest of d
+            pool = 0
+            for x in diffs:
+                if x < 0:
+                    pool -= x
+                elif x > 0:
+                    take = min(pool, x)
+                    pool -= take
+                    total += x - 2 * take
+        return Fraction(total, d)
+
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Delta over sensible pairings (one coupled LP)
 
@@ -333,19 +378,27 @@ def _canonical_key(n: Mapping[str, Fraction]) -> tuple:
 
 def _scan(
     rivals: Iterable[Mapping[str, Fraction]],
-    compare: Callable[[Mapping[str, Fraction]], DeltaResult],
+    value_of: Callable[[Mapping[str, Fraction]], Fraction],
+    build: Callable[[Mapping[str, Fraction]], DeltaResult],
     scope: str,
 ) -> PopularityVerdict:
-    worst = None  # ((value, -size, canonical key), rival, result)
+    """The worst rival by value (ties: larger, then lexicographically smallest).
+
+    Only a rival whose value ties or beats the current worst is sized and
+    keyed, and ``build`` runs once, for the final worst rival, and only
+    when it is a counterexample.
+    """
+    worst = None  # ((value, -size, canonical key), rival)
     for checked, rival in enumerate(rivals, 1):
-        result = compare(rival)
-        key = (result.value, -matching_size(rival), _canonical_key(rival))
-        if worst is None or key < worst[0]:
-            worst = (key, dict(rival), result)
+        value = value_of(rival)
+        if worst is None or value <= worst[0][0]:
+            key = (value, -matching_size(rival), _canonical_key(rival))
+            if worst is None or key < worst[0]:
+                worst = (key, rival)
     if worst is None:
         return PopularityVerdict(True, scope, 0, ZERO, None)
-    (value, _, _), rival, result = worst
-    counter = (rival, result) if value < 0 else None
+    (value, _, _), rival = worst
+    counter = (dict(rival), build(rival)) if value < 0 else None
     return PopularityVerdict(value >= 0, scope, checked, value, counter)
 
 
@@ -361,9 +414,10 @@ def is_popular(
 
     Scope ``half`` checks every enumerated half-integral rival, the
     vertex set of the fractional matching polytope; ``sampled`` adds
-    seeded random fractional rivals as a probabilistic supplement. The
-    reported counterexample is the worst rival (ties: larger, then
-    lexicographically smallest).
+    seeded random fractional rivals as a probabilistic supplement. Each
+    rival is compared by Delta's exact value in integers; the reported
+    counterexample is the worst rival (ties: larger, then lexicographically
+    smallest), with its feasible pairing, built for it alone.
     """
     rivals = list(enumerate_half_matchings(inst, bound))
     if scope == "sampled":
@@ -374,7 +428,9 @@ def is_popular(
     inst.require_strict("delta over feasible pairings")
     check_matching(inst, m)
     label = "popular (half-integral scope)" if scope == "half" else "popular (sampled scope)"
-    return _scan(rivals, lambda n: _delta_feasible(inst, m, n), label)
+    return _scan(
+        rivals, _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n), label
+    )
 
 
 def is_popular_mixed(
@@ -385,6 +441,7 @@ def is_popular_mixed(
     check_matching(inst, m)
     return _scan(
         enumerate_half_matchings(inst, bound),
+        lambda n: _delta_product(inst, m, n),
         lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
         "popular mixed",
     )
@@ -409,7 +466,7 @@ def is_popular_critical(
         if all(is_saturated(inst, n, v) for v in crit)
     )
     return _scan(
-        rivals, lambda n: _delta_feasible(inst, m, n),
+        rivals, _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n),
         "popular among critical (half-integral scope)",
     )
 
@@ -417,24 +474,26 @@ def is_popular_critical(
 def sample_fractional_matchings(
     inst: Instance, seed: int, count: int
 ) -> list[dict[str, Fraction]]:
-    """Deterministic random fractional matchings (denominator 16)."""
+    """Deterministic random fractional matchings.
+
+    Each edge draws raw/16 with raw in 0..16, scaled down so that no
+    endpoint is over-full: raw / max(16, L_u, L_v), where L is the sum of
+    the raw draws at a vertex.
+    """
     rng = random.Random(f"halfmatch-sample-{seed}")
+    ends = [(e.eid, e.u, e.v) for e in inst.edges]
     out = []
     for _ in range(count):
-        raw = {e.eid: Fraction(rng.randint(0, 16), 16) for e in inst.edges}
-        loads = {
-            v: sum((raw[eid] for eid in inst.incident(v)), ZERO)
-            for v in inst.vertices
+        raw = [rng.randint(0, 16) for _ in ends]
+        load = dict.fromkeys(inst.vertices, 0)
+        for (_, u, v), r in zip(ends, raw):
+            load[u] += r
+            load[v] += r
+        sample = {
+            eid: Fraction(r, max(16, load[u], load[v]))
+            for (eid, u, v), r in zip(ends, raw)
+            if r
         }
-        scaled = {}
-        for e in inst.edges:
-            cap = min(
-                ONE,
-                *(ONE / loads[x] for x in (e.u, e.v) if loads[x] > 1),
-            ) if (loads[e.u] > 1 or loads[e.v] > 1) else ONE
-            val = raw[e.eid] * cap
-            if val:
-                scaled[e.eid] = val
-        check_matching(inst, scaled)
-        out.append(scaled)
+        check_matching(inst, sample)
+        out.append(sample)
     return out

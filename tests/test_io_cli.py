@@ -336,6 +336,8 @@ def test_cli_rejects_a_malformed_instance_file(tmp_path, capsys, doc, message):
     pytest.param("matching-value", 1, id="matching-value-as-number"),
     pytest.param("matching-value", None, id="matching-value-as-null"),
     pytest.param("matching-value", ["1"], id="matching-value-as-list"),
+    pytest.param("matching-value", "abc", id="matching-value-not-a-rational"),
+    pytest.param("matching-value", "1/0", id="matching-value-zero-denominator"),
 ])
 def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
     inst_path = tmp_path / "inst.json"
@@ -354,7 +356,7 @@ def test_cli_rejects_a_malformed_result_file(tmp_path, capsys, key, value):
         doc[key] = value
     res_path.write_text(json.dumps(doc))
     with pytest.raises(InstanceError, match="must be an object|must hold a JSON object"
-                                            "|must be a list|must be rationals"):
+                                            "|must be a list|malformed rational"):
         load_result(str(res_path))
     for oracle in ([], ["--oracle-bound", "5"]):
         assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
@@ -474,6 +476,14 @@ def _mutate(data, doc):
     return root[0]
 
 
+def _is_rational(text):
+    try:
+        Fraction(text.strip())
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_cli_contract_holds_on_mutated_files(valid_files, data):
@@ -486,10 +496,11 @@ def test_cli_contract_holds_on_mutated_files(valid_files, data):
     inst_path.write_text(json.dumps(mutated if target == "instance" else files["instance"]))
     res_path.write_text(json.dumps(mutated if target != "instance" else files[tag]))
     oracle = data.draw(st.sampled_from([[], ["--oracle-bound", "8"]]))
-    # a matching value that is not a string is malformed input, not a failure
+    # a matching value that is not a rational string is malformed input,
+    # not a verification failure
     matching = mutated.get("matching") if isinstance(mutated, dict) else None
     malformed = (target != "instance" and isinstance(matching, dict)
-                 and not all(isinstance(x, str) for x in matching.values()))
+                 and not all(_is_rational(x) for x in matching.values()))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if target == "instance":
             argv = [tag, "--input", str(inst_path), "--output", str(work / "out.json")]

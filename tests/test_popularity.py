@@ -9,11 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfmatch.core import HALF, ONE, ZERO, InstanceError, validate_instance, vertex_load
+from halfmatch.core import (
+    HALF, ONE, ZERO, InstanceError, check_matching, is_saturated, matching_size,
+    validate_instance, vertex_load,
+)
 from halfmatch.engine import enumerate_half_matchings, stable_half_matching
 from halfmatch.generate import generate_random
+from halfmatch import popularity, simplex
 from halfmatch.popularity import (
+    DeltaResult,
     ImbalancedTransport,
+    Pairing,
+    PopularityVerdict,
+    _canonical_key,
+    _delta_feasible,
+    _delta_product,
+    _feasible_value,
     delta_feasible,
     delta_product,
     delta_sensible,
@@ -24,7 +35,6 @@ from halfmatch.popularity import (
     sample_fractional_matchings,
     vote,
 )
-from halfmatch import simplex
 
 from conftest import make_path, make_triangle
 
@@ -361,6 +371,140 @@ def test_sampled_scope_runs(five_agent_market):
     for n in sample_fractional_matchings(inst, seed=9, count=10):
         for v in inst.vertices:
             assert vertex_load(inst, n, v) <= 1
+
+
+# -- integer values and the verdict scan against the Fraction path ----------------
+
+
+def _oracle_markets(seeds, max_edges):
+    """Strict markets with parallel edges; every other one values staying
+    unmatched below zero at half of its vertices."""
+    for seed in seeds:
+        inst = generate_random(seed, 3 + seed % 4, edge_density=0.6, parallel_prob=0.4)
+        if seed % 2:
+            inst = validate_instance(
+                inst.vertices, inst.edges, inst.pref,
+                pref_empty={v: F(-1 - i, 3) for i, v in enumerate(inst.vertices[::2])},
+            )
+        if 0 < len(inst.edges) <= max_edges:
+            yield seed, inst
+
+
+def test_integer_value_equals_the_transport_value(monkeypatch):
+    # fractional M from the sampler sends the Fraction path through the
+    # two-row closed form and the simplex, not only the one-sided plans
+    calls = {"_two_row_transport": 0, "_simplex_transport": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(popularity, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(popularity, name, counted)
+    pairs = parallel = negative = 0
+    for seed, inst in _oracle_markets(range(90), max_edges=6):
+        rivals = list(enumerate_half_matchings(inst, bound=6))
+        sampled = sample_fractional_matchings(inst, seed=seed, count=12)
+        mine = rivals[:: max(1, len(rivals) // 6)] + sampled[:6]
+        theirs = rivals[:: max(1, len(rivals) // 20)] + sampled[6:]
+        for m in mine:
+            value = _feasible_value(inst, m)
+            for n in theirs:
+                got = value(n)
+                assert type(got) is Fraction
+                assert got == _delta_feasible(inst, m, n).value, (seed, m, n)
+                pairs += 1
+        parallel += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
+        negative += any(p < 0 for p in inst.pref_empty.values())
+    assert pairs >= 5000 and parallel >= 10 and negative >= 10
+    assert all(count >= 50 for count in calls.values()), calls
+
+
+def _fraction_sampler(inst, seed, count):
+    """The sampler as it was written on Fractions: raw/16 capped by 1/load."""
+    rng = random.Random(f"halfmatch-sample-{seed}")
+    out = []
+    for _ in range(count):
+        raw = {e.eid: Fraction(rng.randint(0, 16), 16) for e in inst.edges}
+        loads = {
+            v: sum((raw[eid] for eid in inst.incident(v)), ZERO)
+            for v in inst.vertices
+        }
+        scaled = {}
+        for e in inst.edges:
+            cap = min(
+                ONE,
+                *(ONE / loads[x] for x in (e.u, e.v) if loads[x] > 1),
+            ) if (loads[e.u] > 1 or loads[e.v] > 1) else ONE
+            val = raw[e.eid] * cap
+            if val:
+                scaled[e.eid] = val
+        check_matching(inst, scaled)
+        out.append(scaled)
+    return out
+
+
+def test_sampler_matches_the_fraction_sampler():
+    for seed in range(40):
+        inst = generate_random(seed, 3 + seed % 6, edge_density=0.7, parallel_prob=0.3)
+        got = sample_fractional_matchings(inst, seed=seed, count=30)
+        want = _fraction_sampler(inst, seed, 30)
+        assert [list(n.items()) for n in got] == [list(n.items()) for n in want]
+        assert all(type(val) is Fraction for n in got for val in n.values())
+
+
+def _oracle_scan(rivals, compare, scope):
+    """The verdict scan that builds every rival's full comparison."""
+    worst = None
+    for checked, rival in enumerate(rivals, 1):
+        result = compare(rival)
+        key = (result.value, -matching_size(rival), _canonical_key(rival))
+        if worst is None or key < worst[0]:
+            worst = (key, dict(rival), result)
+    if worst is None:
+        return PopularityVerdict(True, scope, 0, ZERO, None)
+    (value, _, _), rival, result = worst
+    counter = (rival, result) if value < 0 else None
+    return PopularityVerdict(value >= 0, scope, checked, value, counter)
+
+
+def _oracle_verdicts(inst, m, bound, seed):
+    feasible = lambda n: _delta_feasible(inst, m, n)
+    rivals = list(enumerate_half_matchings(inst, bound))
+    sampled = rivals + _fraction_sampler(inst, seed, 20)
+    crit = [v for v in inst.vertices if is_saturated(inst, m, v)][:2]
+    return [
+        _oracle_scan(rivals, feasible, "popular (half-integral scope)"),
+        _oracle_scan(sampled, feasible, "popular (sampled scope)"),
+        _oracle_scan(
+            rivals,
+            lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
+            "popular mixed",
+        ),
+        _oracle_scan(
+            [n for n in rivals if all(is_saturated(inst, n, v) for v in crit)],
+            feasible, "popular among critical (half-integral scope)",
+        ),
+    ]
+
+
+def test_verdicts_match_the_per_rival_scan():
+    beaten = [0, 0, 0, 0]
+    for seed, inst in _oracle_markets(range(40), max_edges=6):
+        rivals = list(enumerate_half_matchings(inst, bound=6))
+        mine = rivals[:: max(1, len(rivals) // 3)] + sample_fractional_matchings(
+            inst, seed=seed, count=1
+        )
+        for m in mine:
+            crit = [v for v in inst.vertices if is_saturated(inst, m, v)][:2]
+            got = [
+                is_popular(inst, m, bound=6),
+                is_popular(inst, m, bound=6, scope="sampled", samples=20, seed=seed),
+                is_popular_mixed(inst, m, bound=6),
+                is_popular_critical(inst, m, crit, bound=6),
+            ]
+            want = _oracle_verdicts(inst, m, 6, seed)
+            assert _plain(got) == _plain(want), (seed, m)
+            beaten = [b + (not v.popular) for b, v in zip(beaten, want)]
+    assert min(beaten) >= 20, beaten
 
 
 # -- golden pin ----------------------------------------------------------------
