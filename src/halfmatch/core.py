@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Rational = int | str | Fraction
@@ -23,9 +24,6 @@ Rational = int | str | Fraction
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
-
-#: A matching is a plain dict edge-id -> value; absent edges mean zero.
-Matching = dict
 
 
 class InstanceError(ValueError):
@@ -67,6 +65,9 @@ class Instance:
     ``gamma`` optionally maps ``(eid, v)`` to a ``(gamma, delta)`` pair of
     improvement thresholds with ``0 < gamma < delta``. ``critical`` is an
     optional set of vertices that solvers may be required to saturate.
+    ``_order[v]`` lists v's incident edges best first, ties in edge-id
+    order, and ``_tied`` holds the vertices with a tie; validation
+    computes both once and the preference queries read them.
     """
 
     vertices: tuple[str, ...]
@@ -77,6 +78,8 @@ class Instance:
     gamma: Mapping[tuple[str, str], tuple[Fraction, Fraction]] | None
     critical: frozenset[str]
     _incident: Mapping[str, tuple[str, ...]]
+    _order: Mapping[str, tuple[str, ...]]
+    _tied: frozenset[str]
     _by_id: Mapping[str, Edge]
     _index: Mapping[str, int]
 
@@ -118,11 +121,7 @@ class Instance:
 
     def is_strict(self) -> bool:
         """Whether every vertex's valuation is injective on its edges."""
-        for v in self.vertices:
-            vals = [self.pref[v][e] for e in self._incident[v]]
-            if len(set(vals)) != len(vals):
-                return False
-        return True
+        return not self._tied
 
     def require_strict(self, what: str = "this operation") -> None:
         if not self.is_strict():
@@ -133,17 +132,13 @@ class Instance:
 
         Edges inside a group are in canonical id order.
         """
-        groups: dict[int | Fraction, list[str]] = {}
-        for eid in self._incident[v]:
-            groups.setdefault(self.pref[v][eid], []).append(eid)
-        return [groups[val] for val in sorted(groups, reverse=True)]
+        return [list(c) for _, c in groupby(self._order[v], self.pref[v].__getitem__)]
 
     def strict_order(self, v: str) -> list[str]:
         """Incident edges best-first; requires a tie-free valuation at v."""
-        classes = self.tie_classes(v)
-        if any(len(c) > 1 for c in classes):
+        if v in self._tied:
             raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
-        return [c[0] for c in classes]
+        return list(self._order[v])
 
     def gamma_of(self, eid: str, v: str) -> tuple[Fraction, Fraction]:
         if self.gamma is None or (eid, v) not in self.gamma:
@@ -173,8 +168,9 @@ def validate_instance(
     Raises :class:`InstanceError` with a specific message on loop edges,
     duplicate ids, missing or negative preference entries, preference
     entries not strictly above the unmatched value, ``gamma >= delta``,
-    or unknown vertices in the critical set. Incidence lists are sorted
-    by edge id and edges by id, so iteration order is deterministic.
+    or unknown vertices in the critical set. Edges and incidence lists
+    are in edge-id order, and each vertex's order is its incidence list
+    sorted best first, so iteration order is deterministic.
     """
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
@@ -197,7 +193,7 @@ def validate_instance(
     for e in es:
         incident[e.u].append(e.eid)
         incident[e.v].append(e.eid)
-    inc = {v: tuple(sorted(ids)) for v, ids in incident.items()}
+    inc = {v: tuple(ids) for v, ids in incident.items()}
 
     p_empty: dict[str, int | Fraction] = {v: 0 for v in vs}
     if pref_empty:
@@ -210,6 +206,8 @@ def validate_instance(
             p_empty[v] = r
 
     p: dict[str, dict[str, int | Fraction]] = {}
+    order: dict[str, tuple[str, ...]] = {}
+    tied: set[str] = set()
     for v in vs:
         given = dict(pref.get(v, {}))
         mine: dict[str, int | Fraction] = {}
@@ -228,6 +226,10 @@ def validate_instance(
             stray = sorted(given)[0]
             raise InstanceError(f"preference of {v!r} for non-incident edge {stray!r}")
         p[v] = mine
+        # a stable sort keeps equal valuations in edge-id order
+        order[v] = o = tuple(sorted(inc[v], key=mine.__getitem__, reverse=True))
+        if any(mine[a] == mine[b] for a, b in zip(o, o[1:])):
+            tied.add(v)
 
     w = None
     if weights is not None:
@@ -267,6 +269,8 @@ def validate_instance(
         gamma=g,
         critical=crit,
         _incident=inc,
+        _order=order,
+        _tied=frozenset(tied),
         _by_id=by_id,
         _index={v: i for i, v in enumerate(vs)},
     )

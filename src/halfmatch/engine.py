@@ -25,14 +25,14 @@ the other side.
 
 The proposal state is integer-indexed. Edges are numbered by rank in
 the id-sorted edge list (so integer order is id order) and vertices by
-canonical index. Each vertex keeps its strict order as a fixed list,
-built by one sort on its valuations, and every edge knows its position
-at both endpoints, so preferences compare by position. One ``alive``
-bytearray records deletions (always two-sided); per vertex, head and
-tail pointers step past dead entries when the first or last live entry
-dies, and a live count stands in for the list length. A deletion costs
-O(1) plus pointer steps, which never move back: O(m) in all. An
-acceptance deletes the live entries after it, and successive
+canonical index. Each vertex keeps its strict order, read from the
+Instance, as a fixed list of edge ranks, and every edge knows its
+position at both endpoints, so preferences compare by position. One
+``alive`` bytearray records deletions (always two-sided); per vertex,
+head and tail pointers step past dead entries when the first or last
+live entry dies, and a live count stands in for the list length. A
+deletion costs O(1) plus pointer steps, which never move back: O(m) in
+all. An acceptance deletes the live entries after it, and successive
 acceptances at one vertex scan disjoint ranges. Counts only fall, so a
 single pointer over vertex indices finds each rotation's start.
 
@@ -51,7 +51,6 @@ from .core import (
     HALF,
     ONE,
     Instance,
-    InstanceError,
     VerificationFailed,
     blocking_edges,
     matching_size,
@@ -156,20 +155,16 @@ def _reduce(inst: Instance) -> dict[str, list[str]]:
     """
     names = inst.vertices
     n = len(names)
-    vidx = {v: x for x, v in enumerate(names)}
+    index = inst.index
     eids = [e.eid for e in inst.edges]  # id-sorted: int order is id order
     rank = {eid: i for i, eid in enumerate(eids)}
-    eu = [vidx[e.u] for e in inst.edges]
-    ends = [vidx[e.u] ^ vidx[e.v] for e in inst.edges]  # other end: ends[e] ^ x
+    eu = [index(e.u) for e in inst.edges]
+    ends = [index(e.u) ^ index(e.v) for e in inst.edges]  # other end: ends[e] ^ x
     pos_u = [0] * len(eids)  # position of e in its u end's order
     pos_v = [0] * len(eids)  # ... and in its v end's
     order: list[list[int]] = []
     for x, v in enumerate(names):
-        pv = inst.pref[v]
-        mine = sorted(inst.incident(v), key=pv.__getitem__, reverse=True)
-        if any(pv[a] == pv[b] for a, b in zip(mine, mine[1:])):
-            raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
-        o = [rank[eid] for eid in mine]
+        o = [rank[eid] for eid in inst.strict_order(v)]
         for p, e in enumerate(o):
             if eu[e] == x:
                 pos_u[e] = p

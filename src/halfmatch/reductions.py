@@ -85,9 +85,9 @@ def _finish(origin, origin_of, orders):
         edges=[(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()],
         pref=pref,
     )
-    for v in origin.vertices:  # the explicit order must be a strict total order
-        if not len(set(orders[v])) == len(orders[v]) == len(inst.incident(v)):
-            raise VerificationFailed(f"derived order at {v!r} is not strict and total")
+    for v in origin.vertices:  # the market must rank exactly as ordered
+        if inst.strict_order(v) != orders[v]:
+            raise VerificationFailed(f"derived market ranks {v!r}'s copies out of order")
     return DerivedInstance(inst=inst, origin=origin, origin_of=origin_of)
 
 
@@ -146,13 +146,11 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
     for v in origin.vertices:
         top = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in origin.incident(v)}
         seq = []
-        for group in origin.tie_classes(v):
+        classes = origin.tie_classes(v)
+        for group in classes:
             seq.extend(top[eid][0] for eid in group)
             seq.extend(eid + "~0" for eid in group)
-        bottoms = sorted(
-            origin.incident(v), key=lambda eid: (-origin.pval(v, eid), eid)
-        )
-        seq.extend(top[eid][1] for eid in bottoms)
+        seq.extend(top[eid][1] for group in classes for eid in group)
         orders[v] = seq
 
     return _finish(origin, origin_of, orders)

@@ -364,6 +364,77 @@ def test_parsed_and_derived_valuations_are_int():
     assert type(lib.pval("b", "e")) is F and type(lib.pempty("b")) is F
 
 
+# -- the sort-based preference queries as an oracle --------------------------
+#
+# Instance once regrouped and sorted ``pref`` on every query; validation now
+# stores each vertex's order once. The old queries are kept here unchanged
+# (over id-sorted incidence) and the stored order must answer exactly as they do.
+
+
+def _oracle_tie_classes(inst, v):
+    groups = {}
+    for eid in sorted(inst.incident(v)):
+        groups.setdefault(inst.pref[v][eid], []).append(eid)
+    return [groups[val] for val in sorted(groups, reverse=True)]
+
+
+def _oracle_strict_order(inst, v):
+    classes = _oracle_tie_classes(inst, v)
+    if any(len(c) > 1 for c in classes):
+        raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
+    return [c[0] for c in classes]
+
+
+def _oracle_is_strict(inst):
+    for v in inst.vertices:
+        vals = [inst.pref[v][e] for e in inst.incident(v)]
+        if len(set(vals)) != len(vals):
+            return False
+    return True
+
+
+def _outcome(query, *args):
+    try:
+        return query(*args)
+    except InstanceError as exc:
+        return ("InstanceError", str(exc))
+
+
+def test_stored_order_answers_as_the_sort_based_queries():
+    rng = random.Random(9090)
+    markets = {"generated": [], "library": [], "srti": [], "gamma": [], "pri": [],
+               "crit": []}
+    for seed in range(40):
+        n = rng.randint(3, 8)
+        tied = generate_random(seed, n, edge_density=0.6, parallel_prob=0.3,
+                               tie_prob=0.4, gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.6, parallel_prob=0.3)
+        markets["generated"] += [tied, strict]
+        markets["library"].append(_rational_market(rng, seed))
+        markets["srti"].append(build_srti_reduction(tied).inst)
+        markets["gamma"].append(build_gamma_reduction(tied).inst)
+        markets["pri"].append(build_pri_reduction(strict).inst)
+        crit = frozenset(rng.sample(strict.vertices, rng.randint(1, n)))
+        markets["crit"].append(build_crit_reduction(strict, crit).inst)
+    kinds = {"tie_error": 0, "parallel": 0, "fraction": 0, "negative_empty": 0}
+    for inst in (inst for group in markets.values() for inst in group):
+        assert inst.is_strict() == _oracle_is_strict(inst)
+        kinds["parallel"] += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
+        kinds["fraction"] += any(type(p) is F for v in inst.vertices
+                                 for p in inst.pref[v].values())
+        kinds["negative_empty"] += any(p < 0 for p in inst.pref_empty.values())
+        for v in inst.vertices:
+            assert list(inst.incident(v)) == sorted(inst.incident(v))
+            assert inst.tie_classes(v) == _oracle_tie_classes(inst, v)
+            got = _outcome(inst.strict_order, v)
+            assert got == _outcome(_oracle_strict_order, inst, v)
+            kinds["tie_error"] += isinstance(got, tuple)
+    assert all(count >= 20 for count in kinds.values()), kinds
+    assert all(inst.is_strict() for name in ("srti", "gamma", "pri", "crit")
+               for inst in markets[name])
+    assert sum(not inst.is_strict() for inst in markets["library"]) >= 20
+
+
 # -- convex decomposition monotonicity ---------------------------------------
 
 

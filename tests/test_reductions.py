@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from halfmatch.core import HALF, ONE, InstanceError, validate_instance
+from halfmatch import reductions
+from halfmatch.core import HALF, ONE, InstanceError, VerificationFailed, validate_instance
 from halfmatch.engine import stable_half_matching
 from halfmatch.generate import generate_random
 from halfmatch.reductions import (
@@ -213,6 +214,26 @@ def test_pri_rejects_ties():
     )
     with pytest.raises(InstanceError, match="strict"):
         build_pri_reduction(tied)
+
+
+def test_finish_rejects_an_order_the_market_does_not_follow(monkeypatch, single_edge):
+    origin_of = {"e~a": "e", "e~b": "e"}
+    # a copy listed twice: the valuations keep its last rank
+    twice = {"a": ["e~a", "e~b", "e~a"], "b": ["e~b", "e~a"]}
+    with pytest.raises(VerificationFailed, match="'a'"):
+        reductions._finish(single_edge, origin_of, twice)
+
+    # valuations materialized with two copies swapped at b
+    real = reductions.validate_instance
+
+    def swapping(vertices, edges, pref):
+        pref["b"] = {"e~a": pref["b"]["e~b"], "e~b": pref["b"]["e~a"]}
+        return real(vertices, edges, pref)
+
+    monkeypatch.setattr(reductions, "validate_instance", swapping)
+    with pytest.raises(VerificationFailed, match="'b'"):
+        reductions._finish(single_edge, origin_of, {"a": ["e~a", "e~b"],
+                                                    "b": ["e~b", "e~a"]})
 
 
 # -- leveled construction ----------------------------------------------------
