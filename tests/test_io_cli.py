@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfmatch.cli import main
-from halfmatch.core import ONE, InstanceError
+from halfmatch.core import ONE, InstanceError, validate_instance
 from halfmatch.generate import generate_random
 from halfmatch.io import (
     build_result,
@@ -62,6 +63,93 @@ def test_instance_roundtrip_with_everything():
     assert again.critical == inst.critical
     assert again.gamma == inst.gamma
     assert again.weights == inst.weights
+
+
+# -- golden pin of the instance text ------------------------------------------
+
+
+def _instance_doc(inst):
+    """The instance as a JSON document: the canonical text of an instance
+    is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    edges = []
+    for e in inst.edges:
+        record = {"id": e.eid, "u": e.u, "v": e.v}
+        if inst.weights is not None and e.eid in inst.weights:
+            record["weight"] = format_rational(inst.weights[e.eid])
+        edges.append(record)
+    doc = {
+        "vertices": list(inst.vertices),
+        "edges": edges,
+        "prefs": {v: inst.tie_classes(v) for v in inst.vertices},
+    }
+    if inst.gamma:
+        block = {}
+        for (eid, v), (gam, delta) in sorted(inst.gamma.items()):
+            block.setdefault(eid, {})[v] = {
+                "gamma": format_rational(gam),
+                "delta": format_rational(delta),
+            }
+        doc["gamma"] = block
+    if inst.critical:
+        doc["critical"] = sorted(inst.critical)
+    return doc
+
+
+def _pinned_markets():
+    """300 generated markets, then hand-built ones whose ids need escaping."""
+    for seed in range(60):
+        n = seed % 13  # includes the empty market and a lone vertex
+        yield generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                              tie_prob=0.4, weight_range=(1, 9), gamma_preset="generic",
+                              critical_count=seed % (n + 1))
+        yield generate_random(seed, n, edge_density=0.6, tie_prob=0.3,
+                              weight_range=(-3, 5), bipartite=True,
+                              critical_count=(seed * 7) % (n + 1))
+        yield generate_random(seed, n, edge_density=0.4, parallel_prob=0.5)
+        yield generate_random(seed, n, edge_density=0.7, tie_prob=0.2,
+                              gamma_preset=("min-like", "max-like", "generic")[seed % 3],
+                              bipartite=seed % 2 == 1)
+        yield generate_random(seed, n, edge_density=0.3, parallel_prob=0.2,
+                              tie_prob=0.8, weight_range=(-3, 5),
+                              gamma_preset="generic", critical_count=n)
+    odd = ["zé", 'q"t', "b\\s", "c\t\n\x00\x1f\x7f", "日本",
+           "\U0001f600", "\u2028", "plain", "alone"]
+    ids = ['e"0', "e\\1", "e\n2", "eä3", "e\U0001f6004", "e/5", "e 6"]
+    ends = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 1)]
+    edges = [(eid, odd[a], odd[b]) for eid, (a, b) in zip(ids, ends)]
+    pref = {v: {} for v in odd}
+    for k, (eid, u, v) in enumerate(edges):
+        pref[u][eid] = 1 + k % 2
+        pref[v][eid] = 3
+    yield validate_instance(
+        odd, edges, pref,
+        weights={ids[0]: F(-5, 2), ids[2]: F(1, 3), ids[4]: 7, ids[6]: "2/6"},
+        gamma={(ids[0], odd[0]): (F(1, 3), F(7, 5)), (ids[3], odd[4]): ("1/2", 2),
+               (ids[6], odd[1]): (1, F(9, 4))},
+        critical=[odd[5], odd[0], odd[2]],
+    )
+    yield validate_instance(["y", "x"], [], {})  # no edges, only lone vertices
+    yield validate_instance(["m", "a", "z"], [("za", "z", "a"), ("am", "a", "m")],
+                            {"z": {"za": F(1, 2)}, "a": {"za": 2, "am": F(5, 2)},
+                             "m": {"am": 1}}, weights={})
+
+
+def test_instance_text_matches_the_golden_digest():
+    # the canonical text of every pinned market, as the json.dumps
+    # writer produced it
+    digest = hashlib.sha256()
+    for inst in _pinned_markets():
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == (
+        "8c078359cc30c5baa2a792ef3b9b6a2ac10897c34cf8dbff8397cd0a4c0d0857"
+    )
+
+
+def test_instance_text_equals_the_json_dumps_form():
+    for inst in _pinned_markets():
+        text = serialize_instance(inst)
+        assert text == json.dumps(_instance_doc(inst), sort_keys=True, indent=2) + "\n"
+        assert serialize_instance(parse_instance_text(text)) == text
 
 
 def test_parse_rejects_unknown_edge_in_prefs_with_line():
