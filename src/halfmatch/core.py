@@ -166,9 +166,10 @@ def validate_instance(
     """Check and canonicalize a raw instance description.
 
     Raises :class:`InstanceError` with a specific message on loop edges,
-    duplicate ids, missing or negative preference entries, preference
-    entries not strictly above the unmatched value, ``gamma >= delta``,
-    or unknown vertices in the critical set. Edges and incidence lists
+    duplicate ids, preferences given for unknown vertices, missing or
+    negative preference entries, preference entries not strictly above
+    the unmatched value, ``gamma >= delta``, or unknown vertices in the
+    critical set. Edges and incidence lists
     are in edge-id order, and each vertex's order is its incidence list
     sorted best first, so iteration order is deterministic.
     """
@@ -205,6 +206,9 @@ def validate_instance(
                 raise InstanceError(f"pref_empty of {v!r} must be <= 0")
             p_empty[v] = r
 
+    for v in pref:
+        if v not in vset:
+            raise InstanceError(f"preferences given for unknown vertex {v!r}")
     p: dict[str, dict[str, int | Fraction]] = {}
     order: dict[str, tuple[str, ...]] = {}
     tied: set[str] = set()

@@ -3,6 +3,13 @@
 Both formats are canonical JSON (sorted keys, two-space indent, trailing
 newline) so identical inputs produce byte-identical files. Numbers are
 exact rationals, never floats, and travel as "p/q" strings ("3", "1/2").
+The canonical text of a document is, by definition,
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``; result files are
+written by that call. Instance files are written by a direct writer that
+emits the same bytes without the pure-Python encoder an indent forces:
+every result names its instance by the digest of that text, so each
+request writes it once. The tests keep the ``json.dumps`` form as the
+writer's oracle.
 
 An instance file stores preferences *ordinally*: per vertex, a list of
 tie groups of edge ids, best group first. Parsing assigns canonical
@@ -17,11 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .core import (
     Instance,
     InstanceError,
+    Rational,
     ZERO,
     blocking_edges,
     check_matching,
@@ -31,9 +40,11 @@ from .core import (
 )
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def format_rational(x: Rational) -> str:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    d = x.denominator
+    return str(x.numerator) if d == 1 else f"{x.numerator}/{d}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -54,28 +65,49 @@ def _canonical_json(obj: Any) -> str:
 
 
 def serialize_instance(inst: Instance) -> str:
-    edges = []
+    """The canonical text of ``inst``, written member by member.
+
+    Keys come in sorted order (critical, edges, gamma, prefs, vertices),
+    and every id is escaped by the function ``json.dumps`` itself uses.
+    """
+    qv = {v: _quote(v) for v in inst.vertices}
+    qe = {e.eid: _quote(e.eid) for e in inst.edges}
+    weights = inst.weights or {}
+    records = []
     for e in inst.edges:
-        record: dict[str, Any] = {"id": e.eid, "u": e.u, "v": e.v}
-        if inst.weights is not None and e.eid in inst.weights:
-            record["weight"] = format_rational(inst.weights[e.eid])
-        edges.append(record)
-    doc: dict[str, Any] = {
-        "vertices": list(inst.vertices),
-        "edges": edges,
-        "prefs": {v: inst.tie_classes(v) for v in inst.vertices},
-    }
-    if inst.gamma:
-        block: dict[str, dict[str, dict[str, str]]] = {}
-        for (eid, v), (gam, delta) in sorted(inst.gamma.items()):
-            block.setdefault(eid, {})[v] = {
-                "gamma": format_rational(gam),
-                "delta": format_rational(delta),
-            }
-        doc["gamma"] = block
+        w = weights.get(e.eid)
+        tail = "" if w is None else f',\n      "weight": "{format_rational(w)}"'
+        records.append(f'    {{\n      "id": {qe[e.eid]},\n      "u": {qv[e.u]},\n'
+                       f'      "v": {qv[e.v]}{tail}\n    }}')
+    prefs = []
+    for v in sorted(inst.vertices):
+        groups = inst.tie_classes(v)
+        prefs.append(f"    {qv[v]}: " + _block(
+            ["      [\n        " + ",\n        ".join(map(qe.__getitem__, g)) + "\n      ]"
+             for g in groups], "    "))
+    doc = []
     if inst.critical:
-        doc["critical"] = sorted(inst.critical)
-    return _canonical_json(doc)
+        doc.append('  "critical": ' + _block([f"    {qv[v]}" for v in sorted(inst.critical)]))
+    doc.append('  "edges": ' + _block(records))
+    if inst.gamma:
+        sides: dict[str, list[str]] = {}
+        for (eid, v), (gam, delta) in sorted(inst.gamma.items()):
+            sides.setdefault(eid, []).append(
+                f'      {qv[v]}: {{\n        "delta": "{format_rational(delta)}",\n'
+                f'        "gamma": "{format_rational(gam)}"\n      }}')
+        doc.append('  "gamma": ' + _block(
+            [f"    {qe[eid]}: " + _block(s, "    ", "{}") for eid, s in sides.items()],
+            brackets="{}"))
+    doc.append('  "prefs": ' + _block(prefs, brackets="{}"))
+    doc.append('  "vertices": ' + _block([f"    {qv[v]}" for v in inst.vertices]))
+    return "{\n" + ",\n".join(doc) + "\n}\n"
+
+
+def _block(items: list[str], indent: str = "  ", brackets: str = "[]") -> str:
+    """A JSON array or object whose members, already indented, are ``items``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _located(text: str, token: str, message: str) -> InstanceError:
@@ -108,6 +140,17 @@ def parse_instance_text(text: str) -> Instance:
     if not isinstance(doc["prefs"], dict):
         raise InstanceError("the prefs section must map vertex ids to tie groups")
 
+    # a market repeats a few rationals thousands of times: parse each once
+    rationals: dict[str, Fraction] = {}
+
+    def rational(text: Any) -> Fraction:
+        if not isinstance(text, str):  # unhashable values raise here too
+            return parse_rational(text)
+        r = rationals.get(text)
+        if r is None:
+            r = rationals[text] = parse_rational(text)
+        return r
+
     edges = []
     weights: dict[str, Fraction] = {}
     for record in doc["edges"]:
@@ -117,14 +160,11 @@ def parse_instance_text(text: str) -> Instance:
             raise InstanceError(f"malformed edge record {record!r}") from exc
         edges.append(_list_of(str, ids, f"edge record {record!r}: ids must be strings"))
         if "weight" in record:
-            weights[record["id"]] = parse_rational(record["weight"])
+            weights[record["id"]] = rational(record["weight"])
     known = {eid for eid, _, _ in edges}
 
-    vertex_set = set(vertices)
     pref: dict[str, dict[str, int]] = {}
     for v, groups in doc["prefs"].items():
-        if v not in vertex_set:
-            raise InstanceError(f"preferences given for unknown vertex {v!r}")
         _list_of(list, groups, f"preference list of {v!r} must be a list of tie groups")
         vals: dict[str, int] = {}
         for depth, group in enumerate(groups):
@@ -150,10 +190,7 @@ def parse_instance_text(text: str) -> Instance:
         try:
             for eid, sides in doc["gamma"].items():
                 for v, pair in sides.items():
-                    gamma[(eid, v)] = (
-                        parse_rational(pair["gamma"]),
-                        parse_rational(pair["delta"]),
-                    )
+                    gamma[(eid, v)] = (rational(pair["gamma"]), rational(pair["delta"]))
         except (KeyError, TypeError, AttributeError, InstanceError) as exc:
             raise InstanceError(
                 "malformed gamma section: each edge maps its endpoints to "

@@ -70,6 +70,14 @@ def test_missing_pref_rejected():
         )
 
 
+def test_preferences_of_an_unknown_vertex_rejected():
+    with pytest.raises(InstanceError, match="preferences given for unknown vertex 'zz'"):
+        validate_instance(
+            ["a", "b"], [("e", "a", "b")],
+            pref={"a": {"e": 1}, "b": {"e": 1}, "zz": {"e": 5}},
+        )
+
+
 def test_zero_valuation_rejected():
     # default unmatched value is 0 and every edge must strictly beat it
     with pytest.raises(InstanceError, match="exceed the unmatched value"):

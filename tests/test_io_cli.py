@@ -367,6 +367,9 @@ def test_cli_rejects_a_critical_set_given_as_a_string(tmp_path, capsys):
     {"a": "1/2", "b": {"gamma": "1/2", "delta": "3/2"}},
     ["a", "b"],
     {"a": {"gamma": 0.5, "delta": "3/2"}, "b": {"gamma": "1/2", "delta": "3/2"}},
+    # unhashable values must not reach the parser's memo of rationals
+    {"a": {"gamma": ["1/2"], "delta": "3/2"}, "b": {"gamma": "1/2", "delta": "3/2"}},
+    {"a": {"gamma": "1/2", "delta": {}}, "b": {"gamma": "1/2", "delta": "3/2"}},
 ])
 def test_cli_rejects_a_malformed_gamma_entry(tmp_path, capsys, sides):
     path = tmp_path / "gamma.json"
