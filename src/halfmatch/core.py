@@ -169,9 +169,9 @@ def validate_instance(
     duplicate ids, preferences given for unknown vertices, missing or
     negative preference entries, preference entries not strictly above
     the unmatched value, ``gamma >= delta``, or unknown vertices in the
-    critical set. Edges and incidence lists
-    are in edge-id order, and each vertex's order is its incidence list
-    sorted best first, so iteration order is deterministic.
+    critical set. Edges and incidence lists are in edge-id order, and
+    each vertex's order is its incidence list sorted best first, so
+    iteration order is deterministic.
     """
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
