@@ -332,12 +332,16 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         open_crit = [v for v in crit if v in known and not is_saturated(inst, m, v)]
         if open_crit:
             problems.append(f"critical vertices left open: {open_crit}")
+        if ver.get("critical_ok", not open_crit) is not (not open_crit):
+            problems.append("critical_ok flag does not re-derive")
     if "weight" in ver:
         if ver.get("weights_source") == "unit":
             w: Mapping[str, Fraction] = {e.eid: Fraction(1) for e in inst.edges}
         else:
             w = inst.weights or {}
-        got = sum((w.get(eid, ZERO) * val for eid, val in m.items()), ZERO)
-        if format_rational(got) != ver["weight"]:
+        got = format_rational(sum((w.get(eid, ZERO) * val for eid, val in m.items()), ZERO))
+        if got != ver["weight"]:
             problems.append("recorded weight does not re-derive")
+        if ver.get("dual_objective", got) != got:  # the solver certified them equal
+            problems.append("recorded dual objective differs from the weight")
     return problems

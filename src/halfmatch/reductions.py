@@ -20,11 +20,12 @@ the guarantee the construction was designed for:
   set and is popular among matchings that do.
 
 A construction is nothing but each vertex's strict order over the
-copies. Copy ids are ``<edge id>~<suffix>``; for the endpoint first in
-the canonical vertex order (the other sees the reverse) ``~u``/``~w``
-is srti's top/bottom copy, ``~1..~4`` gamma's best..last, ``~a``/``~b``
-pri's good/bad, ``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared
-middle copy. Remaining ties go by edge id: all four are deterministic.
+copies, which :func:`core.strict_instance` keeps as built. Copy ids are
+``<edge id>~<suffix>``; for the endpoint first in the canonical vertex
+order (the other sees the reverse) ``~u``/``~w`` is srti's top/bottom
+copy, ``~1..~4`` gamma's best..last, ``~a``/``~b`` pri's good/bad,
+``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared middle copy.
+Remaining ties go by edge id: all four are deterministic.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .core import (
     Instance,
     InstanceError,
     MatchingError,
-    VerificationFailed,
     ZERO,
     check_matching,
-    validate_instance,
+    strict_instance,
 )
 
 
@@ -79,16 +79,8 @@ def _copies(origin, v, eid, low_first):
 
 def _finish(origin, origin_of, orders):
     """Materialize a derived instance from explicit per-vertex orders."""
-    pref = {v: {cid: len(o) - i for i, cid in enumerate(o)} for v, o in orders.items()}
-    inst = validate_instance(
-        vertices=list(origin.vertices),
-        edges=[(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()],
-        pref=pref,
-    )
-    for v in origin.vertices:  # the market must rank exactly as ordered
-        if inst.strict_order(v) != orders[v]:
-            raise VerificationFailed(f"derived market ranks {v!r}'s copies out of order")
-    return DerivedInstance(inst=inst, origin=origin, origin_of=origin_of)
+    edges = [(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()]
+    return DerivedInstance(strict_instance(origin.vertices, edges, orders), origin, origin_of)
 
 
 def build_gamma_reduction(origin: Instance) -> DerivedInstance:

@@ -13,7 +13,7 @@ solve_max_gamma     gamma-stable, within 3/2 of the largest gamma-stable
                     half-matching
 solve_max_pri       popular, maximum size among popular half-matchings
 solve_pop_crit      saturates the critical set, popular among matchings
-                    that do (checked infeasible-first)
+                    that do (infeasibility found after the pipeline)
 solve_pop_maxw      maximum weight exactly, popular among maximum-weight
                     matchings (via duals: restrict to tight edges, make
                     positive-potential vertices critical)
@@ -154,17 +154,14 @@ def solve_pop_crit(
 ) -> dict[str, Fraction]:
     """A critical half-matching popular among critical matchings.
 
-    Fails with :class:`InfeasibleCritical` before running the pipeline
-    when no fractional matching saturates the set.
+    Only an output leaving a critical vertex open runs the feasibility check:
+    :class:`InfeasibleCritical` if it fails, else :class:`VerificationFailed`.
     """
     crit = frozenset(critical)
-    derived = build_crit_reduction(inst, crit)  # rejects unknown vertices
-    if not max_cardinality_saturating(double_cover(inst), crit):
-        raise InfeasibleCritical(
-            "no fractional matching saturates the critical set"
-        )
-    out = _run_pipeline(derived)
+    out = _run_pipeline(build_crit_reduction(inst, crit))  # rejects unknown vertices
     open_crit = [v for v in sorted(crit) if not is_saturated(inst, out, v)]
+    if open_crit and not max_cardinality_saturating(double_cover(inst), crit):
+        raise InfeasibleCritical("no fractional matching saturates the critical set")
     if open_crit:
         raise VerificationFailed(f"critical vertices left open: {open_crit}")
     return out

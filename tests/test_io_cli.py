@@ -283,7 +283,7 @@ def test_cli_pop_crit_and_maxw(tmp_path, five_agent_market, capsys):
     assert result["verification"]["critical"] == ["w1", "w2"]
     assert set(result["stats"]["saturated"]) >= {"w1", "w2"}
 
-    # an unsatisfiable critical set fails cleanly before solving
+    # an unsatisfiable critical set fails cleanly
     code = main(["solve-pop-crit", "--input", str(inst_path),
                  "--critical", "u1,u2,u3", "--output", str(tmp_path / "x.json")])
     assert code == 2
@@ -295,6 +295,29 @@ def test_cli_pop_crit_and_maxw(tmp_path, five_agent_market, capsys):
     result = load_result(str(w_path))
     assert result["verification"]["weight"] == result["verification"]["dual_objective"]
     assert main(["verify", "--input", str(inst_path), "--result", str(w_path)]) == 0
+
+
+@pytest.mark.parametrize("tag, key, value, message", [
+    ("solve-pop-crit", "critical_ok", False, "critical_ok flag does not re-derive"),
+    ("solve-pop-maxw", "dual_objective", "999", "dual objective differs from the weight"),
+])
+def test_cli_verify_rejects_a_tampered_solver_claim(tmp_path, capsys, tag, key, value,
+                                                    message):
+    # claims the solver certified and verify re-derives from the matching:
+    # every critical vertex saturated, and the dual objective equal to the weight
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "2", "--n", "12", "--weight-min", "1",
+                 "--weight-max", "9", "--critical-count", "2",
+                 "--output", str(inst_path)]) == 0
+    assert main([tag, "--input", str(inst_path), "--output", str(res_path)]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    doc["verification"][key] = value
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_bench_ratio_column(tmp_path):

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from halfmatch import reductions
-from halfmatch.core import HALF, ONE, InstanceError, VerificationFailed, validate_instance
+from halfmatch.core import (
+    HALF,
+    ONE,
+    InstanceError,
+    VerificationFailed,
+    strict_instance,
+    validate_instance,
+)
 from halfmatch.engine import stable_half_matching
 from halfmatch.generate import generate_random
 from halfmatch.reductions import (
@@ -216,24 +223,60 @@ def test_pri_rejects_ties():
         build_pri_reduction(tied)
 
 
-def test_finish_rejects_an_order_the_market_does_not_follow(monkeypatch, single_edge):
+def test_finish_rejects_an_order_the_market_does_not_follow(single_edge):
     origin_of = {"e~a": "e", "e~b": "e"}
-    # a copy listed twice: the valuations keep its last rank
+    # a copy listed twice
     twice = {"a": ["e~a", "e~b", "e~a"], "b": ["e~b", "e~a"]}
     with pytest.raises(VerificationFailed, match="'a'"):
         reductions._finish(single_edge, origin_of, twice)
 
-    # valuations materialized with two copies swapped at b
-    real = reductions.validate_instance
 
-    def swapping(vertices, edges, pref):
-        pref["b"] = {"e~a": pref["b"]["e~b"], "e~b": pref["b"]["e~a"]}
-        return real(vertices, edges, pref)
+@pytest.mark.parametrize("orders, culprit", [
+    ({"a": ["ab"], "b": ["ab"], "c": ["bc"]}, "'b'"),                 # omits bc
+    ({"a": ["ab"], "b": ["bc", "ab", "bc"], "c": ["bc"]}, "'b'"),     # bc twice
+    ({"a": ["ab", "bc"], "b": ["bc", "ab"], "c": ["bc"]}, "'a'"),     # bc not at a
+    ({"a": ["ab"], "b": ["bc", "ab"]}, "'c'"),                        # c has no order
+])
+def test_strict_instance_rejects_an_order_that_misses_its_edges(orders, culprit):
+    with pytest.raises(VerificationFailed, match=culprit):
+        strict_instance(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")], orders)
 
-    monkeypatch.setattr(reductions, "validate_instance", swapping)
-    with pytest.raises(VerificationFailed, match="'b'"):
-        reductions._finish(single_edge, origin_of, {"a": ["e~a", "e~b"],
-                                                    "b": ["e~b", "e~a"]})
+
+def _validated_route(origin, origin_of, orders):
+    """How derived markets were materialized before strict_instance: rank
+    valuations, checked and sorted back into order by validate_instance."""
+    return validate_instance(
+        vertices=list(origin.vertices),
+        edges=[(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()],
+        pref={v: {cid: len(o) - i for i, cid in enumerate(o)} for v, o in orders.items()},
+    )
+
+
+def test_strict_instance_equals_the_validated_route(monkeypatch):
+    built = []
+    real = reductions._finish
+    monkeypatch.setattr(reductions, "_finish", lambda *args: built.append(args) or real(*args))
+    # the markets of the golden sweep below
+    for seed in range(60):
+        n = 4 + seed % 9
+        tied = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                               tie_prob=0.4, gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                                 critical_count=seed % (n + 1))
+        build_srti_reduction(tied)
+        build_gamma_reduction(tied)
+        build_pri_reduction(strict)
+        build_crit_reduction(strict, strict.critical)
+        build_crit_reduction(strict, frozenset(strict.vertices))
+    assert len(built) == 300
+    for origin, origin_of, orders in built:
+        got = real(origin, origin_of, orders).inst
+        want = _validated_route(origin, origin_of, orders)
+        assert got.edges == want.edges
+        assert got.pref == want.pref
+        assert got._order == want._order
+        assert got._incident == want._incident
+        assert got.is_strict() and want.is_strict()
 
 
 # -- leveled construction ----------------------------------------------------

@@ -9,6 +9,7 @@ from halfmatch.core import (
     HALF,
     ONE,
     ZERO,
+    VerificationFailed,
     blocking_edges,
     is_saturated,
     matching_size,
@@ -23,9 +24,11 @@ from halfmatch.engine import (
     brute_force_max_stable,
     enumerate_half_matchings,
     iter_stable_half_matchings,
+    stable_half_matching,
 )
 from halfmatch.generate import generate_random
 from halfmatch.popularity import delta_feasible, is_popular, is_popular_critical
+from halfmatch.reductions import build_crit_reduction
 from halfmatch.solvers import (
     InfeasibleCritical,
     max_weight_dual,
@@ -299,6 +302,60 @@ def test_pop_crit_random_feasible_pairs():
         assert is_popular_critical(inst, out, crit, bound=8).popular, f"seed {seed}"
         done += 1
     assert done >= 10
+
+
+def _feasibility_first(inst, crit):
+    """solve_pop_crit as it ran before it trusted a saturating output: the
+    feasibility matching on the double cover first, then the pipeline."""
+    derived = build_crit_reduction(inst, crit)
+    if not max_cardinality_saturating(double_cover(inst), crit):
+        raise InfeasibleCritical("no fractional matching saturates the critical set")
+    out = derived.project(stable_half_matching(derived.inst).matching)
+    if not all(is_saturated(inst, out, v) for v in crit):
+        raise VerificationFailed("critical vertices left open")
+    return out
+
+
+def _crit_outcome(solve, inst, crit):
+    try:
+        return solve(inst, crit)
+    except InfeasibleCritical:
+        return "infeasible"
+
+
+def _crit_sweep():
+    """Seeded strict markets, each with a random critical set of any size."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        inst = generate_random(seed, 4 + seed % 9, edge_density=0.3, parallel_prob=0.2)
+        k = rng.randint(0, len(inst.vertices))
+        yield inst, frozenset(rng.sample(sorted(inst.vertices), k))
+
+
+def test_pop_crit_runs_no_feasibility_matching_on_feasible_sets(monkeypatch):
+    # a saturating output proves the set feasible by itself
+    markets = []
+    for inst, crit in _crit_sweep():
+        expected = _crit_outcome(_feasibility_first, inst, crit)
+        if expected != "infeasible":
+            markets.append((inst, crit, expected))
+    assert len(markets) >= 100
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_cardinality_saturating called on a feasible set")
+
+    monkeypatch.setattr("halfmatch.solvers.max_cardinality_saturating", refuse)
+    for inst, crit, expected in markets:
+        assert solve_pop_crit(inst, crit) == expected
+
+
+def test_pop_crit_outcomes_equal_the_feasibility_first_oracle():
+    outcomes = []
+    for inst, crit in _crit_sweep():
+        expected = _crit_outcome(_feasibility_first, inst, crit)
+        assert _crit_outcome(solve_pop_crit, inst, crit) == expected, sorted(crit)
+        outcomes.append(expected == "infeasible")
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 100
 
 
 # -- popular maximum weight -----------------------------------------------------------
