@@ -8,15 +8,21 @@ bipartite machinery (augmenting paths, dual potentials) answer
 fractional questions about G exactly.
 
 The Hungarian method here runs on lists indexed by vertex-name rank and
-cover-id rank. Phases are rooted in canonical vertex order; every other
-choice goes to the least vertex name, then to the least cover id.
+cover-id rank, and on Python ints: the weights are scaled once by the lcm
+L of their denominators, every potential, slack and shift then stays
+integral, and the results become ``Fraction``s (divided by L) only when
+they are returned. Phases are rooted in canonical vertex order; every
+other choice goes to the least vertex name, then to the least cover id.
+Scaling by L > 0 keeps every comparison's outcome, so ties break as they
+would in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import HALF, ZERO, Instance, VerificationFailed
 
@@ -91,10 +97,11 @@ def _phase(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right) ->
     ``root`` until a path to a free right or to a zero-potential left flips
     into the matching, or the root itself falls to zero potential. Vertices
     are name ranks and edges cover-id ranks, so the least index wins a tie.
+    Weights and potentials are ints, and every shift is an int.
     """
     lefts = [root]
     entry: dict[int, int] = {}  # right in the tree -> tight cover edge into it
-    slack: dict[int, tuple[Fraction, int]] = {}  # outside right -> least (gap, edge)
+    slack: dict[int, tuple[int, int]] = {}  # outside right -> least (gap, edge)
     new: int | None = root
     while True:
         if new is not None:  # scan the arcs of the left that just joined
@@ -145,8 +152,15 @@ def _phase(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right) ->
         r = head[old]
 
 
+def scale_to_ints(values: Iterable[int | Fraction]) -> tuple[int, list[int]]:
+    """The lcm L of the values' denominators, and each value times L as an int."""
+    vals = list(values)
+    scale = lcm(*{x.denominator for x in vals})
+    return scale, [x.numerator * (scale // x.denominator) for x in vals]
+
+
 def max_weight_cover_matching(
-    cover: DoubleCover, weights: Mapping[str, Fraction]
+    cover: DoubleCover, weights: Mapping[str, int | Fraction]
 ) -> CoverMatchingResult:
     """Exact primal-dual maximum-weight matching on the cover.
 
@@ -157,6 +171,10 @@ def max_weight_cover_matching(
     certifies optimality. Deterministic: phases are rooted in canonical
     vertex order, and every tie goes to the least vertex name, then to
     the least cover id.
+
+    The Hungarian method and the five postconditions run on the weights
+    times L, the lcm of their denominators, as ints; the potentials and
+    the weight are returned as ``Fraction``s over L.
     """
     verts = cover.inst.vertices
     rank = {v: i for i, v in enumerate(sorted(verts))}
@@ -164,13 +182,13 @@ def max_weight_cover_matching(
     # cover.edges is sorted by cover id, so its positions are cover-id ranks
     tail = [rank[ce.left] for ce in cover.edges]
     head = [rank[ce.right] for ce in cover.edges]
-    w = [weights.get(ce.origin, ZERO) for ce in cover.edges]
+    scale, w = scale_to_ints(weights.get(ce.origin, ZERO) for ce in cover.edges)
     arcs: list[list[int]] = [[] for _ in range(n)]
     for c, u in enumerate(tail):
         if w[c] > 0:
             arcs[u].append(c)
-    y_left = [max((w[c] for c in arcs[u]), default=ZERO) for u in range(n)]
-    y_right = [ZERO] * n
+    y_left = [max((w[c] for c in arcs[u]), default=0) for u in range(n)]
+    y_right = [0] * n
     mate_left: list[int | None] = [None] * n
     mate_right: list[int | None] = [None] * n
     for v in verts:
@@ -179,7 +197,7 @@ def max_weight_cover_matching(
             _phase(u, arcs, tail, head, w, y_left, y_right, mate_left, mate_right)
 
     matched = [c for c in mate_left if c is not None]
-    total = sum((w[c] for c in matched), ZERO)
+    total = sum(w[c] for c in matched)
     for c, ce in enumerate(cover.edges):
         if y_left[tail[c]] + y_right[head[c]] < w[c]:
             raise VerificationFailed(f"cover dual infeasible at {ce.cid}")
@@ -194,13 +212,13 @@ def max_weight_cover_matching(
         y_right[r] != 0 for r in range(n) if r not in matched_right
     ):
         raise VerificationFailed("positive potential on an unmatched cover vertex")
-    if total != sum(y_left, ZERO) + sum(y_right, ZERO):
+    if total != sum(y_left) + sum(y_right):
         raise VerificationFailed("cover matching weight differs from the dual objective")
     return CoverMatchingResult(
         matched=frozenset(cover.edges[c].cid for c in matched),
-        y_left={v: y_left[rank[v]] for v in verts},
-        y_right={v: y_right[rank[v]] for v in verts},
-        weight=total,
+        y_left={v: Fraction(y_left[rank[v]], scale) for v in verts},
+        y_right={v: Fraction(y_right[rank[v]], scale) for v in verts},
+        weight=Fraction(total, scale),
     )
 
 
@@ -213,9 +231,9 @@ def max_cardinality_saturating(
     """
     if not required:
         return True
-    weights = {}
+    weights = {}  # ints, so the kernel's scale is 1
     for e in cover.inst.edges:
-        w = ZERO
+        w = 0
         if e.u in required:
             w += 1
         if e.v in required:

@@ -293,7 +293,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
     A clean re-verification returns an empty list. The recorded digest
     must equal ``digest``, :func:`instance_digest` of ``inst``; the
     matching is re-validated, and the stats and per-solver verification
-    summary are recomputed from scratch and compared field by field.
+    summary are recomputed from scratch and compared field by field; a
+    recorded flag must be the JSON boolean it re-derives to.
     """
     problems: list[str] = []
     if result.get("instance_digest") != digest:
@@ -310,7 +311,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
 
     recorded = result.get("stats", {})
     for key, val in _stats_record(inst, m).items():
-        if recorded.get(key) != val:
+        got = recorded.get(key)
+        if type(got) is not type(val) or got != val:  # 1 == True, but 1 is no flag
             problems.append(f"stats field {key!r} does not re-derive")
 
     ver = result.get("verification", {})
@@ -319,7 +321,7 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         bad = blocking_edges(inst, m, mode)
         if bad != ver.get("blocking_edges"):
             problems.append("recorded blocking edges do not re-derive")
-        if bool(ver.get("stable")) != (not bad):
+        if ver.get("stable") is not (not bad):
             problems.append("stability flag does not re-derive")
         if bad:
             problems.append(f"matching is blocked by {bad}")

@@ -38,7 +38,12 @@ from .core import (
     is_saturated,
     validate_instance,
 )
-from .cover import double_cover, max_cardinality_saturating, max_weight_cover_matching
+from .cover import (
+    double_cover,
+    max_cardinality_saturating,
+    max_weight_cover_matching,
+    scale_to_ints,
+)
 from .engine import stable_half_matching
 from .reductions import (
     DerivedInstance,
@@ -109,6 +114,14 @@ class DualSolution:
     witness: dict[str, Fraction]
 
 
+def _times(x: Fraction, scale: int) -> int:
+    """scale * x, which must be an int."""
+    q, r = divmod(scale, x.denominator)
+    if r:
+        raise VerificationFailed(f"cover potential {x} is not a multiple of 1/{scale}")
+    return x.numerator * q
+
+
 def max_weight_dual(inst: Instance, weights: Mapping[str, Fraction]) -> DualSolution:
     """Optimal dual potentials via the bipartite double cover.
 
@@ -117,31 +130,48 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Fraction]) -> DualSolu
     feasible dual of the fractional program whose value matches the
     projected primal witness, so optimality and complementary slackness
     are certified rather than assumed. Missing weights count as zero.
+
+    With L the lcm of the weights' denominators, every y_v is a multiple
+    of 1/(2L): tightness, feasibility, the critical set and the witness
+    checks run on the ints 2L*y_v and 2L*w_e, and each potential becomes
+    a ``Fraction`` once, on the way out.
     """
     w = {e.eid: Fraction(weights.get(e.eid, ZERO)) for e in inst.edges}
     cov = double_cover(inst)
     res = max_weight_cover_matching(cov, w)
-    y = {
-        v: (res.y_left[v] + res.y_right[v]) / 2
+    scale, scaled = scale_to_ints(w.values())  # the L the cover scaled by
+    w_int = {eid: 2 * x for eid, x in zip(w, scaled)}  # 2L * w_e
+    y_int = {  # 2L * y_v = L * (y_left + y_right)
+        v: _times(res.y_left[v], scale) + _times(res.y_right[v], scale)
         for v in inst.vertices
     }
+    y = {v: Fraction(y_int[v], 2 * scale) for v in inst.vertices}
     witness = cov.project(res.matched)
-    objective = sum(y.values(), ZERO)
+    objective_int = sum(y_int.values())
+    objective = Fraction(objective_int, 2 * scale)
     tight = tuple(
-        e.eid for e in inst.edges if y[e.u] + y[e.v] == w[e.eid]
+        e.eid for e in inst.edges if y_int[e.u] + y_int[e.v] == w_int[e.eid]
     )
-    critical = frozenset(v for v in inst.vertices if y[v] > 0)
+    critical = frozenset(v for v in inst.vertices if y_int[v] > 0)
 
     for e in inst.edges:  # dual feasibility
-        if y[e.u] + y[e.v] < w[e.eid]:
+        if y_int[e.u] + y_int[e.v] < w_int[e.eid]:
             raise VerificationFailed(f"dual infeasible at {e.eid}")
-    got = sum((w[eid] * val for eid, val in witness.items()), ZERO)
-    if got != objective:
+    # one pass over the witness, whose values (1/2 or 1) count in halves
+    load = dict.fromkeys(inst.vertices, 0)
+    got = 0  # 4L times the witness weight
+    for eid, val in witness.items():
+        k = 2 * val.numerator // val.denominator
+        e = inst.edge(eid)
+        load[e.u] += k
+        load[e.v] += k
+        got += w_int[eid] * k
+    if got != 2 * objective_int:
         raise VerificationFailed("witness weight differs from the dual objective")
     tight_set = set(tight)
     if any(eid not in tight_set for eid in witness):
         raise VerificationFailed("witness uses a slack edge")
-    if any(not is_saturated(inst, witness, v) for v in critical):
+    if any(load[v] != 2 for v in critical):
         raise VerificationFailed("witness leaves a positive-potential vertex open")
     return DualSolution(
         y=y, objective=objective, tight_edges=tight, critical=critical,

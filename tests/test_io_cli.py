@@ -320,6 +320,30 @@ def test_cli_verify_rejects_a_tampered_solver_claim(tmp_path, capsys, tag, key, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("verification", "stable", "no", "stability flag does not re-derive"),
+    ("verification", "stable", 1, "stability flag does not re-derive"),
+    ("stats", "integral", 1, "stats field 'integral' does not re-derive"),
+    ("stats", "critical_ok", 1, "stats field 'critical_ok' does not re-derive"),
+])
+def test_cli_verify_rejects_a_flag_of_the_wrong_type(tmp_path, capsys, section, key,
+                                                     value, message):
+    # JSON 1 equals true in Python, and any nonempty string is truthy
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "8", "--output", str(inst_path)]) == 0
+    assert main(["solve-max-srti", "--input", str(inst_path),
+                 "--output", str(res_path)]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    assert doc[section][key] is True
+    doc[section][key] = value
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_bench_ratio_column(tmp_path):
     csv_path = tmp_path / "bench.csv"
     assert main(["bench", "--seeds", "12", "--n", "6", "--oracle-bound", "8",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfmatch import solvers as solvers_module
 from halfmatch.core import (
     HALF,
     ONE,
@@ -30,6 +32,7 @@ from halfmatch.generate import generate_random
 from halfmatch.popularity import delta_feasible, is_popular, is_popular_critical
 from halfmatch.reductions import build_crit_reduction
 from halfmatch.solvers import (
+    DualSolution,
     InfeasibleCritical,
     max_weight_dual,
     restrict_to_edges,
@@ -41,6 +44,7 @@ from halfmatch.solvers import (
 )
 
 from conftest import make_path
+from test_cover import assert_same_fractions, fraction_cover_matching, oracle_markets
 from test_popularity import _plain
 
 F = Fraction
@@ -256,6 +260,52 @@ def test_dual_oracle_on_random_weighted_instances():
             default=ZERO,
         )
         assert dual.objective == best, f"seed {seed}"
+
+
+def fraction_dual(inst, weights):
+    """:func:`max_weight_dual`'s fields in ``Fraction`` arithmetic, on the
+    ``Fraction`` kernel."""
+    w = {e.eid: F(weights.get(e.eid, ZERO)) for e in inst.edges}
+    cov = double_cover(inst)
+    res = fraction_cover_matching(cov, w)
+    y = {v: (res.y_left[v] + res.y_right[v]) / 2 for v in inst.vertices}
+    witness = cov.project(res.matched)
+    critical = frozenset(v for v in inst.vertices if y[v] > 0)
+    assert all(is_saturated(inst, witness, v) for v in critical)
+    return DualSolution(
+        y=y,
+        objective=sum(y.values(), ZERO),
+        tight_edges=tuple(e.eid for e in inst.edges if y[e.u] + y[e.v] == w[e.eid]),
+        critical=critical,
+        witness=witness,
+    )
+
+
+def test_dual_equals_the_fraction_oracle():
+    for inst, weights, _ in oracle_markets():
+        ints = {eid: w.numerator for eid, w in weights.items() if w.denominator == 1}
+        for ws in (weights, ints):
+            got = max_weight_dual(inst, ws)
+            want = fraction_dual(inst, ws)
+            assert got == want
+            assert_same_fractions(got.y, want.y)
+            assert_same_fractions(got.witness, want.witness)
+            assert type(got.objective) is Fraction
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"y_left": {"a": ZERO, "b": ZERO}}, "dual infeasible at e"),
+    ({"matched": frozenset({"e>"})}, "witness weight differs from the dual objective"),
+    ({"y_left": {"a": F(1, 7), "b": F(2)}}, "is not a multiple of 1/3"),
+])
+def test_a_broken_cover_result_fails_a_dual_check(monkeypatch, single_edge, change,
+                                                  message):
+    def broken(cov, weights):
+        return dataclasses.replace(max_weight_cover_matching(cov, weights), **change)
+
+    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", broken)
+    with pytest.raises(VerificationFailed, match=message):
+        max_weight_dual(single_edge, {"e": F(4, 3)})
 
 
 # -- critical popularity -----------------------------------------------------------
