@@ -59,7 +59,7 @@ class Instance:
     """A preference market: vertices, (multi)edges, and per-vertex valuations.
 
     Construct through :func:`validate_instance`, which canonicalizes and
-    checks every invariant (:func:`strict_instance` builds derived markets).
+    checks every invariant.
     ``pref[v][eid]`` is agent v's valuation of its incident edge; larger is
     better, ties allowed. ``pref_empty[v]`` is the value of staying unmatched
     and is strictly below every incident edge. ``gamma`` optionally maps
@@ -67,7 +67,7 @@ class Instance:
     ``0 < gamma < delta``. ``critical`` is an optional set of vertices that
     solvers may be required to saturate. ``_order[v]`` lists v's incident
     edges best first, ties in edge-id order, and ``_tied`` holds the vertices
-    with a tie; both constructors compute them once for the queries to read.
+    with a tie; validation computes them once for the queries to read.
     """
 
     vertices: tuple[str, ...]
@@ -103,10 +103,6 @@ class Instance:
     def index(self, v: str) -> int:
         """Position of v in the canonical vertex list (fixes orientation)."""
         return self._index[v]
-
-    def lower_endpoint(self, eid: str) -> str:
-        e = self._by_id[eid]
-        return e.u if self._index[e.u] < self._index[e.v] else e.v
 
     # -- preferences ---------------------------------------------------
 
@@ -276,33 +272,6 @@ def validate_instance(
         _order=order,
         _tied=frozenset(tied),
         _by_id=by_id,
-        _index={v: i for i, v in enumerate(vs)},
-    )
-
-
-def strict_instance(
-    vertices: Sequence[str], edges: Iterable[tuple[str, str, str]],
-    orders: Mapping[str, Sequence[str]],
-) -> Instance:
-    """The tie-free market whose vertex v ranks its edges as ``orders[v]``
-    lists them, best first, each valued by its rank (worst 1). Raises
-    :class:`VerificationFailed` unless each order lists its vertex's edges once.
-    """
-    vs = tuple(vertices)
-    by_id = {e.eid: e for e in map(Edge._make, edges)}
-    es = tuple(by_id[eid] for eid in sorted(by_id))
-    incident: dict[str, list[str]] = {v: [] for v in vs}
-    for e in es:
-        incident[e.u].append(e.eid)
-        incident[e.v].append(e.eid)
-    for v in vs:
-        if v not in orders or sorted(orders[v]) != incident[v]:
-            raise VerificationFailed(f"the order of {v!r} does not list its edges once each")
-    return Instance(
-        vertices=vs, edges=es, pref_empty=dict.fromkeys(vs, 0), weights=None, gamma=None,
-        pref={v: {eid: len(orders[v]) - i for i, eid in enumerate(orders[v])} for v in vs},
-        critical=frozenset(), _incident={v: tuple(ids) for v, ids in incident.items()},
-        _order={v: tuple(orders[v]) for v in vs}, _tied=frozenset(), _by_id=by_id,
         _index={v: i for i, v in enumerate(vs)},
     )
 

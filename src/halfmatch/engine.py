@@ -23,18 +23,16 @@ edge is first or last in a list and cannot block either, and agents whose
 lists emptied never held anything, so their edges are all guarded from
 the other side.
 
-The proposal state is integer-indexed. Edges are numbered by rank in
-the id-sorted edge list (so integer order is id order) and vertices by
-canonical index. Each vertex keeps its strict order, read from the
-Instance, as a fixed list of edge ranks, and every edge knows its
-position at both endpoints, so preferences compare by position. One
-``alive`` bytearray records deletions (always two-sided); per vertex,
-head and tail pointers step past dead entries when the first or last
-live entry dies, and a live count stands in for the list length. A
-deletion costs O(1) plus pointer steps, which never move back: O(m) in
-all. An acceptance deletes the live entries after it, and successive
-acceptances at one vertex scan disjoint ranges. Counts only fall, so a
-single pointer over vertex indices finds each rotation's start.
+The engine runs on a :class:`CopyMarket`, whose orders list copy
+indices; a strict ``Instance`` is read into one. Finding every copy's
+position at both ends checks that each order lists its vertex's copies
+once each. Deletion is lazy, as in Irving's roommates algorithm: an
+entry is live iff its position is within the tail bound at both ends.
+An acceptance lowers the acceptor's bound to the proposal and frees the
+displaced proposer; a rotation lowers the bounds of its acceptors. Head
+and second-entry pointers skip dead entries and never move back, so the
+work is the entries passed over, not the copies deleted. The output is
+certified from its values alone (:func:`_blocked`).
 
 Also here: exhaustive half-matching enumeration and the brute-force
 stability oracles used to cross-check every solver at desk scale.
@@ -42,10 +40,9 @@ stability oracles used to cross-check every solver at desk scale.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     HALF,
@@ -145,186 +142,214 @@ class StablePartitionCert:
     odd_cycles: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
-def _reduce(inst: Instance) -> dict[str, list[str]]:
+@dataclass(frozen=True)
+class CopyMarket:
+    """A strict market whose edges are the numbered copies ``0..k-1``.
+
+    Copy c joins the vertices of indices ``eu[c]`` and ``ev[c]``, and
+    ``orders[x]`` lists vertex x's copies best first. Its id,
+    ``labels[origin[c]] + tags[c]``, is made only when asked for.
+    """
+
+    vertices: tuple[str, ...]
+    eu: Sequence[int]
+    ev: Sequence[int]
+    orders: Sequence[Sequence[int]]
+    origin: Sequence[int]
+    labels: Sequence[str]
+    tags: Sequence[str]
+
+    @property
+    def edges(self) -> range:
+        return range(len(self.eu))
+
+    def copy_id(self, c: int) -> str:
+        return self.labels[self.origin[c]] + self.tags[c]
+
+
+def _positions(market: CopyMarket) -> tuple[list[int], list[int]]:
+    """Each copy's position in the orders of its ``eu`` and its ``ev`` end;
+    :class:`VerificationFailed`, naming the vertex, unless every order
+    lists exactly the copies at its vertex, each once."""
+    def misordered(x: int) -> VerificationFailed:
+        return VerificationFailed(
+            f"the order of {market.vertices[x]!r} does not list its copies once each")
+
+    eu, ev = market.eu, market.ev
+    pu, pv = [-1] * len(eu), [-1] * len(eu)
+    for x, o in enumerate(market.orders):
+        for p, e in enumerate(o):
+            if eu[e] == x and pu[e] < 0:
+                pu[e] = p
+            elif ev[e] == x and pv[e] < 0:
+                pv[e] = p
+            else:  # listed twice, or not a copy at x
+                raise misordered(x)
+    for ends, pos in ((eu, pu), (ev, pv)):
+        if -1 in pos:  # a copy missing at this end
+            raise misordered(ends[pos.index(-1)])
+    return pu, pv
+
+
+def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]:
     """Every vertex's surviving list, best first, once none has three entries.
 
     Proposals cascade until every agent with a nonempty list is accepted;
     then, while some list holds three or more entries, one rotation is
-    eliminated and the cascade resumes. Raises :class:`InstanceError` on
-    tied preferences.
+    eliminated and the cascade resumes.
     """
-    names = inst.vertices
+    names = market.vertices
     n = len(names)
-    index = inst.index
-    eids = [e.eid for e in inst.edges]  # id-sorted: int order is id order
-    rank = {eid: i for i, eid in enumerate(eids)}
-    eu = [index(e.u) for e in inst.edges]
-    ends = [index(e.u) ^ index(e.v) for e in inst.edges]  # other end: ends[e] ^ x
-    pos_u = [0] * len(eids)  # position of e in its u end's order
-    pos_v = [0] * len(eids)  # ... and in its v end's
-    order: list[list[int]] = []
-    for x, v in enumerate(names):
-        o = [rank[eid] for eid in inst.strict_order(v)]
-        for p, e in enumerate(o):
-            if eu[e] == x:
-                pos_u[e] = p
-            else:
-                pos_v[e] = p
-        order.append(o)
-
-    alive = bytearray(b"\x01") * len(eids)
-    head = [0] * n  # first live position, past the end when the list is empty
-    tail = [len(o) - 1 for o in order]  # last live position
-    count = [len(o) for o in order]
+    eu, ev, order = market.eu, market.ev, market.orders
+    tail = [len(o) - 1 for o in order]  # bound: entries past it are dead; the held one's position
+    head = [0] * n  # first live position, past the tail when the list is empty
+    sec = [1] * n  # at most the second live position
     held = [-1] * n
-    accepted = [False] * n
-    queue = deque(x for x in range(n) if order[x])
 
-    def delete(e: int) -> None:
-        """Remove an edge from both endpoint lists, freeing any proposer."""
-        if not alive[e]:
-            return  # already gone (deletions are always two-sided)
-        alive[e] = 0
-        u = eu[e]
-        for x, p in ((u, pos_u[e]), (ends[e] ^ u, pos_v[e])):
-            count[x] -= 1
-            if held[x] == e:
-                held[x] = -1
-            o = order[x]
-            if p == head[x]:
-                accepted[x] = False
-                h, t = p + 1, tail[x]
-                while h <= t and not alive[o[h]]:
-                    h += 1
-                head[x] = h
-            if p == tail[x]:
-                h, t = head[x], p - 1
-                while t >= h and not alive[o[t]]:
-                    t -= 1
-                tail[x] = t
-            if not accepted[x] and count[x]:
-                queue.append(x)
+    def hold(w: int, e: int, p: int) -> None:
+        """w holds e (none if -1) with bound p; the proposer of its old hold is free."""
+        g = held[w]
+        held[w], tail[w] = e, p
+        if g >= 0:
+            free.append(eu[g] if ev[g] == w else ev[g])
 
     def cascade() -> None:
-        """Run proposals until every agent with a nonempty list is accepted."""
-        while queue:
-            v = queue.popleft()
-            if accepted[v] or not count[v]:
-                continue
-            e = order[v][head[v]]
-            w = ends[e] ^ v
-            h = held[w]
-            if h == e:
-                accepted[v] = True
-                continue
-            p = pos_u[e] if eu[e] == w else pos_v[e]
-            if h < 0 or p < (pos_u[h] if eu[h] == w else pos_v[h]):
-                accepted[v] = True
-                held[w] = e
-                o = order[w]
-                for i in range(p + 1, tail[w] + 1):
-                    if alive[o[i]]:
-                        delete(o[i])
-            else:
-                delete(e)
+        """Run proposals until every agent with a nonempty list is accepted; a
+        live entry is at or above its other end's hold, so it is accepted."""
+        while free:
+            v = free.pop()
+            o, h, t = order[v], head[v], tail[v]
+            while h <= t:
+                e = o[h]
+                w, p = (ev[e], pv[e]) if eu[e] == v else (eu[e], pu[e])
+                if p <= tail[w]:
+                    hold(w, e, p)
+                    break
+                h += 1
+            head[v] = h
 
+    def second(x: int) -> int:
+        """The position of x's second live entry; x has two or more."""
+        o, s = order[x], max(sec[x], head[x] + 1)
+        e = o[s]
+        while pu[e] > tail[eu[e]] or pv[e] > tail[ev[e]]:  # dead
+            s += 1
+            e = o[s]
+        sec[x] = s
+        return s
+
+    free = [x for x in range(n - 1, -1, -1) if order[x]]
     cascade()
     start = 0  # lists only shrink, so no vertex before start regains 3 entries
     while True:
-        while start < n and count[start] < 3:
+        while start < n and (head[start] >= tail[start] or second(start) == tail[start]):
             start += 1
         if start == n:
             break
         # walk second/last pointers to a cycle; the walk can never enter a
         # cycle whose members all have length-two lists, so eliminating it
         # never destroys a settled half-cycle
-        seq: list[tuple[int, int, int]] = []  # (agent, its second entry, acceptor)
+        seq: list[tuple[int, int]] = []  # (y, the position of x's second entry at y)
         seen: dict[int, int] = {}
         x = start
         while x not in seen:
             seen[x] = len(seq)
-            if count[x] < 2:
+            if head[x] >= tail[x]:
                 raise VerificationFailed(f"rotation walk meets a short list at {names[x]!r}")
-            o = order[x]
-            i = head[x] + 1
-            while not alive[o[i]]:
-                i += 1
-            second = o[i]
-            y = ends[second] ^ x
-            if count[y] < 2:
+            e = order[x][second(x)]
+            y = ev[e] if eu[e] == x else eu[e]
+            if head[y] >= tail[y]:
                 raise VerificationFailed(f"rotation walk meets a short list at {names[y]!r}")
-            seq.append((x, second, y))
-            x = ends[order[y][tail[y]]] ^ y
-        # drop everything below the rotation's improved proposals, as a batch
-        doomed: set[int] = set()
-        for _, second, y in seq[seen[x]:]:
-            p = pos_u[second] if eu[second] == y else pos_v[second]
-            doomed.update(g for g in order[y][p + 1:tail[y] + 1] if alive[g])
-        if not doomed:
+            seq.append((y, pu[e] if eu[e] == y else pv[e]))
+            last = order[y][tail[y]]
+            x = ev[last] if eu[last] == y else eu[last]
+        cut = seq[seen[x]:]  # each acceptor y keeps its list down to x's second entry
+        if all(p == tail[y] for y, p in cut):
             raise VerificationFailed("rotation eliminates nothing")
-        for g in sorted(doomed):
-            delete(g)
+        for y, p in cut:
+            hold(y, -1, p)
         cascade()
 
-    return {
-        v: [eids[e] for e in order[x][head[x]:tail[x] + 1] if alive[e]]
-        for x, v in enumerate(names)
-    }
+    # each list's head and last entry: two, one or none
+    return [order[x][head[x]:tail[x] + 1:max(1, tail[x] - head[x])] for x in range(n)]
 
 
-def stable_half_matching(inst: Instance) -> StablePartitionCert:
+def stable_half_matching(market: CopyMarket | Instance) -> StablePartitionCert:
     """A stable half-matching whose support is pairs plus odd half-cycles.
 
-    Requires strict preferences (parallel edges welcome). Deterministic:
-    agents court in canonical vertex order, every scan is sorted, and the
-    output is certified blocking-free before it is returned. On instances
-    that admit no odd half-cycle (bipartite ones in particular) the
-    result is integral.
+    Takes a derived market or a strict ``Instance`` (parallel edges
+    welcome), whose orders it reads as ranks. Deterministic: the output
+    depends on the orders only, and it is certified blocking-free before
+    it is returned. On instances that admit no odd half-cycle (bipartite
+    ones in particular) the result is integral.
     """
-    return _partition(inst, _reduce(inst))
+    if isinstance(market, Instance):  # one copy per edge, in id order
+        inst, eids = market, [e.eid for e in market.edges]
+        rank = {eid: c for c, eid in enumerate(eids)}
+        market = CopyMarket(inst.vertices, [inst.index(e.u) for e in inst.edges],
+                            [inst.index(e.v) for e in inst.edges],
+                            [[rank[eid] for eid in inst.strict_order(v)] for v in inst.vertices],
+                            range(len(eids)), eids, [""] * len(eids))
+    pu, pv = _positions(market)
+    return _partition(market, _reduce(market, pu, pv), pu, pv)
 
 
-def _partition(inst: Instance, lists: dict[str, list[str]]) -> StablePartitionCert:
+def _blocked(market: CopyMarket, halves: dict[int, int], pu: list[int],
+             pv: list[int]) -> list[int]:
+    """The copies blocking the half-matching that gives copy c ``halves[c]``
+    halves: weak :func:`core.blocking_edges` on the orders' rank valuations.
+    A vertex with load 2 prefers exactly the copies above the worst one it
+    holds; any other vertex prefers every copy to what it holds."""
+    load = [0] * len(market.vertices)
+    worst = [-1] * len(load)
+    for e, k in halves.items():
+        for x, p in ((market.eu[e], pu[e]), (market.ev[e], pv[e])) if k else ():
+            load[x] += k
+            worst[x] = max(worst[x], p)
+    bound = [w if k == 2 else len(o) for w, k, o in zip(worst, load, market.orders)]
+    ends = zip(pu, map(bound.__getitem__, market.eu), pv, map(bound.__getitem__, market.ev))
+    return [e for e, (a, b, c, d) in enumerate(ends) if a < b and c < d and halves.get(e, 0) < 2]
+
+
+def _partition(market: CopyMarket, lists: list[list[int]], pu: list[int],
+               pv: list[int]) -> StablePartitionCert:
     """Read pairs and half-cycles off the reduced lists; certify the result."""
-    m: dict[str, Fraction] = {}
-    ones: list[str] = []
-    odd: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    done: set[str] = set()
-    for v in inst.vertices:
-        lst = lists[v]
-        if v in done or not lst:
+    names, eu, ev = market.vertices, market.eu, market.ev
+    halves: dict[int, int] = {}  # copy -> its value in halves
+    odd: list[tuple[list[int], list[int]]] = []
+    done = [False] * len(names)
+    for v, lst in enumerate(lists):
+        if done[v] or not lst:
             continue
         if len(lst) == 1:
-            eid = lst[0]
-            w = inst.other(eid, v)
-            if lists[w] != [eid]:
-                raise VerificationFailed(f"singleton list of {v!r} is not mirrored")
-            m[eid] = ONE
-            ones.append(eid)
-            done.update((v, w))
+            w = ev[lst[0]] if eu[lst[0]] == v else eu[lst[0]]
+            if lists[w] != lst:
+                raise VerificationFailed(f"singleton list of {names[v]!r} is not mirrored")
+            halves[lst[0]] = 2
+            done[v] = done[w] = True
             continue
         # trace the courting cycle; v is its lowest-indexed member
-        verts = [v]
-        eids = [lst[0]]
-        x = inst.other(lst[0], v)
+        verts, cycle, x = [v], [lst[0]], ev[lst[0]] if eu[lst[0]] == v else eu[lst[0]]
         while x != v:
             if len(lists[x]) != 2:
-                raise VerificationFailed(f"courting cycle meets {x!r} with a long list")
+                raise VerificationFailed(f"courting cycle meets {names[x]!r} with a long list")
+            e = lists[x][0]
             verts.append(x)
-            eids.append(lists[x][0])
-            x = inst.other(lists[x][0], x)
-        done.update(verts)
-        if len(eids) % 2 == 1:
-            for eid in eids:
-                m[eid] = HALF
-            odd.append((tuple(verts), tuple(eids)))
+            cycle.append(e)
+            done[x] = True  # v itself is never visited again
+            x = ev[e] if eu[e] == x else eu[e]
+        if len(cycle) % 2 == 1:
+            halves.update(dict.fromkeys(cycle, 1))
+            odd.append((verts, cycle))
         else:
-            for t in range(0, len(eids), 2):
-                m[eids[t]] = ONE
-                ones.append(eids[t])
+            halves.update(dict.fromkeys(cycle[::2], 2))
 
-    if blocking_edges(inst, m, "weak"):
+    if _blocked(market, halves, pu, pv):
         raise VerificationFailed("engine produced a blocked matching")
+    name = market.copy_id
     return StablePartitionCert(
-        matching=m, ones=tuple(sorted(ones)), odd_cycles=tuple(odd)
+        matching={name(e): HALF if k == 1 else ONE for e, k in halves.items()},
+        ones=tuple(sorted(name(e) for e, k in halves.items() if k == 2)),
+        odd_cycles=tuple((tuple(names[x] for x in verts), tuple(map(name, cycle)))
+                         for verts, cycle in odd),
     )

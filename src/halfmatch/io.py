@@ -325,6 +325,10 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
             problems.append("stability flag does not re-derive")
         if bad:
             problems.append(f"matching is blocked by {bad}")
+    if ver.get("derived_stable", True) is not True:  # certified by the solver alone
+        problems.append("derived stability flag is not true")
+    if type(ver.get("popular", False)) is not bool:  # re-derived within the oracle bound
+        problems.append("popularity flag is not a JSON boolean")
     if "critical" in ver:
         known = set(inst.vertices)
         crit = ver["critical"]

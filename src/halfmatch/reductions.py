@@ -20,12 +20,13 @@ the guarantee the construction was designed for:
   set and is popular among matchings that do.
 
 A construction is nothing but each vertex's strict order over the
-copies, which :func:`core.strict_instance` keeps as built. Copy ids are
-``<edge id>~<suffix>``; for the endpoint first in the canonical vertex
-order (the other sees the reverse) ``~u``/``~w`` is srti's top/bottom
-copy, ``~1..~4`` gamma's best..last, ``~a``/``~b`` pri's good/bad,
-``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared middle copy.
-Remaining ties go by edge id: all four are deterministic.
+copies, emitted as an :class:`engine.CopyMarket` whose orders list copy
+indices; each origin edge's copies are one block. Copy ids are ``<edge
+id>~<suffix>``, made only on demand; for the endpoint first in the
+canonical vertex order (the other sees the reverse) ``~u``/``~w`` is
+srti's top/bottom copy, ``~1..~4`` gamma's best..last, ``~a``/``~b``
+pri's good/bad, ``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared
+middle copy. Remaining ties go by edge id: all four are deterministic.
 """
 
 from __future__ import annotations
@@ -41,17 +42,18 @@ from .core import (
     MatchingError,
     ZERO,
     check_matching,
-    strict_instance,
 )
+from .engine import CopyMarket
 
 
 @dataclass(frozen=True)
 class DerivedInstance:
-    """A strict multigraph built from copies of another market's edges."""
+    """A strict multigraph built from copies of another market's edges:
+    the copies of origin edge eid are ``blocks[eid][0]..blocks[eid][1]``."""
 
-    inst: Instance
+    inst: CopyMarket
     origin: Instance
-    origin_of: Mapping[str, str]
+    blocks: Mapping[str, tuple[int, int]]
 
     def project(self, m: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """Sum copy values per origin edge; the result is a valid
@@ -60,8 +62,9 @@ class DerivedInstance:
         for cid, val in m.items():
             if val == 0:
                 continue
-            eid = self.origin_of.get(cid)
-            if eid is None:
+            eid, tilde, tag = cid.rpartition("~")
+            first, last = self.blocks.get(eid, (0, -1))
+            if tilde + tag not in self.inst.tags[first:last + 1]:
                 raise MatchingError(f"value on unknown derived edge {cid!r}")
             out[eid] = out.get(eid, ZERO) + val
         for eid, val in out.items():
@@ -71,16 +74,28 @@ class DerivedInstance:
         return out
 
 
-def _copies(origin, v, eid, low_first):
-    """An edge's copies in ``low_first`` suffix order, reversed unless v is its lower end."""
-    order = low_first if origin.lower_endpoint(eid) == v else low_first[::-1]
-    return [eid + suffix for suffix in order]
-
-
-def _finish(origin, origin_of, orders):
-    """Materialize a derived instance from explicit per-vertex orders."""
-    edges = [(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()]
-    return DerivedInstance(strict_instance(origin.vertices, edges, orders), origin, origin_of)
+def _derive(origin: Instance, shape, order_of) -> DerivedInstance:
+    """The derived market in which an origin edge between the vertices of
+    indices a < b has one copy per suffix in ``shape(a, b)``, numbered as
+    one block, first to last. ``order_of(v, at)`` lists v's order, where
+    ``at[eid]`` is (first copy, last copy, whether v is the lower end)
+    for each edge id at v, in id order."""
+    index = origin.index
+    eu, ev, ranks, tags = [], [], [], []  # per copy
+    block, low = {}, {}  # edge id -> (first copy, last copy), and -> its lower end
+    for i, e in enumerate(origin.edges):
+        a, b = sorted((index(e.u), index(e.v)))
+        sfx = shape(a, b)
+        block[e.eid] = (len(tags), len(tags) + len(sfx) - 1)
+        low[e.eid] = a
+        eu += [a] * len(sfx)
+        ev += [b] * len(sfx)
+        ranks += [i] * len(sfx)
+        tags += sfx
+    orders = [order_of(v, {eid: (*block[eid], low[eid] == x) for eid in origin.incident(v)})
+              for x, v in enumerate(origin.vertices)]
+    market = CopyMarket(origin.vertices, eu, ev, orders, ranks, tuple(block), tags)
+    return DerivedInstance(market, origin, block)
 
 
 def build_gamma_reduction(origin: Instance) -> DerivedInstance:
@@ -100,27 +115,21 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
 
-    origin_of = {f"{e.eid}~{k}": e.eid for e in origin.edges for k in range(1, 5)}
-    orders = {}
-    for v in origin.vertices:
-        values = {eid: (origin.pval(v, eid), *origin.gamma_of(eid, v))
-                  for eid in origin.incident(v)}
+    def order_of(v, at):
+        values = {eid: (origin.pval(v, eid), *origin.gamma_of(eid, v)) for eid in at}
         # scaled by the lcm of v's denominators, every sort key is an int
         scale = lcm(*(x.denominator for triple in values.values() for x in triple))
-        keep = []   # (-value, third 0 / second 1 / best 2, origin eid, copy id)
+        keep = []   # (-value, third 0 / second 1 / best 2, copy)
         tail = []   # last copies: by origin valuation, then edge id
         for eid, triple in values.items():
             p, gam, delta = (x.numerator * (scale // x.denominator) for x in triple)
-            best, second, third, last = _copies(origin, v, eid, ("~1", "~2", "~3", "~4"))
-            keep.append((-p, 2, eid, best))
-            keep.append((gam - p, 1, eid, second))
-            keep.append((delta - p, 0, eid, third))
-            tail.append((-p, eid, last))
-        keep.sort()
-        tail.sort()
-        orders[v] = [item[-1] for item in keep] + [item[-1] for item in tail]
+            first, last, low = at[eid]
+            b, step = (first, 1) if low else (last, -1)  # v's r-th best is b + step*r
+            keep += [(-p, 2, b), (gam - p, 1, b + step), (delta - p, 0, b + 2 * step)]
+            tail.append((-p, b, b + 3 * step))
+        return [item[-1] for item in sorted(keep)] + [item[-1] for item in sorted(tail)]
 
-    return _finish(origin, origin_of, orders)
+    return _derive(origin, lambda a, b: ("~1", "~2", "~3", "~4"), order_of)
 
 
 def build_srti_reduction(origin: Instance) -> DerivedInstance:
@@ -133,19 +142,16 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
     order), and finally appends the copies it ranks bottom, ordered by
     its original valuation with edge-id tie-break.
     """
-    origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~u", "~0", "~w")}
-    orders = {}
-    for v in origin.vertices:
-        top = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in origin.incident(v)}
-        seq = []
-        classes = origin.tie_classes(v)
-        for group in classes:
-            seq.extend(top[eid][0] for eid in group)
-            seq.extend(eid + "~0" for eid in group)
-        seq.extend(top[eid][1] for group in classes for eid in group)
-        orders[v] = seq
+    def order_of(v, at):
+        seq, bottom = [], []
+        for group in origin.tie_classes(v):
+            copies = [at[eid] for eid in group]
+            seq += [first if low else last for first, last, low in copies]
+            seq += [first + 1 for first, _, _ in copies]
+            bottom += [last if low else first for first, last, low in copies]
+        return seq + bottom
 
-    return _finish(origin, origin_of, orders)
+    return _derive(origin, lambda a, b: ("~u", "~0", "~w"), order_of)
 
 
 def build_pri_reduction(origin: Instance) -> DerivedInstance:
@@ -155,14 +161,12 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
     Every vertex ranks all its good copies in its original strict order,
     then all its bad copies in the same order.
     """
-    origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~a", "~b")}
-    orders = {}
-    for v in origin.vertices:
-        mine = origin.strict_order(v)
-        good_bad = [_copies(origin, v, eid, ("~a", "~b")) for eid in mine]
-        orders[v] = [good for good, _ in good_bad] + [bad for _, bad in good_bad]
+    def order_of(v, at):
+        copies = [at[eid] for eid in origin.strict_order(v)]
+        return ([first if low else last for first, last, low in copies]
+                + [last if low else first for first, last, low in copies])
 
-    return _finish(origin, origin_of, orders)
+    return _derive(origin, lambda a, b: ("~a", "~b"), order_of)
 
 
 def build_crit_reduction(
@@ -181,29 +185,24 @@ def build_crit_reduction(
     isomorphic copy of the input.
     """
     crit = frozenset(critical)
-    unknown = crit - set(origin.vertices)
+    unknown = sorted(crit - set(origin.vertices))
     if unknown:
-        raise InstanceError(
-            f"critical set contains unknown vertex {sorted(unknown)[0]!r}"
-        )
+        raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
     s = len(crit)
+    is_crit = [v in crit for v in origin.vertices]
+    levels_u, levels_w = (tuple(f"~{t}{j}" for j in range(1, s + 1)) for t in "uw")
 
-    origin_of = {e.eid + "~0": e.eid for e in origin.edges}
-    for e in origin.edges:
-        low = origin.lower_endpoint(e.eid)
-        for x, tag in ((low, "u"), (origin.other(e.eid, low), "w")):
-            if x in crit:
-                origin_of.update((f"{e.eid}~{tag}{j}", e.eid) for j in range(1, s + 1))
-
-    orders = {}
-    for v in origin.vertices:
+    def order_of(v, at):
         mine = origin.strict_order(v)
-        bundles = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in mine}
-        # v's own bundle (first) ranks below the middle copies, its partner's above
-        up = [bundles[eid][1] for eid in mine if origin.other(eid, v) in crit]
-        down = [bundles[eid][0] for eid in mine] if v in crit else []
-        above = [f"{c}{j}" for j in range(s, 0, -1) for c in up]
-        below = [f"{c}{j}" for j in range(1, s + 1) for c in down]
-        orders[v] = above + [eid + "~0" for eid in mine] + below
+        # level j of the lower end's bundle is copy first + j, of the higher end's last - s + j;
+        # v's own bundle ranks below the middle copies, its partner's above
+        up = [last - s if low else first for first, last, low in
+              (at[eid] for eid in mine if origin.other(eid, v) in crit)]
+        down = [first if low else last - s for first, last, low in
+                (at[eid] for eid in mine)] if v in crit else []
+        return ([c + j for j in range(s, 0, -1) for c in up]
+                + [at[eid][0] for eid in mine]
+                + [c + j for j in range(1, s + 1) for c in down])
 
-    return _finish(origin, origin_of, orders)
+    return _derive(origin, lambda a, b: ("~0",) + levels_u * is_crit[a] + levels_w * is_crit[b],
+                   order_of)

@@ -1,0 +1,367 @@
+"""Derived markets as they were materialized, kept as oracles.
+
+The four constructions once built every copy as an ``Edge`` with a string
+id and a rank valuation, through :func:`strict_instance`, and the engine
+ran on such an ``Instance``, deleting entries one at a time (``_reduce``
+below). The package now builds each vertex's order as copy indices and
+deletes lazily; the tests compare it with this code, kept as it was but
+for ``lower_endpoint``, a method of ``Instance`` until its last caller in
+the package went.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Mapping, Sequence
+
+from halfmatch.core import (
+    ZERO,
+    Edge,
+    Instance,
+    InstanceError,
+    MatchingError,
+    VerificationFailed,
+    check_matching,
+)
+
+
+def strict_instance(
+    vertices: Sequence[str], edges: Iterable[tuple[str, str, str]],
+    orders: Mapping[str, Sequence[str]],
+) -> Instance:
+    """The tie-free market whose vertex v ranks its edges as ``orders[v]``
+    lists them, best first, each valued by its rank (worst 1). Raises
+    :class:`VerificationFailed` unless each order lists its vertex's edges once.
+    """
+    vs = tuple(vertices)
+    by_id = {e.eid: e for e in map(Edge._make, edges)}
+    es = tuple(by_id[eid] for eid in sorted(by_id))
+    incident: dict[str, list[str]] = {v: [] for v in vs}
+    for e in es:
+        incident[e.u].append(e.eid)
+        incident[e.v].append(e.eid)
+    for v in vs:
+        if v not in orders or sorted(orders[v]) != incident[v]:
+            raise VerificationFailed(f"the order of {v!r} does not list its edges once each")
+    return Instance(
+        vertices=vs, edges=es, pref_empty=dict.fromkeys(vs, 0), weights=None, gamma=None,
+        pref={v: {eid: len(orders[v]) - i for i, eid in enumerate(orders[v])} for v in vs},
+        critical=frozenset(), _incident={v: tuple(ids) for v, ids in incident.items()},
+        _order={v: tuple(orders[v]) for v in vs}, _tied=frozenset(), _by_id=by_id,
+        _index={v: i for i, v in enumerate(vs)},
+    )
+
+
+@dataclass(frozen=True)
+class DerivedInstance:
+    """A strict multigraph built from copies of another market's edges."""
+
+    inst: Instance
+    origin: Instance
+    origin_of: Mapping[str, str]
+
+    def project(self, m: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        """Sum copy values per origin edge; the result is a valid
+        half-matching of the origin instance (degree sums carry over)."""
+        out: dict[str, Fraction] = {}
+        for cid, val in m.items():
+            if val == 0:
+                continue
+            eid = self.origin_of.get(cid)
+            if eid is None:
+                raise MatchingError(f"value on unknown derived edge {cid!r}")
+            out[eid] = out.get(eid, ZERO) + val
+        for eid, val in out.items():
+            if val > 1:
+                raise MatchingError(f"projected value of {eid!r} exceeds 1")
+        check_matching(self.origin, out)
+        return out
+
+
+def lower_endpoint(inst, eid):
+    """The end of edge eid first in the canonical vertex order."""
+    e = inst.edge(eid)
+    return e.u if inst.index(e.u) < inst.index(e.v) else e.v
+
+
+def _copies(origin, v, eid, low_first):
+    """An edge's copies in ``low_first`` suffix order, reversed unless v is its lower end."""
+    order = low_first if lower_endpoint(origin, eid) == v else low_first[::-1]
+    return [eid + suffix for suffix in order]
+
+
+def _finish(origin, origin_of, orders):
+    """Materialize a derived instance from explicit per-vertex orders."""
+    edges = [(cid, *origin.edge(eid)[1:]) for cid, eid in origin_of.items()]
+    return DerivedInstance(strict_instance(origin.vertices, edges, orders), origin, origin_of)
+
+
+def build_gamma_reduction(origin: Instance) -> DerivedInstance:
+    """Four copies per edge with gamma/delta thresholds woven in.
+
+    For the lower endpoint copies ``~1..~4`` are its best, second, third
+    and last copy; for the higher endpoint ``~4..~1`` are. A vertex
+    values its best copy at p(e), its second at p(e)-gamma, its third at
+    p(e)-delta, so for edges e, f at v:
+
+    * second(f) beats best(e)  iff  p(f) >= p(e) + gamma_f
+    * third(f) beats best(e)   iff  p(f) >= p(e) + delta_f
+
+    Equal derived values order third before second before best copies;
+    remaining ties and the trailing last copies follow edge-id order.
+    """
+    if not origin.has_full_gamma():
+        raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
+
+    origin_of = {f"{e.eid}~{k}": e.eid for e in origin.edges for k in range(1, 5)}
+    orders = {}
+    for v in origin.vertices:
+        values = {eid: (origin.pval(v, eid), *origin.gamma_of(eid, v))
+                  for eid in origin.incident(v)}
+        # scaled by the lcm of v's denominators, every sort key is an int
+        scale = lcm(*(x.denominator for triple in values.values() for x in triple))
+        keep = []   # (-value, third 0 / second 1 / best 2, origin eid, copy id)
+        tail = []   # last copies: by origin valuation, then edge id
+        for eid, triple in values.items():
+            p, gam, delta = (x.numerator * (scale // x.denominator) for x in triple)
+            best, second, third, last = _copies(origin, v, eid, ("~1", "~2", "~3", "~4"))
+            keep.append((-p, 2, eid, best))
+            keep.append((gam - p, 1, eid, second))
+            keep.append((delta - p, 0, eid, third))
+            tail.append((-p, eid, last))
+        keep.sort()
+        tail.sort()
+        orders[v] = [item[-1] for item in keep] + [item[-1] for item in tail]
+
+    return _finish(origin, origin_of, orders)
+
+
+def build_srti_reduction(origin: Instance) -> DerivedInstance:
+    """Three copies per edge: ``~u`` is the lower endpoint's top copy and
+    the higher endpoint's bottom one, ``~w`` the reverse, ``~0`` the
+    shared middle.
+
+    Each vertex expands its weak order class by class, emitting the top
+    copies of the class then the middle copies (members in edge-id
+    order), and finally appends the copies it ranks bottom, ordered by
+    its original valuation with edge-id tie-break.
+    """
+    origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~u", "~0", "~w")}
+    orders = {}
+    for v in origin.vertices:
+        top = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in origin.incident(v)}
+        seq = []
+        classes = origin.tie_classes(v)
+        for group in classes:
+            seq.extend(top[eid][0] for eid in group)
+            seq.extend(eid + "~0" for eid in group)
+        seq.extend(top[eid][1] for group in classes for eid in group)
+        orders[v] = seq
+
+    return _finish(origin, origin_of, orders)
+
+
+def build_pri_reduction(origin: Instance) -> DerivedInstance:
+    """Two copies per edge, one good for each endpoint: ``~a`` is good
+    for the lower endpoint and bad for the higher one, ``~b`` the reverse.
+
+    Every vertex ranks all its good copies in its original strict order,
+    then all its bad copies in the same order.
+    """
+    origin_of = {e.eid + s: e.eid for e in origin.edges for s in ("~a", "~b")}
+    orders = {}
+    for v in origin.vertices:
+        mine = origin.strict_order(v)
+        good_bad = [_copies(origin, v, eid, ("~a", "~b")) for eid in mine]
+        orders[v] = [good for good, _ in good_bad] + [bad for _, bad in good_bad]
+
+    return _finish(origin, origin_of, orders)
+
+
+def build_crit_reduction(
+    origin: Instance, critical: frozenset[str] | set[str]
+) -> DerivedInstance:
+    """Middle copies plus |C| leveled copies per critical endpoint.
+
+    An extra copy at level j (1-based) is the j-th best for the
+    non-critical side and the j-th worst for the critical side; an
+    endpoint in C on edge (u, v) contributes copies that are worst for
+    it and best for its partner: ``~u1..~u{s}`` for the lower endpoint,
+    ``~w1..~w{s}`` for the higher one. With both endpoints critical, both
+    bundles are added. Each vertex ranks levels +s..+1, then the middle
+    copies ``~0``, then levels -1..-s, with its original strict order
+    inside every level class. An empty critical set degenerates to an
+    isomorphic copy of the input.
+    """
+    crit = frozenset(critical)
+    unknown = crit - set(origin.vertices)
+    if unknown:
+        raise InstanceError(
+            f"critical set contains unknown vertex {sorted(unknown)[0]!r}"
+        )
+    s = len(crit)
+
+    origin_of = {e.eid + "~0": e.eid for e in origin.edges}
+    for e in origin.edges:
+        low = lower_endpoint(origin, e.eid)
+        for x, tag in ((low, "u"), (origin.other(e.eid, low), "w")):
+            if x in crit:
+                origin_of.update((f"{e.eid}~{tag}{j}", e.eid) for j in range(1, s + 1))
+
+    orders = {}
+    for v in origin.vertices:
+        mine = origin.strict_order(v)
+        bundles = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in mine}
+        # v's own bundle (first) ranks below the middle copies, its partner's above
+        up = [bundles[eid][1] for eid in mine if origin.other(eid, v) in crit]
+        down = [bundles[eid][0] for eid in mine] if v in crit else []
+        above = [f"{c}{j}" for j in range(s, 0, -1) for c in up]
+        below = [f"{c}{j}" for j in range(1, s + 1) for c in down]
+        orders[v] = above + [eid + "~0" for eid in mine] + below
+
+    return _finish(origin, origin_of, orders)
+
+
+# the engine with explicit two-sided deletions
+
+
+def _reduce(inst: Instance) -> dict[str, list[str]]:
+    """Every vertex's surviving list, best first, once none has three entries.
+
+    Proposals cascade until every agent with a nonempty list is accepted;
+    then, while some list holds three or more entries, one rotation is
+    eliminated and the cascade resumes. Raises :class:`InstanceError` on
+    tied preferences.
+    """
+    names = inst.vertices
+    n = len(names)
+    index = inst.index
+    eids = [e.eid for e in inst.edges]  # id-sorted: int order is id order
+    rank = {eid: i for i, eid in enumerate(eids)}
+    eu = [index(e.u) for e in inst.edges]
+    ends = [index(e.u) ^ index(e.v) for e in inst.edges]  # other end: ends[e] ^ x
+    pos_u = [0] * len(eids)  # position of e in its u end's order
+    pos_v = [0] * len(eids)  # ... and in its v end's
+    order: list[list[int]] = []
+    for x, v in enumerate(names):
+        o = [rank[eid] for eid in inst.strict_order(v)]
+        for p, e in enumerate(o):
+            if eu[e] == x:
+                pos_u[e] = p
+            else:
+                pos_v[e] = p
+        order.append(o)
+
+    alive = bytearray(b"\x01") * len(eids)
+    head = [0] * n  # first live position, past the end when the list is empty
+    tail = [len(o) - 1 for o in order]  # last live position
+    count = [len(o) for o in order]
+    held = [-1] * n
+    accepted = [False] * n
+    queue = deque(x for x in range(n) if order[x])
+
+    def delete(e: int) -> None:
+        """Remove an edge from both endpoint lists, freeing any proposer."""
+        if not alive[e]:
+            return  # already gone (deletions are always two-sided)
+        alive[e] = 0
+        u = eu[e]
+        for x, p in ((u, pos_u[e]), (ends[e] ^ u, pos_v[e])):
+            count[x] -= 1
+            if held[x] == e:
+                held[x] = -1
+            o = order[x]
+            if p == head[x]:
+                accepted[x] = False
+                h, t = p + 1, tail[x]
+                while h <= t and not alive[o[h]]:
+                    h += 1
+                head[x] = h
+            if p == tail[x]:
+                h, t = head[x], p - 1
+                while t >= h and not alive[o[t]]:
+                    t -= 1
+                tail[x] = t
+            if not accepted[x] and count[x]:
+                queue.append(x)
+
+    def cascade() -> None:
+        """Run proposals until every agent with a nonempty list is accepted."""
+        while queue:
+            v = queue.popleft()
+            if accepted[v] or not count[v]:
+                continue
+            e = order[v][head[v]]
+            w = ends[e] ^ v
+            h = held[w]
+            if h == e:
+                accepted[v] = True
+                continue
+            p = pos_u[e] if eu[e] == w else pos_v[e]
+            if h < 0 or p < (pos_u[h] if eu[h] == w else pos_v[h]):
+                accepted[v] = True
+                held[w] = e
+                o = order[w]
+                for i in range(p + 1, tail[w] + 1):
+                    if alive[o[i]]:
+                        delete(o[i])
+            else:
+                delete(e)
+
+    cascade()
+    start = 0  # lists only shrink, so no vertex before start regains 3 entries
+    while True:
+        while start < n and count[start] < 3:
+            start += 1
+        if start == n:
+            break
+        # walk second/last pointers to a cycle; the walk can never enter a
+        # cycle whose members all have length-two lists, so eliminating it
+        # never destroys a settled half-cycle
+        seq: list[tuple[int, int, int]] = []  # (agent, its second entry, acceptor)
+        seen: dict[int, int] = {}
+        x = start
+        while x not in seen:
+            seen[x] = len(seq)
+            if count[x] < 2:
+                raise VerificationFailed(f"rotation walk meets a short list at {names[x]!r}")
+            o = order[x]
+            i = head[x] + 1
+            while not alive[o[i]]:
+                i += 1
+            second = o[i]
+            y = ends[second] ^ x
+            if count[y] < 2:
+                raise VerificationFailed(f"rotation walk meets a short list at {names[y]!r}")
+            seq.append((x, second, y))
+            x = ends[order[y][tail[y]]] ^ y
+        # drop everything below the rotation's improved proposals, as a batch
+        doomed: set[int] = set()
+        for _, second, y in seq[seen[x]:]:
+            p = pos_u[second] if eu[second] == y else pos_v[second]
+            doomed.update(g for g in order[y][p + 1:tail[y] + 1] if alive[g])
+        if not doomed:
+            raise VerificationFailed("rotation eliminates nothing")
+        for g in sorted(doomed):
+            delete(g)
+        cascade()
+
+    return {
+        v: [eids[e] for e in order[x][head[x]:tail[x] + 1] if alive[e]]
+        for x, v in enumerate(names)
+    }
+
+
+def materialize(der) -> Instance:
+    """The oracle market of a compact derived market: its copies as edges
+    with ids, ranked by the orders the builder emitted."""
+    market = der.inst
+    ends = {e.eid: (e.u, e.v) for e in der.origin.edges}
+    edges = [(market.copy_id(c), *ends[market.labels[market.origin[c]]])
+             for c in market.edges]
+    orders = {v: [market.copy_id(c) for c in market.orders[x]]
+              for x, v in enumerate(market.vertices)}
+    return strict_instance(market.vertices, edges, orders)

@@ -31,6 +31,7 @@ from halfmatch.reductions import (
 from halfmatch.solvers import solve_max_gamma, solve_max_srti
 
 from conftest import make_path, make_triangle
+from materialized import materialize
 
 F = Fraction
 H = HALF
@@ -357,9 +358,10 @@ def test_parsed_and_derived_valuations_are_int():
                            gamma_preset="generic")
     strict = generate_random(4, 8, edge_density=0.6, parallel_prob=0.3)
     markets = [inst, parse_instance_text(serialize_instance(inst))]
-    markets += [build(inst).inst for build in (build_srti_reduction, build_gamma_reduction)]
-    markets += [build_pri_reduction(strict).inst,
-                build_crit_reduction(strict, frozenset(strict.vertices[:3])).inst]
+    markets += [materialize(build(inst))
+                for build in (build_srti_reduction, build_gamma_reduction)]
+    markets += [materialize(build_pri_reduction(strict)),
+                materialize(build_crit_reduction(strict, frozenset(strict.vertices[:3])))]
     for market in markets:
         for v in market.vertices:
             assert type(market.pempty(v)) is int
@@ -419,11 +421,11 @@ def test_stored_order_answers_as_the_sort_based_queries():
         strict = generate_random(seed, n, edge_density=0.6, parallel_prob=0.3)
         markets["generated"] += [tied, strict]
         markets["library"].append(_rational_market(rng, seed))
-        markets["srti"].append(build_srti_reduction(tied).inst)
-        markets["gamma"].append(build_gamma_reduction(tied).inst)
-        markets["pri"].append(build_pri_reduction(strict).inst)
+        markets["srti"].append(materialize(build_srti_reduction(tied)))
+        markets["gamma"].append(materialize(build_gamma_reduction(tied)))
+        markets["pri"].append(materialize(build_pri_reduction(strict)))
         crit = frozenset(rng.sample(strict.vertices, rng.randint(1, n)))
-        markets["crit"].append(build_crit_reduction(strict, crit).inst)
+        markets["crit"].append(materialize(build_crit_reduction(strict, crit)))
     kinds = {"tie_error": 0, "parallel": 0, "fraction": 0, "negative_empty": 0}
     for inst in (inst for group in markets.values() for inst in group):
         assert inst.is_strict() == _oracle_is_strict(inst)

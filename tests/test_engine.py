@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -17,10 +18,14 @@ from halfmatch.core import (
     blocking_edges,
     matching_size,
     validate_instance,
+    vertex_load,
 )
 from halfmatch.engine import (
     BoundExceeded,
+    CopyMarket,
+    _blocked,
     _partition,
+    _positions,
     _reduce,
     brute_force_max_stable,
     enumerate_half_matchings,
@@ -35,7 +40,9 @@ from halfmatch.reductions import (
     build_srti_reduction,
 )
 
+import materialized
 from conftest import make_path
+from materialized import materialize
 
 F = Fraction
 
@@ -233,7 +240,7 @@ def test_engine_postcondition_raises_under_optimize():
         assert False, "-O must strip this"
         inst = validate_instance(["a", "b"], [("e", "a", "b")],
                                  pref={"a": {"e": 1}, "b": {"e": 1}})
-        engine.blocking_edges = lambda *args, **kwargs: ["x"]
+        engine._blocked = lambda *args, **kwargs: [0]
         try:
             engine.stable_half_matching(inst)
         except VerificationFailed as exc:
@@ -356,10 +363,20 @@ def oracle_lists(inst: Instance) -> dict[str, list[str]]:
     return court.lists
 
 
-def assert_matches_oracle(inst: Instance, label: str) -> None:
+def assert_matches_oracle(der, label: str) -> None:
+    """The engine on a compact market reaches the list court's final lists
+    on its materialized twin, and so does the explicit-deletion engine."""
+    inst = materialize(der)
     lists = oracle_lists(inst)
-    assert _reduce(inst) == lists, label
-    assert stable_half_matching(inst) == _partition(inst, lists), label
+    assert materialized._reduce(inst) == lists, label
+    market = der.inst
+    pu, pv = _positions(market)
+    got = _reduce(market, pu, pv)
+    names = market.copy_id
+    assert {v: [names(c) for c in got[x]] for x, v in enumerate(market.vertices)} == lists, label
+    index = {names(c): c for c in market.edges}
+    court = [[index[cid] for cid in lists[v]] for v in market.vertices]
+    assert stable_half_matching(market) == _partition(market, court, pu, pv), label
 
 
 def test_engine_matches_the_list_court_on_derived_markets():
@@ -377,7 +394,7 @@ def test_engine_matches_the_list_court_on_derived_markets():
             ("crit", build_crit_reduction(strict, strict.critical)),
             ("crit-all", build_crit_reduction(strict, frozenset(strict.vertices))),
         ):
-            assert_matches_oracle(der.inst, f"{kind} seed {seed} n {n}")
+            assert_matches_oracle(der, f"{kind} seed {seed} n {n}")
             markets += 1
     assert markets >= 150
 
@@ -388,7 +405,7 @@ def test_engine_matches_the_list_court_on_a_large_crit_market():
     inst = generate_random(34, 34, edge_density=0.3)
     der = build_crit_reduction(inst, frozenset(inst.vertices))
     assert len(der.inst.edges) >= 9000
-    assert_matches_oracle(der.inst, "crit-all n 34")
+    assert_matches_oracle(der, "crit-all n 34")
 
 
 def test_engine_raises_the_list_courts_tie_message():
@@ -399,3 +416,69 @@ def test_engine_raises_the_list_courts_tie_message():
         stable_half_matching(tied)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("strict preferences required: vertex ")
+
+
+# -- the certificate on positions ------------------------------------------------
+
+
+def _halves(market, m):
+    index = {market.copy_id(c): c for c in market.edges}
+    return {index[cid]: int(2 * val) for cid, val in m.items()}
+
+
+def test_certificate_agrees_with_weak_blocking_edges():
+    # engine outputs, then seeded perturbations of them: held copies dropped
+    # (still half-matchings) or values 0, 1/2 or 1 put on random copies
+    # (mostly overfull)
+    rng = random.Random(1313)
+    outputs = perturbed = blocked = overfull = 0
+    for seed in range(40):
+        n = 4 + seed % 9
+        tied = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                               tie_prob=0.4, gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                                 critical_count=seed % (n + 1))
+        for der in (build_srti_reduction(tied), build_gamma_reduction(tied),
+                    build_pri_reduction(strict),
+                    build_crit_reduction(strict, strict.critical)):
+            market, inst = der.inst, materialize(der)
+            pu, pv = _positions(market)
+            m = stable_half_matching(market).matching
+            trials = [m]
+            for k in range(6):
+                rival = dict(m)
+                if k % 2:
+                    for c in rng.sample(range(len(market.edges)), min(3, len(market.edges))):
+                        rival[market.copy_id(c)] = rng.choice((F(0), HALF, ONE))
+                else:
+                    rival.update(dict.fromkeys(rng.sample(sorted(m), min(2, len(m))), F(0)))
+                trials.append(rival)
+            for k, trial in enumerate(trials):
+                got = sorted(map(market.copy_id, _blocked(market, _halves(market, trial),
+                                                          pu, pv)))
+                want = blocking_edges(inst, trial, "weak")
+                assert got == want, (seed, k)
+                outputs += k == 0
+                perturbed += k > 0
+                blocked += bool(want)
+                overfull += any(vertex_load(inst, trial, v) > 1 for v in inst.vertices)
+    assert outputs == 160 and perturbed == 960
+    assert blocked >= 300 and 200 <= overfull <= 800
+
+
+def _path_market(orders):
+    """Vertices a, b, c; copy 0 joins a and b, copy 1 joins b and c."""
+    return CopyMarket(("a", "b", "c"), [0, 1], [1, 2], orders, [0, 1], ("ab", "bc"),
+                      ["", ""])
+
+
+@pytest.mark.parametrize("orders, culprit", [
+    ([[0], [0], [1]], "'b'"),                 # b omits copy 1
+    ([[0], [1, 0, 1], [1]], "'b'"),           # b lists copy 1 twice
+    ([[0, 1], [1, 0], [1]], "'a'"),           # copy 1 does not touch a
+    ([[0], [1, 0], []], "'c'"),               # c lists nothing
+])
+def test_engine_rejects_an_order_that_misses_its_copies(orders, culprit):
+    with pytest.raises(VerificationFailed, match=culprit):
+        stable_half_matching(_path_market(orders))
+    assert stable_half_matching(_path_market([[0], [1, 0], [1]])).ones == ("bc",)

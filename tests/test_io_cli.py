@@ -320,6 +320,32 @@ def test_cli_verify_rejects_a_tampered_solver_claim(tmp_path, capsys, tag, key, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tag, key, value, message", [
+    ("solve-pop-maxw", "derived_stable", False, "derived stability flag is not true"),
+    ("solve-pop-maxw", "derived_stable", "no", "derived stability flag is not true"),
+    ("solve-max-pri", "popular", "yes", "popularity flag is not a JSON boolean"),
+    ("solve-max-pri", "popular", 1, "popularity flag is not a JSON boolean"),
+])
+def test_cli_verify_rejects_a_claim_it_cannot_re_derive(tmp_path, capsys, tag, key, value,
+                                                        message):
+    # 22 edges, over the default oracle bound: nothing re-derives these
+    # claims, so each must be the JSON value a solver writes
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "2", "--n", "10", "--weight-min", "1",
+                 "--weight-max", "9", "--critical-count", "2",
+                 "--output", str(inst_path)]) == 0
+    assert len(load_instance(str(inst_path)).edges) == 22
+    assert main([tag, "--input", str(inst_path), "--output", str(res_path)]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    doc["verification"][key] = value
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value, message", [
     ("verification", "stable", "no", "stability flag does not re-derive"),
     ("verification", "stable", 1, "stability flag does not re-derive"),

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from halfmatch import reductions
 from halfmatch.core import (
     HALF,
     ONE,
     InstanceError,
+    MatchingError,
     VerificationFailed,
-    strict_instance,
     validate_instance,
 )
 from halfmatch.engine import stable_half_matching
@@ -22,22 +21,31 @@ from halfmatch.reductions import (
     build_srti_reduction,
 )
 
+import materialized
 from conftest import make_triangle
+from materialized import lower_endpoint, materialize, strict_instance
 
 F = Fraction
 
 
 def derived_order(der, v):
-    return sorted(der.inst.incident(v), key=lambda c: -der.inst.pval(v, c))
+    market = der.inst
+    return [market.copy_id(c) for c in market.orders[der.origin.index(v)]]
+
+
+def origin_of(der):
+    """Each copy id's origin edge id."""
+    market = der.inst
+    return {market.copy_id(c): market.labels[market.origin[c]] for c in market.edges}
 
 
 def copies(der, eid):
-    return sorted(c for c, origin in der.origin_of.items() if origin == eid)
+    return sorted(c for c, origin in origin_of(der).items() if origin == eid)
 
 
 def gamma_copy(inst, eid, v, rank):
     """The copy of eid that v ranks ``rank``-th of four (1 best, 4 last)."""
-    return f"{eid}~{rank if inst.lower_endpoint(eid) == v else 5 - rank}"
+    return f"{eid}~{rank if lower_endpoint(inst, eid) == v else 5 - rank}"
 
 
 def gamma_market(prefs, gammas, vertices, edges):
@@ -171,7 +179,7 @@ def test_srti_derived_is_strict_on_random_instances():
         inst = generate_random(seed, 7, edge_density=0.5, parallel_prob=0.3,
                                tie_prob=0.5)
         der = build_srti_reduction(inst)
-        assert der.inst.is_strict()
+        assert materialize(der).is_strict()
         for e in inst.edges:
             assert copies(der, e.eid) == [e.eid + s for s in ("~0", "~u", "~w")]
 
@@ -202,15 +210,15 @@ def test_pri_triangle_blocks(cyclic_triangle):
         order = derived_order(der, v)
         # ~a is good for the lower endpoint, ~b for the higher one
         good = {
-            eid + ("~a" if cyclic_triangle.lower_endpoint(eid) == v else "~b")
+            eid + ("~a" if lower_endpoint(cyclic_triangle, eid) == v else "~b")
             for eid in cyclic_triangle.incident(v)
         }
         roles = ["good" if c in good else "bad" for c in order]
         assert roles == ["good", "good", "bad", "bad"]
         # both blocks preserve the vertex's original order
         original = cyclic_triangle.strict_order(v)
-        assert [der.origin_of[c] for c in order[:2]] == original
-        assert [der.origin_of[c] for c in order[2:]] == original
+        assert [origin_of(der)[c] for c in order[:2]] == original
+        assert [origin_of(der)[c] for c in order[2:]] == original
 
 
 def test_pri_rejects_ties():
@@ -228,7 +236,7 @@ def test_finish_rejects_an_order_the_market_does_not_follow(single_edge):
     # a copy listed twice
     twice = {"a": ["e~a", "e~b", "e~a"], "b": ["e~b", "e~a"]}
     with pytest.raises(VerificationFailed, match="'a'"):
-        reductions._finish(single_edge, origin_of, twice)
+        materialized._finish(single_edge, origin_of, twice)
 
 
 @pytest.mark.parametrize("orders, culprit", [
@@ -254,8 +262,9 @@ def _validated_route(origin, origin_of, orders):
 
 def test_strict_instance_equals_the_validated_route(monkeypatch):
     built = []
-    real = reductions._finish
-    monkeypatch.setattr(reductions, "_finish", lambda *args: built.append(args) or real(*args))
+    real = materialized._finish
+    monkeypatch.setattr(materialized, "_finish",
+                        lambda *args: built.append(args) or real(*args))
     # the markets of the golden sweep below
     for seed in range(60):
         n = 4 + seed % 9
@@ -263,11 +272,11 @@ def test_strict_instance_equals_the_validated_route(monkeypatch):
                                tie_prob=0.4, gamma_preset="generic")
         strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
                                  critical_count=seed % (n + 1))
-        build_srti_reduction(tied)
-        build_gamma_reduction(tied)
-        build_pri_reduction(strict)
-        build_crit_reduction(strict, strict.critical)
-        build_crit_reduction(strict, frozenset(strict.vertices))
+        materialized.build_srti_reduction(tied)
+        materialized.build_gamma_reduction(tied)
+        materialized.build_pri_reduction(strict)
+        materialized.build_crit_reduction(strict, strict.critical)
+        materialized.build_crit_reduction(strict, frozenset(strict.vertices))
     assert len(built) == 300
     for origin, origin_of, orders in built:
         got = real(origin, origin_of, orders).inst
@@ -279,21 +288,62 @@ def test_strict_instance_equals_the_validated_route(monkeypatch):
         assert got.is_strict() and want.is_strict()
 
 
+def test_compact_orders_equal_the_materialized_builders():
+    # the markets of the golden sweep: each order, read as copy ids, and
+    # each copy's endpoints and origin edge, as the old builders made them
+    kinds = (
+        ("srti", "tied", build_srti_reduction, materialized.build_srti_reduction),
+        ("gamma", "tied", build_gamma_reduction, materialized.build_gamma_reduction),
+        ("pri", "strict", build_pri_reduction, materialized.build_pri_reduction),
+    )
+    checked = 0
+    for seed in range(60):
+        n = 4 + seed % 9
+        markets = {
+            "tied": generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                                    tie_prob=0.4, gamma_preset="generic"),
+            "strict": generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                                      critical_count=seed % (n + 1)),
+        }
+        strict = markets["strict"]
+        pairs = [(kind, build(markets[which]), oracle(markets[which]))
+                 for kind, which, build, oracle in kinds]
+        for crit in (strict.critical, frozenset(strict.vertices)):
+            pairs.append(("crit", build_crit_reduction(strict, crit),
+                          materialized.build_crit_reduction(strict, crit)))
+        for kind, der, want in pairs:
+            label = f"{kind} seed {seed}"
+            assert len(der.inst.edges) == len(want.inst.edges), label
+            for v in der.origin.vertices:
+                assert derived_order(der, v) == want.inst.strict_order(v), label
+            assert origin_of(der) == dict(want.origin_of), label
+            assert materialize(der).edges == want.inst.edges, label
+            checked += 1
+    assert checked == 300
+
+
+@pytest.mark.parametrize("cid", ["e~x", "e~u2", "e~w1", "f~0", "e", "e~0~0", "~0"])
+def test_project_rejects_an_id_that_names_no_copy(single_edge, cid):
+    der = build_crit_reduction(single_edge, {"a"})  # copies e~0 and e~u1 only
+    with pytest.raises(MatchingError, match="unknown derived edge"):
+        der.project({cid: HALF})
+
+
 # -- leveled construction ----------------------------------------------------
 
 
 def test_crit_empty_set_is_isomorphic(cyclic_triangle):
     der = build_crit_reduction(cyclic_triangle, frozenset())
-    assert [e.eid for e in der.inst.edges] == ["ab~0", "bc~0", "ca~0"]
+    assert [der.inst.copy_id(c) for c in der.inst.edges] == ["ab~0", "bc~0", "ca~0"]
     for v in cyclic_triangle.vertices:
-        assert [der.origin_of[c] for c in derived_order(der, v)] == [
+        assert [origin_of(der)[c] for c in derived_order(der, v)] == [
             g[0] for g in cyclic_triangle.tie_classes(v)
         ]
 
 
 def test_crit_single_edge_one_critical(single_edge):
     der = build_crit_reduction(single_edge, {"a"})
-    assert sorted(e.eid for e in der.inst.edges) == ["e~0", "e~u1"]
+    assert sorted(origin_of(der)) == ["e~0", "e~u1"]
     assert derived_order(der, "a") == ["e~0", "e~u1"]
     assert derived_order(der, "b") == ["e~u1", "e~0"]
     # e~u1 sits at level -1 for a (one below the middle copy), +1 for b
@@ -304,7 +354,7 @@ def test_crit_single_edge_one_critical(single_edge):
 
 def test_crit_single_edge_both_critical(single_edge):
     der = build_crit_reduction(single_edge, {"a", "b"})
-    assert sorted(e.eid for e in der.inst.edges) == [
+    assert sorted(origin_of(der)) == [
         "e~0", "e~u1", "e~u2", "e~w1", "e~w2",
     ]
     assert derived_order(der, "a") == ["e~w2", "e~w1", "e~0", "e~u1", "e~u2"]
@@ -325,7 +375,7 @@ def test_crit_copy_counts_on_random_instances():
         for e in inst.edges:
             endpoints_in = sum(1 for x in (e.u, e.v) if x in crit)
             assert len(copies(der, e.eid)) == 1 + s * endpoints_in
-        assert der.inst.is_strict()
+        assert materialize(der).is_strict()
 
 
 # -- projection ---------------------------------------------------------------
@@ -376,10 +426,11 @@ def test_derived_markets_match_the_golden_digest():
             build_crit_reduction(strict, strict.critical),
             build_crit_reduction(strict, frozenset(strict.vertices)),
         ):
+            market = materialize(der)
             record = {
-                "edges": [list(e) for e in der.inst.edges],
-                "pref": {v: sorted(der.inst.pref[v].items()) for v in der.inst.vertices},
-                "origin_of": sorted(der.origin_of.items()),
+                "edges": [list(e) for e in market.edges],
+                "pref": {v: sorted(market.pref[v].items()) for v in market.vertices},
+                "origin_of": sorted(origin_of(der).items()),
             }
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == (
