@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .core import InstanceError, MatchingError, matching_size
 from .engine import BoundExceeded, brute_force_max_stable
 from .generate import GAMMA_PRESETS, generate_random
 from .io import (
+    SOLVER_CLAIMS,
     build_result,
     check_result,
     format_matching,
@@ -24,6 +24,7 @@ from .io import (
     load_instance,
     load_result,
     parse_matching,
+    result_weights,
     serialize_instance,
     serialize_result,
 )
@@ -32,6 +33,8 @@ from .solvers import (
     InfeasibleCritical,
     VerificationFailed,
     _pop_maxw,
+    max_weight_dual,
+    restrict_to_edges,
     solve_max_gamma,
     solve_max_pri,
     solve_max_srti,
@@ -59,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for tag in ("solve-max-srti", "solve-gamma", "solve-max-pri",
-                "solve-pop-crit", "solve-pop-maxw"):
+    for tag in SOLVER_CLAIMS:
         p = sub.add_parser(tag, help=f"run {tag} and write a self-verified result")
         p.add_argument("--input", required=True, help="instance file")
         p.add_argument("--output", help="result file (stdout when omitted)")
@@ -175,11 +177,8 @@ def _cmd_solve(args) -> int:
         verification = {"derived_stable": True, "critical": sorted(crit),
                         "critical_ok": True}
     else:  # solve-pop-maxw
-        if args.weights == "unit":
-            weights = {e.eid: Fraction(1) for e in inst.edges}
-        else:
-            weights = dict(inst.weights or {})
-        m, dual = _pop_maxw(inst, weights)  # certifies weight(m) == dual.objective
+        # _pop_maxw certifies weight(m) == dual.objective
+        m, dual = _pop_maxw(inst, result_weights(inst, args.weights))
         verification = {
             "derived_stable": True,
             "weights_source": args.weights,
@@ -205,6 +204,18 @@ def _cmd_verify(args) -> int:
     result = load_result(args.result)
     problems = check_result(inst, result, instance_digest(inst))
     ver = result.get("verification", {})
+    solver = result.get("solver")
+    crit, tight = frozenset(ver.get("critical", ())), None
+    if not problems and solver == "solve-pop-maxw":
+        # the weight must be the optimum, so the dual is solved again here;
+        # check_result already re-derived the weight from the matching
+        dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
+        if ver["weight"] != format_rational(dual.objective):
+            problems.append("recorded weight is not the maximum weight")
+        if ver["critical"] != sorted(dual.critical):
+            problems.append("recorded critical set is not the dual's positive-potential set")
+        # the maximum-weight rivals are the critical rivals on the tight edges
+        crit, tight = dual.critical, set(dual.tight_edges)
     # the oracle re-checks only a matching whose recorded claims re-derive
     if not problems and 0 < len(inst.edges) <= args.oracle_bound:
         m = parse_matching(result.get("matching", {}))
@@ -212,11 +223,10 @@ def _cmd_verify(args) -> int:
             verdict = is_popular(inst, m, bound=args.oracle_bound, scope=args.scope)
             if verdict.popular != ver["popular"]:
                 problems.append("popularity verdict does not re-derive")
-        if "critical" in ver:
+        if solver in ("solve-pop-crit", "solve-pop-maxw"):
+            market = inst if tight is None else restrict_to_edges(inst, tight)
             try:
-                crit_ok = is_popular_critical(
-                    inst, m, frozenset(ver["critical"]), bound=args.oracle_bound
-                ).popular
+                crit_ok = is_popular_critical(market, m, crit, bound=args.oracle_bound).popular
             except InstanceError:
                 crit_ok = False
             if not crit_ok:

@@ -4,8 +4,9 @@ Agents are vertices of a multigraph and rank their *incident edges*
 (parallel edges are distinct alternatives, so two agents may share
 several contracts). Matchings assign each edge a rational value with
 per-vertex sums at most one. Every quantity is an exact rational, never
-a float: valuations are `int`s when integral (as all parsed, generated
-and derived ones are), all else is `Fraction`; predicates compare exactly.
+a float: valuations are `int`s when integral (as all parsed and
+generated ones are; derived markets carry copy orders, not valuations),
+all else is `Fraction`; predicates compare exactly.
 
 Instances and matchings are immutable by convention once built: all
 operations here are pure functions of their inputs and safe to share

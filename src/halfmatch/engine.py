@@ -133,8 +133,9 @@ class StablePartitionCert:
     """A stable half-matching together with its support decomposition.
 
     ``ones`` lists the value-1 edges; ``odd_cycles`` the half-value
-    cycles as aligned (vertices, edge ids) tuples. Construction
-    re-verifies that no blocking edge exists.
+    cycles as aligned (vertices, edge ids) tuples. The dataclass checks
+    nothing itself: ``_partition`` certifies, through ``_blocked``, that no
+    copy blocks the matching before it builds one.
     """
 
     matching: dict[str, Fraction]

@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .core import (
+    ONE,
     Instance,
     InstanceError,
     Rational,
@@ -265,6 +266,25 @@ def _stats_record(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, Any]:
     }
 
 
+#: the verification fields each solve writes, by the solver tag it records
+SOLVER_CLAIMS: dict[str, tuple[str, ...]] = {
+    "solve-max-srti": ("mode", "blocking_edges", "stable"),
+    "solve-gamma": ("mode", "blocking_edges", "stable"),
+    "solve-max-pri": ("derived_stable",),
+    "solve-pop-crit": ("derived_stable", "critical", "critical_ok"),
+    "solve-pop-maxw": ("derived_stable", "weights_source", "weight", "dual_objective",
+                       "critical"),
+}
+_MODES = {"solve-max-srti": "weak", "solve-gamma": "gamma"}
+
+
+def result_weights(inst: Instance, source: str | None) -> dict[str, Fraction]:
+    """The edge weights of a maxw solve: ``unit`` ones, else the instance's."""
+    if source == "unit":
+        return {e.eid: ONE for e in inst.edges}
+    return dict(inst.weights or {})
+
+
 def serialize_result(result: Mapping[str, Any]) -> str:
     return _canonical_json(result)
 
@@ -294,11 +314,21 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
     must equal ``digest``, :func:`instance_digest` of ``inst``; the
     matching is re-validated, and the stats and per-solver verification
     summary are recomputed from scratch and compared field by field; a
-    recorded flag must be the JSON boolean it re-derives to.
+    recorded flag must be the JSON boolean it re-derives to. The recorded
+    solver tag decides which claims must be present (:data:`SOLVER_CLAIMS`),
+    so a file cannot skip a check by leaving its field out.
     """
     problems: list[str] = []
     if result.get("instance_digest") != digest:
         problems.append("instance digest mismatch")
+    solver = result.get("solver")
+    if not isinstance(solver, str) or solver not in SOLVER_CLAIMS:
+        return problems + [f"unknown solver tag {solver!r}"]
+    ver = result.get("verification", {})
+    problems += [f"verification lacks the {key!r} claim"
+                 for key in SOLVER_CLAIMS[solver] if key not in ver]
+    if solver in _MODES and ver.get("mode") != _MODES[solver]:
+        problems.append(f"mode is not {_MODES[solver]!r}, the mode {solver} writes")
     try:
         m = parse_matching(result.get("matching", {}))
     except InstanceError as exc:
@@ -315,7 +345,6 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         if type(got) is not type(val) or got != val:  # 1 == True, but 1 is no flag
             problems.append(f"stats field {key!r} does not re-derive")
 
-    ver = result.get("verification", {})
     mode = ver.get("mode")
     if mode in ("weak", "gamma"):
         bad = blocking_edges(inst, m, mode)
@@ -340,11 +369,10 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
             problems.append(f"critical vertices left open: {open_crit}")
         if ver.get("critical_ok", not open_crit) is not (not open_crit):
             problems.append("critical_ok flag does not re-derive")
+    if ver.get("weights_source", "instance") not in ("instance", "unit"):
+        problems.append("weights_source is neither 'instance' nor 'unit'")
     if "weight" in ver:
-        if ver.get("weights_source") == "unit":
-            w: Mapping[str, Fraction] = {e.eid: Fraction(1) for e in inst.edges}
-        else:
-            w = inst.weights or {}
+        w = result_weights(inst, ver.get("weights_source"))
         got = format_rational(sum((w.get(eid, ZERO) * val for eid, val in m.items()), ZERO))
         if got != ver["weight"]:
             problems.append("recorded weight does not re-derive")

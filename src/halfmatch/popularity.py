@@ -134,16 +134,13 @@ def _two_row_transport(sup, dem, cost):
 
 
 def _simplex_transport(sup, dem, cost):
+    # cell i*k + j ships from supply i to demand j
     cells = [(s, d) for s, _ in sup for d, _ in dem]
     costs = [Fraction(cost(s, d)) for s, d in cells]
-    rows = []
-    rhs = []
-    for s, val in sup:
-        rows.append([ONE if cs == s else ZERO for cs, _ in cells])
-        rhs.append(val)
-    for d, val in dem:
-        rows.append([ONE if cd == d else ZERO for _, cd in cells])
-        rhs.append(val)
+    k = len(dem)
+    rows = [{i * k + j: ONE for j in range(k)} for i in range(len(sup))]
+    rows += [{i * k + j: ONE for i in range(len(sup))} for j in range(k)]
+    rhs = [val for _, val in sup + dem]
     x, value = simplex.solve_min(costs, rows, rhs)
     plan = {cells[i]: x[i] for i in range(len(cells)) if x[i] != 0}
     return value, plan
@@ -182,10 +179,15 @@ def delta_feasible(
     N-surplus at vote costs; the axioms constrain vertices independently,
     so the global minimum is the sum of the per-vertex optima.
     """
-    inst.require_strict("delta over feasible pairings")
-    check_matching(inst, m)
-    check_matching(inst, n)
+    _require(inst, "delta over feasible pairings", m, n)
     return _delta_feasible(inst, m, n)
+
+
+def _require(inst: Instance, what: str, *matchings: Mapping[str, Fraction]) -> None:
+    """The comparisons' input rule: strict preferences, then valid matchings."""
+    inst.require_strict(what)
+    for m in matchings:
+        check_matching(inst, m)
 
 
 def _delta_feasible(
@@ -270,9 +272,7 @@ def delta_sensible(
     by M admit no unmatched-on-the-left mass, and vertices saturated by
     N none on the right.
     """
-    inst.require_strict("delta over sensible pairings")
-    check_matching(inst, m)
-    check_matching(inst, n)
+    _require(inst, "delta over sensible pairings", m, n)
     footprint = sum((len(inst.incident(v)) + 1) ** 2 for v in inst.vertices)
     if footprint > SENSIBLE_LP_LIMIT:
         raise BoundExceeded(
@@ -307,15 +307,8 @@ def delta_sensible(
                 j = var(v, x, y)
                 costs[j] = costs.get(j, ZERO) + Fraction(vote(inst, v, x, y))
 
-    nvars = len(index)
-    cost_vec = [costs.get(j, ZERO) for j in range(nvars)]
-    dense = []
-    for row in rows:
-        arr = [ZERO] * nvars
-        for j, coef in row.items():
-            arr[j] = coef
-        dense.append(arr)
-    x, value = simplex.solve_min(cost_vec, dense, rhs)
+    cost_vec = [costs.get(j, ZERO) for j in range(len(index))]
+    x, value = simplex.solve_min(cost_vec, rows, rhs)
 
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {v: {} for v in inst.vertices}
     votes: dict[str, Fraction] = {v: ZERO for v in inst.vertices}
@@ -341,7 +334,7 @@ def delta_product(
     inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
 ) -> Fraction:
     """Vote mass under the independent product pairing of M and N."""
-    inst.require_strict("the product comparison")
+    _require(inst, "the product comparison", m, n)
     return _delta_product(inst, m, n)
 
 
@@ -425,8 +418,7 @@ def is_popular(
     elif scope != "half":
         raise ValueError(f"unknown popularity scope {scope!r}")
     # rivals are valid by construction: enumerated, or checked when sampled
-    inst.require_strict("delta over feasible pairings")
-    check_matching(inst, m)
+    _require(inst, "delta over feasible pairings", m)
     label = "popular (half-integral scope)" if scope == "half" else "popular (sampled scope)"
     return _scan(
         rivals, _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n), label
@@ -437,8 +429,7 @@ def is_popular_mixed(
     inst: Instance, m: Mapping[str, Fraction], bound: int = 10
 ) -> PopularityVerdict:
     """Whether no half-integral rival beats m under the product pairing."""
-    inst.require_strict("the product comparison")
-    check_matching(inst, m)
+    _require(inst, "the product comparison", m)
     return _scan(
         enumerate_half_matchings(inst, bound),
         lambda n: _delta_product(inst, m, n),
@@ -454,8 +445,7 @@ def is_popular_critical(
     bound: int = 10,
 ) -> PopularityVerdict:
     """Popularity restricted to rivals saturating the critical set."""
-    inst.require_strict("delta over feasible pairings")
-    check_matching(inst, m)
+    _require(inst, "delta over feasible pairings", m)
     crit = frozenset(critical)
     for v in crit:
         if not is_saturated(inst, m, v):

@@ -3,7 +3,8 @@
 Two-phase primal simplex on a dense tableau with Bland's smallest-index
 pivoting, which cannot cycle, so termination is guaranteed. Intended for
 the desk-scale problems in this package (a few hundred variables), not
-for serious LP work.
+for serious LP work. Each constraint row comes as a map from column to
+nonzero coefficient; only those entries are read into the dense tableau.
 
 Numbers enter and leave as Fractions, but the tableau holds Python ints
 and pivots fraction-free (Edmonds 1967, "Systems of distinct
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Mapping
 
 ZERO = Fraction(0)
 
@@ -57,28 +59,30 @@ class Unbounded(ValueError):
 
 def solve_min(
     costs: list[Fraction],
-    rows: list[list[Fraction]],
+    rows: list[Mapping[int, Fraction]],
     rhs: list[Fraction],
 ) -> tuple[list[Fraction], Fraction]:
     """Minimize costs*x subject to rows*x = rhs, x >= 0.
 
-    Returns (x, objective value) at an optimal basic solution.
+    Each row maps a column in 0..len(costs)-1 to its nonzero coefficient,
+    absent columns being zero. Returns (x, value) at an optimal basic solution.
     """
     m, n = len(rows), len(costs)
-    if any(len(r) != n for r in rows) or len(rhs) != m:
+    if len(rhs) != m or any(not 0 <= j < n for row in rows for j in row):
         raise ValueError("inconsistent LP dimensions")
 
-    scale = lcm(*{a.denominator for row in rows for a in row},
+    scale = lcm(*{a.denominator for row in rows for a in row.values()},
                 *{b.denominator for b in rhs})
-    tableau = []
-    for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
-        *row, b = _integers(list(rows[i]) + [rhs[i]], sign * scale)
-        art = [0] * m
-        art[i] = 1
-        tableau.append(row + art + [b])
-    lp = _Tableau(tableau, list(range(n, n + m)))
     width = n + m
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        k = -scale if b < 0 else scale
+        t = [0] * width + [b.numerator * (k // b.denominator)]
+        t[n + i] = 1
+        for j, a in row.items():
+            t[j] = a.numerator * (k // a.denominator)
+        tableau.append(t)
+    lp = _Tableau(tableau, list(range(n, width)))
 
     # phase 1: minimize the artificial mass
     z = lp.objective_row([0] * n + [1] * m)
@@ -96,7 +100,8 @@ def solve_min(
 
     # phase 2 on the real objective, artificial columns frozen
     cost_scale = lcm(*{c.denominator for c in costs})
-    z = lp.objective_row(_integers(costs, cost_scale) + [0] * m)
+    z = lp.objective_row([c.numerator * (cost_scale // c.denominator) for c in costs]
+                         + [0] * m)
     lp.iterate(z, n)
 
     x = [ZERO] * n
@@ -105,11 +110,6 @@ def solve_min(
             x[lp.basis[i]] = Fraction(lp.rows[i][width], lp.den[i])
     value = sum((costs[j] * x[j] for j in range(n)), ZERO)
     return x, value
-
-
-def _integers(values, scale):
-    """The values times scale, as ints; scale is a multiple of every denominator."""
-    return [a.numerator * (scale // a.denominator) for a in values]
 
 
 class _Tableau:

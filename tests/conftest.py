@@ -65,6 +65,11 @@ def single_edge():
     )
 
 
+def sparse(rows):
+    """Dense LP rows as the column maps ``simplex.solve_min`` takes."""
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
 def make_path(prefs_b_first="a"):
     """Path a-b-c where b prefers its `prefs_b_first` neighbour."""
     b_pref = {"ab": 2, "bc": 1} if prefs_b_first == "a" else {"ab": 1, "bc": 2}

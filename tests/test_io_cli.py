@@ -25,6 +25,7 @@ from halfmatch.io import (
     save_instance,
     serialize_instance,
     serialize_result,
+    _stats_record,
 )
 
 F = Fraction
@@ -367,6 +368,99 @@ def test_cli_verify_rejects_a_flag_of_the_wrong_type(tmp_path, capsys, section, 
     res_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(verify) == 1
+    assert message in capsys.readouterr().err
+
+
+def _solved(tmp_path, generate, tag):
+    """An instance from ``generate`` flags, its path and ``tag``'s result file."""
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", *generate, "--output", str(inst_path)]) == 0
+    assert main([tag, "--input", str(inst_path), "--output", str(res_path)]) == 0
+    return load_instance(str(inst_path)), inst_path, res_path
+
+
+def _rewrite(inst, res_path, doc):
+    """Write doc back with its stats re-derived from its matching."""
+    m = {eid: parse_rational(val) for eid, val in doc["matching"].items()}
+    doc["stats"] = _stats_record(inst, m)
+    res_path.write_text(json.dumps(doc))
+
+
+def test_cli_verify_accepts_maxw_results_under_the_oracle(tmp_path, capsys):
+    # popular among maximum-weight rivals, not among all critical ones: on
+    # seed 7 some critical rival beats the output by 3, but no maximum-weight one
+    for seed in range(1, 41):
+        _, inst_path, res_path = _solved(
+            tmp_path, ["--seed", str(seed), "--n", "5", "--edge-density", "0.6",
+                       "--weight-min", "1", "--weight-max", "5"], "solve-pop-maxw")
+        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
+                     "--oracle-bound", "10"]) == 0, seed
+    capsys.readouterr()
+
+
+def test_cli_verify_rejects_a_maxw_result_below_the_maximum(tmp_path, capsys):
+    inst, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "2", "--n", "8", "--weight-min", "1", "--weight-max", "9"],
+        "solve-pop-maxw")
+    doc = json.loads(res_path.read_text())
+    assert doc["verification"]["weight"] == "24"
+    doc["matching"] = {}
+    doc["verification"].update(weight="0", dual_objective="0", critical=[])
+    _rewrite(inst, res_path, doc)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 1
+    err = capsys.readouterr().err
+    assert "recorded weight is not the maximum weight" in err
+    assert "critical set is not the dual's" in err
+
+
+def test_cli_verify_demands_every_claim_of_the_solver(tmp_path, capsys):
+    # an srti file that keeps no claim, with an empty matching every edge blocks
+    inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "8"],
+                                        "solve-max-srti")
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    doc = json.loads(res_path.read_text())
+    doc["verification"], doc["matching"] = {}, {}
+    _rewrite(inst, res_path, doc)
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert "verification lacks the 'stable' claim" in capsys.readouterr().err
+
+    # a crit file without its critical set, leaving a critical vertex open
+    inst, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "2", "--n", "12", "--weight-min", "1", "--weight-max", "9",
+                   "--critical-count", "2"], "solve-pop-crit")
+    doc = json.loads(res_path.read_text())
+    assert doc["verification"]["critical"] == ["v07", "v08"]
+    del doc["verification"]["critical"], doc["verification"]["critical_ok"]
+    doc["matching"] = {eid: val for eid, val in doc["matching"].items()
+                       if "v07" not in (inst.edge(eid).u, inst.edge(eid).v)}
+    _rewrite(inst, res_path, doc)
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert "verification lacks the 'critical' claim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag, key, value, message", [
+    ("solve-max-srti", "solver", "solve-max-anything", "unknown solver tag"),
+    ("solve-max-srti", "solver", ["solve-max-srti"], "unknown solver tag"),
+    ("solve-max-srti", "mode", "gamma", "mode is not 'weak'"),
+    ("solve-gamma", "mode", "weak", "mode is not 'gamma'"),
+    ("solve-pop-maxw", "weights_source", "bogus", "weights_source is neither"),
+])
+def test_cli_verify_reads_the_claims_off_the_solver_tag(tmp_path, capsys, tag, key,
+                                                        value, message):
+    _, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "3", "--n", "8", "--gamma-preset", "generic",
+                   "--weight-min", "1", "--weight-max", "4"], tag)
+    doc = json.loads(res_path.read_text())
+    if key == "solver":
+        doc["solver"] = value
+    else:
+        doc["verification"][key] = value
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 1
     assert message in capsys.readouterr().err
 
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfmatch.core import (
-    HALF, ONE, ZERO, InstanceError, check_matching, is_saturated, matching_size,
-    validate_instance, vertex_load,
+    HALF, ONE, ZERO, InstanceError, MatchingError, check_matching, is_saturated,
+    matching_size, validate_instance, vertex_load,
 )
 from halfmatch.engine import enumerate_half_matchings, stable_half_matching
 from halfmatch.generate import generate_random
+from halfmatch.solvers import solve_max_pri
 from halfmatch import popularity, simplex
 from halfmatch.popularity import (
     DeltaResult,
@@ -36,7 +37,7 @@ from halfmatch.popularity import (
     vote,
 )
 
-from conftest import make_path, make_triangle
+from conftest import make_path, make_triangle, sparse
 
 F = Fraction
 H = HALF
@@ -233,7 +234,7 @@ def monolithic_feasible_delta(inst, m, n):
         rows.append(empty_row)
         rhs.append(max(load_n - load_m, ZERO))
         costs = [F(vote(inst, v, x, y)) for x, y in cells]
-        _, val = simplex.solve_min(costs, rows, rhs)
+        _, val = simplex.solve_min(costs, sparse(rows), rhs)
         total += val
     return total
 
@@ -304,6 +305,23 @@ def test_sensible_witness_satisfies_marginals(five_agent_market):
 def test_product_pairing_fixture(five_agent_market):
     inst, m, rival = five_agent_market
     assert delta_product(inst, m, rival) == 0
+
+
+def test_comparisons_share_one_input_rule():
+    # an overloaded rival and an unknown edge id: delta_product used to
+    # return -8 and 6 where the other two comparisons raise
+    inst = generate_random(5, 6, edge_density=0.5)
+    m = solve_max_pri(inst)
+    for rival in ({e.eid: ONE for e in inst.edges}, {"nope": ONE}):
+        for compare in (delta_feasible, delta_sensible, delta_product):
+            with pytest.raises(MatchingError):
+                compare(inst, m, rival)
+            with pytest.raises(MatchingError):
+                compare(inst, rival, m)
+    tied = generate_random(5, 6, edge_density=0.5, tie_prob=0.9)
+    for compare in (delta_feasible, delta_sensible, delta_product):
+        with pytest.raises(InstanceError, match="strict"):
+            compare(tied, {}, {"nope": ONE})  # strictness is checked first
 
 
 # -- popularity verdicts ---------------------------------------------------------

@@ -11,6 +11,8 @@ from halfmatch.generate import generate_random
 from halfmatch.popularity import delta_sensible
 from halfmatch.simplex import Infeasible, Unbounded, solve_min
 
+from conftest import sparse
+
 F = Fraction
 
 
@@ -18,7 +20,7 @@ def test_simple_minimum():
     # min x + 2y st x + y = 3, x <= 2 (as x + s = 2)
     x, val = solve_min(
         [F(1), F(2), F(0)],
-        [[F(1), F(1), F(0)], [F(1), F(0), F(1)]],
+        sparse([[F(1), F(1), F(0)], [F(1), F(0), F(1)]]),
         [F(3), F(2)],
     )
     assert val == 4 and x[0] == 2 and x[1] == 1
@@ -28,7 +30,7 @@ def test_degenerate_and_negative_rhs():
     # rows may arrive with negative right-hand sides
     x, val = solve_min(
         [F(1), F(1)],
-        [[F(-1), F(-1)]],
+        sparse([[F(-1), F(-1)]]),
         [F(-2)],
     )
     assert val == 2 and x[0] + x[1] == 2
@@ -36,20 +38,20 @@ def test_degenerate_and_negative_rhs():
 
 def test_infeasible():
     with pytest.raises(Infeasible):
-        solve_min([F(1)], [[F(1)], [F(1)]], [F(1), F(2)])
+        solve_min([F(1)], sparse([[F(1)], [F(1)]]), [F(1), F(2)])
 
 
 def test_unbounded():
     # min -x st x - y = 0: x can grow forever
     with pytest.raises(Unbounded):
-        solve_min([F(-1), F(0)], [[F(1), F(-1)]], [F(0)])
+        solve_min([F(-1), F(0)], sparse([[F(1), F(-1)]]), [F(0)])
 
 
 def test_fractional_optimum_exact():
     # min -x - y st 2x + y = 1, x + 2y = 1 -> x = y = 1/3
     x, val = solve_min(
         [F(-1), F(-1)],
-        [[F(2), F(1)], [F(1), F(2)]],
+        sparse([[F(2), F(1)], [F(1), F(2)]]),
         [F(1), F(1)],
     )
     assert x == [F(1, 3), F(1, 3)] and val == F(-2, 3)
@@ -58,10 +60,20 @@ def test_fractional_optimum_exact():
 def test_redundant_row_is_tolerated():
     x, val = solve_min(
         [F(1), F(1)],
-        [[F(1), F(1)], [F(2), F(2)]],
+        sparse([[F(1), F(1)], [F(2), F(2)]]),
         [F(1), F(2)],
     )
     assert val == 1
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([{2: F(1)}], [F(1)]),  # a column past the last cost
+    ([{-1: F(1)}], [F(1)]),
+    ([{0: F(1)}], [F(1), F(2)]),  # one rhs too many
+])
+def test_rows_name_columns_of_the_program(rows, rhs):
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        solve_min([F(1), F(1)], rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,7 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps(monkeypatch):
         want_pivots = []
         want = _outcome(partial(_fraction_tableau, pivots=want_pivots), costs, rows, rhs)
         pivots.clear()
-        got = _outcome(solve_min, costs, rows, rhs)
+        got = _outcome(solve_min, costs, sparse(rows), rhs)
         assert got == want, (costs, rows, rhs)
         assert [(r, c) for r, c, _ in pivots] == want_pivots, (costs, rows, rhs)
         seen["negative pivot"] += any(p < 0 for _, _, p in pivots)
@@ -222,7 +234,7 @@ def test_leftover_artificial_pivots_out_on_a_negative_entry(monkeypatch):
     rows = [[F(-1), F(1), F(0)], [F(1), F(-1), F(0)], [F(0), F(0), F(1)]]
     rhs = [F(0), F(0), F(1)]
     pivots = _record_pivots(monkeypatch)
-    assert solve_min(costs, rows, rhs) == ([F(0), F(0), F(1)], F(1))
+    assert solve_min(costs, sparse(rows), rhs) == ([F(0), F(0), F(1)], F(1))
     assert [(r, c) for r, c, _ in pivots] == [(2, 2), (0, 0)]
     assert pivots[1][2] < 0
     want_pivots = []
@@ -238,6 +250,9 @@ def test_delta_sensible_matches_the_fraction_oracle(monkeypatch):
     pairs = list(itertools.product(rivals, repeat=2))[::11]
     assert len(pairs) >= 100
     got = [delta_sensible(inst, m, n) for m, n in pairs]
-    monkeypatch.setattr(simplex, "solve_min", _fraction_tableau)
+    densified = lambda costs, rows, rhs: _fraction_tableau(
+        costs, [[row.get(j, F(0)) for j in range(len(costs))] for row in rows], rhs
+    )
+    monkeypatch.setattr(simplex, "solve_min", densified)
     want = [delta_sensible(inst, m, n) for m, n in pairs]
     assert got == want
