@@ -9,6 +9,7 @@ always produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import InstanceError, MatchingError, matching_size
@@ -43,8 +44,7 @@ from .solvers import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InstanceError, MatchingError, InfeasibleCritical, BoundExceeded, OSError) as exc:
@@ -55,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfmatch",

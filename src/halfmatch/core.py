@@ -6,7 +6,9 @@ several contracts). Matchings assign each edge a rational value with
 per-vertex sums at most one. Every quantity is an exact rational, never
 a float: valuations are `int`s when integral (as all parsed and
 generated ones are; derived markets carry copy orders, not valuations),
-all else is `Fraction`; predicates compare exactly.
+all else is `Fraction`; predicates compare exactly. The predicates that
+read a matching's masses scale it once by the lcm d of its value
+denominators and sum each vertex's load as an integer over d.
 
 Instances and matchings are immutable by convention once built: all
 operations here are pure functions of their inputs and safe to share
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Rational = int | str | Fraction
@@ -285,23 +288,50 @@ def matching_size(m: Mapping[str, Fraction]) -> Fraction:
     return sum(m.values(), ZERO)
 
 
+def _loads(inst: Instance, m: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """m scaled once: the lcm d of its value denominators, and every
+    vertex's load times d, in canonical vertex order.
+
+    Values on edges the instance lacks are skipped.
+    """
+    d = lcm(*(val.denominator for val in m.values()))
+    load = dict.fromkeys(inst.vertices, 0)
+    by_id = inst._by_id
+    for eid, val in m.items():
+        e = by_id.get(eid)
+        if e is not None:
+            x = val.numerator * (d // val.denominator)
+            load[e.u] += x
+            load[e.v] += x
+    return d, load
+
+
 def vertex_load(inst: Instance, m: Mapping[str, Fraction], v: str) -> Fraction:
-    return sum((m[eid] for eid in inst.incident(v) if eid in m), ZERO)
+    d, load = _loads(inst, {eid: m[eid] for eid in inst.incident(v) if eid in m})
+    return Fraction(load[v], d)
 
 
 def check_matching(inst: Instance, m: Mapping[str, Fraction], half: bool = False) -> None:
-    """Raise :class:`MatchingError` unless m is a valid (half-)matching."""
+    """Raise :class:`MatchingError` unless m is a valid (half-)matching.
+
+    Each value p/q is checked on its own numerator and denominator, in
+    m's order; only then are the loads summed, as integers over the lcm
+    d of the denominators, and the first vertex in canonical order whose
+    load exceeds d is named.
+    """
     for eid, val in m.items():
         if eid not in inst._by_id:
             raise MatchingError(f"value for unknown edge {eid!r}")
         if not isinstance(val, Fraction):
             raise MatchingError(f"value of {eid!r} is not an exact rational")
-        if val < 0 or val > 1:
+        p, q = val.numerator, val.denominator
+        if p < 0 or p > q:
             raise MatchingError(f"value of {eid!r} outside [0, 1]")
-        if half and val not in (ZERO, HALF, ONE):
+        if half and q > 2:  # in lowest terms, so p/q is 0, 1/2 or 1
             raise MatchingError(f"value of {eid!r} is not in {{0, 1/2, 1}}")
-    for v in inst.vertices:
-        if vertex_load(inst, m, v) > 1:
+    d, load = _loads(inst, m)
+    for v, x in load.items():
+        if x > d:
             raise MatchingError(f"vertex {v!r} exceeds unit load")
 
 
@@ -313,26 +343,30 @@ def is_saturated(inst: Instance, m: Mapping[str, Fraction], v: str) -> bool:
     return vertex_load(inst, m, v) == 1
 
 
+def saturated_vertices(inst: Instance, m: Mapping[str, Fraction]) -> set[str]:
+    """The vertices m saturates, from one pass over m."""
+    d, load = _loads(inst, m)
+    return {v for v, x in load.items() if x == d}
+
+
 def _assigned(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, int | Fraction]:
-    """Every agent's assigned value, in one pass over the support of m.
+    """Every agent's assigned value, from m's loads and one pass over its support.
 
     Saturated agents are valued by the minimum over edges they hold with
     positive weight; unsaturated agents by ``pref_empty``.
     """
     pref = inst.pref
-    load: dict[str, Fraction] = {}
+    d, load = _loads(inst, m)
     worst: dict[str, int | Fraction] = {}
     for eid, val in m.items():
         e = inst._by_id.get(eid)
-        if e is None:
+        if e is None or val.numerator <= 0:
             continue
-        positive = val > 0
         for x in (e.u, e.v):
-            load[x] = load.get(x, ZERO) + val
-            if positive and (x not in worst or pref[x][eid] < worst[x]):
+            if x not in worst or pref[x][eid] < worst[x]:
                 worst[x] = pref[x][eid]
     assigned = dict(inst.pref_empty)
-    assigned.update((x, p) for x, p in worst.items() if load[x] == 1)
+    assigned.update((x, p) for x, p in worst.items() if load[x] == d)
     return assigned
 
 
@@ -391,7 +425,8 @@ def matching_stats(
 ) -> MatchingStats:
     """Aggregate size, saturation, integrality and critical coverage of m."""
     crit = frozenset(critical) if critical is not None else inst.critical
-    sat = tuple(v for v in inst.vertices if is_saturated(inst, m, v))
+    d, load = _loads(inst, m)
+    sat = tuple(v for v, x in load.items() if x == d)
     sat_set = set(sat)
     return MatchingStats(
         size=matching_size(m),

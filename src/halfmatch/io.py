@@ -35,7 +35,6 @@ from .core import (
     ZERO,
     blocking_edges,
     check_matching,
-    is_saturated,
     matching_stats,
     validate_instance,
 )
@@ -131,6 +130,8 @@ def parse_instance_text(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceError("an instance file must hold a JSON object")
     for key in ("vertices", "edges", "prefs"):
@@ -212,7 +213,11 @@ def parse_instance_text(text: str) -> Instance:
 
 def load_instance(path: str) -> Instance:
     with open(path, encoding="utf-8") as fh:
-        return parse_instance_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"instance file is not UTF-8 text: {exc}") from exc
+    return parse_instance_text(text)
 
 
 def save_instance(inst: Instance, path: str) -> None:
@@ -295,6 +300,10 @@ def load_result(path: str) -> dict[str, Any]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"result file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"result file is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise InstanceError("result file is not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceError("a result file must hold a JSON object")
     for key in ("matching", "stats", "verification"):
@@ -340,7 +349,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         return problems
 
     recorded = result.get("stats", {})
-    for key, val in _stats_record(inst, m).items():
+    stats = _stats_record(inst, m)
+    for key, val in stats.items():
         got = recorded.get(key)
         if type(got) is not type(val) or got != val:  # 1 == True, but 1 is no flag
             problems.append(f"stats field {key!r} does not re-derive")
@@ -364,7 +374,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         unknown = [v for v in crit if v not in known]
         if unknown:
             problems.append(f"critical set names unknown vertices: {unknown}")
-        open_crit = [v for v in crit if v in known and not is_saturated(inst, m, v)]
+        full = set(stats["saturated"])
+        open_crit = [v for v in crit if v in known and v not in full]
         if open_crit:
             problems.append(f"critical vertices left open: {open_crit}")
         if ver.get("critical_ok", not open_crit) is not (not open_crit):

@@ -37,8 +37,8 @@ from .core import (
     Instance,
     InstanceError,
     check_matching,
-    is_saturated,
     matching_size,
+    saturated_vertices,
 )
 from .engine import BoundExceeded, enumerate_half_matchings
 from . import simplex
@@ -291,10 +291,11 @@ def delta_sensible(
     rhs: list[Fraction] = []
     costs: dict[int, Fraction] = {}
 
+    m_full, n_full = saturated_vertices(inst, m), saturated_vertices(inst, n)
     for v in inst.vertices:
         items: list[Item] = list(inst.incident(v))
-        m_side: list[Item] = items + ([] if is_saturated(inst, m, v) else [None])
-        n_side: list[Item] = items + ([] if is_saturated(inst, n, v) else [None])
+        m_side: list[Item] = items + ([] if v in m_full else [None])
+        n_side: list[Item] = items + ([] if v in n_full else [None])
         for eid in inst.incident(v):
             rows.append({var(v, eid, y): ONE for y in n_side})
             rhs.append(m.get(eid, ZERO))
@@ -447,13 +448,14 @@ def is_popular_critical(
     """Popularity restricted to rivals saturating the critical set."""
     _require(inst, "delta over feasible pairings", m)
     crit = frozenset(critical)
+    m_full = saturated_vertices(inst, m)
     for v in crit:
-        if not is_saturated(inst, m, v):
+        if v not in m_full:
             raise InstanceError(f"matching does not saturate critical vertex {v!r}")
     rivals = (
         n
         for n in enumerate_half_matchings(inst, bound)
-        if all(is_saturated(inst, n, v) for v in crit)
+        if crit <= saturated_vertices(inst, n)
     )
     return _scan(
         rivals, _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n),

@@ -35,7 +35,7 @@ from .core import (
     Instance,
     VerificationFailed,
     blocking_edges,
-    is_saturated,
+    saturated_vertices,
     validate_instance,
 )
 from .cover import (
@@ -189,7 +189,7 @@ def solve_pop_crit(
     """
     crit = frozenset(critical)
     out = _run_pipeline(build_crit_reduction(inst, crit))  # rejects unknown vertices
-    open_crit = [v for v in sorted(crit) if not is_saturated(inst, out, v)]
+    open_crit = sorted(crit - saturated_vertices(inst, out))
     if open_crit and not max_cardinality_saturating(double_cover(inst), crit):
         raise InfeasibleCritical("no fractional matching saturates the critical set")
     if open_crit:

@@ -11,6 +11,8 @@ from halfmatch.core import (
     ZERO,
     InstanceError,
     MatchingError,
+    MatchingStats,
+    _assigned,
     assigned_value,
     blocking_edges,
     check_matching,
@@ -22,6 +24,7 @@ from halfmatch.core import (
 )
 from halfmatch.generate import generate_random
 from halfmatch.io import parse_instance_text, serialize_instance
+from halfmatch.popularity import sample_fractional_matchings
 from halfmatch.reductions import (
     build_crit_reduction,
     build_gamma_reduction,
@@ -353,6 +356,130 @@ def test_blocking_kernel_matches_reference():
     assert all(count >= 20 for count in kinds.values()), kinds
 
 
+# -- the integer load kernel against the Fraction sums it replaced -----------
+#
+# check_matching, _assigned, vertex_load and matching_stats read a matching's
+# loads as integers over the lcm of its denominators. The Fraction-sum
+# versions they replaced are kept here unchanged as oracles.
+
+
+def _fraction_vertex_load(inst, m, v):
+    return sum((m[eid] for eid in inst.incident(v) if eid in m), ZERO)
+
+
+def _fraction_check_matching(inst, m, half=False):
+    for eid, val in m.items():
+        if eid not in inst._by_id:
+            raise MatchingError(f"value for unknown edge {eid!r}")
+        if not isinstance(val, F):
+            raise MatchingError(f"value of {eid!r} is not an exact rational")
+        if val < 0 or val > 1:
+            raise MatchingError(f"value of {eid!r} outside [0, 1]")
+        if half and val not in (ZERO, H, ONE):
+            raise MatchingError(f"value of {eid!r} is not in {{0, 1/2, 1}}")
+    for v in inst.vertices:
+        if _fraction_vertex_load(inst, m, v) > 1:
+            raise MatchingError(f"vertex {v!r} exceeds unit load")
+
+
+def _fraction_assigned(inst, m):
+    pref = inst.pref
+    load = {}
+    worst = {}
+    for eid, val in m.items():
+        e = inst._by_id.get(eid)
+        if e is None:
+            continue
+        positive = val > 0
+        for x in (e.u, e.v):
+            load[x] = load.get(x, ZERO) + val
+            if positive and (x not in worst or pref[x][eid] < worst[x]):
+                worst[x] = pref[x][eid]
+    assigned = dict(inst.pref_empty)
+    assigned.update((x, p) for x, p in worst.items() if load[x] == 1)
+    return assigned
+
+
+def _fraction_matching_stats(inst, m, critical=None):
+    crit = frozenset(critical) if critical is not None else inst.critical
+    sat = tuple(v for v in inst.vertices if _fraction_vertex_load(inst, m, v) == 1)
+    return MatchingStats(
+        size=matching_size(m),
+        saturated=sat,
+        unsaturated=tuple(v for v in inst.vertices if v not in set(sat)),
+        integral=all(val in (ZERO, ONE) for val in m.values()),
+        critical_ok=crit <= set(sat),
+    )
+
+
+#: one faulty value each; "third" is a fault only for half-matchings
+_VALUE_FAULTS = {"int": 1, "float": 0.5, "str": "1/2", "negative": F(-1, 3),
+                 "above": F(4, 3), "third": F(1, 3)}
+
+
+def _with_faults(rng, inst, m, faults):
+    """m with each named fault applied, entries in a shuffled order."""
+    m = dict(m)
+    eids = [e.eid for e in inst.edges]
+    rng.shuffle(eids)
+    for fault in faults:
+        if fault == "unknown":
+            m["stray"] = rng.choice([ONE, H, F(1, 3)])
+        elif fault == "overload":
+            v = rng.choice([v for v in inst.vertices if len(inst.incident(v)) > 1])
+            for eid in inst.incident(v):
+                m[eid] = F(2, 3)
+        else:
+            m[eids.pop()] = _VALUE_FAULTS[fault]
+    items = list(m.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_integer_loads_answer_as_the_fraction_sums():
+    rng = random.Random(15015)
+    faults = ["unknown", "overload", *_VALUE_FAULTS]
+    seen = {fault: 0 for fault in faults}
+    messages = {"valid": 0, "unknown edge": 0, "exact rational": 0, "outside": 0,
+                "not in": 0, "unit load": 0}
+    compared = 0
+    for seed in range(120):
+        inst = generate_random(seed, rng.randint(3, 8), edge_density=0.6,
+                               parallel_prob=0.3, tie_prob=0.4,
+                               critical_count=rng.randint(0, 3))
+        if not any(len(inst.incident(v)) > 1 for v in inst.vertices):
+            continue
+        valid = [_random_half_matching(rng, inst) for _ in range(3)]
+        valid += sample_fractional_matchings(inst, seed=seed, count=3)
+        # int values: check_matching rejects them, the load readers take them
+        valid.append({eid: int(val) for eid, val in valid[0].items() if val != H})
+        for base in valid:
+            cases = [base]
+            for count in (1, 1, 2):
+                chosen = rng.sample(faults, count)
+                for fault in chosen:
+                    seen[fault] += 1
+                cases.append(_with_faults(rng, inst, base, chosen))
+            for m in cases:
+                for half in (False, True):
+                    got = _outcome(check_matching, inst, m, half)
+                    assert got == _outcome(_fraction_check_matching, inst, m, half)
+                    text = "valid" if got is None else got[1]
+                    messages[next(k for k in messages if k in text)] += 1
+                if not all(type(val) in (int, F) for val in m.values()):
+                    continue
+                assert _assigned(inst, m) == _fraction_assigned(inst, m)
+                for v in inst.vertices:
+                    assert vertex_load(inst, m, v) == _fraction_vertex_load(inst, m, v)
+                crit = rng.choice([None, rng.sample(inst.vertices, 2)])
+                assert matching_stats(inst, m, crit) == _fraction_matching_stats(
+                    inst, m, crit)
+                compared += 1
+    assert compared >= 1500
+    assert all(count >= 100 for count in seen.values()), seen
+    assert all(count >= 150 for count in messages.values()), messages
+
+
 def test_parsed_and_derived_valuations_are_int():
     inst = generate_random(3, 8, edge_density=0.6, parallel_prob=0.3, tie_prob=0.4,
                            gamma_preset="generic")
@@ -406,8 +533,8 @@ def _oracle_is_strict(inst):
 def _outcome(query, *args):
     try:
         return query(*args)
-    except InstanceError as exc:
-        return ("InstanceError", str(exc))
+    except (InstanceError, MatchingError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def test_stored_order_answers_as_the_sort_based_queries():

@@ -14,6 +14,7 @@ from halfmatch.cli import main
 from halfmatch.core import ONE, InstanceError, validate_instance
 from halfmatch.generate import generate_random
 from halfmatch.io import (
+    SOLVER_CLAIMS,
     build_result,
     check_result,
     format_rational,
@@ -674,6 +675,35 @@ def test_solve_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, tag, 
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert main([tag, "--input", str(path), "--output", str(out)]) == 0
+
+
+_BAD_BYTES = {
+    "not-utf-8": b"\xff\xfe{}",
+    "deeply-nested": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("role", [*(f"{tag} --input" for tag in SOLVER_CLAIMS),
+                                  "verify --input", "verify --result"])
+@pytest.mark.parametrize("content", sorted(_BAD_BYTES))
+def test_cli_rejects_an_unreadable_file_as_bad_input(tmp_path, capsys, role, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_BAD_BYTES[content])
+    good = tmp_path / "inst.json"
+    good.write_text(json.dumps(_pair_market()))
+    result = tmp_path / "result.json"
+    assert main(["solve-max-srti", "--input", str(good), "--output", str(result)]) == 0
+    capsys.readouterr()
+    command, flag = role.split()
+    if command != "verify":
+        argv = [command, "--input", str(bad), "--output", str(tmp_path / "out.json")]
+    elif flag == "--input":
+        argv = ["verify", "--input", str(bad), "--result", str(result)]
+    else:
+        argv = ["verify", "--input", str(good), "--result", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 # -- fuzzing the CLI contract ---------------------------------------------------
