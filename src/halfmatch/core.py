@@ -8,7 +8,9 @@ a float: valuations are `int`s when integral (as all parsed and
 generated ones are; derived markets carry copy orders, not valuations),
 all else is `Fraction`; predicates compare exactly. The predicates that
 read a matching's masses scale it once by the lcm d of its value
-denominators and sum each vertex's load as an integer over d.
+denominators and sum each vertex's load as an integer over d; validation
+likewise scales every gamma threshold once, by the lcm of all threshold
+denominators.
 
 Instances and matchings are immutable by convention once built: all
 operations here are pure functions of their inputs and safe to share
@@ -72,6 +74,10 @@ class Instance:
     solvers may be required to saturate. ``_order[v]`` lists v's incident
     edges best first, ties in edge-id order, and ``_tied`` holds the vertices
     with a tie; validation computes them once for the queries to read.
+    It also checks each distinct threshold pair once and scales every pair
+    once, to ints over the lcm of all threshold denominators, for
+    :meth:`scaled_gamma` to return; ``_full_gamma`` records whether every
+    (edge, endpoint) has a pair.
     """
 
     vertices: tuple[str, ...]
@@ -86,6 +92,9 @@ class Instance:
     _tied: frozenset[str]
     _by_id: Mapping[str, Edge]
     _index: Mapping[str, int]
+    _gamma_d: int = 1
+    _gamma_scaled: Mapping[tuple[str, str], tuple[int, int]] | None = None
+    _full_gamma: bool = False
 
     # -- structure ----------------------------------------------------
 
@@ -146,12 +155,12 @@ class Instance:
         return self.gamma[(eid, v)]
 
     def has_full_gamma(self) -> bool:
-        if self.gamma is None:
-            return False
-        for e in self.edges:
-            if (e.eid, e.u) not in self.gamma or (e.eid, e.v) not in self.gamma:
-                return False
-        return True
+        return self._full_gamma
+
+    def scaled_gamma(self) -> tuple[int, Mapping[tuple[str, str], tuple[int, int]]]:
+        """The lcm d of all threshold denominators, and each key of ``gamma``
+        mapped to its pair times d, as ints (empty without thresholds)."""
+        return self._gamma_d, self._gamma_scaled or {}
 
 
 def validate_instance(
@@ -243,21 +252,35 @@ def validate_instance(
                 raise InstanceError(f"weight for unknown edge {eid!r}")
             w[eid] = _rat(val)
 
-    g = None
+    g = scaled = None
+    d = 1
     if gamma is not None:
-        g = {}
+        # a market repeats a few thresholds thousands of times: each distinct
+        # pair, keyed on its integers, is checked once and stored once
+        distinct: dict[tuple[int, int, int, int], int] = {}
+        pairs: list[tuple[Fraction, Fraction]] = []
+        which: dict[tuple[str, str], int] = {}
         for (eid, v), (lo, hi) in gamma.items():
-            if eid not in by_id:
+            e = by_id.get(eid)
+            if e is None:
                 raise InstanceError(f"gamma for unknown edge {eid!r}")
-            e = by_id[eid]
-            if v not in (e.u, e.v):
+            if v != e.u and v != e.v:
                 raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
             glo, ghi = _rat(lo), _rat(hi)
-            if not (0 < glo < ghi):
-                raise InstanceError(
-                    f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
-                )
-            g[(eid, v)] = (glo, ghi)
+            ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
+            i = distinct.get(ints)
+            if i is None:
+                if not (0 < glo < ghi):
+                    raise InstanceError(
+                        f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
+                    )
+                i = distinct[ints] = len(pairs)
+                pairs.append((glo, ghi))
+            which[(eid, v)] = i
+        d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
+        ints_of = [(p * (d // q), r * (d // s)) for p, q, r, s in distinct]
+        g = {key: pairs[i] for key, i in which.items()}
+        scaled = {key: ints_of[i] for key, i in which.items()}
 
     crit = frozenset(critical or ())
     unknown = crit - vset
@@ -277,6 +300,9 @@ def validate_instance(
         _tied=frozenset(tied),
         _by_id=by_id,
         _index={v: i for i, v in enumerate(vs)},
+        _gamma_d=d,
+        _gamma_scaled=scaled,
+        _full_gamma=g is not None and len(g) == 2 * len(es),
     )
 
 
@@ -400,12 +426,13 @@ def blocking_edges(
             if pref[u][eid] > assigned[u] and pref[v][eid] > assigned[v]
             and m.get(eid, ZERO) < 1
         ]
+    d, scaled = inst.scaled_gamma()
     out = []
     for eid, u, v in inst.edges:
-        du = pref[u][eid] - assigned[u]
-        dv = pref[v][eid] - assigned[v]
-        gu, deltau = inst.gamma[(eid, u)]
-        gv, deltav = inst.gamma[(eid, v)]
+        du = (pref[u][eid] - assigned[u]) * d
+        dv = (pref[v][eid] - assigned[v]) * d
+        gu, deltau = scaled[(eid, u)]
+        gv, deltav = scaled[(eid, v)]
         if (du >= gu and dv >= deltav) or (du >= deltau and dv >= gv):
             out.append(eid)
     return out

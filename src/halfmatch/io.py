@@ -90,11 +90,16 @@ def serialize_instance(inst: Instance) -> str:
         doc.append('  "critical": ' + _block([f"    {qv[v]}" for v in sorted(inst.critical)]))
     doc.append('  "edges": ' + _block(records))
     if inst.gamma:
+        d, scaled = inst.scaled_gamma()
+        pairs: dict[tuple[int, int], str] = {}  # each distinct scaled pair, written once
         sides: dict[str, list[str]] = {}
-        for (eid, v), (gam, delta) in sorted(inst.gamma.items()):
-            sides.setdefault(eid, []).append(
-                f'      {qv[v]}: {{\n        "delta": "{format_rational(delta)}",\n'
-                f'        "gamma": "{format_rational(gam)}"\n      }}')
+        for (eid, v), ints in sorted(scaled.items()):
+            pair = pairs.get(ints)
+            if pair is None:
+                gam, delta = (format_rational(Fraction(x, d)) for x in ints)
+                pair = pairs[ints] = (f'{{\n        "delta": "{delta}",\n'
+                                      f'        "gamma": "{gam}"\n      }}')
+            sides.setdefault(eid, []).append(f"      {qv[v]}: {pair}")
         doc.append('  "gamma": ' + _block(
             [f"    {qe[eid]}: " + _block(s, "    ", "{}") for eid, s in sides.items()],
             brackets="{}"))
@@ -118,10 +123,11 @@ def _located(text: str, token: str, message: str) -> InstanceError:
     return InstanceError(message)
 
 
-def _list_of(kind: type, items: Any, message: str) -> list:
-    """``items`` itself if it is a list of ``kind`` values, else InstanceError."""
+def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
+    """``items`` itself if it is a list of ``kind`` values, else InstanceError
+    with ``message.format(*args)``, formatted only then."""
     if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
-        raise InstanceError(message)
+        raise InstanceError(message.format(*args))
     return items
 
 
@@ -160,18 +166,18 @@ def parse_instance_text(text: str) -> Instance:
             ids = [record["id"], record["u"], record["v"]]
         except KeyError as exc:
             raise InstanceError(f"malformed edge record {record!r}") from exc
-        edges.append(_list_of(str, ids, f"edge record {record!r}: ids must be strings"))
+        edges.append(_list_of(str, ids, "edge record {!r}: ids must be strings", record))
         if "weight" in record:
             weights[record["id"]] = rational(record["weight"])
     known = {eid for eid, _, _ in edges}
 
     pref: dict[str, dict[str, int]] = {}
     for v, groups in doc["prefs"].items():
-        _list_of(list, groups, f"preference list of {v!r} must be a list of tie groups")
+        _list_of(list, groups, "preference list of {!r} must be a list of tie groups", v)
         vals: dict[str, int] = {}
         for depth, group in enumerate(groups):
-            _list_of(str, group, f"preference list of {v!r} must contain tie groups "
-                                 "(lists of edge ids)")
+            _list_of(str, group, "preference list of {!r} must contain tie groups "
+                                 "(lists of edge ids)", v)
             for eid in group:
                 if eid not in known:
                     raise _located(
@@ -189,10 +195,15 @@ def parse_instance_text(text: str) -> Instance:
     gamma = None
     if "gamma" in doc:
         gamma = {}
+        pairs: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}
         try:
             for eid, sides in doc["gamma"].items():
                 for v, pair in sides.items():
-                    gamma[(eid, v)] = (rational(pair["gamma"]), rational(pair["delta"]))
+                    texts = (pair["gamma"], pair["delta"])
+                    thresholds = pairs.get(texts)  # an unhashable text raises TypeError
+                    if thresholds is None:
+                        thresholds = pairs[texts] = tuple(map(rational, texts))
+                    gamma[(eid, v)] = thresholds
         except (KeyError, TypeError, AttributeError, InstanceError) as exc:
             raise InstanceError(
                 "malformed gamma section: each edge maps its endpoints to "

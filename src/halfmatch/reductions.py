@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
 from .core import (
@@ -111,19 +110,21 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
 
     Equal derived values order third before second before best copies;
     remaining ties and the trailing last copies follow edge-id order.
+    Every value is compared times the scale d of
+    :meth:`core.Instance.scaled_gamma`, against the thresholds scaled to
+    ints; a positive factor keeps the order and its ties.
     """
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
+    d, scaled = origin.scaled_gamma()
 
     def order_of(v, at):
-        values = {eid: (origin.pval(v, eid), *origin.gamma_of(eid, v)) for eid in at}
-        # scaled by the lcm of v's denominators, every sort key is an int
-        scale = lcm(*(x.denominator for triple in values.values() for x in triple))
+        pref = origin.pref[v]
         keep = []   # (-value, third 0 / second 1 / best 2, copy)
         tail = []   # last copies: by origin valuation, then edge id
-        for eid, triple in values.items():
-            p, gam, delta = (x.numerator * (scale // x.denominator) for x in triple)
-            first, last, low = at[eid]
+        for eid, (first, last, low) in at.items():
+            p = pref[eid] * d
+            gam, delta = scaled[(eid, v)]
             b, step = (first, 1) if low else (last, -1)  # v's r-th best is b + step*r
             keep += [(-p, 2, b), (gam - p, 1, b + step), (delta - p, 0, b + 2 * step)]
             tail.append((-p, b, b + 3 * step))

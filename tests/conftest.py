@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from halfmatch.core import validate_instance
+from halfmatch.generate import generate_random
 
 F = Fraction
 H = Fraction(1, 2)
@@ -78,3 +79,21 @@ def make_path(prefs_b_first="a"):
         edges=[("ab", "a", "b"), ("bc", "b", "c")],
         pref={"a": {"ab": 1}, "b": b_pref, "c": {"bc": 1}},
     )
+
+
+def rational_market(rng, seed):
+    """A generated market revalued with non-integral Fractions and a
+    negative unmatched value; ties and parallel edges survive."""
+    base = generate_random(seed, rng.randint(3, 7), edge_density=0.6,
+                           parallel_prob=0.3, tie_prob=0.4)
+    scale = F(rng.randint(1, 5), rng.randint(2, 4))
+    pref = {v: {eid: val * scale for eid, val in base.pref[v].items()}
+            for v in base.vertices}
+    pref_empty = {v: -F(rng.randint(0, 3), rng.randint(1, 3)) for v in base.vertices}
+    gamma = {}
+    for e in base.edges:
+        for x in (e.u, e.v):
+            lo = F(rng.randint(1, 6), rng.randint(1, 4))
+            gamma[(e.eid, x)] = (lo, lo + F(rng.randint(1, 4), rng.randint(1, 3)))
+    return validate_instance(list(base.vertices), [tuple(e) for e in base.edges],
+                             pref, pref_empty=pref_empty, gamma=gamma)

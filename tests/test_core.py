@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from halfmatch.reductions import (
 )
 from halfmatch.solvers import solve_max_gamma, solve_max_srti
 
-from conftest import make_path, make_triangle
+from conftest import make_path, make_triangle, rational_market
 from materialized import materialize
 
 F = Fraction
@@ -54,6 +55,70 @@ def test_gamma_equal_delta_rejected():
             pref={"a": {"e": 1}, "b": {"e": 1}},
             gamma={("e", "a"): (1, 1), ("e", "b"): (1, 2)},
         )
+
+
+def _triangle_with_gamma(gamma):
+    tri = make_triangle()
+    return validate_instance(list(tri.vertices), [tuple(e) for e in tri.edges],
+                             tri.pref, gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma, message", [
+    # the first bad entry in the mapping's order, not in sorted key order
+    pytest.param({("ca", "a"): (H, 1), ("ca", "c"): (2, 1), ("ab", "b"): (0, 1),
+                  ("bc", "b"): (1, 1)},
+                 "edge 'ca' at 'c': gamma must be positive and < delta", id="several-bad"),
+    pytest.param({("ab", "a"): (H, 1), ("zz", "a"): (H, 1), ("ab", "b"): (2, 1)},
+                 "gamma for unknown edge 'zz'", id="unknown-edge-before-a-bad-value"),
+    pytest.param({("ab", "a"): (H, 1), ("ab", "b"): (2, 1), ("ab", "c"): (H, 1)},
+                 "edge 'ab' at 'b': gamma must be positive and < delta",
+                 id="bad-value-before-a-foreign-endpoint"),
+    # a bad value met again is named where it first occurs
+    pytest.param({("bc", "c"): (H, 1), ("ca", "a"): (F(3, 2), F(6, 4)), ("ab", "a"): (H, 1),
+                  ("ab", "b"): (F(3, 2), F(3, 2))},
+                 "edge 'ca' at 'a': gamma must be positive and < delta", id="bad-value-repeats"),
+    # one value in three spellings: gamma equals delta however it is written
+    pytest.param({("ab", "a"): ("1/2", 1), ("ab", "b"): ("2/4", 1), ("bc", "b"): (F(1, 2), 1),
+                  ("bc", "c"): ("2/4", F(1, 2)), ("ca", "c"): ("1/2", "2/4")},
+                 "edge 'bc' at 'c': gamma must be positive and < delta",
+                 id="one-value-three-spellings"),
+])
+def test_validation_names_the_first_bad_threshold_entry(gamma, message):
+    with pytest.raises(InstanceError) as exc:
+        _triangle_with_gamma(gamma)
+    assert str(exc.value) == message
+
+
+def test_thresholds_are_scaled_once_over_one_denominator():
+    # one value in three spellings is one value, read and scaled alike
+    inst = _triangle_with_gamma({("ab", "a"): ("1/2", "3/2"), ("ab", "b"): ("2/4", F(3, 2)),
+                                 ("bc", "b"): (F(1, 2), "6/4")})
+    assert set(inst.gamma.values()) == {(H, F(3, 2))}
+    assert inst.scaled_gamma() == (2, dict.fromkeys(inst.gamma, (1, 3)))
+    assert not inst.has_full_gamma()
+    # the integers are the Fractions times the lcm of every threshold
+    # denominator, and fullness is the rescan over every (edge, endpoint)
+    rng = random.Random(1616)
+    full = partial = 0
+    for seed in range(60):
+        whole = rational_market(rng, seed)
+        keys = list(whole.gamma)
+        rng.shuffle(keys)
+        for kept in (keys, keys[:rng.randint(0, max(len(keys) - 1, 0))]):
+            inst = validate_instance(list(whole.vertices), [tuple(e) for e in whole.edges],
+                                     whole.pref, pref_empty=whole.pref_empty,
+                                     gamma={k: whole.gamma[k] for k in kept})
+            d, scaled = inst.scaled_gamma()
+            assert d == lcm(*(x.denominator for pair in inst.gamma.values() for x in pair))
+            assert scaled == {k: (g * d, dl * d) for k, (g, dl) in inst.gamma.items()}
+            assert all(type(x) is int for pair in scaled.values() for x in pair)
+            rescan = all((e.eid, x) in inst.gamma for e in inst.edges for x in (e.u, e.v))
+            assert inst.has_full_gamma() == rescan
+            full += rescan
+            partial += not rescan
+    assert full >= 60 and partial >= 50
+    assert not make_triangle().has_full_gamma() and make_triangle().scaled_gamma() == (1, {})
+    assert validate_instance(["a"], [], {}, gamma={}).has_full_gamma()
 
 
 def test_five_agent_market_valid(five_agent_market):
@@ -303,31 +368,13 @@ def _random_value_map(rng, inst):
     return m
 
 
-def _rational_market(rng, seed):
-    """A generated market revalued with non-integral Fractions and a
-    negative unmatched value; ties and parallel edges survive."""
-    base = generate_random(seed, rng.randint(3, 7), edge_density=0.6,
-                           parallel_prob=0.3, tie_prob=0.4)
-    scale = F(rng.randint(1, 5), rng.randint(2, 4))
-    pref = {v: {eid: val * scale for eid, val in base.pref[v].items()}
-            for v in base.vertices}
-    pref_empty = {v: -F(rng.randint(0, 3), rng.randint(1, 3)) for v in base.vertices}
-    gamma = {}
-    for e in base.edges:
-        for x in (e.u, e.v):
-            lo = F(rng.randint(1, 6), rng.randint(1, 4))
-            gamma[(e.eid, x)] = (lo, lo + F(rng.randint(1, 4), rng.randint(1, 3)))
-    return validate_instance(list(base.vertices), [tuple(e) for e in base.edges],
-                             pref, pref_empty=pref_empty, gamma=gamma)
-
-
 def test_blocking_kernel_matches_reference():
     rng = random.Random(20240)
     pairs = 0
     kinds = {"fraction": 0, "negative_empty": 0, "parallel": 0, "tie": 0, "gamma": 0}
     for seed in range(160):
         if seed % 2:
-            inst = _rational_market(rng, seed)
+            inst = rational_market(rng, seed)
         else:
             inst = generate_random(seed, rng.randint(3, 8), edge_density=0.5,
                                    parallel_prob=0.3, tie_prob=0.4,
@@ -547,7 +594,7 @@ def test_stored_order_answers_as_the_sort_based_queries():
                                tie_prob=0.4, gamma_preset="generic")
         strict = generate_random(seed, n, edge_density=0.6, parallel_prob=0.3)
         markets["generated"] += [tied, strict]
-        markets["library"].append(_rational_market(rng, seed))
+        markets["library"].append(rational_market(rng, seed))
         markets["srti"].append(materialize(build_srti_reduction(tied)))
         markets["gamma"].append(materialize(build_gamma_reduction(tied)))
         markets["pri"].append(materialize(build_pri_reduction(strict)))

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from halfmatch.io import (
     serialize_result,
     _stats_record,
 )
+
+from conftest import rational_market
 
 F = Fraction
 
@@ -152,6 +155,22 @@ def test_instance_text_equals_the_json_dumps_form():
         text = serialize_instance(inst)
         assert text == json.dumps(_instance_doc(inst), sort_keys=True, indent=2) + "\n"
         assert serialize_instance(parse_instance_text(text)) == text
+
+
+def test_many_distinct_thresholds_are_written_as_json_dumps_writes_them():
+    # kept apart from the pinned markets, whose digest stays put: each
+    # distinct threshold pair is formatted once, over many denominators
+    rng = random.Random(1616)
+    values = set()
+    for seed in range(40):
+        inst = rational_market(rng, seed)
+        text = serialize_instance(inst)
+        assert text == json.dumps(_instance_doc(inst), sort_keys=True, indent=2) + "\n"
+        again = parse_instance_text(text)
+        assert again.gamma == inst.gamma
+        assert serialize_instance(again) == text
+        values |= set(inst.gamma.values())
+    assert len(values) >= 100
 
 
 def test_parse_rejects_unknown_edge_in_prefs_with_line():
@@ -505,6 +524,34 @@ def test_cli_rejects_out_of_range_generator_flags(capsys, argv):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+#: every (edge, endpoint) has thresholds, with denominators 2, 3, 5 and 7
+_GAMMA_2357 = {
+    "ab": {"a": {"gamma": "1/2", "delta": "3/2"}, "b": {"gamma": "1/3", "delta": "5/3"}},
+    "bc": {"b": {"gamma": "2/5", "delta": "7/5"}, "c": {"gamma": "3/7", "delta": "10/7"}},
+    "ca": {"c": {"gamma": "1/2", "delta": "4/3"}, "a": {"gamma": "3/5", "delta": "9/7"}},
+    "cd": {"c": {"gamma": "5/7", "delta": "6/5"}, "d": {"gamma": "2/3", "delta": "5/2"}},
+}
+
+
+def test_cli_gamma_thresholds_over_several_denominators(tmp_path, capsys):
+    doc = {"vertices": ["a", "b", "c", "d"],
+           "edges": [{"id": eid, "u": eid[0], "v": eid[1]} for eid in _GAMMA_2357],
+           "prefs": {"a": [["ab"], ["ca"]], "b": [["bc"], ["ab"]],
+                     "c": [["ca"], ["bc", "cd"]], "d": [["cd"]]},
+           "gamma": _GAMMA_2357}
+    path, out = tmp_path / "gamma.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert parse_instance_text(path.read_text()).scaled_gamma()[0] == 210
+    assert main(["solve-gamma", "--input", str(path), "--output", str(out)]) == 0
+    assert main(["verify", "--input", str(path), "--result", str(out)]) == 0
+    doc = copy.deepcopy(doc)
+    doc["gamma"]["ca"]["a"] = {"gamma": "3/5", "delta": "4/7"}  # 3/5 >= 4/7
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve-gamma", "--input", str(path), "--output", str(out)]) == 2
+    assert "edge 'ca' at 'a': gamma must be positive and < delta" in capsys.readouterr().err
 
 
 def _pair_market(**extra):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from halfmatch.reductions import (
 )
 
 import materialized
-from conftest import make_triangle
+from conftest import make_triangle, rational_market
 from materialized import lower_endpoint, materialize, strict_instance
 
 F = Fraction
@@ -320,6 +321,25 @@ def test_compact_orders_equal_the_materialized_builders():
             assert materialize(der).edges == want.inst.edges, label
             checked += 1
     assert checked == 300
+
+
+def test_gamma_orders_equal_the_materialized_builder_on_rational_markets():
+    # the generic preset has two threshold values over the denominator 2 and
+    # integer valuations; these markets have many thresholds over several
+    # denominators, Fraction valuations and negative unmatched values
+    rng = random.Random(1616)
+    values, scales, fraction_prefs = set(), set(), 0
+    for seed in range(80):
+        inst = rational_market(rng, seed)
+        der, want = build_gamma_reduction(inst), materialized.build_gamma_reduction(inst)
+        for v in inst.vertices:
+            assert derived_order(der, v) == want.inst.strict_order(v), seed
+        assert origin_of(der) == dict(want.origin_of), seed
+        assert materialize(der).edges == want.inst.edges, seed
+        values |= set(inst.gamma.values())
+        scales.add(inst.scaled_gamma()[0])
+        fraction_prefs += any(type(p) is F for v in inst.vertices for p in inst.pref[v].values())
+    assert len(values) >= 100 and max(scales) >= 12 and fraction_prefs >= 40
 
 
 @pytest.mark.parametrize("cid", ["e~x", "e~u2", "e~w1", "f~0", "e", "e~0~0", "~0"])
