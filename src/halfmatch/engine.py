@@ -132,14 +132,13 @@ def brute_force_max_stable(
 class StablePartitionCert:
     """A stable half-matching together with its support decomposition.
 
-    ``ones`` lists the value-1 edges; ``odd_cycles`` the half-value
-    cycles as aligned (vertices, edge ids) tuples. The dataclass checks
-    nothing itself: ``_partition`` certifies, through ``_blocked``, that no
-    copy blocks the matching before it builds one.
+    ``odd_cycles`` lists the half-value cycles as aligned (vertices,
+    edge ids) tuples. The dataclass checks nothing itself: ``_partition``
+    certifies, through ``_blocked``, that no copy blocks the matching
+    before it builds one.
     """
 
     matching: dict[str, Fraction]
-    ones: tuple[str, ...]
     odd_cycles: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
@@ -350,7 +349,6 @@ def _partition(market: CopyMarket, lists: list[list[int]], pu: list[int],
     name = market.copy_id
     return StablePartitionCert(
         matching={name(e): HALF if k == 1 else ONE for e, k in halves.items()},
-        ones=tuple(sorted(name(e) for e, k in halves.items() if k == 2)),
         odd_cycles=tuple((tuple(names[x] for x in verts), tuple(map(name, cycle)))
                          for verts, cycle in odd),
     )

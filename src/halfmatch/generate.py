@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Instance, validate_instance
+from .core import Instance, InstanceError, validate_instance
 
 GAMMA_PRESETS = ("none", "min-like", "max-like", "generic")
 
@@ -43,17 +43,21 @@ def generate_random(
     bipartite: bool = False,
     critical_count: int = 0,
 ) -> Instance:
-    """Sample a market. Deterministic for a fixed argument tuple."""
+    """Sample a market. Deterministic for a fixed argument tuple.
+
+    Raises :class:`InstanceError` (a ``ValueError``) on a bad argument.
+    """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InstanceError(f"n must be nonnegative, got {n}")
     if not 0 <= edge_density <= 1 or not 0 <= parallel_prob <= 1 or not 0 <= tie_prob <= 1:
-        raise ValueError("probabilities must lie in [0, 1]")
+        raise InstanceError("probabilities must lie in [0, 1]")
     if gamma_preset not in GAMMA_PRESETS:
-        raise ValueError(f"gamma_preset must be one of {GAMMA_PRESETS}")
+        raise InstanceError(f"gamma_preset must be one of {GAMMA_PRESETS}")
     if weight_range is not None and weight_range[0] > weight_range[1]:
-        raise ValueError("empty weight range")
-    if critical_count < 0 or critical_count > n:
-        raise ValueError("critical_count out of range")
+        raise InstanceError(f"empty weight range: minimum {weight_range[0]} > "
+                            f"maximum {weight_range[1]}")
+    if not 0 <= critical_count <= n:
+        raise InstanceError(f"critical_count {critical_count} is not in [0, n={n}]")
 
     rng = random.Random(f"halfmatch-{seed}")
     vertices = [f"v{i:02d}" for i in range(n)]

@@ -330,8 +330,10 @@ def load_result(path: str) -> dict[str, Any]:
 def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list[str]:
     """Re-derive everything a result file claims; returns the failures.
 
-    A clean re-verification returns an empty list. The recorded digest
-    must equal ``digest``, :func:`instance_digest` of ``inst``; the
+    Only ``verify`` calls it: a solve writes the claims its solver has
+    already certified, and this re-derives them independently. A clean
+    re-verification returns an empty list. The recorded digest must
+    equal ``digest``, :func:`instance_digest` of ``inst``; the
     matching is re-validated, and the stats and per-solver verification
     summary are recomputed from scratch and compared field by field; a
     recorded flag must be the JSON boolean it re-derives to. The recorded

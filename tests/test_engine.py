@@ -95,7 +95,7 @@ def test_bruteforce_tied_path():
 def test_engine_single_edge(single_edge):
     cert = stable_half_matching(single_edge)
     assert cert.matching == {"e": ONE}
-    assert cert.ones == ("e",) and cert.odd_cycles == ()
+    assert cert.odd_cycles == ()
 
 
 def test_engine_triangle(cyclic_triangle):
@@ -481,4 +481,4 @@ def _path_market(orders):
 def test_engine_rejects_an_order_that_misses_its_copies(orders, culprit):
     with pytest.raises(VerificationFailed, match=culprit):
         stable_half_matching(_path_market(orders))
-    assert stable_half_matching(_path_market([[0], [1, 0], [1]])).ones == ("bc",)
+    assert stable_half_matching(_path_market([[0], [1, 0], [1]])).matching == {"bc": ONE}

@@ -526,6 +526,40 @@ def test_cli_rejects_out_of_range_generator_flags(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": -1}, "n must be nonnegative"),
+    ({"edge_density": 1.5}, r"probabilities must lie in \[0, 1\]"),
+    ({"parallel_prob": -0.1}, r"probabilities must lie in \[0, 1\]"),
+    ({"tie_prob": 2}, r"probabilities must lie in \[0, 1\]"),
+    ({"gamma_preset": "huge"}, "gamma_preset must be one of"),
+    ({"weight_range": (5, 1)}, "empty weight range"),
+    ({"critical_count": 5}, "critical_count 5 is not in"),
+    ({"critical_count": -1}, "critical_count -1 is not in"),
+])
+def test_generator_rejects_a_bad_argument(kwargs, message):
+    args = {"n": 4, **kwargs}
+    with pytest.raises(InstanceError, match=message):
+        generate_random(1, **args)
+
+
+def test_solve_writes_its_solvers_claims_without_re_checking_them(tmp_path, monkeypatch):
+    """Every solve records what its solver certified; only `verify` re-derives it."""
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--seed", "2", "--n", "12", "--weight-min", "1", "--weight-max",
+                 "9", "--critical-count", "2", "--gamma-preset", "generic",
+                 "--output", str(inst)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("a solve re-derived its result with check_result")
+
+    monkeypatch.setattr("halfmatch.cli.check_result", refuse)
+    for tag in SOLVER_CLAIMS:
+        assert main([tag, "--input", str(inst), "--output", str(tmp_path / tag)]) == 0
+    monkeypatch.undo()
+    for tag in SOLVER_CLAIMS:
+        assert main(["verify", "--input", str(inst), "--result", str(tmp_path / tag)]) == 0
+
+
 #: every (edge, endpoint) has thresholds, with denominators 2, 3, 5 and 7
 _GAMMA_2357 = {
     "ab": {"a": {"gamma": "1/2", "delta": "3/2"}, "b": {"gamma": "1/3", "delta": "5/3"}},
