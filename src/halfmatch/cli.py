@@ -16,6 +16,7 @@ from .core import InstanceError, MatchingError, matching_size
 from .engine import BoundExceeded, brute_force_max_stable
 from .generate import GAMMA_PRESETS, generate_random
 from .io import (
+    MODES,
     SOLVER_CLAIMS,
     build_result,
     check_result,
@@ -150,12 +151,10 @@ def _cmd_solve(args) -> int:
 
     # each solver certifies every claim recorded below before it returns;
     # `verify` re-derives them all from the file, independently
-    if tag == "solve-max-srti":
-        m = solve_max_srti(inst)
-        verification = {"mode": "weak", "blocking_edges": [], "stable": True}
-    elif tag == "solve-gamma":
-        m = solve_max_gamma(inst)
-        verification = {"mode": "gamma", "blocking_edges": [], "stable": True}
+    if tag in MODES:
+        mode = MODES[tag]
+        m = solve_max_srti(inst) if mode == "weak" else solve_max_gamma(inst)
+        verification = {"mode": mode, "blocking_edges": [], "stable": True}
     elif tag == "solve-max-pri":
         m = solve_max_pri(inst)
         verification = {"derived_stable": True}

@@ -51,7 +51,16 @@ class Edge(NamedTuple):
 
 
 def _rat(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a ``Fraction``; anything but an int, a Fraction or a readable
+    string (a float or a bool, say) is an :class:`InstanceError`."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int or isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InstanceError(f"{x!r} is not an exact rational (an int, str or Fraction)")
 
 
 def _valuation(x: Rational) -> int | Fraction:

@@ -2,19 +2,22 @@
 
 Every graph G unfolds into a bipartite graph on two copies of its vertex
 set: each edge (u, v) becomes the two cover edges (u, v') and (v, u').
-A cover matching projects to a half-matching of G of half its size, and
-the cover's maximum weight is twice G's fractional one, which lets
-bipartite machinery (augmenting paths, dual potentials) answer
-fractional questions about G exactly.
+Giving each origin edge 1/2 per matched cover copy turns a cover
+matching into a half-matching of G of half its size, and the cover's
+maximum weight is twice G's fractional one, which lets bipartite
+machinery (augmenting paths, dual potentials) answer fractional
+questions about G exactly.
 
 The Hungarian method here runs on lists indexed by vertex-name rank and
 cover-id rank, and on Python ints: the weights are scaled once by the lcm
 L of their denominators, every potential, slack and shift then stays
 integral, and the results become ``Fraction``s (divided by L) only when
-they are returned. Phases are rooted in canonical vertex order; every
-other choice goes to the least vertex name, then to the least cover id.
-Scaling by L > 0 keeps every comparison's outcome, so ties break as they
-would in ``Fraction`` arithmetic.
+they are returned. Both callers in the package pass int weights (the
+dual scales its rational weights itself), so for them L = 1 and every
+returned value is an integer. Phases are rooted in canonical vertex
+order; every other choice goes to the least vertex name, then to the
+least cover id. Scaling by L > 0 keeps every comparison's outcome, so
+ties break as they would in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import HALF, ZERO, Instance, VerificationFailed
+from .core import ZERO, Instance, VerificationFailed
 
 
 class CoverEdge(NamedTuple):
@@ -50,25 +53,6 @@ class DoubleCover:
 
     def edge(self, cid: str) -> CoverEdge:
         return self._by_id[cid]
-
-    def check_cover_matching(self, cids: set[str] | frozenset[str]) -> None:
-        left_used: set[str] = set()
-        right_used: set[str] = set()
-        for cid in cids:
-            ce = self._by_id[cid]
-            if ce.left in left_used or ce.right in right_used:
-                raise ValueError(f"cover matching reuses a vertex at {cid!r}")
-            left_used.add(ce.left)
-            right_used.add(ce.right)
-
-    def project(self, cids: set[str] | frozenset[str]) -> dict[str, Fraction]:
-        """Fold a cover matching back to a half-matching of half its size."""
-        self.check_cover_matching(cids)
-        out: dict[str, Fraction] = {}
-        for cid in sorted(cids):
-            origin = self._by_id[cid].origin
-            out[origin] = out.get(origin, ZERO) + HALF
-        return out
 
 
 def double_cover(inst: Instance) -> DoubleCover:
@@ -174,7 +158,8 @@ def max_weight_cover_matching(
 
     The Hungarian method and the five postconditions run on the weights
     times L, the lcm of their denominators, as ints; the potentials and
-    the weight are returned as ``Fraction``s over L.
+    the weight are returned as ``Fraction``s over L. Int weights make
+    L = 1, and every returned value an integer.
     """
     verts = cover.inst.vertices
     rank = {v: i for i, v in enumerate(sorted(verts))}

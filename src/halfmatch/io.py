@@ -291,7 +291,8 @@ SOLVER_CLAIMS: dict[str, tuple[str, ...]] = {
     "solve-pop-maxw": ("derived_stable", "weights_source", "weight", "dual_objective",
                        "critical"),
 }
-_MODES = {"solve-max-srti": "weak", "solve-gamma": "gamma"}
+#: the stability mode each stable solve writes, by its solver tag
+MODES = {"solve-max-srti": "weak", "solve-gamma": "gamma"}
 
 
 def result_weights(inst: Instance, source: str | None) -> dict[str, Fraction]:
@@ -349,8 +350,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
     ver = result.get("verification", {})
     problems += [f"verification lacks the {key!r} claim"
                  for key in SOLVER_CLAIMS[solver] if key not in ver]
-    if solver in _MODES and ver.get("mode") != _MODES[solver]:
-        problems.append(f"mode is not {_MODES[solver]!r}, the mode {solver} writes")
+    if solver in MODES and ver.get("mode") != MODES[solver]:
+        problems.append(f"mode is not {MODES[solver]!r}, the mode {solver} writes")
     try:
         m = parse_matching(result.get("matching", {}))
     except InstanceError as exc:

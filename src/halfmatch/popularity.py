@@ -413,11 +413,11 @@ def is_popular(
     counterexample is the worst rival (ties: larger, then lexicographically
     smallest), with its feasible pairing, built for it alone.
     """
+    if scope not in ("half", "sampled"):
+        raise ValueError(f"unknown popularity scope {scope!r}")
     rivals = list(enumerate_half_matchings(inst, bound))
     if scope == "sampled":
         rivals += sample_fractional_matchings(inst, seed=seed, count=samples)
-    elif scope != "half":
-        raise ValueError(f"unknown popularity scope {scope!r}")
     # rivals are valid by construction: enumerated, or checked when sampled
     _require(inst, "delta over feasible pairings", m)
     label = "popular (half-integral scope)" if scope == "half" else "popular (sampled scope)"

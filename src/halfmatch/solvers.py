@@ -31,9 +31,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import (
+    HALF,
+    ONE,
     ZERO,
     Instance,
+    Rational,
     VerificationFailed,
+    _rat,
     blocking_edges,
     saturated_vertices,
     validate_instance,
@@ -114,39 +118,34 @@ class DualSolution:
     witness: dict[str, Fraction]
 
 
-def _times(x: Fraction, scale: int) -> int:
-    """scale * x, which must be an int."""
-    q, r = divmod(scale, x.denominator)
-    if r:
-        raise VerificationFailed(f"cover potential {x} is not a multiple of 1/{scale}")
-    return x.numerator * q
-
-
-def max_weight_dual(inst: Instance, weights: Mapping[str, Fraction]) -> DualSolution:
+def max_weight_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolution:
     """Optimal dual potentials via the bipartite double cover.
 
     The cover's maximum-weight matching comes with exact potentials on
     both copies of each vertex; averaging the two halves them into a
     feasible dual of the fractional program whose value matches the
-    projected primal witness, so optimality and complementary slackness
-    are certified rather than assumed. Missing weights count as zero.
+    primal witness (1/2 per matched cover copy), so optimality and
+    complementary slackness are certified rather than assumed. Missing
+    weights count as zero.
 
-    With L the lcm of the weights' denominators, every y_v is a multiple
-    of 1/(2L): tightness, feasibility, the critical set and the witness
-    checks run on the ints 2L*y_v and 2L*w_e, and each potential becomes
-    a ``Fraction`` once, on the way out.
+    The weights are scaled once, by the lcm L of their denominators, and
+    the cover gets the ints L*w_e: its potentials come back as integers,
+    and y_left + y_right = 2L*y_v. Tightness, feasibility, the critical
+    set and the witness checks run on the ints 2L*y_v and 2L*w_e, and
+    each potential becomes a ``Fraction`` once, on the way out.
     """
-    w = {e.eid: Fraction(weights.get(e.eid, ZERO)) for e in inst.edges}
+    eids = [e.eid for e in inst.edges]
+    scale, scaled = scale_to_ints(_rat(weights.get(eid, ZERO)) for eid in eids)
     cov = double_cover(inst)
-    res = max_weight_cover_matching(cov, w)
-    scale, scaled = scale_to_ints(w.values())  # the L the cover scaled by
-    w_int = {eid: 2 * x for eid, x in zip(w, scaled)}  # 2L * w_e
-    y_int = {  # 2L * y_v = L * (y_left + y_right)
-        v: _times(res.y_left[v], scale) + _times(res.y_right[v], scale)
-        for v in inst.vertices
-    }
+    res = max_weight_cover_matching(cov, dict(zip(eids, scaled)))
+    w_int = {eid: 2 * x for eid, x in zip(eids, scaled)}  # 2L * w_e
+    y_int = {}  # 2L * y_v
+    for v in inst.vertices:
+        left, right = res.y_left[v], res.y_right[v]
+        if left.denominator != 1 or right.denominator != 1:
+            raise VerificationFailed(f"cover potential of {v!r} is not an integer")
+        y_int[v] = left.numerator + right.numerator
     y = {v: Fraction(y_int[v], 2 * scale) for v in inst.vertices}
-    witness = cov.project(res.matched)
     objective_int = sum(y_int.values())
     objective = Fraction(objective_int, 2 * scale)
     tight = tuple(
@@ -157,15 +156,19 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Fraction]) -> DualSolu
     for e in inst.edges:  # dual feasibility
         if y_int[e.u] + y_int[e.v] < w_int[e.eid]:
             raise VerificationFailed(f"dual infeasible at {e.eid}")
-    # one pass over the witness, whose values (1/2 or 1) count in halves
+    # one pass over the matched cover copies, each worth 1/2 of its origin:
+    # the witness, and its loads and weight counted in halves
+    witness: dict[str, Fraction] = {}
     load = dict.fromkeys(inst.vertices, 0)
     got = 0  # 4L times the witness weight
-    for eid, val in witness.items():
-        k = 2 * val.numerator // val.denominator
-        e = inst.edge(eid)
-        load[e.u] += k
-        load[e.v] += k
-        got += w_int[eid] * k
+    for cid in sorted(res.matched):
+        ce = cov.edge(cid)
+        witness[ce.origin] = ONE if ce.origin in witness else HALF
+        load[ce.left] += 1
+        load[ce.right] += 1
+        got += w_int[ce.origin]
+    if any(x > 2 for x in load.values()):
+        raise VerificationFailed("witness overloads a vertex")
     if got != 2 * objective_int:
         raise VerificationFailed("witness weight differs from the dual objective")
     tight_set = set(tight)
@@ -247,7 +250,7 @@ def _pop_maxw(
     # sum_v y_v, so weight == objective saturates every y_v > 0 vertex.
     out = _run_pipeline(build_crit_reduction(reduced, dual.critical))
     got = sum(
-        (Fraction(weights.get(eid, ZERO)) * val for eid, val in out.items()), ZERO
+        (_rat(weights.get(eid, ZERO)) * val for eid, val in out.items()), ZERO
     )
     if got != dual.objective:
         raise VerificationFailed(

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -55,6 +56,35 @@ def test_gamma_equal_delta_rejected():
             pref={"a": {"e": 1}, "b": {"e": 1}},
             gamma={("e", "a"): (1, 1), ("e", "b"): (1, 2)},
         )
+
+
+def _single_edge_with(field, value):
+    kw = {"pref": {"a": {"e": 1}, "b": {"e": 1}}}
+    if field == "pref":
+        kw["pref"] = {"a": {"e": value}, "b": {"e": 1}}
+    elif field == "pref_empty":
+        kw["pref_empty"] = {"a": value}
+    elif field == "weight":
+        kw["weights"] = {"e": value}
+    else:
+        kw["gamma"] = {("e", "a"): (value, 2), ("e", "b"): (1, 2)}
+    return validate_instance(["a", "b"], [("e", "a", "b")], **kw)
+
+
+@pytest.mark.parametrize("value", [0.1, float("inf"), float("nan"), "abc", True])
+@pytest.mark.parametrize("field", ["pref", "pref_empty", "weight", "gamma"])
+def test_only_exact_rationals_are_read(field, value):
+    # a float would be stored as its binary expansion, inf and nan would
+    # raise OverflowError and ValueError; each is bad input naming itself
+    with pytest.raises(InstanceError, match=re.escape(repr(value))):
+        _single_edge_with(field, value)
+
+
+@pytest.mark.parametrize("field", ["pref", "pref_empty", "weight", "gamma"])
+def test_int_str_and_fraction_rationals_are_read(field):
+    x = -1 if field == "pref_empty" else 1
+    insts = [_single_edge_with(field, v) for v in (x, f"{2 * x}/2", F(x))]
+    assert insts[0] == insts[1] == insts[2]
 
 
 def _triangle_with_gamma(gamma):

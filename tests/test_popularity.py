@@ -382,6 +382,21 @@ def test_stable_integral_matchings_are_popular_on_bipartite():
     assert checked >= 15
 
 
+def test_an_unknown_scope_is_refused_before_any_rival_is_enumerated(monkeypatch,
+                                                                     single_edge):
+    big = generate_random(0, 10, edge_density=0.5)
+    assert len(big.edges) == 21  # past the default bound of 10 edges
+    with pytest.raises(ValueError, match="unknown popularity scope 'bogus'"):
+        is_popular(big, {}, scope="bogus")
+
+    def refuse(inst, bound):
+        raise AssertionError("rivals enumerated before the scope was checked")
+
+    monkeypatch.setattr(popularity, "enumerate_half_matchings", refuse)
+    with pytest.raises(ValueError, match="unknown popularity scope 'bogus'"):
+        is_popular(single_edge, {"e": ONE}, scope="bogus")
+
+
 def test_sampled_scope_runs(five_agent_market):
     inst, m, _ = five_agent_market
     verdict = is_popular(inst, m, scope="sampled", samples=25, seed=3)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from halfmatch.core import (
     HALF,
     ONE,
     ZERO,
+    InstanceError,
     VerificationFailed,
     blocking_edges,
     is_saturated,
@@ -269,7 +271,10 @@ def fraction_dual(inst, weights):
     cov = double_cover(inst)
     res = fraction_cover_matching(cov, w)
     y = {v: (res.y_left[v] + res.y_right[v]) / 2 for v in inst.vertices}
-    witness = cov.project(res.matched)
+    witness = {}  # each matched cover copy gives its origin 1/2
+    for cid in sorted(res.matched):
+        origin = cov.edge(cid).origin
+        witness[origin] = witness.get(origin, ZERO) + HALF
     critical = frozenset(v for v in inst.vertices if y[v] > 0)
     assert all(is_saturated(inst, witness, v) for v in critical)
     return DualSolution(
@@ -296,16 +301,61 @@ def test_dual_equals_the_fraction_oracle():
 @pytest.mark.parametrize("change, message", [
     ({"y_left": {"a": ZERO, "b": ZERO}}, "dual infeasible at e"),
     ({"matched": frozenset({"e>"})}, "witness weight differs from the dual objective"),
-    ({"y_left": {"a": F(1, 7), "b": F(2)}}, "is not a multiple of 1/3"),
+    # the cover gets ints, so its potentials must come back as integers
+    ({"y_left": {"a": F(1, 7), "b": F(4)}}, "of 'a' is not an integer"),
 ])
 def test_a_broken_cover_result_fails_a_dual_check(monkeypatch, single_edge, change,
                                                   message):
+    # the checks raise, so they hold under python -O too
     def broken(cov, weights):
         return dataclasses.replace(max_weight_cover_matching(cov, weights), **change)
 
     monkeypatch.setattr(solvers_module, "max_weight_cover_matching", broken)
     with pytest.raises(VerificationFailed, match=message):
         max_weight_dual(single_edge, {"e": F(4, 3)})
+
+
+def test_a_cover_result_that_overloads_a_vertex_fails(monkeypatch):
+    # matching both copies of ab and one of bc gives b a load of 3/2
+    def broken(cov, weights):
+        res = max_weight_cover_matching(cov, weights)
+        return dataclasses.replace(res, matched=frozenset({"ab>", "ab<", "bc>"}))
+
+    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", broken)
+    with pytest.raises(VerificationFailed, match="witness overloads a vertex"):
+        max_weight_dual(make_path("a"), {"ab": F(1), "bc": F(1)})
+
+
+def test_the_dual_scales_once_and_passes_the_cover_ints(monkeypatch):
+    # the market of CI's "rational weights through the integer dual" step:
+    # denominators 2, 3, 4 and 5, so L = 60
+    inst = validate_instance(
+        ["a", "b", "c", "d", "e"],
+        [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"), ("cd", "c", "d"),
+         ("de", "d", "e")],
+        pref={"a": {"ab": 2, "ca": 1}, "b": {"bc": 2, "ab": 1},
+              "c": {"ca": 3, "bc": 2, "cd": 1}, "d": {"cd": 2, "de": 1}, "e": {"de": 1}},
+    )
+    weights = {"ab": F(3, 2), "bc": F(5, 3), "ca": F(7, 4), "cd": F(2, 5), "de": F(-1, 2)}
+    calls = []
+
+    def spy(cov, ws):
+        calls.append(dict(ws))
+        return max_weight_cover_matching(cov, ws)
+
+    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", spy)
+    dual = max_weight_dual(inst, weights)
+    assert calls == [{eid: w * 60 for eid, w in weights.items()}]
+    assert all(type(w) is int for w in calls[0].values())
+    assert dual.objective == F(59, 24)
+    assert dual == fraction_dual(inst, weights)
+
+
+def test_the_dual_reads_only_exact_weights(single_edge):
+    for bad in (0.1, float("nan"), "abc"):
+        with pytest.raises(InstanceError, match=re.escape(repr(bad))):
+            max_weight_dual(single_edge, {"e": bad})
+    assert max_weight_dual(single_edge, {"e": "4/3"}).objective == F(4, 3)
 
 
 # -- critical popularity -----------------------------------------------------------
