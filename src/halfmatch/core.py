@@ -52,10 +52,11 @@ class Edge(NamedTuple):
 
 def _rat(x: Rational) -> Fraction:
     """x as a ``Fraction``; anything but an int, a Fraction or a readable
-    string (a float or a bool, say) is an :class:`InstanceError`."""
+    string without an exponent (a float, a bool or "1e5000", say) is an
+    :class:`InstanceError`."""
     if isinstance(x, Fraction):
         return x
-    if type(x) is int or isinstance(x, str):
+    if type(x) is int or (isinstance(x, str) and "e" not in x and "E" not in x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

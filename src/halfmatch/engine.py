@@ -67,8 +67,10 @@ def enumerate_half_matchings(
     """Yield every half-matching of the instance, in canonical order.
 
     Edges are scanned in id order and values tried as 0, 1/2, 1, so the
-    stream is deterministic. Raises :class:`BoundExceeded` when the
-    instance has more than ``bound`` edges.
+    stream is deterministic. Every value is one of the shared objects
+    ``core.HALF`` and ``core.ONE``, which lets the popularity scan read
+    it by identity. Raises :class:`BoundExceeded` when the instance has
+    more than ``bound`` edges.
     """
     eids = [e.eid for e in inst.edges]
     if len(eids) > bound:

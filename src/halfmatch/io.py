@@ -50,6 +50,8 @@ def format_rational(x: Rational) -> str:
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InstanceError(f"malformed rational {text!r}: not a string")
+    if "e" in text or "E" in text:  # "1e5000" is a few bytes but a huge int
+        raise InstanceError(f"malformed rational {text!r}: exponents are not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -17,9 +17,12 @@ exceeds M:
 M is popular when Delta(M, N) >= 0 against every rival N; the verifiers
 below certify that over all enumerated half-integral rivals (the
 vertices of the degree-constrained polytope), optionally supplemented
-by seeded random fractional rivals. They compare rivals by the value of
-Delta alone, computed in integers, and build a pairing (with its
-per-vertex votes) only for the worst rival, and only when it is a
+by seeded random fractional rivals. They scan every rival as integer
+masses over one denominator d (2 for an enumerated rival, the lcm of its
+caps for a sampled one) and compare rivals by the value of Delta alone,
+computed in integers. A rival gets a Fraction form only when its value
+ties or beats the worst so far, and a pairing (with its per-vertex
+votes) is built only for the worst rival, and only when it is a
 counterexample.
 """
 
@@ -28,14 +31,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
+    HALF,
     ONE,
     ZERO,
     Instance,
     InstanceError,
+    MatchingError,
     check_matching,
     matching_size,
     saturated_vertices,
@@ -212,16 +218,20 @@ def _delta_feasible(
 
 def _feasible_value(
     inst: Instance, m: Mapping[str, Fraction]
-) -> Callable[[Mapping[str, Fraction]], Fraction]:
-    """The value of :func:`_delta_feasible` against any rival, in integers.
+) -> Callable[[Mapping[str, int], int], tuple[int, int]]:
+    """The value of :func:`_delta_feasible` against a rival held as ints.
+
+    The rival's mass on each edge is ``held[eid] / d``; the value comes
+    back as the pair (t, D), meaning t/D, with D the lcm of d and the lcm
+    ``base`` of m's denominators. m is scaled once here, not once per
+    rival, and no Fraction is made.
 
     Supply and demand sit on different items, so every vote costs +1 or
     -1, by v's strict order in which staying unmatched ranks last. v's
     optimum is then T - 2U: T is its surplus mass, U the largest part of
     T that can move to a strictly better demand item. One sweep from the
     best item finds U: a demand item adds to a pool, and a surplus item
-    takes what it can from it. Masses are integers over the lcm ``d`` of
-    all denominators; m's are scaled once here, not once per rival.
+    takes what it can from it.
     """
     base = lcm(*(val.denominator for val in m.values()))
     rows = [
@@ -230,23 +240,26 @@ def _feasible_value(
         for v in inst.vertices
     ]
 
-    def value(n: Mapping[str, Fraction]) -> Fraction:
-        d = lcm(base, *(val.denominator for val in n.values()))
-        k = d // base
-        held = {eid: val.numerator * (d // val.denominator) for eid, val in n.items()}
+    def value(held: Mapping[str, int], d: int) -> tuple[int, int]:
+        big = lcm(base, d)
+        k, j = big // base, big // d
+        if j != 1:
+            held = {eid: x * j for eid, x in held.items()}
         total = 0
         for row in rows:
-            diffs = [a * k - held.get(eid, 0) for eid, a in row]
-            diffs.append(-sum(diffs))  # staying unmatched, the rest of d
-            pool = 0
-            for x in diffs:
+            pool = rest = 0
+            for eid, a in row:
+                x = a * k - held.get(eid, 0)
+                rest += x
                 if x < 0:
                     pool -= x
                 elif x > 0:
                     take = min(pool, x)
                     pool -= take
                     total += x - 2 * take
-        return Fraction(total, d)
+            if rest < 0:  # staying unmatched, the rest of big, ranks last
+                total -= rest + 2 * min(pool, -rest)
+        return total, big
 
     return value
 
@@ -370,30 +383,55 @@ def _canonical_key(n: Mapping[str, Fraction]) -> tuple:
     return tuple(sorted((eid, val) for eid, val in n.items() if val != 0))
 
 
+#: a rival as the verdict scan reads it: its masses ``held[eid] / d`` as
+#: ints, and its Fraction form, or None until the scan needs one
+Rival = tuple[dict[str, int], int, dict[str, Fraction] | None]
+
+
+def _fractions(held: Mapping[str, int], d: int) -> dict[str, Fraction]:
+    return {eid: Fraction(x, d) for eid, x in held.items()}
+
+
 def _scan(
-    rivals: Iterable[Mapping[str, Fraction]],
-    value_of: Callable[[Mapping[str, Fraction]], Fraction],
+    rivals: Iterable[Rival],
+    value_of: Callable[[dict[str, int], int, dict[str, Fraction] | None],
+                       tuple[int, int]],
     build: Callable[[Mapping[str, Fraction]], DeltaResult],
     scope: str,
 ) -> PopularityVerdict:
     """The worst rival by value (ties: larger, then lexicographically smallest).
 
-    Only a rival whose value ties or beats the current worst is sized and
-    keyed, and ``build`` runs once, for the final worst rival, and only
-    when it is a counterexample.
+    ``value_of`` gives each rival's value as an integer pair (t, D),
+    meaning t/D with D > 0, and values are compared by cross-multiplying.
+    Only a rival whose value ties or beats the current worst is given a
+    Fraction form, sized and keyed, and ``build`` runs once, for the final
+    worst rival, and only when it is a counterexample.
     """
-    worst = None  # ((value, -size, canonical key), rival)
-    for checked, rival in enumerate(rivals, 1):
-        value = value_of(rival)
-        if worst is None or value <= worst[0][0]:
-            key = (value, -matching_size(rival), _canonical_key(rival))
-            if worst is None or key < worst[0]:
-                worst = (key, rival)
+    worst = None  # (t, D, (-size, canonical key), rival)
+    for checked, (held, d, n) in enumerate(rivals, 1):
+        t, big = value_of(held, d, n)
+        if worst is not None:
+            order = t * worst[1] - worst[0] * big
+            if order > 0:
+                continue
+        rival = n if n is not None else _fractions(held, d)
+        key = (-matching_size(rival), _canonical_key(rival))
+        if worst is None or order < 0 or key < worst[2]:
+            worst = (t, big, key, rival)
     if worst is None:
         return PopularityVerdict(True, scope, 0, ZERO, None)
-    (value, _, _), rival = worst
-    counter = (dict(rival), build(rival)) if value < 0 else None
-    return PopularityVerdict(value >= 0, scope, checked, value, counter)
+    t, big, _, rival = worst
+    counter = (dict(rival), build(rival)) if t < 0 else None
+    return PopularityVerdict(t >= 0, scope, checked, Fraction(t, big), counter)
+
+
+def _enumerated(inst: Instance, bound: int) -> Iterator[Rival]:
+    """Every half-integral rival, its masses doubled over d = 2.
+
+    The enumerator's values are the shared ``HALF`` and ``ONE``.
+    """
+    for n in enumerate_half_matchings(inst, bound):
+        yield {eid: 1 if val is HALF else 2 for eid, val in n.items()}, 2, n
 
 
 def is_popular(
@@ -409,20 +447,22 @@ def is_popular(
     Scope ``half`` checks every enumerated half-integral rival, the
     vertex set of the fractional matching polytope; ``sampled`` adds
     seeded random fractional rivals as a probabilistic supplement. Each
-    rival is compared by Delta's exact value in integers; the reported
-    counterexample is the worst rival (ties: larger, then lexicographically
-    smallest), with its feasible pairing, built for it alone.
+    rival is read as integer masses and compared by Delta's exact value
+    in integers; the reported counterexample is the worst rival (ties:
+    larger, then lexicographically smallest), with its feasible pairing,
+    built for it alone.
     """
     if scope not in ("half", "sampled"):
         raise ValueError(f"unknown popularity scope {scope!r}")
-    rivals = list(enumerate_half_matchings(inst, bound))
-    if scope == "sampled":
-        rivals += sample_fractional_matchings(inst, seed=seed, count=samples)
-    # rivals are valid by construction: enumerated, or checked when sampled
     _require(inst, "delta over feasible pairings", m)
+    rivals = _enumerated(inst, bound)
+    if scope == "sampled":
+        rivals = chain(rivals, _sampled(inst, seed, samples))
+    value = _feasible_value(inst, m)
     label = "popular (half-integral scope)" if scope == "half" else "popular (sampled scope)"
     return _scan(
-        rivals, _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n), label
+        rivals, lambda held, d, n: value(held, d),
+        lambda n: _delta_feasible(inst, m, n), label,
     )
 
 
@@ -431,9 +471,14 @@ def is_popular_mixed(
 ) -> PopularityVerdict:
     """Whether no half-integral rival beats m under the product pairing."""
     _require(inst, "the product comparison", m)
+
+    def value(held, d, n):
+        delta = _delta_product(inst, m, n)
+        return delta.numerator, delta.denominator
+
     return _scan(
-        enumerate_half_matchings(inst, bound),
-        lambda n: _delta_product(inst, m, n),
+        _enumerated(inst, bound),
+        value,
         lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
         "popular mixed",
     )
@@ -445,22 +490,60 @@ def is_popular_critical(
     critical: frozenset[str] | set[str],
     bound: int = 10,
 ) -> PopularityVerdict:
-    """Popularity restricted to rivals saturating the critical set."""
+    """Popularity restricted to rivals saturating the critical set.
+
+    A rival saturates v when its doubled masses on v's edges sum to 2.
+    """
     _require(inst, "delta over feasible pairings", m)
     crit = frozenset(critical)
     m_full = saturated_vertices(inst, m)
     for v in crit:
         if v not in m_full:
             raise InstanceError(f"matching does not saturate critical vertex {v!r}")
+    stars = [inst.incident(v) for v in crit]
     rivals = (
-        n
-        for n in enumerate_half_matchings(inst, bound)
-        if crit <= saturated_vertices(inst, n)
+        rival
+        for rival in _enumerated(inst, bound)
+        if all(sum(rival[0].get(eid, 0) for eid in star) == 2 for star in stars)
     )
+    value = _feasible_value(inst, m)
     return _scan(
-        rivals, _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n),
+        rivals, lambda held, d, n: value(held, d),
+        lambda n: _delta_feasible(inst, m, n),
         "popular among critical (half-integral scope)",
     )
+
+
+def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
+    """The seeded random rivals, as integer masses.
+
+    Each edge draws raw in 0..16 and holds raw / max(16, L_u, L_v), where
+    L is the sum of the raw draws at a vertex; a sample holds these as
+    raw * (d // cap) over the lcm d of its caps. Every vertex's mass is
+    checked to be at most d.
+    """
+    rng = random.Random(f"halfmatch-sample-{seed}")
+    ends = [(e.eid, inst.index(e.u), inst.index(e.v)) for e in inst.edges]
+    zeros = [0] * len(inst.vertices)
+    for _ in range(count):
+        raw = [rng.randint(0, 16) for _ in ends]
+        load = zeros[:]
+        for (_, u, v), r in zip(ends, raw):
+            load[u] += r
+            load[v] += r
+        caps = [max(16, load[u], load[v]) for _, u, v in ends]
+        d = lcm(*caps)
+        held = {}
+        mass = zeros[:]
+        for (eid, u, v), r, cap in zip(ends, raw, caps):
+            if r:
+                x = held[eid] = r * (d // cap)
+                mass[u] += x
+                mass[v] += x
+        for v, x in enumerate(mass):
+            if x > d:
+                raise MatchingError(f"sampled rival overloads vertex {inst.vertices[v]!r}")
+        yield held, d, None
 
 
 def sample_fractional_matchings(
@@ -470,22 +553,7 @@ def sample_fractional_matchings(
 
     Each edge draws raw/16 with raw in 0..16, scaled down so that no
     endpoint is over-full: raw / max(16, L_u, L_v), where L is the sum of
-    the raw draws at a vertex.
+    the raw draws at a vertex. These are the rivals the sampled verdict
+    scans as integer masses, in their Fraction form.
     """
-    rng = random.Random(f"halfmatch-sample-{seed}")
-    ends = [(e.eid, e.u, e.v) for e in inst.edges]
-    out = []
-    for _ in range(count):
-        raw = [rng.randint(0, 16) for _ in ends]
-        load = dict.fromkeys(inst.vertices, 0)
-        for (_, u, v), r in zip(ends, raw):
-            load[u] += r
-            load[v] += r
-        sample = {
-            eid: Fraction(r, max(16, load[u], load[v]))
-            for (eid, u, v), r in zip(ends, raw)
-            if r
-        }
-        check_matching(inst, sample)
-        out.append(sample)
-    return out
+    return [_fractions(held, d) for held, d, _ in _sampled(inst, seed, count)]

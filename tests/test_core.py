@@ -87,6 +87,20 @@ def test_int_str_and_fraction_rationals_are_read(field):
     assert insts[0] == insts[1] == insts[2]
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1E3", "2e-3"])
+@pytest.mark.parametrize("field", ["pref", "pref_empty", "weight", "gamma"])
+def test_exponent_strings_are_refused(field, value):
+    # "1e5000" is a few bytes of input but an int of 5,000 digits
+    with pytest.raises(InstanceError, match=re.escape(repr(value))):
+        _single_edge_with(field, value)
+
+
+@pytest.mark.parametrize("field", ["pref", "pref_empty", "weight", "gamma"])
+def test_plain_decimal_strings_are_read(field):
+    x = F(-1, 2) if field == "pref_empty" else F(1, 2)
+    assert _single_edge_with(field, str(float(x))) == _single_edge_with(field, x)
+
+
 def _triangle_with_gamma(gamma):
     tri = make_triangle()
     return validate_instance(list(tri.vertices), [tuple(e) for e in tri.edges],

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,10 @@ def test_rational_strings():
         parse_rational("1/0")
     with pytest.raises(InstanceError):
         parse_rational("nope")
+    assert parse_rational(" 0.5 ") == F(1, 2)
+    for text in ("1e5000", "1E3", "2e-3"):
+        with pytest.raises(InstanceError, match=re.escape(f"malformed rational {text!r}")):
+            parse_rational(text)
 
 
 def test_instance_roundtrip_bytes(five_agent_market, tmp_path):
@@ -734,6 +739,18 @@ def test_cli_rejects_a_weight_that_is_not_a_string(tmp_path, capsys, weight):
     path.write_text(json.dumps(doc))
     assert main(["solve-pop-maxw", "--input", str(path),
                  "--output", str(tmp_path / "out.json")]) == 0
+
+
+def test_cli_refuses_a_weight_with_an_exponent(tmp_path, capsys):
+    # written back, "1e5000" would be an int past str()'s digit limit
+    doc = _pair_market()
+    doc["edges"][0]["weight"] = "1e5000"
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-pop-maxw", "--input", str(path),
+                 "--output", str(tmp_path / "out.json")]) == 2
+    assert "malformed rational '1e5000'" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("tag, flag", [

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +407,17 @@ def test_sampled_scope_runs(five_agent_market):
             assert vertex_load(inst, n, v) <= 1
 
 
+def test_an_overloaded_sample_is_refused(monkeypatch, five_agent_market):
+    # caps of 16 whatever the loads: within ten samples some vertex draws
+    # more than 16 in all, and the integer load check raises, not asserts
+    inst, m, _ = five_agent_market
+    monkeypatch.setattr(popularity, "max", lambda *args: 16, raising=False)
+    with pytest.raises(MatchingError, match="sampled rival overloads vertex"):
+        sample_fractional_matchings(inst, seed=9, count=10)
+    with pytest.raises(MatchingError, match="sampled rival overloads vertex"):
+        is_popular(inst, m, scope="sampled", seed=9)
+
+
 # -- integer values and the verdict scan against the Fraction path ----------------
 
 
@@ -421,6 +433,12 @@ def _oracle_markets(seeds, max_edges):
             )
         if 0 < len(inst.edges) <= max_edges:
             yield seed, inst
+
+
+def _as_ints(n):
+    """n's masses as ints over the lcm d of their denominators, and d."""
+    d = lcm(*(val.denominator for val in n.values()))
+    return {eid: val.numerator * (d // val.denominator) for eid, val in n.items()}, d
 
 
 def test_integer_value_equals_the_transport_value(monkeypatch):
@@ -441,7 +459,7 @@ def test_integer_value_equals_the_transport_value(monkeypatch):
         for m in mine:
             value = _feasible_value(inst, m)
             for n in theirs:
-                got = value(n)
+                got = Fraction(*value(*_as_ints(n)))
                 assert type(got) is Fraction
                 assert got == _delta_feasible(inst, m, n).value, (seed, m, n)
                 pairs += 1
@@ -538,6 +556,44 @@ def test_verdicts_match_the_per_rival_scan():
             assert _plain(got) == _plain(want), (seed, m)
             beaten = [b + (not v.popular) for b, v in zip(beaten, want)]
     assert min(beaten) >= 20, beaten
+
+
+def _sampled_candidates(inst, m, samples, seed):
+    """Sampled rivals whose value ties or beats every rival scanned before them."""
+    rivals = list(enumerate_half_matchings(inst, 10))
+    first = len(rivals)
+    rivals += sample_fractional_matchings(inst, seed=seed, count=samples)
+    worst, count = None, 0
+    for i, n in enumerate(rivals):
+        value = _delta_feasible(inst, m, n).value
+        if worst is None or value <= worst:
+            worst = value
+            count += i >= first
+    return count
+
+
+@pytest.mark.parametrize("market", ["single_edge", "five_agent_market"])
+def test_a_sampled_verdict_stays_on_integers(monkeypatch, request, market):
+    # single edge: the samples with raw 16 tie M's own value 0 and are
+    # keyed; five agents: half-integral rivals beat m, one pairing is built
+    if market == "single_edge":
+        inst, m = request.getfixturevalue(market), {"e": ONE}
+    else:
+        inst, m, _ = request.getfixturevalue(market)
+    candidates = _sampled_candidates(inst, m, 200, seed=4)
+    want = is_popular(inst, m, scope="sampled", seed=4)
+    calls = {"check_matching": [], "_delta_feasible": [], "_fractions": []}
+    for name, seen in calls.items():
+        def counted(*args, _seen=seen, _f=getattr(popularity, name, None)):
+            _seen.append(args)
+            return _f(*args)
+        monkeypatch.setattr(popularity, name, counted, raising=False)
+    got = is_popular(inst, m, scope="sampled", seed=4)
+    assert _plain(got) == _plain(want)
+    assert [args[1] for args in calls["check_matching"]] == [m]
+    assert len(calls["_delta_feasible"]) == (not want.popular)
+    assert len(calls["_fractions"]) == candidates
+    assert candidates >= 5 if market == "single_edge" else candidates == 0
 
 
 # -- golden pin ----------------------------------------------------------------
