@@ -66,8 +66,28 @@ def _rat(x: Rational) -> Fraction:
 
 def _valuation(x: Rational) -> int | Fraction:
     """A valuation, held as an ``int`` when integral."""
-    r = x if type(x) is int else _rat(x)
+    if type(x) is int:
+        return x
+    r = _rat(x)
     return r.numerator if r.denominator == 1 else r
+
+
+def _preferences(v: str, ids: Sequence[str], given: Mapping[str, Rational],
+                 empty: int | Fraction) -> dict[str, int | Fraction]:
+    """v's valuations of its incident edges ``ids``, read entry by entry,
+    so that the first bad entry is the one named."""
+    mine = {}
+    for eid in ids:
+        if eid not in given:
+            raise InstanceError(f"missing preference of {v!r} for edge {eid!r}")
+        r = _valuation(given[eid])
+        if r < 0:
+            raise InstanceError(f"preference of {v!r} for {eid!r} is negative")
+        if r <= empty:
+            raise InstanceError(
+                f"preference of {v!r} for {eid!r} must exceed the unmatched value")
+        mine[eid] = r
+    return mine
 
 
 @dataclass(frozen=True)
@@ -191,6 +211,13 @@ def validate_instance(
     critical set. Edges and incidence lists are in edge-id order, and
     each vertex's order is its incidence list sorted best first, so
     iteration order is deterministic.
+
+    A vertex's valuations are read and range-checked in bulk; only a
+    faulty vertex is read again, entry by entry, to name its first bad
+    entry. A (gamma, delta) pair object shared by several entries (the
+    parser hands one per distinct pair of texts) is checked once, and
+    pairs of equal value are stored and scaled once, so the first bad
+    entry is still named in the mapping's order.
     """
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
@@ -233,25 +260,23 @@ def validate_instance(
     tied: set[str] = set()
     for v in vs:
         given = dict(pref.get(v, {}))
-        mine: dict[str, int | Fraction] = {}
-        for eid in inc[v]:
-            if eid not in given:
-                raise InstanceError(f"missing preference of {v!r} for edge {eid!r}")
-            r = _valuation(given.pop(eid))
-            if r < 0:
-                raise InstanceError(f"preference of {v!r} for {eid!r} is negative")
-            if r <= p_empty[v]:
-                raise InstanceError(
-                    f"preference of {v!r} for {eid!r} must exceed the unmatched value"
-                )
-            mine[eid] = r
-        if given:
-            stray = sorted(given)[0]
+        ids, empty = inc[v], p_empty[v]
+        # read and checked in bulk; a faulty vertex is read again, entry by
+        # entry, to name its first bad entry
+        try:
+            mine = {eid: _valuation(given[eid]) for eid in ids}
+            low = min(mine.values(), default=1)
+        except (KeyError, InstanceError):
+            low = -1
+        if low < 0 or low <= empty:
+            mine = _preferences(v, ids, given, empty)
+        if len(given) > len(mine):
+            stray = sorted(eid for eid in given if eid not in mine)[0]
             raise InstanceError(f"preference of {v!r} for non-incident edge {stray!r}")
         p[v] = mine
         # a stable sort keeps equal valuations in edge-id order
-        order[v] = o = tuple(sorted(inc[v], key=mine.__getitem__, reverse=True))
-        if any(mine[a] == mine[b] for a, b in zip(o, o[1:])):
+        order[v] = tuple(sorted(ids, key=mine.__getitem__, reverse=True))
+        if len(set(mine.values())) < len(mine):
             tied.add(v)
 
     w = None
@@ -266,31 +291,37 @@ def validate_instance(
     d = 1
     if gamma is not None:
         # a market repeats a few thresholds thousands of times: each distinct
-        # pair, keyed on its integers, is checked once and stored once
-        distinct: dict[tuple[int, int, int, int], int] = {}
-        pairs: list[tuple[Fraction, Fraction]] = []
-        which: dict[tuple[str, str], int] = {}
-        for (eid, v), (lo, hi) in gamma.items():
+        # pair, keyed on its integers, is checked and stored once. A pair
+        # object met before is found by its id alone; ``seen`` keeps every
+        # object it keys on, so no id is reused while the mapping is read
+        seen: dict[int, tuple[object, tuple[Fraction, Fraction]]] = {}
+        distinct: dict[tuple[int, int, int, int], tuple[Fraction, Fraction]] = {}
+        g = {}
+        for (eid, v), pair in gamma.items():
+            hit = seen.get(id(pair))  # (pair, its value)
+            if hit is None:
+                lo, hi = pair
             e = by_id.get(eid)
             if e is None:
                 raise InstanceError(f"gamma for unknown edge {eid!r}")
             if v != e.u and v != e.v:
                 raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
-            glo, ghi = _rat(lo), _rat(hi)
-            ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
-            i = distinct.get(ints)
-            if i is None:
-                if not (0 < glo < ghi):
-                    raise InstanceError(
-                        f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
-                    )
-                i = distinct[ints] = len(pairs)
-                pairs.append((glo, ghi))
-            which[(eid, v)] = i
+            if hit is None:
+                glo, ghi = _rat(lo), _rat(hi)
+                ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
+                value = distinct.get(ints)
+                if value is None:
+                    if not (0 < glo < ghi):
+                        raise InstanceError(
+                            f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
+                        )
+                    value = distinct[ints] = (glo, ghi)
+                hit = seen[id(pair)] = (pair, value)
+            g[(eid, v)] = hit[1]
         d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
-        ints_of = [(p * (d // q), r * (d // s)) for p, q, r, s in distinct]
-        g = {key: pairs[i] for key, i in which.items()}
-        scaled = {key: ints_of[i] for key, i in which.items()}
+        ints_of = {id(value): (p * (d // q), r * (d // s))
+                   for (p, q, r, s), value in distinct.items()}
+        scaled = dict(zip(g, map(ints_of.__getitem__, map(id, g.values()))))
 
     crit = frozenset(critical or ())
     unknown = crit - vset

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
@@ -117,11 +119,35 @@ def _block(items: list[str], indent: str = "  ", brackets: str = "[]") -> str:
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _located(text: str, token: str, message: str) -> InstanceError:
-    """Attach the 1-based line of the offending token when findable."""
-    pos = text.find(json.dumps(token))
-    if pos >= 0:
-        return InstanceError(f"line {text.count(chr(10), 0, pos) + 1}: {message}")
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _members(text: str, i: int):
+    """(key, start, end) of each member's value in the JSON object that
+    opens at ``text[i]``; ``text`` is valid JSON."""
+    space = _SPACE.match
+    i = space(text, i + 1).end()
+    while text[i:i + 1] == '"':
+        key, i = scanstring(text, i + 1)
+        i = space(text, space(text, i).end() + 1).end()  # past the colon
+        end = _DECODER.raw_decode(text, i)[1]
+        yield key, i, end
+        i = space(text, space(text, end).end() + 1).end()  # past a comma or the brace
+
+
+def _located(text: str, v: str, eid: str, nth: int, message: str) -> InstanceError:
+    """Attach the 1-based line of the ``nth`` mention (1 or 2) of ``eid``
+    in the preference list of ``v`` when findable."""
+    span = {k: (s, e) for k, s, e in _members(text, _SPACE.match(text).end())}.get("prefs")
+    span = span and {k: (s, e) for k, s, e in _members(text, span[0])}.get(v)
+    if span:
+        token = json.dumps(eid)
+        pos = text.find(token, *span)
+        if nth == 2 and pos >= 0:
+            pos = text.find(token, pos + 1, span[1])
+        if pos >= 0:
+            return InstanceError(f"line {text.count(chr(10), 0, pos) + 1}: {message}")
     return InstanceError(message)
 
 
@@ -165,33 +191,36 @@ def parse_instance_text(text: str) -> Instance:
     weights: dict[str, Fraction] = {}
     for record in doc["edges"]:
         try:
-            ids = [record["id"], record["u"], record["v"]]
+            eid, u, v = record["id"], record["u"], record["v"]
         except KeyError as exc:
             raise InstanceError(f"malformed edge record {record!r}") from exc
-        edges.append(_list_of(str, ids, "edge record {!r}: ids must be strings", record))
+        if type(eid) is not str or type(u) is not str or type(v) is not str:
+            raise InstanceError(f"edge record {record!r}: ids must be strings")
+        edges.append((eid, u, v))
         if "weight" in record:
-            weights[record["id"]] = rational(record["weight"])
+            weights[eid] = rational(record["weight"])
     known = {eid for eid, _, _ in edges}
 
+    only_str = {str}.issuperset
     pref: dict[str, dict[str, int]] = {}
     for v, groups in doc["prefs"].items():
-        _list_of(list, groups, "preference list of {!r} must be a list of tie groups", v)
+        if type(groups) is not list:
+            raise InstanceError(f"preference list of {v!r} must be a list of tie groups")
         vals: dict[str, int] = {}
-        for depth, group in enumerate(groups):
-            _list_of(str, group, "preference list of {!r} must contain tie groups "
-                                 "(lists of edge ids)", v)
+        rank = len(groups)  # the best group's, down to 1 for the worst
+        for group in groups:
+            if type(group) is not list or not only_str(map(type, group)):
+                raise InstanceError(f"preference list of {v!r} must contain tie groups "
+                                    "(lists of edge ids)")
             for eid in group:
                 if eid not in known:
-                    raise _located(
-                        text, eid,
-                        f"preference list of {v!r} mentions unknown edge {eid!r}",
-                    )
+                    raise _located(text, v, eid, 1,
+                                   f"preference list of {v!r} mentions unknown edge {eid!r}")
                 if eid in vals:
-                    raise _located(
-                        text, eid,
-                        f"preference list of {v!r} mentions edge {eid!r} twice",
-                    )
-                vals[eid] = len(groups) - depth
+                    raise _located(text, v, eid, 2,
+                                   f"preference list of {v!r} mentions edge {eid!r} twice")
+                vals[eid] = rank
+            rank -= 1
         pref[v] = vals
 
     gamma = None

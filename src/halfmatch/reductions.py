@@ -79,20 +79,26 @@ def _derive(origin: Instance, shape, order_of) -> DerivedInstance:
     one block, first to last. ``order_of(v, at)`` lists v's order, where
     ``at[eid]`` is (first copy, last copy, whether v is the lower end)
     for each edge id at v, in id order."""
-    index = origin.index
+    index = origin._index
     eu, ev, ranks, tags = [], [], [], []  # per copy
-    block, low = {}, {}  # edge id -> (first copy, last copy), and -> its lower end
-    for i, e in enumerate(origin.edges):
-        a, b = sorted((index(e.u), index(e.v)))
+    block = {}  # edge id -> (first copy, last copy)
+    at = [{} for _ in origin.vertices]  # per vertex, in edge-id order
+    first = 0  # the next block's first copy
+    for i, (eid, u, v) in enumerate(origin.edges):
+        a, b = index[u], index[v]
+        if a > b:
+            a, b = b, a
         sfx = shape(a, b)
-        block[e.eid] = (len(tags), len(tags) + len(sfx) - 1)
-        low[e.eid] = a
-        eu += [a] * len(sfx)
-        ev += [b] * len(sfx)
-        ranks += [i] * len(sfx)
+        k = len(sfx)
+        last = first + k - 1
+        block[eid] = (first, last)
+        at[a][eid], at[b][eid] = (first, last, True), (first, last, False)
+        eu += [a] * k
+        ev += [b] * k
+        ranks += [i] * k
         tags += sfx
-    orders = [order_of(v, {eid: (*block[eid], low[eid] == x) for eid in origin.incident(v)})
-              for x, v in enumerate(origin.vertices)]
+        first = last + 1
+    orders = [order_of(v, at[x]) for x, v in enumerate(origin.vertices)]
     market = CopyMarket(origin.vertices, eu, ev, orders, ranks, tuple(block), tags)
     return DerivedInstance(market, origin, block)
 

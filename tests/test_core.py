@@ -1,5 +1,6 @@
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -163,6 +164,85 @@ def test_thresholds_are_scaled_once_over_one_denominator():
     assert full >= 60 and partial >= 50
     assert not make_triangle().has_full_gamma() and make_triangle().scaled_gamma() == (1, {})
     assert validate_instance(["a"], [], {}, gamma={}).has_full_gamma()
+
+
+class _FreshPairs(Mapping):
+    """A gamma mapping that builds a new pair object on every access; the
+    values repeat with period 3, so a pair freed after one entry is read
+    leaves its id to a pair of another value."""
+
+    VALUES = [(F(1, 2), F(3, 2)), (F(1, 3), F(2)), (F(1), F(3))]
+
+    def __init__(self, keys):
+        self._keys = list(keys)
+        self._at = {k: i % 3 for i, k in enumerate(self._keys)}
+
+    def __getitem__(self, key):
+        gam, delta = self.VALUES[self._at[key]]
+        return (gam + 0, delta + 0)  # new objects, equal values
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def test_fresh_pair_objects_are_read_by_value():
+    inst = generate_random(5, 12, edge_density=0.5, tie_prob=0.3)
+    lazy = _FreshPairs((e.eid, x) for e in inst.edges for x in (e.u, e.v))
+    got, want = (validate_instance(list(inst.vertices), [tuple(e) for e in inst.edges],
+                                   inst.pref, gamma=gamma)
+                 for gamma in (lazy, dict(lazy)))
+    assert got.gamma == want.gamma == {k: lazy[k] for k in lazy}
+    assert got.scaled_gamma() == want.scaled_gamma()
+    assert set(got.gamma.values()) == set(_FreshPairs.VALUES)
+
+
+@pytest.mark.parametrize("bad", [None, (F(3, 2), F(3, 2))], ids=["valid", "bad-pair"])
+def test_shared_and_distinct_pair_objects_read_alike(bad):
+    # the parser hands one tuple per distinct pair; a library caller may
+    # hand one per entry: the instance, or the first bad entry, is the same
+    tri = make_triangle()
+    keys = [(e.eid, x) for e in tri.edges for x in (e.u, e.v)]
+    shared = (H, F(3, 2))
+    spelled = [("1/2", "3/2"), ("2/4", F(3, 2)), (H, "6/4")]
+    kinds = {
+        "shared": {k: shared for k in keys},
+        "equal": {k: (F(1, 2), F(3, 2)) for k in keys},
+        "spelled": {k: spelled[i % 3] for i, k in enumerate(keys)},
+    }
+    if bad is not None:
+        for gamma in kinds.values():
+            gamma[keys[2]] = gamma[keys[4]] = bad
+    results = {}
+    for name, gamma in kinds.items():
+        try:
+            results[name] = _triangle_with_gamma(gamma)
+        except InstanceError as exc:
+            results[name] = str(exc)
+    assert results["shared"] == results["equal"] == results["spelled"]
+    if bad is not None:
+        assert results["shared"] == "edge 'bc' at 'b': gamma must be positive and < delta"
+    else:
+        assert results["shared"].scaled_gamma() == (2, dict.fromkeys(keys, (1, 3)))
+
+
+@pytest.mark.parametrize("given, message", [
+    # edges at a: ab, ca (id order); the first faulty entry wins, whatever the fault
+    ({"ab": -1}, "preference of 'a' for 'ab' is negative"),
+    ({"ab": 0, "ca": "x"}, "preference of 'a' for 'ab' must exceed the unmatched value"),
+    ({"ab": -1, "ca": 2, "zz": 1}, "preference of 'a' for 'ab' is negative"),
+    ({"ab": 1}, "missing preference of 'a' for edge 'ca'"),
+    ({"ab": 1, "ca": 0.5}, "0.5 is not an exact rational (an int, str or Fraction)"),
+    ({"ab": 1, "ca": 2, "zz": 1, "yy": 1}, "preference of 'a' for non-incident edge 'yy'"),
+])
+def test_preferences_name_their_first_bad_entry(given, message):
+    tri = make_triangle()
+    pref = {**tri.pref, "a": given}
+    with pytest.raises(InstanceError) as exc:
+        validate_instance(list(tri.vertices), [tuple(e) for e in tri.edges], pref)
+    assert str(exc.value) == message
 
 
 def test_five_agent_market_valid(five_agent_market):

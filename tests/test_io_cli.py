@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfmatch import core
 from halfmatch.cli import main
 from halfmatch.core import ONE, InstanceError, validate_instance
 from halfmatch.generate import generate_random
@@ -192,6 +193,75 @@ def test_parse_rejects_unknown_edge_in_prefs_with_line():
         InstanceError, match=f"line {expected_line}: .*unknown edge 'ghost'"
     ):
         parse_instance_text(text)
+
+
+def _line_of(text, after, token, nth=1):
+    """The 1-based line of the nth row holding ``token`` after the first row
+    holding ``after``."""
+    rows = text.splitlines()
+    start = next(i for i, row in enumerate(rows) if after in row)
+    hits = [i for i, row in enumerate(rows) if i > start and token in row]
+    return hits[nth - 1] + 1
+
+
+def test_parse_names_the_line_of_a_repeated_edge():
+    # the record's id comes first in the file; the repeat is in a's list
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e1", "u": "a", "v": "b"}],
+        "prefs": {"a": [["e1"], ["e1"]], "b": [["e1"]]},
+    }
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    line = _line_of(text, '"a": [', '"e1"', nth=2)
+    with pytest.raises(InstanceError) as exc:
+        parse_instance_text(text)
+    assert str(exc.value) == f"line {line}: preference list of 'a' mentions edge 'e1' twice"
+
+
+def test_parse_names_the_line_of_an_unknown_edge_named_like_a_vertex():
+    # "a" is first met as the record's "u", then as a vertex key in prefs
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e1", "u": "a", "v": "b"}],
+        "prefs": {"a": [["e1"]], "b": [["e1", "a"]]},
+    }
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    line = _line_of(text, '"b": [', '"a"')
+    with pytest.raises(InstanceError) as exc:
+        parse_instance_text(text)
+    assert str(exc.value) == f"line {line}: preference list of 'b' mentions unknown edge 'a'"
+    # compact text is one line; an id escaped otherwise than json.dumps
+    # escapes it is not found, and the message goes without a line
+    assert re.match(r"line 1: ", _parse_error(json.dumps(doc, separators=(",", ":"))))
+    doc["prefs"]["b"] = [["e1", "é"]]
+    assert _parse_error(json.dumps(doc, ensure_ascii=False)) == (
+        "preference list of 'b' mentions unknown edge 'é'")
+
+
+def _parse_error(text):
+    with pytest.raises(InstanceError) as exc:
+        parse_instance_text(text)
+    return str(exc.value)
+
+
+def test_parse_reads_each_threshold_pair_once(monkeypatch):
+    # the parser hands validation one pair object per distinct pair of
+    # texts, and validation reads each object once
+    calls = []
+    real = core._rat
+    monkeypatch.setattr(core, "_rat", lambda x: calls.append(x) or real(x))
+    inst = generate_random(4, 30, edge_density=0.4, parallel_prob=0.2, tie_prob=0.3,
+                           weight_range=(1, 9), gamma_preset="generic")
+    text = serialize_instance(inst)
+    doc = json.loads(text)
+    texts = {(pair["gamma"], pair["delta"])
+             for sides in doc["gamma"].values() for pair in sides.values()}
+    entries = sum(len(sides) for sides in doc["gamma"].values())
+    weights = sum("weight" in record for record in doc["edges"])
+    assert entries >= 10 * len(texts) and weights
+    calls.clear()
+    assert parse_instance_text(text) == inst
+    assert len(calls) <= 2 * len(texts) + weights
 
 
 def test_parse_accepts_third_fraction_in_matching(five_agent_market):
