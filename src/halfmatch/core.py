@@ -343,7 +343,7 @@ def validate_instance(
         _index={v: i for i, v in enumerate(vs)},
         _gamma_d=d,
         _gamma_scaled=scaled,
-        _full_gamma=g is not None and len(g) == 2 * len(es),
+        _full_gamma=len(g or ()) == 2 * len(es),  # vacuous on an edgeless market
     )
 
 

@@ -31,8 +31,11 @@ entry is live iff its position is within the tail bound at both ends.
 An acceptance lowers the acceptor's bound to the proposal and frees the
 displaced proposer; a rotation lowers the bounds of its acceptors. Head
 and second-entry pointers skip dead entries and never move back, so the
-work is the entries passed over, not the copies deleted. The output is
-certified from its values alone (:func:`_blocked`).
+work is the entries passed over, not the copies deleted. A rotation of
+one member (x, y), the common case on crit markets, needs no cascade:
+the freed x's next live entry is its second, which y takes at its new
+bound, and no one else is freed; so its end state is set in place. The
+output is certified from its values alone (:func:`_blocked`).
 
 Also here: exhaustive half-matching enumeration and the brute-force
 stability oracles used to cross-check every solver at desk scale.
@@ -198,7 +201,9 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
 
     Proposals cascade until every agent with a nonempty list is accepted;
     then, while some list holds three or more entries, one rotation is
-    eliminated and the cascade resumes.
+    eliminated and the cascade resumes. A one-member rotation (x, y) frees
+    only x, whose next live entry is its second, and y accepts it at its
+    new bound: x's head moves there and y holds it, with no cascade.
     """
     names = market.vertices
     n = len(names)
@@ -251,25 +256,38 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
         # walk second/last pointers to a cycle; the walk can never enter a
         # cycle whose members all have length-two lists, so eliminating it
         # never destroys a settled half-cycle
-        seq: list[tuple[int, int]] = []  # (y, the position of x's second entry at y)
+        ys: list[int] = []  # each step's acceptor y ...
+        ps: list[int] = []  # ... and the position of x's second entry at y
         seen: dict[int, int] = {}
         x = start
         while x not in seen:
-            seen[x] = len(seq)
-            if head[x] >= tail[x]:
+            seen[x] = len(ys)
+            h = head[x]
+            if h >= tail[x]:
                 raise VerificationFailed(f"rotation walk meets a short list at {names[x]!r}")
-            e = order[x][second(x)]
+            o, s = order[x], sec[x]
+            if s <= h:
+                s = h + 1
+            e = o[s]
+            while pu[e] > tail[eu[e]] or pv[e] > tail[ev[e]]:  # dead: as in second()
+                s += 1
+                e = o[s]
+            sec[x] = s
             y = ev[e] if eu[e] == x else eu[e]
             if head[y] >= tail[y]:
                 raise VerificationFailed(f"rotation walk meets a short list at {names[y]!r}")
-            seq.append((y, pu[e] if eu[e] == y else pv[e]))
+            ys.append(y)
+            ps.append(pu[e] if eu[e] == y else pv[e])
             last = order[y][tail[y]]
             x = ev[last] if eu[last] == y else eu[last]
-        cut = seq[seen[x]:]  # each acceptor y keeps its list down to x's second entry
-        if all(p == tail[y] for y, p in cut):
+        i = seen[x]  # each acceptor y keeps its list down to x's second entry
+        if i == len(ys) - 1 and ps[i] < tail[ys[i]]:  # one member: hold + cascade's end state
+            tail[ys[i]], held[ys[i]], head[x] = ps[i], order[x][sec[x]], sec[x]
+            continue
+        if all(ps[j] == tail[ys[j]] for j in range(i, len(ys))):
             raise VerificationFailed("rotation eliminates nothing")
-        for y, p in cut:
-            hold(y, -1, p)
+        for j in range(i, len(ys)):
+            hold(ys[j], -1, ps[j])
         cascade()
 
     # each list's head and last entry: two, one or none

@@ -39,6 +39,7 @@ from halfmatch.reductions import (
     build_pri_reduction,
     build_srti_reduction,
 )
+from halfmatch.solvers import max_weight_dual, restrict_to_edges
 
 import materialized
 from conftest import make_path
@@ -354,20 +355,24 @@ class _Court:
             self.delete(g)
 
 
-def oracle_lists(inst: Instance) -> dict[str, list[str]]:
+def oracle_lists(inst: Instance, sizes: list[int] | None = None) -> dict[str, list[str]]:
+    """The court's final lists; each rotation's member count goes to ``sizes``."""
     court = _Court(inst)
     court.cascade()
     while any(len(court.lists[v]) >= 3 for v in inst.vertices):
-        court.eliminate(court.find_rotation())
+        rotation = court.find_rotation()
+        if sizes is not None:
+            sizes.append(len(rotation))
+        court.eliminate(rotation)
         court.cascade()
     return court.lists
 
 
-def assert_matches_oracle(der, label: str) -> None:
+def assert_matches_oracle(der, label: str, sizes: list[int] | None = None) -> None:
     """The engine on a compact market reaches the list court's final lists
     on its materialized twin, and so does the explicit-deletion engine."""
     inst = materialize(der)
-    lists = oracle_lists(inst)
+    lists = oracle_lists(inst, sizes)
     assert materialized._reduce(inst) == lists, label
     market = der.inst
     pu, pv = _positions(market)
@@ -406,6 +411,21 @@ def test_engine_matches_the_list_court_on_a_large_crit_market():
     der = build_crit_reduction(inst, frozenset(inst.vertices))
     assert len(der.inst.edges) >= 9000
     assert_matches_oracle(der, "crit-all n 34")
+
+
+def test_engine_matches_the_list_court_on_maxw_markets():
+    # the crit markets solve_pop_maxw builds: the dual's tight edges, with
+    # every positive-potential vertex critical. Most of their rotations have
+    # one member, which the engine eliminates in place; the rest cascade
+    sizes: list[int] = []
+    for seed, n in enumerate(range(40, 111, 5)):
+        inst = generate_random(seed, n, edge_density=0.3, weight_range=(1, 9))
+        dual = max_weight_dual(inst, inst.weights)
+        der = build_crit_reduction(restrict_to_edges(inst, set(dual.tight_edges)),
+                                   dual.critical)
+        assert_matches_oracle(der, f"maxw seed {seed} n {n}", sizes)
+    assert sizes.count(1) >= 0.8 * len(sizes)
+    assert len(sizes) - sizes.count(1) >= 100
 
 
 def test_engine_raises_the_list_courts_tie_message():

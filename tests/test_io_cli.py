@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from halfmatch import core
 from halfmatch.cli import main
 from halfmatch.core import ONE, InstanceError, validate_instance
-from halfmatch.generate import generate_random
+from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
     SOLVER_CLAIMS,
     build_result,
@@ -163,6 +163,18 @@ def test_instance_text_equals_the_json_dumps_form():
         assert serialize_instance(parse_instance_text(text)) == text
 
 
+@pytest.mark.parametrize("preset", GAMMA_PRESETS)
+def test_gamma_fullness_survives_the_round_trip(preset):
+    # the writer omits an empty gamma section, so an edgeless market reads
+    # back without one; it has every pair it needs either way
+    for seed, density in ((1, 0.0), (2, 0.3), (3, 0.8)):
+        inst = generate_random(seed, 5, edge_density=density, gamma_preset=preset)
+        again = parse_instance_text(serialize_instance(inst))
+        assert again.has_full_gamma() == inst.has_full_gamma(), (preset, density)
+        assert inst.has_full_gamma() == (preset != "none" or not inst.edges), (preset, density)
+        assert bool(inst.edges) == (density > 0)
+
+
 def test_many_distinct_thresholds_are_written_as_json_dumps_writes_them():
     # kept apart from the pinned markets, whose digest stays put: each
     # distinct threshold pair is formatted once, over many denominators
@@ -301,6 +313,17 @@ def test_cli_generate_and_solve_roundtrip(tmp_path):
     result = load_result(str(out_path))
     assert result["solver"] == "solve-max-srti"
     assert result["verification"]["stable"] is True
+    assert main(["verify", "--input", str(inst_path), "--result", str(out_path)]) == 0
+
+
+def test_cli_solves_an_edgeless_gamma_market(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    out_path = tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "3", "--edge-density", "0",
+                 "--gamma-preset", "generic", "--output", str(inst_path)]) == 0
+    assert '"gamma"' not in inst_path.read_text()
+    assert main(["solve-gamma", "--input", str(inst_path), "--output", str(out_path)]) == 0
+    assert load_result(str(out_path))["matching"] == {}
     assert main(["verify", "--input", str(inst_path), "--result", str(out_path)]) == 0
 
 
