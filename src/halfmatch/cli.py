@@ -17,6 +17,7 @@ from .engine import BoundExceeded, brute_force_max_stable
 from .generate import GAMMA_PRESETS, generate_random
 from .io import (
     MODES,
+    POPULARITY_CLAIMS,
     SOLVER_CLAIMS,
     build_result,
     check_result,
@@ -159,15 +160,7 @@ def _cmd_solve(args) -> int:
         m = solve_max_pri(inst)
         verification = {"derived_stable": True}
         if 0 < len(inst.edges) <= args.oracle_bound:
-            verdict = is_popular(inst, m, bound=args.oracle_bound, scope=args.scope)
-            verification["popular"] = verdict.popular
-            verification["popular_scope"] = verdict.scope
-            if verdict.counterexample:
-                rival, res = verdict.counterexample
-                verification["counterexample"] = {
-                    "matching": format_matching(rival),
-                    "delta": format_rational(res.value),
-                }
+            verification.update(_popularity_claims(inst, m, args.oracle_bound, args.scope))
     elif tag == "solve-pop-crit":
         crit = (
             frozenset(x for x in args.critical.split(",") if x)
@@ -194,6 +187,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _popularity_claims(inst, m, bound: int, scope: str) -> dict:
+    """The popularity claims solve-max-pri records, from a verdict in ``scope``."""
+    verdict = is_popular(inst, m, bound=bound, scope=scope)
+    claims = {"popular": verdict.popular, "popular_scope": verdict.scope}
+    if verdict.counterexample:
+        rival, res = verdict.counterexample
+        claims["counterexample"] = {"matching": format_matching(rival),
+                                    "delta": format_rational(res.value)}
+    return claims
+
+
 def _cmd_verify(args) -> int:
     inst = load_instance(args.input)
     result = load_result(args.result)
@@ -214,10 +218,10 @@ def _cmd_verify(args) -> int:
     # the oracle re-checks only a matching whose recorded claims re-derive
     if not problems and 0 < len(inst.edges) <= args.oracle_bound:
         m = parse_matching(result.get("matching", {}))
-        if "popular" in ver:
-            verdict = is_popular(inst, m, bound=args.oracle_bound, scope=args.scope)
-            if verdict.popular != ver["popular"]:
-                problems.append("popularity verdict does not re-derive")
+        if any(key in ver for key in POPULARITY_CLAIMS):
+            claims = _popularity_claims(inst, m, args.oracle_bound, args.scope)
+            problems += [f"recorded {key!r} does not re-derive"
+                         for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
         if solver in ("solve-pop-crit", "solve-pop-maxw"):
             market = inst if tight is None else restrict_to_edges(inst, tight)
             try:

@@ -29,13 +29,11 @@ position at both ends checks that each order lists its vertex's copies
 once each. Deletion is lazy, as in Irving's roommates algorithm: an
 entry is live iff its position is within the tail bound at both ends.
 An acceptance lowers the acceptor's bound to the proposal and frees the
-displaced proposer; a rotation lowers the bounds of its acceptors. Head
-and second-entry pointers skip dead entries and never move back, so the
-work is the entries passed over, not the copies deleted. A rotation of
-one member (x, y), the common case on crit markets, needs no cascade:
-the freed x's next live entry is its second, which y takes at its new
-bound, and no one else is freed; so its end state is set in place. The
-output is certified from its values alone (:func:`_blocked`).
+displaced proposer; a rotation is eliminated in place, with no
+proposals (:func:`_reduce`). Head and second-entry pointers skip dead
+entries and never move back, so the work is the entries passed over,
+not the copies deleted. The output is certified from its values alone
+(:func:`_blocked`).
 
 Also here: exhaustive half-matching enumeration and the brute-force
 stability oracles used to cross-check every solver at desk scale.
@@ -199,11 +197,13 @@ def _positions(market: CopyMarket) -> tuple[list[int], list[int]]:
 def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]:
     """Every vertex's surviving list, best first, once none has three entries.
 
-    Proposals cascade until every agent with a nonempty list is accepted;
-    then, while some list holds three or more entries, one rotation is
-    eliminated and the cascade resumes. A one-member rotation (x, y) frees
-    only x, whose next live entry is its second, and y accepts it at its
-    new bound: x's head moves there and y holds it, with no cascade.
+    Proposals run until every agent with a nonempty list is accepted;
+    then rotations are eliminated in place while a list has three or more
+    entries. By Irving's rotation lemma, eliminating an exposed rotation
+    makes each member x's second entry its first and x the last entry of
+    its acceptor y, and changes nothing else. A vertex that is an x and a
+    y of one rotation is covered: its head moves as an x, its tail as a y,
+    and neither step reads what the other writes.
     """
     names = market.vertices
     n = len(names)
@@ -211,29 +211,24 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
     tail = [len(o) - 1 for o in order]  # bound: entries past it are dead; the held one's position
     head = [0] * n  # first live position, past the tail when the list is empty
     sec = [1] * n  # at most the second live position
+
+    # phase 1: a live entry is at or above its other end's hold, so it is accepted
     held = [-1] * n
-
-    def hold(w: int, e: int, p: int) -> None:
-        """w holds e (none if -1) with bound p; the proposer of its old hold is free."""
-        g = held[w]
-        held[w], tail[w] = e, p
-        if g >= 0:
-            free.append(eu[g] if ev[g] == w else ev[g])
-
-    def cascade() -> None:
-        """Run proposals until every agent with a nonempty list is accepted; a
-        live entry is at or above its other end's hold, so it is accepted."""
-        while free:
-            v = free.pop()
-            o, h, t = order[v], head[v], tail[v]
-            while h <= t:
-                e = o[h]
-                w, p = (ev[e], pv[e]) if eu[e] == v else (eu[e], pu[e])
-                if p <= tail[w]:
-                    hold(w, e, p)
-                    break
-                h += 1
-            head[v] = h
+    free = [x for x in range(n - 1, -1, -1) if order[x]]
+    while free:
+        v = free.pop()
+        o, h, t = order[v], head[v], tail[v]
+        while h <= t:
+            e = o[h]
+            w, p = (ev[e], pv[e]) if eu[e] == v else (eu[e], pu[e])
+            if p <= tail[w]:
+                g = held[w]
+                held[w], tail[w] = e, p
+                if g >= 0:
+                    free.append(eu[g] if ev[g] == w else ev[g])
+                break
+            h += 1
+        head[v] = h
 
     def second(x: int) -> int:
         """The position of x's second live entry; x has two or more."""
@@ -245,8 +240,6 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
         sec[x] = s
         return s
 
-    free = [x for x in range(n - 1, -1, -1) if order[x]]
-    cascade()
     start = 0  # lists only shrink, so no vertex before start regains 3 entries
     while True:
         while start < n and (head[start] >= tail[start] or second(start) == tail[start]):
@@ -280,15 +273,15 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
             ps.append(pu[e] if eu[e] == y else pv[e])
             last = order[y][tail[y]]
             x = ev[last] if eu[last] == y else eu[last]
-        i = seen[x]  # each acceptor y keeps its list down to x's second entry
-        if i == len(ys) - 1 and ps[i] < tail[ys[i]]:  # one member: hold + cascade's end state
-            tail[ys[i]], held[ys[i]], head[x] = ps[i], order[x][sec[x]], sec[x]
-            continue
-        if all(ps[j] == tail[ys[j]] for j in range(i, len(ys))):
-            raise VerificationFailed("rotation eliminates nothing")
-        for j in range(i, len(ys)):
-            hold(ys[j], -1, ps[j])
-        cascade()
+        # eliminate it from x on; y's old last entry names the next member
+        for j in range(seen[x], len(ys)):
+            y = ys[j]
+            if ps[j] >= tail[y]:
+                raise VerificationFailed("rotation eliminates nothing")
+            last = order[y][tail[y]]
+            x = ev[last] if eu[last] == y else eu[last]
+            tail[y] = ps[j]
+            head[x] = sec[x]
 
     # each list's head and last entry: two, one or none
     return [order[x][head[x]:tail[x] + 1:max(1, tail[x] - head[x])] for x in range(n)]

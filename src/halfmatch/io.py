@@ -322,6 +322,7 @@ SOLVER_CLAIMS: dict[str, tuple[str, ...]] = {
     "solve-pop-maxw": ("derived_stable", "weights_source", "weight", "dual_objective",
                        "critical"),
 }
+POPULARITY_CLAIMS = ("popular", "popular_scope", "counterexample")  #: solve-max-pri's, if any
 #: the stability mode each stable solve writes, by its solver tag
 MODES = {"solve-max-srti": "weak", "solve-gamma": "gamma"}
 
@@ -369,8 +370,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
     matching is re-validated, and the stats and per-solver verification
     summary are recomputed from scratch and compared field by field; a
     recorded flag must be the JSON boolean it re-derives to. The recorded
-    solver tag decides which claims must be present (:data:`SOLVER_CLAIMS`),
-    so a file cannot skip a check by leaving its field out.
+    solver tag decides which claims must be present and which may be
+    (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add one.
     """
     problems: list[str] = []
     if result.get("instance_digest") != digest:
@@ -381,8 +382,12 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
     ver = result.get("verification", {})
     problems += [f"verification lacks the {key!r} claim"
                  for key in SOLVER_CLAIMS[solver] if key not in ver]
-    if solver in MODES and ver.get("mode") != MODES[solver]:
-        problems.append(f"mode is not {MODES[solver]!r}, the mode {solver} writes")
+    writes = SOLVER_CLAIMS[solver] + (POPULARITY_CLAIMS if solver == "solve-max-pri" else ())
+    problems += [f"verification holds {key!r}, which {solver} does not write"
+                 for key in ver if key not in writes]
+    mode = MODES.get(solver)
+    if mode and ver.get("mode") != mode:
+        problems.append(f"mode is not {mode!r}, the mode {solver} writes")
     try:
         m = parse_matching(result.get("matching", {}))
     except InstanceError as exc:
@@ -400,8 +405,7 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
         if type(got) is not type(val) or got != val:  # 1 == True, but 1 is no flag
             problems.append(f"stats field {key!r} does not re-derive")
 
-    mode = ver.get("mode")
-    if mode in ("weak", "gamma"):
+    if mode:
         bad = blocking_edges(inst, m, mode)
         if bad != ver.get("blocking_edges"):
             problems.append("recorded blocking edges do not re-derive")

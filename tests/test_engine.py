@@ -415,17 +415,27 @@ def test_engine_matches_the_list_court_on_a_large_crit_market():
 
 def test_engine_matches_the_list_court_on_maxw_markets():
     # the crit markets solve_pop_maxw builds: the dual's tight edges, with
-    # every positive-potential vertex critical. Most of their rotations have
-    # one member, which the engine eliminates in place; the rest cascade
+    # every positive-potential vertex critical. The engine eliminates every
+    # rotation in place. Most rotations have one member on instance weights,
+    # and two or more on unit weights, where every vertex is critical
+    def check(inst, weights, label, sizes):
+        dual = max_weight_dual(inst, weights)
+        der = build_crit_reduction(restrict_to_edges(inst, set(dual.tight_edges)),
+                                   dual.critical)
+        assert_matches_oracle(der, label, sizes)
+
     sizes: list[int] = []
     for seed, n in enumerate(range(40, 111, 5)):
         inst = generate_random(seed, n, edge_density=0.3, weight_range=(1, 9))
-        dual = max_weight_dual(inst, inst.weights)
-        der = build_crit_reduction(restrict_to_edges(inst, set(dual.tight_edges)),
-                                   dual.critical)
-        assert_matches_oracle(der, f"maxw seed {seed} n {n}", sizes)
+        check(inst, inst.weights, f"maxw seed {seed} n {n}", sizes)
     assert sizes.count(1) >= 0.8 * len(sizes)
     assert len(sizes) - sizes.count(1) >= 100
+    unit: list[int] = []
+    for seed, n in enumerate((29, 32, 35, 38)):
+        inst = generate_random(seed, n, edge_density=0.3)
+        check(inst, {e.eid: ONE for e in inst.edges}, f"unit maxw seed {seed} n {n}", unit)
+    assert len(unit) - unit.count(1) >= 0.5 * len(unit)
+    assert len(unit) >= 1000
 
 
 def test_engine_raises_the_list_courts_tie_message():

@@ -17,6 +17,7 @@ from halfmatch.cli import main
 from halfmatch.core import ONE, InstanceError, validate_instance
 from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
+    POPULARITY_CLAIMS,
     SOLVER_CLAIMS,
     build_result,
     check_result,
@@ -487,6 +488,57 @@ def test_cli_verify_rejects_a_flag_of_the_wrong_type(tmp_path, capsys, section, 
     capsys.readouterr()
     assert main(verify) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claims", [
+    {"critical_ok": False},
+    {"dual_objective": "banana"},
+    {"counterexample": {"matching": {}, "delta": "1"}},
+    {"critical_ok": False, "dual_objective": "banana",
+     "counterexample": {"matching": {}, "delta": "1"}},
+], ids=["critical_ok", "dual_objective", "counterexample", "all-three"])
+def test_cli_verify_rejects_a_claim_its_solver_never_writes(tmp_path, capsys, claims):
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "8", "--tie-prob", "0.3",
+                 "--output", str(inst_path)]) == 0
+    assert main(["solve-max-srti", "--input", str(inst_path),
+                 "--output", str(res_path)]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    doc["verification"].update(claims)
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 1
+    err = capsys.readouterr().err
+    for key in claims:
+        assert f"verification holds {key!r}, which solve-max-srti does not write" in err
+
+
+@pytest.mark.parametrize("key, value, scope", [
+    (None, None, "sampled"),  # the recorded scope is not the one checked
+    ("popular_scope", "popular (every fractional rival)", "half"),
+    ("counterexample", {"matching": {}, "delta": "1"}, "half"),
+], ids=["other-scope", "popular_scope", "counterexample"])
+def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, key, value, scope):
+    # the verdict is popular, so the solve records no counterexample
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "6", "--edge-density", "0.4",
+                 "--output", str(inst_path)]) == 0
+    assert main(["solve-max-pri", "--input", str(inst_path), "--output", str(res_path),
+                 "--oracle-bound", "8"]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path),
+              "--oracle-bound", "8"]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    assert doc["verification"]["popular"] is True
+    if key is not None:
+        doc["verification"][key] = value
+        res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([*verify, "--scope", scope]) == 1
+    want = key or "popular_scope"
+    assert f"recorded {want!r} does not re-derive" in capsys.readouterr().err
 
 
 def _solved(tmp_path, generate, tag):
@@ -980,9 +1032,14 @@ def test_cli_contract_holds_on_mutated_files(valid_files, data):
     matching = mutated.get("matching") if isinstance(mutated, dict) else None
     malformed = (target != "instance" and isinstance(matching, dict)
                  and not all(_is_rational(x) for x in matching.values()))
+    # a verification field its solver never writes is a claim verify must refuse
+    ver = mutated.get("verification") if isinstance(mutated, dict) else None
+    writes = SOLVER_CLAIMS[tag] + (POPULARITY_CLAIMS if tag == "solve-max-pri" else ())
+    foreign = (target != "instance" and isinstance(ver, dict)
+               and any(key not in writes for key in ver))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if target == "instance":
             argv = [tag, "--input", str(inst_path), "--output", str(work / "out.json")]
             assert main(argv) in (0, 2)
         code = main(["verify", "--input", str(inst_path), "--result", str(res_path), *oracle])
-    assert code == 2 if malformed else code in (0, 1, 2)
+    assert code in ((2,) if malformed else (1, 2) if foreign else (0, 1, 2))
