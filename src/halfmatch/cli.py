@@ -17,7 +17,6 @@ from .engine import BoundExceeded, brute_force_max_stable
 from .generate import GAMMA_PRESETS, generate_random
 from .io import (
     MODES,
-    POPULARITY_CLAIMS,
     SOLVER_CLAIMS,
     build_result,
     check_result,
@@ -31,7 +30,7 @@ from .io import (
     serialize_instance,
     serialize_result,
 )
-from .popularity import is_popular, is_popular_critical
+from .popularity import SCOPES, is_popular, is_popular_critical
 from .solvers import (
     InfeasibleCritical,
     VerificationFailed,
@@ -75,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oracle-bound", type=int, default=0,
                            help="when positive and the instance is small enough, "
                            "also record a popularity check")
-            p.add_argument("--scope", choices=["half", "sampled"], default="half")
+            p.add_argument("--scope", choices=list(SCOPES), default="half")
         elif tag == "solve-pop-crit":
             p.add_argument("--critical", help="comma-separated critical vertices "
                            "(defaults to the instance's set)")
@@ -89,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", required=True, help="result file to re-check")
     p.add_argument("--oracle-bound", type=int, default=0,
                    help="re-run popularity checks when the instance fits")
-    p.add_argument("--scope", choices=["half", "sampled"], default="half")
+    p.add_argument("--scope", choices=list(SCOPES), default="half")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep seeds, compare against brute force, emit CSV")
@@ -201,7 +200,10 @@ def _popularity_claims(inst, m, bound: int, scope: str) -> dict:
 def _cmd_verify(args) -> int:
     inst = load_instance(args.input)
     result = load_result(args.result)
-    problems = check_result(inst, result, instance_digest(inst))
+    within = 0 < len(inst.edges) <= args.oracle_bound
+    oracle = functools.partial(_popularity_claims, inst, bound=args.oracle_bound,
+                               scope=args.scope)
+    problems = check_result(inst, result, instance_digest(inst), oracle if within else None)
     ver = result.get("verification", {})
     solver = result.get("solver")
     crit, tight = frozenset(ver.get("critical", ())), None
@@ -215,21 +217,16 @@ def _cmd_verify(args) -> int:
             problems.append("recorded critical set is not the dual's positive-potential set")
         # the maximum-weight rivals are the critical rivals on the tight edges
         crit, tight = dual.critical, set(dual.tight_edges)
-    # the oracle re-checks only a matching whose recorded claims re-derive
-    if not problems and 0 < len(inst.edges) <= args.oracle_bound:
+    # the critical oracle re-checks only a matching whose recorded claims re-derive
+    if not problems and within and solver in ("solve-pop-crit", "solve-pop-maxw"):
         m = parse_matching(result.get("matching", {}))
-        if any(key in ver for key in POPULARITY_CLAIMS):
-            claims = _popularity_claims(inst, m, args.oracle_bound, args.scope)
-            problems += [f"recorded {key!r} does not re-derive"
-                         for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
-        if solver in ("solve-pop-crit", "solve-pop-maxw"):
-            market = inst if tight is None else restrict_to_edges(inst, tight)
-            try:
-                crit_ok = is_popular_critical(market, m, crit, bound=args.oracle_bound).popular
-            except InstanceError:
-                crit_ok = False
-            if not crit_ok:
-                problems.append("matching is not popular among critical rivals")
+        market = inst if tight is None else restrict_to_edges(inst, tight)
+        try:
+            crit_ok = is_popular_critical(market, m, crit, bound=args.oracle_bound).popular
+        except InstanceError:
+            crit_ok = False
+        if not crit_ok:
+            problems.append("matching is not popular among critical rivals")
     if problems:
         for msg in problems:
             print(f"verification failure: {msg}", file=sys.stderr)

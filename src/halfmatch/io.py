@@ -27,12 +27,13 @@ import re
 from fractions import Fraction
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .core import (
     ONE,
     Instance,
     InstanceError,
+    MatchingError,
     Rational,
     ZERO,
     blocking_edges,
@@ -40,6 +41,7 @@ from .core import (
     matching_stats,
     validate_instance,
 )
+from .popularity import SCOPES
 
 
 def format_rational(x: Rational) -> str:
@@ -360,7 +362,8 @@ def load_result(path: str) -> dict[str, Any]:
     return doc
 
 
-def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list[str]:
+def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
+                 popularity: Callable | None = None) -> list[str]:
     """Re-derive everything a result file claims; returns the failures.
 
     Only ``verify`` calls it: a solve writes the claims its solver has
@@ -372,6 +375,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
     recorded flag must be the JSON boolean it re-derives to. The recorded
     solver tag decides which claims must be present and which may be
     (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add one.
+    ``popularity``, if given, maps a valid matching to the popularity claims
+    solve-max-pri would record for it, and each recorded claim must equal its own.
     """
     problems: list[str] = []
     if result.get("instance_digest") != digest:
@@ -415,8 +420,12 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
             problems.append(f"matching is blocked by {bad}")
     if ver.get("derived_stable", True) is not True:  # certified by the solver alone
         problems.append("derived stability flag is not true")
-    if type(ver.get("popular", False)) is not bool:  # re-derived within the oracle bound
-        problems.append("popularity flag is not a JSON boolean")
+    if solver == "solve-max-pri" and any(key in ver for key in POPULARITY_CLAIMS):
+        problems += _popularity_problems(inst, ver)
+        if popularity is not None:  # the verdict reads only the instance and m
+            claims = popularity(m)
+            problems += [f"recorded {key!r} does not re-derive"
+                         for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
     if "critical" in ver:
         known = set(inst.vertices)
         crit = ver["critical"]
@@ -438,4 +447,34 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str) -> list
             problems.append("recorded weight does not re-derive")
         if ver.get("dual_objective", got) != got:  # the solver certified them equal
             problems.append("recorded dual objective differs from the weight")
+    return problems
+
+
+def _popularity_problems(inst: Instance, ver: Mapping[str, Any]) -> list[str]:
+    """What is malformed in recorded popularity claims, whose values only
+    the oracle re-derives: the flag and its scope come together, the scope
+    is a label :func:`~halfmatch.popularity.is_popular` writes, and a
+    counterexample, a half-matching with its negative delta, comes exactly
+    when the flag is false."""
+    problems = []
+    if "popular" not in ver or "popular_scope" not in ver:
+        problems.append("popular and popular_scope are not recorded together")
+    if type(ver.get("popular", False)) is not bool:
+        problems.append("popularity flag is not a JSON boolean")
+    if ver.get("popular_scope", SCOPES["half"]) not in SCOPES.values():
+        problems.append("popular_scope is not a scope label is_popular writes")
+    if ("counterexample" in ver) != (ver.get("popular") is False):
+        problems.append("a counterexample is recorded if and only if popular is false")
+    if "counterexample" not in ver:
+        return problems
+    counter = ver["counterexample"]
+    if (not isinstance(counter, dict) or sorted(counter) != ["delta", "matching"]
+            or not isinstance(counter["matching"], dict)):
+        return problems + ["counterexample holds other than a matching and a delta"]
+    try:
+        check_matching(inst, parse_matching(counter["matching"]), half=True)
+        if parse_rational(counter["delta"]) >= 0:
+            raise InstanceError("its delta is not negative")
+    except (InstanceError, MatchingError) as exc:
+        problems.append(f"counterexample invalid: {exc}")
     return problems

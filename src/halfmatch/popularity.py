@@ -434,6 +434,10 @@ def _enumerated(inst: Instance, bound: int) -> Iterator[Rival]:
         yield {eid: 1 if val is HALF else 2 for eid, val in n.items()}, 2, n
 
 
+#: the label an :func:`is_popular` verdict carries, by the scope it checked
+SCOPES = {"half": "popular (half-integral scope)", "sampled": "popular (sampled scope)"}
+
+
 def is_popular(
     inst: Instance,
     m: Mapping[str, Fraction],
@@ -452,17 +456,16 @@ def is_popular(
     larger, then lexicographically smallest), with its feasible pairing,
     built for it alone.
     """
-    if scope not in ("half", "sampled"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown popularity scope {scope!r}")
     _require(inst, "delta over feasible pairings", m)
     rivals = _enumerated(inst, bound)
     if scope == "sampled":
         rivals = chain(rivals, _sampled(inst, seed, samples))
     value = _feasible_value(inst, m)
-    label = "popular (half-integral scope)" if scope == "half" else "popular (sampled scope)"
     return _scan(
         rivals, lambda held, d, n: value(held, d),
-        lambda n: _delta_feasible(inst, m, n), label,
+        lambda n: _delta_feasible(inst, m, n), SCOPES[scope],
     )
 
 

@@ -1,10 +1,10 @@
 """A small exact linear-program solver over rationals.
 
-Two-phase primal simplex on a dense tableau with Bland's smallest-index
+Two-phase primal simplex on a sparse tableau with Bland's smallest-index
 pivoting, which cannot cycle, so termination is guaranteed. Intended for
 the desk-scale problems in this package (a few hundred variables), not
 for serious LP work. Each constraint row comes as a map from column to
-nonzero coefficient; only those entries are read into the dense tableau.
+coefficient; an explicit zero is dropped as it is read.
 
 Numbers enter and leave as Fractions, but the tableau holds Python ints
 and pivots fraction-free (Edmonds 1967, "Systems of distinct
@@ -19,25 +19,32 @@ every other row by (p*T[i] - T[i][c]*T[r]) / D, then sets D = p;
 Sylvester's identity makes the division exact, so no gcd is ever taken
 and entries never outgrow the minors of the input.
 
-Two refinements keep the work down and every sign test plain. A row whose
-entry in the pivot column is zero would only be multiplied by p/D; since
-those factors telescope, such a row is left alone and remembers the D it
-was last written over, its denominator, and is rescaled only when it
-becomes the pivot row or enters an objective row. Every other row is
-updated by (p*R[i] - R[i][c]*T[r]) / den[i], again exact. A negative
-pivot, which only the pivot-out of leftover artificials can choose,
-first negates its row; that flips the common sign and keeps every
-denominator positive, so a stored entry has the sign of the rational
-entry and the ratio test compares by cross-multiplication. No float and
-no tolerance appears anywhere.
+A row maps each column to its nonzero int, the right-hand side included,
+and never stores a zero: an update runs over the union of its columns
+and the pivot row's and drops what cancels. A row whose entry in the
+pivot column is zero would only be multiplied by p/D; since those
+factors telescope, such a row is left alone and remembers the D it was
+last written over, its denominator, and is rescaled only when it becomes
+the pivot row or enters an objective row. Every other row is updated by
+(p*R[i] - R[i][c]*T[r]) / den[i], again exact. When p equals den[i], as
+in the common case p = D = 1, that is R[i] - R[i][c]*T[r]/den[i], exact
+term by term, so only the pivot row's columns change; the dense
+objective row is updated the same way over D. A negative pivot, which
+only the pivot-out of leftover artificials can choose, first negates its
+row; that flips the common sign and keeps every denominator positive, so
+a stored entry has the sign of the rational entry and the ratio test
+compares by cross-multiplication. No float and no tolerance appears
+anywhere.
 
 Scaling the rows leaves the artificial columns at coefficient 1, which
 rescales the artificial variables and the phase-1 objective by the same
 positive factor; the phase-2 costs are scaled by the lcm of their
 denominators. Positive rescaling keeps every sign Bland's rule reads and
-the order of the ratios within each column, so the pivot sequence, and
-with it the returned basic solution, is exactly the one a Fraction
-tableau would take.
+the order of the ratios within each column. Sparse storage changes no
+value, only which zeros are kept: an absent entry reads as zero, and the
+least stored column of a row is its least nonzero one. So the pivot
+sequence, and with it the returned basic solution, is exactly the one a
+dense Fraction tableau would take.
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ def solve_min(
 ) -> tuple[list[Fraction], Fraction]:
     """Minimize costs*x subject to rows*x = rhs, x >= 0.
 
-    Each row maps a column in 0..len(costs)-1 to its nonzero coefficient,
-    absent columns being zero. Returns (x, value) at an optimal basic solution.
+    Each row maps a column in 0..len(costs)-1 to its coefficient, absent
+    columns being zero. Returns (x, value) at an optimal basic solution.
     """
     m, n = len(rows), len(costs)
     if len(rhs) != m or any(not 0 <= j < n for row in rows for j in row):
@@ -77,10 +84,9 @@ def solve_min(
     tableau = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
         k = -scale if b < 0 else scale
-        t = [0] * width + [b.numerator * (k // b.denominator)]
+        t = {j: a.numerator * (k // a.denominator)
+             for j, a in (*row.items(), (width, b)) if a}
         t[n + i] = 1
-        for j, a in row.items():
-            t[j] = a.numerator * (k // a.denominator)
         tableau.append(t)
     lp = _Tableau(tableau, list(range(n, width)))
 
@@ -94,7 +100,7 @@ def solve_min(
     # remain sit in redundant rows at value zero and are harmless
     for i in range(m):
         if lp.basis[i] >= n:
-            col = next((j for j in range(n) if lp.rows[i][j] != 0), None)
+            col = min((j for j in lp.rows[i] if j < n), default=None)
             if col is not None:
                 lp.pivot(i, col, None)
 
@@ -107,14 +113,15 @@ def solve_min(
     x = [ZERO] * n
     for i in range(m):
         if lp.basis[i] < n:
-            x[lp.basis[i]] = Fraction(lp.rows[i][width], lp.den[i])
+            x[lp.basis[i]] = Fraction(lp.rows[i].get(width, 0), lp.den[i])
     value = sum((costs[j] * x[j] for j in range(n)), ZERO)
     return x, value
 
 
 class _Tableau:
     """Integer rows R[i] over positive denominators den[i]: R[i] / den[i] is
-    row i of the rational tableau, and R[i] * D / den[i] that row over D."""
+    row i of the rational tableau, and R[i] * D / den[i] that row over D. Each
+    R[i] maps a column to its nonzero entry, the last column holding b."""
 
     def __init__(self, rows, basis):
         self.rows = rows
@@ -124,16 +131,17 @@ class _Tableau:
 
     def current(self, i):
         """Row i over the current D."""
-        row, q = self.rows[i], self.den[i]
-        return row if q == self.d else [a * self.d // q for a in row]
+        row, q, d = self.rows[i], self.den[i], self.d
+        return row if q == d else {j: a * d // q for j, a in row.items()}
 
     def objective_row(self, costs):
-        """The reduced-cost row c_B B^-1 [A | b] - [c | 0], over D."""
+        """The reduced-cost row c_B B^-1 [A | b] - [c | 0], over D, as a list."""
         z = [-self.d * c for c in costs] + [0]
         for i in range(len(self.rows)):
             cb = costs[self.basis[i]]
             if cb:
-                z = [a + cb * t for a, t in zip(z, self.current(i))]
+                for j, a in self.current(i).items():
+                    z[j] += cb * a
         return z
 
     def iterate(self, z, cols):
@@ -146,15 +154,15 @@ class _Tableau:
                 return
             best = None
             for i, row in enumerate(rows):
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
                     if best is None:
                         best = i
                         continue
                     # row[width] / a against the best row's ratio; both
                     # ratios are free of the rows' denominators
-                    here = row[width] * rows[best][enter]
-                    there = rows[best][width] * a
+                    here = row.get(width, 0) * rows[best][enter]
+                    there = rows[best].get(width, 0) * a
                     if here < there or (here == there and basis[i] < basis[best]):
                         best = i
             if best is None:
@@ -165,19 +173,36 @@ class _Tableau:
         """Fraction-free pivot on entry (r, c); updates z, kept over D, unless None."""
         pr = self.current(r)
         if pr[c] < 0:
-            pr = [-a for a in pr]
+            pr = {j: -a for j, a in pr.items()}
         p, d = pr[c], self.d
         rows, den = self.rows, self.den
         for i, row in enumerate(rows):
-            f = row[c]
+            f = row.get(c)
             if f and i != r:
                 q = den[i]
-                rows[i] = [(p * a - f * b) // q for a, b in zip(row, pr)]
+                if p == q:  # R[i] - f*T[r]/q: only T[r]'s columns move
+                    for j, b in pr.items():
+                        a = row.get(j, 0) - f * b // q
+                        if a:
+                            row[j] = a
+                        else:
+                            del row[j]
+                    continue
+                new = {j: p * a // q for j, a in row.items() if j not in pr}
+                for j, b in pr.items():
+                    a = (p * row.get(j, 0) - f * b) // q
+                    if a:
+                        new[j] = a
+                rows[i] = new
                 den[i] = p
         rows[r] = pr
         den[r] = p
         if z is not None:
             f = z[c]
-            z[:] = [(p * a - f * b) // d for a, b in zip(z, pr)]
+            if p == d:
+                for j, b in pr.items():
+                    z[j] -= f * b // d
+            else:
+                z[:] = [(p * a - f * pr.get(j, 0)) // d for j, a in enumerate(z)]
         self.basis[r] = c
         self.d = p

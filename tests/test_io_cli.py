@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfmatch import core
-from halfmatch.cli import main
+from halfmatch.cli import _popularity_claims, main
 from halfmatch.core import ONE, InstanceError, validate_instance
 from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
@@ -21,6 +21,7 @@ from halfmatch.io import (
     SOLVER_CLAIMS,
     build_result,
     check_result,
+    format_matching,
     format_rational,
     instance_digest,
     load_instance,
@@ -539,6 +540,76 @@ def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, key, val
     assert main([*verify, "--scope", scope]) == 1
     want = key or "popular_scope"
     assert f"recorded {want!r} does not re-derive" in capsys.readouterr().err
+
+
+OWN = object()  # stands for the result's own matching
+BAD_SCOPE = "popular_scope is not a scope label is_popular writes"
+APART = "popular and popular_scope are not recorded together"
+UNPAIRED = "a counterexample is recorded if and only if popular is false"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"popular_scope": 7}, BAD_SCOPE),
+    ({"popular_scope": "popular (every fractional rival)"}, BAD_SCOPE),
+    ({"popular": None}, APART),
+    ({"popular_scope": None}, APART),
+    ({"counterexample": "banana"}, UNPAIRED),
+    ({"popular": False}, UNPAIRED),
+    ({"popular": False, "counterexample": "banana"},
+     "counterexample holds other than a matching and a delta"),
+    ({"popular": False, "counterexample": {"matching": OWN, "delta": "-1", "rivals": 3}},
+     "counterexample holds other than a matching and a delta"),
+    ({"popular": False, "counterexample": {"matching": OWN, "delta": "1/2"}},
+     "counterexample invalid: its delta is not negative"),
+    ({"popular": False, "counterexample": {"matching": OWN, "delta": "banana"}},
+     "counterexample invalid: malformed rational 'banana'"),
+    ({"popular": False, "counterexample": {"matching": {"zz": "1"}, "delta": "-1"}},
+     "counterexample invalid: value for unknown edge 'zz'"),
+    ({"popular": False, "counterexample": {"matching": ["e000"], "delta": "-1"}},
+     "counterexample holds other than a matching and a delta"),
+], ids=["scope-7", "scope-unknown", "no-popular", "no-scope", "counterexample-banana",
+        "no-counterexample", "false-banana", "extra-key", "delta-positive",
+        "delta-banana", "unknown-edge", "matching-list"])
+def test_cli_verify_checks_popularity_claims_without_the_oracle(tmp_path, capsys, edits,
+                                                                 message):
+    # 8 edges: within solve-max-pri's --oracle-bound 8, over verify's default 0
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "6", "--output", str(inst_path)]) == 0
+    assert main(["solve-max-pri", "--input", str(inst_path), "--output", str(res_path),
+                 "--oracle-bound", "8"]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    assert doc["verification"]["popular"] is True
+    for key, value in edits.items():
+        if value is None:
+            del doc["verification"][key]
+        else:
+            if isinstance(value, dict) and value.get("matching") is OWN:
+                value = {**value, "matching": doc["matching"]}
+            doc["verification"][key] = value
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert f"verification failure: {message}" in capsys.readouterr().err
+
+
+def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
+    # the single edge e000 is beaten by a rival by 4; the claims is_popular
+    # writes for it pass the shape check and re-derive under the oracle
+    inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
+    doc = json.loads(res_path.read_text())
+    m = {"e000": ONE}
+    doc["matching"] = format_matching(m)
+    doc["verification"] = {"derived_stable": True,
+                           **_popularity_claims(inst, m, 8, "half")}
+    assert doc["verification"]["counterexample"]["delta"] == "-4"
+    _rewrite(inst, res_path, doc)
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    assert main([*verify, "--oracle-bound", "8"]) == 0
+    assert main([*verify, "--oracle-bound", "8", "--scope", "sampled"]) == 1
+    assert "recorded 'popular_scope' does not re-derive" in capsys.readouterr().err
 
 
 def _solved(tmp_path, generate, tag):

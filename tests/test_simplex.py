@@ -190,15 +190,26 @@ def _random_lp(rng):
     return [_random_entry(rng) for _ in range(n)], rows, rhs, redundant
 
 
-def _record_pivots(monkeypatch):
-    """Record every (row, column, entry) the integer tableau pivots on."""
+def _record_pivots(monkeypatch, forms=None):
+    """Record every (row, column, entry) the integer tableau pivots on.
+
+    After each pivot no row may store a zero and every denominator must be
+    positive. Each pivot whose entry over the current D is D or -D, where
+    only the pivot row's columns move, counts in forms["pivot equal to D"]
+    and every other pivot in forms["pivot unequal to D"].
+    """
     pivots = []
     real_pivot = simplex._Tableau.pivot
 
     def spy(lp, r, c, z):
         pivots.append((r, c, lp.rows[r][c]))
+        if forms is not None:
+            equal = abs(lp.current(r)[c]) == lp.d
+            forms["pivot equal to D" if equal else "pivot unequal to D"] += 1
         real_pivot(lp, r, c, z)
         assert lp.d > 0
+        assert all(a != 0 for row in lp.rows for a in row.values())
+        assert all(q > 0 for q in lp.den)
 
     monkeypatch.setattr(simplex._Tableau, "pivot", spy)
     return pivots
@@ -206,10 +217,11 @@ def _record_pivots(monkeypatch):
 
 def test_integer_tableau_matches_fraction_tableau_on_random_lps(monkeypatch):
     # same outcome and the same pivot sequence as the Fraction tableau
-    pivots = _record_pivots(monkeypatch)
     rng = random.Random(2409)
     seen = {"optimal": 0, Infeasible: 0, Unbounded: 0, "negative rhs": 0,
-            "fractional": 0, "redundant": 0, "negative pivot": 0}
+            "fractional": 0, "redundant": 0, "negative pivot": 0,
+            "pivot equal to D": 0, "pivot unequal to D": 0}
+    pivots = _record_pivots(monkeypatch, seen)
     for _ in range(2000):
         costs, rows, rhs, redundant = _random_lp(rng)
         want_pivots = []
@@ -224,6 +236,30 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps(monkeypatch):
         seen["fractional"] += any(a.denominator > 1 for row in rows for a in row)
         seen["redundant"] += redundant
     assert min(seen.values()) >= 100, seen
+
+
+def test_explicit_zero_coefficients_change_nothing(monkeypatch):
+    # an explicit zero is dropped as it is read: the first program's
+    # all-zero row keeps its artificial basic, where a stored zero could be
+    # taken as the leftover artificial's pivot
+    pivots = _record_pivots(monkeypatch)
+    programs = [([F(1), F(1)], [[F(0), F(0)], [F(1), F(1)]], [F(0), F(1)])]
+    rng = random.Random(2410)
+    programs += [_random_lp(rng)[:3] for _ in range(300)]
+    zeros = 0
+    for costs, rows, rhs in programs:
+        pivots.clear()
+        want = _outcome(solve_min, costs, sparse(rows), rhs)
+        want_pivots = list(pivots)
+        pivots.clear()
+        explicit = [dict(enumerate(row)) for row in rows]
+        zeros += any(a == 0 for row in explicit for a in row.values())
+        assert _outcome(solve_min, costs, explicit, rhs) == want, (costs, rows, rhs)
+        assert pivots == want_pivots, (costs, rows, rhs)
+    assert zeros >= 200
+    costs, rows, rhs = programs[0]
+    assert solve_min(costs, [{0: F(0), 1: F(0)}, {0: F(1), 1: F(1)}], rhs) == (
+        [F(1), F(0)], F(1))
 
 
 def test_leftover_artificial_pivots_out_on_a_negative_entry(monkeypatch):
