@@ -19,10 +19,12 @@ across concurrent tasks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, count
 from math import lcm
+from operator import ne
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Rational = int | str | Fraction
@@ -50,16 +52,25 @@ class Edge(NamedTuple):
     v: str
 
 
+# the rational texts read alike on every supported Python: an optional sign
+# and ASCII digits, as p, p/q or a decimal, with ASCII space around.
+# ``Fraction`` alone takes more, and more from one version to the next
+# ("1_000" from 3.11, "1 /2" from 3.12, non-ASCII digits on all)
+_RATIONAL = re.compile(
+    r"[ \t\n\r\f\v]*[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)[ \t\n\r\f\v]*")
+
+
 def _rat(x: Rational) -> Fraction:
-    """x as a ``Fraction``; anything but an int, a Fraction or a readable
-    string without an exponent (a float, a bool or "1e5000", say) is an
+    """x as a ``Fraction``; anything but an int, a Fraction or a string of
+    ``_RATIONAL`` with a nonzero denominator and digits ``int`` reads (a
+    float, a bool, "1e5000", "1_000" or 5,000 digits, say) is an
     :class:`InstanceError`."""
     if isinstance(x, Fraction):
         return x
-    if type(x) is int or (isinstance(x, str) and "e" not in x and "E" not in x):
+    if type(x) is int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # ValueError: over int's digit limit
             pass
     raise InstanceError(f"{x!r} is not an exact rational (an int, str or Fraction)")
 
@@ -102,8 +113,11 @@ class Instance:
     ``(eid, v)`` to a ``(gamma, delta)`` pair of improvement thresholds with
     ``0 < gamma < delta``. ``critical`` is an optional set of vertices that
     solvers may be required to saturate. ``_order[v]`` lists v's incident
-    edges best first, ties in edge-id order, and ``_tied`` holds the vertices
-    with a tie; validation computes them once for the queries to read.
+    edges best first, ties in edge-id order; ``_ranks[v]`` is the same order
+    as edge ranks (positions in ``edges``, which ``_rank`` maps each edge id
+    to), and ``_starts[v]`` the position in it where each tie group starts,
+    so v has a tie when it has fewer starts than edges. Validation computes
+    them once for the queries and the reductions to read.
     It also checks each distinct threshold pair once and scales every pair
     once, to ints over the lcm of all threshold denominators, for
     :meth:`scaled_gamma` to return; ``_full_gamma`` records whether every
@@ -119,8 +133,10 @@ class Instance:
     critical: frozenset[str]
     _incident: Mapping[str, tuple[str, ...]]
     _order: Mapping[str, tuple[str, ...]]
-    _tied: frozenset[str]
+    _ranks: Mapping[str, tuple[int, ...]]
+    _starts: Mapping[str, tuple[int, ...]]
     _by_id: Mapping[str, Edge]
+    _rank: Mapping[str, int]
     _index: Mapping[str, int]
     _gamma_d: int = 1
     _gamma_scaled: Mapping[tuple[str, str], tuple[int, int]] | None = None
@@ -160,7 +176,10 @@ class Instance:
 
     def is_strict(self) -> bool:
         """Whether every vertex's valuation is injective on its edges."""
-        return not self._tied
+        return all(map(self._is_strict_at, self.vertices))
+
+    def _is_strict_at(self, v: str) -> bool:
+        return len(self._starts[v]) == len(self._ranks[v])
 
     def require_strict(self, what: str = "this operation") -> None:
         if not self.is_strict():
@@ -171,13 +190,19 @@ class Instance:
 
         Edges inside a group are in canonical id order.
         """
-        return [list(c) for _, c in groupby(self._order[v], self.pref[v].__getitem__)]
+        order, starts = self._order[v], self._starts[v]
+        return [list(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
 
     def strict_order(self, v: str) -> list[str]:
         """Incident edges best-first; requires a tie-free valuation at v."""
-        if v in self._tied:
-            raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
+        self.strict_ranks(v)  # raises at a tie
         return list(self._order[v])
+
+    def strict_ranks(self, v: str) -> tuple[int, ...]:
+        """:meth:`strict_order` as edge ranks (positions in ``edges``)."""
+        if not self._is_strict_at(v):
+            raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
+        return self._ranks[v]
 
     def gamma_of(self, eid: str, v: str) -> tuple[Fraction, Fraction]:
         if self.gamma is None or (eid, v) not in self.gamma:
@@ -210,7 +235,8 @@ def validate_instance(
     the unmatched value, ``gamma >= delta``, or unknown vertices in the
     critical set. Edges and incidence lists are in edge-id order, and
     each vertex's order is its incidence list sorted best first, so
-    iteration order is deterministic.
+    iteration order is deterministic. The same pass stores each order as
+    edge ranks, with the position where each of its tie groups starts.
 
     A vertex's valuations are read and range-checked in bulk; only a
     faulty vertex is read again, entry by entry, to name its first bad
@@ -234,7 +260,8 @@ def validate_instance(
         if e.u == e.v:
             raise InstanceError(f"edge {e.eid!r} is a loop; loops are forbidden")
         by_id[e.eid] = e
-    es = tuple(by_id[eid] for eid in sorted(by_id))
+    rank = {eid: r for r, eid in enumerate(sorted(by_id))}  # edge id -> edge rank
+    es = tuple(map(by_id.__getitem__, rank))
 
     incident: dict[str, list[str]] = {v: [] for v in vs}
     for e in es:
@@ -257,7 +284,8 @@ def validate_instance(
             raise InstanceError(f"preferences given for unknown vertex {v!r}")
     p: dict[str, dict[str, int | Fraction]] = {}
     order: dict[str, tuple[str, ...]] = {}
-    tied: set[str] = set()
+    ranks: dict[str, tuple[int, ...]] = {}
+    starts: dict[str, tuple[int, ...]] = {}
     for v in vs:
         given = dict(pref.get(v, {}))
         ids, empty = inc[v], p_empty[v]
@@ -275,9 +303,10 @@ def validate_instance(
             raise InstanceError(f"preference of {v!r} for non-incident edge {stray!r}")
         p[v] = mine
         # a stable sort keeps equal valuations in edge-id order
-        order[v] = tuple(sorted(ids, key=mine.__getitem__, reverse=True))
-        if len(set(mine.values())) < len(mine):
-            tied.add(v)
+        o = order[v] = tuple(sorted(ids, key=mine.__getitem__, reverse=True))
+        ranks[v] = tuple(map(rank.__getitem__, o))
+        vals = list(map(mine.__getitem__, o))
+        starts[v] = (0, *compress(count(1), map(ne, vals, vals[1:]))) if o else ()
 
     w = None
     if weights is not None:
@@ -338,8 +367,10 @@ def validate_instance(
         critical=crit,
         _incident=inc,
         _order=order,
-        _tied=frozenset(tied),
+        _ranks=ranks,
+        _starts=starts,
         _by_id=by_id,
+        _rank=rank,
         _index={v: i for i, v in enumerate(vs)},
         _gamma_d=d,
         _gamma_scaled=scaled,

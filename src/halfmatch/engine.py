@@ -298,10 +298,9 @@ def stable_half_matching(market: CopyMarket | Instance) -> StablePartitionCert:
     """
     if isinstance(market, Instance):  # one copy per edge, in id order
         inst, eids = market, [e.eid for e in market.edges]
-        rank = {eid: c for c, eid in enumerate(eids)}
         market = CopyMarket(inst.vertices, [inst.index(e.u) for e in inst.edges],
                             [inst.index(e.v) for e in inst.edges],
-                            [[rank[eid] for eid in inst.strict_order(v)] for v in inst.vertices],
+                            [inst.strict_ranks(v) for v in inst.vertices],
                             range(len(eids)), eids, [""] * len(eids))
     pu, pv = _positions(market)
     return _partition(market, _reduce(market, pu, pv), pu, pv)

@@ -36,6 +36,7 @@ from .core import (
     MatchingError,
     Rational,
     ZERO,
+    _rat,
     blocking_edges,
     check_matching,
     matching_stats,
@@ -46,20 +47,21 @@ from .popularity import SCOPES
 
 def format_rational(x: Rational) -> str:
     if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+        x = _rat(x)
     d = x.denominator
     return str(x.numerator) if d == 1 else f"{x.numerator}/{d}"
 
 
 def parse_rational(text: str) -> Fraction:
+    """``text`` read by ``core._rat``, in the one ASCII grammar every
+    supported Python reads alike; no exponent ("1e5000" is a few bytes but
+    a huge int)."""
     if not isinstance(text, str):
         raise InstanceError(f"malformed rational {text!r}: not a string")
-    if "e" in text or "E" in text:  # "1e5000" is a few bytes but a huge int
-        raise InstanceError(f"malformed rational {text!r}: exponents are not accepted")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"malformed rational {text!r}") from exc
+        return _rat(text)
+    except InstanceError:
+        raise InstanceError(f"malformed rational {text!r}") from None
 
 
 def _canonical_json(obj: Any) -> str:
@@ -164,7 +166,7 @@ def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
 def parse_instance_text(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
         raise InstanceError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InstanceError("not valid JSON: nested too deeply") from exc
@@ -344,10 +346,10 @@ def load_result(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"result file is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InstanceError(f"result file is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
+            raise InstanceError(f"result file is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise InstanceError("result file is not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):

@@ -21,19 +21,28 @@ the guarantee the construction was designed for:
 
 A construction is nothing but each vertex's strict order over the
 copies, emitted as an :class:`engine.CopyMarket` whose orders list copy
-indices; each origin edge's copies are one block. Copy ids are ``<edge
-id>~<suffix>``, made only on demand; for the endpoint first in the
-canonical vertex order (the other sees the reverse) ``~u``/``~w`` is
-srti's top/bottom copy, ``~1..~4`` gamma's best..last, ``~a``/``~b``
-pri's good/bad, ``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared
-middle copy. Remaining ties go by edge id: all four are deterministic.
+indices. Each origin edge's copies are one block, in edge rank order
+(an edge's position in the id-sorted ``edges``): copy j of the edge of
+rank r is ``first[r] + j``, where ``first[r]`` counts the copies of the
+lower ranks, so ``k*r + j`` for srti (k = 3), gamma (4) and pri (2).
+Every builder writes a vertex's order by integer arithmetic on the
+vertex's order as edge ranks, which validation stores with the start of
+each tie group. Copy ids are ``<edge id>~<suffix>``, made only on
+demand; for the endpoint first in the canonical vertex order (the other
+sees the reverse) ``~u``/``~w`` is srti's top/bottom copy, ``~1..~4``
+gamma's best..last, ``~a``/``~b`` pri's good/bad, ``~u{j}``/``~w{j}``
+crit's levels -j/+j, ``~0`` a shared middle copy. Remaining ties go by
+edge id: all four are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import accumulate, chain, repeat
+from math import lcm
+from operator import sub
+from typing import Mapping, Sequence
 
 from .core import (
     Instance,
@@ -48,22 +57,23 @@ from .engine import CopyMarket
 @dataclass(frozen=True)
 class DerivedInstance:
     """A strict multigraph built from copies of another market's edges:
-    the copies of origin edge eid are ``blocks[eid][0]..blocks[eid][1]``."""
+    the copies of the origin edge of rank r are ``first[r]..first[r + 1] - 1``."""
 
     inst: CopyMarket
     origin: Instance
-    blocks: Mapping[str, tuple[int, int]]
+    first: Sequence[int]
 
     def project(self, m: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """Sum copy values per origin edge; the result is a valid
         half-matching of the origin instance (degree sums carry over)."""
+        rank, first, tags = self.origin._rank, self.first, self.inst.tags
         out: dict[str, Fraction] = {}
         for cid, val in m.items():
             if val == 0:
                 continue
             eid, tilde, tag = cid.rpartition("~")
-            first, last = self.blocks.get(eid, (0, -1))
-            if tilde + tag not in self.inst.tags[first:last + 1]:
+            r = rank.get(eid)
+            if r is None or tilde + tag not in tags[first[r]:first[r + 1]]:
                 raise MatchingError(f"value on unknown derived edge {cid!r}")
             out[eid] = out.get(eid, ZERO) + val
         for eid, val in out.items():
@@ -73,34 +83,28 @@ class DerivedInstance:
         return out
 
 
-def _derive(origin: Instance, shape, order_of) -> DerivedInstance:
-    """The derived market in which an origin edge between the vertices of
-    indices a < b has one copy per suffix in ``shape(a, b)``, numbered as
-    one block, first to last. ``order_of(v, at)`` lists v's order, where
-    ``at[eid]`` is (first copy, last copy, whether v is the lower end)
-    for each edge id at v, in id order."""
+def _ends(origin: Instance) -> tuple[list[int], list[int]]:
+    """The indices of each edge's endpoints, by edge rank: lower, higher."""
     index = origin._index
-    eu, ev, ranks, tags = [], [], [], []  # per copy
-    block = {}  # edge id -> (first copy, last copy)
-    at = [{} for _ in origin.vertices]  # per vertex, in edge-id order
-    first = 0  # the next block's first copy
-    for i, (eid, u, v) in enumerate(origin.edges):
+    lo, hi = [], []
+    for _, u, v in origin.edges:
         a, b = index[u], index[v]
-        if a > b:
-            a, b = b, a
-        sfx = shape(a, b)
-        k = len(sfx)
-        last = first + k - 1
-        block[eid] = (first, last)
-        at[a][eid], at[b][eid] = (first, last, True), (first, last, False)
-        eu += [a] * k
-        ev += [b] * k
-        ranks += [i] * k
-        tags += sfx
-        first = last + 1
-    orders = [order_of(v, at[x]) for x, v in enumerate(origin.vertices)]
-    market = CopyMarket(origin.vertices, eu, ev, orders, ranks, tuple(block), tags)
-    return DerivedInstance(market, origin, block)
+        lo.append(a if a < b else b)
+        hi.append(b if a < b else a)
+    return lo, hi
+
+
+def _derive(origin: Instance, lo: list[int], hi: list[int], first: Sequence[int],
+            tags: Sequence[str], orders: list[list[int]]) -> DerivedInstance:
+    """The derived market in which the edge of rank r, between the vertices
+    of indices ``lo[r] < hi[r]``, has the copies ``first[r]..first[r + 1] - 1``,
+    tagged as ``tags`` lists them; vertex x ranks the copies as ``orders[x]``
+    lists them."""
+    rank = list(chain.from_iterable(map(repeat, range(len(lo)), map(sub, first[1:], first))))
+    market = CopyMarket(origin.vertices, list(map(lo.__getitem__, rank)),
+                        list(map(hi.__getitem__, rank)), orders, rank,
+                        tuple(origin._rank), tags)  # ids by rank
+    return DerivedInstance(market, origin, first)
 
 
 def build_gamma_reduction(origin: Instance) -> DerivedInstance:
@@ -117,26 +121,35 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     Equal derived values order third before second before best copies;
     remaining ties and the trailing last copies follow edge-id order.
     Every value is compared times the scale d of
-    :meth:`core.Instance.scaled_gamma`, against the thresholds scaled to
-    ints; a positive factor keeps the order and its ties.
+    :meth:`core.Instance.scaled_gamma` and the lcm of the valuation
+    denominators (1 unless some valuation is a ``Fraction``), as an int;
+    a positive factor keeps the order and its ties. A copy c of derived
+    value t and kind (third 0, second 1, best 2) sorts as the one int
+    ``(-t * 3 + kind) * K + c``, where K is the copy count.
     """
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
     d, scaled = origin.scaled_gamma()
-
-    def order_of(v, at):
+    scale = lcm(*{p.denominator for prefs in origin.pref.values() for p in prefs.values()})
+    lo, hi = _ends(origin)
+    K = 4 * len(lo)
+    ds, K2, K3, sK3 = d * scale, 2 * K, 3 * K, 3 * K * scale
+    orders = []
+    for x, v in enumerate(origin.vertices):
         pref = origin.pref[v]
-        keep = []   # (-value, third 0 / second 1 / best 2, copy)
-        tail = []   # last copies: by origin valuation, then edge id
-        for eid, (first, last, low) in at.items():
-            p = pref[eid] * d
-            gam, delta = scaled[(eid, v)]
-            b, step = (first, 1) if low else (last, -1)  # v's r-th best is b + step*r
-            keep += [(-p, 2, b), (gam - p, 1, b + step), (delta - p, 0, b + 2 * step)]
-            tail.append((-p, b, b + 3 * step))
-        return [item[-1] for item in sorted(keep)] + [item[-1] for item in sorted(tail)]
-
-    return _derive(origin, lambda a, b: ("~1", "~2", "~3", "~4"), order_of)
+        keys, tail = [], []  # tail: the last copies, in v's order
+        for eid, r in zip(origin._order[v], origin._ranks[v]):
+            gam, delta = scaled[eid, v]
+            q = 4 * r - pref[eid] * ds // 1 * K3  # // 1: an int, also from a Fraction
+            if lo[r] == x:  # best, second, third, last: 4r, 4r + 1, 4r + 2, 4r + 3
+                keys += (K2 + q, K + 1 + q + gam * sK3, 2 + q + delta * sK3)
+                tail.append(4 * r + 3)
+            else:  # 4r + 3, 4r + 2, 4r + 1, 4r
+                keys += (K2 + 3 + q, K + 2 + q + gam * sK3, 1 + q + delta * sK3)
+                tail.append(4 * r)
+        keys.sort()
+        orders.append([key % K for key in keys] + tail)
+    return _derive(origin, lo, hi, range(0, K + 1, 4), ("~1", "~2", "~3", "~4") * len(lo), orders)
 
 
 def build_srti_reduction(origin: Instance) -> DerivedInstance:
@@ -149,16 +162,19 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
     order), and finally appends the copies it ranks bottom, ordered by
     its original valuation with edge-id tie-break.
     """
-    def order_of(v, at):
-        seq, bottom = [], []
-        for group in origin.tie_classes(v):
-            copies = [at[eid] for eid in group]
-            seq += [first if low else last for first, last, low in copies]
-            seq += [first + 1 for first, _, _ in copies]
-            bottom += [last if low else first for first, last, low in copies]
-        return seq + bottom
-
-    return _derive(origin, lambda a, b: ("~u", "~0", "~w"), order_of)
+    lo, hi = _ends(origin)
+    orders = []
+    for x, v in enumerate(origin.vertices):
+        ranks, starts = origin._ranks[v], origin._starts[v]
+        top = [3 * r + 2 * (lo[r] != x) for r in ranks]  # ~u at the lower end, else ~w
+        middle = [3 * r + 1 for r in ranks]
+        seq = []
+        for i, j in zip(starts, starts[1:] + (len(ranks),)):
+            seq += top[i:j]
+            seq += middle[i:j]
+        orders.append(seq + [2 * c - t for c, t in zip(middle, top)])  # the other top copy
+    return _derive(origin, lo, hi, range(0, 3 * len(lo) + 1, 3), ("~u", "~0", "~w") * len(lo),
+                   orders)
 
 
 def build_pri_reduction(origin: Instance) -> DerivedInstance:
@@ -168,12 +184,13 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
     Every vertex ranks all its good copies in its original strict order,
     then all its bad copies in the same order.
     """
-    def order_of(v, at):
-        copies = [at[eid] for eid in origin.strict_order(v)]
-        return ([first if low else last for first, last, low in copies]
-                + [last if low else first for first, last, low in copies])
-
-    return _derive(origin, lambda a, b: ("~a", "~b"), order_of)
+    lo, hi = _ends(origin)
+    orders = []
+    for x, v in enumerate(origin.vertices):
+        ranks = origin.strict_ranks(v)
+        good = [2 * r + (lo[r] != x) for r in ranks]  # ~a at the lower end, else ~b
+        orders.append(good + [4 * r + 1 - g for r, g in zip(ranks, good)])  # the other copy
+    return _derive(origin, lo, hi, range(0, 2 * len(lo) + 1, 2), ("~a", "~b") * len(lo), orders)
 
 
 def build_crit_reduction(
@@ -198,18 +215,20 @@ def build_crit_reduction(
     s = len(crit)
     is_crit = [v in crit for v in origin.vertices]
     levels_u, levels_w = (tuple(f"~{t}{j}" for j in range(1, s + 1)) for t in "uw")
-
-    def order_of(v, at):
-        mine = origin.strict_order(v)
-        # level j of the lower end's bundle is copy first + j, of the higher end's last - s + j;
-        # v's own bundle ranks below the middle copies, its partner's above
-        up = [last - s if low else first for first, last, low in
-              (at[eid] for eid in mine if origin.other(eid, v) in crit)]
-        down = [first if low else last - s for first, last, low in
-                (at[eid] for eid in mine)] if v in crit else []
-        return ([c + j for j in range(s, 0, -1) for c in up]
-                + [at[eid][0] for eid in mine]
-                + [c + j for j in range(1, s + 1) for c in down])
-
-    return _derive(origin, lambda a, b: ("~0",) + levels_u * is_crit[a] + levels_w * is_crit[b],
-                   order_of)
+    shapes = [("~0",) + levels_u * cu + levels_w * cw for cw in (0, 1) for cu in (0, 1)]
+    lo, hi = _ends(origin)
+    bundles = [shapes[is_crit[a] + 2 * is_crit[b]] for a, b in zip(lo, hi)]
+    first = list(accumulate(map(len, bundles), initial=0))
+    orders = []
+    for x, v in enumerate(origin.vertices):
+        ranks = origin.strict_ranks(v)
+        # level j of the lower end's bundle is copy first + j, of the higher end's
+        # last - s + j; v's own bundle ranks below the middle copies, its partner's above
+        up = [first[r + 1] - 1 - s if lo[r] == x else first[r]
+              for r in ranks if is_crit[lo[r] + hi[r] - x]]
+        down = [first[r] if lo[r] == x else first[r + 1] - 1 - s
+                for r in ranks] if is_crit[x] else []
+        orders.append([c + j for j in range(s, 0, -1) for c in up]
+                      + [first[r] for r in ranks]
+                      + [c + j for j in range(1, s + 1) for c in down])
+    return _derive(origin, lo, hi, first, list(chain.from_iterable(bundles)), orders)

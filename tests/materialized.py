@@ -6,7 +6,8 @@ ran on such an ``Instance``, deleting entries one at a time (``_reduce``
 below). The package now builds each vertex's order as copy indices and
 deletes lazily; the tests compare it with this code, kept as it was but
 for ``lower_endpoint``, a method of ``Instance`` until its last caller in
-the package went.
+the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``)
+that ``strict_instance`` now fills in as validation does.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ def strict_instance(
     vs = tuple(vertices)
     by_id = {e.eid: e for e in map(Edge._make, edges)}
     es = tuple(by_id[eid] for eid in sorted(by_id))
+    rank = {e.eid: r for r, e in enumerate(es)}
     incident: dict[str, list[str]] = {v: [] for v in vs}
     for e in es:
         incident[e.u].append(e.eid)
@@ -50,8 +52,10 @@ def strict_instance(
         vertices=vs, edges=es, pref_empty=dict.fromkeys(vs, 0), weights=None, gamma=None,
         pref={v: {eid: len(orders[v]) - i for i, eid in enumerate(orders[v])} for v in vs},
         critical=frozenset(), _incident={v: tuple(ids) for v, ids in incident.items()},
-        _order={v: tuple(orders[v]) for v in vs}, _tied=frozenset(), _by_id=by_id,
-        _index={v: i for i, v in enumerate(vs)},
+        _order={v: tuple(orders[v]) for v in vs},
+        _ranks={v: tuple(rank[eid] for eid in orders[v]) for v in vs},
+        _starts={v: tuple(range(len(orders[v]))) for v in vs},
+        _by_id=by_id, _rank=rank, _index={v: i for i, v in enumerate(vs)},
     )
 
 

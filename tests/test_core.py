@@ -102,6 +102,37 @@ def test_plain_decimal_strings_are_read(field):
     assert _single_edge_with(field, str(float(x))) == _single_edge_with(field, x)
 
 
+#: texts that some Python's ``Fraction`` reads but the one ASCII grammar
+#: refuses: underscores (3.11 on), space around the slash (3.12 on),
+#: non-ASCII digits, space or vulgar fractions (every version)
+OUTSIDE_THE_GRAMMAR = ["1_000", "1 /2", "1/ 2", "\u0661/\u0662", "\uff11", "\xa01/2",
+                       "\u00bd", "1/2/3", "1.5/2", "0x10"]
+
+
+@pytest.mark.parametrize("value", OUTSIDE_THE_GRAMMAR)
+@pytest.mark.parametrize("field", ["pref", "pref_empty", "weight", "gamma"])
+def test_strings_outside_the_ascii_grammar_are_refused(field, value):
+    with pytest.raises(InstanceError, match=re.escape(repr(value))):
+        _single_edge_with(field, value)
+
+
+@pytest.mark.parametrize("value", [pytest.param("1" * 5000, id="5000-digit-int"),
+                                   pytest.param("0." + "1" * 5000, id="5000-digit-decimal")])
+@pytest.mark.parametrize("field", ["pref", "pref_empty", "weight", "gamma"])
+def test_strings_past_the_int_digit_limit_are_refused(field, value):
+    # in the grammar, but ``int`` refuses more than 4,300 digits
+    with pytest.raises(InstanceError, match=re.escape(repr(value))):
+        _single_edge_with(field, value)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", F(3)), ("+3", F(3)), ("-3/4", F(-3, 4)), ("007/14", F(1, 2)), (".5", H),
+    ("1.", F(1)), ("-.25", F(-1, 4)), (" 1/2\n", H),
+])
+def test_the_ascii_grammar_reads_signs_fractions_and_decimals(text, value):
+    assert _single_edge_with("weight", text).weights == {"e": value}
+
+
 def _triangle_with_gamma(gamma):
     tri = make_triangle()
     return validate_instance(list(tri.vertices), [tuple(e) for e in tri.edges],
@@ -741,6 +772,41 @@ def test_stored_order_answers_as_the_sort_based_queries():
     assert all(inst.is_strict() for name in ("srti", "gamma", "pri", "crit")
                for inst in markets[name])
     assert sum(not inst.is_strict() for inst in markets["library"]) >= 20
+
+
+def test_the_stored_rank_view_answers_as_the_sort_based_queries():
+    # validation also stores each vertex's order as edge ranks and the
+    # position where each tie group starts; the reductions read only these
+    rng = random.Random(2424)
+    markets = []
+    for seed in range(40):
+        tied = generate_random(seed, rng.randint(3, 9), edge_density=0.6, parallel_prob=0.3,
+                               tie_prob=0.4, gamma_preset="generic")
+        rational = rational_market(rng, seed)
+        markets += [tied, rational, *map(parse_instance_text,
+                                         map(serialize_instance, (tied, rational)))]
+    kinds = {"tied": 0, "strict": 0, "parallel": 0, "fraction": 0}
+    for inst in markets:
+        rank = {e.eid: r for r, e in enumerate(inst.edges)}
+        assert inst.is_strict() == _oracle_is_strict(inst)
+        for v in inst.vertices:
+            order, ranks, starts = inst._order[v], inst._ranks[v], inst._starts[v]
+            assert ranks == tuple(rank[eid] for eid in order)
+            assert list(starts) == sorted(set(starts))
+            assert starts[0] == 0 if order else not starts
+            groups = [list(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
+            assert groups == _oracle_tie_classes(inst, v)
+            got = _outcome(inst.strict_order, v)
+            assert got == _outcome(_oracle_strict_order, inst, v)
+            if isinstance(got, list):
+                assert [inst.edges[r].eid for r in inst.strict_ranks(v)] == got
+            else:
+                assert _outcome(inst.strict_ranks, v) == got
+            kinds["tied" if len(starts) < len(order) else "strict"] += 1
+        kinds["parallel"] += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
+        kinds["fraction"] += any(type(p) is F for v in inst.vertices
+                                 for p in inst.pref[v].values())
+    assert all(count >= 20 for count in kinds.values()), kinds
 
 
 # -- convex decomposition monotonicity ---------------------------------------

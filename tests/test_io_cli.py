@@ -52,6 +52,11 @@ def test_rational_strings():
     for text in ("1e5000", "1E3", "2e-3"):
         with pytest.raises(InstanceError, match=re.escape(f"malformed rational {text!r}")):
             parse_rational(text)
+    # the writer reads a string by the same grammar as the parser
+    assert format_rational(" 2/4 ") == "1/2"
+    for text in ("1_000", "1 /2", "\u0661"):
+        with pytest.raises(InstanceError, match=re.escape(repr(text))):
+            format_rational(text)
 
 
 def test_instance_roundtrip_bytes(five_agent_market, tmp_path):
@@ -967,6 +972,74 @@ def test_cli_refuses_a_weight_with_an_exponent(tmp_path, capsys):
                  "--output", str(tmp_path / "out.json")]) == 2
     assert "malformed rational '1e5000'" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("where", ["instance", "result"])
+def test_cli_refuses_a_json_number_past_the_int_digit_limit(tmp_path, capsys, where):
+    # json reads a number of 5,000 digits by int(), which refuses it
+    many = "1" * 5000
+    inst_path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst_path.write_text(json.dumps(_pair_market()))
+    if where == "instance":
+        text = inst_path.read_text().replace('"v": "b"', f'"v": "b", "weight": {many}')
+        inst_path.write_text(text)
+        argv = ["solve-pop-maxw", "--input", str(inst_path), "--output", str(out)]
+    else:
+        assert main(["solve-pop-maxw", "--input", str(inst_path), "--output", str(out)]) == 0
+        result = json.loads(out.read_text())
+        result["matching"]["ab"] = "many"
+        out.write_text(json.dumps(result).replace('"many"', many))
+        argv = ["verify", "--input", str(inst_path), "--result", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
+
+
+# one ASCII grammar on every Python: "1_000" was read from 3.11 on, "1 /2"
+# from 3.12 on and non-ASCII digits everywhere, each by Fraction's own parser
+@pytest.mark.parametrize("text", ["1_000", "1 /2", "1/ 2", "\u0661/\u0662", "\uff11",
+                                  "1e3", "1/0",
+                                  # in the grammar, but past int's limit of 4,300 digits
+                                  pytest.param("1" * 5000, id="5000-digit-int"),
+                                  pytest.param("0." + "1" * 5000, id="5000-digit-decimal")])
+@pytest.mark.parametrize("where", ["weight", "gamma", "matching"])
+def test_cli_refuses_a_rational_outside_the_ascii_grammar(tmp_path, capsys, where, text):
+    doc = _pair_market()
+    pair = {"gamma": "1", "delta": "2"}
+    doc["gamma"] = {"ab": {"a": pair, "b": dict(pair)}}
+    inst_path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    if where == "weight":
+        doc["edges"][0]["weight"] = text
+    elif where == "gamma":
+        doc["gamma"]["ab"]["b"]["delta"] = text
+    inst_path.write_text(json.dumps(doc))
+    if where == "matching":
+        assert main(["solve-gamma", "--input", str(inst_path), "--output", str(out)]) == 0
+        result = json.loads(out.read_text())
+        result["matching"]["ab"] = text
+        out.write_text(json.dumps(result))
+        argv = ["verify", "--input", str(inst_path), "--result", str(out)]
+    else:
+        argv = [{"weight": "solve-pop-maxw", "gamma": "solve-gamma"}[where],
+                "--input", str(inst_path), "--output", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "Traceback" not in err  # the rational, or the gamma section
+    if where != "matching":
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["1/2", " 1/2 ", "+1/2", "0.5", ".5", "1.", "2/4"])
+def test_cli_reads_the_ascii_grammar(tmp_path, text):
+    doc = _pair_market()
+    doc["edges"][0]["weight"] = text
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-pop-maxw", "--input", str(path),
+                 "--output", str(tmp_path / "out.json")]) == 0
+    assert load_instance(str(path)).weights == {"ab": Fraction(1, 2) if text != "1." else 1}
 
 
 @pytest.mark.parametrize("tag, flag", [

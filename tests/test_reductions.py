@@ -342,6 +342,48 @@ def test_gamma_orders_equal_the_materialized_builder_on_rational_markets():
     assert len(values) >= 100 and max(scales) >= 12 and fraction_prefs >= 40
 
 
+def _three_kind_tie(rng):
+    """A market where v values best(e), second(f) and third(g) alike:
+    p(f) = p(e) + gamma_f and p(g) = p(e) + delta_g at v, in Fractions."""
+    def value():
+        return F(rng.randint(1, 9), rng.choice((1, 2, 3, 5)))
+
+    names = ["v", "x", "y", "z"]
+    rng.shuffle(names)  # v is the lower end of some edges, the higher of others
+    partner = {"e": "x", "f": "y", "g": rng.choice("xyz"), "h": rng.choice("yz")}
+    edges = [(eid, "v", partner[eid]) for eid in "efg"] + [("h", "x", partner["h"])]
+    p_e, gamma_f, delta_g = value(), value(), value()
+    pref = {x: {} for x in names}
+    pref["v"] = {"e": p_e, "f": p_e + gamma_f, "g": p_e + delta_g}
+    gamma = {("f", "v"): (gamma_f, gamma_f + value()),
+             ("g", "v"): (delta_g * F(rng.randint(1, 3), 4), delta_g)}
+    for eid, a, b in edges:
+        for x in (a, b):
+            if x != "v":
+                pref[x][eid] = value()
+            if (eid, x) not in gamma:
+                low = value()
+                gamma[(eid, x)] = (low, low + value())
+    return validate_instance(names, edges, pref, gamma=gamma)
+
+
+def test_gamma_orders_break_a_three_kind_tie_as_the_materialized_builder():
+    # equal derived values rank third before second before best copies;
+    # the int keys carry the kind between the value and the copy
+    rng = random.Random(2020)
+    fraction_prefs = 0
+    for seed in range(60):
+        inst = _three_kind_tie(rng)
+        fraction_prefs += type(inst.pval("v", "e")) is F
+        der, want = build_gamma_reduction(inst), materialized.build_gamma_reduction(inst)
+        for v in inst.vertices:
+            assert derived_order(der, v) == want.inst.strict_order(v), seed
+        tied = [gamma_copy(inst, eid, "v", k) for eid, k in (("g", 3), ("f", 2), ("e", 1))]
+        at = [derived_order(der, "v").index(cid) for cid in tied]
+        assert at == sorted(at), seed
+    assert fraction_prefs >= 20
+
+
 @pytest.mark.parametrize("cid", ["e~x", "e~u2", "e~w1", "f~0", "e", "e~0~0", "~0"])
 def test_project_rejects_an_id_that_names_no_copy(single_edge, cid):
     der = build_crit_reduction(single_edge, {"a"})  # copies e~0 and e~u1 only
