@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import lcm
 from operator import ne
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -116,12 +116,12 @@ class Instance:
     edges best first, ties in edge-id order; ``_ranks[v]`` is the same order
     as edge ranks (positions in ``edges``, which ``_rank`` maps each edge id
     to), and ``_starts[v]`` the position in it where each tie group starts,
-    so v has a tie when it has fewer starts than edges. Validation computes
-    them once for the queries and the reductions to read.
-    It also checks each distinct threshold pair once and scales every pair
-    once, to ints over the lcm of all threshold denominators, for
-    :meth:`scaled_gamma` to return; ``_full_gamma`` records whether every
-    (edge, endpoint) has a pair.
+    so v has a tie when it has fewer starts than edges, and ``_values[v]``
+    its valuations in that order. Validation scales each distinct threshold
+    pair once, to ints over the lcm ``_gamma_d`` of all threshold
+    denominators: ``_gamma_u[r]`` and ``_gamma_v[r]`` are the pair at the
+    ``u`` and the ``v`` end of the edge of rank r, or ``None``, and
+    :meth:`scaled_gamma` is a view of the two, built when called.
     """
 
     vertices: tuple[str, ...]
@@ -135,12 +135,13 @@ class Instance:
     _order: Mapping[str, tuple[str, ...]]
     _ranks: Mapping[str, tuple[int, ...]]
     _starts: Mapping[str, tuple[int, ...]]
+    _values: Mapping[str, Sequence[int | Fraction]]
     _by_id: Mapping[str, Edge]
     _rank: Mapping[str, int]
     _index: Mapping[str, int]
+    _gamma_u: Sequence[tuple[int, int] | None]
+    _gamma_v: Sequence[tuple[int, int] | None]
     _gamma_d: int = 1
-    _gamma_scaled: Mapping[tuple[str, str], tuple[int, int]] | None = None
-    _full_gamma: bool = False
 
     # -- structure ----------------------------------------------------
 
@@ -210,12 +211,14 @@ class Instance:
         return self.gamma[(eid, v)]
 
     def has_full_gamma(self) -> bool:
-        return self._full_gamma
+        return None not in self._gamma_u and None not in self._gamma_v  # vacuous without edges
 
     def scaled_gamma(self) -> tuple[int, Mapping[tuple[str, str], tuple[int, int]]]:
         """The lcm d of all threshold denominators, and each key of ``gamma``
         mapped to its pair times d, as ints (empty without thresholds)."""
-        return self._gamma_d, self._gamma_scaled or {}
+        ends = ((eid, x) for eid, u, v in self.edges for x in (u, v))
+        pairs = chain.from_iterable(zip(self._gamma_u, self._gamma_v))
+        return self._gamma_d, {end: t for end, t in zip(ends, pairs) if t is not None}
 
 
 def validate_instance(
@@ -286,6 +289,7 @@ def validate_instance(
     order: dict[str, tuple[str, ...]] = {}
     ranks: dict[str, tuple[int, ...]] = {}
     starts: dict[str, tuple[int, ...]] = {}
+    values: dict[str, list[int | Fraction]] = {}
     for v in vs:
         given = dict(pref.get(v, {}))
         ids, empty = inc[v], p_empty[v]
@@ -305,7 +309,7 @@ def validate_instance(
         # a stable sort keeps equal valuations in edge-id order
         o = order[v] = tuple(sorted(ids, key=mine.__getitem__, reverse=True))
         ranks[v] = tuple(map(rank.__getitem__, o))
-        vals = list(map(mine.__getitem__, o))
+        vals = values[v] = list(map(mine.__getitem__, o))
         starts[v] = (0, *compress(count(1), map(ne, vals, vals[1:]))) if o else ()
 
     w = None
@@ -316,8 +320,9 @@ def validate_instance(
                 raise InstanceError(f"weight for unknown edge {eid!r}")
             w[eid] = _rat(val)
 
-    g = scaled = None
+    g = None
     d = 1
+    at_u, at_v = [None] * len(es), [None] * len(es)  # by edge rank
     if gamma is not None:
         # a market repeats a few thresholds thousands of times: each distinct
         # pair, keyed on its integers, is checked and stored once. A pair
@@ -346,11 +351,11 @@ def validate_instance(
                         )
                     value = distinct[ints] = (glo, ghi)
                 hit = seen[id(pair)] = (pair, value)
-            g[(eid, v)] = hit[1]
+            g[(eid, v)] = (at_u if v == e.u else at_v)[rank[eid]] = hit[1]
         d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
         ints_of = {id(value): (p * (d // q), r * (d // s))
                    for (p, q, r, s), value in distinct.items()}
-        scaled = dict(zip(g, map(ints_of.__getitem__, map(id, g.values()))))
+        at_u, at_v = ([ints_of.get(id(t)) for t in side] for side in (at_u, at_v))
 
     crit = frozenset(critical or ())
     unknown = crit - vset
@@ -369,12 +374,13 @@ def validate_instance(
         _order=order,
         _ranks=ranks,
         _starts=starts,
+        _values=values,
         _by_id=by_id,
         _rank=rank,
         _index={v: i for i, v in enumerate(vs)},
+        _gamma_u=at_u,
+        _gamma_v=at_v,
         _gamma_d=d,
-        _gamma_scaled=scaled,
-        _full_gamma=len(g or ()) == 2 * len(es),  # vacuous on an edgeless market
     )
 
 
@@ -498,13 +504,12 @@ def blocking_edges(
             if pref[u][eid] > assigned[u] and pref[v][eid] > assigned[v]
             and m.get(eid, ZERO) < 1
         ]
-    d, scaled = inst.scaled_gamma()
+    d = inst._gamma_d
     out = []
-    for eid, u, v in inst.edges:
+    for (eid, u, v), (gu, deltau), (gv, deltav) in zip(inst.edges, inst._gamma_u,
+                                                       inst._gamma_v):
         du = (pref[u][eid] - assigned[u]) * d
         dv = (pref[v][eid] - assigned[v]) * d
-        gu, deltau = scaled[(eid, u)]
-        gv, deltav = scaled[(eid, v)]
         if (du >= gu and dv >= deltav) or (du >= deltau and dv >= gv):
             out.append(eid)
     return out

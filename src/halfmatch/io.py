@@ -5,18 +5,18 @@ newline) so identical inputs produce byte-identical files. Numbers are
 exact rationals, never floats, and travel as "p/q" strings ("3", "1/2").
 The canonical text of a document is, by definition,
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``; result files are
-written by that call. Instance files are written by a direct writer that
-emits the same bytes without the pure-Python encoder an indent forces:
-every result names its instance by the digest of that text, so each
-request writes it once. The tests keep the ``json.dumps`` form as the
-writer's oracle.
+written by that call. Instance files are written in one pass over the
+rank view validation stores, to the same bytes and without the
+pure-Python encoder an indent forces: every result names its instance by
+the digest of that text, so each request writes it once. The tests keep
+the ``json.dumps`` form as the writer's oracle.
 
 An instance file stores preferences *ordinally*: per vertex, a list of
 tie groups of edge ids, best group first. Parsing assigns canonical
 valuations, held as ``int`` (descending per group, worst group 1), and
 gamma or delta entries are read on that same scale. Serializing an
-instance reconstructs the groups from its valuations, so parse and
-serialize are mutually inverse on canonical files.
+instance cuts each vertex's stored order at its tie-group starts, so
+parse and serialize are mutually inverse on canonical files.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .popularity import SCOPES
 
 
 def format_rational(x: Rational) -> str:
-    if not isinstance(x, (int, Fraction)):
+    if type(x) is not int and not isinstance(x, Fraction):
         x = _rat(x)
     d = x.denominator
     return str(x.numerator) if d == 1 else f"{x.numerator}/{d}"
@@ -73,54 +73,59 @@ def _canonical_json(obj: Any) -> str:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """The canonical text of ``inst``, written member by member.
+    """The canonical text of ``inst``, in one pass over the rank view.
 
     Keys come in sorted order (critical, edges, gamma, prefs, vertices),
     and every id is escaped by the function ``json.dumps`` itself uses.
+    Edges and thresholds go by edge rank, an edge's two ends in name order;
+    tie groups are each vertex's order cut at its tie-group starts.
     """
     qv = {v: _quote(v) for v in inst.vertices}
-    qe = {e.eid: _quote(e.eid) for e in inst.edges}
-    weights = inst.weights or {}
-    records = []
-    for e in inst.edges:
-        w = weights.get(e.eid)
-        tail = "" if w is None else f',\n      "weight": "{format_rational(w)}"'
-        records.append(f'    {{\n      "id": {qe[e.eid]},\n      "u": {qv[e.u]},\n'
-                       f'      "v": {qv[e.v]}{tail}\n    }}')
-    prefs = []
-    for v in sorted(inst.vertices):
-        groups = inst.tie_classes(v)
-        prefs.append(f"    {qv[v]}: " + _block(
-            ["      [\n        " + ",\n        ".join(map(qe.__getitem__, g)) + "\n      ]"
-             for g in groups], "    "))
-    doc = []
+    qe = [_quote(e.eid) for e in inst.edges]  # by edge rank
+    tails = {eid: f',\n      "weight": "{format_rational(w)}"'
+             for eid, w in (inst.weights or {}).items()}
+    doc = []  # each section's pieces are dropped once joined
     if inst.critical:
         doc.append('  "critical": ' + _block([f"    {qv[v]}" for v in sorted(inst.critical)]))
-    doc.append('  "edges": ' + _block(records))
+    doc.append('  "edges": ' + _block([
+        f'    {{\n      "id": {q},\n      "u": {qv[u]},\n      "v": {qv[v]}'
+        f'{tails.get(eid, "")}\n    }}' for q, (eid, u, v) in zip(qe, inst.edges)]))
     if inst.gamma:
-        d, scaled = inst.scaled_gamma()
-        pairs: dict[tuple[int, int], str] = {}  # each distinct scaled pair, written once
-        sides: dict[str, list[str]] = {}
-        for (eid, v), ints in sorted(scaled.items()):
-            pair = pairs.get(ints)
-            if pair is None:
-                gam, delta = (format_rational(Fraction(x, d)) for x in ints)
-                pair = pairs[ints] = (f'{{\n        "delta": "{delta}",\n'
-                                      f'        "gamma": "{gam}"\n      }}')
-            sides.setdefault(eid, []).append(f"      {qv[v]}: {pair}")
-        doc.append('  "gamma": ' + _block(
-            [f"    {qe[eid]}: " + _block(s, "    ", "{}") for eid, s in sides.items()],
-            brackets="{}"))
-    doc.append('  "prefs": ' + _block(prefs, brackets="{}"))
+        pairs = dict.fromkeys(inst._gamma_u + inst._gamma_v)  # each distinct scaled pair
+        for ints in filter(None, pairs):
+            gam, delta = (format_rational(Fraction(x, inst._gamma_d)) for x in ints)
+            pairs[ints] = (f'{{\n        "delta": "{delta}",\n'
+                           f'        "gamma": "{gam}"\n      }}')
+        sides = []
+        for q, (_, u, v), at_u, at_v in zip(qe, inst.edges, inst._gamma_u, inst._gamma_v):
+            if v < u:
+                u, v, at_u, at_v = v, u, at_v, at_u
+            if at_u and at_v:
+                sides.append(f"    {q}: {{\n      {qv[u]}: {pairs[at_u]},\n"
+                             f"      {qv[v]}: {pairs[at_v]}\n    }}")
+            elif at_u or at_v:  # one end only
+                x, t = (u, at_u) if at_u else (v, at_v)
+                sides.append(f"    {q}: {{\n      {qv[x]}: {pairs[t]}\n    }}")
+        doc.append('  "gamma": ' + _block(sides, "{}"))
+        del sides
+    prefs = []
+    for v in sorted(inst.vertices):
+        ids, starts = list(map(qe.__getitem__, inst._ranks[v])), inst._starts[v]
+        if len(starts) < len(ids):  # a tie: join each group's ids first
+            ids = [",\n        ".join(ids[i:j]) for i, j in zip(starts, starts[1:] + (len(ids),))]
+        groups = "\n      ],\n      [\n        ".join(ids)
+        prefs.append(f"    {qv[v]}: [\n      [\n        {groups}\n      ]\n    ]" if ids
+                     else f"    {qv[v]}: []")
+    doc.append('  "prefs": ' + _block(prefs, "{}"))
     doc.append('  "vertices": ' + _block([f"    {qv[v]}" for v in inst.vertices]))
     return "{\n" + ",\n".join(doc) + "\n}\n"
 
 
-def _block(items: list[str], indent: str = "  ", brackets: str = "[]") -> str:
-    """A JSON array or object whose members, already indented, are ``items``."""
+def _block(items: list[str], brackets: str = "[]") -> str:
+    """A top-level JSON array or object whose members, already indented, are ``items``."""
     if not items:
         return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n  {brackets[1]}"
 
 
 _DECODER = json.JSONDecoder()

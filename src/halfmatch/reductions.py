@@ -120,8 +120,8 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
 
     Equal derived values order third before second before best copies;
     remaining ties and the trailing last copies follow edge-id order.
-    Every value is compared times the scale d of
-    :meth:`core.Instance.scaled_gamma` and the lcm of the valuation
+    Every value is compared times the threshold scale d of
+    :class:`core.Instance` and the lcm of the valuation
     denominators (1 unless some valuation is a ``Fraction``), as an int;
     a positive factor keeps the order and its ties. A copy c of derived
     value t and kind (third 0, second 1, best 2) sorts as the one int
@@ -129,18 +129,18 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     """
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
-    d, scaled = origin.scaled_gamma()
-    scale = lcm(*{p.denominator for prefs in origin.pref.values() for p in prefs.values()})
+    scale = lcm(*{p.denominator for vals in origin._values.values() for p in vals})
     lo, hi = _ends(origin)
+    index, at_u, at_v = origin._index, origin._gamma_u, origin._gamma_v
+    u = [index[e.u] for e in origin.edges]  # the index of each edge's u end
     K = 4 * len(lo)
-    ds, K2, K3, sK3 = d * scale, 2 * K, 3 * K, 3 * K * scale
+    ds, K2, K3, sK3 = origin._gamma_d * scale, 2 * K, 3 * K, 3 * K * scale
     orders = []
     for x, v in enumerate(origin.vertices):
-        pref = origin.pref[v]
         keys, tail = [], []  # tail: the last copies, in v's order
-        for eid, r in zip(origin._order[v], origin._ranks[v]):
-            gam, delta = scaled[eid, v]
-            q = 4 * r - pref[eid] * ds // 1 * K3  # // 1: an int, also from a Fraction
+        for r, p in zip(origin._ranks[v], origin._values[v]):
+            gam, delta = at_u[r] if u[r] == x else at_v[r]
+            q = 4 * r - p * ds // 1 * K3  # // 1: an int, also from a Fraction
             if lo[r] == x:  # best, second, third, last: 4r, 4r + 1, 4r + 2, 4r + 3
                 keys += (K2 + q, K + 1 + q + gam * sK3, 2 + q + delta * sK3)
                 tail.append(4 * r + 3)

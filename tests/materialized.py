@@ -6,8 +6,9 @@ ran on such an ``Instance``, deleting entries one at a time (``_reduce``
 below). The package now builds each vertex's order as copy indices and
 deletes lazily; the tests compare it with this code, kept as it was but
 for ``lower_endpoint``, a method of ``Instance`` until its last caller in
-the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``)
-that ``strict_instance`` now fills in as validation does.
+the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``,
+``_values``) and the empty threshold lists that ``strict_instance`` now
+fills in as validation does.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ def strict_instance(
         _order={v: tuple(orders[v]) for v in vs},
         _ranks={v: tuple(rank[eid] for eid in orders[v]) for v in vs},
         _starts={v: tuple(range(len(orders[v]))) for v in vs},
+        _values={v: list(range(len(orders[v]), 0, -1)) for v in vs},
         _by_id=by_id, _rank=rank, _index={v: i for i, v in enumerate(vs)},
+        _gamma_u=[None] * len(es), _gamma_v=[None] * len(es),
     )
 
 

@@ -25,7 +25,7 @@ from halfmatch.core import (
     validate_instance,
     vertex_load,
 )
-from halfmatch.generate import generate_random
+from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import parse_instance_text, serialize_instance
 from halfmatch.popularity import sample_fractional_matchings
 from halfmatch.reductions import (
@@ -34,7 +34,7 @@ from halfmatch.reductions import (
     build_pri_reduction,
     build_srti_reduction,
 )
-from halfmatch.solvers import solve_max_gamma, solve_max_srti
+from halfmatch.solvers import restrict_to_edges, solve_max_gamma, solve_max_srti
 
 from conftest import make_path, make_triangle, rational_market
 from materialized import materialize
@@ -806,6 +806,52 @@ def test_the_stored_rank_view_answers_as_the_sort_based_queries():
         kinds["parallel"] += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
         kinds["fraction"] += any(type(p) is F for v in inst.vertices
                                  for p in inst.pref[v].values())
+    assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_rank_aligned_thresholds_answer_as_the_mapping():
+    # validation stores each edge's scaled pair per end of its record, by
+    # edge rank, and each vertex's valuations in its order; the writer, the
+    # gamma reduction and the gamma blocking test read only these
+    rng = random.Random(2525)
+    markets = []
+    for seed in range(24):
+        n = rng.randint(3, 8)
+        presets = [generate_random(seed, n, edge_density=0.6, parallel_prob=0.3,
+                                   tie_prob=0.4, gamma_preset=preset)
+                   for preset in GAMMA_PRESETS]
+        whole = rational_market(rng, seed)
+        kept = [k for k in whole.gamma if rng.random() < 0.6]  # some edges keep one end
+        partial = validate_instance(list(whole.vertices), [tuple(e) for e in whole.edges],
+                                    whole.pref, pref_empty=whole.pref_empty,
+                                    gamma={k: whole.gamma[k] for k in kept})
+        markets += [*presets, whole, partial,
+                    *map(parse_instance_text, map(serialize_instance, (whole, partial))),
+                    *(restrict_to_edges(inst, {e.eid for e in inst.edges if rng.random() < 0.7})
+                      for inst in (whole, partial, presets[-1]))]
+    markets.append(_triangle_with_gamma({("ab", "b"): ("1/2", 2), ("ca", "c"): (1, "7/3")}))
+    kinds = {"full": 0, "partial": 0, "none": 0, "present": 0, "absent": 0, "blocking": 0}
+    for inst in markets:
+        d, scaled = inst.scaled_gamma()
+        gamma = inst.gamma or {}
+        assert len(inst._gamma_u) == len(inst._gamma_v) == len(inst.edges)
+        assert scaled == {k: (g * d, dl * d) for k, (g, dl) in gamma.items()}
+        for r, (eid, u, v) in enumerate(inst.edges):
+            for x, side in ((u, inst._gamma_u), (v, inst._gamma_v)):
+                if (eid, x) in gamma:
+                    assert side[r] == scaled[eid, x]
+                    assert all(type(t) is int for t in side[r])
+                    kinds["present"] += 1
+                else:
+                    assert side[r] is None
+                    kinds["absent"] += 1
+        for v in inst.vertices:
+            assert inst._values[v] == [inst.pref[v][eid] for eid in inst._order[v]]
+        kinds["full" if inst.has_full_gamma() else "partial" if gamma else "none"] += 1
+        if inst.has_full_gamma():
+            for m in [_random_half_matching(rng, inst) for _ in range(3)] + [{}]:
+                assert blocking_edges(inst, m, "gamma") == _blocking_reference(inst, m, "gamma")
+                kinds["blocking"] += 1
     assert all(count >= 20 for count in kinds.values()), kinds
 
 

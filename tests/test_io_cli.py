@@ -59,6 +59,13 @@ def test_rational_strings():
             format_rational(text)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_the_writer_refuses_what_the_reader_refuses(value):
+    # a bool is an int to isinstance, but no exact rational to core._rat
+    with pytest.raises(InstanceError, match="not an exact rational"):
+        format_rational(value)
+
+
 def test_instance_roundtrip_bytes(five_agent_market, tmp_path):
     inst, _, _ = five_agent_market
     text = serialize_instance(inst)
@@ -196,6 +203,36 @@ def test_many_distinct_thresholds_are_written_as_json_dumps_writes_them():
         assert serialize_instance(again) == text
         values |= set(inst.gamma.values())
     assert len(values) >= 100
+
+
+def test_the_one_pass_writer_writes_as_json_dumps_writes():
+    # kept apart from the pinned markets, whose digest stays put: vertex
+    # lists out of name order, edge records whose u sorts after v, single-end
+    # thresholds, partial weights and vertices without edges
+    rng = random.Random(2525)
+    swapped = single = lone = 0
+    for seed in range(60):
+        base = generate_random(seed, rng.randint(2, 9), edge_density=0.6, parallel_prob=0.3,
+                               tie_prob=0.4, gamma_preset="generic")
+        vertices = list(base.vertices) + [f"z{k}" for k in range(rng.randint(0, 2))]
+        rng.shuffle(vertices)
+        edges = [(eid, v, u) if rng.random() < 0.5 else (eid, u, v) for eid, u, v in base.edges]
+        gamma = {}
+        for eid, u, v in edges:
+            ends = rng.choice([(u, v)] * 3 + [(u,), (v,), ()])
+            for x in ends:
+                low = F(rng.randint(1, 5), rng.randint(1, 3))
+                gamma[eid, x] = (low, low + F(rng.randint(1, 4), rng.randint(1, 4)))
+            swapped += u > v and len(ends) == 2
+            single += len(ends) == 1
+        weights = {eid: F(rng.randint(-3, 9), rng.randint(1, 3))
+                   for eid, _, _ in edges if rng.random() < 0.5}
+        inst = validate_instance(vertices, edges, base.pref, weights=weights, gamma=gamma)
+        lone += sum(not inst.incident(v) for v in inst.vertices)
+        text = serialize_instance(inst)
+        assert text == json.dumps(_instance_doc(inst), sort_keys=True, indent=2) + "\n"
+        assert serialize_instance(parse_instance_text(text)) == text
+    assert swapped >= 100 and single >= 20 and lone >= 20, (swapped, single, lone)
 
 
 def test_parse_rejects_unknown_edge_in_prefs_with_line():
