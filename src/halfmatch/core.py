@@ -22,9 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from functools import cached_property
+from itertools import chain, groupby
 from math import lcm
-from operator import ne
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Rational = int | str | Fraction
@@ -83,65 +83,81 @@ def _valuation(x: Rational) -> int | Fraction:
     return r.numerator if r.denominator == 1 else r
 
 
-def _preferences(v: str, ids: Sequence[str], given: Mapping[str, Rational],
-                 empty: int | Fraction) -> dict[str, int | Fraction]:
-    """v's valuations of its incident edges ``ids``, read entry by entry,
-    so that the first bad entry is the one named."""
-    mine = {}
-    for eid in ids:
-        if eid not in given:
-            raise InstanceError(f"missing preference of {v!r} for edge {eid!r}")
-        r = _valuation(given[eid])
-        if r < 0:
-            raise InstanceError(f"preference of {v!r} for {eid!r} is negative")
-        if r <= empty:
-            raise InstanceError(
-                f"preference of {v!r} for {eid!r} must exceed the unmatched value")
-        mine[eid] = r
-    return mine
-
-
 @dataclass(frozen=True)
 class Instance:
     """A preference market: vertices, (multi)edges, and per-vertex valuations.
 
-    Construct through :func:`validate_instance`, which canonicalizes and
-    checks every invariant.
-    ``pref[v][eid]`` is agent v's valuation of its incident edge; larger is
-    better, ties allowed. ``pref_empty[v]`` is the value of staying unmatched
-    and is strictly below every incident edge. ``gamma`` optionally maps
-    ``(eid, v)`` to a ``(gamma, delta)`` pair of improvement thresholds with
-    ``0 < gamma < delta``. ``critical`` is an optional set of vertices that
-    solvers may be required to saturate. ``_order[v]`` lists v's incident
-    edges best first, ties in edge-id order; ``_ranks[v]`` is the same order
-    as edge ranks (positions in ``edges``, which ``_rank`` maps each edge id
-    to), and ``_starts[v]`` the position in it where each tie group starts,
-    so v has a tie when it has fewer starts than edges, and ``_values[v]``
-    its valuations in that order. Validation scales each distinct threshold
-    pair once, to ints over the lcm ``_gamma_d`` of all threshold
-    denominators: ``_gamma_u[r]`` and ``_gamma_v[r]`` are the pair at the
-    ``u`` and the ``v`` end of the edge of rank r, or ``None``, and
-    :meth:`scaled_gamma` is a view of the two, built when called.
+    Construct through :func:`validate_instance`; the parser and the
+    generator build through the same constructor. ``pref[v][eid]`` is
+    agent v's valuation of its incident edge; larger is better, ties
+    allowed. ``pref_empty[v]`` is the value of staying unmatched and is
+    strictly below every incident edge. ``gamma`` optionally maps
+    ``(eid, v)`` to a ``(gamma, delta)`` pair of improvement thresholds
+    with ``0 < gamma < delta``, and is None without thresholds.
+    ``critical`` is an optional set of vertices that solvers may be
+    required to saturate.
+
+    What is stored is the rank view: ``edges`` in id order, an edge's
+    position there being its rank (``_rank`` maps each id to it);
+    ``_ranks[v]``, v's incident edges best first as ranks, ties in id
+    order; ``_starts[v]``, the position in it where each tie group starts,
+    so v has a tie when it has fewer starts than edges; ``_value_u[r]`` and
+    ``_value_v[r]``, the valuations at the ``u`` and the ``v`` end of the
+    edge of rank r. Thresholds are scaled once, to ints over the lcm
+    ``_gamma_d`` of all threshold denominators: ``_gamma_u[r]`` and
+    ``_gamma_v[r]`` are the pair at each end of the edge of rank r, or
+    ``None``; both are empty when no entry was given, and None when no
+    threshold mapping was. ``pref``,
+    ``gamma``, ``_order`` (the id orders behind :meth:`strict_order` and
+    :meth:`tie_classes`) and ``_incident`` are views of these, each built
+    on first use; :meth:`scaled_gamma` is built when called.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    pref: Mapping[str, Mapping[str, int | Fraction]]
     pref_empty: Mapping[str, int | Fraction]
     weights: Mapping[str, Fraction] | None
-    gamma: Mapping[tuple[str, str], tuple[Fraction, Fraction]] | None
     critical: frozenset[str]
-    _incident: Mapping[str, tuple[str, ...]]
-    _order: Mapping[str, tuple[str, ...]]
     _ranks: Mapping[str, tuple[int, ...]]
     _starts: Mapping[str, tuple[int, ...]]
-    _values: Mapping[str, Sequence[int | Fraction]]
-    _by_id: Mapping[str, Edge]
+    _value_u: Sequence[int | Fraction]
+    _value_v: Sequence[int | Fraction]
     _rank: Mapping[str, int]
     _index: Mapping[str, int]
-    _gamma_u: Sequence[tuple[int, int] | None]
-    _gamma_v: Sequence[tuple[int, int] | None]
+    _gamma_u: Sequence[tuple[int, int] | None] | None = None
+    _gamma_v: Sequence[tuple[int, int] | None] | None = None
     _gamma_d: int = 1
+
+    # -- views, built on first use ---------------------------------------
+
+    @cached_property
+    def pref(self) -> Mapping[str, Mapping[str, int | Fraction]]:
+        ids = tuple(self._rank)
+        return {v: dict(zip(map(ids.__getitem__, ranks), self._values_of(v)))
+                for v, ranks in self._ranks.items()}
+
+    @cached_property
+    def gamma(self) -> Mapping[tuple[str, str], tuple[Fraction, Fraction]] | None:
+        if self._gamma_u is None:
+            return None
+        d, scaled = self.scaled_gamma()
+        pairs = {t: (Fraction(t[0], d), Fraction(t[1], d)) for t in set(scaled.values())}
+        return {end: pairs[t] for end, t in scaled.items()}
+
+    @cached_property
+    def _order(self) -> Mapping[str, tuple[str, ...]]:
+        ids = tuple(self._rank)
+        return {v: tuple(map(ids.__getitem__, ranks)) for v, ranks in self._ranks.items()}
+
+    @cached_property
+    def _incident(self) -> Mapping[str, tuple[str, ...]]:
+        ids = tuple(self._rank)
+        return {v: tuple(map(ids.__getitem__, sorted(ranks))) for v, ranks in self._ranks.items()}
+
+    def _values_of(self, v: str) -> list[int | Fraction]:
+        """v's valuations in its order."""
+        edges, pu, pv = self.edges, self._value_u, self._value_v
+        return [pu[r] if edges[r].u == v else pv[r] for r in self._ranks[v]]
 
     # -- structure ----------------------------------------------------
 
@@ -150,10 +166,10 @@ class Instance:
         return self._incident[v]
 
     def edge(self, eid: str) -> Edge:
-        return self._by_id[eid]
+        return self.edges[self._rank[eid]]
 
     def other(self, eid: str, v: str) -> str:
-        e = self._by_id[eid]
+        e = self.edge(eid)
         if v == e.u:
             return e.v
         if v == e.v:
@@ -211,14 +227,184 @@ class Instance:
         return self.gamma[(eid, v)]
 
     def has_full_gamma(self) -> bool:
-        return None not in self._gamma_u and None not in self._gamma_v  # vacuous without edges
+        if not self._gamma_u:
+            return not self.edges  # vacuous without edges
+        return None not in self._gamma_u and None not in self._gamma_v
 
     def scaled_gamma(self) -> tuple[int, Mapping[tuple[str, str], tuple[int, int]]]:
         """The lcm d of all threshold denominators, and each key of ``gamma``
         mapped to its pair times d, as ints (empty without thresholds)."""
+        if not self._gamma_u:
+            return self._gamma_d, {}
         ends = ((eid, x) for eid, u, v in self.edges for x in (u, v))
         pairs = chain.from_iterable(zip(self._gamma_u, self._gamma_v))
         return self._gamma_d, {end: t for end, t in zip(ends, pairs) if t is not None}
+
+
+def _edge_ranks(vertices: Iterable[str], edges: Iterable[Edge]
+                ) -> tuple[tuple[str, ...], tuple[Edge, ...], dict[str, int]]:
+    """The vertices, the edges in id order and each edge id's rank (its
+    position there). Raises on duplicate vertex ids, then at the first
+    edge given that repeats an id, has an unknown endpoint or is a loop."""
+    vs = tuple(vertices)
+    if len(set(vs)) != len(vs):
+        raise InstanceError("duplicate vertex ids")
+    vset = set(vs)
+    by_id: dict[str, Edge] = {}
+    for e in edges:
+        if e.eid in by_id:
+            raise InstanceError(f"duplicate edge id {e.eid!r}")
+        if e.u not in vset or e.v not in vset:
+            raise InstanceError(f"edge {e.eid!r} has an unknown endpoint")
+        if e.u == e.v:
+            raise InstanceError(f"edge {e.eid!r} is a loop; loops are forbidden")
+        by_id[e.eid] = e
+    rank = {eid: r for r, eid in enumerate(sorted(by_id))}
+    return vs, tuple(map(by_id.__getitem__, rank)), rank
+
+
+def _instance(
+    vs: tuple[str, ...],
+    es: tuple[Edge, ...],
+    rank: dict[str, int],
+    groups: Mapping[str, Sequence[Sequence[str]]],
+    values: tuple[list[int | Fraction], list[int | Fraction]] | None = None,
+    pref_empty: Mapping[str, int | Fraction] | None = None,
+    weights: Mapping[str, Rational] | None = None,
+    gamma: Iterable[tuple[str, str, tuple[Rational, Rational]]] | None = None,
+    critical: Iterable[str] | None = None,
+) -> Instance:
+    """The market on the checked vertices ``vs`` and edges ``es`` of
+    :func:`_edge_ranks` whose vertex v ranks its edges in the tie groups
+    ``groups[v]``: lists of edge ids, best group first, in any order inside
+    a group; empty groups are skipped.
+
+    ``values`` holds the valuations at the ``u`` and at the ``v`` end of
+    each edge, by edge rank, and must agree with the groups. Without it the
+    groups are valued by their count down to 1, for the worst, and every
+    vertex must mention each of its edges: the first vertex that does not
+    is named, with its first missing edge, else its first other one. Then
+    the weights, the (edge id, endpoint, (gamma, delta)) threshold entries
+    and the critical set are checked, in that order, each at its first bad
+    entry as given.
+    """
+    index = {v: i for i, v in enumerate(vs)}
+    for v in groups:
+        if v not in index:
+            raise InstanceError(f"preferences given for unknown vertex {v!r}")
+    E = len(es)
+    value_u, value_v = values or ([0] * E, [0] * E)  # 0: not yet valued
+    end_u, end_v = [index[e.u] for e in es], [index[e.v] for e in es]
+    rank_of = rank.__getitem__
+    ranks: dict[str, tuple[int, ...]] = {}
+    starts: dict[str, tuple[int, ...]] = {}
+    stray = False
+    for x, v in enumerate(vs):
+        gs = groups.get(v, ())
+        order: list[int] = []
+        first = []
+        p = len(gs) - gs.count([])  # the best group's valuation
+        for group in gs:
+            if group:
+                first.append(len(order))
+                rs = sorted(map(rank_of, group)) if len(group) > 1 else [rank_of(group[0])]
+                order += rs
+                if values is None:
+                    for r in rs:
+                        if end_u[r] == x:
+                            value_u[r] = p
+                        elif end_v[r] == x:
+                            value_v[r] = p
+                        else:
+                            stray = True
+                    p -= 1
+        ranks[v], starts[v] = tuple(order), tuple(first)
+    if values is None and (stray or 0 in value_u or 0 in value_v):
+        raise _incidence_fault(vs, es, rank, groups)
+
+    w = None
+    if weights is not None:
+        w = {}
+        for eid, val in weights.items():
+            if eid not in rank:
+                raise InstanceError(f"weight for unknown edge {eid!r}")
+            w[eid] = _rat(val)
+
+    at_u = at_v = None
+    d = 1
+    if gamma is not None:
+        # a market repeats a few thresholds thousands of times: each distinct
+        # pair, keyed on its integers, is checked and stored once. A pair
+        # object met before is found by its id alone; ``seen`` keeps every
+        # object it keys on, so no id is reused while the entries are read
+        seen: dict[int, tuple[object, tuple[Fraction, Fraction]]] = {}
+        distinct: dict[tuple[int, int, int, int], tuple[Fraction, Fraction]] = {}
+        at_u, at_v = [None] * E, [None] * E  # each end's pair object, by edge rank
+        for eid, v, pair in gamma:
+            r = rank.get(eid)
+            if r is None:
+                raise InstanceError(f"gamma for unknown edge {eid!r}")
+            _, u, other = es[r]
+            if v != u and v != other:
+                raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
+            if id(pair) not in seen:
+                glo, ghi = map(_rat, pair)
+                ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
+                value = distinct.get(ints)
+                if value is None:
+                    if not (0 < glo < ghi):
+                        raise InstanceError(
+                            f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
+                        )
+                    value = distinct[ints] = (glo, ghi)
+                seen[id(pair)] = (pair, value)
+            (at_u if v == u else at_v)[r] = pair
+        if distinct:
+            d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
+            ints_of = {id(value): (p * (d // q), r * (d // s))
+                       for (p, q, r, s), value in distinct.items()}
+            scaled = {i: ints_of[id(value)] for i, (_, value) in seen.items()}
+            at_u, at_v = (list(map(scaled.get, map(id, side))) for side in (at_u, at_v))
+        else:
+            at_u = at_v = ()
+
+    crit = frozenset(critical or ())
+    unknown = crit - index.keys()
+    if unknown:
+        raise InstanceError(f"critical set contains unknown vertex {sorted(unknown)[0]!r}")
+
+    return Instance(
+        vertices=vs,
+        edges=es,
+        pref_empty=dict.fromkeys(vs, 0) if pref_empty is None else pref_empty,
+        weights=w,
+        critical=crit,
+        _ranks=ranks,
+        _starts=starts,
+        _value_u=value_u,
+        _value_v=value_v,
+        _rank=rank,
+        _index=index,
+        _gamma_u=at_u,
+        _gamma_v=at_v,
+        _gamma_d=d,
+    )
+
+
+def _incidence_fault(vs: tuple[str, ...], es: tuple[Edge, ...], rank: dict[str, int],
+                     groups: Mapping[str, Sequence[Sequence[str]]]) -> InstanceError:
+    """The fault of the first vertex whose tie groups miss one of its edges
+    (named first, in id order) or mention another edge."""
+    for v in vs:
+        mine = {rank[eid] for group in groups.get(v, ()) for eid in group}
+        ends = {r for r, e in enumerate(es) if v == e.u or v == e.v}
+        if ends - mine:
+            return InstanceError(
+                f"missing preference of {v!r} for edge {es[min(ends - mine)].eid!r}")
+        if mine - ends:
+            return InstanceError(
+                f"preference of {v!r} for non-incident edge {es[min(mine - ends)].eid!r}")
+    raise VerificationFailed("no vertex's tie groups are at fault")
 
 
 def validate_instance(
@@ -232,155 +418,72 @@ def validate_instance(
 ) -> Instance:
     """Check and canonicalize a raw instance description.
 
-    Raises :class:`InstanceError` with a specific message on loop edges,
-    duplicate ids, preferences given for unknown vertices, missing or
-    negative preference entries, preference entries not strictly above
-    the unmatched value, ``gamma >= delta``, or unknown vertices in the
-    critical set. Edges and incidence lists are in edge-id order, and
-    each vertex's order is its incidence list sorted best first, so
-    iteration order is deterministic. The same pass stores each order as
-    edge ranks, with the position where each of its tie groups starts.
+    Raises :class:`InstanceError` with a specific message at the first
+    fault, checked in this order: duplicate vertex ids; each edge as given,
+    for a repeated id, an unknown endpoint or a loop; each ``pref_empty``
+    entry, for an unknown vertex or a value above 0; preferences given for
+    an unknown vertex; each vertex in order, for its first incident edge
+    (in id order) whose preference is missing, not an exact rational,
+    negative or not strictly above the unmatched value, and then for a
+    preference of a non-incident edge; each weight, for an unknown edge;
+    each gamma entry in the mapping's order, for an unknown edge, an
+    endpoint not on it or not ``0 < gamma < delta``; and the critical set,
+    for an unknown vertex. Edges and incidence lists are in edge-id order,
+    and each vertex's order is its incidence list sorted best first, so
+    iteration order is deterministic.
 
-    A vertex's valuations are read and range-checked in bulk; only a
-    faulty vertex is read again, entry by entry, to name its first bad
-    entry. A (gamma, delta) pair object shared by several entries (the
-    parser hands one per distinct pair of texts) is checked once, and
-    pairs of equal value are stored and scaled once, so the first bad
-    entry is still named in the mapping's order.
+    Each vertex's valuations are grouped into tie groups and handed, with
+    the thresholds, to the constructor the parser and the generator use.
+    A (gamma, delta) pair object shared by several entries (the parser
+    hands one per distinct pair of texts) is checked once, and pairs of
+    equal value are stored and scaled once.
     """
-    vs = tuple(vertices)
-    if len(set(vs)) != len(vs):
-        raise InstanceError("duplicate vertex ids")
-    vset = set(vs)
-
-    by_id: dict[str, Edge] = {}
-    for raw in edges:
-        e = Edge(*raw)
-        if e.eid in by_id:
-            raise InstanceError(f"duplicate edge id {e.eid!r}")
-        if e.u not in vset or e.v not in vset:
-            raise InstanceError(f"edge {e.eid!r} has an unknown endpoint")
-        if e.u == e.v:
-            raise InstanceError(f"edge {e.eid!r} is a loop; loops are forbidden")
-        by_id[e.eid] = e
-    rank = {eid: r for r, eid in enumerate(sorted(by_id))}  # edge id -> edge rank
-    es = tuple(map(by_id.__getitem__, rank))
-
-    incident: dict[str, list[str]] = {v: [] for v in vs}
-    for e in es:
-        incident[e.u].append(e.eid)
-        incident[e.v].append(e.eid)
-    inc = {v: tuple(ids) for v, ids in incident.items()}
-
-    p_empty: dict[str, int | Fraction] = {v: 0 for v in vs}
+    vs, es, rank = _edge_ranks(vertices, map(Edge._make, edges))
+    p_empty: dict[str, int | Fraction] = dict.fromkeys(vs, 0)
     if pref_empty:
         for v, val in pref_empty.items():
-            if v not in vset:
+            if v not in p_empty:
                 raise InstanceError(f"pref_empty for unknown vertex {v!r}")
             r = _valuation(val)
             if r > 0:
                 raise InstanceError(f"pref_empty of {v!r} must be <= 0")
             p_empty[v] = r
-
     for v in pref:
-        if v not in vset:
+        if v not in p_empty:
             raise InstanceError(f"preferences given for unknown vertex {v!r}")
-    p: dict[str, dict[str, int | Fraction]] = {}
-    order: dict[str, tuple[str, ...]] = {}
-    ranks: dict[str, tuple[int, ...]] = {}
-    starts: dict[str, tuple[int, ...]] = {}
-    values: dict[str, list[int | Fraction]] = {}
+
+    incident: dict[str, list[int]] = {v: [] for v in vs}
+    for r, e in enumerate(es):
+        incident[e.u].append(r)
+        incident[e.v].append(r)
+    value_u: list[int | Fraction] = [0] * len(es)
+    value_v = value_u.copy()
+    groups = {}
     for v in vs:
-        given = dict(pref.get(v, {}))
-        ids, empty = inc[v], p_empty[v]
-        # read and checked in bulk; a faulty vertex is read again, entry by
-        # entry, to name its first bad entry
-        try:
-            mine = {eid: _valuation(given[eid]) for eid in ids}
-            low = min(mine.values(), default=1)
-        except (KeyError, InstanceError):
-            low = -1
-        if low < 0 or low <= empty:
-            mine = _preferences(v, ids, given, empty)
+        given, empty = pref.get(v, {}), p_empty[v]
+        mine: dict[str, int | Fraction] = {}
+        for r in incident[v]:  # entry by entry, so that the first bad entry is named
+            eid = es[r].eid
+            if eid not in given:
+                raise InstanceError(f"missing preference of {v!r} for edge {eid!r}")
+            p = _valuation(given[eid])
+            if p < 0:
+                raise InstanceError(f"preference of {v!r} for {eid!r} is negative")
+            if p <= empty:
+                raise InstanceError(
+                    f"preference of {v!r} for {eid!r} must exceed the unmatched value")
+            mine[eid] = (value_u if es[r].u == v else value_v)[r] = p
         if len(given) > len(mine):
             stray = sorted(eid for eid in given if eid not in mine)[0]
             raise InstanceError(f"preference of {v!r} for non-incident edge {stray!r}")
-        p[v] = mine
         # a stable sort keeps equal valuations in edge-id order
-        o = order[v] = tuple(sorted(ids, key=mine.__getitem__, reverse=True))
-        ranks[v] = tuple(map(rank.__getitem__, o))
-        vals = values[v] = list(map(mine.__getitem__, o))
-        starts[v] = (0, *compress(count(1), map(ne, vals, vals[1:]))) if o else ()
+        order = sorted(mine, key=mine.__getitem__, reverse=True)
+        groups[v] = [list(g) for _, g in groupby(order, mine.__getitem__)]
 
-    w = None
-    if weights is not None:
-        w = {}
-        for eid, val in weights.items():
-            if eid not in by_id:
-                raise InstanceError(f"weight for unknown edge {eid!r}")
-            w[eid] = _rat(val)
-
-    g = None
-    d = 1
-    at_u, at_v = [None] * len(es), [None] * len(es)  # by edge rank
-    if gamma is not None:
-        # a market repeats a few thresholds thousands of times: each distinct
-        # pair, keyed on its integers, is checked and stored once. A pair
-        # object met before is found by its id alone; ``seen`` keeps every
-        # object it keys on, so no id is reused while the mapping is read
-        seen: dict[int, tuple[object, tuple[Fraction, Fraction]]] = {}
-        distinct: dict[tuple[int, int, int, int], tuple[Fraction, Fraction]] = {}
-        g = {}
-        for (eid, v), pair in gamma.items():
-            hit = seen.get(id(pair))  # (pair, its value)
-            if hit is None:
-                lo, hi = pair
-            e = by_id.get(eid)
-            if e is None:
-                raise InstanceError(f"gamma for unknown edge {eid!r}")
-            if v != e.u and v != e.v:
-                raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
-            if hit is None:
-                glo, ghi = _rat(lo), _rat(hi)
-                ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
-                value = distinct.get(ints)
-                if value is None:
-                    if not (0 < glo < ghi):
-                        raise InstanceError(
-                            f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
-                        )
-                    value = distinct[ints] = (glo, ghi)
-                hit = seen[id(pair)] = (pair, value)
-            g[(eid, v)] = (at_u if v == e.u else at_v)[rank[eid]] = hit[1]
-        d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
-        ints_of = {id(value): (p * (d // q), r * (d // s))
-                   for (p, q, r, s), value in distinct.items()}
-        at_u, at_v = ([ints_of.get(id(t)) for t in side] for side in (at_u, at_v))
-
-    crit = frozenset(critical or ())
-    unknown = crit - vset
-    if unknown:
-        raise InstanceError(f"critical set contains unknown vertex {sorted(unknown)[0]!r}")
-
-    return Instance(
-        vertices=vs,
-        edges=es,
-        pref=p,
-        pref_empty=p_empty,
-        weights=w,
-        gamma=g,
-        critical=crit,
-        _incident=inc,
-        _order=order,
-        _ranks=ranks,
-        _starts=starts,
-        _values=values,
-        _by_id=by_id,
-        _rank=rank,
-        _index={v: i for i, v in enumerate(vs)},
-        _gamma_u=at_u,
-        _gamma_v=at_v,
-        _gamma_d=d,
+    return _instance(
+        vs, es, rank, groups, (value_u, value_v), p_empty, weights,
+        None if gamma is None else ((eid, v, pair) for (eid, v), pair in gamma.items()),
+        critical,
     )
 
 
@@ -400,13 +503,14 @@ def _loads(inst: Instance, m: Mapping[str, Fraction]) -> tuple[int, dict[str, in
     """
     d = lcm(*(val.denominator for val in m.values()))
     load = dict.fromkeys(inst.vertices, 0)
-    by_id = inst._by_id
+    rank, edges = inst._rank, inst.edges
     for eid, val in m.items():
-        e = by_id.get(eid)
-        if e is not None:
+        r = rank.get(eid)
+        if r is not None:
             x = val.numerator * (d // val.denominator)
-            load[e.u] += x
-            load[e.v] += x
+            _, u, v = edges[r]
+            load[u] += x
+            load[v] += x
     return d, load
 
 
@@ -424,7 +528,7 @@ def check_matching(inst: Instance, m: Mapping[str, Fraction], half: bool = False
     load exceeds d is named.
     """
     for eid, val in m.items():
-        if eid not in inst._by_id:
+        if eid not in inst._rank:
             raise MatchingError(f"value for unknown edge {eid!r}")
         if not isinstance(val, Fraction):
             raise MatchingError(f"value of {eid!r} is not an exact rational")
@@ -459,16 +563,17 @@ def _assigned(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, int | Frac
     Saturated agents are valued by the minimum over edges they hold with
     positive weight; unsaturated agents by ``pref_empty``.
     """
-    pref = inst.pref
     d, load = _loads(inst, m)
+    rank, edges = inst._rank, inst.edges
     worst: dict[str, int | Fraction] = {}
     for eid, val in m.items():
-        e = inst._by_id.get(eid)
-        if e is None or val.numerator <= 0:
+        r = rank.get(eid)
+        if r is None or val.numerator <= 0:
             continue
-        for x in (e.u, e.v):
-            if x not in worst or pref[x][eid] < worst[x]:
-                worst[x] = pref[x][eid]
+        _, u, v = edges[r]
+        for x, p in ((u, inst._value_u[r]), (v, inst._value_v[r])):
+            if x not in worst or p < worst[x]:
+                worst[x] = p
     assigned = dict(inst.pref_empty)
     assigned.update((x, p) for x, p in worst.items() if load[x] == d)
     return assigned
@@ -495,21 +600,20 @@ def blocking_edges(
         raise ValueError(f"unknown blocking mode {mode!r}")
     if mode == "gamma" and not inst.has_full_gamma():
         raise InstanceError("gamma mode requires gamma/delta on every (edge, endpoint)")
-    pref = inst.pref
     assigned = _assigned(inst, m)
+    ends = zip(inst.edges, inst._value_u, inst._value_v)
 
     if mode == "weak":
         return [
-            eid for eid, u, v in inst.edges
-            if pref[u][eid] > assigned[u] and pref[v][eid] > assigned[v]
-            and m.get(eid, ZERO) < 1
+            eid for (eid, u, v), pu, pv in ends
+            if pu > assigned[u] and pv > assigned[v] and m.get(eid, ZERO) < 1
         ]
     d = inst._gamma_d
     out = []
-    for (eid, u, v), (gu, deltau), (gv, deltav) in zip(inst.edges, inst._gamma_u,
-                                                       inst._gamma_v):
-        du = (pref[u][eid] - assigned[u]) * d
-        dv = (pref[v][eid] - assigned[v]) * d
+    for ((eid, u, v), pu, pv), (gu, deltau), (gv, deltav) in zip(
+            ends, inst._gamma_u or (), inst._gamma_v or ()):
+        du = (pu - assigned[u]) * d
+        dv = (pv - assigned[v]) * d
         if (du >= gu and dv >= deltav) or (du >= deltau and dv >= gv):
             out.append(eid)
     return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Instance, InstanceError, validate_instance
+from .core import Edge, Instance, InstanceError, _edge_ranks, _instance
 
 GAMMA_PRESETS = ("none", "min-like", "max-like", "generic")
 
@@ -62,7 +62,7 @@ def generate_random(
     rng = random.Random(f"halfmatch-{seed}")
     vertices = [f"v{i:02d}" for i in range(n)]
 
-    edges: list[tuple[str, str, str]] = []
+    edges: list[Edge] = []
     serial = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -75,7 +75,7 @@ def generate_random(
                 if rng.random() < parallel_prob:
                     copies += 1
             for _ in range(copies):
-                edges.append((f"e{serial:03d}", vertices[i], vertices[j]))
+                edges.append(Edge(f"e{serial:03d}", vertices[i], vertices[j]))
                 serial += 1
 
     incident: dict[str, list[str]] = {v: [] for v in vertices}
@@ -83,7 +83,7 @@ def generate_random(
         incident[u].append(eid)
         incident[v].append(eid)
 
-    pref: dict[str, dict[str, int]] = {}
+    groups: dict[str, list[list[str]]] = {}
     for v in vertices:
         order = sorted(incident[v])
         rng.shuffle(order)
@@ -93,11 +93,7 @@ def generate_random(
                 classes[-1].append(eid)
             else:
                 classes.append([eid])
-        vals: dict[str, int] = {}
-        for depth, group in enumerate(classes):
-            for eid in group:
-                vals[eid] = len(classes) - depth
-        pref[v] = vals
+        groups[v] = classes
 
     weights = None
     if weight_range is not None:
@@ -107,7 +103,7 @@ def generate_random(
     gamma = None
     if gamma_preset != "none":
         g = Fraction(1)  # minimum positive gap on the canonical scale
-        gamma = {}
+        gamma = []
         for eid, u, v in edges:
             for x in (u, v):
                 if gamma_preset == "min-like":
@@ -117,17 +113,11 @@ def generate_random(
                 else:
                     lo = rng.choice([g / 2, 3 * g / 2])
                     hi = lo + g
-                gamma[(eid, x)] = (lo, hi)
+                gamma.append((eid, x, (lo, hi)))
 
     critical = None
     if critical_count:
         critical = sorted(rng.sample(vertices, critical_count))
 
-    return validate_instance(
-        vertices=vertices,
-        edges=edges,
-        pref=pref,
-        weights=weights,
-        gamma=gamma,
-        critical=critical,
-    )
+    vs, es, rank = _edge_ranks(vertices, edges)
+    return _instance(vs, es, rank, groups, weights=weights, gamma=gamma, critical=critical)

@@ -25,22 +25,26 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Mapping
 
 from .core import (
     ONE,
+    Edge,
     Instance,
     InstanceError,
     MatchingError,
     Rational,
+    VerificationFailed,
     ZERO,
+    _edge_ranks,
+    _instance,
     _rat,
     blocking_edges,
     check_matching,
     matching_stats,
-    validate_instance,
 )
 from .popularity import SCOPES
 
@@ -90,7 +94,7 @@ def serialize_instance(inst: Instance) -> str:
     doc.append('  "edges": ' + _block([
         f'    {{\n      "id": {q},\n      "u": {qv[u]},\n      "v": {qv[v]}'
         f'{tails.get(eid, "")}\n    }}' for q, (eid, u, v) in zip(qe, inst.edges)]))
-    if inst.gamma:
+    if inst._gamma_u:
         pairs = dict.fromkeys(inst._gamma_u + inst._gamma_v)  # each distinct scaled pair
         for ints in filter(None, pairs):
             gam, delta = (format_rational(Fraction(x, inst._gamma_d)) for x in ints)
@@ -147,17 +151,38 @@ def _members(text: str, i: int):
 
 def _located(text: str, v: str, eid: str, nth: int, message: str) -> InstanceError:
     """Attach the 1-based line of the ``nth`` mention (1 or 2) of ``eid``
-    in the preference list of ``v`` when findable."""
+    in the preference list of ``v`` when findable. Every string in that
+    list is an id, read as the decoder reads it, escaped or not."""
     span = {k: (s, e) for k, s, e in _members(text, _SPACE.match(text).end())}.get("prefs")
     span = span and {k: (s, e) for k, s, e in _members(text, span[0])}.get(v)
     if span:
-        token = json.dumps(eid)
-        pos = text.find(token, *span)
-        if nth == 2 and pos >= 0:
-            pos = text.find(token, pos + 1, span[1])
-        if pos >= 0:
-            return InstanceError(f"line {text.count(chr(10), 0, pos) + 1}: {message}")
+        pos = text.find('"', *span)
+        while pos >= 0:
+            mention, end = scanstring(text, pos + 1)
+            nth -= mention == eid
+            if not nth:
+                return InstanceError(f"line {text.count(chr(10), 0, pos) + 1}: {message}")
+            pos = text.find('"', end, span[1])
     return InstanceError(message)
+
+
+def _mention_fault(text: str, v: str, groups: list, known: Mapping[str, int]) -> InstanceError:
+    """The first fault of the tie groups of ``v`` as they are read: a group
+    that is not a list of ids, an unknown edge or an edge met before."""
+    seen = set()
+    for group in groups:
+        if type(group) is not list or not {str}.issuperset(map(type, group)):
+            return InstanceError(f"preference list of {v!r} must contain tie groups "
+                                 "(lists of edge ids)")
+        for eid in group:
+            if eid not in known:
+                return _located(text, v, eid, 1,
+                                f"preference list of {v!r} mentions unknown edge {eid!r}")
+            if eid in seen:
+                return _located(text, v, eid, 2,
+                                f"preference list of {v!r} mentions edge {eid!r} twice")
+            seen.add(eid)
+    raise VerificationFailed(f"the tie groups of {v!r} are not at fault")
 
 
 def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
@@ -169,6 +194,15 @@ def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
 
 
 def parse_instance_text(text: str) -> Instance:
+    """The market of an instance file, built straight from its tie groups.
+
+    The faults of the file itself come first, section by section: its
+    JSON, its top-level object and sections, the edge records and their
+    weights, each vertex's tie groups (a group that is not a list of ids,
+    an unknown or repeated edge, with its line when found), the gamma
+    section's shape and rationals, and the critical list. Then the
+    market's faults, in the order :func:`validate_instance` checks them.
+    """
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
@@ -182,7 +216,8 @@ def parse_instance_text(text: str) -> Instance:
             raise InstanceError(f"instance file lacks the {key!r} section")
     vertices = _list_of(str, doc["vertices"], "the vertex set must be a list of vertex ids")
     _list_of(dict, doc["edges"], "the edges section must be a list of edge records")
-    if not isinstance(doc["prefs"], dict):
+    prefs = doc["prefs"]
+    if not isinstance(prefs, dict):
         raise InstanceError("the prefs section must map vertex ids to tie groups")
 
     # a market repeats a few rationals thousands of times: parse each once
@@ -205,61 +240,45 @@ def parse_instance_text(text: str) -> Instance:
             raise InstanceError(f"malformed edge record {record!r}") from exc
         if type(eid) is not str or type(u) is not str or type(v) is not str:
             raise InstanceError(f"edge record {record!r}: ids must be strings")
-        edges.append((eid, u, v))
+        edges.append(Edge(eid, u, v))
         if "weight" in record:
             weights[eid] = rational(record["weight"])
-    known = {eid for eid, _, _ in edges}
+    known = {e.eid for e in edges}
 
-    only_str = {str}.issuperset
-    pref: dict[str, dict[str, int]] = {}
-    for v, groups in doc["prefs"].items():
+    only_list, only_str = {list}.issuperset, {str}.issuperset
+    for v, groups in prefs.items():
         if type(groups) is not list:
             raise InstanceError(f"preference list of {v!r} must be a list of tie groups")
-        vals: dict[str, int] = {}
-        rank = len(groups)  # the best group's, down to 1 for the worst
-        for group in groups:
-            if type(group) is not list or not only_str(map(type, group)):
-                raise InstanceError(f"preference list of {v!r} must contain tie groups "
-                                    "(lists of edge ids)")
-            for eid in group:
-                if eid not in known:
-                    raise _located(text, v, eid, 1,
-                                   f"preference list of {v!r} mentions unknown edge {eid!r}")
-                if eid in vals:
-                    raise _located(text, v, eid, 2,
-                                   f"preference list of {v!r} mentions edge {eid!r} twice")
-                vals[eid] = rank
-            rank -= 1
-        pref[v] = vals
+        if only_list(map(type, groups)):
+            ids = list(chain.from_iterable(groups))
+            if only_str(map(type, ids)) and known.issuperset(ids) and len(set(ids)) == len(ids):
+                continue
+        raise _mention_fault(text, v, groups, known)
 
     gamma = None
     if "gamma" in doc:
-        gamma = {}
         pairs: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}
         try:
-            for eid, sides in doc["gamma"].items():
-                for v, pair in sides.items():
+            for sides in doc["gamma"].values():
+                for v, pair in sides.items():  # each pair object is replaced by its value
                     texts = (pair["gamma"], pair["delta"])
                     thresholds = pairs.get(texts)  # an unhashable text raises TypeError
                     if thresholds is None:
                         thresholds = pairs[texts] = tuple(map(rational, texts))
-                    gamma[(eid, v)] = thresholds
+                    sides[v] = thresholds
         except (KeyError, TypeError, AttributeError, InstanceError) as exc:
             raise InstanceError(
                 "malformed gamma section: each edge maps its endpoints to "
                 "objects with 'gamma' and 'delta' rationals"
             ) from exc
+        gamma = ((eid, v, pair) for eid, sides in doc["gamma"].items()
+                 for v, pair in sides.items())
     critical = doc.get("critical")
     if critical is not None:
         _list_of(str, critical, "the critical set must be a list of vertices")
-    return validate_instance(
-        vertices=vertices,
-        edges=edges,
-        pref=pref,
-        weights=weights or None,
-        gamma=gamma,
-        critical=critical,
-    )
+    vs, es, rank = _edge_ranks(vertices, edges)
+    return _instance(vs, es, rank, prefs, weights=weights or None, gamma=gamma,
+                     critical=critical)
 
 
 def load_instance(path: str) -> Instance:

@@ -129,17 +129,21 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     """
     if not origin.has_full_gamma():
         raise InstanceError("gamma reduction requires gamma/delta on every (edge, endpoint)")
-    scale = lcm(*{p.denominator for vals in origin._values.values() for p in vals})
+    pu, pv, at_u, at_v = origin._value_u, origin._value_v, origin._gamma_u, origin._gamma_v
+    scale = lcm(*(p.denominator for p in set(chain(pu, pv))))  # over the distinct valuations
     lo, hi = _ends(origin)
-    index, at_u, at_v = origin._index, origin._gamma_u, origin._gamma_v
+    index = origin._index
     u = [index[e.u] for e in origin.edges]  # the index of each edge's u end
     K = 4 * len(lo)
     ds, K2, K3, sK3 = origin._gamma_d * scale, 2 * K, 3 * K, 3 * K * scale
     orders = []
     for x, v in enumerate(origin.vertices):
         keys, tail = [], []  # tail: the last copies, in v's order
-        for r, p in zip(origin._ranks[v], origin._values[v]):
-            gam, delta = at_u[r] if u[r] == x else at_v[r]
+        for r in origin._ranks[v]:
+            if u[r] == x:
+                p, (gam, delta) = pu[r], at_u[r]
+            else:
+                p, (gam, delta) = pv[r], at_v[r]
             q = 4 * r - p * ds // 1 * K3  # // 1: an int, also from a Fraction
             if lo[r] == x:  # best, second, third, last: 4r, 4r + 1, 4r + 2, 4r + 3
                 keys += (K2 + q, K + 1 + q + gam * sK3, 2 + q + delta * sK3)

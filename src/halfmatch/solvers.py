@@ -37,10 +37,10 @@ from .core import (
     Instance,
     Rational,
     VerificationFailed,
+    _instance,
     _rat,
     blocking_edges,
     saturated_vertices,
-    validate_instance,
 )
 from .cover import (
     double_cover,
@@ -201,26 +201,27 @@ def solve_pop_crit(
 
 
 def restrict_to_edges(inst: Instance, keep: set[str] | frozenset[str]) -> Instance:
-    """The sub-market on a subset of the edges (same vertices)."""
-    kept = [e for e in inst.edges if e.eid in keep]
-    pref = {
-        v: {eid: inst.pval(v, eid) for eid in inst.incident(v) if eid in keep}
-        for v in inst.vertices
-    }
+    """The sub-market on a subset of the edges (same vertices): each
+    vertex's tie groups keep the kept edges, and every kept end its
+    valuation and thresholds."""
+    old = [r for r, e in enumerate(inst.edges) if e.eid in keep]  # kept edge ranks
+    es = tuple(map(inst.edges.__getitem__, old))
+    ids = tuple(inst._rank)
+    groups = {}
+    for v, ranks in inst._ranks.items():
+        starts = inst._starts[v]
+        groups[v] = [[ids[r] for r in ranks[i:j] if ids[r] in keep]
+                     for i, j in zip(starts, starts[1:] + (len(ranks),))]
     weights = None
     if inst.weights is not None:
         weights = {eid: val for eid, val in inst.weights.items() if eid in keep}
     gamma = None
     if inst.gamma is not None:
-        gamma = {k: v for k, v in inst.gamma.items() if k[0] in keep}
-    return validate_instance(
-        vertices=list(inst.vertices),
-        edges=[(e.eid, e.u, e.v) for e in kept],
-        pref=pref,
-        pref_empty=dict(inst.pref_empty),
-        weights=weights,
-        gamma=gamma,
-        critical=inst.critical,
+        gamma = [(eid, x, pair) for (eid, x), pair in inst.gamma.items() if eid in keep]
+    return _instance(
+        inst.vertices, es, {e.eid: r for r, e in enumerate(es)}, groups,
+        ([inst._value_u[r] for r in old], [inst._value_v[r] for r in old]),
+        inst.pref_empty, weights, gamma, inst.critical,
     )
 
 

@@ -6,9 +6,9 @@ ran on such an ``Instance``, deleting entries one at a time (``_reduce``
 below). The package now builds each vertex's order as copy indices and
 deletes lazily; the tests compare it with this code, kept as it was but
 for ``lower_endpoint``, a method of ``Instance`` until its last caller in
-the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``,
-``_values``) and the empty threshold lists that ``strict_instance`` now
-fills in as validation does.
+the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``
+and the valuations at each end of an edge, ``_value_u`` and ``_value_v``)
+that ``strict_instance`` now fills in as validation does.
 """
 
 from __future__ import annotations
@@ -49,16 +49,14 @@ def strict_instance(
     for v in vs:
         if v not in orders or sorted(orders[v]) != incident[v]:
             raise VerificationFailed(f"the order of {v!r} does not list its edges once each")
+    value = {(eid, v): len(orders[v]) - i for v in vs for i, eid in enumerate(orders[v])}
     return Instance(
-        vertices=vs, edges=es, pref_empty=dict.fromkeys(vs, 0), weights=None, gamma=None,
-        pref={v: {eid: len(orders[v]) - i for i, eid in enumerate(orders[v])} for v in vs},
-        critical=frozenset(), _incident={v: tuple(ids) for v, ids in incident.items()},
-        _order={v: tuple(orders[v]) for v in vs},
+        vertices=vs, edges=es, pref_empty=dict.fromkeys(vs, 0), weights=None,
+        critical=frozenset(),
         _ranks={v: tuple(rank[eid] for eid in orders[v]) for v in vs},
         _starts={v: tuple(range(len(orders[v]))) for v in vs},
-        _values={v: list(range(len(orders[v]), 0, -1)) for v in vs},
-        _by_id=by_id, _rank=rank, _index={v: i for i, v in enumerate(vs)},
-        _gamma_u=[None] * len(es), _gamma_v=[None] * len(es),
+        _value_u=[value[e.eid, e.u] for e in es], _value_v=[value[e.eid, e.v] for e in es],
+        _rank=rank, _index={v: i for i, v in enumerate(vs)},
     )
 
 

@@ -287,11 +287,38 @@ def test_parse_names_the_line_of_an_unknown_edge_named_like_a_vertex():
         parse_instance_text(text)
     assert str(exc.value) == f"line {line}: preference list of 'b' mentions unknown edge 'a'"
     # compact text is one line; an id escaped otherwise than json.dumps
-    # escapes it is not found, and the message goes without a line
+    # escapes it is found as well, decoded as the parser decodes it
     assert re.match(r"line 1: ", _parse_error(json.dumps(doc, separators=(",", ":"))))
     doc["prefs"]["b"] = [["e1", "é"]]
     assert _parse_error(json.dumps(doc, ensure_ascii=False)) == (
-        "preference list of 'b' mentions unknown edge 'é'")
+        "line 1: preference list of 'b' mentions unknown edge 'é'")
+
+
+@pytest.mark.parametrize("fault", ["unknown", "twice"])
+@pytest.mark.parametrize("eid, write", [
+    pytest.param("ghost", lambda text: text, id="ascii"),
+    pytest.param("ghést", lambda text: text, id="raw-utf-8"),
+    pytest.param("ghést", lambda text: text.replace("é", "\\u00E9"), id="u-escaped"),
+    pytest.param("ghost", lambda text: text.replace('"ghost"', '"\\u0067host"'),
+                 id="ascii-u-escaped"),
+])
+def test_parse_names_the_line_of_an_id_however_it_is_written(eid, write, fault):
+    # the mention is found by decoding each string of the vertex's list,
+    # so an id written raw or with \u escapes gets its line like any other
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e", "u": "a", "v": "b"}],
+        "prefs": {"a": [["e"]], "b": [["e", eid]]},
+    }
+    if fault == "twice":
+        doc["edges"][0]["id"] = eid
+        doc["prefs"] = {"a": [[eid]], "b": [[eid], [eid]]}
+    text = write(json.dumps(doc, indent=2, ensure_ascii=False))
+    assert (eid in text) != ("\\u" in text)  # written raw, or escaped in every mention
+    # b's list closes the file, and the faulty mention is its last id
+    line = max(i for i, row in enumerate(text.splitlines(), 1) if row.lstrip().startswith('"'))
+    what = f"edge {eid!r} twice" if fault == "twice" else f"unknown edge {eid!r}"
+    assert _parse_error(text) == f"line {line}: preference list of 'b' mentions {what}"
 
 
 def _parse_error(text):

@@ -74,8 +74,8 @@ def _rewrite(rng, text):
     for v, groups in doc["prefs"].items():
         for group in groups:
             rng.shuffle(group)
-        for _ in range(rng.randint(0, 2)):  # empty groups ahead of the best
-            groups.insert(0, [])
+        for _ in range(rng.randint(0, 2)):  # an empty group values nothing, wherever it is
+            groups.insert(rng.randint(0, len(groups)), [])
         prefs[v] = groups
     doc["prefs"] = _shuffled(rng, prefs)
     if "gamma" in doc:
