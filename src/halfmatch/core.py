@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, count, groupby, repeat
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -87,30 +87,20 @@ def _valuation(x: Rational) -> int | Fraction:
 class Instance:
     """A preference market: vertices, (multi)edges, and per-vertex valuations.
 
-    Construct through :func:`validate_instance`; the parser and the
-    generator build through the same constructor. ``pref[v][eid]`` is
-    agent v's valuation of its incident edge; larger is better, ties
-    allowed. ``pref_empty[v]`` is the value of staying unmatched and is
-    strictly below every incident edge. ``gamma`` optionally maps
-    ``(eid, v)`` to a ``(gamma, delta)`` pair of improvement thresholds
-    with ``0 < gamma < delta``, and is None without thresholds.
-    ``critical`` is an optional set of vertices that solvers may be
-    required to saturate.
-
-    What is stored is the rank view: ``edges`` in id order, an edge's
-    position there being its rank (``_rank`` maps each id to it);
-    ``_ranks[v]``, v's incident edges best first as ranks, ties in id
-    order; ``_starts[v]``, the position in it where each tie group starts,
-    so v has a tie when it has fewer starts than edges; ``_value_u[r]`` and
-    ``_value_v[r]``, the valuations at the ``u`` and the ``v`` end of the
-    edge of rank r. Thresholds are scaled once, to ints over the lcm
-    ``_gamma_d`` of all threshold denominators: ``_gamma_u[r]`` and
-    ``_gamma_v[r]`` are the pair at each end of the edge of rank r, or
-    ``None``; both are empty when no entry was given, and None when no
-    threshold mapping was. ``pref``,
-    ``gamma``, ``_order`` (the id orders behind :meth:`strict_order` and
-    :meth:`tie_classes`) and ``_incident`` are views of these, each built
-    on first use; :meth:`scaled_gamma` is built when called.
+    Construct through :func:`validate_instance`. ``pref[v][eid]`` is agent
+    v's valuation of its incident edge; larger is better, ties allowed.
+    ``pref_empty[v]``, the value of staying unmatched, is below them all.
+    ``gamma`` optionally maps ``(eid, v)`` to a ``(gamma, delta)`` pair of
+    thresholds with ``0 < gamma < delta``. Solvers may be required to
+    saturate the ``critical`` vertices. ``pref``, ``gamma`` and the id
+    orders are views, built on first use, of the stored rank view: the
+    ``edges`` in id order (positions are ranks; ``_rank`` maps ids to
+    them); v's edges best first, ties in id order (``_ranks[v]``), and
+    where each tie group starts (``_starts[v]``); by edge rank, the vertex
+    index and valuation of each end (``_end_u``, ``_value_u`` at ``u``) and
+    each end's thresholds as ints over the lcm ``_gamma_d`` of their
+    denominators (``_gamma_u``: None where missing; empty lists without
+    entries, and None without a threshold mapping).
     """
 
     vertices: tuple[str, ...]
@@ -120,6 +110,8 @@ class Instance:
     critical: frozenset[str]
     _ranks: Mapping[str, tuple[int, ...]]
     _starts: Mapping[str, tuple[int, ...]]
+    _end_u: Sequence[int]
+    _end_v: Sequence[int]
     _value_u: Sequence[int | Fraction]
     _value_v: Sequence[int | Fraction]
     _rank: Mapping[str, int]
@@ -128,12 +120,9 @@ class Instance:
     _gamma_v: Sequence[tuple[int, int] | None] | None = None
     _gamma_d: int = 1
 
-    # -- views, built on first use ---------------------------------------
-
     @cached_property
     def pref(self) -> Mapping[str, Mapping[str, int | Fraction]]:
-        ids = tuple(self._rank)
-        return {v: dict(zip(map(ids.__getitem__, ranks), self._values_of(v)))
+        return {v: dict(zip(self._ids(ranks), self._values_of(v)))
                 for v, ranks in self._ranks.items()}
 
     @cached_property
@@ -141,23 +130,19 @@ class Instance:
         if self._gamma_u is None:
             return None
         d, scaled = self.scaled_gamma()
-        pairs = {t: (Fraction(t[0], d), Fraction(t[1], d)) for t in set(scaled.values())}
-        return {end: pairs[t] for end, t in scaled.items()}
-
-    @cached_property
-    def _order(self) -> Mapping[str, tuple[str, ...]]:
-        ids = tuple(self._rank)
-        return {v: tuple(map(ids.__getitem__, ranks)) for v, ranks in self._ranks.items()}
+        return {end: (Fraction(g, d), Fraction(delta, d)) for end, (g, delta) in scaled.items()}
 
     @cached_property
     def _incident(self) -> Mapping[str, tuple[str, ...]]:
-        ids = tuple(self._rank)
-        return {v: tuple(map(ids.__getitem__, sorted(ranks))) for v, ranks in self._ranks.items()}
+        return {v: tuple(self._ids(sorted(ranks))) for v, ranks in self._ranks.items()}
 
-    def _values_of(self, v: str) -> list[int | Fraction]:
-        """v's valuations in its order."""
-        edges, pu, pv = self.edges, self._value_u, self._value_v
-        return [pu[r] if edges[r].u == v else pv[r] for r in self._ranks[v]]
+    def _ids(self, ranks: Iterable[int]) -> list[str]:
+        edges = self.edges
+        return [edges[r].eid for r in ranks]
+
+    def _values_of(self, v: str) -> list[int | Fraction]:  # in v's order
+        x, ends, pu, pv = self._index[v], self._end_u, self._value_u, self._value_v
+        return [pu[r] if ends[r] == x else pv[r] for r in self._ranks[v]]
 
     # -- structure ----------------------------------------------------
 
@@ -207,13 +192,12 @@ class Instance:
 
         Edges inside a group are in canonical id order.
         """
-        order, starts = self._order[v], self._starts[v]
-        return [list(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
+        order, starts = self._ids(self._ranks[v]), self._starts[v]
+        return [order[i:j] for i, j in zip(starts, starts[1:] + (len(order),))]
 
     def strict_order(self, v: str) -> list[str]:
         """Incident edges best-first; requires a tie-free valuation at v."""
-        self.strict_ranks(v)  # raises at a tie
-        return list(self._order[v])
+        return self._ids(self.strict_ranks(v))
 
     def strict_ranks(self, v: str) -> tuple[int, ...]:
         """:meth:`strict_order` as edge ranks (positions in ``edges``)."""
@@ -227,89 +211,72 @@ class Instance:
         return self.gamma[(eid, v)]
 
     def has_full_gamma(self) -> bool:
-        if not self._gamma_u:
-            return not self.edges  # vacuous without edges
-        return None not in self._gamma_u and None not in self._gamma_v
+        gu, gv = self._gamma_u, self._gamma_v
+        return None not in gu and None not in gv if gu else not self.edges  # vacuous without edges
 
     def scaled_gamma(self) -> tuple[int, Mapping[tuple[str, str], tuple[int, int]]]:
         """The lcm d of all threshold denominators, and each key of ``gamma``
         mapped to its pair times d, as ints (empty without thresholds)."""
-        if not self._gamma_u:
-            return self._gamma_d, {}
         ends = ((eid, x) for eid, u, v in self.edges for x in (u, v))
-        pairs = chain.from_iterable(zip(self._gamma_u, self._gamma_v))
+        pairs = chain.from_iterable(zip(self._gamma_u or (), self._gamma_v or ()))
         return self._gamma_d, {end: t for end, t in zip(ends, pairs) if t is not None}
 
 
-def _edge_ranks(vertices: Iterable[str], edges: Iterable[Edge]
-                ) -> tuple[tuple[str, ...], tuple[Edge, ...], dict[str, int]]:
-    """The vertices, the edges in id order and each edge id's rank (its
-    position there). Raises on duplicate vertex ids, then at the first
-    edge given that repeats an id, has an unknown endpoint or is a loop."""
-    vs = tuple(vertices)
-    if len(set(vs)) != len(vs):
-        raise InstanceError("duplicate vertex ids")
-    vset = set(vs)
-    by_id: dict[str, Edge] = {}
-    for e in edges:
-        if e.eid in by_id:
-            raise InstanceError(f"duplicate edge id {e.eid!r}")
-        if e.u not in vset or e.v not in vset:
-            raise InstanceError(f"edge {e.eid!r} has an unknown endpoint")
-        if e.u == e.v:
-            raise InstanceError(f"edge {e.eid!r} is a loop; loops are forbidden")
-        by_id[e.eid] = e
-    rank = {eid: r for r, eid in enumerate(sorted(by_id))}
-    return vs, tuple(map(by_id.__getitem__, rank)), rank
-
-
 def _instance(
-    vs: tuple[str, ...],
-    es: tuple[Edge, ...],
-    rank: dict[str, int],
+    vertices: Iterable[str],
+    edges: Iterable[Edge],
     groups: Mapping[str, Sequence[Sequence[str]]],
-    values: tuple[list[int | Fraction], list[int | Fraction]] | None = None,
+    values: Mapping[str, Sequence[int | Fraction]] | None = None,
     pref_empty: Mapping[str, int | Fraction] | None = None,
     weights: Mapping[str, Rational] | None = None,
-    gamma: Iterable[tuple[str, str, tuple[Rational, Rational]]] | None = None,
+    gamma: Iterable[tuple[str, Mapping[str, tuple[Rational, Rational]]]] | None = None,
     critical: Iterable[str] | None = None,
 ) -> Instance:
-    """The market on the checked vertices ``vs`` and edges ``es`` of
-    :func:`_edge_ranks` whose vertex v ranks its edges in the tie groups
-    ``groups[v]``: lists of edge ids, best group first, in any order inside
-    a group; empty groups are skipped.
-
-    ``values`` holds the valuations at the ``u`` and at the ``v`` end of
-    each edge, by edge rank, and must agree with the groups. Without it the
-    groups are valued by their count down to 1, for the worst, and every
-    vertex must mention each of its edges: the first vertex that does not
-    is named, with its first missing edge, else its first other one. Then
-    the weights, the (edge id, endpoint, (gamma, delta)) threshold entries
-    and the critical set are checked, in that order, each at its first bad
-    entry as given.
-    """
+    """The market whose vertex v ranks its edges in the tie groups
+    ``groups[v]`` (edge ids, best group first, any order inside a group;
+    empty groups skipped), valued as ``values[v]`` lists them or by their
+    count down to 1, with each edge's thresholds by endpoint in ``gamma``.
+    Raises :class:`InstanceError` at the first of: duplicate vertex ids;
+    an edge with a repeated id, an unknown endpoint or a loop; groups of an
+    unknown vertex; a vertex whose groups miss one of its edges (the first
+    in id order is named) or name another; a weight of an unknown edge; a
+    threshold of an unknown edge, of an endpoint not on it or not ``0 <
+    gamma < delta``; an unknown critical vertex."""
+    vs = tuple(vertices)
     index = {v: i for i, v in enumerate(vs)}
+    if len(index) != len(vs):
+        raise InstanceError("duplicate vertex ids")
+    by_id: dict[str, Edge] = {}
+    for e in edges:
+        eid, u, v = e
+        if eid in by_id:
+            raise InstanceError(f"duplicate edge id {eid!r}")
+        if u not in index or v not in index:
+            raise InstanceError(f"edge {eid!r} has an unknown endpoint")
+        if u == v:
+            raise InstanceError(f"edge {eid!r} is a loop; loops are forbidden")
+        by_id[eid] = e
+    rank = {eid: r for r, eid in enumerate(sorted(by_id))}  # edge id -> edge rank
+    es = tuple(map(by_id.__getitem__, rank))
     for v in groups:
         if v not in index:
             raise InstanceError(f"preferences given for unknown vertex {v!r}")
-    E = len(es)
-    value_u, value_v = values or ([0] * E, [0] * E)  # 0: not yet valued
+
+    E, rank_of = len(es), rank.__getitem__
     end_u, end_v = [index[e.u] for e in es], [index[e.v] for e in es]
-    rank_of = rank.__getitem__
-    ranks: dict[str, tuple[int, ...]] = {}
-    starts: dict[str, tuple[int, ...]] = {}
-    stray = False
-    for x, v in enumerate(vs):
-        gs = groups.get(v, ())
-        order: list[int] = []
-        first = []
-        p = len(gs) - gs.count([])  # the best group's valuation
-        for group in gs:
-            if group:
-                first.append(len(order))
-                rs = sorted(map(rank_of, group)) if len(group) > 1 else [rank_of(group[0])]
-                order += rs
-                if values is None:
+    value_u, value_v = [None] * E, [None] * E  # None: not valued yet
+    ranks, starts, stray = {}, {}, False
+    try:
+        for x, v in enumerate(vs):
+            gs = groups.get(v, ())
+            order, first = [], []
+            vals = iter(values.get(v, ())) if values else count(len(gs) - gs.count([]), -1)
+            for group in gs:
+                if group:
+                    first.append(len(order))
+                    rs = sorted(map(rank_of, group)) if len(group) > 1 else [rank_of(group[0])]
+                    order += rs
+                    p = next(vals)
                     for r in rs:
                         if end_u[r] == x:
                             value_u[r] = p
@@ -317,10 +284,18 @@ def _instance(
                             value_v[r] = p
                         else:
                             stray = True
-                    p -= 1
-        ranks[v], starts[v] = tuple(order), tuple(first)
-    if values is None and (stray or 0 in value_u or 0 in value_v):
-        raise _incidence_fault(vs, es, rank, groups)
+            ranks[v], starts[v] = tuple(order), tuple(first)
+    except KeyError:  # an id of no edge
+        stray = True
+    if stray or None in value_u or None in value_v:
+        for v in vs:  # the first vertex at fault
+            mine = {eid for group in groups.get(v, ()) for eid in group}
+            ends = {e.eid for e in es if v == e.u or v == e.v}
+            if ends - mine:
+                raise InstanceError(f"missing preference of {v!r} for edge {min(ends - mine)!r}")
+            if mine - ends:
+                raise InstanceError(
+                    f"preference of {v!r} for non-incident edge {min(mine - ends)!r}")
 
     w = None
     if weights is not None:
@@ -330,35 +305,32 @@ def _instance(
                 raise InstanceError(f"weight for unknown edge {eid!r}")
             w[eid] = _rat(val)
 
-    at_u = at_v = None
-    d = 1
+    at_u, at_v, d = None, None, 1
     if gamma is not None:
-        # a market repeats a few thresholds thousands of times: each distinct
-        # pair, keyed on its integers, is checked and stored once. A pair
-        # object met before is found by its id alone; ``seen`` keeps every
-        # object it keys on, so no id is reused while the entries are read
+        # each distinct pair, keyed on its integers, is checked and stored once, and a pair
+        # object met before by its id alone (``seen`` keeps it, so its id is not reused)
         seen: dict[int, tuple[object, tuple[Fraction, Fraction]]] = {}
         distinct: dict[tuple[int, int, int, int], tuple[Fraction, Fraction]] = {}
         at_u, at_v = [None] * E, [None] * E  # each end's pair object, by edge rank
-        for eid, v, pair in gamma:
+        for eid, sides in gamma:
             r = rank.get(eid)
             if r is None:
                 raise InstanceError(f"gamma for unknown edge {eid!r}")
             _, u, other = es[r]
-            if v != u and v != other:
-                raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
-            if id(pair) not in seen:
-                glo, ghi = map(_rat, pair)
-                ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
-                value = distinct.get(ints)
-                if value is None:
-                    if not (0 < glo < ghi):
-                        raise InstanceError(
-                            f"edge {eid!r} at {v!r}: gamma must be positive and < delta"
-                        )
-                    value = distinct[ints] = (glo, ghi)
-                seen[id(pair)] = (pair, value)
-            (at_u if v == u else at_v)[r] = pair
+            for v, pair in sides.items():
+                if v != u and v != other:
+                    raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
+                if id(pair) not in seen:
+                    glo, ghi = map(_rat, pair)
+                    ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
+                    value = distinct.get(ints)
+                    if value is None:
+                        if not (0 < glo < ghi):
+                            raise InstanceError(
+                                f"edge {eid!r} at {v!r}: gamma must be positive and < delta")
+                        value = distinct[ints] = (glo, ghi)
+                    seen[id(pair)] = (pair, value)
+                (at_u if v == u else at_v)[r] = pair
         if distinct:
             d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
             ints_of = {id(value): (p * (d // q), r * (d // s))
@@ -374,37 +346,11 @@ def _instance(
         raise InstanceError(f"critical set contains unknown vertex {sorted(unknown)[0]!r}")
 
     return Instance(
-        vertices=vs,
-        edges=es,
+        vertices=vs, edges=es, weights=w, critical=crit,
         pref_empty=dict.fromkeys(vs, 0) if pref_empty is None else pref_empty,
-        weights=w,
-        critical=crit,
-        _ranks=ranks,
-        _starts=starts,
-        _value_u=value_u,
-        _value_v=value_v,
-        _rank=rank,
-        _index=index,
-        _gamma_u=at_u,
-        _gamma_v=at_v,
-        _gamma_d=d,
+        _ranks=ranks, _starts=starts, _end_u=end_u, _end_v=end_v, _value_u=value_u,
+        _value_v=value_v, _rank=rank, _index=index, _gamma_u=at_u, _gamma_v=at_v, _gamma_d=d,
     )
-
-
-def _incidence_fault(vs: tuple[str, ...], es: tuple[Edge, ...], rank: dict[str, int],
-                     groups: Mapping[str, Sequence[Sequence[str]]]) -> InstanceError:
-    """The fault of the first vertex whose tie groups miss one of its edges
-    (named first, in id order) or mention another edge."""
-    for v in vs:
-        mine = {rank[eid] for group in groups.get(v, ()) for eid in group}
-        ends = {r for r, e in enumerate(es) if v == e.u or v == e.v}
-        if ends - mine:
-            return InstanceError(
-                f"missing preference of {v!r} for edge {es[min(ends - mine)].eid!r}")
-        if mine - ends:
-            return InstanceError(
-                f"preference of {v!r} for non-incident edge {es[min(mine - ends)].eid!r}")
-    raise VerificationFailed("no vertex's tie groups are at fault")
 
 
 def validate_instance(
@@ -418,27 +364,14 @@ def validate_instance(
 ) -> Instance:
     """Check and canonicalize a raw instance description.
 
-    Raises :class:`InstanceError` with a specific message at the first
-    fault, checked in this order: duplicate vertex ids; each edge as given,
-    for a repeated id, an unknown endpoint or a loop; each ``pref_empty``
-    entry, for an unknown vertex or a value above 0; preferences given for
-    an unknown vertex; each vertex in order, for its first incident edge
-    (in id order) whose preference is missing, not an exact rational,
-    negative or not strictly above the unmatched value, and then for a
-    preference of a non-incident edge; each weight, for an unknown edge;
-    each gamma entry in the mapping's order, for an unknown edge, an
-    endpoint not on it or not ``0 < gamma < delta``; and the critical set,
-    for an unknown vertex. Edges and incidence lists are in edge-id order,
-    and each vertex's order is its incidence list sorted best first, so
-    iteration order is deterministic.
-
-    Each vertex's valuations are grouped into tie groups and handed, with
-    the thresholds, to the constructor the parser and the generator use.
-    A (gamma, delta) pair object shared by several entries (the parser
-    hands one per distinct pair of texts) is checked once, and pairs of
-    equal value are stored and scaled once.
-    """
-    vs, es, rank = _edge_ranks(vertices, map(Edge._make, edges))
+    The ``pref_empty`` entries are checked first (an unknown vertex, a value
+    above 0), then each vertex's valuations in edge-id order (not an exact
+    rational, negative, not above its unmatched value). Equal valuations
+    form tie groups for the constructor the parser and the generator use,
+    which names any other fault, gamma entries in the mapping's order.
+    Edges, incidence lists and ties are in edge-id order. A (gamma, delta)
+    pair object is read once, and pairs of equal value are stored once."""
+    vs = tuple(vertices)
     p_empty: dict[str, int | Fraction] = dict.fromkeys(vs, 0)
     if pref_empty:
         for v, val in pref_empty.items():
@@ -448,43 +381,21 @@ def validate_instance(
             if r > 0:
                 raise InstanceError(f"pref_empty of {v!r} must be <= 0")
             p_empty[v] = r
-    for v in pref:
-        if v not in p_empty:
-            raise InstanceError(f"preferences given for unknown vertex {v!r}")
-
-    incident: dict[str, list[int]] = {v: [] for v in vs}
-    for r, e in enumerate(es):
-        incident[e.u].append(r)
-        incident[e.v].append(r)
-    value_u: list[int | Fraction] = [0] * len(es)
-    value_v = value_u.copy()
-    groups = {}
-    for v in vs:
-        given, empty = pref.get(v, {}), p_empty[v]
+    groups, values = {}, {}
+    for v, given in pref.items():
         mine: dict[str, int | Fraction] = {}
-        for r in incident[v]:  # entry by entry, so that the first bad entry is named
-            eid = es[r].eid
-            if eid not in given:
-                raise InstanceError(f"missing preference of {v!r} for edge {eid!r}")
-            p = _valuation(given[eid])
+        for eid in sorted(given):
+            p = mine[eid] = _valuation(given[eid])
             if p < 0:
                 raise InstanceError(f"preference of {v!r} for {eid!r} is negative")
-            if p <= empty:
+            if p <= p_empty.get(v, 0):
                 raise InstanceError(
                     f"preference of {v!r} for {eid!r} must exceed the unmatched value")
-            mine[eid] = (value_u if es[r].u == v else value_v)[r] = p
-        if len(given) > len(mine):
-            stray = sorted(eid for eid in given if eid not in mine)[0]
-            raise InstanceError(f"preference of {v!r} for non-incident edge {stray!r}")
-        # a stable sort keeps equal valuations in edge-id order
-        order = sorted(mine, key=mine.__getitem__, reverse=True)
+        order = sorted(mine, key=mine.__getitem__, reverse=True)  # stable: ties in id order
         groups[v] = [list(g) for _, g in groupby(order, mine.__getitem__)]
-
-    return _instance(
-        vs, es, rank, groups, (value_u, value_v), p_empty, weights,
-        None if gamma is None else ((eid, v, pair) for (eid, v), pair in gamma.items()),
-        critical,
-    )
+        values[v] = [mine[g[0]] for g in groups[v]]
+    entries = None if gamma is None else ((eid, {v: t}) for (eid, v), t in gamma.items())
+    return _instance(vs, map(Edge._make, edges), groups, values, p_empty, weights, entries, critical)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +419,8 @@ def _loads(inst: Instance, m: Mapping[str, Fraction]) -> tuple[int, dict[str, in
         r = rank.get(eid)
         if r is not None:
             x = val.numerator * (d // val.denominator)
-            _, u, v = edges[r]
-            load[u] += x
-            load[v] += x
+            load[edges[r].u] += x
+            load[edges[r].v] += x
     return d, load
 
 

@@ -298,8 +298,7 @@ def stable_half_matching(market: CopyMarket | Instance) -> StablePartitionCert:
     """
     if isinstance(market, Instance):  # one copy per edge, in id order
         inst, eids = market, [e.eid for e in market.edges]
-        market = CopyMarket(inst.vertices, [inst.index(e.u) for e in inst.edges],
-                            [inst.index(e.v) for e in inst.edges],
+        market = CopyMarket(inst.vertices, inst._end_u, inst._end_v,
                             [inst.strict_ranks(v) for v in inst.vertices],
                             range(len(eids)), eids, [""] * len(eids))
     pu, pv = _positions(market)

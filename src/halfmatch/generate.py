@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Edge, Instance, InstanceError, _edge_ranks, _instance
+from .core import Edge, Instance, InstanceError, _instance
 
 GAMMA_PRESETS = ("none", "min-like", "max-like", "generic")
 
@@ -105,6 +105,7 @@ def generate_random(
         g = Fraction(1)  # minimum positive gap on the canonical scale
         gamma = []
         for eid, u, v in edges:
+            sides = {}
             for x in (u, v):
                 if gamma_preset == "min-like":
                     lo, hi = 3 * g / 2, 7 * g / 4
@@ -113,11 +114,11 @@ def generate_random(
                 else:
                     lo = rng.choice([g / 2, 3 * g / 2])
                     hi = lo + g
-                gamma.append((eid, x, (lo, hi)))
+                sides[x] = (lo, hi)
+            gamma.append((eid, sides))
 
     critical = None
     if critical_count:
         critical = sorted(rng.sample(vertices, critical_count))
 
-    vs, es, rank = _edge_ranks(vertices, edges)
-    return _instance(vs, es, rank, groups, weights=weights, gamma=gamma, critical=critical)
+    return _instance(vertices, edges, groups, weights=weights, gamma=gamma, critical=critical)

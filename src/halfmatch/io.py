@@ -6,17 +6,18 @@ exact rationals, never floats, and travel as "p/q" strings ("3", "1/2").
 The canonical text of a document is, by definition,
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``; result files are
 written by that call. Instance files are written in one pass over the
-rank view validation stores, to the same bytes and without the
+stored rank view of the market, to the same bytes and without the
 pure-Python encoder an indent forces: every result names its instance by
 the digest of that text, so each request writes it once. The tests keep
 the ``json.dumps`` form as the writer's oracle.
 
 An instance file stores preferences *ordinally*: per vertex, a list of
-tie groups of edge ids, best group first. Parsing assigns canonical
-valuations, held as ``int`` (descending per group, worst group 1), and
-gamma or delta entries are read on that same scale. Serializing an
-instance cuts each vertex's stored order at its tie-group starts, so
-parse and serialize are mutually inverse on canonical files.
+tie groups of edge ids, best group first. The parser hands the groups as
+read to the constructor of ``core``, which sorts each by edge rank, skips
+empty ones and values the rest by their count down to 1, as ``int``s;
+gamma and delta are read on that scale. Serializing cuts each vertex's
+order at its tie-group starts, so parse and serialize are inverse on
+canonical files.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .core import (
     Rational,
     VerificationFailed,
     ZERO,
-    _edge_ranks,
     _instance,
     _rat,
     blocking_edges,
@@ -134,6 +134,7 @@ def _block(items: list[str], brackets: str = "[]") -> str:
 
 _DECODER = json.JSONDecoder()
 _SPACE = re.compile(r"[ \t\n\r]*")
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')  # a JSON string, escapes and all
 
 
 def _members(text: str, i: int):
@@ -155,20 +156,15 @@ def _located(text: str, v: str, eid: str, nth: int, message: str) -> InstanceErr
     list is an id, read as the decoder reads it, escaped or not."""
     span = {k: (s, e) for k, s, e in _members(text, _SPACE.match(text).end())}.get("prefs")
     span = span and {k: (s, e) for k, s, e in _members(text, span[0])}.get(v)
-    if span:
-        pos = text.find('"', *span)
-        while pos >= 0:
-            mention, end = scanstring(text, pos + 1)
-            nth -= mention == eid
-            if not nth:
-                return InstanceError(f"line {text.count(chr(10), 0, pos) + 1}: {message}")
-            pos = text.find('"', end, span[1])
+    for mention in _STRING.finditer(text, *span) if span else ():
+        nth -= scanstring(text, mention.start() + 1)[0] == eid
+        if not nth:
+            return InstanceError(f"line {text.count(chr(10), 0, mention.start()) + 1}: {message}")
     return InstanceError(message)
 
 
-def _mention_fault(text: str, v: str, groups: list, known: Mapping[str, int]) -> InstanceError:
-    """The first fault of the tie groups of ``v`` as they are read: a group
-    that is not a list of ids, an unknown edge or an edge met before."""
+def _mention_fault(text: str, v: str, groups: list, known: set[str]) -> InstanceError:
+    """The first fault in the tie groups of ``v``, as they are read."""
     seen = set()
     for group in groups:
         if type(group) is not list or not {str}.issuperset(map(type, group)):
@@ -194,15 +190,9 @@ def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
 
 
 def parse_instance_text(text: str) -> Instance:
-    """The market of an instance file, built straight from its tie groups.
-
-    The faults of the file itself come first, section by section: its
-    JSON, its top-level object and sections, the edge records and their
-    weights, each vertex's tie groups (a group that is not a list of ids,
-    an unknown or repeated edge, with its line when found), the gamma
-    section's shape and rationals, and the critical list. Then the
-    market's faults, in the order :func:`validate_instance` checks them.
-    """
+    """The market of an instance file, built from its tie groups as read.
+    The file's own faults come first, section by section, then the
+    market's, named by the constructor :func:`validate_instance` uses."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
@@ -271,13 +261,11 @@ def parse_instance_text(text: str) -> Instance:
                 "malformed gamma section: each edge maps its endpoints to "
                 "objects with 'gamma' and 'delta' rationals"
             ) from exc
-        gamma = ((eid, v, pair) for eid, sides in doc["gamma"].items()
-                 for v, pair in sides.items())
+        gamma = doc["gamma"].items()
     critical = doc.get("critical")
     if critical is not None:
         _list_of(str, critical, "the critical set must be a list of vertices")
-    vs, es, rank = _edge_ranks(vertices, edges)
-    return _instance(vs, es, rank, prefs, weights=weights or None, gamma=gamma,
+    return _instance(vertices, edges, prefs, weights=weights or None, gamma=gamma,
                      critical=critical)
 
 

@@ -85,13 +85,8 @@ class DerivedInstance:
 
 def _ends(origin: Instance) -> tuple[list[int], list[int]]:
     """The indices of each edge's endpoints, by edge rank: lower, higher."""
-    index = origin._index
-    lo, hi = [], []
-    for _, u, v in origin.edges:
-        a, b = index[u], index[v]
-        lo.append(a if a < b else b)
-        hi.append(b if a < b else a)
-    return lo, hi
+    return (list(map(min, origin._end_u, origin._end_v)),
+            list(map(max, origin._end_u, origin._end_v)))
 
 
 def _derive(origin: Instance, lo: list[int], hi: list[int], first: Sequence[int],
@@ -132,8 +127,7 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     pu, pv, at_u, at_v = origin._value_u, origin._value_v, origin._gamma_u, origin._gamma_v
     scale = lcm(*(p.denominator for p in set(chain(pu, pv))))  # over the distinct valuations
     lo, hi = _ends(origin)
-    index = origin._index
-    u = [index[e.u] for e in origin.edges]  # the index of each edge's u end
+    u = origin._end_u  # the index of each edge's u end
     K = 4 * len(lo)
     ds, K2, K3, sK3 = origin._gamma_d * scale, 2 * K, 3 * K, 3 * K * scale
     orders = []

@@ -204,25 +204,15 @@ def restrict_to_edges(inst: Instance, keep: set[str] | frozenset[str]) -> Instan
     """The sub-market on a subset of the edges (same vertices): each
     vertex's tie groups keep the kept edges, and every kept end its
     valuation and thresholds."""
-    old = [r for r, e in enumerate(inst.edges) if e.eid in keep]  # kept edge ranks
-    es = tuple(map(inst.edges.__getitem__, old))
-    ids = tuple(inst._rank)
-    groups = {}
-    for v, ranks in inst._ranks.items():
-        starts = inst._starts[v]
-        groups[v] = [[ids[r] for r in ranks[i:j] if ids[r] in keep]
-                     for i, j in zip(starts, starts[1:] + (len(ranks),))]
-    weights = None
-    if inst.weights is not None:
-        weights = {eid: val for eid, val in inst.weights.items() if eid in keep}
-    gamma = None
-    if inst.gamma is not None:
-        gamma = [(eid, x, pair) for (eid, x), pair in inst.gamma.items() if eid in keep]
-    return _instance(
-        inst.vertices, es, {e.eid: r for r, e in enumerate(es)}, groups,
-        ([inst._value_u[r] for r in old], [inst._value_v[r] for r in old]),
-        inst.pref_empty, weights, gamma, inst.critical,
-    )
+    groups, values = {}, {}
+    for v in inst.vertices:
+        vals = inst._values_of(v)
+        groups[v] = [[eid for eid in group if eid in keep] for group in inst.tie_classes(v)]
+        values[v] = [vals[i] for i, group in zip(inst._starts[v], groups[v]) if group]
+    weights = inst.weights and {eid: val for eid, val in inst.weights.items() if eid in keep}
+    gamma = inst.gamma and [(eid, {x: t}) for (eid, x), t in inst.gamma.items() if eid in keep]
+    return _instance(inst.vertices, [e for e in inst.edges if e.eid in keep], groups, values,
+                     inst.pref_empty, weights, gamma, inst.critical)
 
 
 def solve_pop_maxw(

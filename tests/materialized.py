@@ -7,8 +7,9 @@ below). The package now builds each vertex's order as copy indices and
 deletes lazily; the tests compare it with this code, kept as it was but
 for ``lower_endpoint``, a method of ``Instance`` until its last caller in
 the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``
-and the valuations at each end of an edge, ``_value_u`` and ``_value_v``)
-that ``strict_instance`` now fills in as validation does.
+and the index and valuation of each end of an edge, ``_end_u``,
+``_end_v``, ``_value_u`` and ``_value_v``) that ``strict_instance`` now
+fills in as validation does.
 """
 
 from __future__ import annotations
@@ -50,13 +51,15 @@ def strict_instance(
         if v not in orders or sorted(orders[v]) != incident[v]:
             raise VerificationFailed(f"the order of {v!r} does not list its edges once each")
     value = {(eid, v): len(orders[v]) - i for v in vs for i, eid in enumerate(orders[v])}
+    index = {v: i for i, v in enumerate(vs)}
     return Instance(
         vertices=vs, edges=es, pref_empty=dict.fromkeys(vs, 0), weights=None,
         critical=frozenset(),
         _ranks={v: tuple(rank[eid] for eid in orders[v]) for v in vs},
         _starts={v: tuple(range(len(orders[v]))) for v in vs},
+        _end_u=[index[e.u] for e in es], _end_v=[index[e.v] for e in es],
         _value_u=[value[e.eid, e.u] for e in es], _value_v=[value[e.eid, e.v] for e in es],
-        _rank=rank, _index={v: i for i, v in enumerate(vs)},
+        _rank=rank, _index=index,
     )
 
 

@@ -787,11 +787,10 @@ def test_the_stored_rank_view_answers_as_the_sort_based_queries():
                                          map(serialize_instance, (tied, rational)))]
     kinds = {"tied": 0, "strict": 0, "parallel": 0, "fraction": 0}
     for inst in markets:
-        rank = {e.eid: r for r, e in enumerate(inst.edges)}
         assert inst.is_strict() == _oracle_is_strict(inst)
         for v in inst.vertices:
-            order, ranks, starts = inst._order[v], inst._ranks[v], inst._starts[v]
-            assert ranks == tuple(rank[eid] for eid in order)
+            ranks, starts = inst._ranks[v], inst._starts[v]
+            order = [inst.edges[r].eid for r in ranks]
             assert list(starts) == sorted(set(starts))
             assert starts[0] == 0 if order else not starts
             groups = [list(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
