@@ -8,9 +8,9 @@ a float: valuations are `int`s when integral (as all parsed and
 generated ones are; derived markets carry copy orders, not valuations),
 all else is `Fraction`; predicates compare exactly. The predicates that
 read a matching's masses scale it once by the lcm d of its value
-denominators and sum each vertex's load as an integer over d; validation
-likewise scales every gamma threshold once, by the lcm of all threshold
-denominators.
+denominators and sum each vertex's load as an integer over d; a market
+is built with every gamma threshold scaled once, by the lcm of all
+threshold denominators.
 
 Instances and matchings are immutable by convention once built: all
 operations here are pure functions of their inputs and safe to share
@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, groupby, repeat
+from itertools import chain, count, groupby
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -88,19 +88,18 @@ class Instance:
     """A preference market: vertices, (multi)edges, and per-vertex valuations.
 
     Construct through :func:`validate_instance`. ``pref[v][eid]`` is agent
-    v's valuation of its incident edge; larger is better, ties allowed.
-    ``pref_empty[v]``, the value of staying unmatched, is below them all.
-    ``gamma`` optionally maps ``(eid, v)`` to a ``(gamma, delta)`` pair of
-    thresholds with ``0 < gamma < delta``. Solvers may be required to
-    saturate the ``critical`` vertices. ``pref``, ``gamma`` and the id
-    orders are views, built on first use, of the stored rank view: the
-    ``edges`` in id order (positions are ranks; ``_rank`` maps ids to
-    them); v's edges best first, ties in id order (``_ranks[v]``), and
-    where each tie group starts (``_starts[v]``); by edge rank, the vertex
-    index and valuation of each end (``_end_u``, ``_value_u`` at ``u``) and
-    each end's thresholds as ints over the lcm ``_gamma_d`` of their
-    denominators (``_gamma_u``: None where missing; empty lists without
-    entries, and None without a threshold mapping).
+    v's valuation of its incident edge (larger is better, ties allowed),
+    above ``pref_empty[v]``, the value of staying unmatched. ``gamma`` maps
+    ``(eid, v)`` to a ``(gamma, delta)`` pair with ``0 < gamma < delta``,
+    or is None. Solvers may have to saturate the ``critical`` vertices.
+    ``pref``, ``gamma`` and the id orders are views, built on first use,
+    of the stored rank view: the ``edges`` in id order (positions are
+    ranks; ``_rank`` maps ids to them); v's edges best first, ties in id
+    order (``_ranks[v]``), and where each tie group starts
+    (``_starts[v]``); by edge rank, the vertex index and valuation of each
+    end (``_end_u``, ``_value_u`` at ``u``) and its thresholds as ints over
+    the lcm ``_gamma_d`` of their denominators (``_gamma_u``: None where
+    missing; empty without entries, None without a threshold mapping).
     """
 
     vertices: tuple[str, ...]
@@ -137,8 +136,7 @@ class Instance:
         return {v: tuple(self._ids(sorted(ranks))) for v, ranks in self._ranks.items()}
 
     def _ids(self, ranks: Iterable[int]) -> list[str]:
-        edges = self.edges
-        return [edges[r].eid for r in ranks]
+        return [self.edges[r].eid for r in ranks]
 
     def _values_of(self, v: str) -> list[int | Fraction]:  # in v's order
         x, ends, pu, pv = self._index[v], self._end_u, self._value_u, self._value_v
@@ -419,8 +417,9 @@ def _loads(inst: Instance, m: Mapping[str, Fraction]) -> tuple[int, dict[str, in
         r = rank.get(eid)
         if r is not None:
             x = val.numerator * (d // val.denominator)
-            load[edges[r].u] += x
-            load[edges[r].v] += x
+            _, u, v = edges[r]
+            load[u] += x
+            load[v] += x
     return d, load
 
 
@@ -474,16 +473,17 @@ def _assigned(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, int | Frac
     positive weight; unsaturated agents by ``pref_empty``.
     """
     d, load = _loads(inst, m)
-    rank, edges = inst._rank, inst.edges
+    rank, edges, pu, pv = inst._rank, inst.edges, inst._value_u, inst._value_v
     worst: dict[str, int | Fraction] = {}
     for eid, val in m.items():
         r = rank.get(eid)
         if r is None or val.numerator <= 0:
             continue
         _, u, v = edges[r]
-        for x, p in ((u, inst._value_u[r]), (v, inst._value_v[r])):
-            if x not in worst or p < worst[x]:
-                worst[x] = p
+        if u not in worst or pu[r] < worst[u]:
+            worst[u] = pu[r]
+        if v not in worst or pv[r] < worst[v]:
+            worst[v] = pv[r]
     assigned = dict(inst.pref_empty)
     assigned.update((x, p) for x, p in worst.items() if load[x] == d)
     return assigned

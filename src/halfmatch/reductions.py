@@ -26,8 +26,8 @@ indices. Each origin edge's copies are one block, in edge rank order
 rank r is ``first[r] + j``, where ``first[r]`` counts the copies of the
 lower ranks, so ``k*r + j`` for srti (k = 3), gamma (4) and pri (2).
 Every builder writes a vertex's order by integer arithmetic on the
-vertex's order as edge ranks, which validation stores with the start of
-each tie group. Copy ids are ``<edge id>~<suffix>``, made only on
+vertex's order as edge ranks, which every market stores with the start
+of each tie group. Copy ids are ``<edge id>~<suffix>``, made only on
 demand; for the endpoint first in the canonical vertex order (the other
 sees the reverse) ``~u``/``~w`` is srti's top/bottom copy, ``~1..~4``
 gamma's best..last, ``~a``/``~b`` pri's good/bad, ``~u{j}``/``~w{j}``
