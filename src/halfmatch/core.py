@@ -22,10 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, count, groupby
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Rational = int | str | Fraction
 
@@ -119,21 +118,11 @@ class Instance:
     _gamma_v: Sequence[tuple[int, int] | None] | None = None
     _gamma_d: int = 1
 
-    @cached_property
-    def pref(self) -> Mapping[str, Mapping[str, int | Fraction]]:
-        return {v: dict(zip(self._ids(ranks), self._values_of(v)))
-                for v, ranks in self._ranks.items()}
-
-    @cached_property
-    def gamma(self) -> Mapping[tuple[str, str], tuple[Fraction, Fraction]] | None:
-        if self._gamma_u is None:
-            return None
-        d, scaled = self.scaled_gamma()
-        return {end: (Fraction(g, d), Fraction(delta, d)) for end, (g, delta) in scaled.items()}
-
-    @cached_property
-    def _incident(self) -> Mapping[str, tuple[str, ...]]:
-        return {v: tuple(self._ids(sorted(ranks))) for v, ranks in self._ranks.items()}
+    def __getattr__(self, name: str) -> Any:  # a view, built once and kept as an attribute
+        if name not in _VIEWS:
+            raise AttributeError(f"'Instance' object has no attribute {name!r}")
+        object.__setattr__(self, name, view := _VIEWS[name](self))
+        return view
 
     def _ids(self, ranks: Iterable[int]) -> list[str]:
         return [self.edges[r].eid for r in ranks]
@@ -218,6 +207,17 @@ class Instance:
         ends = ((eid, x) for eid, u, v in self.edges for x in (u, v))
         pairs = chain.from_iterable(zip(self._gamma_u or (), self._gamma_v or ()))
         return self._gamma_d, {end: t for end, t in zip(ends, pairs) if t is not None}
+
+
+#: the views of an :class:`Instance`, by name
+_VIEWS: dict[str, Callable[[Instance], Any]] = {
+    "pref": lambda inst: {v: dict(zip(inst._ids(ranks), inst._values_of(v)))
+                          for v, ranks in inst._ranks.items()},
+    "gamma": lambda inst: None if inst._gamma_u is None else {
+        end: (Fraction(g, inst._gamma_d), Fraction(delta, inst._gamma_d))
+        for end, (g, delta) in inst.scaled_gamma()[1].items()},
+    "_incident": lambda inst: {v: tuple(inst._ids(sorted(r))) for v, r in inst._ranks.items()},
+}
 
 
 def _instance(
@@ -329,14 +329,12 @@ def _instance(
                         value = distinct[ints] = (glo, ghi)
                     seen[id(pair)] = (pair, value)
                 (at_u if v == u else at_v)[r] = pair
-        if distinct:
-            d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))
-            ints_of = {id(value): (p * (d // q), r * (d // s))
-                       for (p, q, r, s), value in distinct.items()}
-            scaled = {i: ints_of[id(value)] for i, (_, value) in seen.items()}
-            at_u, at_v = (list(map(scaled.get, map(id, side))) for side in (at_u, at_v))
-        else:
-            at_u = at_v = ()
+        d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))  # 1 without entries
+        ints_of = {id(value): (p * (d // q), r * (d // s))
+                   for (p, q, r, s), value in distinct.items()}
+        scaled = {i: ints_of[id(value)] for i, (_, value) in seen.items()}
+        at_u, at_v = (list(map(scaled.get, map(id, side))) if distinct else ()
+                      for side in (at_u, at_v))
 
     crit = frozenset(critical or ())
     unknown = crit - index.keys()
@@ -393,7 +391,8 @@ def validate_instance(
         groups[v] = [list(g) for _, g in groupby(order, mine.__getitem__)]
         values[v] = [mine[g[0]] for g in groups[v]]
     entries = None if gamma is None else ((eid, {v: t}) for (eid, v), t in gamma.items())
-    return _instance(vs, map(Edge._make, edges), groups, values, p_empty, weights, entries, critical)
+    return _instance(vs, map(Edge._make, edges), groups, values, p_empty, weights, entries,
+                     critical)
 
 
 # ---------------------------------------------------------------------------

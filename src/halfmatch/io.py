@@ -182,9 +182,9 @@ def _mention_fault(text: str, v: str, groups: list, known: set[str]) -> Instance
 
 
 def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
-    """``items`` itself if it is a list of ``kind`` values, else InstanceError
-    with ``message.format(*args)``, formatted only then."""
-    if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+    """``items`` itself if it is a list of ``kind`` values (as JSON decodes
+    them), else InstanceError with ``message.format(*args)``, formatted only then."""
+    if not isinstance(items, list) or not {kind}.issuperset(map(type, items)):
         raise InstanceError(message.format(*args))
     return items
 
