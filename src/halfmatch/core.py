@@ -82,6 +82,31 @@ def _valuation(x: Rational) -> int | Fraction:
     return r.numerator if r.denominator == 1 else r
 
 
+#: the views of an :class:`Instance`, by name
+_VIEWS: dict[str, Callable[[Instance], Any]] = {
+    "pref": lambda inst: {v: dict(zip(inst._ids(ranks), inst._values_of(v)))
+                          for v, ranks in inst._ranks.items()},
+    "gamma": lambda inst: None if inst._gamma_u is None else {
+        end: (Fraction(g, inst._gamma_d), Fraction(delta, inst._gamma_d))
+        for end, (g, delta) in inst.scaled_gamma()[1].items()},
+    "_incident": lambda inst: {v: tuple(inst._ids(sorted(r))) for v, r in inst._ranks.items()},
+}
+
+
+class _View:
+    """Builds a view on first read, kept as a plain attribute that shadows it
+    (a ``cached_property`` turns an instance's values into a slower dict)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, inst: Any, owner: type) -> Any:
+        if inst is None:
+            return self
+        object.__setattr__(inst, self.name, view := _VIEWS[self.name](inst))
+        return view
+
+
 @dataclass(frozen=True)
 class Instance:
     """A preference market: vertices, (multi)edges, and per-vertex valuations.
@@ -89,17 +114,15 @@ class Instance:
     Construct through :func:`validate_instance`. ``pref[v][eid]`` is agent
     v's valuation of its incident edge (larger is better, ties allowed),
     above ``pref_empty[v]``, the value of staying unmatched. ``gamma`` maps
-    ``(eid, v)`` to a ``(gamma, delta)`` pair with ``0 < gamma < delta``,
-    or is None. Solvers may have to saturate the ``critical`` vertices.
-    ``pref``, ``gamma`` and the id orders are views, built on first use,
-    of the stored rank view: the ``edges`` in id order (positions are
-    ranks; ``_rank`` maps ids to them); v's edges best first, ties in id
-    order (``_ranks[v]``), and where each tie group starts
-    (``_starts[v]``); by edge rank, the vertex index and valuation of each
-    end (``_end_u``, ``_value_u`` at ``u``) and its thresholds as ints over
-    the lcm ``_gamma_d`` of their denominators (``_gamma_u``: None where
-    missing; empty without entries, None without a threshold mapping).
-    """
+    ``(eid, v)`` to a pair with ``0 < gamma < delta``, or is None. Solvers
+    may have to saturate the ``critical`` vertices. ``pref``, ``gamma`` and
+    the id orders are views, built on first read, of the rank view stored:
+    ``edges`` in id order (positions are ranks, ``_rank`` maps ids to them),
+    v's edges best first, ties in id order (``_ranks[v]``), where each tie
+    group starts (``_starts[v]``), and by rank, the index, valuation and
+    thresholds (ints over the lcm ``_gamma_d``) of each end (``_end_u``,
+    ``_value_u``, ``_gamma_u``: None where missing, empty without entries,
+    None without a threshold mapping)."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -117,12 +140,7 @@ class Instance:
     _gamma_u: Sequence[tuple[int, int] | None] | None = None
     _gamma_v: Sequence[tuple[int, int] | None] | None = None
     _gamma_d: int = 1
-
-    def __getattr__(self, name: str) -> Any:  # a view, built once and kept as an attribute
-        if name not in _VIEWS:
-            raise AttributeError(f"'Instance' object has no attribute {name!r}")
-        object.__setattr__(self, name, view := _VIEWS[name](self))
-        return view
+    pref, gamma, _incident = map(_View, _VIEWS)  # not fields: views, built on first read
 
     def _ids(self, ranks: Iterable[int]) -> list[str]:
         return [self.edges[r].eid for r in ranks]
@@ -209,17 +227,6 @@ class Instance:
         return self._gamma_d, {end: t for end, t in zip(ends, pairs) if t is not None}
 
 
-#: the views of an :class:`Instance`, by name
-_VIEWS: dict[str, Callable[[Instance], Any]] = {
-    "pref": lambda inst: {v: dict(zip(inst._ids(ranks), inst._values_of(v)))
-                          for v, ranks in inst._ranks.items()},
-    "gamma": lambda inst: None if inst._gamma_u is None else {
-        end: (Fraction(g, inst._gamma_d), Fraction(delta, inst._gamma_d))
-        for end, (g, delta) in inst.scaled_gamma()[1].items()},
-    "_incident": lambda inst: {v: tuple(inst._ids(sorted(r))) for v, r in inst._ranks.items()},
-}
-
-
 def _instance(
     vertices: Iterable[str],
     edges: Iterable[Edge],
@@ -231,15 +238,15 @@ def _instance(
     critical: Iterable[str] | None = None,
 ) -> Instance:
     """The market whose vertex v ranks its edges in the tie groups
-    ``groups[v]`` (edge ids, best group first, any order inside a group;
-    empty groups skipped), valued as ``values[v]`` lists them or by their
-    count down to 1, with each edge's thresholds by endpoint in ``gamma``.
-    Raises :class:`InstanceError` at the first of: duplicate vertex ids;
-    an edge with a repeated id, an unknown endpoint or a loop; groups of an
-    unknown vertex; a vertex whose groups miss one of its edges (the first
-    in id order is named) or name another; a weight of an unknown edge; a
-    threshold of an unknown edge, of an endpoint not on it or not ``0 <
-    gamma < delta``; an unknown critical vertex."""
+    ``groups[v]`` (edge ids, best first, any order inside a group; empty
+    groups skipped), valued as ``values[v]`` lists them or by their count
+    down to 1, with each edge's thresholds by endpoint in ``gamma``. Raises
+    :class:`InstanceError` at the first of: duplicate vertex ids; an edge
+    with a repeated id, an unknown endpoint or a loop; groups of an unknown
+    vertex; a vertex whose groups miss its edge (the first by id) or name
+    another; a weight or threshold of an unknown edge; a threshold of an
+    endpoint off its edge or not ``0 < gamma < delta``; an unknown critical
+    vertex."""
     vs = tuple(vertices)
     index = {v: i for i, v in enumerate(vs)}
     if len(index) != len(vs):
@@ -307,8 +314,7 @@ def _instance(
     if gamma is not None:
         # each distinct pair, keyed on its integers, is checked and stored once, and a pair
         # object met before by its id alone (``seen`` keeps it, so its id is not reused)
-        seen: dict[int, tuple[object, tuple[Fraction, Fraction]]] = {}
-        distinct: dict[tuple[int, int, int, int], tuple[Fraction, Fraction]] = {}
+        seen, distinct = {}, {}  # id(pair) -> (pair, value); (p, q, r, s) -> value
         at_u, at_v = [None] * E, [None] * E  # each end's pair object, by edge rank
         for eid, sides in gamma:
             r = rank.get(eid)
@@ -360,13 +366,12 @@ def validate_instance(
 ) -> Instance:
     """Check and canonicalize a raw instance description.
 
-    The ``pref_empty`` entries are checked first (an unknown vertex, a value
-    above 0), then each vertex's valuations in edge-id order (not an exact
-    rational, negative, not above its unmatched value). Equal valuations
-    form tie groups for the constructor the parser and the generator use,
-    which names any other fault, gamma entries in the mapping's order.
-    Edges, incidence lists and ties are in edge-id order. A (gamma, delta)
-    pair object is read once, and pairs of equal value are stored once."""
+    ``pref_empty`` is checked first (an unknown vertex, a value above 0),
+    then each vertex's valuations in edge-id order (not an exact rational,
+    negative, not above its unmatched value). Equal ones form tie groups for
+    the constructor the parser and the generator use, which names any other
+    fault, gamma entries in the mapping's order. A (gamma, delta) pair
+    object is read once, and pairs of equal value are stored once."""
     vs = tuple(vertices)
     p_empty: dict[str, int | Fraction] = dict.fromkeys(vs, 0)
     if pref_empty:

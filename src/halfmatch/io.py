@@ -151,9 +151,8 @@ def _members(text: str, i: int):
 
 
 def _located(text: str, v: str, eid: str, nth: int, message: str) -> InstanceError:
-    """Attach the 1-based line of the ``nth`` mention (1 or 2) of ``eid``
-    in the preference list of ``v`` when findable. Every string in that
-    list is an id, read as the decoder reads it, escaped or not."""
+    """Attach the 1-based line of the ``nth`` mention (1 or 2) of ``eid``, as
+    decoded, in the preference list of ``v`` when findable."""
     span = {k: (s, e) for k, s, e in _members(text, _SPACE.match(text).end())}.get("prefs")
     span = span and {k: (s, e) for k, s, e in _members(text, span[0])}.get(v)
     for mention in _STRING.finditer(text, *span) if span else ():
@@ -171,12 +170,10 @@ def _mention_fault(text: str, v: str, groups: list, known: set[str]) -> Instance
             return InstanceError(f"preference list of {v!r} must contain tie groups "
                                  "(lists of edge ids)")
         for eid in group:
-            if eid not in known:
-                return _located(text, v, eid, 1,
-                                f"preference list of {v!r} mentions unknown edge {eid!r}")
-            if eid in seen:
-                return _located(text, v, eid, 2,
-                                f"preference list of {v!r} mentions edge {eid!r} twice")
+            if eid not in known or eid in seen:
+                what = f"edge {eid!r} twice" if eid in known else f"unknown edge {eid!r}"
+                return _located(text, v, eid, 1 + (eid in known),
+                                f"preference list of {v!r} mentions {what}")
             seen.add(eid)
     raise VerificationFailed(f"the tie groups of {v!r} are not at fault")
 
@@ -190,9 +187,8 @@ def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
 
 
 def parse_instance_text(text: str) -> Instance:
-    """The market of an instance file, built from its tie groups as read.
-    The file's own faults come first, section by section, then the
-    market's, named by the constructor :func:`validate_instance` uses."""
+    """The market of an instance file, from its tie groups as read: faults
+    of the file come first, then the market's, in the constructor's order."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
