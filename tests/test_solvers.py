@@ -31,6 +31,7 @@ from halfmatch.engine import (
     stable_half_matching,
 )
 from halfmatch.generate import generate_random
+from halfmatch.io import parse_instance_text, serialize_instance
 from halfmatch.popularity import delta_feasible, is_popular, is_popular_critical
 from halfmatch.reductions import build_crit_reduction
 from halfmatch.solvers import (
@@ -616,3 +617,37 @@ def test_dual_layer_matches_the_golden_digest():
     assert digest.hexdigest() == (
         "2ad66290ce1e03ef7686f4173bd971767140c7be33e233ed56a01f10c8e4f266"
     )
+
+
+def _five_solves(tied, strict):
+    """Each solver's matching on a seeded pair of markets, or ``"infeasible"``."""
+    out = [solve_max_srti(tied), solve_max_gamma(tied), solve_max_pri(strict),
+           solve_pop_maxw(strict, strict.weights)]
+    try:
+        out.append(solve_pop_crit(strict, strict.critical))
+    except InfeasibleCritical:
+        out.append("infeasible")
+    return out
+
+
+@pytest.mark.parametrize("rename", ["e~{}", "e{}~0", "e{}~u~"])
+def test_edge_ids_with_a_tilde_give_the_renamed_result(rename):
+    # a copy is its edge's id and a tag starting with "~"; an edge id that
+    # holds "~" itself keeps the id order, so every solve must pick the
+    # same copies and give the same matching under the new ids
+    def renamed(inst):
+        text = re.sub(r'"e(\d{3})"', lambda m: f'"{rename.format(m[1])}"',
+                      serialize_instance(inst))
+        assert text.count("~") >= len(inst.edges)
+        return parse_instance_text(text)
+
+    for seed in range(30):
+        n = 4 + seed % 9
+        tied = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3, tie_prob=0.4,
+                               gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                                 weight_range=(1, 9), critical_count=seed % (n + 1))
+        want = [m if m == "infeasible" else
+                {rename.format(eid[1:]): val for eid, val in m.items()}
+                for m in _five_solves(tied, strict)]
+        assert _five_solves(renamed(tied), renamed(strict)) == want, f"seed {seed}"
