@@ -133,16 +133,22 @@ def brute_force_max_stable(
 
 @dataclass(frozen=True)
 class StablePartitionCert:
-    """A stable half-matching together with its support decomposition.
+    """A stable half-matching of ``market`` with its support decomposition.
 
-    ``odd_cycles`` lists the half-value cycles as aligned (vertices,
-    edge ids) tuples. The dataclass checks nothing itself: ``_partition``
-    certifies, through ``_blocked``, that no copy blocks the matching
-    before it builds one.
+    ``halves`` maps each matched copy's index to its value in halves (1
+    or 2); ``matching`` names them by copy id, only when read. ``odd_cycles``
+    lists the half-value cycles as aligned (vertices, copy ids) tuples.
+    The dataclass checks nothing itself: ``_partition`` certifies, through
+    ``_blocked``, that no copy blocks the matching before it builds one.
     """
 
-    matching: dict[str, Fraction]
+    market: CopyMarket
+    halves: dict[int, int]
     odd_cycles: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+
+    @property
+    def matching(self) -> dict[str, Fraction]:
+        return {self.market.copy_id(c): HALF if k == 1 else ONE for c, k in self.halves.items()}
 
 
 @dataclass(frozen=True)
@@ -358,8 +364,5 @@ def _partition(market: CopyMarket, lists: list[list[int]], pu: list[int],
     if _blocked(market, halves, pu, pv):
         raise VerificationFailed("engine produced a blocked matching")
     name = market.copy_id
-    return StablePartitionCert(
-        matching={name(e): HALF if k == 1 else ONE for e, k in halves.items()},
-        odd_cycles=tuple((tuple(names[x] for x in verts), tuple(map(name, cycle)))
-                         for verts, cycle in odd),
-    )
+    return StablePartitionCert(market, halves, tuple(
+        (tuple(names[x] for x in verts), tuple(map(name, cycle))) for verts, cycle in odd))

@@ -439,6 +439,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     if "critical" in ver:
         known = set(inst.vertices)
         crit = ver["critical"]
+        if crit != sorted(set(crit)):  # a solve writes a set, sorted
+            problems.append("critical set is not sorted without repeats")
         unknown = [v for v in crit if v not in known]
         if unknown:
             problems.append(f"critical set names unknown vertices: {unknown}")

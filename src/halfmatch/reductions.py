@@ -23,16 +23,16 @@ A construction is nothing but each vertex's strict order over the
 copies, emitted as an :class:`engine.CopyMarket` whose orders list copy
 indices. Each origin edge's copies are one block, in edge rank order
 (an edge's position in the id-sorted ``edges``): copy j of the edge of
-rank r is ``first[r] + j``, where ``first[r]`` counts the copies of the
-lower ranks, so ``k*r + j`` for srti (k = 3), gamma (4) and pri (2).
+rank r is ``k*r + j`` for srti (k = 3), gamma (4) and pri (2), and the
+projection sums a certificate's halves by each copy's ``origin`` rank.
 Every builder writes a vertex's order by integer arithmetic on the
 vertex's order as edge ranks, which every market stores with the start
 of each tie group. Copy ids are ``<edge id>~<suffix>``, made only on
-demand; for the endpoint first in the canonical vertex order (the other
-sees the reverse) ``~u``/``~w`` is srti's top/bottom copy, ``~1..~4``
-gamma's best..last, ``~a``/``~b`` pri's good/bad, ``~u{j}``/``~w{j}``
-crit's levels -j/+j, ``~0`` a shared middle copy. Remaining ties go by
-edge id: all four are deterministic.
+demand, never parsed; for the endpoint first in the canonical vertex
+order (the other sees the reverse) ``~u``/``~w`` is srti's top/bottom
+copy, ``~1..~4`` gamma's best..last, ``~a``/``~b`` pri's good/bad,
+``~u{j}``/``~w{j}`` crit's levels -j/+j, ``~0`` a shared middle copy.
+Remaining ties go by edge id: all four are deterministic.
 """
 
 from __future__ import annotations
@@ -41,44 +41,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import sub
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
+    HALF,
+    ONE,
     Instance,
     InstanceError,
     MatchingError,
-    ZERO,
     check_matching,
 )
-from .engine import CopyMarket
+from .engine import CopyMarket, StablePartitionCert
 
 
 @dataclass(frozen=True)
 class DerivedInstance:
     """A strict multigraph built from copies of another market's edges:
-    the copies of the origin edge of rank r are ``first[r]..first[r + 1] - 1``."""
+    copy c is a copy of the origin edge of rank ``inst.origin[c]``."""
 
     inst: CopyMarket
     origin: Instance
-    first: Sequence[int]
 
-    def project(self, m: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        """Sum copy values per origin edge; the result is a valid
+    def project(self, cert: StablePartitionCert) -> dict[str, Fraction]:
+        """Sum each origin edge's halves in a certificate of ``inst``: a valid
         half-matching of the origin instance (degree sums carry over)."""
-        rank, first, tags = self.origin._rank, self.first, self.inst.tags
-        out: dict[str, Fraction] = {}
-        for cid, val in m.items():
-            if val == 0:
-                continue
-            eid, tilde, tag = cid.rpartition("~")
-            r = rank.get(eid)
-            if r is None or tilde + tag not in tags[first[r]:first[r + 1]]:
-                raise MatchingError(f"value on unknown derived edge {cid!r}")
-            out[eid] = out.get(eid, ZERO) + val
-        for eid, val in out.items():
-            if val > 1:
-                raise MatchingError(f"projected value of {eid!r} exceeds 1")
+        if cert.market is not self.inst:
+            raise MatchingError("the certificate is of another market")
+        total, rank, eids = {}, self.inst.origin, self.inst.labels
+        for c, k in cert.halves.items():
+            total[eids[rank[c]]] = total.get(eids[rank[c]], 0) + k
+        for eid, k in total.items():
+            if not 0 <= k <= 2:
+                raise MatchingError(f"projected value of {eid!r} is outside [0, 1]")
+        out = {eid: HALF if k == 1 else ONE for eid, k in total.items() if k}
         check_matching(self.origin, out)
         return out
 
@@ -89,17 +84,17 @@ def _ends(origin: Instance) -> tuple[list[int], list[int]]:
             list(map(max, origin._end_u, origin._end_v)))
 
 
-def _derive(origin: Instance, lo: list[int], hi: list[int], first: Sequence[int],
-            tags: Sequence[str], orders: list[list[int]]) -> DerivedInstance:
+def _derive(origin: Instance, lo: list[int], hi: list[int], bundles: Sequence[Sequence[str]],
+            orders: list[list[int]]) -> DerivedInstance:
     """The derived market in which the edge of rank r, between the vertices
-    of indices ``lo[r] < hi[r]``, has the copies ``first[r]..first[r + 1] - 1``,
-    tagged as ``tags`` lists them; vertex x ranks the copies as ``orders[x]``
-    lists them."""
-    rank = list(chain.from_iterable(map(repeat, range(len(lo)), map(sub, first[1:], first))))
+    of indices ``lo[r] < hi[r]``, has one copy per tag in ``bundles[r]``,
+    numbered after the copies of the lower ranks; vertex x ranks the copies
+    as ``orders[x]`` lists them."""
+    rank = list(chain.from_iterable(map(repeat, range(len(lo)), map(len, bundles))))
     market = CopyMarket(origin.vertices, list(map(lo.__getitem__, rank)),
                         list(map(hi.__getitem__, rank)), orders, rank,
-                        tuple(origin._rank), tags)  # ids by rank
-    return DerivedInstance(market, origin, first)
+                        tuple(origin._rank), list(chain.from_iterable(bundles)))  # ids by rank
+    return DerivedInstance(market, origin)
 
 
 def build_gamma_reduction(origin: Instance) -> DerivedInstance:
@@ -147,7 +142,7 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
                 tail.append(4 * r)
         keys.sort()
         orders.append([key % K for key in keys] + tail)
-    return _derive(origin, lo, hi, range(0, K + 1, 4), ("~1", "~2", "~3", "~4") * len(lo), orders)
+    return _derive(origin, lo, hi, [("~1", "~2", "~3", "~4")] * len(lo), orders)
 
 
 def build_srti_reduction(origin: Instance) -> DerivedInstance:
@@ -171,8 +166,7 @@ def build_srti_reduction(origin: Instance) -> DerivedInstance:
             seq += top[i:j]
             seq += middle[i:j]
         orders.append(seq + [2 * c - t for c, t in zip(middle, top)])  # the other top copy
-    return _derive(origin, lo, hi, range(0, 3 * len(lo) + 1, 3), ("~u", "~0", "~w") * len(lo),
-                   orders)
+    return _derive(origin, lo, hi, [("~u", "~0", "~w")] * len(lo), orders)
 
 
 def build_pri_reduction(origin: Instance) -> DerivedInstance:
@@ -188,7 +182,7 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
         ranks = origin.strict_ranks(v)
         good = [2 * r + (lo[r] != x) for r in ranks]  # ~a at the lower end, else ~b
         orders.append(good + [4 * r + 1 - g for r, g in zip(ranks, good)])  # the other copy
-    return _derive(origin, lo, hi, range(0, 2 * len(lo) + 1, 2), ("~a", "~b") * len(lo), orders)
+    return _derive(origin, lo, hi, [("~a", "~b")] * len(lo), orders)
 
 
 def build_crit_reduction(
@@ -229,4 +223,4 @@ def build_crit_reduction(
         orders.append([c + j for j in range(s, 0, -1) for c in up]
                       + [first[r] for r in ranks]
                       + [c + j for j in range(1, s + 1) for c in down])
-    return _derive(origin, lo, hi, first, list(chain.from_iterable(bundles)), orders)
+    return _derive(origin, lo, hi, bundles, orders)

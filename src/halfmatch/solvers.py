@@ -64,7 +64,7 @@ class InfeasibleCritical(ValueError):
 
 def _run_pipeline(derived: DerivedInstance) -> dict[str, Fraction]:
     # the engine certifies its output stable on the derived market
-    return derived.project(stable_half_matching(derived.inst).matching)
+    return derived.project(stable_half_matching(derived.inst))
 
 
 def solve_max_srti(inst: Instance) -> dict[str, Fraction]:

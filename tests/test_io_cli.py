@@ -751,6 +751,36 @@ def test_cli_verify_demands_every_claim_of_the_solver(tmp_path, capsys):
     assert "verification lacks the 'critical' claim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("critical", [
+    ["v08", "v01"], ["v01", "v08", "v01", "v08"], ["v01", "v01", "v08"],
+], ids=["reversed", "doubled", "repeated"])
+def test_cli_verify_rejects_a_critical_list_no_solve_writes(tmp_path, capsys, critical):
+    # a solve writes its critical set sorted, each vertex once; the same set
+    # in another order or with repeats is a claim no solver makes
+    inst, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "3", "--n", "10", "--critical-count", "2"], "solve-pop-crit")
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    doc = json.loads(res_path.read_text())
+    assert doc["verification"]["critical"] == ["v01", "v08"]
+    assert main(verify) == 0
+    doc["verification"]["critical"] = critical
+    _rewrite(inst, res_path, doc)
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert "critical set is not sorted without repeats" in capsys.readouterr().err
+
+
+def test_cli_verify_accepts_the_empty_critical_list_a_solve_writes(tmp_path):
+    # --critical , names no vertex: the solve records [] and verify accepts it
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "3", "--n", "10", "--critical-count", "2",
+                 "--output", str(inst_path)]) == 0
+    assert main(["solve-pop-crit", "--input", str(inst_path), "--critical", ",",
+                 "--output", str(res_path)]) == 0
+    assert json.loads(res_path.read_text())["verification"]["critical"] == []
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 0
+
+
 @pytest.mark.parametrize("tag, key, value, message", [
     ("solve-max-srti", "solver", "solve-max-anything", "unknown solver tag"),
     ("solve-max-srti", "solver", ["solve-max-srti"], "unknown solver tag"),

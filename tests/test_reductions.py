@@ -13,7 +13,7 @@ from halfmatch.core import (
     VerificationFailed,
     validate_instance,
 )
-from halfmatch.engine import stable_half_matching
+from halfmatch.engine import CopyMarket, StablePartitionCert, stable_half_matching
 from halfmatch.generate import generate_random
 from halfmatch.reductions import (
     build_crit_reduction,
@@ -42,6 +42,12 @@ def origin_of(der):
 
 def copies(der, eid):
     return sorted(c for c, origin in origin_of(der).items() if origin == eid)
+
+
+def cert_of(der, halves):
+    """A certificate of der's market giving each named copy its halves."""
+    index = {der.inst.copy_id(c): c for c in der.inst.edges}
+    return StablePartitionCert(der.inst, {index[cid]: k for cid, k in halves.items()}, ())
 
 
 def gamma_copy(inst, eid, v, rank):
@@ -386,9 +392,25 @@ def test_gamma_orders_break_a_three_kind_tie_as_the_materialized_builder():
 
 @pytest.mark.parametrize("cid", ["e~x", "e~u2", "e~w1", "f~0", "e", "e~0~0", "~0"])
 def test_project_rejects_an_id_that_names_no_copy(single_edge, cid):
-    der = build_crit_reduction(single_edge, {"a"})  # copies e~0 and e~u1 only
-    with pytest.raises(MatchingError, match="unknown derived edge"):
-        der.project({cid: HALF})
+    # a certificate whose matching names no copy of der (copies e~0 and e~u1
+    # only) is one of another market, which project refuses
+    der = build_crit_reduction(single_edge, {"a"})
+    eid, tilde, tag = cid.rpartition("~")
+    other = CopyMarket(("a", "b"), [0], [1], [[0], [0]], [0], (eid,), (tilde + tag,))
+    cert = StablePartitionCert(other, {0: 1}, ())
+    assert cert.matching == {cid: HALF}
+    with pytest.raises(MatchingError, match="another market"):
+        der.project(cert)
+
+
+def test_project_refuses_a_certificate_of_an_equal_market(single_edge):
+    # the same builder on the same origin makes an equal market with the
+    # same copy ids: its certificate is still not one of der
+    der, twin = build_srti_reduction(single_edge), build_srti_reduction(single_edge)
+    assert twin.inst == der.inst
+    with pytest.raises(MatchingError, match="another market"):
+        der.project(stable_half_matching(twin.inst))
+    assert der.project(stable_half_matching(der.inst)) == {"e": ONE}
 
 
 # -- leveled construction ----------------------------------------------------
@@ -445,27 +467,84 @@ def test_crit_copy_counts_on_random_instances():
 
 def test_project_sums_copies(single_edge):
     der = build_srti_reduction(single_edge)
-    assert der.project({"e~0": ONE}) == {"e": ONE}
-    assert der.project({"e~u": HALF, "e~0": HALF}) == {"e": ONE}
+    assert der.project(cert_of(der, {"e~0": 2})) == {"e": ONE}
+    assert der.project(cert_of(der, {"e~u": 1, "e~0": 1})) == {"e": ONE}
+    assert der.project(cert_of(der, {"e~w": 1})) == {"e": HALF}
+    assert der.project(cert_of(der, {"e~u": 1, "e~0": -1})) == {}  # a total of 0 is dropped
 
 
 def test_project_rejects_overfull(single_edge):
     der = build_srti_reduction(single_edge)
-    with pytest.raises(Exception, match="exceeds 1"):
-        der.project({"e~0": ONE, "e~u": HALF})
+    with pytest.raises(MatchingError, match="projected value of 'e' is outside"):
+        der.project(cert_of(der, {"e~0": 2, "e~u": 1}))
+
+
+def test_project_rejects_a_negative_total(single_edge):
+    der = build_srti_reduction(single_edge)
+    with pytest.raises(MatchingError, match="projected value of 'e' is outside"):
+        der.project(cert_of(der, {"e~u": 1, "e~w": -2}))
 
 
 def test_pipeline_projects_triangle_to_all_halves(cyclic_triangle):
     der = build_srti_reduction(cyclic_triangle)
     cert = stable_half_matching(der.inst)
-    assert der.project(cert.matching) == {"ab": HALF, "bc": HALF, "ca": HALF}
+    assert der.project(cert) == {"ab": HALF, "bc": HALF, "ca": HALF}
 
 
 def test_project_single_copy_identity():
     inst = make_triangle()
     der = build_srti_reduction(inst)
-    assigned = {copies(der, e.eid)[0]: HALF for e in inst.edges}
-    assert der.project(assigned) == {e.eid: HALF for e in inst.edges}
+    assigned = {copies(der, e.eid)[0]: 1 for e in inst.edges}
+    assert der.project(cert_of(der, assigned)) == {e.eid: HALF for e in inst.edges}
+
+
+def _projection_markets():
+    """The four builders over seeded markets with ties, parallel edges,
+    gamma thresholds and critical sets of every size up to all vertices."""
+    for seed in range(40):
+        n = 3 + seed % 10
+        tied = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3, tie_prob=0.4,
+                               gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3)
+        yield build_srti_reduction(tied)
+        yield build_gamma_reduction(tied)
+        yield build_pri_reduction(strict)
+        for k in sorted({0, seed % (n + 1), n}):
+            yield build_crit_reduction(strict, strict.vertices[:k])
+
+
+def test_project_by_copy_index_equals_the_string_keyed_oracle():
+    rng = random.Random(27)
+    odd = summed = refused = 0
+    for i, der in enumerate(_projection_markets()):
+        oracle = materialized.DerivedInstance(materialize(der), der.origin, origin_of(der))
+        cert = stable_half_matching(der.inst)
+        name = der.inst.copy_id
+        assert cert.matching == {name(c): HALF if k == 1 else ONE
+                                 for c, k in cert.halves.items()}, i
+        got = der.project(cert)
+        assert got == oracle.project(cert.matching), i
+        odd += HALF in got.values()
+        rank = der.inst.origin
+        if not rank:  # edgeless: no copy to put halves on
+            continue
+        # a hand-made certificate of der: halves on two copies of one edge,
+        # whose sum can pass 1, and on one other copy, which can overload
+        r = rng.choice(rank)
+        both = [c for c in der.inst.edges if rank[c] == r]
+        halves = {c: rng.choice((1, 1, 2)) for c in rng.sample(both, min(2, len(both)))}
+        halves[rng.choice(der.inst.edges)] = rng.choice((1, 2))
+        made = StablePartitionCert(der.inst, halves, ())
+        try:
+            want = oracle.project(made.matching)
+        except MatchingError:
+            refused += 1
+            with pytest.raises(MatchingError):
+                der.project(made)
+        else:
+            summed += len(want) < len(halves)
+            assert der.project(made) == want, i
+    assert odd >= 20 and summed >= 20 and refused >= 20, (odd, summed, refused)
 
 
 # -- golden pin ----------------------------------------------------------------

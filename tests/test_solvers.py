@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from halfmatch import solvers as solvers_module
+from halfmatch.engine import StablePartitionCert
 from halfmatch.core import (
     HALF,
     ONE,
@@ -411,7 +412,7 @@ def _feasibility_first(inst, crit):
     derived = build_crit_reduction(inst, crit)
     if not max_cardinality_saturating(double_cover(inst), crit):
         raise InfeasibleCritical("no fractional matching saturates the critical set")
-    out = derived.project(stable_half_matching(derived.inst).matching)
+    out = derived.project(stable_half_matching(derived.inst))
     if not all(is_saturated(inst, out, v) for v in crit):
         raise VerificationFailed("critical vertices left open")
     return out
@@ -630,6 +631,32 @@ def _five_solves(tied, strict):
     return out
 
 
+def _sweep_pairs(seeds):
+    """A tied market with gamma thresholds and a strict weighted one with a
+    critical set, per seed."""
+    for seed in seeds:
+        n = 4 + seed % 9
+        yield (generate_random(seed, n, edge_density=0.5, parallel_prob=0.3, tie_prob=0.4,
+                               gamma_preset="generic"),
+               generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
+                               weight_range=(1, 9), critical_count=seed % (n + 1)))
+
+
+def test_no_solver_reads_the_certificates_copy_ids(monkeypatch):
+    # the engine hands its matching to the projection by copy index: with
+    # the copy-id view of a certificate unreadable, every solve still runs
+    pairs = list(_sweep_pairs(range(30)))
+    want = [_five_solves(tied, strict) for tied, strict in pairs]
+
+    def unreadable(cert):
+        raise AssertionError("a solver read StablePartitionCert.matching")
+
+    monkeypatch.setattr(StablePartitionCert, "matching", property(unreadable))
+    assert [_five_solves(tied, strict) for tied, strict in pairs] == want
+    assert sum(m == "infeasible" for row in want for m in row) >= 2
+    assert sum(bool(m) for row in want for m in row if m != "infeasible") >= 100
+
+
 @pytest.mark.parametrize("rename", ["e~{}", "e{}~0", "e{}~u~"])
 def test_edge_ids_with_a_tilde_give_the_renamed_result(rename):
     # a copy is its edge's id and a tag starting with "~"; an edge id that
@@ -641,12 +668,7 @@ def test_edge_ids_with_a_tilde_give_the_renamed_result(rename):
         assert text.count("~") >= len(inst.edges)
         return parse_instance_text(text)
 
-    for seed in range(30):
-        n = 4 + seed % 9
-        tied = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3, tie_prob=0.4,
-                               gamma_preset="generic")
-        strict = generate_random(seed, n, edge_density=0.5, parallel_prob=0.3,
-                                 weight_range=(1, 9), critical_count=seed % (n + 1))
+    for seed, (tied, strict) in enumerate(_sweep_pairs(range(30))):
         want = [m if m == "infeasible" else
                 {rename.format(eid[1:]): val for eid, val in m.items()}
                 for m in _five_solves(tied, strict)]
