@@ -32,8 +32,11 @@ An acceptance lowers the acceptor's bound to the proposal and frees the
 displaced proposer; a rotation is eliminated in place, with no
 proposals (:func:`_reduce`). Head and second-entry pointers skip dead
 entries and never move back, so the work is the entries passed over,
-not the copies deleted. The output is certified from its values alone
-(:func:`_blocked`).
+not the copies deleted. The rotation walk keeps its path from one
+rotation to the next, as Irving's phase 2 keeps its sequence (Gusfield
+and Irving, *The Stable Marriage Problem*, 1989, section 4.2): only the
+steps an elimination can change are walked again. The output is
+certified from its values alone (:func:`_blocked`).
 
 Also here: exhaustive half-matching enumeration and the brute-force
 stability oracles used to cross-check every solver at desk scale.
@@ -43,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import lt
 from typing import Iterator, Sequence
 
 from .core import (
@@ -210,6 +215,17 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
     its acceptor y, and changes nothing else. A vertex that is an x and a
     y of one rotation is covered: its head moves as an x, its tail as a y,
     and neither step reads what the other writes.
+
+    The walk to each rotation goes on from the path the last one left. A
+    rotation found at step i0 keeps the steps before i0 - 1, or before the
+    first step whose x is one of its y's if that comes first, and the walk
+    goes on from that step's x. No other step changes: no head before i0
+    moves; step i0 - 1's y is the closing step's, whose last entry moves;
+    an x whose tail moves as a y can lose its second entry; and no earlier
+    y is one of the rotation's, as a step's y accepts the next step's x.
+    So the rotations are those, in the order, of walks that start again at
+    the first long list each time, which this one does once its path is
+    empty.
     """
     names = market.vertices
     n = len(names)
@@ -246,21 +262,24 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
         sec[x] = s
         return s
 
+    # walk second/last pointers to a cycle; the walk can never enter a cycle
+    # whose members all have length-two lists, so eliminating it never
+    # destroys a settled half-cycle. The path is kept across eliminations
+    at = [-1] * n  # each vertex's step on the path as x, else -1
+    xs: list[int] = []  # each step's x ...
+    ys: list[int] = []  # ... its acceptor y ...
+    ps: list[int] = []  # ... and the position of x's second entry at y
     start = 0  # lists only shrink, so no vertex before start regains 3 entries
     while True:
-        while start < n and (head[start] >= tail[start] or second(start) == tail[start]):
-            start += 1
-        if start == n:
-            break
-        # walk second/last pointers to a cycle; the walk can never enter a
-        # cycle whose members all have length-two lists, so eliminating it
-        # never destroys a settled half-cycle
-        ys: list[int] = []  # each step's acceptor y ...
-        ps: list[int] = []  # ... and the position of x's second entry at y
-        seen: dict[int, int] = {}
-        x = start
-        while x not in seen:
-            seen[x] = len(ys)
+        if not xs:
+            while start < n and (head[start] >= tail[start] or second(start) == tail[start]):
+                start += 1
+            if start == n:
+                break
+            x = start
+        while at[x] < 0:
+            at[x] = len(xs)
+            xs.append(x)
             h = head[x]
             if h >= tail[x]:
                 raise VerificationFailed(f"rotation walk meets a short list at {names[x]!r}")
@@ -280,14 +299,22 @@ def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]
             last = order[y][tail[y]]
             x = ev[last] if eu[last] == y else eu[last]
         # eliminate it from x on; y's old last entry names the next member
-        for j in range(seen[x], len(ys)):
+        i0 = at[x]
+        cut = max(i0 - 1, 0)
+        for j in range(i0, len(ys)):
             y = ys[j]
             if ps[j] >= tail[y]:
                 raise VerificationFailed("rotation eliminates nothing")
+            if 0 <= at[y] < cut:
+                cut = at[y]
             last = order[y][tail[y]]
             x = ev[last] if eu[last] == y else eu[last]
             tail[y] = ps[j]
             head[x] = sec[x]
+        for x in xs[cut:]:
+            at[x] = -1
+        x = xs[cut]
+        del xs[cut:], ys[cut:], ps[cut:]
 
     # each list's head and last entry: two, one or none
     return [order[x][head[x]:tail[x] + 1:max(1, tail[x] - head[x])] for x in range(n)]
@@ -324,8 +351,9 @@ def _blocked(market: CopyMarket, halves: dict[int, int], pu: list[int],
             load[x] += k
             worst[x] = max(worst[x], p)
     bound = [w if k == 2 else len(o) for w, k, o in zip(worst, load, market.orders)]
-    ends = zip(pu, map(bound.__getitem__, market.eu), pv, map(bound.__getitem__, market.ev))
-    return [e for e, (a, b, c, d) in enumerate(ends) if a < b and c < d and halves.get(e, 0) < 2]
+    ev = market.ev  # the eu end first: about half the copies pass it
+    return [e for e in compress(range(len(pu)), map(lt, pu, map(bound.__getitem__, market.eu)))
+            if pv[e] < bound[ev[e]] and halves.get(e, 0) < 2]
 
 
 def _partition(market: CopyMarket, lists: list[list[int]], pu: list[int],

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .core import (
@@ -219,14 +220,16 @@ def parse_instance_text(text: str) -> Instance:
 
     edges = []
     weights: dict[str, Fraction] = {}
+    fields, new = itemgetter("id", "u", "v"), tuple.__new__  # no Python-level Edge.__new__
     for record in doc["edges"]:
         try:
-            eid, u, v = record["id"], record["u"], record["v"]
+            edge = new(Edge, fields(record))
         except KeyError as exc:
             raise InstanceError(f"malformed edge record {record!r}") from exc
+        eid, u, v = edge
         if type(eid) is not str or type(u) is not str or type(v) is not str:
             raise InstanceError(f"edge record {record!r}: ids must be strings")
-        edges.append(Edge(eid, u, v))
+        edges.append(edge)
         if "weight" in record:
             weights[eid] = rational(record["weight"])
     known = {e.eid for e in edges}

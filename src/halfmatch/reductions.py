@@ -186,7 +186,8 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
 
 
 def build_crit_reduction(
-    origin: Instance, critical: frozenset[str] | set[str]
+    origin: Instance, critical: frozenset[str] | set[str],
+    keep: Sequence[bool] | None = None,
 ) -> DerivedInstance:
     """Middle copies plus |C| leveled copies per critical endpoint.
 
@@ -199,6 +200,11 @@ def build_crit_reduction(
     copies ``~0``, then levels -1..-s, with its original strict order
     inside every level class. An empty critical set degenerates to an
     isomorphic copy of the input.
+
+    ``keep``, by edge rank, builds the market on the kept edges alone: an
+    edge not kept has no copies and leaves every order. The copies, their
+    ends, orders and ids are those built on the sub-market of the kept
+    edges, and the projection is onto ``origin``.
     """
     crit = frozenset(critical)
     unknown = sorted(crit - set(origin.vertices))
@@ -210,10 +216,14 @@ def build_crit_reduction(
     shapes = [("~0",) + levels_u * cu + levels_w * cw for cw in (0, 1) for cu in (0, 1)]
     lo, hi = _ends(origin)
     bundles = [shapes[is_crit[a] + 2 * is_crit[b]] for a, b in zip(lo, hi)]
+    if keep is not None:
+        bundles = [b if k else () for b, k in zip(bundles, keep)]
     first = list(accumulate(map(len, bundles), initial=0))
     orders = []
     for x, v in enumerate(origin.vertices):
         ranks = origin.strict_ranks(v)
+        if keep is not None:
+            ranks = [r for r in ranks if keep[r]]
         # level j of the lower end's bundle is copy first + j, of the higher end's
         # last - s + j; v's own bundle ranks below the middle copies, its partner's above
         up = [first[r + 1] - 1 - s if lo[r] == x else first[r]

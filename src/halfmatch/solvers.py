@@ -232,14 +232,15 @@ def _pop_maxw(
     inst: Instance, weights: Mapping[str, Fraction]
 ) -> tuple[dict[str, Fraction], DualSolution]:
     """:func:`solve_pop_maxw`'s matching together with the dual it used."""
-    # checked here: restricting to tight edges could hide a tie among slack ones
+    # checked first: the crit builder meets a tie only after the dual
     inst.require_strict("solve_pop_maxw")
     dual = max_weight_dual(inst, weights)
-    reduced = restrict_to_edges(inst, set(dual.tight_edges))
+    tight = set(dual.tight_edges)
     # No feasibility run or saturation scan: the dual's witness saturates
     # the critical set, and on tight edges weight = sum_v y_v * load(v) <=
     # sum_v y_v, so weight == objective saturates every y_v > 0 vertex.
-    out = _run_pipeline(build_crit_reduction(reduced, dual.critical))
+    out = _run_pipeline(build_crit_reduction(
+        inst, dual.critical, [e.eid in tight for e in inst.edges]))
     got = sum(
         (_rat(weights.get(eid, ZERO)) * val for eid, val in out.items()), ZERO
     )

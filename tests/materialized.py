@@ -4,12 +4,14 @@ The four constructions once built every copy as an ``Edge`` with a string
 id and a rank valuation, through :func:`strict_instance`, and the engine
 ran on such an ``Instance``, deleting entries one at a time (``_reduce``
 below). The package now builds each vertex's order as copy indices and
-deletes lazily; the tests compare it with this code, kept as it was but
+deletes lazily, and its rotation walk keeps its path from one rotation to
+the next; the tests compare it with this code, kept as it was but
 for ``lower_endpoint``, a method of ``Instance`` until its last caller in
 the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``
 and the index and valuation of each end of an edge, ``_end_u``,
 ``_end_v``, ``_value_u`` and ``_value_v``) that ``strict_instance`` now
-fills in as validation does.
+fills in as validation does. :func:`restarting_reduce` is the lazy engine
+as it was when each rotation's walk began again at the first long list.
 """
 
 from __future__ import annotations
@@ -361,6 +363,103 @@ def _reduce(inst: Instance) -> dict[str, list[str]]:
         v: [eids[e] for e in order[x][head[x]:tail[x] + 1] if alive[e]]
         for x, v in enumerate(names)
     }
+
+
+# the engine's rotation walk as it was: each walk restarts from ``start``
+
+
+def restarting_reduce(market, pu: list[int], pv: list[int]) -> tuple[list[list[int]], int]:
+    """``engine._reduce`` as it was when every rotation's walk began again
+    at the first vertex with three or more entries, and the number of
+    rotations whose walk had, before the step preceding the rotation, a
+    step whose x is one of the rotation's y's: the walks on which a kept
+    path must be cut below that step.
+
+    Walks that restart find the same rotations in the same order as one
+    that keeps its path, so both return the same lists.
+    """
+    names = market.vertices
+    n = len(names)
+    eu, ev, order = market.eu, market.ev, market.orders
+    tail = [len(o) - 1 for o in order]  # bound: entries past it are dead; the held one's position
+    head = [0] * n  # first live position, past the tail when the list is empty
+    sec = [1] * n  # at most the second live position
+
+    # phase 1: a live entry is at or above its other end's hold, so it is accepted
+    held = [-1] * n
+    free = [x for x in range(n - 1, -1, -1) if order[x]]
+    while free:
+        v = free.pop()
+        o, h, t = order[v], head[v], tail[v]
+        while h <= t:
+            e = o[h]
+            w, p = (ev[e], pv[e]) if eu[e] == v else (eu[e], pu[e])
+            if p <= tail[w]:
+                g = held[w]
+                held[w], tail[w] = e, p
+                if g >= 0:
+                    free.append(eu[g] if ev[g] == w else ev[g])
+                break
+            h += 1
+        head[v] = h
+
+    def second(x: int) -> int:
+        """The position of x's second live entry; x has two or more."""
+        o, s = order[x], max(sec[x], head[x] + 1)
+        e = o[s]
+        while pu[e] > tail[eu[e]] or pv[e] > tail[ev[e]]:  # dead
+            s += 1
+            e = o[s]
+        sec[x] = s
+        return s
+
+    cuts = 0
+    start = 0  # lists only shrink, so no vertex before start regains 3 entries
+    while True:
+        while start < n and (head[start] >= tail[start] or second(start) == tail[start]):
+            start += 1
+        if start == n:
+            break
+        # walk second/last pointers to a cycle; the walk can never enter a
+        # cycle whose members all have length-two lists, so eliminating it
+        # never destroys a settled half-cycle
+        ys: list[int] = []  # each step's acceptor y ...
+        ps: list[int] = []  # ... and the position of x's second entry at y
+        seen: dict[int, int] = {}
+        x = start
+        while x not in seen:
+            seen[x] = len(ys)
+            h = head[x]
+            if h >= tail[x]:
+                raise VerificationFailed(f"rotation walk meets a short list at {names[x]!r}")
+            o, s = order[x], sec[x]
+            if s <= h:
+                s = h + 1
+            e = o[s]
+            while pu[e] > tail[eu[e]] or pv[e] > tail[ev[e]]:  # dead: as in second()
+                s += 1
+                e = o[s]
+            sec[x] = s
+            y = ev[e] if eu[e] == x else eu[e]
+            if head[y] >= tail[y]:
+                raise VerificationFailed(f"rotation walk meets a short list at {names[y]!r}")
+            ys.append(y)
+            ps.append(pu[e] if eu[e] == y else pv[e])
+            last = order[y][tail[y]]
+            x = ev[last] if eu[last] == y else eu[last]
+        cuts += any(seen.get(y, n) < seen[x] - 1 for y in ys[seen[x]:])
+        # eliminate it from x on; y's old last entry names the next member
+        for j in range(seen[x], len(ys)):
+            y = ys[j]
+            if ps[j] >= tail[y]:
+                raise VerificationFailed("rotation eliminates nothing")
+            last = order[y][tail[y]]
+            x = ev[last] if eu[last] == y else eu[last]
+            tail[y] = ps[j]
+            head[x] = sec[x]
+
+    # each list's head and last entry: two, one or none
+    return [order[x][head[x]:tail[x] + 1:max(1, tail[x] - head[x])] for x in range(n)], cuts
 
 
 def materialize(der) -> Instance:

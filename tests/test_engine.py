@@ -39,7 +39,7 @@ from halfmatch.reductions import (
     build_pri_reduction,
     build_srti_reduction,
 )
-from halfmatch.solvers import max_weight_dual, restrict_to_edges
+from halfmatch.solvers import max_weight_dual
 
 import materialized
 from conftest import make_path
@@ -420,8 +420,8 @@ def test_engine_matches_the_list_court_on_maxw_markets():
     # and two or more on unit weights, where every vertex is critical
     def check(inst, weights, label, sizes):
         dual = max_weight_dual(inst, weights)
-        der = build_crit_reduction(restrict_to_edges(inst, set(dual.tight_edges)),
-                                   dual.critical)
+        tight = set(dual.tight_edges)
+        der = build_crit_reduction(inst, dual.critical, [e.eid in tight for e in inst.edges])
         assert_matches_oracle(der, label, sizes)
 
     sizes: list[int] = []
@@ -436,6 +436,36 @@ def test_engine_matches_the_list_court_on_maxw_markets():
         check(inst, {e.eid: ONE for e in inst.edges}, f"unit maxw seed {seed} n {n}", unit)
     assert len(unit) - unit.count(1) >= 0.5 * len(unit)
     assert len(unit) >= 1000
+
+
+def test_kept_walk_matches_the_restarting_walk():
+    # the walk keeps its path across eliminations, cut below the step before
+    # the rotation and below the first step whose x is one of the rotation's
+    # y's; a walk that restarts from the first long list after every
+    # elimination must reach the same lists. The second cut must matter
+    # often: the count is of rotations on which it falls below the first
+    markets = cuts = 0
+    for seed in range(210):
+        n = 4 + seed % 30
+        tied = generate_random(seed, n, edge_density=0.4, parallel_prob=0.25,
+                               tie_prob=0.3, gamma_preset="generic")
+        strict = generate_random(seed, n, edge_density=0.4, parallel_prob=0.25,
+                                 critical_count=seed % (n + 1))
+        for kind, der in (
+            ("srti", build_srti_reduction(tied)),
+            ("gamma", build_gamma_reduction(tied)),
+            ("pri", build_pri_reduction(strict)),
+            ("crit", build_crit_reduction(strict, strict.critical)),
+            ("crit-half", build_crit_reduction(strict, strict.vertices[::2])),
+        ):
+            market = der.inst
+            pu, pv = _positions(market)
+            want, cut = materialized.restarting_reduce(market, pu, pv)
+            assert _reduce(market, pu, pv) == want, f"{kind} seed {seed} n {n}"
+            markets += 1
+            cuts += cut
+    assert markets >= 1000
+    assert cuts >= 1000
 
 
 def test_engine_raises_the_list_courts_tie_message():

@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from halfmatch import core as core_module
+from halfmatch import generate as generate_module
+from halfmatch import io as io_module
 from halfmatch import solvers as solvers_module
 from halfmatch.engine import StablePartitionCert
 from halfmatch.core import (
@@ -533,6 +536,27 @@ def test_pop_maxw_runs_no_feasibility_matching(monkeypatch):
     monkeypatch.setattr("halfmatch.solvers.max_cardinality_saturating", refuse)
     for inst, w, expected in markets:
         assert solve_pop_maxw(inst, w) == expected
+
+
+def test_pop_maxw_builds_no_second_instance(monkeypatch):
+    # the crit market is built on the tight edges of the instance itself:
+    # neither restrict_to_edges nor the market constructor runs on the maxw
+    # path, and the matchings are those of the restricted market
+    markets = []
+    for inst, weights, _ in _golden_markets():
+        dual = max_weight_dual(inst, weights)
+        reduced = restrict_to_edges(inst, set(dual.tight_edges))
+        markets.append((inst, weights, solve_pop_crit(reduced, dual.critical)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second Instance built on the maxw path")
+
+    monkeypatch.setattr(solvers_module, "restrict_to_edges", refuse)
+    for module in (core_module, solvers_module, io_module, generate_module):
+        monkeypatch.setattr(module, "_instance", refuse)
+    assert len(markets) >= 100
+    for inst, weights, expected in markets:
+        assert solve_pop_maxw(inst, weights) == expected
 
 
 def test_restrict_to_edges(cyclic_triangle):
