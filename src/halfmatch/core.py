@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, groupby
 from math import lcm
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Rational = int | str | Fraction
 
@@ -470,6 +470,24 @@ def saturated_vertices(inst: Instance, m: Mapping[str, Fraction]) -> set[str]:
     return {v for v, x in load.items() if x == d}
 
 
+def _assigned_values(inst: Instance, held: Iterable[int], saturated: Sequence[bool]
+                     ) -> list[int | Fraction]:
+    """Every agent's assigned value, by vertex index: a saturated agent's
+    minimum valuation over its edges among the ranks ``held`` (those held
+    with positive value), any other agent's ``pref_empty``."""
+    eu, ev, pu, pv = inst._end_u, inst._end_v, inst._value_u, inst._value_v
+    empty = inst.pref_empty
+    # None: a saturated agent none of whose held edges is read yet
+    assigned = [None if full else empty[v] for v, full in zip(inst.vertices, saturated)]
+    for r in held:
+        u, v = eu[r], ev[r]
+        if saturated[u] and (assigned[u] is None or pu[r] < assigned[u]):
+            assigned[u] = pu[r]
+        if saturated[v] and (assigned[v] is None or pv[r] < assigned[v]):
+            assigned[v] = pv[r]
+    return assigned
+
+
 def _assigned(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, int | Fraction]:
     """Every agent's assigned value, from m's loads and one pass over its support.
 
@@ -477,25 +495,42 @@ def _assigned(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, int | Frac
     positive weight; unsaturated agents by ``pref_empty``.
     """
     d, load = _loads(inst, m)
-    rank, edges, pu, pv = inst._rank, inst.edges, inst._value_u, inst._value_v
-    worst: dict[str, int | Fraction] = {}
-    for eid, val in m.items():
-        r = rank.get(eid)
-        if r is None or val.numerator <= 0:
-            continue
-        _, u, v = edges[r]
-        if u not in worst or pu[r] < worst[u]:
-            worst[u] = pu[r]
-        if v not in worst or pv[r] < worst[v]:
-            worst[v] = pv[r]
-    assigned = dict(inst.pref_empty)
-    assigned.update((x, p) for x, p in worst.items() if load[x] == d)
-    return assigned
+    rank = inst._rank
+    held = [rank[eid] for eid, val in m.items() if val.numerator > 0 and eid in rank]
+    return dict(zip(inst.vertices, _assigned_values(inst, held, [x == d for x in load.values()])))
 
 
 def assigned_value(inst: Instance, v: str, m: Mapping[str, Fraction]) -> int | Fraction:
     """Agent v's worst positively-held edge value, or the unmatched value."""
     return _assigned(inst, m)[v]
+
+
+def _check_mode(inst: Instance, mode: str) -> None:
+    """Raise unless ``mode`` names a blocking rule that ``inst`` supports."""
+    if mode not in ("weak", "gamma"):
+        raise ValueError(f"unknown blocking mode {mode!r}")
+    if mode == "gamma" and not inst.has_full_gamma():
+        raise InstanceError("gamma mode requires gamma/delta on every (edge, endpoint)")
+
+
+def _blocking(inst: Instance, mode: str, assigned: Sequence[int | Fraction],
+              full: Container[int]) -> Iterator[int]:
+    """The ranks of the edges that block, in rank order, when the vertex of
+    index x is assigned ``assigned[x]`` and ``full`` holds the ranks of the
+    edges at value one or more: the rules of :func:`blocking_edges`, for a
+    mode :func:`_check_mode` passed. Lazy, so a caller can stop at the first."""
+    ends = zip(count(), inst._end_u, inst._end_v, inst._value_u, inst._value_v)
+    if mode == "weak":
+        yield from (r for r, u, v, pu, pv in ends
+                    if pu > assigned[u] and pv > assigned[v] and r not in full)
+        return
+    d = inst._gamma_d
+    for (r, u, v, pu, pv), (gu, deltau), (gv, deltav) in zip(
+            ends, inst._gamma_u or (), inst._gamma_v or ()):
+        du = (pu - assigned[u]) * d
+        dv = (pv - assigned[v]) * d
+        if (du >= gu and dv >= deltav) or (du >= deltau and dv >= gv):
+            yield r
 
 
 def blocking_edges(
@@ -510,27 +545,11 @@ def blocking_edges(
     either orientation; it requires gamma/delta on every (edge, endpoint).
     An empty result certifies weak stability / gamma-stability.
     """
-    if mode not in ("weak", "gamma"):
-        raise ValueError(f"unknown blocking mode {mode!r}")
-    if mode == "gamma" and not inst.has_full_gamma():
-        raise InstanceError("gamma mode requires gamma/delta on every (edge, endpoint)")
-    assigned = _assigned(inst, m)
-    ends = zip(inst.edges, inst._value_u, inst._value_v)
-
-    if mode == "weak":
-        return [
-            eid for (eid, u, v), pu, pv in ends
-            if pu > assigned[u] and pv > assigned[v] and m.get(eid, ZERO) < 1
-        ]
-    d = inst._gamma_d
-    out = []
-    for ((eid, u, v), pu, pv), (gu, deltau), (gv, deltav) in zip(
-            ends, inst._gamma_u or (), inst._gamma_v or ()):
-        du = (pu - assigned[u]) * d
-        dv = (pv - assigned[v]) * d
-        if (du >= gu and dv >= deltav) or (du >= deltau and dv >= gv):
-            out.append(eid)
-    return out
+    _check_mode(inst, mode)
+    assigned = list(_assigned(inst, m).values())
+    rank, edges = inst._rank, inst.edges
+    full = {rank[eid] for eid, val in m.items() if val >= 1 and eid in rank}
+    return [edges[r].eid for r in _blocking(inst, mode, assigned, full)]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,14 @@ steps an elimination can change are walked again. The output is
 certified from its values alone (:func:`_blocked`).
 
 Also here: exhaustive half-matching enumeration and the brute-force
-stability oracles used to cross-check every solver at desk scale.
+stability oracles used to cross-check every solver at desk scale. One
+private enumerator (:class:`_Assignments`) walks every half-integral
+assignment in canonical order, holding each edge's doubled value by edge
+rank and each vertex's doubled load as ints; the public enumerators are
+views of it. The oracle reads it directly: a leaf's size is its count of
+halves, only a leaf larger than the best stable one so far is tested,
+and the test is the weak or gamma blocking rule ``core.blocking_edges``
+runs, on edge ranks and per-vertex assigned values.
 """
 
 from __future__ import annotations
@@ -55,8 +62,9 @@ from .core import (
     ONE,
     Instance,
     VerificationFailed,
-    blocking_edges,
-    matching_size,
+    _assigned_values,
+    _blocking,
+    _check_mode,
 )
 
 
@@ -65,6 +73,65 @@ class BoundExceeded(ValueError):
 
 
 DEFAULT_BOUND = 12
+_VALUES = (None, HALF, ONE)  # by doubled value
+
+
+class _Assignments:
+    """Every half-integral assignment of ``inst``, in canonical order: edges
+    in id order, values tried as 0, 1/2, 1.
+
+    ``val[r]`` is edge rank r's doubled value (0, 1 or 2) and ``load[x]``
+    vertex x's doubled load. Iterating moves both in place from one
+    assignment to the next, as an odometer whose last edge turns fastest,
+    and yields each assignment's size in halves. Raises
+    :class:`BoundExceeded` when the instance has more than ``bound`` edges,
+    then the errors of an unknown or unsupported blocking ``mode``.
+    """
+
+    def __init__(self, inst: Instance, bound: int, mode: str = "weak") -> None:
+        if len(inst.edges) > bound:
+            raise BoundExceeded(f"{len(inst.edges)} edges exceed the enumeration bound {bound}")
+        _check_mode(inst, mode)
+        self.inst, self.mode = inst, mode
+        self.eids = [e.eid for e in inst.edges]
+        self.val = [0] * len(inst.edges)
+        self.load = [0] * len(inst.vertices)
+
+    def __iter__(self) -> Iterator[int]:
+        val, load, eu, ev = self.val, self.load, self.inst._end_u, self.inst._end_v
+        halves = 0
+        yield halves
+        while True:
+            # the last edge whose value can rise, once every later one is back at 0
+            r = len(val) - 1
+            while r >= 0:
+                k, u, v = val[r], eu[r], ev[r]
+                if k < 2 and load[u] < 2 and load[v] < 2:
+                    break
+                if k:
+                    val[r], halves = 0, halves - k
+                    load[u] -= k
+                    load[v] -= k
+                r -= 1
+            else:
+                return
+            val[r], halves = k + 1, halves + 1
+            load[u] += 1
+            load[v] += 1
+            yield halves
+
+    def matching(self) -> dict[str, Fraction]:
+        """The current assignment by edge id, in id order, its values the
+        shared ``core.HALF`` and ``core.ONE``."""
+        return {eid: _VALUES[k] for eid, k in zip(self.eids, self.val) if k}
+
+    def blocked(self) -> bool:
+        """Whether an edge blocks the current assignment, by core's rule."""
+        val = self.val
+        held = list(compress(range(len(val)), val))
+        assigned = _assigned_values(self.inst, held, [x == 2 for x in self.load])
+        full = [r for r in held if val[r] == 2]
+        return next(_blocking(self.inst, self.mode, assigned, full), None) is not None
 
 
 def enumerate_half_matchings(
@@ -78,41 +145,19 @@ def enumerate_half_matchings(
     it by identity. Raises :class:`BoundExceeded` when the instance has
     more than ``bound`` edges.
     """
-    eids = [e.eid for e in inst.edges]
-    if len(eids) > bound:
-        raise BoundExceeded(f"{len(eids)} edges exceed the enumeration bound {bound}")
-    ends = [(inst.edge(eid).u, inst.edge(eid).v) for eid in eids]
-    load = {v: 0 for v in inst.vertices}  # doubled loads: capacity 2
-    cur: dict[str, Fraction] = {}
-
-    def rec(i: int) -> Iterator[dict[str, Fraction]]:
-        if i == len(eids):
-            yield dict(cur)
-            return
-        u, v = ends[i]
-        room = 2 - max(load[u], load[v])
-        for doubled in (0, 1, 2):
-            if doubled > room:
-                break
-            load[u] += doubled
-            load[v] += doubled
-            if doubled:
-                cur[eids[i]] = HALF if doubled == 1 else ONE
-            yield from rec(i + 1)
-            load[u] -= doubled
-            load[v] -= doubled
-            cur.pop(eids[i], None)
-
-    yield from rec(0)
+    walk = _Assignments(inst, bound)
+    for _ in walk:
+        yield walk.matching()
 
 
 def iter_stable_half_matchings(
     inst: Instance, mode: str = "weak", bound: int = DEFAULT_BOUND
 ) -> Iterator[dict[str, Fraction]]:
     """All half-matchings with no (weak or gamma) blocking edge."""
-    for m in enumerate_half_matchings(inst, bound):
-        if not blocking_edges(inst, m, mode):
-            yield m
+    walk = _Assignments(inst, bound, mode)
+    for _ in walk:
+        if not walk.blocked():
+            yield walk.matching()
 
 
 def brute_force_max_stable(
@@ -121,15 +166,21 @@ def brute_force_max_stable(
     """Maximum size over all stable half-matchings, with a witness.
 
     The witness is the first maximizer in canonical enumeration order.
+    Sizes are counted in halves, and only an assignment larger than the
+    best stable one so far is tested, which changes neither the maximum
+    nor the first maximizer. The test is core's weak or gamma blocking
+    rule, the one :func:`core.blocking_edges` applies. Raises
+    :class:`BoundExceeded` past ``bound`` edges, then the blocking mode's
+    errors, and :class:`VerificationFailed` if no assignment is stable.
     """
-    best: tuple[Fraction, dict[str, Fraction]] | None = None
-    for m in iter_stable_half_matchings(inst, mode, bound):
-        size = matching_size(m)
-        if best is None or size > best[0]:
-            best = (size, m)
-    if best is None:
-        raise RuntimeError("no stable half-matching found; this cannot happen")
-    return best
+    walk = _Assignments(inst, bound, mode)
+    best, witness = -1, None
+    for halves in walk:
+        if halves > best and not walk.blocked():
+            best, witness = halves, walk.matching()
+    if witness is None:
+        raise VerificationFailed("no stable half-matching found; this cannot happen")
+    return Fraction(best, 2), witness
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -517,6 +518,12 @@ def is_popular_critical(
     )
 
 
+def _draws(rng: random.Random) -> Iterator[int]:
+    """``rng.randint(0, 16)`` again and again, as ``randint`` draws it: five
+    random bits, drawn again while above 16."""
+    return filter((17).__gt__, iter(partial(rng.getrandbits, 5), None))
+
+
 def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
     """The seeded random rivals, as integer masses.
 
@@ -525,11 +532,11 @@ def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
     raw * (d // cap) over the lcm d of its caps. Every vertex's mass is
     checked to be at most d.
     """
-    rng = random.Random(f"halfmatch-sample-{seed}")
+    draws = _draws(random.Random(f"halfmatch-sample-{seed}"))
     ends = [(e.eid, inst.index(e.u), inst.index(e.v)) for e in inst.edges]
     zeros = [0] * len(inst.vertices)
     for _ in range(count):
-        raw = [rng.randint(0, 16) for _ in ends]
+        raw = list(islice(draws, len(ends)))
         load = zeros[:]
         for (_, u, v), r in zip(ends, raw):
             load[u] += r

@@ -81,10 +81,11 @@ def make_path(prefs_b_first="a"):
     )
 
 
-def rational_market(rng, seed):
-    """A generated market revalued with non-integral Fractions and a
-    negative unmatched value; ties and parallel edges survive."""
-    base = generate_random(seed, rng.randint(3, 7), edge_density=0.6,
+def rational_market(rng, seed, n=None):
+    """A generated market on n vertices (by default 3 to 7, drawn from rng)
+    revalued with non-integral Fractions and a negative unmatched value;
+    ties and parallel edges survive."""
+    base = generate_random(seed, rng.randint(3, 7) if n is None else n, edge_density=0.6,
                            parallel_prob=0.3, tie_prob=0.4)
     scale = F(rng.randint(1, 5), rng.randint(2, 4))
     pref = {v: {eid: val * scale for eid, val in base.pref[v].items()}

@@ -12,6 +12,12 @@ and the index and valuation of each end of an edge, ``_end_u``,
 ``_end_v``, ``_value_u`` and ``_value_v``) that ``strict_instance`` now
 fills in as validation does. :func:`restarting_reduce` is the lazy engine
 as it was when each rotation's walk began again at the first long list.
+
+:func:`generic_stable` and :func:`generic_max_stable` are the brute-force
+stability oracle as it was before it ran on the engine's integer
+enumerator: every half-matching :func:`generic_half_matchings` yields, as
+a dict of ``Fraction`` values, through the generic
+:func:`halfmatch.core.blocking_edges`, keeping the first strict maximum.
 """
 
 from __future__ import annotations
@@ -20,17 +26,22 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from halfmatch.core import (
+    HALF,
+    ONE,
     ZERO,
     Edge,
     Instance,
     InstanceError,
     MatchingError,
     VerificationFailed,
+    blocking_edges,
     check_matching,
+    matching_size,
 )
+from halfmatch.engine import BoundExceeded
 
 
 def strict_instance(
@@ -472,3 +483,58 @@ def materialize(der) -> Instance:
     orders = {v: [market.copy_id(c) for c in market.orders[x]]
               for x, v in enumerate(market.vertices)}
     return strict_instance(market.vertices, edges, orders)
+
+
+# the brute-force oracle as it was: a Fraction dict per half-matching
+
+
+def generic_half_matchings(inst: Instance, bound: int) -> Iterator[dict[str, Fraction]]:
+    """Every half-matching, in canonical order: edges in id order, values
+    tried as 0, 1/2, 1, each value the shared ``HALF`` or ``ONE``."""
+    eids = [e.eid for e in inst.edges]
+    if len(eids) > bound:
+        raise BoundExceeded(f"{len(eids)} edges exceed the enumeration bound {bound}")
+    ends = [(inst.edge(eid).u, inst.edge(eid).v) for eid in eids]
+    load = {v: 0 for v in inst.vertices}  # doubled loads: capacity 2
+    cur: dict[str, Fraction] = {}
+
+    def rec(i: int) -> Iterator[dict[str, Fraction]]:
+        if i == len(eids):
+            yield dict(cur)
+            return
+        u, v = ends[i]
+        room = 2 - max(load[u], load[v])
+        for doubled in (0, 1, 2):
+            if doubled > room:
+                break
+            load[u] += doubled
+            load[v] += doubled
+            if doubled:
+                cur[eids[i]] = HALF if doubled == 1 else ONE
+            yield from rec(i + 1)
+            load[u] -= doubled
+            load[v] -= doubled
+            cur.pop(eids[i], None)
+
+    yield from rec(0)
+
+
+def generic_stable(inst: Instance, mode: str, bound: int) -> list[dict[str, Fraction]]:
+    """Every half-matching with no blocking edge, in canonical order."""
+    return [m for m in generic_half_matchings(inst, bound) if not blocking_edges(inst, m, mode)]
+
+
+def generic_max_stable(stable: Iterable[dict[str, Fraction]]
+                       ) -> tuple[Fraction, dict[str, Fraction], int]:
+    """The first strict maximum by size of the stable half-matchings, in
+    the order given, and how many of them have its size."""
+    best: tuple[Fraction, dict[str, Fraction]] | None = None
+    ties = 0
+    for m in stable:
+        size = matching_size(m)
+        if best is None or size > best[0]:
+            best, ties = (size, m), 0
+        ties += size == best[0]
+    if best is None:
+        raise RuntimeError("no stable half-matching found; this cannot happen")
+    return (*best, ties)

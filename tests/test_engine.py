@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -42,7 +42,7 @@ from halfmatch.reductions import (
 from halfmatch.solvers import max_weight_dual
 
 import materialized
-from conftest import make_path
+from conftest import make_path, rational_market
 from materialized import materialize
 
 F = Fraction
@@ -91,6 +91,91 @@ def test_bruteforce_tied_path():
     )
     size, witness = brute_force_max_stable(inst)
     assert size == 2 and witness == {"ab": ONE, "cd": ONE}
+
+
+def _oracle_outcome(oracle, *args):
+    """The oracle's result, or its error's type and message (BoundExceeded,
+    InstanceError and an unknown mode's error are all ValueErrors)."""
+    try:
+        return oracle(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_oracle_matches_the_generic_oracle():
+    """brute_force_max_stable and the enumerator's views against the generic
+    oracle kept in ``materialized``: the same maximum and the same witness,
+    the first maximizer in canonical order, down to the shared ``HALF`` and
+    ``ONE`` objects; or the same error, at exactly ``bound`` edges and one
+    more, under an unknown mode and in gamma mode without thresholds."""
+    rng = random.Random(2929)
+    kinds = Counter()
+    markets = tied_maximizers = 0
+    for seed in range(8600):
+        if seed % 5 == 4:
+            inst = rational_market(rng, seed, n=rng.randint(2, 4))
+            preset = "rational"
+        else:
+            preset = ("none", "min-like", "max-like", "generic")[seed % 5]
+            density = 0 if seed % 25 == 0 else rng.uniform(0.2, 0.9)
+            inst = generate_random(seed, rng.randint(2, 5), edge_density=density,
+                                   parallel_prob=0.3, tie_prob=rng.choice([0, 0.4]),
+                                   gamma_preset=preset)
+        k = len(inst.edges)
+        if k > 6:
+            continue
+        bound = k - 1 if seed % 7 == 0 else k  # bound + 1 edges, or exactly bound
+        modes = ["weak", "gamma"] if inst.has_full_gamma() else ["weak"]
+        if seed % 50 == 0:
+            modes.append("strong" if seed % 100 else "gamma")  # an error at the first leaf
+        for mode in modes:
+            want = _oracle_outcome(materialized.generic_stable, inst, mode, bound)
+            got = _oracle_outcome(brute_force_max_stable, inst, mode, bound)
+            assert _oracle_outcome(lambda: list(iter_stable_half_matchings(inst, mode, bound))) \
+                == want, (seed, mode)
+            if not isinstance(want, list):  # an error: its type and message
+                assert got == want, (seed, mode)
+                kinds["over_bound" if want[0] is BoundExceeded else "bad_mode"] += 1
+                continue
+            size, witness, ties = materialized.generic_max_stable(want)
+            assert got == (size, witness), (seed, mode)
+            assert list(got[1].items()) == list(witness.items())
+            assert all(a is b for a, b in zip(got[1].values(), witness.values()))
+            tied_maximizers += ties > 1
+            kinds[mode if mode == "weak" else preset] += 1
+            kinds["at_bound"] += k == bound
+            kinds["no_edges"] += k == 0
+            kinds["tie"] += not inst.is_strict()
+            kinds["parallel"] += len({frozenset(e[1:]) for e in inst.edges}) < k
+        markets += isinstance(want, list)
+        if bound >= k:
+            rivals = list(enumerate_half_matchings(inst, bound))
+            assert rivals == list(materialized.generic_half_matchings(inst, bound))
+            assert all(val is HALF or val is ONE for m in rivals for val in m.values())
+    assert markets >= 5000, markets
+    assert tied_maximizers >= 100, tied_maximizers
+    assert all(kinds[kind] >= 20 for kind in (
+        "weak", "min-like", "max-like", "generic", "rational", "tie", "parallel",
+        "no_edges", "at_bound", "over_bound", "bad_mode")), kinds
+
+
+def test_oracle_failure_exits_1_without_a_traceback():
+    """The oracle's "cannot happen" raise is a VerificationFailed, which the
+    CLI reports with exit 1: here every assignment is made to block."""
+    script = textwrap.dedent("""
+        import sys
+        from halfmatch import cli, engine
+
+        engine._Assignments.blocked = lambda self: True
+        sys.exit(cli.main(["bench", "--seeds", "1", "--n", "4"]))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(halfmatch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert "no stable half-matching found" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_engine_single_edge(single_edge):

@@ -502,6 +502,18 @@ def test_sampler_matches_the_fraction_sampler():
         assert all(type(val) is Fraction for n in got for val in n.values())
 
 
+def test_sampler_draws_are_randint_draws():
+    """The sampler's inline draws take the bits ``randint(0, 16)`` takes, on
+    the seeds the verdicts and the tests give it: the same values, and the
+    generator left in the same state."""
+    for seed in range(50):
+        mine, ref = (random.Random(f"halfmatch-sample-{seed}") for _ in range(2))
+        draws = popularity._draws(mine)
+        for count in (1, 17, 1400):
+            assert list(itertools.islice(draws, count)) == [ref.randint(0, 16) for _ in range(count)]
+            assert mine.getstate() == ref.getstate()
+
+
 def _oracle_scan(rivals, compare, scope):
     """The verdict scan that builds every rival's full comparison."""
     worst = None
