@@ -43,10 +43,11 @@ stability oracles used to cross-check every solver at desk scale. One
 private enumerator (:class:`_Assignments`) walks every half-integral
 assignment in canonical order, holding each edge's doubled value by edge
 rank and each vertex's doubled load as ints; the public enumerators are
-views of it. The oracle reads it directly: a leaf's size is its count of
-halves, only a leaf larger than the best stable one so far is tested,
-and the test is the weak or gamma blocking rule ``core.blocking_edges``
-runs, on edge ranks and per-vertex assigned values.
+views of it, and popularity's rival scan reads it in place. The oracle
+reads it directly: a leaf's size is its count of halves, only a leaf
+larger than the best stable one so far is tested, and the test is the
+weak or gamma blocking rule ``core.blocking_edges`` runs, on edge ranks
+and per-vertex assigned values.
 """
 
 from __future__ import annotations
@@ -141,9 +142,8 @@ def enumerate_half_matchings(
 
     Edges are scanned in id order and values tried as 0, 1/2, 1, so the
     stream is deterministic. Every value is one of the shared objects
-    ``core.HALF`` and ``core.ONE``, which lets the popularity scan read
-    it by identity. Raises :class:`BoundExceeded` when the instance has
-    more than ``bound`` edges.
+    ``core.HALF`` and ``core.ONE``. Raises :class:`BoundExceeded` when the
+    instance has more than ``bound`` edges.
     """
     walk = _Assignments(inst, bound)
     for _ in walk:

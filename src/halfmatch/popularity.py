@@ -17,13 +17,15 @@ exceeds M:
 M is popular when Delta(M, N) >= 0 against every rival N; the verifiers
 below certify that over all enumerated half-integral rivals (the
 vertices of the degree-constrained polytope), optionally supplemented
-by seeded random fractional rivals. They scan every rival as integer
-masses over one denominator d (2 for an enumerated rival, the lcm of its
-caps for a sampled one) and compare rivals by the value of Delta alone,
-computed in integers. A rival gets a Fraction form only when its value
-ties or beats the worst so far, and a pairing (with its per-vertex
-votes) is built only for the worst rival, and only when it is a
-counterexample.
+by seeded random fractional rivals. They scan every rival in one form:
+its integer masses by edge rank over one denominator d. An enumerated
+rival is the engine's enumerator's own doubled values (d = 2), read in
+place; a sampled one is over the lcm of its caps. Rivals are compared by
+the value of Delta alone, computed in integers. A rival gets a Fraction
+form only when its value ties or beats the worst so far (the product
+comparison values each rival on its Fraction form), and a pairing
+(with its per-vertex votes) is built only for the worst rival, and only
+when it is a counterexample.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
-    HALF,
     ONE,
     ZERO,
     Instance,
@@ -47,7 +48,7 @@ from .core import (
     matching_size,
     saturated_vertices,
 )
-from .engine import BoundExceeded, enumerate_half_matchings
+from .engine import BoundExceeded, _Assignments
 from . import simplex
 
 Item = str | None  # an edge id, or None for staying unmatched
@@ -219,10 +220,10 @@ def _delta_feasible(
 
 def _feasible_value(
     inst: Instance, m: Mapping[str, Fraction]
-) -> Callable[[Mapping[str, int], int], tuple[int, int]]:
+) -> Callable[[Sequence[int], int], tuple[int, int]]:
     """The value of :func:`_delta_feasible` against a rival held as ints.
 
-    The rival's mass on each edge is ``held[eid] / d``; the value comes
+    The rival's mass on the edge of rank r is ``held[r] / d``; the value comes
     back as the pair (t, D), meaning t/D, with D the lcm of d and the lcm
     ``base`` of m's denominators. m is scaled once here, not once per
     rival, and no Fraction is made.
@@ -235,22 +236,20 @@ def _feasible_value(
     takes what it can from it.
     """
     base = lcm(*(val.denominator for val in m.values()))
-    rows = [
-        [(eid, m[eid].numerator * (base // m[eid].denominator) if eid in m else 0)
-         for eid in inst.strict_order(v)]
-        for v in inst.vertices
-    ]
+    scaled = {inst._rank[eid]: val.numerator * (base // val.denominator)
+              for eid, val in m.items()}
+    rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)] for v in inst.vertices]
 
-    def value(held: Mapping[str, int], d: int) -> tuple[int, int]:
+    def value(held: Sequence[int], d: int) -> tuple[int, int]:
         big = lcm(base, d)
         k, j = big // base, big // d
         if j != 1:
-            held = {eid: x * j for eid, x in held.items()}
+            held = [x * j for x in held]
         total = 0
         for row in rows:
             pool = rest = 0
-            for eid, a in row:
-                x = a * k - held.get(eid, 0)
+            for r, a in row:
+                x = a * k - held[r]
                 rest += x
                 if x < 0:
                     pool -= x
@@ -384,19 +383,20 @@ def _canonical_key(n: Mapping[str, Fraction]) -> tuple:
     return tuple(sorted((eid, val) for eid, val in n.items() if val != 0))
 
 
-#: a rival as the verdict scan reads it: its masses ``held[eid] / d`` as
-#: ints, and its Fraction form, or None until the scan needs one
-Rival = tuple[dict[str, int], int, dict[str, Fraction] | None]
+#: a rival as the verdict scan reads it: its mass on the edge of rank r
+#: is ``held[r] / d``, all ints
+Rival = tuple[Sequence[int], int]
 
 
-def _fractions(held: Mapping[str, int], d: int) -> dict[str, Fraction]:
-    return {eid: Fraction(x, d) for eid, x in held.items()}
+def _fractions(inst: Instance, held: Sequence[int], d: int) -> dict[str, Fraction]:
+    """A rival's Fraction form: its nonzero masses by edge id, in id order."""
+    return {e.eid: Fraction(x, d) for e, x in zip(inst.edges, held) if x}
 
 
 def _scan(
+    inst: Instance,
     rivals: Iterable[Rival],
-    value_of: Callable[[dict[str, int], int, dict[str, Fraction] | None],
-                       tuple[int, int]],
+    value_of: Callable[[Sequence[int], int], tuple[int, int]],
     build: Callable[[Mapping[str, Fraction]], DeltaResult],
     scope: str,
 ) -> PopularityVerdict:
@@ -409,13 +409,15 @@ def _scan(
     worst rival, and only when it is a counterexample.
     """
     worst = None  # (t, D, (-size, canonical key), rival)
-    for checked, (held, d, n) in enumerate(rivals, 1):
-        t, big = value_of(held, d, n)
+    for checked, (held, d) in enumerate(rivals, 1):
+        # all of held is read here, before the next rival is pulled: the
+        # enumerator moves its list in place from one rival to the next
+        t, big = value_of(held, d)
         if worst is not None:
             order = t * worst[1] - worst[0] * big
             if order > 0:
                 continue
-        rival = n if n is not None else _fractions(held, d)
+        rival = _fractions(inst, held, d)
         key = (-matching_size(rival), _canonical_key(rival))
         if worst is None or order < 0 or key < worst[2]:
             worst = (t, big, key, rival)
@@ -426,13 +428,17 @@ def _scan(
     return PopularityVerdict(t >= 0, scope, checked, Fraction(t, big), counter)
 
 
-def _enumerated(inst: Instance, bound: int) -> Iterator[Rival]:
-    """Every half-integral rival, its masses doubled over d = 2.
+def _enumerated(inst: Instance, bound: int, saturating: Sequence[int] = ()) -> Iterator[Rival]:
+    """Every half-integral rival whose doubled load is 2 at each vertex index
+    in ``saturating``, in canonical order, over d = 2.
 
-    The enumerator's values are the shared ``HALF`` and ``ONE``.
+    Each is the enumerator's own list of doubled values by edge rank, which
+    it moves in place to the next rival.
     """
-    for n in enumerate_half_matchings(inst, bound):
-        yield {eid: 1 if val is HALF else 2 for eid, val in n.items()}, 2, n
+    walk = _Assignments(inst, bound)
+    for _ in walk:
+        if all(walk.load[x] == 2 for x in saturating):
+            yield walk.val, 2
 
 
 #: the label an :func:`is_popular` verdict carries, by the scope it checked
@@ -463,11 +469,8 @@ def is_popular(
     rivals = _enumerated(inst, bound)
     if scope == "sampled":
         rivals = chain(rivals, _sampled(inst, seed, samples))
-    value = _feasible_value(inst, m)
-    return _scan(
-        rivals, lambda held, d, n: value(held, d),
-        lambda n: _delta_feasible(inst, m, n), SCOPES[scope],
-    )
+    return _scan(inst, rivals, _feasible_value(inst, m),
+                 lambda n: _delta_feasible(inst, m, n), SCOPES[scope])
 
 
 def is_popular_mixed(
@@ -475,17 +478,10 @@ def is_popular_mixed(
 ) -> PopularityVerdict:
     """Whether no half-integral rival beats m under the product pairing."""
     _require(inst, "the product comparison", m)
-
-    def value(held, d, n):
-        delta = _delta_product(inst, m, n)
-        return delta.numerator, delta.denominator
-
-    return _scan(
-        _enumerated(inst, bound),
-        value,
-        lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
-        "popular mixed",
-    )
+    value = lambda held, d: _delta_product(inst, m, _fractions(inst, held, d)).as_integer_ratio()
+    return _scan(inst, _enumerated(inst, bound), value,
+                 lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
+                 "popular mixed")
 
 
 def is_popular_critical(
@@ -496,23 +492,21 @@ def is_popular_critical(
 ) -> PopularityVerdict:
     """Popularity restricted to rivals saturating the critical set.
 
-    A rival saturates v when its doubled masses on v's edges sum to 2.
+    A rival saturates v when the enumerator's doubled load at v is 2.
+    Raises :class:`InstanceError` on an unknown critical vertex, then on
+    one m leaves unsaturated, naming the least such vertex.
     """
     _require(inst, "delta over feasible pairings", m)
-    crit = frozenset(critical)
+    crit = sorted(critical)
+    unknown = [v for v in crit if v not in inst._index]
+    if unknown:
+        raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
     m_full = saturated_vertices(inst, m)
     for v in crit:
         if v not in m_full:
             raise InstanceError(f"matching does not saturate critical vertex {v!r}")
-    stars = [inst.incident(v) for v in crit]
-    rivals = (
-        rival
-        for rival in _enumerated(inst, bound)
-        if all(sum(rival[0].get(eid, 0) for eid in star) == 2 for star in stars)
-    )
-    value = _feasible_value(inst, m)
     return _scan(
-        rivals, lambda held, d, n: value(held, d),
+        inst, _enumerated(inst, bound, [inst.index(v) for v in crit]), _feasible_value(inst, m),
         lambda n: _delta_feasible(inst, m, n),
         "popular among critical (half-integral scope)",
     )
@@ -533,27 +527,25 @@ def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
     checked to be at most d.
     """
     draws = _draws(random.Random(f"halfmatch-sample-{seed}"))
-    ends = [(e.eid, inst.index(e.u), inst.index(e.v)) for e in inst.edges]
+    ends = list(zip(inst._end_u, inst._end_v))
     zeros = [0] * len(inst.vertices)
     for _ in range(count):
         raw = list(islice(draws, len(ends)))
         load = zeros[:]
-        for (_, u, v), r in zip(ends, raw):
+        for (u, v), r in zip(ends, raw):
             load[u] += r
             load[v] += r
-        caps = [max(16, load[u], load[v]) for _, u, v in ends]
+        caps = [max(16, load[u], load[v]) for u, v in ends]
         d = lcm(*caps)
-        held = {}
+        held = [r * (d // cap) for r, cap in zip(raw, caps)]
         mass = zeros[:]
-        for (eid, u, v), r, cap in zip(ends, raw, caps):
-            if r:
-                x = held[eid] = r * (d // cap)
-                mass[u] += x
-                mass[v] += x
+        for (u, v), x in zip(ends, held):
+            mass[u] += x
+            mass[v] += x
         for v, x in enumerate(mass):
             if x > d:
                 raise MatchingError(f"sampled rival overloads vertex {inst.vertices[v]!r}")
-        yield held, d, None
+        yield held, d
 
 
 def sample_fractional_matchings(
@@ -566,4 +558,4 @@ def sample_fractional_matchings(
     the raw draws at a vertex. These are the rivals the sampled verdict
     scans as integer masses, in their Fraction form.
     """
-    return [_fractions(held, d) for held, d, _ in _sampled(inst, seed, count)]
+    return [_fractions(inst, held, d) for held, d in _sampled(inst, seed, count)]

@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import lcm
 
@@ -17,6 +21,7 @@ from halfmatch.core import (
 from halfmatch.engine import enumerate_half_matchings, stable_half_matching
 from halfmatch.generate import generate_random
 from halfmatch.solvers import solve_max_pri
+import halfmatch
 from halfmatch import popularity, simplex
 from halfmatch.popularity import (
     DeltaResult,
@@ -368,6 +373,36 @@ def test_popular_critical_cases():
     assert both.popular == plain.popular and both.checked == plain.checked
 
 
+def test_a_critical_refusal_names_the_least_vertex_whatever_the_hash_seed():
+    """An unknown critical vertex is refused first, as the crit reduction
+    refuses it, and then the least vertex m leaves unsaturated is named,
+    whatever order the hash seed gives the critical set."""
+    script = textwrap.dedent("""
+        from halfmatch.core import InstanceError
+        from halfmatch.generate import generate_random
+        from halfmatch.popularity import is_popular_critical
+
+        inst = generate_random(1, 6, edge_density=0.6)
+        for crit in (frozenset(inst.vertices) | {"zz", "zb", "zc"}, frozenset(inst.vertices)):
+            try:
+                is_popular_critical(inst, {}, crit)
+            except InstanceError as exc:
+                print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(halfmatch.__file__)))
+    outs = []
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] == (
+        "critical set contains unknown vertex 'zb'\n"
+        "matching does not saturate critical vertex 'v00'\n"
+    )
+
+
 def test_stable_integral_matchings_are_popular_on_bipartite():
     checked = 0
     for seed in range(40):
@@ -393,7 +428,7 @@ def test_an_unknown_scope_is_refused_before_any_rival_is_enumerated(monkeypatch,
     def refuse(inst, bound):
         raise AssertionError("rivals enumerated before the scope was checked")
 
-    monkeypatch.setattr(popularity, "enumerate_half_matchings", refuse)
+    monkeypatch.setattr(popularity, "_Assignments", refuse)
     with pytest.raises(ValueError, match="unknown popularity scope 'bogus'"):
         is_popular(single_edge, {"e": ONE}, scope="bogus")
 
@@ -435,10 +470,10 @@ def _oracle_markets(seeds, max_edges):
             yield seed, inst
 
 
-def _as_ints(n):
-    """n's masses as ints over the lcm d of their denominators, and d."""
+def _as_ints(inst, n):
+    """n's masses as ints by edge rank over the lcm d of their denominators, and d."""
     d = lcm(*(val.denominator for val in n.values()))
-    return {eid: val.numerator * (d // val.denominator) for eid, val in n.items()}, d
+    return [int(n.get(e.eid, 0) * d) for e in inst.edges], d
 
 
 def test_integer_value_equals_the_transport_value(monkeypatch):
@@ -459,7 +494,7 @@ def test_integer_value_equals_the_transport_value(monkeypatch):
         for m in mine:
             value = _feasible_value(inst, m)
             for n in theirs:
-                got = Fraction(*value(*_as_ints(n)))
+                got = Fraction(*value(*_as_ints(inst, n)))
                 assert type(got) is Fraction
                 assert got == _delta_feasible(inst, m, n).value, (seed, m, n)
                 pairs += 1
@@ -570,18 +605,63 @@ def test_verdicts_match_the_per_rival_scan():
     assert min(beaten) >= 20, beaten
 
 
+def _out_of_order(inst, rng):
+    """inst renamed and listed out of order: its vertex list not in name
+    order, and its edges listed out of id order under ids such as "b",
+    "a10" and "a9", which sort by text, not by number."""
+    pool = ["b", "a10", "a9", "a1", "a11", "a2", "a19", "a3"]
+    eids = dict(zip((e.eid for e in inst.edges), rng.sample(pool, len(inst.edges))))
+    names = dict(zip(inst.vertices, rng.sample([f"w{k}" for k in range(12)], len(inst.vertices))))
+    vertices = sorted(names.values(), reverse=True)
+    edges = sorted(((eids[e.eid], names[e.u], names[e.v]) for e in inst.edges), reverse=True)
+    pref = {names[v]: {eids[eid]: p for eid, p in row.items()} for v, row in inst.pref.items()}
+    pref_empty = {names[v]: p for v, p in inst.pref_empty.items()}
+    return validate_instance(vertices, edges, pref, pref_empty=pref_empty)
+
+
+def test_verdicts_and_samples_hold_on_markets_built_out_of_order():
+    # the scan reads rivals by edge rank and saturation by vertex index:
+    # neither may lean on the vertex or edge list being given in order
+    rng = random.Random(30)
+    beaten = [0, 0, 0, 0]
+    markets = 0
+    for seed, base in _oracle_markets(range(30), max_edges=6):
+        inst = _out_of_order(base, rng)
+        assert list(inst.vertices) == sorted(inst.vertices, reverse=True)
+        by_number = sorted(inst._rank, key=lambda eid: (eid[0], int(eid[1:] or 0)))
+        markets += by_number != [e.eid for e in inst.edges]
+        samples = sample_fractional_matchings(inst, seed=seed, count=20)
+        fraction_form = _fraction_sampler(inst, seed, 20)
+        assert [list(n.items()) for n in samples] == [list(n.items()) for n in fraction_form]
+        rivals = list(enumerate_half_matchings(inst, bound=6))
+        for m in rivals[:: max(1, len(rivals) // 3)] + samples[:1]:
+            crit = [v for v in inst.vertices if is_saturated(inst, m, v)][:2]
+            verdicts = [
+                is_popular(inst, m, bound=6),
+                is_popular(inst, m, bound=6, scope="sampled", samples=20, seed=seed),
+                is_popular_mixed(inst, m, bound=6),
+                is_popular_critical(inst, m, crit, bound=6),
+            ]
+            want = _oracle_verdicts(inst, m, 6, seed)
+            assert _plain(verdicts) == _plain(want), (seed, m)
+            beaten = [b + (not v.popular) for b, v in zip(beaten, want)]
+    assert markets >= 5 and min(beaten) >= 10, (markets, beaten)
+
+
 def _sampled_candidates(inst, m, samples, seed):
-    """Sampled rivals whose value ties or beats every rival scanned before them."""
+    """The rivals whose value ties or beats every rival scanned before them:
+    how many in all, and how many of them are sampled."""
     rivals = list(enumerate_half_matchings(inst, 10))
     first = len(rivals)
     rivals += sample_fractional_matchings(inst, seed=seed, count=samples)
-    worst, count = None, 0
+    worst, count, sampled = None, 0, 0
     for i, n in enumerate(rivals):
         value = _delta_feasible(inst, m, n).value
         if worst is None or value <= worst:
             worst = value
-            count += i >= first
-    return count
+            count += 1
+            sampled += i >= first
+    return count, sampled
 
 
 @pytest.mark.parametrize("market", ["single_edge", "five_agent_market"])
@@ -592,7 +672,7 @@ def test_a_sampled_verdict_stays_on_integers(monkeypatch, request, market):
         inst, m = request.getfixturevalue(market), {"e": ONE}
     else:
         inst, m, _ = request.getfixturevalue(market)
-    candidates = _sampled_candidates(inst, m, 200, seed=4)
+    candidates, sampled = _sampled_candidates(inst, m, 200, seed=4)
     want = is_popular(inst, m, scope="sampled", seed=4)
     calls = {"check_matching": [], "_delta_feasible": [], "_fractions": []}
     for name, seen in calls.items():
@@ -605,7 +685,7 @@ def test_a_sampled_verdict_stays_on_integers(monkeypatch, request, market):
     assert [args[1] for args in calls["check_matching"]] == [m]
     assert len(calls["_delta_feasible"]) == (not want.popular)
     assert len(calls["_fractions"]) == candidates
-    assert candidates >= 5 if market == "single_edge" else candidates == 0
+    assert sampled >= 5 if market == "single_edge" else sampled == 0
 
 
 # -- golden pin ----------------------------------------------------------------
