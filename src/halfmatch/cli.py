@@ -18,25 +18,22 @@ from .generate import GAMMA_PRESETS, generate_random
 from .io import (
     MODES,
     SOLVER_CLAIMS,
+    _popularity_claims,
     build_result,
     check_result,
-    format_matching,
     format_rational,
     instance_digest,
     load_instance,
     load_result,
-    parse_matching,
     result_weights,
     serialize_instance,
     serialize_result,
 )
-from .popularity import SCOPES, is_popular, is_popular_critical
+from .popularity import SCOPES
 from .solvers import (
     InfeasibleCritical,
     VerificationFailed,
     _pop_maxw,
-    max_weight_dual,
-    restrict_to_edges,
     solve_max_gamma,
     solve_max_pri,
     solve_max_srti,
@@ -186,47 +183,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _popularity_claims(inst, m, bound: int, scope: str) -> dict:
-    """The popularity claims solve-max-pri records, from a verdict in ``scope``."""
-    verdict = is_popular(inst, m, bound=bound, scope=scope)
-    claims = {"popular": verdict.popular, "popular_scope": verdict.scope}
-    if verdict.counterexample:
-        rival, res = verdict.counterexample
-        claims["counterexample"] = {"matching": format_matching(rival),
-                                    "delta": format_rational(res.value)}
-    return claims
-
-
 def _cmd_verify(args) -> int:
     inst = load_instance(args.input)
     result = load_result(args.result)
-    within = 0 < len(inst.edges) <= args.oracle_bound
-    oracle = functools.partial(_popularity_claims, inst, bound=args.oracle_bound,
-                               scope=args.scope)
-    problems = check_result(inst, result, instance_digest(inst), oracle if within else None)
-    ver = result.get("verification", {})
-    solver = result.get("solver")
-    crit, tight = frozenset(ver.get("critical", ())), None
-    if not problems and solver == "solve-pop-maxw":
-        # the weight must be the optimum, so the dual is solved again here;
-        # check_result already re-derived the weight from the matching
-        dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
-        if ver["weight"] != format_rational(dual.objective):
-            problems.append("recorded weight is not the maximum weight")
-        if ver["critical"] != sorted(dual.critical):
-            problems.append("recorded critical set is not the dual's positive-potential set")
-        # the maximum-weight rivals are the critical rivals on the tight edges
-        crit, tight = dual.critical, set(dual.tight_edges)
-    # the critical oracle re-checks only a matching whose recorded claims re-derive
-    if not problems and within and solver in ("solve-pop-crit", "solve-pop-maxw"):
-        m = parse_matching(result.get("matching", {}))
-        market = inst if tight is None else restrict_to_edges(inst, tight)
-        try:
-            crit_ok = is_popular_critical(market, m, crit, bound=args.oracle_bound).popular
-        except InstanceError:
-            crit_ok = False
-        if not crit_ok:
-            problems.append("matching is not popular among critical rivals")
+    problems = check_result(inst, result, instance_digest(inst), args.oracle_bound, args.scope)
     if problems:
         for msg in problems:
             print(f"verification failure: {msg}", file=sys.stderr)

@@ -30,7 +30,7 @@ from itertools import chain
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .core import (
     ONE,
@@ -47,7 +47,8 @@ from .core import (
     check_matching,
     matching_stats,
 )
-from .popularity import SCOPES
+from .popularity import SCOPES, is_popular, is_popular_critical
+from .solvers import max_weight_dual, restrict_to_edges
 
 
 def format_rational(x: Rational) -> str:
@@ -376,7 +377,7 @@ def load_result(path: str) -> dict[str, Any]:
 
 
 def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
-                 popularity: Callable | None = None) -> list[str]:
+                 bound: int = 0, scope: str = "half") -> list[str]:
     """Re-derive everything a result file claims; returns the failures.
 
     Only ``verify`` calls it: a solve writes the claims its solver has
@@ -387,23 +388,33 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     summary are recomputed from scratch and compared field by field; a
     recorded flag must be the JSON boolean it re-derives to. The recorded
     solver tag decides which claims must be present and which may be
-    (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add one.
-    ``popularity``, if given, maps a valid matching to the popularity claims
-    solve-max-pri would record for it, and each recorded claim must equal its own.
+    (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add one;
+    a pri, crit or maxw result on a market with ties, which no solve
+    writes, is refused before any oracle runs.
+
+    Once every other claim re-derives, a maxw result's dual is solved
+    again: the weight must be the optimum, the critical set its
+    positive-potential set. On 1 to ``bound`` edges the oracles run too:
+    pri popularity claims must equal the verdict in ``scope``, and a crit
+    or maxw matching must be popular among its critical rivals (for maxw,
+    those on the dual's tight edges: the maximum-weight rivals).
     """
     problems: list[str] = []
+    within = 0 < len(inst.edges) <= bound
     if result.get("instance_digest") != digest:
         problems.append("instance digest mismatch")
     solver = result.get("solver")
     if not isinstance(solver, str) or solver not in SOLVER_CLAIMS:
         return problems + [f"unknown solver tag {solver!r}"]
+    mode = MODES.get(solver)
+    if not mode and not inst.is_strict():  # the pri, crit and maxw solvers read no ties
+        return problems + [f"{solver} requires strict (tie-free) preferences"]
     ver = result.get("verification", {})
     problems += [f"verification lacks the {key!r} claim"
                  for key in SOLVER_CLAIMS[solver] if key not in ver]
     writes = SOLVER_CLAIMS[solver] + (POPULARITY_CLAIMS if solver == "solve-max-pri" else ())
     problems += [f"verification holds {key!r}, which {solver} does not write"
                  for key in ver if key not in writes]
-    mode = MODES.get(solver)
     if mode and ver.get("mode") != mode:
         problems.append(f"mode is not {mode!r}, the mode {solver} writes")
     try:
@@ -435,8 +446,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         problems.append("derived stability flag is not true")
     if solver == "solve-max-pri" and any(key in ver for key in POPULARITY_CLAIMS):
         problems += _popularity_problems(inst, ver)
-        if popularity is not None:  # the verdict reads only the instance and m
-            claims = popularity(m)
+        if within:  # the verdict reads only the instance and m
+            claims = _popularity_claims(inst, m, bound, scope)
             problems += [f"recorded {key!r} does not re-derive"
                          for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
     if "critical" in ver:
@@ -462,7 +473,34 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
             problems.append("recorded weight does not re-derive")
         if ver.get("dual_objective", got) != got:  # the solver certified them equal
             problems.append("recorded dual objective differs from the weight")
+    if problems or solver not in ("solve-pop-crit", "solve-pop-maxw"):
+        return problems
+    tight = None
+    if solver == "solve-pop-maxw":  # the weight must be the optimum: solve the dual again
+        dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
+        if ver["weight"] != format_rational(dual.objective):
+            problems.append("recorded weight is not the maximum weight")
+        if ver["critical"] != sorted(dual.critical):
+            problems.append("recorded critical set is not the dual's positive-potential set")
+        tight = set(dual.tight_edges)  # the maximum-weight rivals are the critical ones on them
+    # the critical oracle re-checks only a matching whose recorded claims re-derive
+    if not problems and within:
+        market = inst if tight is None else restrict_to_edges(inst, tight)
+        if not is_popular_critical(market, m, frozenset(ver["critical"]), bound=bound).popular:
+            problems.append("matching is not popular among critical rivals")
     return problems
+
+
+def _popularity_claims(inst: Instance, m: Mapping[str, Fraction], bound: int,
+                       scope: str) -> dict[str, Any]:
+    """The popularity claims solve-max-pri records, from a verdict in ``scope``."""
+    verdict = is_popular(inst, m, bound=bound, scope=scope)
+    claims = {"popular": verdict.popular, "popular_scope": verdict.scope}
+    if verdict.counterexample:
+        rival, res = verdict.counterexample
+        claims["counterexample"] = {"matching": format_matching(rival),
+                                    "delta": format_rational(res.value)}
+    return claims
 
 
 def _popularity_problems(inst: Instance, ver: Mapping[str, Any]) -> list[str]:

@@ -4,8 +4,11 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,11 +31,14 @@ from halfmatch.io import (
     load_result,
     parse_instance_text,
     parse_rational,
+    result_weights,
     save_instance,
     serialize_instance,
     serialize_result,
     _stats_record,
 )
+from halfmatch.popularity import SCOPES
+from halfmatch.solvers import max_weight_dual
 
 from conftest import rational_market
 
@@ -722,6 +728,90 @@ def test_cli_verify_rejects_a_maxw_result_below_the_maximum(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "recorded weight is not the maximum weight" in err
     assert "critical set is not the dual's" in err
+
+
+def test_check_result_alone_rejects_a_maxw_result_below_the_maximum(tmp_path):
+    # the document of the test above, with no CLI around the check
+    inst, _, res_path = _solved(
+        tmp_path, ["--seed", "2", "--n", "8", "--weight-min", "1", "--weight-max", "9"],
+        "solve-pop-maxw")
+    doc = json.loads(res_path.read_text())
+    doc["matching"], doc["stats"] = {}, _stats_record(inst, {})
+    doc["verification"].update(weight="0", dual_objective="0", critical=[])
+    assert check_result(inst, doc, instance_digest(inst)) == [
+        "recorded weight is not the maximum weight",
+        "recorded critical set is not the dual's positive-potential set",
+    ]
+
+
+def test_check_result_alone_runs_the_critical_oracle(tmp_path):
+    # seed 7's maxw output is popular among the maximum-weight rivals; as a
+    # crit result on the same critical set, a critical rival beats it by 3
+    inst, _, res_path = _solved(
+        tmp_path, ["--seed", "7", "--n", "5", "--edge-density", "0.6", "--weight-min", "1",
+                   "--weight-max", "5"], "solve-pop-maxw")
+    doc, digest = json.loads(res_path.read_text()), instance_digest(inst)
+    assert check_result(inst, doc, digest, bound=10) == []
+    doc["solver"] = "solve-pop-crit"
+    doc["verification"] = {"derived_stable": True, "critical_ok": True,
+                           "critical": doc["verification"]["critical"]}
+    assert check_result(inst, doc, digest) == []
+    assert check_result(inst, doc, digest, bound=10) == [
+        "matching is not popular among critical rivals"]
+
+
+def _tied_result(tmp_path, kind):
+    """A market with ties (8 edges) and a result no solver writes on it, with
+    honest stats and claims: the maxw dual's witness, or an empty matching;
+    both are written to files too, whose paths come last."""
+    inst = generate_random(3, 8, edge_density=0.5, tie_prob=0.6, weight_range=(1, 9))
+    m, ver = {}, {"derived_stable": True}
+    if kind == "maxw":
+        dual = max_weight_dual(inst, result_weights(inst, "instance"))
+        weight = format_rational(dual.objective)
+        m = dual.witness
+        ver.update(weights_source="instance", weight=weight, dual_objective=weight,
+                   critical=sorted(dual.critical))
+    elif kind == "crit":
+        ver.update(critical=[], critical_ok=True)
+    elif kind == "pri-popular":
+        ver.update(popular=True, popular_scope=SCOPES["half"])
+    tag = {"maxw": "solve-pop-maxw", "crit": "solve-pop-crit"}.get(kind, "solve-max-pri")
+    doc = build_result(tag, inst, m, ver, instance_digest(inst))
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    save_instance(inst, str(inst_path))
+    res_path.write_text(serialize_result(doc))
+    return inst, doc, inst_path, res_path
+
+
+@pytest.mark.parametrize("kind", ["maxw", "crit", "pri", "pri-popular"])
+def test_verify_refuses_a_strict_solvers_result_on_a_market_with_ties(tmp_path, capsys,
+                                                                      kind):
+    inst, doc, inst_path, res_path = _tied_result(tmp_path, kind)
+    assert len(inst.edges) == 8 and not inst.is_strict()
+    tag = doc["solver"]
+    message = f"{tag} requires strict (tie-free) preferences"
+    assert main([tag, "--input", str(inst_path)]) == 2  # no solve writes such a file
+    assert re.match("error: .*strict", capsys.readouterr().err)
+    for bound in (0, 10, 20):  # refused before any oracle runs
+        assert check_result(inst, doc, instance_digest(inst), bound) == [message]
+        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
+                     "--oracle-bound", str(bound)]) == 1
+        assert capsys.readouterr().err == f"verification failure: {message}\n"
+
+
+def test_verify_refuses_popularity_claims_on_a_market_with_ties_under_python_o(tmp_path):
+    # the popularity oracle would refuse the market as bad input; the
+    # refusal comes first, as a failed check, with asserts stripped too
+    _, _, inst_path, res_path = _tied_result(tmp_path, "pri-popular")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "halfmatch", "verify", "--input", str(inst_path),
+         "--result", str(res_path), "--oracle-bound", "10"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == ("verification failure: solve-max-pri requires strict "
+                          "(tie-free) preferences\n")
 
 
 def test_cli_verify_demands_every_claim_of_the_solver(tmp_path, capsys):
