@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", required=True, help="result file to re-check")
     p.add_argument("--oracle-bound", type=int, default=0,
                    help="re-run popularity checks when the instance fits")
-    p.add_argument("--scope", choices=list(SCOPES), default="half")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep seeds, compare against brute force, emit CSV")
@@ -145,6 +144,8 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
     tag = args.tag
+    if tag not in MODES:  # the pri, crit and maxw solvers read no ties
+        inst.require_strict(tag)
 
     # each solver certifies every claim recorded below before it returns;
     # `verify` re-derives them all from the file, independently
@@ -186,7 +187,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = load_instance(args.input)
     result = load_result(args.result)
-    problems = check_result(inst, result, instance_digest(inst), args.oracle_bound, args.scope)
+    problems = check_result(inst, result, instance_digest(inst), args.oracle_bound)
     if problems:
         for msg in problems:
             print(f"verification failure: {msg}", file=sys.stderr)

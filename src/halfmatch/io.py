@@ -339,6 +339,8 @@ SOLVER_CLAIMS: dict[str, tuple[str, ...]] = {
                        "critical"),
 }
 POPULARITY_CLAIMS = ("popular", "popular_scope", "counterexample")  #: solve-max-pri's, if any
+#: the keys build_result writes, sorted
+RESULT_KEYS = ["instance_digest", "matching", "seed", "solver", "stats", "verification"]
 #: the stability mode each stable solve writes, by its solver tag
 MODES = {"solve-max-srti": "weak", "solve-gamma": "gamma"}
 
@@ -369,6 +371,8 @@ def load_result(path: str) -> dict[str, Any]:
     for key in ("matching", "stats", "verification"):
         if not isinstance(doc.get(key, {}), dict):
             raise InstanceError(f"the {key!r} section of a result file must be an object")
+    if doc.get("seed") is not None and type(doc["seed"]) is not int:  # a bool is no seed
+        raise InstanceError("the seed of a result file must be an integer or null")
     parse_matching(doc.get("matching", {}))  # a malformed value is bad input
     if "critical" in doc.get("verification", {}):
         _list_of(str, doc["verification"]["critical"],
@@ -377,32 +381,35 @@ def load_result(path: str) -> dict[str, Any]:
 
 
 def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
-                 bound: int = 0, scope: str = "half") -> list[str]:
+                 bound: int = 0) -> list[str]:
     """Re-derive everything a result file claims; returns the failures.
 
     Only ``verify`` calls it: a solve writes the claims its solver has
     already certified, and this re-derives them independently. A clean
-    re-verification returns an empty list. The recorded digest must
-    equal ``digest``, :func:`instance_digest` of ``inst``; the
-    matching is re-validated, and the stats and per-solver verification
-    summary are recomputed from scratch and compared field by field; a
-    recorded flag must be the JSON boolean it re-derives to. The recorded
-    solver tag decides which claims must be present and which may be
-    (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add one;
-    a pri, crit or maxw result on a market with ties, which no solve
-    writes, is refused before any oracle runs.
+    re-verification returns an empty list. One rule orders the checks:
+    every one-pass check runs first, and only a result with no problem
+    reaches a re-solve, :func:`is_popular`, :func:`max_weight_dual` or
+    :func:`is_popular_critical`.
 
-    Once every other claim re-derives, a maxw result's dual is solved
-    again: the weight must be the optimum, the critical set its
-    positive-potential set. On 1 to ``bound`` edges the oracles run too:
-    pri popularity claims must equal the verdict in ``scope``, and a crit
-    or maxw matching must be popular among its critical rivals (for maxw,
-    those on the dual's tight edges: the maximum-weight rivals).
+    One pass: the digest must be ``digest``, :func:`instance_digest` of
+    ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes; the
+    solver tag decides which claims must be present and which may be
+    (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add
+    one; a pri, crit or maxw result on a market with ties is refused; the
+    matching, its stats and the claims re-derive field by field, a flag
+    as a JSON boolean, popularity claims by their shape.
+    The re-solves: a maxw result's dual, whose optimum the weight must be
+    and whose positive-potential set the critical set; on 1 to ``bound``
+    edges, pri's verdict in the scope it records, and a crit or maxw
+    matching popular among its critical rivals (for maxw, those on the
+    dual's tight edges: the maximum-weight rivals).
     """
     problems: list[str] = []
     within = 0 < len(inst.edges) <= bound
     if result.get("instance_digest") != digest:
         problems.append("instance digest mismatch")
+    if sorted(result) != RESULT_KEYS:  # the keys build_result writes, no more, no fewer
+        problems.append(f"result keys {sorted(result)} are not the six a solve writes")
     solver = result.get("solver")
     if not isinstance(solver, str) or solver not in SOLVER_CLAIMS:
         return problems + [f"unknown solver tag {solver!r}"]
@@ -446,10 +453,6 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         problems.append("derived stability flag is not true")
     if solver == "solve-max-pri" and any(key in ver for key in POPULARITY_CLAIMS):
         problems += _popularity_problems(inst, ver)
-        if within:  # the verdict reads only the instance and m
-            claims = _popularity_claims(inst, m, bound, scope)
-            problems += [f"recorded {key!r} does not re-derive"
-                         for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
     if "critical" in ver:
         known = set(inst.vertices)
         crit = ver["critical"]
@@ -473,8 +476,13 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
             problems.append("recorded weight does not re-derive")
         if ver.get("dual_objective", got) != got:  # the solver certified them equal
             problems.append("recorded dual objective differs from the weight")
-    if problems or solver not in ("solve-pop-crit", "solve-pop-maxw"):
+    if problems:  # no re-solve below reads a result with a failed one-pass claim
         return problems
+    if "popular_scope" in ver and within:  # pri's verdict reads only the instance and m
+        scope = next(key for key, label in SCOPES.items() if label == ver["popular_scope"])
+        claims = _popularity_claims(inst, m, bound, scope)
+        problems += [f"recorded {key!r} does not re-derive"
+                     for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
     tight = None
     if solver == "solve-pop-maxw":  # the weight must be the optimum: solve the dual again
         dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
@@ -483,8 +491,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         if ver["critical"] != sorted(dual.critical):
             problems.append("recorded critical set is not the dual's positive-potential set")
         tight = set(dual.tight_edges)  # the maximum-weight rivals are the critical ones on them
-    # the critical oracle re-checks only a matching whose recorded claims re-derive
-    if not problems and within:
+    # crit's and maxw's critical oracle, once the dual re-derives too
+    if not problems and within and "critical" in ver:
         market = inst if tight is None else restrict_to_edges(inst, tight)
         if not is_popular_critical(market, m, frozenset(ver["critical"]), bound=bound).popular:
             problems.append("matching is not popular among critical rivals")

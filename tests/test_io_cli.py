@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfmatch import core
+from halfmatch import io as result_io
 from halfmatch.cli import _popularity_claims, main
 from halfmatch.core import ONE, InstanceError, validate_instance
 from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
     POPULARITY_CLAIMS,
+    RESULT_KEYS,
     SOLVER_CLAIMS,
     build_result,
     check_result,
@@ -591,30 +593,131 @@ def test_cli_verify_rejects_a_claim_its_solver_never_writes(tmp_path, capsys, cl
         assert f"verification holds {key!r}, which solve-max-srti does not write" in err
 
 
-@pytest.mark.parametrize("key, value, scope", [
-    (None, None, "sampled"),  # the recorded scope is not the one checked
-    ("popular_scope", "popular (every fractional rival)", "half"),
-    ("counterexample", {"matching": {}, "delta": "1"}, "half"),
-], ids=["other-scope", "popular_scope", "counterexample"])
-def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, key, value, scope):
-    # the verdict is popular, so the solve records no counterexample
+@pytest.mark.parametrize("claim", ["popular", "counterexample"])
+def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, claim):
+    # each edit keeps the claims' shape, so verify passes it without the
+    # oracle, and only the re-run verdict refutes it
     inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
     assert main(["generate", "--seed", "1", "--n", "6", "--edge-density", "0.4",
                  "--output", str(inst_path)]) == 0
     assert main(["solve-max-pri", "--input", str(inst_path), "--output", str(res_path),
                  "--oracle-bound", "8"]) == 0
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main([*verify, "--oracle-bound", "8"]) == 0
+    doc = json.loads(res_path.read_text())
+    ver = doc["verification"]
+    assert ver["popular"] is True
+    if claim == "popular":  # a popular matching called unpopular, beaten by no rival
+        ver.update(popular=False, counterexample={"matching": {}, "delta": "-1"})
+        res_path.write_text(json.dumps(doc))
+    else:  # the empty matching's honest counterexample, its delta one lower
+        inst = load_instance(str(inst_path))
+        doc["matching"] = {}
+        ver.update(_popularity_claims(inst, {}, 8, "half"))
+        delta = parse_rational(ver["counterexample"]["delta"])
+        assert delta < 0
+        ver["counterexample"]["delta"] = format_rational(delta - 1)
+        _rewrite(inst, res_path, doc)
+    assert main(verify) == 0
+    capsys.readouterr()
+    assert main([*verify, "--oracle-bound", "8"]) == 1
+    assert f"recorded {claim!r} does not re-derive" in capsys.readouterr().err
+
+
+def test_cli_verify_re_runs_the_recorded_scope(tmp_path):
+    # verify takes the scope off the result, so a sampled verdict re-derives
+    # from the file alone, with asserts stripped too
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "6", "--edge-density", "0.4",
+                 "--output", str(inst_path)]) == 0
+    assert main(["solve-max-pri", "--input", str(inst_path), "--output", str(res_path),
+                 "--oracle-bound", "8", "--scope", "sampled"]) == 0
+    assert json.loads(res_path.read_text())["verification"]["popular_scope"] == \
+        SCOPES["sampled"]
     verify = ["verify", "--input", str(inst_path), "--result", str(res_path),
               "--oracle-bound", "8"]
     assert main(verify) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-m", "halfmatch", *verify],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")
+
+
+def test_verify_takes_no_scope(tmp_path, capsys):
+    _, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*verify, "--scope", "half"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(verify) == 0
+
+
+@pytest.mark.parametrize("tag, generate, flags", [
+    ("solve-max-pri", ["--seed", "1", "--n", "7", "--edge-density", "0.4"],
+     ["--oracle-bound", "10"]),
+    ("solve-pop-crit", ["--seed", "4", "--n", "6", "--edge-density", "0.5"],
+     ["--critical", "v01,v05"]),
+    ("solve-pop-maxw", ["--seed", "7", "--n", "5", "--edge-density", "0.6",
+                        "--weight-min", "1", "--weight-max", "5"], []),
+])
+def test_check_result_re_solves_nothing_after_a_failed_one_pass_claim(
+        tmp_path, monkeypatch, tag, generate, flags):
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", *generate, "--output", str(inst_path)]) == 0
+    assert main([tag, "--input", str(inst_path), "--output", str(res_path), *flags]) == 0
+    inst, doc = load_instance(str(inst_path)), json.loads(res_path.read_text())
+    assert len(inst.edges) <= 10
+    calls = []
+    for name in ("is_popular", "max_weight_dual", "is_popular_critical"):
+        def counted(*args, _real=getattr(result_io, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(result_io, name, counted)
+    digest = instance_digest(inst)
+    assert check_result(inst, doc, digest, bound=10) == []
+    assert calls  # an honest result reaches its oracle
+    calls.clear()
+    doc["stats"]["size"] = format_rational(parse_rational(doc["stats"]["size"]) + 1)
+    assert check_result(inst, doc, digest, bound=10) == [
+        "stats field 'size' does not re-derive"]
+    assert calls == []
+
+
+DROP = object()  # stands for a deleted key
+BAD_SEED = "error: the seed of a result file must be an integer or null"
+
+
+@pytest.mark.parametrize("key, value, code, message", [
+    ("seed", "banana", 2, BAD_SEED),
+    ("seed", 1.5, 2, BAD_SEED),
+    ("seed", True, 2, BAD_SEED),
+    ("seed", {"seed": 1}, 2, BAD_SEED),
+    ("seed", DROP, 1, "verification failure: result keys ['instance_digest', 'matching', "
+     "'solver', 'stats', 'verification'] are not the six a solve writes"),
+    ("note", "anything", 1, "verification failure: result keys ['instance_digest', "
+     "'matching', 'note', 'seed', 'solver', 'stats', 'verification'] are not the six a "
+     "solve writes"),
+], ids=["seed-string", "seed-float", "seed-bool", "seed-dict", "no-seed", "extra-key"])
+def test_cli_verify_reads_only_the_top_level_a_solve_writes(tmp_path, capsys, key, value,
+                                                            code, message):
+    # a solve writes six keys, its seed an int or null
+    _, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "8"], "solve-max-srti")
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
     doc = json.loads(res_path.read_text())
-    assert doc["verification"]["popular"] is True
-    if key is not None:
-        doc["verification"][key] = value
-        res_path.write_text(json.dumps(doc))
+    assert sorted(doc) == RESULT_KEYS and doc["seed"] is None
+    for seed in (None, 0, -3, 10 ** 30):
+        res_path.write_text(json.dumps({**doc, "seed": seed}))
+        assert main(verify) == 0
+    if value is DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    res_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main([*verify, "--scope", scope]) == 1
-    want = key or "popular_scope"
-    assert f"recorded {want!r} does not re-derive" in capsys.readouterr().err
+    assert main(verify) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 OWN = object()  # stands for the result's own matching
@@ -669,7 +772,7 @@ def test_cli_verify_checks_popularity_claims_without_the_oracle(tmp_path, capsys
     assert f"verification failure: {message}" in capsys.readouterr().err
 
 
-def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
+def test_cli_verify_accepts_an_honest_counterexample(tmp_path):
     # the single edge e000 is beaten by a rival by 4; the claims is_popular
     # writes for it pass the shape check and re-derive under the oracle
     inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
@@ -683,8 +786,6 @@ def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
     verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
     assert main(verify) == 0
     assert main([*verify, "--oracle-bound", "8"]) == 0
-    assert main([*verify, "--oracle-bound", "8", "--scope", "sampled"]) == 1
-    assert "recorded 'popular_scope' does not re-derive" in capsys.readouterr().err
 
 
 def _solved(tmp_path, generate, tag):
@@ -792,7 +893,7 @@ def test_verify_refuses_a_strict_solvers_result_on_a_market_with_ties(tmp_path, 
     tag = doc["solver"]
     message = f"{tag} requires strict (tie-free) preferences"
     assert main([tag, "--input", str(inst_path)]) == 2  # no solve writes such a file
-    assert re.match("error: .*strict", capsys.readouterr().err)
+    assert capsys.readouterr().err == f"error: {message}\n"
     for bound in (0, 10, 20):  # refused before any oracle runs
         assert check_result(inst, doc, instance_digest(inst), bound) == [message]
         assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
