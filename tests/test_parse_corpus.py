@@ -307,3 +307,47 @@ def test_each_fault_is_named(mutate, message):
     with pytest.raises(InstanceError) as exc:
         parse_instance_text(text)
     assert str(exc.value) == message
+
+
+# -- two faults at once: the file's own fault is named before the market's ------
+
+_MARKET = json.loads(serialize_instance(generate_random(
+    1, 4, edge_density=0.7, gamma_preset="generic", weight_range=(1, 3), critical_count=1)))
+_LOOP = _set(["edges", 3, "v"], "v02")  # e003 from v02 to v02
+_TWIN = _set(["vertices", 3], "v00")  # a duplicate vertex id
+_GAMMA = ("malformed gamma section: each edge maps its endpoints to objects with 'gamma' "
+          "and 'delta' rationals")
+
+#: (id, a fault of the market, a fault of the file itself, the message: the file's)
+DOUBLE_FAULTS = [
+    ("loop-and-gamma-without-delta", _LOOP, _drop(["gamma", "e000", "v00", "delta"]), _GAMMA),
+    ("duplicate-vertex-and-group-not-a-list", _TWIN, _set(["prefs", "v01", 0], "e001"),
+     "preference list of 'v01' must contain tie groups (lists of edge ids)"),
+    ("unknown-endpoint-and-id-twice", _set(["edges", 2, "v"], "v09"),
+     _set(["prefs", "v02", 2, 1], "e000"),
+     "line 1: preference list of 'v02' mentions edge 'e000' twice"),
+    ("bad-weight-and-gamma-not-below-delta", _set(["gamma", "e002", "v01", "gamma"], "5/2"),
+     _set(["edges", 1, "weight"], "x"), "malformed rational 'x'"),
+    ("gamma-of-unknown-edge-and-critical-not-names",
+     _set(["gamma", "e009"], {"v00": {"gamma": "1", "delta": "2"}}), _set(["critical", 0], 7),
+     "the critical set must be a list of vertices"),
+    ("duplicate-vertex-and-record-without-u", _TWIN, _drop(["edges", 2, "u"]),
+     "malformed edge record {'id': 'e002', 'v': 'v03', 'weight': '3'}"),
+    ("duplicate-vertex-and-id-a-number", _TWIN, _set(["edges", 2, "id"], 5),
+     "edge record {'id': 5, 'u': 'v01', 'v': 'v03', 'weight': '3'}: ids must be strings"),
+    ("loop-and-weight-with-exponent", _LOOP, _set(["edges", 0, "weight"], "1e3"),
+     "malformed rational '1e3'"),
+]
+
+
+@pytest.mark.parametrize("market, own, message", [
+    pytest.param(market, own, msg, id=name) for name, market, own, msg in DOUBLE_FAULTS])
+def test_a_files_own_fault_comes_before_the_markets(market, own, message):
+    """Each file has one fault of the market and one of the file itself; the
+    file's is named whichever comes first in the text."""
+    with pytest.raises(InstanceError) as exc:
+        parse_instance_text(json.dumps(own(market(copy.deepcopy(_MARKET)))))
+    assert str(exc.value) == message
+    with pytest.raises(InstanceError) as alone:  # the market's fault alone is another
+        parse_instance_text(json.dumps(market(copy.deepcopy(_MARKET))))
+    assert str(alone.value) != message
