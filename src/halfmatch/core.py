@@ -234,19 +234,24 @@ def _instance(
     values: Mapping[str, Sequence[int | Fraction]] | None = None,
     pref_empty: Mapping[str, int | Fraction] | None = None,
     weights: Mapping[str, Rational] | None = None,
-    gamma: Iterable[tuple[str, Mapping[str, tuple[Rational, Rational]]]] | None = None,
+    gamma: Iterable[tuple[str, Mapping[str, Mapping[str, Any]]]] | None = None,
     critical: Iterable[str] | None = None,
+    read: Callable[[Any], Fraction] = _rat,
 ) -> Instance:
     """The market whose vertex v ranks its edges in the tie groups
     ``groups[v]`` (edge ids, best first, any order inside a group; empty
     groups skipped), valued as ``values[v]`` lists them or by their count
-    down to 1, with each edge's thresholds by endpoint in ``gamma``. Raises
+    down to 1, with each edge's thresholds by endpoint in ``gamma``, as an
+    instance file holds them (``{"gamma": g, "delta": d}``): each end's pair
+    is keyed on g and d as given, and each distinct pair is read once, by
+    ``read``. Each input is read in one pass, which notices any fault; the
+    first is then named. Raises
     :class:`InstanceError` at the first of: duplicate vertex ids; an edge
     with a repeated id, an unknown endpoint or a loop; groups of an unknown
-    vertex; a vertex whose groups miss its edge (the first by id) or name
-    another; a weight or threshold of an unknown edge; a threshold of an
-    endpoint off its edge or not ``0 < gamma < delta``; an unknown critical
-    vertex."""
+    vertex; a vertex whose groups miss its edge (the first by id), name
+    another or name one twice; a weight or threshold of an unknown edge; a
+    threshold of an endpoint off its edge or not ``0 < gamma < delta``; an
+    unknown critical vertex."""
     vs = tuple(vertices)
     index = {v: i for i, v in enumerate(vs)}
     if len(index) != len(vs):
@@ -270,7 +275,7 @@ def _instance(
     E, rank_of = len(es), rank.__getitem__
     end_u, end_v = [index[e.u] for e in es], [index[e.v] for e in es]
     value_u, value_v = [None] * E, [None] * E  # None: not valued yet
-    ranks, starts, stray = {}, {}, False
+    ranks, starts, stray, placed = {}, {}, False, 0
     try:
         for x, v in enumerate(vs):
             gs = groups.get(v, ())
@@ -290,17 +295,21 @@ def _instance(
                         else:
                             stray = True
             ranks[v], starts[v] = tuple(order), tuple(first)
+            placed += len(order)
     except KeyError:  # an id of no edge
         stray = True
-    if stray or None in value_u or None in value_v:
+    # each of the 2E ends valued, by 2E mentions: each end exactly once
+    if stray or placed != 2 * E or None in value_u or None in value_v:
         for v in vs:  # the first vertex at fault
-            mine = {eid for group in groups.get(v, ()) for eid in group}
-            ends = {e.eid for e in es if v == e.u or v == e.v}
+            listed = [eid for group in groups.get(v, ()) for eid in group]
+            mine, ends = set(listed), {e.eid for e in es if v == e.u or v == e.v}
             if ends - mine:
                 raise InstanceError(f"missing preference of {v!r} for edge {min(ends - mine)!r}")
             if mine - ends:
                 raise InstanceError(
                     f"preference of {v!r} for non-incident edge {min(mine - ends)!r}")
+            if len(listed) > len(mine):
+                raise InstanceError(f"preferences of {v!r} name an edge twice")
 
     w = None
     if weights is not None:
@@ -312,10 +321,8 @@ def _instance(
 
     at_u, at_v, d = None, None, 1
     if gamma is not None:
-        # each distinct pair, keyed on its integers, is checked and stored once, and a pair
-        # object met before by its id alone (``seen`` keeps it, so its id is not reused)
-        seen, distinct = {}, {}  # id(pair) -> (pair, value); (p, q, r, s) -> value
-        at_u, at_v = [None] * E, [None] * E  # each end's pair object, by edge rank
+        distinct, empty = {}, {}  # g -> d -> (p, q, r, s): gamma is p/q and delta r/s
+        at_u, at_v = [None] * E, [None] * E  # each end's (p, q, r, s), by edge rank
         for eid, sides in gamma:
             r = rank.get(eid)
             if r is None:
@@ -324,23 +331,19 @@ def _instance(
             for v, pair in sides.items():
                 if v != u and v != other:
                     raise InstanceError(f"gamma endpoint {v!r} not on edge {eid!r}")
-                if id(pair) not in seen:
-                    glo, ghi = map(_rat, pair)
-                    ints = glo.as_integer_ratio() + ghi.as_integer_ratio()  # (p, q, r, s)
-                    value = distinct.get(ints)
-                    if value is None:
-                        if not (0 < glo < ghi):
-                            raise InstanceError(
-                                f"edge {eid!r} at {v!r}: gamma must be positive and < delta")
-                        value = distinct[ints] = (glo, ghi)
-                    seen[id(pair)] = (pair, value)
-                (at_u if v == u else at_v)[r] = pair
-        d = lcm(*(k[1] for k in distinct), *(k[3] for k in distinct))  # 1 without entries
-        ints_of = {id(value): (p * (d // q), r * (d // s))
-                   for (p, q, r, s), value in distinct.items()}
-        scaled = {i: ints_of[id(value)] for i, (_, value) in seen.items()}
-        at_u, at_v = (list(map(scaled.get, map(id, side))) if distinct else ()
-                      for side in (at_u, at_v))
+                ints = distinct.get(pair["gamma"], empty).get(pair["delta"])
+                if ints is None:
+                    glo, ghi = read(pair["gamma"]), read(pair["delta"])
+                    if not (0 < glo < ghi):
+                        raise InstanceError(
+                            f"edge {eid!r} at {v!r}: gamma must be positive and < delta")
+                    ints = glo.as_integer_ratio() + ghi.as_integer_ratio()
+                    distinct.setdefault(pair["gamma"], {})[pair["delta"]] = ints
+                (at_u if v == u else at_v)[r] = ints
+        ints = {k for row in distinct.values() for k in row.values()}
+        d = lcm(*(k[1] for k in ints), *(k[3] for k in ints))  # 1 without entries
+        scaled = {k: (k[0] * (d // k[1]), k[2] * (d // k[3])) for k in ints}
+        at_u, at_v = (list(map(scaled.get, side)) if ints else () for side in (at_u, at_v))
 
     crit = frozenset(critical or ())
     unknown = crit - index.keys()
@@ -370,8 +373,9 @@ def validate_instance(
     then each vertex's valuations in edge-id order (not an exact rational,
     negative, not above its unmatched value). Equal ones form tie groups for
     the constructor the parser and the generator use, which names any other
-    fault, gamma entries in the mapping's order. A (gamma, delta) pair
-    object is read once, and pairs of equal value are stored once."""
+    fault, gamma entries in the mapping's order; every (gamma, delta) pair
+    is read as exact rationals before that. Pairs of equal value are stored
+    once."""
     vs = tuple(vertices)
     p_empty: dict[str, int | Fraction] = dict.fromkeys(vs, 0)
     if pref_empty:
@@ -395,7 +399,8 @@ def validate_instance(
         order = sorted(mine, key=mine.__getitem__, reverse=True)  # stable: ties in id order
         groups[v] = [list(g) for _, g in groupby(order, mine.__getitem__)]
         values[v] = [mine[g[0]] for g in groups[v]]
-    entries = None if gamma is None else ((eid, {v: t}) for (eid, v), t in gamma.items())
+    entries = None if gamma is None else [  # read first: a float must not pass as a key
+        (eid, {v: {"gamma": _rat(g), "delta": _rat(dl)}}) for (eid, v), (g, dl) in gamma.items()]
     return _instance(vs, map(Edge._make, edges), groups, values, p_empty, weights, entries,
                      critical)
 

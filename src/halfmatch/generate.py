@@ -101,21 +101,12 @@ def generate_random(
         weights = {eid: Fraction(rng.randint(lo, hi)) for eid, _, _ in edges}
 
     gamma = None
-    if gamma_preset != "none":
-        g = Fraction(1)  # minimum positive gap on the canonical scale
-        gamma = []
-        for eid, u, v in edges:
-            sides = {}
-            for x in (u, v):
-                if gamma_preset == "min-like":
-                    lo, hi = 3 * g / 2, 7 * g / 4
-                elif gamma_preset == "max-like":
-                    lo, hi = g / 2, 3 * g / 2
-                else:
-                    lo = rng.choice([g / 2, 3 * g / 2])
-                    hi = lo + g
-                sides[x] = (lo, hi)
-            gamma.append((eid, sides))
+    if gamma_preset != "none":  # at g = 1, as an instance file writes them
+        pairs = [{"gamma": g, "delta": d} for g, d in {
+            "min-like": [("3/2", "7/4")], "max-like": [("1/2", "3/2")],
+            "generic": [("1/2", "3/2"), ("3/2", "5/2")]}[gamma_preset]]
+        draw = (lambda: pairs[0]) if len(pairs) == 1 else (lambda: rng.choice(pairs))
+        gamma = [(eid, {u: draw(), v: draw()}) for eid, u, v in edges]
 
     critical = None
     if critical_count:

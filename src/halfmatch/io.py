@@ -12,12 +12,14 @@ the digest of that text, so each request writes it once. The tests keep
 the ``json.dumps`` form as the writer's oracle.
 
 An instance file stores preferences *ordinally*: per vertex, a list of
-tie groups of edge ids, best group first. The parser hands the groups as
-read to the constructor of ``core``, which sorts each by edge rank, skips
-empty ones and values the rest by their count down to 1, as ``int``s;
-gamma and delta are read on that scale. Serializing cuts each vertex's
-order at its tie-group starts, so parse and serialize are inverse on
-canonical files.
+tie groups of edge ids, best group first. The parser hands every section
+as read to the constructor of ``core``, which reads each once: it makes
+the edges, sorts each tie group by edge rank, skips empty ones and values
+the rest by their count down to 1, as ``int``s, and keys each end's gamma
+and delta, read on that scale, on their two texts. Only a file found at
+fault is read again, to name its own first fault before the market's.
+Serializing cuts each vertex's order at its tie-group starts, so parse
+and serialize are inverse on canonical files.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
@@ -39,7 +42,6 @@ from .core import (
     InstanceError,
     MatchingError,
     Rational,
-    VerificationFailed,
     ZERO,
     _instance,
     _rat,
@@ -164,20 +166,48 @@ def _located(text: str, v: str, eid: str, nth: int, message: str) -> InstanceErr
     return InstanceError(message)
 
 
-def _mention_fault(text: str, v: str, groups: list, known: set[str]) -> InstanceError:
-    """The first fault in the tie groups of ``v``, as they are read."""
+def _mention_fault(text: str, v: str, groups: list, known: set[str]) -> None:
+    """Raise the first fault in the tie groups of ``v``, as they are read."""
     seen = set()
     for group in groups:
         if type(group) is not list or not {str}.issuperset(map(type, group)):
-            return InstanceError(f"preference list of {v!r} must contain tie groups "
-                                 "(lists of edge ids)")
+            raise InstanceError(f"preference list of {v!r} must contain tie groups "
+                                "(lists of edge ids)")
         for eid in group:
             if eid not in known or eid in seen:
                 what = f"edge {eid!r} twice" if eid in known else f"unknown edge {eid!r}"
-                return _located(text, v, eid, 1 + (eid in known),
-                                f"preference list of {v!r} mentions {what}")
+                raise _located(text, v, eid, 1 + (eid in known),
+                               f"preference list of {v!r} mentions {what}")
             seen.add(eid)
-    raise VerificationFailed(f"the tie groups of {v!r} are not at fault")
+
+
+def _file_fault(text: str, doc: dict) -> None:
+    """Raise the first fault of an instance file itself, in file order: its
+    edge records, tie groups, gamma section and critical set, as read."""
+    known = set()
+    for record in doc["edges"]:
+        try:
+            eid, u, v = _FIELDS(record)
+        except KeyError as exc:
+            raise InstanceError(f"malformed edge record {record!r}") from exc
+        if type(eid) is not str or type(u) is not str or type(v) is not str:
+            raise InstanceError(f"edge record {record!r}: ids must be strings")
+        if "weight" in record:
+            parse_rational(record["weight"])
+        known.add(eid)
+    for v, groups in doc["prefs"].items():
+        if type(groups) is not list:
+            raise InstanceError(f"preference list of {v!r} must be a list of tie groups")
+        _mention_fault(text, v, groups, known)
+    try:
+        for sides in doc.get("gamma", {}).values():
+            for pair in sides.values():
+                parse_rational(pair["gamma"]), parse_rational(pair["delta"])
+    except (KeyError, TypeError, AttributeError, InstanceError) as exc:
+        raise InstanceError("malformed gamma section: each edge maps its endpoints to "
+                            "objects with 'gamma' and 'delta' rationals") from exc
+    if doc.get("critical") is not None:
+        _list_of(str, doc["critical"], "the critical set must be a list of vertices")
 
 
 def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
@@ -188,9 +218,19 @@ def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
     return items
 
 
+_FIELDS, _EDGE = itemgetter("id", "u", "v"), partial(tuple.__new__, Edge)  # no Edge.__new__
+
+
 def parse_instance_text(text: str) -> Instance:
-    """The market of an instance file, from its tie groups as read: faults
-    of the file come first, then the market's, in the constructor's order."""
+    """The market of an instance file, each section read once, by the
+    constructor: it makes the edges, places the tie groups as read and keys
+    each end's thresholds on their two texts, each distinct pair parsed
+    once. A fault of the file comes before the market's, in file order: the
+    top-level types are checked first, and any fault noticed after them,
+    here or in the constructor, sends the parser back to the text for the
+    file's own first fault (:func:`_file_fault`), named if there is one,
+    else the market's, in the constructor's order. Only a faulty file pays
+    for that second reading."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
@@ -203,70 +243,30 @@ def parse_instance_text(text: str) -> Instance:
         if key not in doc:
             raise InstanceError(f"instance file lacks the {key!r} section")
     vertices = _list_of(str, doc["vertices"], "the vertex set must be a list of vertex ids")
-    _list_of(dict, doc["edges"], "the edges section must be a list of edge records")
+    records = _list_of(dict, doc.pop("edges"), "the edges section must be a list of edge records")
     prefs = doc["prefs"]
     if not isinstance(prefs, dict):
         raise InstanceError("the prefs section must map vertex ids to tie groups")
 
-    # a market repeats a few rationals thousands of times: parse each once
-    rationals: dict[str, Fraction] = {}
-
-    def rational(text: Any) -> Fraction:
-        if not isinstance(text, str):  # unhashable values raise here too
-            return parse_rational(text)
-        r = rationals.get(text)
-        if r is None:
-            r = rationals[text] = parse_rational(text)
-        return r
-
-    edges = []
-    weights: dict[str, Fraction] = {}
-    fields, new = itemgetter("id", "u", "v"), tuple.__new__  # no Python-level Edge.__new__
-    for record in doc["edges"]:
-        try:
-            edge = new(Edge, fields(record))
-        except KeyError as exc:
-            raise InstanceError(f"malformed edge record {record!r}") from exc
-        eid, u, v = edge
-        if type(eid) is not str or type(u) is not str or type(v) is not str:
-            raise InstanceError(f"edge record {record!r}: ids must be strings")
-        edges.append(edge)
-        if "weight" in record:
-            weights[eid] = rational(record["weight"])
-    known = {e.eid for e in edges}
-
-    only_list, only_str = {list}.issuperset, {str}.issuperset
-    for v, groups in prefs.items():
-        if type(groups) is not list:
-            raise InstanceError(f"preference list of {v!r} must be a list of tie groups")
-        if only_list(map(type, groups)):
-            ids = list(chain.from_iterable(groups))
-            if only_str(map(type, ids)) and known.issuperset(ids) and len(set(ids)) == len(ids):
-                continue
-        raise _mention_fault(text, v, groups, known)
-
-    gamma = None
-    if "gamma" in doc:
-        pairs: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}
-        try:
-            for sides in doc["gamma"].values():
-                for v, pair in sides.items():  # each pair object is replaced by its value
-                    texts = (pair["gamma"], pair["delta"])
-                    thresholds = pairs.get(texts)  # an unhashable text raises TypeError
-                    if thresholds is None:
-                        thresholds = pairs[texts] = tuple(map(rational, texts))
-                    sides[v] = thresholds
-        except (KeyError, TypeError, AttributeError, InstanceError) as exc:
-            raise InstanceError(
-                "malformed gamma section: each edge maps its endpoints to "
-                "objects with 'gamma' and 'delta' rationals"
-            ) from exc
-        gamma = doc["gamma"].items()
-    critical = doc.get("critical")
-    if critical is not None:
-        _list_of(str, critical, "the critical set must be a list of vertices")
-    return _instance(vertices, edges, prefs, weights=weights or None, gamma=gamma,
-                     critical=critical)
+    rational = cache(parse_rational)  # a market repeats a few rationals thousands of times
+    only_str, only_lists = {str}.issuperset, {list}.issuperset
+    try:
+        edges = list(map(_EDGE, map(_FIELDS, records)))
+        weights = {r["id"]: rational(r["weight"]) for r in records if "weight" in r}
+        del records  # not kept while the market is built: a fault reads the text again
+        if not (only_str(map(type, chain.from_iterable(edges)))
+                and only_lists(map(type, prefs.values()))
+                and only_lists(map(type, chain.from_iterable(prefs.values())))):
+            raise InstanceError("an id is not a string, or a tie group not a list")
+        critical = doc.get("critical")
+        if critical is not None:
+            _list_of(str, critical, "the critical set must be a list of vertices")
+        return _instance(vertices, edges, prefs, weights=weights or None,
+                         gamma=doc["gamma"].items() if "gamma" in doc else None,
+                         critical=critical, read=rational)
+    except (InstanceError, LookupError, TypeError, AttributeError):
+        _file_fault(text, json.loads(text))
+        raise
 
 
 def load_instance(path: str) -> Instance:
@@ -368,16 +368,24 @@ def load_result(path: str) -> dict[str, Any]:
             raise InstanceError("result file is not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceError("a result file must hold a JSON object")
+    _result_matching(doc)  # a result of the wrong shape is bad input
+    return doc
+
+
+def _result_matching(doc: Mapping[str, Any]) -> dict[str, Fraction]:
+    """The matching of a result, once its sections, seed, matching values
+    and recorded critical set have the types a solve writes; else
+    InstanceError. ``load_result`` refuses a file on it, ``check_result``
+    reports it."""
     for key in ("matching", "stats", "verification"):
         if not isinstance(doc.get(key, {}), dict):
             raise InstanceError(f"the {key!r} section of a result file must be an object")
     if doc.get("seed") is not None and type(doc["seed"]) is not int:  # a bool is no seed
         raise InstanceError("the seed of a result file must be an integer or null")
-    parse_matching(doc.get("matching", {}))  # a malformed value is bad input
     if "critical" in doc.get("verification", {}):
         _list_of(str, doc["verification"]["critical"],
                  "the recorded critical set must be a list of vertices")
-    return doc
+    return parse_matching(doc.get("matching", {}))
 
 
 def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
@@ -392,8 +400,9 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     :func:`is_popular_critical`.
 
     One pass: the digest must be ``digest``, :func:`instance_digest` of
-    ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes; the
-    solver tag decides which claims must be present and which may be
+    ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes, and
+    their values of the types ``load_result`` requires, or nothing more is
+    checked; the solver tag decides which claims must be present and which may be
     (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add
     one; a pri, crit or maxw result on a market with ties is refused; the
     matching, its stats and the claims re-derive field by field, a flag
@@ -410,6 +419,10 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         problems.append("instance digest mismatch")
     if sorted(result) != RESULT_KEYS:  # the keys build_result writes, no more, no fewer
         problems.append(f"result keys {sorted(result)} are not the six a solve writes")
+    try:
+        m = _result_matching(result)
+    except InstanceError as exc:  # nothing below reads a result of the wrong shape
+        return problems + [str(exc)]
     solver = result.get("solver")
     if not isinstance(solver, str) or solver not in SOLVER_CLAIMS:
         return problems + [f"unknown solver tag {solver!r}"]
@@ -424,10 +437,6 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
                  for key in ver if key not in writes]
     if mode and ver.get("mode") != mode:
         problems.append(f"mode is not {mode!r}, the mode {solver} writes")
-    try:
-        m = parse_matching(result.get("matching", {}))
-    except InstanceError as exc:
-        return problems + [str(exc)]
     try:
         check_matching(inst, m, half=True)
     except Exception as exc:

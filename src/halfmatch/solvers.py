@@ -210,7 +210,8 @@ def restrict_to_edges(inst: Instance, keep: set[str] | frozenset[str]) -> Instan
         groups[v] = [[eid for eid in group if eid in keep] for group in inst.tie_classes(v)]
         values[v] = [vals[i] for i, group in zip(inst._starts[v], groups[v]) if group]
     weights = inst.weights and {eid: val for eid, val in inst.weights.items() if eid in keep}
-    gamma = inst.gamma and [(eid, {x: t}) for (eid, x), t in inst.gamma.items() if eid in keep]
+    gamma = inst.gamma and [(eid, {x: {"gamma": g, "delta": d}})
+                            for (eid, x), (g, d) in inst.gamma.items() if eid in keep]
     return _instance(inst.vertices, [e for e in inst.edges if e.eid in keep], groups, values,
                      inst.pref_empty, weights, gamma, inst.critical)
 

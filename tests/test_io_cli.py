@@ -716,6 +716,24 @@ def test_cli_verify_reads_only_the_top_level_a_solve_writes(tmp_path, capsys, ke
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", "banana", "the seed of a result file must be an integer or null"),
+    ("stats", [], "the 'stats' section of a result file must be an object"),
+    ("verification", "weak", "the 'verification' section of a result file must be an object"),
+    ("matching", ["e000"], "the 'matching' section of a result file must be an object"),
+], ids=["seed-string", "stats-list", "verification-string", "matching-list"])
+def test_check_result_reports_the_shape_verify_refuses(tmp_path, capsys, key, value, message):
+    # one shape check: bad input to verify (exit 2), a problem to a library caller
+    _, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "8"], "solve-max-srti")
+    inst = load_instance(str(inst_path))
+    doc = {**json.loads(res_path.read_text()), key: value}
+    assert check_result(inst, doc, instance_digest(inst)) == [message]
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 OWN = object()  # stands for the result's own matching
 BAD_SCOPE = "popular_scope is not a scope label is_popular writes"
 APART = "popular and popular_scope are not recorded together"
