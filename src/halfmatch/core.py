@@ -243,9 +243,9 @@ def _instance(
     groups skipped), valued as ``values[v]`` lists them or by their count
     down to 1, with each edge's thresholds by endpoint in ``gamma``, as an
     instance file holds them (``{"gamma": g, "delta": d}``): each end's pair
-    is keyed on g and d as given, and each distinct pair is read once, by
-    ``read``. Each input is read in one pass, which notices any fault; the
-    first is then named. Raises
+    is keyed on g and d as given, equal keys being equal thresholds, and
+    each distinct pair is read once, by ``read``. Each input is read in one
+    pass, which notices any fault; the first is then named. Raises
     :class:`InstanceError` at the first of: duplicate vertex ids; an edge
     with a repeated id, an unknown endpoint or a loop; groups of an unknown
     vertex; a vertex whose groups miss its edge (the first by id), name
@@ -399,10 +399,11 @@ def validate_instance(
         order = sorted(mine, key=mine.__getitem__, reverse=True)  # stable: ties in id order
         groups[v] = [list(g) for _, g in groupby(order, mine.__getitem__)]
         values[v] = [mine[g[0]] for g in groups[v]]
-    entries = None if gamma is None else [  # read first: a float must not pass as a key
-        (eid, {v: {"gamma": _rat(g), "delta": _rat(dl)}}) for (eid, v), (g, dl) in gamma.items()]
+    entries = None if gamma is None else [  # read first, to (p, q): no float is a key
+        (eid, {v: {"gamma": _rat(g).as_integer_ratio(), "delta": _rat(dl).as_integer_ratio()}})
+        for (eid, v), (g, dl) in gamma.items()]
     return _instance(vs, map(Edge._make, edges), groups, values, p_empty, weights, entries,
-                     critical)
+                     critical, read=lambda pq: Fraction(*pq))
 
 
 # ---------------------------------------------------------------------------

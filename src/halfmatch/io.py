@@ -202,7 +202,7 @@ def _file_fault(text: str, doc: dict) -> None:
     try:
         for sides in doc.get("gamma", {}).values():
             for pair in sides.values():
-                parse_rational(pair["gamma"]), parse_rational(pair["delta"])
+                list(map(parse_rational, (pair["gamma"], pair["delta"])))
     except (KeyError, TypeError, AttributeError, InstanceError) as exc:
         raise InstanceError("malformed gamma section: each edge maps its endpoints to "
                             "objects with 'gamma' and 'delta' rationals") from exc
@@ -218,7 +218,7 @@ def _list_of(kind: type, items: Any, message: str, *args: Any) -> list:
     return items
 
 
-_FIELDS, _EDGE = itemgetter("id", "u", "v"), partial(tuple.__new__, Edge)  # no Edge.__new__
+_FIELDS, _EDGE = itemgetter("id", "u", "v"), partial(tuple.__new__, Edge)  # skips Edge.__new__
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -402,10 +402,10 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     One pass: the digest must be ``digest``, :func:`instance_digest` of
     ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes, and
     their values of the types ``load_result`` requires, or nothing more is
-    checked; the solver tag decides which claims must be present and which may be
-    (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor add
-    one; a pri, crit or maxw result on a market with ties is refused; the
-    matching, its stats and the claims re-derive field by field, a flag
+    checked; the solver tag decides which claims must be present and which
+    may be (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor
+    add one; a pri, crit or maxw result on a market with ties is refused;
+    the matching, its stats and the claims re-derive field by field, a flag
     as a JSON boolean, popularity claims by their shape.
     The re-solves: a maxw result's dual, whose optimum the weight must be
     and whose positive-potential set the critical set; on 1 to ``bound``

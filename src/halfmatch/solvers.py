@@ -210,10 +210,12 @@ def restrict_to_edges(inst: Instance, keep: set[str] | frozenset[str]) -> Instan
         groups[v] = [[eid for eid in group if eid in keep] for group in inst.tie_classes(v)]
         values[v] = [vals[i] for i, group in zip(inst._starts[v], groups[v]) if group]
     weights = inst.weights and {eid: val for eid, val in inst.weights.items() if eid in keep}
-    gamma = inst.gamma and [(eid, {x: {"gamma": g, "delta": d}})
-                            for (eid, x), (g, d) in inst.gamma.items() if eid in keep]
+    d, scaled = inst.scaled_gamma()  # thresholds keyed by their ints over d
+    gamma = None if inst._gamma_u is None else [
+        (eid, {x: {"gamma": g, "delta": delta}}) for (eid, x), (g, delta) in scaled.items()
+        if eid in keep]
     return _instance(inst.vertices, [e for e in inst.edges if e.eid in keep], groups, values,
-                     inst.pref_empty, weights, gamma, inst.critical)
+                     inst.pref_empty, weights, gamma, inst.critical, read=lambda x: Fraction(x, d))
 
 
 def solve_pop_maxw(
