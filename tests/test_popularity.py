@@ -20,7 +20,7 @@ from halfmatch.core import (
 )
 from halfmatch.engine import enumerate_half_matchings, stable_half_matching
 from halfmatch.generate import generate_random
-from halfmatch.solvers import solve_max_pri
+from halfmatch.solvers import solve_max_pri, solve_max_srti
 import halfmatch
 from halfmatch import popularity, simplex
 from halfmatch.popularity import (
@@ -744,4 +744,56 @@ def test_comparisons_and_verdicts_match_the_golden_digest():
         put(min_cost_transport(sup, dem, lambda s, d: costs[(s, d)]))
     assert digest.hexdigest() == (
         "0e8fbff029466b256cea48c9ec0e041634167ddd83f8063f9d4b79588c88ba64"
+    )
+
+
+def _star(leaves):
+    """A centre c with one edge to each of ``leaves`` leaves, ranked in leaf order."""
+    edges = [(f"c{i}", "c", f"l{i}") for i in range(leaves)]
+    pref = {"c": {eid: leaves - i for i, (eid, _, _) in enumerate(edges)}}
+    pref.update({v: {eid: 1} for eid, _, v in edges})
+    return validate_instance(["c"] + [v for _, _, v in edges], edges, pref)
+
+
+def test_desk_comparisons_match_the_golden_digest(monkeypatch):
+    # values, pairings and votes of delta_sensible and delta_feasible on the
+    # seed-1 desk-audit markets (the first 20 of each of 6, 7 and 8 edges
+    # from seed 1000 on) and the first ten of 9 or 10 edges: pri against
+    # srti in both orders and against 5 sampled fractional rivals; then a
+    # star whose centre moves 3 surplus items onto 3 demand items, so its
+    # feasible transport runs on the simplex
+    digest = hashlib.sha256()
+    put = lambda obj: digest.update(json.dumps(_plain(obj)).encode())
+    need, large, markets = {6: 20, 7: 20, 8: 20}, 0, 0
+    for seed in itertools.count(1000):
+        if large == 10 and not any(need.values()):
+            break
+        inst = generate_random(seed, 7, edge_density=0.35, parallel_prob=0.1)
+        k = len(inst.edges)
+        if need.get(k):
+            need[k] -= 1
+        elif k in (9, 10) and large < 10:
+            large += 1
+        else:
+            continue
+        markets += 1
+        a, p = solve_max_srti(inst), solve_max_pri(inst)
+        for m, n in [(p, a), (a, p)] + [(p, n) for n in sample_fractional_matchings(inst, seed, 5)]:
+            put(delta_sensible(inst, m, n))
+            put(delta_feasible(inst, m, n))
+    assert markets == 70
+
+    simplex_calls = []
+    real = popularity._simplex_transport
+    monkeypatch.setattr(popularity, "_simplex_transport",
+                        lambda *args: simplex_calls.append(args) or real(*args))
+    inst = _star(6)
+    m = {"c0": F(1, 4), "c1": F(1, 4), "c2": F(1, 4)}
+    n = {"c3": F(1, 4), "c4": F(1, 4), "c5": F(1, 4), "c0": F(0)}
+    for pair in [(m, n), (n, m)]:
+        put(delta_feasible(inst, *pair))
+        put(delta_sensible(inst, *pair))
+    assert [(len(sup), len(dem)) for sup, dem, _ in simplex_calls] == [(3, 3), (3, 3)]
+    assert digest.hexdigest() == (
+        "a2ce2335a0a7a6c07d5b90a20ca9912e02f55c4cbbeb0c16cdd8ec4ff223b758"
     )

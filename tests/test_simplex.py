@@ -215,8 +215,15 @@ def _record_pivots(monkeypatch, forms=None):
     return pivots
 
 
+def _ints(values):
+    """values with every integral Fraction given as an int."""
+    return [int(a) if a.denominator == 1 else a for a in values]
+
+
 def test_integer_tableau_matches_fraction_tableau_on_random_lps(monkeypatch):
-    # same outcome and the same pivot sequence as the Fraction tableau
+    # same outcome and the same pivot sequence as the Fraction tableau, with
+    # the entries given as Fractions and with the integral ones as ints; x
+    # and the value come back as Fractions either way
     rng = random.Random(2409)
     seen = {"optimal": 0, Infeasible: 0, Unbounded: 0, "negative rhs": 0,
             "fractional": 0, "redundant": 0, "negative pivot": 0,
@@ -226,10 +233,15 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps(monkeypatch):
         costs, rows, rhs, redundant = _random_lp(rng)
         want_pivots = []
         want = _outcome(partial(_fraction_tableau, pivots=want_pivots), costs, rows, rhs)
-        pivots.clear()
-        got = _outcome(solve_min, costs, sparse(rows), rhs)
-        assert got == want, (costs, rows, rhs)
-        assert [(r, c) for r, c, _ in pivots] == want_pivots, (costs, rows, rhs)
+        for program in [(costs, rows, rhs),
+                        (_ints(costs), [_ints(row) for row in rows], _ints(rhs))]:
+            pivots.clear()
+            got = _outcome(solve_min, program[0], sparse(program[1]), program[2])
+            assert got == want, program
+            if isinstance(got, tuple):
+                x, value = got
+                assert {type(a) for a in x + [value]} == {Fraction}, program
+            assert [(r, c) for r, c, _ in pivots] == want_pivots, program
         seen["negative pivot"] += any(p < 0 for _, _, p in pivots)
         seen["optimal" if isinstance(want, tuple) else want] += 1
         seen["negative rhs"] += any(b < 0 for b in rhs)
