@@ -47,8 +47,10 @@ from .core import (
     _rat,
     blocking_edges,
     check_matching,
+    matching_size,
     matching_stats,
 )
+from .engine import enumerate_half_matchings
 from .popularity import SCOPES, is_popular, is_popular_critical
 from .solvers import max_weight_dual, restrict_to_edges
 
@@ -409,9 +411,11 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     as a JSON boolean, popularity claims by their shape.
     The re-solves: a maxw result's dual, whose optimum the weight must be
     and whose positive-potential set the critical set; on 1 to ``bound``
-    edges, pri's verdict in the scope it records, and a crit or maxw
-    matching popular among its critical rivals (for maxw, those on the
-    dual's tight edges: the maximum-weight rivals).
+    edges, pri's verdict in the scope it records, pri's derived stability
+    through what it implies (the matching is popular in the half-integral
+    scope, and no larger half-matching is), and a crit or maxw matching
+    popular among its critical rivals (for maxw, those on the dual's tight
+    edges: the maximum-weight rivals).
     """
     problems: list[str] = []
     within = 0 < len(inst.edges) <= bound
@@ -458,7 +462,7 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
             problems.append("stability flag does not re-derive")
         if bad:
             problems.append(f"matching is blocked by {bad}")
-    if ver.get("derived_stable", True) is not True:  # certified by the solver alone
+    if ver.get("derived_stable", True) is not True:  # re-derived below, within the bound
         problems.append("derived stability flag is not true")
     if solver == "solve-max-pri" and any(key in ver for key in POPULARITY_CLAIMS):
         problems += _popularity_problems(inst, ver)
@@ -492,6 +496,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         claims = _popularity_claims(inst, m, bound, scope)
         problems += [f"recorded {key!r} does not re-derive"
                      for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
+    if not problems and within and solver == "solve-max-pri":
+        problems += _pri_maximality(inst, m, bound)
     tight = None
     if solver == "solve-pop-maxw":  # the weight must be the optimum: solve the dual again
         dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
@@ -506,6 +512,19 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         if not is_popular_critical(market, m, frozenset(ver["critical"]), bound=bound).popular:
             problems.append("matching is not popular among critical rivals")
     return problems
+
+
+def _pri_maximality(inst: Instance, m: Mapping[str, Fraction], bound: int) -> list[str]:
+    """What a pri result's derived stability implies, re-derived by
+    enumeration: m is popular in the half-integral scope, and no larger
+    half-matching is (the first one found is named)."""
+    if not is_popular(inst, m, bound=bound).popular:
+        return ["matching is not popular (half-integral scope)"]
+    size = matching_size(m)
+    for n in enumerate_half_matchings(inst, bound):
+        if matching_size(n) > size and is_popular(inst, n, bound=bound).popular:
+            return [f"a larger half-matching is popular: {format_matching(n)}"]
+    return []
 
 
 def _popularity_claims(inst: Instance, m: Mapping[str, Fraction], bound: int,

@@ -21,11 +21,12 @@ by seeded random fractional rivals. They scan every rival in one form:
 its integer masses by edge rank over one denominator d. An enumerated
 rival is the engine's enumerator's own doubled values (d = 2), read in
 place; a sampled one is over the lcm of its caps. Rivals are compared by
-the value of Delta alone, computed in integers. A rival gets a Fraction
-form only when its value ties or beats the worst so far (the product
-comparison values each rival on its Fraction form), and a pairing
-(with its per-vertex votes) is built only for the worst rival, and only
-when it is a counterexample.
+the value of Delta alone (or of the product comparison), computed in
+integers. A rival gets a Fraction form only when its value ties or beats
+the worst so far, and a pairing (with its per-vertex votes) is built only
+for the worst rival, and only when it is a counterexample. The pairings
+are computed in integers too: the comparisons scale their matchings to
+ints once and make each Fraction as a result leaves.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -84,13 +86,15 @@ def min_cost_transport(
     Returns the minimum cost and a canonical optimal plan. Sizes up to
     two on one side are solved in closed form (covering all comparisons
     of half-integral matchings); anything larger falls back to the
-    exact simplex.
+    exact simplex. Masses and costs may also be ints: the closed forms
+    then keep the plan and its cost in ints, the simplex returns them as
+    integral Fractions, and an empty problem costs ``ZERO``.
     """
     sup = [(k, val) for k, val in sorted(supply.items(), key=_key) if val != 0]
     dem = [(k, val) for k, val in sorted(demand.items(), key=_key) if val != 0]
     if any(val < 0 for _, val in sup + dem):
         raise ValueError("negative supply or demand")
-    if sum((val for _, val in sup), ZERO) != sum((val for _, val in dem), ZERO):
+    if sum(val for _, val in sup) != sum(val for _, val in dem):
         raise ImbalancedTransport("total supply differs from total demand")
     if not sup:
         return ZERO, {}
@@ -116,8 +120,8 @@ def _key(pair):
     return (k is None, k if k is not None else "")
 
 
-def _plan_cost(plan, cost) -> Fraction:
-    return sum((val * cost(s, d) for (s, d), val in plan.items()), ZERO)
+def _plan_cost(plan, cost) -> int | Fraction:
+    return sum(val * cost(s, d) for (s, d), val in plan.items())
 
 
 def _two_row_transport(sup, dem, cost):
@@ -144,10 +148,10 @@ def _two_row_transport(sup, dem, cost):
 def _simplex_transport(sup, dem, cost):
     # cell i*k + j ships from supply i to demand j
     cells = [(s, d) for s, _ in sup for d, _ in dem]
-    costs = [Fraction(cost(s, d)) for s, d in cells]
+    costs = [cost(s, d) for s, d in cells]
     k = len(dem)
-    rows = [{i * k + j: ONE for j in range(k)} for i in range(len(sup))]
-    rows += [{i * k + j: ONE for i in range(len(sup))} for j in range(k)]
+    rows = [{i * k + j: 1 for j in range(k)} for i in range(len(sup))]
+    rows += [{i * k + j: 1 for i in range(len(sup))} for j in range(k)]
     rhs = [val for _, val in sup + dem]
     x, value = simplex.solve_min(costs, rows, rhs)
     plan = {cells[i]: x[i] for i in range(len(cells)) if x[i] != 0}
@@ -171,10 +175,12 @@ class DeltaResult:
     votes: Mapping[str, Fraction]  # per-vertex contribution under the witness
 
 
-def _masses(inst: Instance, m: Mapping[str, Fraction], v: str) -> dict[Item, Fraction]:
-    """v's mass on each incident edge under m, and on None its unmatched rest."""
-    held: dict[Item, Fraction] = {eid: m.get(eid, ZERO) for eid in inst.incident(v)}
-    held[None] = 1 - sum(held.values(), ZERO)
+def _masses(inst: Instance, m: Mapping[str, int | Fraction], v: str,
+            whole: int | Fraction) -> dict[Item, int | Fraction]:
+    """v's mass on each incident edge under m, and on None its unmatched
+    rest of ``whole``, the mass of a saturated vertex."""
+    held = {eid: m.get(eid, 0) for eid in inst.incident(v)}
+    held[None] = whole - sum(held.values())
     return held
 
 
@@ -201,21 +207,36 @@ def _require(inst: Instance, what: str, *matchings: Mapping[str, Fraction]) -> N
 def _delta_feasible(
     inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
 ) -> DeltaResult:
-    """:func:`delta_feasible` on a strict instance and valid matchings."""
-    total = ZERO
+    """:func:`delta_feasible` on a strict instance and valid matchings.
+
+    m and n are scaled once by the lcm d of their denominators, so every
+    vertex's masses, surpluses and transport are ints; the value, each
+    vote and each plan entry is made a Fraction over d as it leaves.
+    """
+    d = lcm(*(val.denominator for val in chain(m.values(), n.values())))
+    m_int = {eid: val.numerator * (d // val.denominator) for eid, val in m.items()}
+    n_int = {eid: val.numerator * (d // val.denominator) for eid, val in n.items()}
+    total = 0
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {}
     votes: dict[str, Fraction] = {}
     for v in inst.vertices:
-        mass_m = _masses(inst, m, v)
-        mass_n = _masses(inst, n, v)
+        mass_m = _masses(inst, m_int, v, d)
+        mass_n = _masses(inst, n_int, v, d)
         supply = {x: a - mass_n[x] for x, a in mass_m.items() if a > mass_n[x]}
         demand = {x: b - mass_m[x] for x, b in mass_n.items() if b > mass_m[x]}
         cost = lambda x, y, v=v: vote(inst, v, x, y)
         value, plan = min_cost_transport(supply, demand, cost)
         total += value
-        phi[v] = plan
-        votes[v] = value
-    return DeltaResult(value=total, pairing=Pairing("feasible", phi), votes=votes)
+        phi[v] = {k: Fraction(x, d) for k, x in plan.items()}
+        votes[v] = Fraction(value, d)
+    return DeltaResult(value=Fraction(total, d), pairing=Pairing("feasible", phi), votes=votes)
+
+
+def _by_rank(inst: Instance, m: Mapping[str, Fraction]) -> tuple[int, dict[int, int]]:
+    """The lcm ``base`` of m's denominators, and m's values times base by edge rank."""
+    base = lcm(*(val.denominator for val in m.values()))
+    return base, {inst._rank[eid]: val.numerator * (base // val.denominator)
+                  for eid, val in m.items()}
 
 
 def _feasible_value(
@@ -235,9 +256,7 @@ def _feasible_value(
     best item finds U: a demand item adds to a pool, and a surplus item
     takes what it can from it.
     """
-    base = lcm(*(val.denominator for val in m.values()))
-    scaled = {inst._rank[eid]: val.numerator * (base // val.denominator)
-              for eid, val in m.items()}
+    base, scaled = _by_rank(inst, m)
     rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)] for v in inst.vertices]
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
@@ -283,7 +302,8 @@ def delta_sensible(
     condition, which is what prevents per-vertex decomposition). Row and
     column marginals equal the full M and N values; vertices saturated
     by M admit no unmatched-on-the-left mass, and vertices saturated by
-    N none on the right.
+    N none on the right. The coefficients (all 1) and each variable's
+    summed votes are ints; the right-hand sides are the matchings' values.
     """
     _require(inst, "delta over sensible pairings", m, n)
     footprint = sum((len(inst.incident(v)) + 1) ** 2 for v in inst.vertices)
@@ -300,9 +320,9 @@ def delta_sensible(
         key = (x, y) if x == y and x is not None else (v, x, y)
         return index.setdefault(key, len(index))
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     rhs: list[Fraction] = []
-    costs: dict[int, Fraction] = {}
+    costs: dict[int, int] = {}
 
     m_full, n_full = saturated_vertices(inst, m), saturated_vertices(inst, n)
     for v in inst.vertices:
@@ -310,18 +330,18 @@ def delta_sensible(
         m_side: list[Item] = items + ([] if v in m_full else [None])
         n_side: list[Item] = items + ([] if v in n_full else [None])
         for eid in inst.incident(v):
-            rows.append({var(v, eid, y): ONE for y in n_side})
+            rows.append({var(v, eid, y): 1 for y in n_side})
             rhs.append(m.get(eid, ZERO))
-            rows.append({var(v, x, eid): ONE for x in m_side})
+            rows.append({var(v, x, eid): 1 for x in m_side})
             rhs.append(n.get(eid, ZERO))
         for x in m_side:
             for y in n_side:
                 if x is None and y is None:
                     continue  # harmless mass; fix it to zero by omission
                 j = var(v, x, y)
-                costs[j] = costs.get(j, ZERO) + Fraction(vote(inst, v, x, y))
+                costs[j] = costs.get(j, 0) + vote(inst, v, x, y)
 
-    cost_vec = [costs.get(j, ZERO) for j in range(len(index))]
+    cost_vec = [costs.get(j, 0) for j in range(len(index))]
     x, value = simplex.solve_min(cost_vec, rows, rhs)
 
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {v: {} for v in inst.vertices}
@@ -357,13 +377,46 @@ def _delta_product(
 ) -> Fraction:
     total = ZERO
     for v in inst.vertices:
-        mass_n = _masses(inst, n, v)
-        for x, a in _masses(inst, m, v).items():
+        mass_n = _masses(inst, n, v, ONE)
+        for x, a in _masses(inst, m, v, ONE).items():
             if a:
                 for y, b in mass_n.items():
                     if b:
                         total += a * b * vote(inst, v, x, y)
     return total
+
+
+def _product_value(
+    inst: Instance, m: Mapping[str, Fraction]
+) -> Callable[[Sequence[int], int], tuple[int, int]]:
+    """The value of :func:`_delta_product` against a rival held as ints, as
+    :func:`_feasible_value` gives it, over D = base * d with base the lcm of
+    m's denominators.
+
+    The value is linear in the rival's masses b: at v it is the sum over
+    items y of b_y * c(y), where c(y), m's mass above y in v's strict order
+    less its mass below y, is fixed by m. Staying unmatched, ranked last,
+    holds the rest of the rival's mass, so each edge weighs c(edge) - c(None)
+    at each end, and each vertex adds c(None) * d.
+    """
+    base, scaled = _by_rank(inst, m)
+    weight = [0] * len(inst.edges)
+    fixed = 0
+    for v in inst.vertices:
+        ranks = inst.strict_ranks(v)
+        matched = sum(scaled.get(r, 0) for r in ranks)  # the rest of base stays unmatched
+        above = 0
+        for r in ranks:
+            a = scaled.get(r, 0)
+            # c(r) = above - (base - above - a), and c(None) = matched
+            weight[r] += 2 * above + a - base - matched
+            above += a
+        fixed += matched
+
+    def value(held: Sequence[int], d: int) -> tuple[int, int]:
+        return sum(map(mul, weight, held)) + fixed * d, base * d
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +531,7 @@ def is_popular_mixed(
 ) -> PopularityVerdict:
     """Whether no half-integral rival beats m under the product pairing."""
     _require(inst, "the product comparison", m)
-    value = lambda held, d: _delta_product(inst, m, _fractions(inst, held, d)).as_integer_ratio()
-    return _scan(inst, _enumerated(inst, bound), value,
+    return _scan(inst, _enumerated(inst, bound), _product_value(inst, m),
                  lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
                  "popular mixed")
 

@@ -6,18 +6,20 @@ the desk-scale problems in this package (a few hundred variables), not
 for serious LP work. Each constraint row comes as a map from column to
 coefficient; an explicit zero is dropped as it is read.
 
-Numbers enter and leave as Fractions, but the tableau holds Python ints
-and pivots fraction-free (Edmonds 1967, "Systems of distinct
-representatives and linear algebra"; Bareiss 1968, "Sylvester's identity
-and multistep integer-preserving Gaussian elimination"; the integer
-pivoting of Avis's lrs). The rows and right-hand sides are scaled by the
-lcm of their denominators. Let D be the last pivot element (1 at the
-start): D times the rational tableau is then, up to one common sign, the
-integer matrix adj(B) * [A | b] of the current basis B, and D is det(B)
-up to the same sign. A pivot on p = T[r][c] keeps row r and replaces
-every other row by (p*T[i] - T[i][c]*T[r]) / D, then sets D = p;
-Sylvester's identity makes the division exact, so no gcd is ever taken
-and entries never outgrow the minors of the input.
+Numbers enter as ints or Fractions and leave as Fractions, but the
+tableau holds Python ints and pivots fraction-free (Edmonds 1967,
+"Systems of distinct representatives and linear algebra"; Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"; the integer pivoting of Avis's lrs). The rows and
+right-hand sides are scaled by the lcm of their denominators (an int's
+is 1), so an int and the equal Fraction make the same tableau. Let D be
+the last pivot element (1 at the start): D times the rational tableau is
+then, up to one common sign, the integer matrix adj(B) * [A | b] of the
+current basis B, and D is det(B) up to the same sign. A pivot on
+p = T[r][c] keeps row r and replaces every other row by
+(p*T[i] - T[i][c]*T[r]) / D, then sets D = p; Sylvester's identity makes
+the division exact, so no gcd is ever taken and entries never outgrow
+the minors of the input.
 
 A row maps each column to its nonzero int, the right-hand side included,
 and never stores a zero: an update runs over the union of its columns
@@ -65,14 +67,16 @@ class Unbounded(ValueError):
 
 
 def solve_min(
-    costs: list[Fraction],
-    rows: list[Mapping[int, Fraction]],
-    rhs: list[Fraction],
+    costs: list[int | Fraction],
+    rows: list[Mapping[int, int | Fraction]],
+    rhs: list[int | Fraction],
 ) -> tuple[list[Fraction], Fraction]:
     """Minimize costs*x subject to rows*x = rhs, x >= 0.
 
     Each row maps a column in 0..len(costs)-1 to its coefficient, absent
-    columns being zero. Returns (x, value) at an optimal basic solution.
+    columns being zero. Every entry is an int or a Fraction; the two give
+    the same pivots. Returns (x, value) at an optimal basic solution, as
+    Fractions, the value summed over the basic columns.
     """
     m, n = len(rows), len(costs)
     if len(rhs) != m or any(not 0 <= j < n for row in rows for j in row):
@@ -111,10 +115,11 @@ def solve_min(
     lp.iterate(z, n)
 
     x = [ZERO] * n
-    for i in range(m):
-        if lp.basis[i] < n:
-            x[lp.basis[i]] = Fraction(lp.rows[i].get(width, 0), lp.den[i])
-    value = sum((costs[j] * x[j] for j in range(n)), ZERO)
+    value = ZERO
+    for i, j in enumerate(lp.basis):
+        if j < n:
+            x[j] = Fraction(lp.rows[i].get(width, 0), lp.den[i])
+            value += costs[j] * x[j]
     return x, value
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from halfmatch import core
 from halfmatch import io as result_io
 from halfmatch.cli import _popularity_claims, main
-from halfmatch.core import ONE, InstanceError, validate_instance
+from halfmatch.core import ONE, InstanceError, matching_size, validate_instance
 from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
     POPULARITY_CLAIMS,
@@ -39,8 +39,9 @@ from halfmatch.io import (
     serialize_result,
     _stats_record,
 )
-from halfmatch.popularity import SCOPES
-from halfmatch.solvers import max_weight_dual
+from halfmatch.engine import enumerate_half_matchings
+from halfmatch.popularity import SCOPES, is_popular
+from halfmatch.solvers import max_weight_dual, solve_max_pri
 
 from conftest import rational_market
 
@@ -681,6 +682,43 @@ def test_check_result_re_solves_nothing_after_a_failed_one_pass_claim(
     assert calls == []
 
 
+@pytest.mark.parametrize("seed, size", [(0, F(2)), (6, F(5, 2))])
+def test_verify_refuses_a_popular_pri_result_below_the_maximum_size(tmp_path, capsys,
+                                                                   seed, size):
+    # the first popular half-matching of the given size, written as a
+    # solve-max-pri result with honest stats, with and without its honest
+    # popularity claims; the solver's output has size 3. Above the bound
+    # its derived stability is taken on trust
+    inst_path = tmp_path / "inst.json"
+    assert main(["generate", "--seed", str(seed), "--n", "6", "--edge-density", "0.5",
+                 "--output", str(inst_path)]) == 0
+    inst = load_instance(str(inst_path))
+    assert len(inst.edges) == 7 + (seed == 6)
+    m = next(n for n in enumerate_half_matchings(inst, 8)
+             if matching_size(n) == size and is_popular(inst, n, bound=8).popular)
+    assert matching_size(solve_max_pri(inst)) == 3
+    digest = instance_digest(inst)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    for claims in ({}, _popularity_claims(inst, m, 8, "half")):
+        res_path = tmp_path / f"pri-{len(claims)}.json"
+        result = build_result("solve-max-pri", inst, m, {"derived_stable": True, **claims},
+                              digest)
+        res_path.write_text(serialize_result(result))
+        problems = check_result(inst, result, digest, bound=8)
+        assert len(problems) == 1 and problems[0].startswith(
+            "a larger half-matching is popular: "), problems
+        verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+        assert main(verify) == 0
+        capsys.readouterr()
+        assert main([*verify, "--oracle-bound", "8"]) == 1
+        assert capsys.readouterr().err == f"verification failure: {problems[0]}\n"
+        run = subprocess.run([sys.executable, "-O", "-m", "halfmatch", *verify,
+                              "--oracle-bound", "8"], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == f"verification failure: {problems[0]}\n"
+
+
 DROP = object()  # stands for a deleted key
 BAD_SEED = "error: the seed of a result file must be an integer or null"
 
@@ -786,9 +824,11 @@ def test_cli_verify_checks_popularity_claims_without_the_oracle(tmp_path, capsys
     assert f"verification failure: {message}" in capsys.readouterr().err
 
 
-def test_cli_verify_accepts_an_honest_counterexample(tmp_path):
+def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
     # the single edge e000 is beaten by a rival by 4; the claims is_popular
-    # writes for it pass the shape check and re-derive under the oracle
+    # writes for it pass the shape check and re-derive under the oracle.
+    # A pri matching must be popular, so the oracle still refuses the
+    # matching itself, and for that alone
     inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
     doc = json.loads(res_path.read_text())
     m = {"e000": ONE}
@@ -799,7 +839,10 @@ def test_cli_verify_accepts_an_honest_counterexample(tmp_path):
     _rewrite(inst, res_path, doc)
     verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
     assert main(verify) == 0
-    assert main([*verify, "--oracle-bound", "8"]) == 0
+    capsys.readouterr()
+    assert main([*verify, "--oracle-bound", "8"]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: matching is not popular (half-integral scope)\n")
 
 
 def _solved(tmp_path, generate, tag):

@@ -32,6 +32,7 @@ from halfmatch.popularity import (
     _delta_feasible,
     _delta_product,
     _feasible_value,
+    _product_value,
     delta_feasible,
     delta_product,
     delta_sensible,
@@ -478,7 +479,8 @@ def _as_ints(inst, n):
 
 def test_integer_value_equals_the_transport_value(monkeypatch):
     # fractional M from the sampler sends the Fraction path through the
-    # two-row closed form and the simplex, not only the one-sided plans
+    # two-row closed form and the simplex, not only the one-sided plans;
+    # the product comparison's integer value is checked on the same pairs
     calls = {"_two_row_transport": 0, "_simplex_transport": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(popularity, name)):
@@ -492,11 +494,13 @@ def test_integer_value_equals_the_transport_value(monkeypatch):
         mine = rivals[:: max(1, len(rivals) // 6)] + sampled[:6]
         theirs = rivals[:: max(1, len(rivals) // 20)] + sampled[6:]
         for m in mine:
-            value = _feasible_value(inst, m)
+            value, product = _feasible_value(inst, m), _product_value(inst, m)
             for n in theirs:
                 got = Fraction(*value(*_as_ints(inst, n)))
                 assert type(got) is Fraction
                 assert got == _delta_feasible(inst, m, n).value, (seed, m, n)
+                got = Fraction(*product(*_as_ints(inst, n)))
+                assert got == _delta_product(inst, m, n), (seed, m, n)
                 pairs += 1
         parallel += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
         negative += any(p < 0 for p in inst.pref_empty.values())
