@@ -76,7 +76,7 @@ def solve_min(
     Each row maps a column in 0..len(costs)-1 to its coefficient, absent
     columns being zero. Every entry is an int or a Fraction; the two give
     the same pivots. Returns (x, value) at an optimal basic solution, as
-    Fractions, the value summed over the basic columns.
+    Fractions, the value read off the final objective row.
     """
     m, n = len(rows), len(costs)
     if len(rhs) != m or any(not 0 <= j < n for row in rows for j in row):
@@ -115,12 +115,11 @@ def solve_min(
     lp.iterate(z, n)
 
     x = [ZERO] * n
-    value = ZERO
     for i, j in enumerate(lp.basis):
         if j < n:
             x[j] = Fraction(lp.rows[i].get(width, 0), lp.den[i])
-            value += costs[j] * x[j]
-    return x, value
+    # z's last entry is c_B x_B over D, in the scaled costs
+    return x, Fraction(z[width], lp.d * cost_scale)
 
 
 class _Tableau:
