@@ -44,10 +44,11 @@ private enumerator (:class:`_Assignments`) walks every half-integral
 assignment in canonical order, holding each edge's doubled value by edge
 rank and each vertex's doubled load as ints; the public enumerators are
 views of it, and popularity's rival scan reads it in place. The oracle
-reads it directly: a leaf's size is its count of halves, only a leaf
-larger than the best stable one so far is tested, and the test is the
-weak or gamma blocking rule ``core.blocking_edges`` runs, on edge ranks
-and per-vertex assigned values.
+walks it once into two bytearrays, each leaf's size in halves and its
+doubled values, then tests the leaves from the largest size down, those
+of one size in canonical order, and stops at the first stable one. The
+test is the weak or gamma blocking rule ``core.blocking_edges`` runs, on
+edge ranks and per-vertex assigned values.
 """
 
 from __future__ import annotations
@@ -166,21 +167,34 @@ def brute_force_max_stable(
     """Maximum size over all stable half-matchings, with a witness.
 
     The witness is the first maximizer in canonical enumeration order.
-    Sizes are counted in halves, and only an assignment larger than the
-    best stable one so far is tested, which changes neither the maximum
-    nor the first maximizer. The test is core's weak or gamma blocking
-    rule, the one :func:`core.blocking_edges` applies. Raises
+    One walk stores every assignment as E + 1 bytes: its size in halves
+    and its doubled values by edge rank. Sizes are then tried from the
+    largest down, the assignments of one size in canonical order, and
+    the first stable one is the witness: no test falls on an assignment
+    below the maximum. The test is core's weak or gamma blocking rule,
+    the one :func:`core.blocking_edges` applies. Raises
     :class:`BoundExceeded` past ``bound`` edges, then the blocking mode's
     errors, and :class:`VerificationFailed` if no assignment is stable.
     """
     walk = _Assignments(inst, bound, mode)
-    best, witness = -1, None
+    val, load, eu, ev = walk.val, walk.load, inst._end_u, inst._end_v
+    width = len(val)
+    sizes, vals = bytearray(), bytearray()  # per leaf: its halves, its doubled values
     for halves in walk:
-        if halves > best and not walk.blocked():
-            best, witness = halves, walk.matching()
-    if witness is None:
-        raise VerificationFailed("no stable half-matching found; this cannot happen")
-    return Fraction(best, 2), witness
+        sizes.append(halves)
+        vals.extend(val)
+    for halves in range(max(sizes), -1, -1):
+        i = sizes.find(halves)
+        while i >= 0:
+            val[:] = vals[i * width:(i + 1) * width]
+            load[:] = [0] * len(load)
+            for k, u, v in zip(val, eu, ev):
+                load[u] += k
+                load[v] += k
+            if not walk.blocked():
+                return Fraction(halves, 2), walk.matching()
+            i = sizes.find(halves, i + 1)
+    raise VerificationFailed("no stable half-matching found; this cannot happen")
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ its integer masses by edge rank over one denominator d. An enumerated
 rival is the engine's enumerator's own doubled values (d = 2), read in
 place; a sampled one is over the lcm of its caps. Rivals are compared by
 the value of Delta alone (or of the product comparison), computed in
-integers. A rival gets a Fraction form only when its value ties or beats
-the worst so far, and a pairing (with its per-vertex votes) is built only
-for the worst rival, and only when it is a counterexample. The pairings
-are computed in integers too: the comparisons scale their matchings to
-ints once and make each Fraction as a result leaves.
+integers, and a tie by size and then by masses in edge id order, also
+in integers. Only the worst rival gets a Fraction form, and a pairing
+(with its per-vertex votes) is built for it alone, and only when it is
+a counterexample. The pairings are computed in integers too: the
+comparisons scale their matchings to ints once and make each Fraction
+as a result leaves.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .core import (
     InstanceError,
     MatchingError,
     check_matching,
-    matching_size,
     saturated_vertices,
 )
 from .engine import BoundExceeded, _Assignments
@@ -432,10 +432,6 @@ class PopularityVerdict:
     counterexample: tuple[dict[str, Fraction], DeltaResult] | None
 
 
-def _canonical_key(n: Mapping[str, Fraction]) -> tuple:
-    return tuple(sorted((eid, val) for eid, val in n.items() if val != 0))
-
-
 #: a rival as the verdict scan reads it: its mass on the edge of rank r
 #: is ``held[r] / d``, all ints
 Rival = tuple[Sequence[int], int]
@@ -457,28 +453,46 @@ def _scan(
 
     ``value_of`` gives each rival's value as an integer pair (t, D),
     meaning t/D with D > 0, and values are compared by cross-multiplying.
-    Only a rival whose value ties or beats the current worst is given a
-    Fraction form, sized and keyed, and ``build`` runs once, for the final
-    worst rival, and only when it is a counterexample.
+    The worst so far is kept as ints, a tie ordered by :func:`_precedes`;
+    only the final worst gets a Fraction form, and ``build`` runs for it
+    alone, and only when it is a counterexample.
     """
-    worst = None  # (t, D, (-size, canonical key), rival)
+    worst = None  # (t, D, a copy of held, d)
     for checked, (held, d) in enumerate(rivals, 1):
         # all of held is read here, before the next rival is pulled: the
         # enumerator moves its list in place from one rival to the next
         t, big = value_of(held, d)
         if worst is not None:
             order = t * worst[1] - worst[0] * big
-            if order > 0:
+            if order > 0 or (order == 0 and not _precedes(held, d, worst[2], worst[3])):
                 continue
-        rival = _fractions(inst, held, d)
-        key = (-matching_size(rival), _canonical_key(rival))
-        if worst is None or order < 0 or key < worst[2]:
-            worst = (t, big, key, rival)
+        worst = (t, big, list(held), d)
     if worst is None:
         return PopularityVerdict(True, scope, 0, ZERO, None)
-    t, big, _, rival = worst
-    counter = (dict(rival), build(rival)) if t < 0 else None
+    t, big, held, d = worst
+    rival = _fractions(inst, held, d)
+    counter = (rival, build(rival)) if t < 0 else None
     return PopularityVerdict(t >= 0, scope, checked, Fraction(t, big), counter)
+
+
+def _precedes(a: Sequence[int], da: int, b: Sequence[int], db: int) -> bool:
+    """Whether the rival of masses a/da comes before that of masses b/db
+    among rivals of one value: the larger first, then the one whose
+    nonzero masses by edge id sort first as (edge id, mass) pairs.
+
+    At the first edge rank where two rivals of one size differ, both
+    have further mass, so the one with a zero there has its next nonzero
+    edge later and comes second; with both nonzero, the smaller mass
+    comes first. Sizes and masses are compared by cross-multiplying.
+    """
+    order = sum(a) * db - sum(b) * da
+    if order:
+        return order > 0
+    for x, y in zip(a, b):
+        x, y = x * db, y * da
+        if x != y:
+            return y == 0 or 0 < x < y
+    return False
 
 
 def _enumerated(inst: Instance, bound: int, saturating: Sequence[int] = ()) -> Iterator[Rival]:

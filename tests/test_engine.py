@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
 
 import halfmatch
+from halfmatch import engine
 from halfmatch.core import (
     HALF,
     ONE,
@@ -157,6 +159,80 @@ def test_oracle_matches_the_generic_oracle():
     assert all(kinds[kind] >= 20 for kind in (
         "weak", "min-like", "max-like", "generic", "rational", "tie", "parallel",
         "no_edges", "at_bound", "over_bound", "bad_mode")), kinds
+
+
+def _canonical_max_stable(inst, mode, bound):
+    """The oracle as one canonical-order loop: every leaf larger than the
+    best stable one so far is tested, and the first stable leaf of the
+    largest size is the witness."""
+    walk = engine._Assignments(inst, bound, mode)
+    best, witness = -1, None
+    for halves in walk:
+        if halves > best and not walk.blocked():
+            best, witness = halves, walk.matching()
+    return F(best, 2), witness
+
+
+@pytest.fixture
+def blocked_calls(monkeypatch):
+    """A list that grows by one at each blocking test of an assignment."""
+    calls, real = [], engine._Assignments.blocked
+    monkeypatch.setattr(engine._Assignments, "blocked", lambda self: calls.append(1) or real(self))
+    return calls
+
+
+def test_largest_first_search_matches_the_canonical_loop(blocked_calls):
+    """Past the generic oracle's 6 edges: weak and gamma markets of 7 to 12
+    edges give the loop's maximum and witness, down to the shared ``HALF``
+    and ``ONE`` objects, with no more blocking tests than the loop."""
+    rng = random.Random(35)
+    kinds = Counter()
+    tests = {"loop": 0, "search": 0}
+    for seed in range(400):
+        inst = generate_random(seed, rng.randint(6, 9), edge_density=rng.uniform(0.25, 0.5),
+                               parallel_prob=0.1, tie_prob=rng.choice([0, 0.4]),
+                               gamma_preset="generic")
+        k = len(inst.edges)
+        if not 7 <= k <= 12:
+            continue
+        for mode in ("weak", "gamma"):
+            blocked_calls.clear()
+            want = _canonical_max_stable(inst, mode, 12)
+            loop = len(blocked_calls)
+            blocked_calls.clear()
+            got = brute_force_max_stable(inst, mode)
+            assert got == want, (seed, mode)
+            assert list(got[1].items()) == list(want[1].items())
+            assert all(a is b for a, b in zip(got[1].values(), want[1].values()))
+            assert len(blocked_calls) <= loop, (seed, mode)
+            tests["loop"] += loop
+            tests["search"] += len(blocked_calls)
+            kinds[k] += 1
+            kinds[mode] += 1
+            kinds["tie"] += not inst.is_strict()
+            kinds["half"] += want[0].denominator == 2
+    assert all(kinds[k] >= 20 for k in range(7, 13)), kinds
+    assert kinds["tie"] >= 50 and kinds["half"] >= 20, kinds
+    assert tests["search"] * 5 < tests["loop"], tests
+
+
+def test_largest_first_search_tests_one_leaf_of_twelve_disjoint_edges(blocked_calls):
+    # 3^12 = 531,441 leaves, and the all-ONE one, canonically the last, is
+    # the only stable one: the canonical loop tests every leaf, the search
+    # only the one of the largest size. Each leaf is held in 13 bytes
+    vertices = [f"v{i:02d}" for i in range(24)]
+    edges = [(f"e{i:02d}", vertices[2 * i], vertices[2 * i + 1]) for i in range(12)]
+    inst = validate_instance(vertices, edges, {v: {eid: 1} for eid, *ends in edges for v in ends})
+    tracemalloc.start()
+    try:
+        size, witness = brute_force_max_stable(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 12 and list(witness) == [eid for eid, _, _ in edges]
+    assert all(val is ONE for val in witness.values())
+    assert len(blocked_calls) == 1
+    assert peak < 10 * 2**20, peak
 
 
 def test_oracle_failure_exits_1_without_a_traceback():

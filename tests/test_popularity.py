@@ -28,7 +28,6 @@ from halfmatch.popularity import (
     ImbalancedTransport,
     Pairing,
     PopularityVerdict,
-    _canonical_key,
     _delta_feasible,
     _delta_product,
     _feasible_value,
@@ -553,6 +552,12 @@ def test_sampler_draws_are_randint_draws():
             assert mine.getstate() == ref.getstate()
 
 
+def _canonical_key(n):
+    """The tie key the verdict scan once made for each tied rival, after
+    its size: n's nonzero (edge id, mass) pairs, sorted."""
+    return tuple(sorted((eid, val) for eid, val in n.items() if val != 0))
+
+
 def _oracle_scan(rivals, compare, scope):
     """The verdict scan that builds every rival's full comparison."""
     worst = None
@@ -671,7 +676,8 @@ def _sampled_candidates(inst, m, samples, seed):
 @pytest.mark.parametrize("market", ["single_edge", "five_agent_market"])
 def test_a_sampled_verdict_stays_on_integers(monkeypatch, request, market):
     # single edge: the samples with raw 16 tie M's own value 0 and are
-    # keyed; five agents: half-integral rivals beat m, one pairing is built
+    # ordered in ints; five agents: half-integral rivals beat m, one pairing
+    # is built. Either way the final worst alone gets a Fraction form
     if market == "single_edge":
         inst, m = request.getfixturevalue(market), {"e": ONE}
     else:
@@ -688,8 +694,40 @@ def test_a_sampled_verdict_stays_on_integers(monkeypatch, request, market):
     assert _plain(got) == _plain(want)
     assert [args[1] for args in calls["check_matching"]] == [m]
     assert len(calls["_delta_feasible"]) == (not want.popular)
-    assert len(calls["_fractions"]) == candidates
+    assert len(calls["_fractions"]) == 1 < candidates
     assert sampled >= 5 if market == "single_edge" else sampled == 0
+
+
+def test_tied_rivals_keep_the_fraction_order():
+    # every ordered pair of rivals of one value on the seed-1 desk-audit
+    # markets (the first 20 of each of 6, 7 and 8 edges from seed 1000 on),
+    # against pri's output as the audit scans them: enumerated over d = 2
+    # and sampled over the lcm of their caps. The integer comparison puts
+    # them in the order of the Fraction key (-size, canonical key)
+    need = {6: 20, 7: 20, 8: 20}
+    pairs = mixed = sizes_tie = 0
+    for seed in itertools.count(1000):
+        if not any(need.values()):
+            break
+        inst = generate_random(seed, 7, edge_density=0.35, parallel_prob=0.1)
+        if not need.get(len(inst.edges)):
+            continue
+        need[len(inst.edges)] -= 1
+        value = _feasible_value(inst, solve_max_pri(inst))
+        rivals = [(list(held), d) for held, d in popularity._enumerated(inst, 10)]
+        rivals += popularity._sampled(inst, 0, 200)
+        groups = {}
+        for held, d in rivals:
+            n = popularity._fractions(inst, held, d)
+            key = (-matching_size(n), _canonical_key(n))
+            groups.setdefault(Fraction(*value(held, d)), []).append((held, d, key))
+        for group in groups.values():
+            for (a, da, ka), (b, db, kb) in itertools.permutations(group, 2):
+                assert popularity._precedes(a, da, b, db) == (ka < kb), (seed, a, da, b, db)
+                pairs += 1
+                mixed += da != db
+                sizes_tie += ka[0] == kb[0]
+    assert pairs >= 300_000 and mixed >= 10_000 and sizes_tie >= 100_000, (pairs, mixed, sizes_tie)
 
 
 # -- golden pin ----------------------------------------------------------------
