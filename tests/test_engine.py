@@ -185,7 +185,7 @@ def test_largest_first_search_matches_the_canonical_loop(blocked_calls):
     """Past the generic oracle's 6 edges: weak and gamma markets of 7 to 12
     edges give the loop's maximum and witness, down to the shared ``HALF``
     and ``ONE`` objects, with no more blocking tests than the loop."""
-    rng = random.Random(35)
+    rng = random.Random(1989)
     kinds = Counter()
     tests = {"loop": 0, "search": 0}
     for seed in range(400):
