@@ -453,6 +453,43 @@ def test_an_overloaded_sample_is_refused(monkeypatch, five_agent_market):
         is_popular(inst, m, scope="sampled", seed=9)
 
 
+def _overloads(inst, seed, count):
+    """Each sample in which some vertex draws more than 16 in all, as the
+    pair (sample index, its overloaded vertex of least index)."""
+    rng = random.Random(f"halfmatch-sample-{seed}")
+    found = []
+    for k in range(count):
+        load = [0] * len(inst.vertices)
+        for e in inst.edges:
+            raw = rng.randint(0, 16)
+            load[inst.index(e.u)] += raw
+            load[inst.index(e.v)] += raw
+        found += [(k, x) for x, total in enumerate(load) if total > 16][:1]
+    return found
+
+
+def test_an_overloaded_sample_names_its_least_vertex(monkeypatch):
+    # with every cap 16 the refusal names the vertex a per-sample check
+    # meets first: the first overloaded sample, then its least vertex
+    # index, though a later sample may overload a vertex of smaller index
+    monkeypatch.setattr(popularity, "max", lambda *args: 16, raising=False)
+    later = smaller_later = clean = 0
+    for seed in range(60):
+        inst = generate_random(seed, 4 + seed % 5, edge_density=0.3, parallel_prob=0.1)
+        found = _overloads(inst, seed, 6)
+        if not found:
+            assert len(sample_fractional_matchings(inst, seed=seed, count=6)) == 6
+            clean += 1
+            continue
+        (k, x), rest = found[0], found[1:]
+        with pytest.raises(MatchingError) as info:
+            sample_fractional_matchings(inst, seed=seed, count=6)
+        assert str(info.value) == f"sampled rival overloads vertex {inst.vertices[x]!r}", seed
+        later += k > 0
+        smaller_later += any(y < x for _, y in rest)
+    assert later >= 5 and smaller_later >= 5 and clean >= 3, (later, smaller_later, clean)
+
+
 # -- integer values and the verdict scan against the Fraction path ----------------
 
 
