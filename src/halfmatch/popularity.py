@@ -15,19 +15,23 @@ exceeds M:
   exact linear program.
 
 M is popular when Delta(M, N) >= 0 against every rival N; the verifiers
-below certify that over all enumerated half-integral rivals (the
-vertices of the degree-constrained polytope), optionally supplemented
-by seeded random fractional rivals. They scan every rival in one form:
-its integer masses by edge rank over one denominator d. An enumerated
-rival is the engine's enumerator's own doubled values (d = 2), read in
-place; a sampled one is over the lcm of its caps. Rivals are compared by
-the value of Delta alone (or of the product comparison), computed in
-integers, and a tie by size and then by masses in edge id order, also
-in integers. Only the worst rival gets a Fraction form, and a pairing
-(with its per-vertex votes) is built for it alone, and only when it is
-a counterexample. The pairings are computed in integers too: the
-comparisons scale their matchings to ints once and make each Fraction
-as a result leaves.
+below check that over all enumerated half-integral rivals (the vertices
+of the degree-constrained polytope), optionally supplemented by seeded
+random fractional rivals. The vertices cover every fractional rival only
+when M is integral, as Delta(M, N) is then linear in N; against a
+half-integral M a quarter-integral rival can do worse. They scan every
+rival in one form: its integer masses by edge rank over one denominator
+d. An enumerated rival is the engine's enumerator's own doubled values
+(d = 2), read in place and valued by sweeping again only the vertices
+whose masses may have changed since the last rival; the sampled ones are
+drawn at once, a column per edge, over the lcm of each one's caps.
+Rivals are compared by the value of Delta alone (or of the product
+comparison), computed in integers, and a tie by size and then by masses
+in edge id order, also in integers. Only the worst rival gets a Fraction
+form, and a pairing (with its per-vertex votes) is built for it alone,
+and only when it is a counterexample. The pairings are computed in
+integers too: the comparisons scale their matchings to ints once and
+make each Fraction as a result leaves.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 from math import lcm
-from operator import mul
+from operator import floordiv, gt, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -254,30 +258,48 @@ def _feasible_value(
     optimum is then T - 2U: T is its surplus mass, U the largest part of
     T that can move to a strictly better demand item. One sweep from the
     best item finds U: a demand item adds to a pool, and a surplus item
-    takes what it can from it.
+    takes what it can from it. The closure keeps the last rival (a copy:
+    the enumerator moves its list in place), its d and each row's value.
+    A rival over the same d sweeps again only the rows holding an edge at
+    or after the first rank where its masses differ; a new d, every row.
     """
     base, scaled = _by_rank(inst, m)
     rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)] for v in inst.vertices]
+    # by rank r, the rows holding an edge of rank r or later: none at r = width,
+    # the rank past the last, where a rival equal to the last one stops
+    width = len(inst.edges)
+    later = [[i for i, row in enumerate(rows) if any(s >= r for s, _ in row)]
+             for r in range(width + 1)]
+    part, prev, prev_d, k, j, big, total = [0] * len(rows), None, None, 0, 0, 0, 0
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
-        big = lcm(base, d)
-        k, j = big // base, big // d
+        nonlocal prev, prev_d, k, j, big, total
+        if d != prev_d:
+            big = lcm(base, d)
+            k, j, prev_d, dirty = big // base, big // d, d, later[0]
+        else:
+            first = 0
+            while first < width and held[first] == prev[first]:
+                first += 1
+            dirty = later[first]
+        prev = held[:]
         if j != 1:
             held = [x * j for x in held]
-        total = 0
-        for row in rows:
-            pool = rest = 0
-            for r, a in row:
+        for i in dirty:
+            pool = rest = t = 0
+            for r, a in rows[i]:
                 x = a * k - held[r]
                 rest += x
                 if x < 0:
                     pool -= x
-                elif x > 0:
-                    take = min(pool, x)
+                elif x > 0:  # a conditional costs less than a call of min
+                    take = pool if pool < x else x
                     pool -= take
-                    total += x - 2 * take
+                    t += x - 2 * take
             if rest < 0:  # staying unmatched, the rest of big, ranks last
-                total -= rest + 2 * min(pool, -rest)
+                t -= rest + 2 * (pool if pool < -rest else -rest)
+            part[i] = t
+        total = sum(part)
         return total, big
 
     return value
@@ -523,7 +545,8 @@ def is_popular(
     """Whether no rival beats m under adversarial feasible pairings.
 
     Scope ``half`` checks every enumerated half-integral rival, the
-    vertex set of the fractional matching polytope; ``sampled`` adds
+    vertex set of the fractional matching polytope, which covers every
+    fractional rival only when m is integral; ``sampled`` adds ``samples``
     seeded random fractional rivals as a probabilistic supplement. Each
     rival is read as integer masses and compared by Delta's exact value
     in integers; the reported counterexample is the worst rival (ties:
@@ -532,6 +555,8 @@ def is_popular(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown popularity scope {scope!r}")
+    if samples < 0:
+        raise ValueError(f"sample count {samples} is negative")
     _require(inst, "delta over feasible pairings", m)
     rivals = _enumerated(inst, bound)
     if scope == "sampled":
@@ -590,28 +615,26 @@ def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
     Each edge draws raw in 0..16 and holds raw / max(16, L_u, L_v), where
     L is the sum of the raw draws at a vertex; a sample holds these as
     raw * (d // cap) over the lcm d of its caps. Every vertex's mass is
-    checked to be at most d.
+    checked to be at most d. The draws of all samples are held as one
+    column per edge rank, so loads, caps, lcms, masses and checks are maps
+    across the samples; an overload names its first sample's least vertex.
     """
-    draws = _draws(random.Random(f"halfmatch-sample-{seed}"))
-    ends = list(zip(inst._end_u, inst._end_v))
-    zeros = [0] * len(inst.vertices)
-    for _ in range(count):
-        raw = list(islice(draws, len(ends)))
-        load = zeros[:]
-        for (u, v), r in zip(ends, raw):
-            load[u] += r
-            load[v] += r
-        caps = [max(16, load[u], load[v]) for u, v in ends]
-        d = lcm(*caps)
-        held = [r * (d // cap) for r, cap in zip(raw, caps)]
-        mass = zeros[:]
-        for (u, v), x in zip(ends, held):
-            mass[u] += x
-            mass[v] += x
-        for v, x in enumerate(mass):
-            if x > d:
-                raise MatchingError(f"sampled rival overloads vertex {inst.vertices[v]!r}")
-        yield held, d
+    width = len(inst.edges)
+    if not width:  # no columns to map over: every sample is empty, over 1
+        yield from repeat(((), 1), count)
+        return
+    flat = list(islice(_draws(random.Random(f"halfmatch-sample-{seed}")), count * width))
+    raw = [flat[r::width] for r in range(width)]
+    at = [inst._ranks[v] for v in inst.vertices]
+    load = [list(map(sum, zip(*[raw[r] for r in ranks]))) for ranks in at]  # [] if no edge
+    caps = [list(map(max, repeat(16), load[u], load[v])) for u, v in zip(inst._end_u, inst._end_v)]
+    d = list(map(lcm, *caps))
+    held = [list(map(mul, col, map(floordiv, d, cap))) for col, cap in zip(raw, caps)]
+    mass = [map(sum, zip(*[held[r] for r in ranks])) for ranks in at]
+    over = [(k, x) for x, col in enumerate(mass) for k in compress(range(count), map(gt, col, d))]
+    if over:
+        raise MatchingError(f"sampled rival overloads vertex {inst.vertices[min(over)[1]]!r}")
+    yield from zip(zip(*held), d)
 
 
 def sample_fractional_matchings(

@@ -490,6 +490,98 @@ def test_an_overloaded_sample_names_its_least_vertex(monkeypatch):
     assert later >= 5 and smaller_later >= 5 and clean >= 3, (later, smaller_later, clean)
 
 
+def test_a_negative_sample_count_is_refused(five_agent_market):
+    # before any rival is enumerated; none sampled is the half scope's scan
+    inst, m, _ = five_agent_market
+    with pytest.raises(ValueError, match="sample count -3 is negative"):
+        is_popular(inst, m, scope="sampled", samples=-3)
+    none = is_popular(inst, m, scope="sampled", samples=0)
+    half = is_popular(inst, m)
+    assert none.checked == half.checked and none.worst_value == half.worst_value
+    assert none.counterexample == half.counterexample
+
+
+def test_the_sampler_on_edgeless_markets_and_isolated_vertices():
+    # no edge: count empty rivals over 1; an isolated vertex has load 0 and
+    # changes no cap; a count of 0 yields nothing
+    edgeless = validate_instance(["a", "b"], [], {"a": {}, "b": {}})
+    assert list(popularity._sampled(edgeless, 3, 4)) == [((), 1)] * 4
+    assert sample_fractional_matchings(edgeless, seed=3, count=2) == [{}, {}]
+    assert is_popular(edgeless, {}, scope="sampled", samples=5).checked == 6
+    lonely = validate_instance(
+        ["a", "b", "c", "d"], [("e", "a", "b"), ("f", "a", "b"), ("g", "b", "d")],
+        {"a": {"e": 2, "f": 1}, "b": {"e": 1, "f": 2, "g": 3}, "c": {}, "d": {"g": 1}},
+    )
+    for seed in range(20):
+        got = sample_fractional_matchings(lonely, seed=seed, count=15)
+        assert [list(n.items()) for n in got] == [
+            list(n.items()) for n in _fraction_sampler(lonely, seed, 15)
+        ]
+    for inst in (edgeless, lonely):
+        assert list(popularity._sampled(inst, 0, 0)) == []
+        assert sample_fractional_matchings(inst, seed=0, count=0) == []
+
+
+def test_incremental_values_equal_a_full_sweep():
+    # one closure values every rival a verdict scans, the enumerator's list
+    # read in place, then the same rivals shuffled, some twice in a row (once
+    # as a copy of another type) and enumerated ones after sampled ones, so
+    # that d changes; each value must be a fresh closure's full sweep
+    rng = random.Random(36)
+    values = repeats = after_sampled = 0
+    desk = ((seed, generate_random(seed, 7, edge_density=0.35, parallel_prob=0.1))
+            for seed in range(1000, 1030))
+    markets = [*_oracle_markets(range(30), max_edges=10),
+               *((seed, inst) for seed, inst in desk if 0 < len(inst.edges) <= 10)]
+    for seed, inst in markets:
+        crit = [0, len(inst.vertices) - 1]
+        for m in [solve_max_pri(inst), *sample_fractional_matchings(inst, seed=seed, count=2)]:
+            value = _feasible_value(inst, m)
+
+            def check(held, d):
+                assert value(held, d) == _feasible_value(inst, m)(held, d), (seed, m, held, d)
+
+            for held, d in chain_rivals(inst, crit, seed):
+                check(held, d)
+                values += 1
+            rivals = [(list(held), d) for held, d in chain_rivals(inst, crit, seed)]
+            rng.shuffle(rivals)
+            last_d = None
+            for held, d in rivals:
+                check(held, d)
+                after_sampled += d == 2 and last_d not in (None, 2)
+                if rng.random() < 0.2:
+                    check(tuple(held) if rng.random() < 0.5 else held, d)
+                    repeats += 1
+                last_d = d
+                values += 1
+    assert values >= 30_000 and repeats >= 3000 and after_sampled >= 1000, (
+        values, repeats, after_sampled)
+
+
+def chain_rivals(inst, crit, seed):
+    """The rivals the verdicts scan, in scan order: every enumerated one,
+    the critical-filtered ones, then 20 sampled ones."""
+    yield from popularity._enumerated(inst, 10)
+    yield from popularity._enumerated(inst, 10, crit)
+    yield from popularity._sampled(inst, seed, 20)
+
+
+def test_the_half_scope_misses_a_quarter_rival_of_a_half_integral_matching():
+    # M is half-integral, so its vote mass is not linear in the rival: the
+    # half-integral vertices of the polytope all tie or lose to it, but a
+    # quarter-integral rival beats it, and so does a sampled one
+    inst = generate_random(443, 5, edge_density=0.5)
+    assert len(inst.edges) == 7
+    m = {eid: H for eid in ("e000", "e001", "e002", "e005", "e006")}
+    verdict = is_popular(inst, m, bound=8)
+    assert verdict.popular and verdict.worst_value == 0 and verdict.checked == 125
+    n = {"e001": ONE, "e002": F(1, 4), "e003": F(1, 4), "e005": F(3, 4)}
+    assert delta_feasible(inst, m, n).value == F(-1, 2)
+    sampled = is_popular(inst, m, bound=8, scope="sampled")
+    assert not sampled.popular and sampled.worst_value == F(-1, 10)
+
+
 # -- integer values and the verdict scan against the Fraction path ----------------
 
 
