@@ -526,7 +526,7 @@ def _enumerated(inst: Instance, bound: int, saturating: Sequence[int] = ()) -> I
     """
     walk = _Assignments(inst, bound)
     for _ in walk:
-        if all(walk.load[x] == 2 for x in saturating):
+        if not saturating or all(walk.load[x] == 2 for x in saturating):
             yield walk.val, 2
 
 
