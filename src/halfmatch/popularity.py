@@ -270,7 +270,9 @@ def _feasible_value(
     width = len(inst.edges)
     later = [[i for i, row in enumerate(rows) if any(s >= r for s, _ in row)]
              for r in range(width + 1)]
-    part, prev, prev_d, k, j, big, total = [0] * len(rows), None, None, 0, 0, 0, 0
+    part = [0] * len(rows)  # each row's value against the last rival
+    prev = prev_d = None
+    k = j = big = total = 0
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
         nonlocal prev, prev_d, k, j, big, total

@@ -491,7 +491,7 @@ def test_an_overloaded_sample_names_its_least_vertex(monkeypatch):
 
 
 def test_a_negative_sample_count_is_refused(five_agent_market):
-    # before any rival is enumerated; none sampled is the half scope's scan
+    # a count of 0 samples nothing: the half scope's rivals, worst and witness
     inst, m, _ = five_agent_market
     with pytest.raises(ValueError, match="sample count -3 is negative"):
         is_popular(inst, m, scope="sampled", samples=-3)
