@@ -272,10 +272,10 @@ def _feasible_value(
              for r in range(width + 1)]
     part = [0] * len(rows)  # each row's value against the last rival
     prev = prev_d = None
-    k = j = big = total = 0
+    k = j = big = 0
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
-        nonlocal prev, prev_d, k, j, big, total
+        nonlocal prev, prev_d, k, j, big
         if d != prev_d:
             big = lcm(base, d)
             k, j, prev_d, dirty = big // base, big // d, d, later[0]
@@ -301,8 +301,7 @@ def _feasible_value(
             if rest < 0:  # staying unmatched, the rest of big, ranks last
                 t -= rest + 2 * (pool if pool < -rest else -rest)
             part[i] = t
-        total = sum(part)
-        return total, big
+        return sum(part), big
 
     return value
 
@@ -649,4 +648,6 @@ def sample_fractional_matchings(
     the raw draws at a vertex. These are the rivals the sampled verdict
     scans as integer masses, in their Fraction form.
     """
+    if count < 0:
+        raise ValueError(f"sample count {count} is negative")
     return [_fractions(inst, held, d) for held, d in _sampled(inst, seed, count)]

@@ -495,6 +495,10 @@ def test_a_negative_sample_count_is_refused(five_agent_market):
     inst, m, _ = five_agent_market
     with pytest.raises(ValueError, match="sample count -3 is negative"):
         is_popular(inst, m, scope="sampled", samples=-3)
+    edgeless = validate_instance(["a", "b"], [], {"a": {}, "b": {}})
+    for market in (inst, edgeless):
+        with pytest.raises(ValueError, match="sample count -1 is negative"):
+            sample_fractional_matchings(market, seed=0, count=-1)
     none = is_popular(inst, m, scope="sampled", samples=0)
     half = is_popular(inst, m)
     assert none.checked == half.checked and none.worst_value == half.worst_value
@@ -522,6 +526,14 @@ def test_the_sampler_on_edgeless_markets_and_isolated_vertices():
         assert sample_fractional_matchings(inst, seed=0, count=0) == []
 
 
+def _scan_rivals(inst, crit, seed):
+    """The rivals the verdicts scan, in scan order: every enumerated one,
+    the critical-filtered ones, then 20 sampled ones."""
+    yield from popularity._enumerated(inst, 10)
+    yield from popularity._enumerated(inst, 10, crit)
+    yield from popularity._sampled(inst, seed, 20)
+
+
 def test_incremental_values_equal_a_full_sweep():
     # one closure values every rival a verdict scans, the enumerator's list
     # read in place, then the same rivals shuffled, some twice in a row (once
@@ -541,10 +553,10 @@ def test_incremental_values_equal_a_full_sweep():
             def check(held, d):
                 assert value(held, d) == _feasible_value(inst, m)(held, d), (seed, m, held, d)
 
-            for held, d in chain_rivals(inst, crit, seed):
+            for held, d in _scan_rivals(inst, crit, seed):
                 check(held, d)
                 values += 1
-            rivals = [(list(held), d) for held, d in chain_rivals(inst, crit, seed)]
+            rivals = [(list(held), d) for held, d in _scan_rivals(inst, crit, seed)]
             rng.shuffle(rivals)
             last_d = None
             for held, d in rivals:
@@ -557,14 +569,6 @@ def test_incremental_values_equal_a_full_sweep():
                 values += 1
     assert values >= 30_000 and repeats >= 3000 and after_sampled >= 1000, (
         values, repeats, after_sampled)
-
-
-def chain_rivals(inst, crit, seed):
-    """The rivals the verdicts scan, in scan order: every enumerated one,
-    the critical-filtered ones, then 20 sampled ones."""
-    yield from popularity._enumerated(inst, 10)
-    yield from popularity._enumerated(inst, 10, crit)
-    yield from popularity._sampled(inst, seed, 20)
 
 
 def test_the_half_scope_misses_a_quarter_rival_of_a_half_integral_matching():
