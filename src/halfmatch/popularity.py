@@ -12,7 +12,9 @@ exceeds M:
 * a *sensible* pairing relaxes the marginals to the full M and N masses
   with a shared-diagonal consistency condition across the two endpoints
   of every edge, which couples the vertices and is solved here as one
-  exact linear program.
+  exact linear program; when every vertex is *whole* for one of the two
+  matchings (all of its mass on one edge, or none), the program's one
+  feasible point is the product pairing, read off in closed form.
 
 M is popular when Delta(M, N) >= 0 against every rival N; the verifiers
 below check that over all enumerated half-integral rivals (the vertices
@@ -22,9 +24,12 @@ when M is integral, as Delta(M, N) is then linear in N; against a
 half-integral M a quarter-integral rival can do worse. They scan every
 rival in one form: its integer masses by edge rank over one denominator
 d. An enumerated rival is the engine's enumerator's own doubled values
-(d = 2), read in place and valued by sweeping again only the vertices
-whose masses may have changed since the last rival; the sampled ones are
-drawn at once, a column per edge, over the lcm of each one's caps.
+(d = 2), read in place; the sampled ones are drawn at once, a column per
+edge, over the lcm of each one's caps. At a vertex where M is whole the
+vote mass is linear in the rival, so those vertices are valued together
+as one dot product with a weight per edge, which is all of it when M is
+integral; the other vertices are swept, again only those whose masses
+may have changed since the last rival.
 Rivals are compared by the value of Delta alone (or of the product
 comparison), computed in integers, and a tie by size and then by masses
 in edge id order, also in integers. Only the worst rival gets a Fraction
@@ -42,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from math import lcm
-from operator import floordiv, gt, mul
+from operator import floordiv, gt, mul, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -51,6 +56,7 @@ from .core import (
     Instance,
     InstanceError,
     MatchingError,
+    VerificationFailed,
     check_matching,
     saturated_vertices,
 )
@@ -180,11 +186,11 @@ class DeltaResult:
 
 
 def _masses(inst: Instance, m: Mapping[str, int | Fraction], v: str,
-            whole: int | Fraction) -> dict[Item, int | Fraction]:
+            full: int | Fraction) -> dict[Item, int | Fraction]:
     """v's mass on each incident edge under m, and on None its unmatched
-    rest of ``whole``, the mass of a saturated vertex."""
+    rest of ``full``, the mass of a saturated vertex."""
     held = {eid: m.get(eid, 0) for eid in inst.incident(v)}
-    held[None] = whole - sum(held.values())
+    held[None] = full - sum(held.values())
     return held
 
 
@@ -217,9 +223,7 @@ def _delta_feasible(
     vertex's masses, surpluses and transport are ints; the value, each
     vote and each plan entry is made a Fraction over d as it leaves.
     """
-    d = lcm(*(val.denominator for val in chain(m.values(), n.values())))
-    m_int = {eid: val.numerator * (d // val.denominator) for eid, val in m.items()}
-    n_int = {eid: val.numerator * (d // val.denominator) for eid, val in n.items()}
+    d, m_int, n_int = _scaled(m, n)
     total = 0
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {}
     votes: dict[str, Fraction] = {}
@@ -236,11 +240,26 @@ def _delta_feasible(
     return DeltaResult(value=Fraction(total, d), pairing=Pairing("feasible", phi), votes=votes)
 
 
+def _scaled(m: Mapping[str, Fraction], n: Mapping[str, Fraction]
+            ) -> tuple[int, dict[str, int], dict[str, int]]:
+    """The lcm d of m's and n's denominators, and both matchings times d."""
+    d = lcm(*(val.denominator for val in chain(m.values(), n.values())))
+    return d, *({eid: val.numerator * (d // val.denominator) for eid, val in g.items()}
+                for g in (m, n))
+
+
 def _by_rank(inst: Instance, m: Mapping[str, Fraction]) -> tuple[int, dict[int, int]]:
     """The lcm ``base`` of m's denominators, and m's values times base by edge rank."""
     base = lcm(*(val.denominator for val in m.values()))
     return base, {inst._rank[eid]: val.numerator * (base // val.denominator)
                   for eid, val in m.items()}
+
+
+def _whole(inst: Instance, m: Mapping[str, Fraction]) -> list[bool]:
+    """By vertex index, whether m is *whole* at the vertex: all of its mass
+    on one item, an edge at 1 or staying unmatched."""
+    return [ONE in held or not any(held)
+            for held in ([m.get(eid, 0) for eid in inst.incident(v)] for v in inst.vertices)]
 
 
 def _feasible_value(
@@ -256,26 +275,45 @@ def _feasible_value(
     Supply and demand sit on different items, so every vote costs +1 or
     -1, by v's strict order in which staying unmatched ranks last. v's
     optimum is then T - 2U: T is its surplus mass, U the largest part of
-    T that can move to a strictly better demand item. One sweep from the
-    best item finds U: a demand item adds to a pool, and a surplus item
-    takes what it can from it. The closure keeps the last rival (a copy:
-    the enumerator moves its list in place), its d and each row's value.
-    A rival over the same d sweeps again only the rows holding an edge at
-    or after the first rank where its masses differ; a new d, every row.
+    T that can move to a strictly better demand item.
+
+    Where m is whole at v (:func:`_whole`), U is all of the rival's mass
+    above m's item, so v's term is linear in the rival and equals the
+    product comparison's: d, less the rival's mass on m's edge, less twice
+    its mass on the edges v ranks above that edge; or, where m leaves v
+    unmatched, minus the rival's load at v. These terms are
+    :func:`_product_weights` over the whole vertices, each a multiple of
+    base, so they are held as one weight per edge rank and a fixed part,
+    both divided by base. When m is whole everywhere it is integral, base
+    is 1 and D is d, and a rival's value is one dot product.
+
+    At the other, *split* vertices one sweep from the best item finds U:
+    a demand item adds to a pool, and a surplus item takes what it can
+    from it. The closure keeps the last rival (a copy: the enumerator
+    moves its list in place), its d and each split row's value. A rival
+    over the same d sweeps again only the split rows holding an edge at or
+    after the first rank where its masses differ; a new d, every one.
     """
     base, scaled = _by_rank(inst, m)
-    rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)] for v in inst.vertices]
+    whole = _whole(inst, m)
+    weight, fixed = _product_weights(inst, base, scaled, compress(inst.vertices, whole))
+    weight, fixed = [w // base for w in weight], fixed // base
+    rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)]
+            for v, w in zip(inst.vertices, whole) if not w]
+    if not rows:
+        return lambda held, d: (sum(map(mul, weight, held)) + fixed * d, d)
     # by rank r, the rows holding an edge of rank r or later: none at r = width,
     # the rank past the last, where a rival equal to the last one stops
     width = len(inst.edges)
     later = [[i for i, row in enumerate(rows) if any(s >= r for s, _ in row)]
              for r in range(width + 1)]
-    part = [0] * len(rows)  # each row's value against the last rival
+    part = [0] * len(rows)  # each split row's value against the last rival
     prev = prev_d = None
     k = j = big = 0
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
         nonlocal prev, prev_d, k, j, big
+        linear = sum(map(mul, weight, held)) + fixed * d
         if d != prev_d:
             big = lcm(base, d)
             k, j, prev_d, dirty = big // base, big // d, d, later[0]
@@ -301,7 +339,7 @@ def _feasible_value(
             if rest < 0:  # staying unmatched, the rest of big, ranks last
                 t -= rest + 2 * (pool if pool < -rest else -rest)
             part[i] = t
-        return sum(part), big
+        return linear * j + sum(part), big
 
     return value
 
@@ -327,6 +365,19 @@ def delta_sensible(
     by M admit no unmatched-on-the-left mass, and vertices saturated by
     N none on the right. The coefficients (all 1) and each variable's
     summed votes are ints; the right-hand sides are the matchings' values.
+
+    Where m is whole at v (:func:`_whole`), the program has one feasible
+    point there. On m's edge a at 1, the rows of v's other edges hold
+    mass 0, so their variables are 0, each edge column b leaves
+    phi_v(a, b) = n(b), and a's row leaves phi_v(a, None) the rest of n.
+    Where m leaves v unmatched, every edge row holds 0 and each edge
+    column b leaves phi_v(None, b) = n(b). By symmetry the same holds
+    where n is whole, so every variable of such a vertex equals the
+    product m(a) * n(b), staying unmatched holding each side's rest. The
+    product pairing meets every row at every vertex, so when each vertex
+    is whole for m or for n it is the program's only feasible point, and
+    its optimum: x is read off it (:func:`_product_point`), checked
+    against every row and for x >= 0, and the simplex is skipped.
     """
     _require(inst, "delta over sensible pairings", m, n)
     footprint = sum((len(inst.incident(v)) + 1) ** 2 for v in inst.vertices)
@@ -365,7 +416,18 @@ def delta_sensible(
                 costs[j] = costs.get(j, 0) + vote(inst, v, x, y)
 
     cost_vec = [costs.get(j, 0) for j in range(len(index))]
-    x, value = simplex.solve_min(cost_vec, rows, rhs)
+    if all(map(or_, _whole(inst, m), _whole(inst, n))):
+        point, big = _product_point(inst, m, n, index)
+        if min(point, default=0) < 0 or any(
+            sum(c * point[j] for j, c in row.items()) * b.denominator != b.numerator * big
+            for row, b in zip(rows, rhs)
+        ):
+            raise VerificationFailed(
+                "the product pairing is negative or misses a row of the sensible program")
+        x = [Fraction(a, big) if a else ZERO for a in point]
+        value = Fraction(sum(map(mul, cost_vec, point)), big)
+    else:
+        x, value = simplex.solve_min(cost_vec, rows, rhs)
 
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {v: {} for v in inst.vertices}
     votes: dict[str, Fraction] = {v: ZERO for v in inst.vertices}
@@ -381,6 +443,20 @@ def delta_sensible(
             phi[v][(a, b)] = val
             votes[v] += val * vote(inst, v, a, b)
     return DeltaResult(value=value, pairing=Pairing("sensible", phi), votes=votes)
+
+
+def _product_point(
+    inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction], index: Iterable[tuple]
+) -> tuple[list[int], int]:
+    """The product pairing phi_v(a, b) = m(a) * n(b), staying unmatched
+    holding each matching's unmatched rest, as ints over one denominator
+    D: its entries times D, in the order of the program's columns
+    ``index``, and D."""
+    d, m_int, n_int = _scaled(m, n)
+    at = {v: (_masses(inst, m_int, v, d), _masses(inst, n_int, v, d)) for v in inst.vertices}
+    # a diagonal names no vertex: both of its ends give it m(a) * n(a)
+    return [at[k[0]][0][k[1]] * at[k[0]][1][k[2]] if len(k) == 3
+            else m_int.get(k[0], 0) * n_int.get(k[0], 0) for k in index], d * d
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +492,34 @@ def _product_value(
     :func:`_feasible_value` gives it, over D = base * d with base the lcm of
     m's denominators.
 
-    The value is linear in the rival's masses b: at v it is the sum over
-    items y of b_y * c(y), where c(y), m's mass above y in v's strict order
-    less its mass below y, is fixed by m. Staying unmatched, ranked last,
-    holds the rest of the rival's mass, so each edge weighs c(edge) - c(None)
-    at each end, and each vertex adds c(None) * d.
+    The value is linear in the rival's masses, by :func:`_product_weights`.
     """
     base, scaled = _by_rank(inst, m)
+    weight, fixed = _product_weights(inst, base, scaled, inst.vertices)
+
+    def value(held: Sequence[int], d: int) -> tuple[int, int]:
+        return sum(map(mul, weight, held)) + fixed * d, base * d
+
+    return value
+
+
+def _product_weights(
+    inst: Instance, base: int, scaled: Mapping[int, int], vertices: Iterable[str]
+) -> tuple[list[int], int]:
+    """The product comparison of m, held as ``scaled`` over ``base`` by
+    :func:`_by_rank`, summed over ``vertices``: a weight per edge rank and a
+    fixed part, so that a rival of masses b over d has the value
+    (weights . b + fixed * d) / (base * d) there.
+
+    At v the value is the sum over items y of b_y * c(y), where c(y), m's
+    mass above y in v's strict order less its mass below y, is fixed by m.
+    Staying unmatched, ranked last, holds the rest of the rival's mass, so
+    each edge weighs c(edge) - c(None) at each end, and each vertex adds
+    c(None) * d.
+    """
     weight = [0] * len(inst.edges)
     fixed = 0
-    for v in inst.vertices:
+    for v in vertices:
         ranks = inst.strict_ranks(v)
         matched = sum(scaled.get(r, 0) for r in ranks)  # the rest of base stays unmatched
         above = 0
@@ -435,11 +529,7 @@ def _product_value(
             weight[r] += 2 * above + a - base - matched
             above += a
         fixed += matched
-
-    def value(held: Sequence[int], d: int) -> tuple[int, int]:
-        return sum(map(mul, weight, held)) + fixed * d, base * d
-
-    return value
+    return weight, fixed
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +646,7 @@ def is_popular(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown popularity scope {scope!r}")
-    if samples < 0:
-        raise ValueError(f"sample count {samples} is negative")
+    _check_count(samples)
     _require(inst, "delta over feasible pairings", m)
     rivals = _enumerated(inst, bound)
     if scope == "sampled":
@@ -604,6 +693,14 @@ def is_popular_critical(
     )
 
 
+def _check_count(count: int) -> None:
+    """Refuse a sample count that is not an int (a bool is not one) or is negative."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise TypeError(f"sample count {count!r} is not an int")
+    if count < 0:
+        raise ValueError(f"sample count {count} is negative")
+
+
 def _draws(rng: random.Random) -> Iterator[int]:
     """``rng.randint(0, 16)`` again and again, as ``randint`` draws it: five
     random bits, drawn again while above 16."""
@@ -648,6 +745,5 @@ def sample_fractional_matchings(
     the raw draws at a vertex. These are the rivals the sampled verdict
     scans as integer masses, in their Fraction form.
     """
-    if count < 0:
-        raise ValueError(f"sample count {count} is negative")
+    _check_count(count)
     return [_fractions(inst, held, d) for held, d in _sampled(inst, seed, count)]

@@ -18,6 +18,11 @@ stability oracle as it was before it ran on the engine's integer
 enumerator: every half-matching :func:`generic_half_matchings` yields, as
 a dict of ``Fraction`` values, through the generic
 :func:`halfmatch.core.blocking_edges`, keeping the first strict maximum.
+
+:func:`swept_value` is the feasible comparison's integer value against a
+rival as ``popularity._feasible_value`` found it before the vertices where
+the matching checked is whole were valued by one weight per edge: every
+vertex's row swept for every rival.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from halfmatch.core import (
     HALF,
@@ -538,3 +543,44 @@ def generic_max_stable(stable: Iterable[dict[str, Fraction]]
     if best is None:
         raise RuntimeError("no stable half-matching found; this cannot happen")
     return (*best, ties)
+
+
+# the feasible comparison's value as it was: every vertex row swept per rival
+
+
+def swept_value(inst: Instance, m: Mapping[str, Fraction]
+                ) -> Callable[[Sequence[int], int], tuple[int, int]]:
+    """The value of ``popularity._delta_feasible`` against the rival of
+    masses ``held[r] / d`` by edge rank, as the pair (t, D) meaning t/D,
+    D the lcm of d and of m's denominators.
+
+    At each vertex, every vote costs +1 or -1 and the optimum is T - 2U:
+    T the surplus mass, U the largest part of it that can move to a
+    strictly better demand item, found by one sweep from the best item.
+    """
+    base = lcm(*(val.denominator for val in m.values()))
+    scaled = {inst._rank[eid]: val.numerator * (base // val.denominator)
+              for eid, val in m.items()}
+    rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)] for v in inst.vertices]
+
+    def value(held: Sequence[int], d: int) -> tuple[int, int]:
+        big = lcm(base, d)
+        k, j = big // base, big // d
+        total = 0
+        for row in rows:
+            pool = rest = t = 0
+            for r, a in row:
+                x = a * k - held[r] * j
+                rest += x
+                if x < 0:
+                    pool -= x
+                elif x > 0:
+                    take = min(pool, x)
+                    pool -= take
+                    t += x - 2 * take
+            if rest < 0:  # staying unmatched, the rest of big, ranks last
+                t -= rest + 2 * min(pool, -rest)
+            total += t
+        return total, big
+
+    return value

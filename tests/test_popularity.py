@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfmatch.core import (
-    HALF, ONE, ZERO, InstanceError, MatchingError, check_matching, is_saturated,
+    HALF, ONE, ZERO, InstanceError, MatchingError, VerificationFailed, check_matching, is_saturated,
     matching_size, validate_instance, vertex_load,
 )
 from halfmatch.engine import enumerate_half_matchings, stable_half_matching
@@ -44,6 +46,7 @@ from halfmatch.popularity import (
 )
 
 from conftest import make_path, make_triangle, sparse
+from materialized import swept_value
 
 F = Fraction
 H = HALF
@@ -305,6 +308,90 @@ def test_sensible_witness_satisfies_marginals(five_agent_market):
         assert a == b
 
 
+def test_forced_sensible_pairings_equal_the_simplex(monkeypatch):
+    # where each vertex is whole for m or for n the program's one feasible
+    # point is the product pairing, read off without the simplex; the
+    # simplex on the same program must give the same x, value, pairing and
+    # votes, each mapping in the same insertion order
+    solved, points = [], []
+    real_solve, real_point = simplex.solve_min, popularity._product_point
+    monkeypatch.setattr(simplex, "solve_min",
+                        lambda *args: solved.append(real_solve(*args)) or solved[-1])
+    monkeypatch.setattr(popularity, "_product_point",
+                        lambda *args: points.append(real_point(*args)) or points[-1])
+    forced = mixed = unforced = 0
+    for seed, inst, picked in _whole_sweep():
+        rivals = list(enumerate_half_matchings(inst, bound=10))
+        pairs = list(itertools.product([m for ms in picked.values() for m in ms][::3],
+                                       rivals[:: max(1, len(rivals) // 6)] + picked["sampled"][:1]))
+        # and up to 8 pairs where neither side is whole everywhere, yet each
+        # vertex is whole on one side
+        whole = [popularity._whole(inst, n) for n in rivals]
+        pairs += itertools.islice(
+            ((rivals[a], rivals[b]) for a, b in itertools.permutations(range(len(rivals)), 2)
+             if not (all(whole[a]) or all(whole[b]))
+             and all(map(operator.or_, whole[a], whole[b]))), 8)
+        for m, n in pairs:
+            wm, wn = popularity._whole(inst, m), popularity._whole(inst, n)
+            del solved[:], points[:]
+            got = delta_sensible(inst, m, n)
+            if not all(map(operator.or_, wm, wn)):
+                assert len(solved) == 1 and not points
+                unforced += 1
+                continue
+            assert not solved and len(points) == 1
+            with monkeypatch.context() as patch:
+                patch.setattr(popularity, "_whole", lambda inst, g: [False] * len(inst.vertices))
+                want = delta_sensible(inst, m, n)
+            (x, value), (point, big) = solved[0], points[0]
+            assert [Fraction(a, big) for a in point] == x and got.value == value
+            assert got == want, (seed, m, n)
+            for v in inst.vertices:
+                assert list(got.pairing.phi[v].items()) == list(want.pairing.phi[v].items())
+            assert list(got.votes.items()) == list(want.votes.items())
+            forced += 1
+            mixed += not (all(wm) or all(wn))
+    assert forced >= 600 and mixed >= 150 and unforced >= 300, (forced, mixed, unforced)
+
+
+def test_a_wrong_forced_pairing_is_refused(monkeypatch, five_agent_market):
+    # the forced x is checked against every row of the program and for
+    # x >= 0 before it is used: a point off one row fails, and so does a
+    # negative one that meets every row over a negative denominator; the
+    # check raises, so it holds under python -O too
+    inst, m, _ = five_agent_market
+    n = solve_max_pri(inst)
+    real = popularity._product_point
+    off_row = lambda *args: ([a + (j == 0) for j, a in enumerate(real(*args)[0])], real(*args)[1])
+    negative = lambda *args: ([-a for a in real(*args)[0]], -real(*args)[1])
+    for wrong in (off_row, negative):
+        monkeypatch.setattr(popularity, "_product_point", wrong)
+        with pytest.raises(VerificationFailed, match="is negative or misses a row"):
+            delta_sensible(inst, n, m)
+    script = textwrap.dedent("""
+        from halfmatch import popularity
+        from halfmatch.core import VerificationFailed
+        from halfmatch.generate import generate_random
+        from halfmatch.solvers import solve_max_pri
+
+        inst = generate_random(1000, 7, edge_density=0.35, parallel_prob=0.1)
+        m = solve_max_pri(inst)
+        real = popularity._product_point
+        popularity._product_point = lambda *args: ([0] * len(real(*args)[0]), 1)
+        try:
+            popularity.delta_sensible(inst, m, {})
+        except VerificationFailed as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(halfmatch.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (
+        "the product pairing is negative or misses a row of the sensible program\n")
+
+
 # -- product pairing ------------------------------------------------------------
 
 
@@ -505,6 +592,27 @@ def test_a_negative_sample_count_is_refused(five_agent_market):
     assert none.counterexample == half.counterexample
 
 
+def test_a_sample_count_that_is_not_an_int_is_refused(monkeypatch, five_agent_market):
+    # one TypeError naming the count, on a market with edges and on an
+    # edgeless one alike, before anything is enumerated or drawn; a bool
+    # is no count either
+    inst, m, _ = five_agent_market
+    edgeless = validate_instance(["a", "b"], [], {"a": {}, "b": {}})
+
+    def untouched(*args):
+        raise AssertionError("a rival was enumerated or drawn")
+
+    for name in ("_Assignments", "_draws", "_sampled"):
+        monkeypatch.setattr(popularity, name, untouched)
+    for count in (2.0, True, False, F(2), "2", None):
+        message = f"^{re.escape(f'sample count {count!r} is not an int')}$"
+        for market, matching in ((inst, m), (edgeless, {})):
+            with pytest.raises(TypeError, match=message):
+                is_popular(market, matching, scope="sampled", samples=count)
+            with pytest.raises(TypeError, match=message):
+                sample_fractional_matchings(market, seed=0, count=count)
+
+
 def test_the_sampler_on_edgeless_markets_and_isolated_vertices():
     # no edge: count empty rivals over 1; an isolated vertex has load 0 and
     # changes no cap; a count of 0 yields nothing
@@ -569,6 +677,50 @@ def test_incremental_values_equal_a_full_sweep():
                 values += 1
     assert values >= 30_000 and repeats >= 3000 and after_sampled >= 1000, (
         values, repeats, after_sampled)
+
+
+def _whole_sweep():
+    """Markets of 5-7 vertices and at most 10 edges, parallel edges among
+    them, every third with an isolated vertex z added; for each, matchings
+    by kind: integral, half-integral with and without a whole vertex
+    (one edge at 1, or no mass), with explicit zero entries, and sampled."""
+    for seed in range(60):
+        inst = generate_random(seed, 5 + seed % 3, edge_density=0.4, parallel_prob=0.3)
+        if not 0 < len(inst.edges) <= 10:
+            continue
+        if seed % 3 == 0:
+            inst = validate_instance([*inst.vertices, "z"], inst.edges, {**inst.pref, "z": {}})
+        kinds = {"integral": [solve_max_pri(inst)], "whole": [], "split": []}
+        for m in enumerate_half_matchings(inst, bound=10):
+            kind = ("integral" if all(val == 1 for val in m.values())
+                    else "whole" if any(popularity._whole(inst, m)) else "split")
+            kinds[kind].append(m)
+        picked = {kind: ms[:: max(1, len(ms) // 3)][:3] for kind, ms in kinds.items()}
+        zeros = {e.eid: ZERO for e in inst.edges}
+        picked["zeros"] = [{**zeros, **m} for m in picked["integral"][:1] + picked["whole"][:1]]
+        picked["sampled"] = sample_fractional_matchings(inst, seed=seed, count=2)
+        yield seed, inst, picked
+
+
+def test_whole_vertices_value_rivals_as_the_full_sweep():
+    # the closure values whole vertices by one weight per edge and sweeps
+    # the others; on every rival a verdict scans, in scan order, its (t, D)
+    # must be the pair sweeping every vertex row gives
+    counts = dict.fromkeys(["integral", "whole", "split", "zeros", "sampled"], 0)
+    values = lonely = parallel = 0
+    for seed, inst, picked in _whole_sweep():
+        crit = [0, len(inst.vertices) - 1]
+        for kind, ms in picked.items():
+            for m in ms:
+                value, want = _feasible_value(inst, m), swept_value(inst, m)
+                for held, d in _scan_rivals(inst, crit, seed):
+                    assert value(held, d) == want(held, d), (seed, m, held, d)
+                    values += 1
+                counts[kind] += 1
+        lonely += any(not inst.incident(v) for v in inst.vertices)
+        parallel += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
+    assert min(counts.values()) >= 10, counts
+    assert values >= 50_000 and lonely >= 10 and parallel >= 20, (values, lonely, parallel)
 
 
 def test_the_half_scope_misses_a_quarter_rival_of_a_half_integral_matching():
