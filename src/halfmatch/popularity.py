@@ -28,8 +28,7 @@ d. An enumerated rival is the engine's enumerator's own doubled values
 edge, over the lcm of each one's caps. At a vertex where M is whole the
 vote mass is linear in the rival, so those vertices are valued together
 as one dot product with a weight per edge, which is all of it when M is
-integral; the other vertices are swept, again only those whose masses
-may have changed since the last rival.
+integral; the other vertices are swept, every one for every rival.
 Rivals are compared by the value of Delta alone (or of the product
 comparison), computed in integers, and a tie by size and then by masses
 in edge id order, also in integers. Only the worst rival gets a Fraction
@@ -289,10 +288,8 @@ def _feasible_value(
 
     At the other, *split* vertices one sweep from the best item finds U:
     a demand item adds to a pool, and a surplus item takes what it can
-    from it. The closure keeps the last rival (a copy: the enumerator
-    moves its list in place), its d and each split row's value. A rival
-    over the same d sweeps again only the split rows holding an edge at or
-    after the first rank where its masses differ; a new d, every one.
+    from it. Every rival sweeps every split row: split rows are few, and
+    sweeping them all costs less than tracking which of them changed.
     """
     base, scaled = _by_rank(inst, m)
     whole = _whole(inst, m)
@@ -302,32 +299,16 @@ def _feasible_value(
             for v, w in zip(inst.vertices, whole) if not w]
     if not rows:
         return lambda held, d: (sum(map(mul, weight, held)) + fixed * d, d)
-    # by rank r, the rows holding an edge of rank r or later: none at r = width,
-    # the rank past the last, where a rival equal to the last one stops
-    width = len(inst.edges)
-    later = [[i for i, row in enumerate(rows) if any(s >= r for s, _ in row)]
-             for r in range(width + 1)]
-    part = [0] * len(rows)  # each split row's value against the last rival
-    prev = prev_d = None
-    k = j = big = 0
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
-        nonlocal prev, prev_d, k, j, big
-        linear = sum(map(mul, weight, held)) + fixed * d
-        if d != prev_d:
-            big = lcm(base, d)
-            k, j, prev_d, dirty = big // base, big // d, d, later[0]
-        else:
-            first = 0
-            while first < width and held[first] == prev[first]:
-                first += 1
-            dirty = later[first]
-        prev = held[:]
+        big = lcm(base, d)
+        k, j = big // base, big // d
         if j != 1:
             held = [x * j for x in held]
-        for i in dirty:
-            pool = rest = t = 0
-            for r, a in rows[i]:
+        total = sum(map(mul, weight, held)) + fixed * big
+        for row in rows:
+            pool = rest = 0
+            for r, a in row:
                 x = a * k - held[r]
                 rest += x
                 if x < 0:
@@ -335,11 +316,10 @@ def _feasible_value(
                 elif x > 0:  # a conditional costs less than a call of min
                     take = pool if pool < x else x
                     pool -= take
-                    t += x - 2 * take
+                    total += x - 2 * take
             if rest < 0:  # staying unmatched, the rest of big, ranks last
-                t -= rest + 2 * (pool if pool < -rest else -rest)
-            part[i] = t
-        return linear * j + sum(part), big
+                total -= rest + 2 * (pool if pool < -rest else -rest)
+        return total, big
 
     return value
 

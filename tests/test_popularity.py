@@ -646,7 +646,8 @@ def test_incremental_values_equal_a_full_sweep():
     # one closure values every rival a verdict scans, the enumerator's list
     # read in place, then the same rivals shuffled, some twice in a row (once
     # as a copy of another type) and enumerated ones after sampled ones, so
-    # that d changes; each value must be a fresh closure's full sweep
+    # that d changes; each value must be a fresh closure's and the sweep of
+    # every vertex row's, the reference kept in tests/materialized.py
     rng = random.Random(36)
     values = repeats = after_sampled = 0
     desk = ((seed, generate_random(seed, 7, edge_density=0.35, parallel_prob=0.1))
@@ -656,10 +657,11 @@ def test_incremental_values_equal_a_full_sweep():
     for seed, inst in markets:
         crit = [0, len(inst.vertices) - 1]
         for m in [solve_max_pri(inst), *sample_fractional_matchings(inst, seed=seed, count=2)]:
-            value = _feasible_value(inst, m)
+            value, want = _feasible_value(inst, m), swept_value(inst, m)
 
             def check(held, d):
-                assert value(held, d) == _feasible_value(inst, m)(held, d), (seed, m, held, d)
+                assert value(held, d) == _feasible_value(inst, m)(held, d) == want(held, d), (
+                    seed, m, held, d)
 
             for held, d in _scan_rivals(inst, crit, seed):
                 check(held, d)
