@@ -158,14 +158,6 @@ class Instance:
     def edge(self, eid: str) -> Edge:
         return self.edges[self._rank[eid]]
 
-    def other(self, eid: str, v: str) -> str:
-        e = self.edge(eid)
-        if v == e.u:
-            return e.v
-        if v == e.v:
-            return e.u
-        raise InstanceError(f"edge {eid!r} is not incident to {v!r}")
-
     def index(self, v: str) -> int:
         """Position of v in the canonical vertex list (fixes orientation)."""
         return self._index[v]
@@ -209,11 +201,6 @@ class Instance:
         if not self._is_strict_at(v):
             raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
         return self._ranks[v]
-
-    def gamma_of(self, eid: str, v: str) -> tuple[Fraction, Fraction]:
-        if self.gamma is None or (eid, v) not in self.gamma:
-            raise InstanceError(f"missing gamma/delta for edge {eid!r} at {v!r}")
-        return self.gamma[(eid, v)]
 
     def has_full_gamma(self) -> bool:
         gu, gv = self._gamma_u, self._gamma_v

@@ -446,29 +446,18 @@ def _product_point(
 def delta_product(
     inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
 ) -> Fraction:
-    """Vote mass under the independent product pairing of M and N."""
+    """Vote mass under the independent product pairing of M and N, valued
+    by :func:`_product_value` on n's masses by edge rank (:func:`_by_rank`)."""
     _require(inst, "the product comparison", m, n)
-    return _delta_product(inst, m, n)
-
-
-def _delta_product(
-    inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
-) -> Fraction:
-    total = ZERO
-    for v in inst.vertices:
-        mass_n = _masses(inst, n, v, ONE)
-        for x, a in _masses(inst, m, v, ONE).items():
-            if a:
-                for y, b in mass_n.items():
-                    if b:
-                        total += a * b * vote(inst, v, x, y)
-    return total
+    d, held = _by_rank(inst, n)
+    t, big = _product_value(inst, m)([held.get(r, 0) for r in range(len(inst.edges))], d)
+    return Fraction(t, big)
 
 
 def _product_value(
     inst: Instance, m: Mapping[str, Fraction]
 ) -> Callable[[Sequence[int], int], tuple[int, int]]:
-    """The value of :func:`_delta_product` against a rival held as ints, as
+    """The value of :func:`delta_product` against a rival held as ints, as
     :func:`_feasible_value` gives it, over D = base * d with base the lcm of
     m's denominators.
 
@@ -641,7 +630,7 @@ def is_popular_mixed(
     """Whether no half-integral rival beats m under the product pairing."""
     _require(inst, "the product comparison", m)
     return _scan(inst, _enumerated(inst, bound), _product_value(inst, m),
-                 lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
+                 lambda n: DeltaResult(delta_product(inst, m, n), Pairing("product", {}), {}),
                  "popular mixed")
 
 

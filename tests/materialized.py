@@ -6,12 +6,13 @@ ran on such an ``Instance``, deleting entries one at a time (``_reduce``
 below). The package now builds each vertex's order as copy indices and
 deletes lazily, and its rotation walk keeps its path from one rotation to
 the next; the tests compare it with this code, kept as it was but
-for ``lower_endpoint``, a method of ``Instance`` until its last caller in
-the package went, and the rank view (``_rank``, ``_ranks``, ``_starts``
-and the index and valuation of each end of an edge, ``_end_u``,
-``_end_v``, ``_value_u`` and ``_value_v``) that ``strict_instance`` now
-fills in as validation does. :func:`restarting_reduce` is the lazy engine
-as it was when each rotation's walk began again at the first long list.
+for ``lower_endpoint`` and :func:`other`, methods of ``Instance`` until
+their last callers in the package went, and the rank view (``_rank``,
+``_ranks``, ``_starts`` and the index and valuation of each end of an
+edge, ``_end_u``, ``_end_v``, ``_value_u`` and ``_value_v``) that
+``strict_instance`` now fills in as validation does.
+:func:`restarting_reduce` is the lazy engine as it was when each
+rotation's walk began again at the first long list.
 
 :func:`generic_stable` and :func:`generic_max_stable` are the brute-force
 stability oracle as it was before it ran on the engine's integer
@@ -22,7 +23,10 @@ a dict of ``Fraction`` values, through the generic
 :func:`swept_value` is the feasible comparison's integer value against a
 rival as ``popularity._feasible_value`` found it before the vertices where
 the matching checked is whole were valued by one weight per edge: every
-vertex's row swept for every rival.
+vertex's row swept for every rival. :func:`looped_product` is the product
+comparison as ``popularity`` computed it before every rival was valued by
+one weight per edge: a Fraction sum over every pair of items at every
+vertex.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from halfmatch.core import (
     matching_size,
 )
 from halfmatch.engine import BoundExceeded
+from halfmatch.popularity import _masses, vote
 
 
 def strict_instance(
@@ -113,6 +118,16 @@ def lower_endpoint(inst, eid):
     return e.u if inst.index(e.u) < inst.index(e.v) else e.v
 
 
+def other(inst, eid, v):
+    """The end of edge eid that is not v."""
+    e = inst.edge(eid)
+    if v == e.u:
+        return e.v
+    if v == e.v:
+        return e.u
+    raise InstanceError(f"edge {eid!r} is not incident to {v!r}")
+
+
 def _copies(origin, v, eid, low_first):
     """An edge's copies in ``low_first`` suffix order, reversed unless v is its lower end."""
     order = low_first if lower_endpoint(origin, eid) == v else low_first[::-1]
@@ -145,7 +160,7 @@ def build_gamma_reduction(origin: Instance) -> DerivedInstance:
     origin_of = {f"{e.eid}~{k}": e.eid for e in origin.edges for k in range(1, 5)}
     orders = {}
     for v in origin.vertices:
-        values = {eid: (origin.pval(v, eid), *origin.gamma_of(eid, v))
+        values = {eid: (origin.pval(v, eid), *origin.gamma[(eid, v)])
                   for eid in origin.incident(v)}
         # scaled by the lcm of v's denominators, every sort key is an int
         scale = lcm(*(x.denominator for triple in values.values() for x in triple))
@@ -233,7 +248,7 @@ def build_crit_reduction(
     origin_of = {e.eid + "~0": e.eid for e in origin.edges}
     for e in origin.edges:
         low = lower_endpoint(origin, e.eid)
-        for x, tag in ((low, "u"), (origin.other(e.eid, low), "w")):
+        for x, tag in ((low, "u"), (other(origin, e.eid, low), "w")):
             if x in crit:
                 origin_of.update((f"{e.eid}~{tag}{j}", e.eid) for j in range(1, s + 1))
 
@@ -242,7 +257,7 @@ def build_crit_reduction(
         mine = origin.strict_order(v)
         bundles = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in mine}
         # v's own bundle (first) ranks below the middle copies, its partner's above
-        up = [bundles[eid][1] for eid in mine if origin.other(eid, v) in crit]
+        up = [bundles[eid][1] for eid in mine if other(origin, eid, v) in crit]
         down = [bundles[eid][0] for eid in mine] if v in crit else []
         above = [f"{c}{j}" for j in range(s, 0, -1) for c in up]
         below = [f"{c}{j}" for j in range(1, s + 1) for c in down]
@@ -584,3 +599,22 @@ def swept_value(inst: Instance, m: Mapping[str, Fraction]
         return total, big
 
     return value
+
+
+# the product comparison as it was: a Fraction sum over every pair of items
+
+
+def looped_product(inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
+                   ) -> Fraction:
+    """The vote mass of m against n under the product pairing: at each vertex
+    v, m(x) * n(y) * vote(v, x, y) summed over pairs of items, staying
+    unmatched holding each matching's unmatched rest."""
+    total = ZERO
+    for v in inst.vertices:
+        mass_n = _masses(inst, n, v, ONE)
+        for x, a in _masses(inst, m, v, ONE).items():
+            if a:
+                for y, b in mass_n.items():
+                    if b:
+                        total += a * b * vote(inst, v, x, y)
+    return total

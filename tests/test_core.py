@@ -491,8 +491,8 @@ def _blocking_reference(inst, m, mode="weak"):
             if val < 1 and du > 0 and dv > 0:
                 out.append(e.eid)
         else:
-            gu, deltau = inst.gamma_of(e.eid, e.u)
-            gv, deltav = inst.gamma_of(e.eid, e.v)
+            gu, deltau = inst.gamma[(e.eid, e.u)]
+            gv, deltav = inst.gamma[(e.eid, e.v)]
             if min(du - gu, dv - deltav) >= 0 or min(du - deltau, dv - gv) >= 0:
                 out.append(e.eid)
     return out

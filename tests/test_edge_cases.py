@@ -1,17 +1,20 @@
 """Boundary behavior: fractional values, unmatched penalties, isolated agents."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from halfmatch.core import (
     ONE,
+    InstanceError,
     assigned_value,
     blocking_edges,
     validate_instance,
 )
 from halfmatch.io import parse_instance_text, serialize_instance
-from halfmatch.popularity import delta_feasible, is_popular
+from halfmatch.popularity import delta_feasible, is_popular, is_popular_critical
+from halfmatch.reductions import build_crit_reduction
 from halfmatch.solvers import solve_max_pri, solve_max_srti
 
 from test_popularity import monolithic_feasible_delta
@@ -86,3 +89,20 @@ def test_isolated_vertex_flows_through():
     again = parse_instance_text(text)
     assert serialize_instance(again) == text
     assert again.incident("loner") == ()
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda inst: is_popular_critical(inst, {}, {"ghost"}),
+     "critical set contains unknown vertex 'ghost'"),
+    (lambda inst: build_crit_reduction(inst, {"ghost"}),
+     "critical set contains unknown vertex 'ghost'"),
+    (lambda inst: validate_instance(inst.vertices, inst.edges, inst.pref,
+                                    weights={"ghost": 1}),
+     "weight for unknown edge 'ghost'"),
+    (lambda inst: validate_instance(inst.vertices, inst.edges, inst.pref,
+                                    pref_empty={"ghost": 0}),
+     "pref_empty for unknown vertex 'ghost'"),
+], ids=["is_popular_critical", "build_crit_reduction", "weights", "pref_empty"])
+def test_a_name_the_market_lacks_is_refused(single_edge, refuse, message):
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        refuse(single_edge)

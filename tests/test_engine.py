@@ -343,7 +343,7 @@ def test_engine_support_is_pairs_and_odd_cycles_only():
             while todo:
                 v = todo.pop()
                 for eid in halves[v]:
-                    x = inst.other(eid, v)
+                    x = materialized.other(inst, eid, v)
                     if x not in component:
                         component.add(x)
                         todo.append(x)
@@ -465,7 +465,7 @@ class _Court:
             if self.accepted[v] or not self.lists[v]:
                 continue
             eid = self.lists[v][0]
-            w = self.inst.other(eid, v)
+            w = materialized.other(self.inst, eid, v)
             h = self.held[w]
             if h == eid:
                 self.accepted[v] = True
@@ -496,12 +496,12 @@ class _Court:
             if len(self.lists[x]) < 2:
                 raise VerificationFailed(f"rotation walk meets a short list at {x!r}")
             second = self.lists[x][1]
-            y = self.inst.other(second, x)
+            y = materialized.other(self.inst, second, x)
             if len(self.lists[y]) < 2:
                 raise VerificationFailed(f"rotation walk meets a short list at {y!r}")
             last = self.lists[y][-1]
             seq.append((x, second, y))
-            x = self.inst.other(last, y)
+            x = materialized.other(self.inst, last, y)
         return seq[pos[x]:]
 
     def eliminate(self, rotation: list[tuple[str, str, str]]) -> None:

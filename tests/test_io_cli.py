@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfmatch import core
+from halfmatch import cli, core
 from halfmatch import io as result_io
 from halfmatch.cli import _popularity_claims, main
-from halfmatch.core import ONE, InstanceError, matching_size, validate_instance
+from halfmatch.core import (
+    ONE, InstanceError, VerificationFailed, matching_size, validate_instance,
+)
 from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
     POPULARITY_CLAIMS,
@@ -394,6 +396,38 @@ def test_cli_generate_and_solve_roundtrip(tmp_path):
     assert result["solver"] == "solve-max-srti"
     assert result["verification"]["stable"] is True
     assert main(["verify", "--input", str(inst_path), "--result", str(out_path)]) == 0
+
+
+def test_cli_exits_1_on_a_failed_self_verification(tmp_path, monkeypatch, capsys):
+    inst_path = tmp_path / "inst.json"
+    out_path = tmp_path / "result.json"
+    assert main(["generate", "--seed", "3", "--n", "7", "--output", str(inst_path)]) == 0
+
+    def forced(inst):
+        raise VerificationFailed("forced")
+
+    monkeypatch.setattr(cli, "solve_max_srti", forced)
+    capsys.readouterr()
+    assert main(["solve-max-srti", "--input", str(inst_path),
+                 "--output", str(out_path)]) == 1
+    assert capsys.readouterr() == ("", "self-verification failed: forced\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "3", "--n", "7", "--tie-prob", "0.4", "--parallel-prob", "0.2"],
+    ["solve-max-srti", "--input", "{inst}"],
+])
+def test_cli_writes_to_stdout_what_it_writes_to_output(tmp_path, capsys, argv):
+    inst_path = tmp_path / "inst.json"
+    assert main(["generate", "--seed", "3", "--n", "7", "--tie-prob", "0.4",
+                 "--parallel-prob", "0.2", "--output", str(inst_path)]) == 0
+    argv = [arg.format(inst=inst_path) for arg in argv]
+    out_path = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out_path.read_bytes()
 
 
 def test_cli_solves_an_edgeless_gamma_market(tmp_path):

@@ -31,7 +31,6 @@ from halfmatch.popularity import (
     Pairing,
     PopularityVerdict,
     _delta_feasible,
-    _delta_product,
     _feasible_value,
     _product_value,
     delta_feasible,
@@ -46,7 +45,7 @@ from halfmatch.popularity import (
 )
 
 from conftest import make_path, make_triangle, sparse
-from materialized import swept_value
+from materialized import looped_product, swept_value
 
 F = Fraction
 H = HALF
@@ -786,7 +785,7 @@ def test_integer_value_equals_the_transport_value(monkeypatch):
                 assert type(got) is Fraction
                 assert got == _delta_feasible(inst, m, n).value, (seed, m, n)
                 got = Fraction(*product(*_as_ints(inst, n)))
-                assert got == _delta_product(inst, m, n), (seed, m, n)
+                assert got == looped_product(inst, m, n), (seed, m, n)
                 pairs += 1
         parallel += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
         negative += any(p < 0 for p in inst.pref_empty.values())
@@ -870,7 +869,7 @@ def _oracle_verdicts(inst, m, bound, seed):
         _oracle_scan(sampled, feasible, "popular (sampled scope)"),
         _oracle_scan(
             rivals,
-            lambda n: DeltaResult(_delta_product(inst, m, n), Pairing("product", {}), {}),
+            lambda n: DeltaResult(looped_product(inst, m, n), Pairing("product", {}), {}),
             "popular mixed",
         ),
         _oracle_scan(

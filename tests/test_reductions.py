@@ -120,7 +120,7 @@ def test_gamma_comparator_iff_rules_exhaustively():
             pos = {cid: i for i, cid in enumerate(order)}
             for e in inst.incident(v):
                 for f in inst.incident(v):
-                    gam_f, delta_f = inst.gamma_of(f, v)
+                    gam_f, delta_f = inst.gamma[(f, v)]
                     best_e = gamma_copy(inst, e, v, 1)
                     second_f = gamma_copy(inst, f, v, 2)
                     third_f = gamma_copy(inst, f, v, 3)
