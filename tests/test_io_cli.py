@@ -23,6 +23,7 @@ from halfmatch.core import (
 )
 from halfmatch.generate import GAMMA_PRESETS, generate_random
 from halfmatch.io import (
+    MODES,
     POPULARITY_CLAIMS,
     RESULT_KEYS,
     SOLVER_CLAIMS,
@@ -1098,6 +1099,55 @@ def test_cli_bench_ratio_column(tmp_path):
         assert mode == "weak"
         if ratio:
             assert parse_rational(ratio) <= F(3, 2)
+
+
+#: flags generate and bench share, each one, --bipartite and every gamma preset
+#: covered; explicit zeros for the flags whose defaults differ between the two
+MARKET_FLAGS = [
+    [],
+    ["--edge-density", "0.3"],
+    ["--parallel-prob", "0.5"],
+    ["--tie-prob", "0.6"],
+    ["--parallel-prob", "0", "--tie-prob", "0", "--edge-density", "0.8"],
+    ["--bipartite"],
+    ["--gamma-preset", "min-like", "--edge-density", "0.3"],
+    ["--gamma-preset", "max-like", "--parallel-prob", "0.3"],
+    ["--gamma-preset", "generic", "--bipartite", "--edge-density", "0.7", "--tie-prob", "0.2"],
+]
+
+
+def _stdout(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_generate_and_bench_output_matches_the_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for flags in MARKET_FLAGS:
+        for seed in range(3):
+            digest.update(_stdout(capsys, ["generate", "--seed", str(seed), "--n", "7",
+                                           *flags]).encode())
+        digest.update(_stdout(capsys, ["bench", "--seeds", "3", "--n", "7", *flags]).encode())
+    assert digest.hexdigest() == (
+        "f6cca578b9ef43c5610afed841075b71d1f2cb76e0fc8626539e952edc4923ee"
+    )
+
+
+@pytest.mark.parametrize("flags", MARKET_FLAGS)
+def test_a_bench_row_is_the_solve_of_the_generated_market(tmp_path, capsys, flags):
+    # bench's defaults given to generate explicitly; a later flag overrides them
+    rows = _stdout(capsys, ["bench", "--seeds", "3", "--n", "7", *flags]).splitlines()[1:]
+    tag = "solve-gamma" if "--gamma-preset" in flags else "solve-max-srti"
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    for seed, row in enumerate(rows):
+        assert main(["generate", "--seed", str(seed), "--n", "7", "--parallel-prob", "0.2",
+                     "--tie-prob", "0.4", *flags, "--output", str(inst_path)]) == 0
+        inst = load_instance(str(inst_path))
+        assert main([tag, "--input", str(inst_path), "--output", str(res_path)]) == 0
+        size = load_result(str(res_path))["stats"]["size"]
+        assert row.split(",")[:5] == [str(seed), "7", str(len(inst.edges)),
+                                      MODES[tag], size], (flags, seed)
 
 
 def test_cli_input_error_exit_code(tmp_path, capsys):
