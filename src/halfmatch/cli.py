@@ -93,28 +93,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-bound", type=int, default=8,
                    help="run the brute-force oracle when |E| is at most this")
     p.add_argument("--output", help="CSV path (stdout when omitted)")
-    p.add_argument("--edge-density", type=_probability, default=0.5)
-    p.add_argument("--parallel-prob", type=_probability, default=0.2)
-    p.add_argument("--tie-prob", type=_probability, default=0.4)
-    p.add_argument("--gamma-preset", choices=list(GAMMA_PRESETS), default="none",
-                   help="with a preset, bench solve-gamma instead of solve-max-srti")
-    p.add_argument("--bipartite", action="store_true")
+    _market_flags(p, 0.2, 0.4, "with a preset, bench solve-gamma instead of solve-max-srti")
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("generate", help="write a seeded random instance file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--output", help="instance path (stdout when omitted)")
-    p.add_argument("--edge-density", type=_probability, default=0.5)
-    p.add_argument("--parallel-prob", type=_probability, default=0.0)
-    p.add_argument("--tie-prob", type=_probability, default=0.0)
+    _market_flags(p, 0.0, 0.0)
     p.add_argument("--weight-min", type=int, default=None)
     p.add_argument("--weight-max", type=int, default=None)
-    p.add_argument("--gamma-preset", choices=list(GAMMA_PRESETS), default="none")
-    p.add_argument("--bipartite", action="store_true")
     p.add_argument("--critical-count", type=_count, default=0)
     p.set_defaults(handler=_cmd_generate)
     return parser
+
+
+def _market_flags(p: argparse.ArgumentParser, parallel: float, tie: float,
+                  gamma_help: str | None = None) -> None:
+    """The generator flags generate and bench share, with their own defaults."""
+    p.add_argument("--edge-density", type=_probability, default=0.5)
+    p.add_argument("--parallel-prob", type=_probability, default=parallel)
+    p.add_argument("--tie-prob", type=_probability, default=tie)
+    p.add_argument("--gamma-preset", choices=list(GAMMA_PRESETS), default="none",
+                   help=gamma_help)
+    p.add_argument("--bipartite", action="store_true")
+
+
+def _market(args, seed: int, **more):
+    """The market of ``seed`` drawn with the shared flags in ``args`` and ``more``."""
+    return generate_random(seed, args.n, edge_density=args.edge_density,
+                           parallel_prob=args.parallel_prob, tie_prob=args.tie_prob,
+                           gamma_preset=args.gamma_preset, bipartite=args.bipartite, **more)
 
 
 def _count(text: str) -> int:
@@ -200,15 +209,7 @@ def _cmd_bench(args) -> int:
     mode = "gamma" if args.gamma_preset != "none" else "weak"
     rows = []
     for seed in range(args.seeds):
-        inst = generate_random(
-            seed,
-            args.n,
-            edge_density=args.edge_density,
-            parallel_prob=args.parallel_prob,
-            tie_prob=args.tie_prob,
-            gamma_preset=args.gamma_preset,
-            bipartite=args.bipartite,
-        )
+        inst = _market(args, seed)
         out = solve_max_gamma(inst) if mode == "gamma" else solve_max_srti(inst)
         size = matching_size(out)
         oracle = ratio = ""
@@ -219,7 +220,6 @@ def _cmd_bench(args) -> int:
         rows.append(
             (seed, args.n, len(inst.edges), mode, format_rational(size), oracle, ratio)
         )
-    rows.sort()
     lines = ["seed,n,edges,mode,size,oracle,ratio"]
     lines += [",".join(str(x) for x in row) for row in rows]
     _emit("\n".join(lines) + "\n", args.output)
@@ -232,17 +232,8 @@ def _cmd_generate(args) -> int:
         lo = args.weight_min if args.weight_min is not None else 0
         hi = args.weight_max if args.weight_max is not None else max(lo, 1)
         weight_range = (lo, hi)
-    inst = generate_random(
-        args.seed,
-        args.n,
-        edge_density=args.edge_density,
-        parallel_prob=args.parallel_prob,
-        tie_prob=args.tie_prob,
-        weight_range=weight_range,
-        gamma_preset=args.gamma_preset,
-        bipartite=args.bipartite,
-        critical_count=args.critical_count,
-    )
+    inst = _market(args, args.seed, weight_range=weight_range,
+                   critical_count=args.critical_count)
     _emit(serialize_instance(inst), args.output)
     return 0
 

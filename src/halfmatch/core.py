@@ -111,18 +111,19 @@ class _View:
 class Instance:
     """A preference market: vertices, (multi)edges, and per-vertex valuations.
 
-    Construct through :func:`validate_instance`. ``pref[v][eid]`` is agent
-    v's valuation of its incident edge (larger is better, ties allowed),
-    above ``pref_empty[v]``, the value of staying unmatched. ``gamma`` maps
-    ``(eid, v)`` to a pair with ``0 < gamma < delta``, or is None. Solvers
-    may have to saturate the ``critical`` vertices. ``pref``, ``gamma`` and
-    the id orders are views, built on first read, of the rank view stored:
-    ``edges`` in id order (positions are ranks, ``_rank`` maps ids to them),
-    v's edges best first, ties in id order (``_ranks[v]``), where each tie
-    group starts (``_starts[v]``), and by rank, the index, valuation and
-    thresholds (ints over the lcm ``_gamma_d``) of each end (``_end_u``,
-    ``_value_u``, ``_gamma_u``: None where missing, empty without entries,
-    None without a threshold mapping)."""
+    Built by ``_instance`` for :func:`validate_instance`, the front door,
+    the parser, the generator and ``restrict_to_edges``. ``pref[v][eid]``
+    is agent v's valuation of its incident edge (larger is better, ties
+    allowed), above ``pref_empty[v]``, the value of staying unmatched.
+    ``gamma`` maps ``(eid, v)`` to a pair with ``0 < gamma < delta``, or is
+    None. Solvers may have to saturate the ``critical`` vertices. ``pref``,
+    ``gamma`` and the id orders are views, built on first read, of the rank
+    view stored: ``edges`` in id order (positions are ranks, ``_rank`` maps
+    ids to them), v's edges best first, ties in id order (``_ranks[v]``),
+    where each tie group starts (``_starts[v]``), and by rank, the index,
+    valuation and thresholds (ints over the lcm ``_gamma_d``) of each end
+    (``_end_u``, ``_value_u``, ``_gamma_u``: None where missing, empty
+    without entries, None without a threshold mapping)."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]

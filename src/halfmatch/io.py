@@ -74,10 +74,6 @@ def parse_rational(text: str) -> Fraction:
         raise InstanceError(f"malformed rational {text!r}") from None
 
 
-def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # instance files
 
@@ -315,13 +311,15 @@ def build_result(
         "instance_digest": digest,
         "seed": seed,
         "matching": format_matching(matching),
-        "stats": _stats_record(inst, matching),
+        "stats": _stats_record(inst, matching, verification.get("critical")),
         "verification": dict(verification),
     }
 
 
-def _stats_record(inst: Instance, m: Mapping[str, Fraction]) -> dict[str, Any]:
-    stats = matching_stats(inst, m)
+def _stats_record(inst: Instance, m: Mapping[str, Fraction],
+                  critical: list[str] | None = None) -> dict[str, Any]:
+    """m's stats, ``critical_ok`` against a result's recorded ``critical`` set if any."""
+    stats = matching_stats(inst, m, critical)
     return {
         "size": format_rational(stats.size),
         "saturated": list(stats.saturated),
@@ -355,7 +353,7 @@ def result_weights(inst: Instance, source: str | None) -> dict[str, Fraction]:
 
 
 def serialize_result(result: Mapping[str, Any]) -> str:
-    return _canonical_json(result)
+    return json.dumps(result, sort_keys=True, indent=2) + "\n"
 
 
 def load_result(path: str) -> dict[str, Any]:
@@ -406,9 +404,10 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     their values of the types ``load_result`` requires, or nothing more is
     checked; the solver tag decides which claims must be present and which
     may be (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor
-    add one; a pri, crit or maxw result on a market with ties is refused;
-    the matching, its stats and the claims re-derive field by field, a flag
-    as a JSON boolean, popularity claims by their shape.
+    add one; a pri, crit or maxw result on a market with ties is refused,
+    and a gamma result on one lacking a threshold; the matching, its stats
+    and the claims re-derive field by field, a flag as a JSON boolean,
+    popularity claims by their shape.
     The re-solves: a maxw result's dual, whose optimum the weight must be
     and whose positive-potential set the critical set; on 1 to ``bound``
     edges, pri's verdict in the scope it records, pri's derived stability
@@ -433,6 +432,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     mode = MODES.get(solver)
     if not mode and not inst.is_strict():  # the pri, crit and maxw solvers read no ties
         return problems + [f"{solver} requires strict (tie-free) preferences"]
+    if mode == "gamma" and not inst.has_full_gamma():
+        return problems + [f"{solver} requires gamma/delta on every (edge, endpoint)"]
     ver = result.get("verification", {})
     problems += [f"verification lacks the {key!r} claim"
                  for key in SOLVER_CLAIMS[solver] if key not in ver]
@@ -448,7 +449,7 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         return problems
 
     recorded = result.get("stats", {})
-    stats = _stats_record(inst, m)
+    stats = _stats_record(inst, m, ver.get("critical"))
     for key, val in stats.items():
         got = recorded.get(key)
         if type(got) is not type(val) or got != val:  # 1 == True, but 1 is no flag

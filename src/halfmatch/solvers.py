@@ -62,9 +62,14 @@ class InfeasibleCritical(ValueError):
     """No fractional matching can saturate the requested critical set."""
 
 
-def _run_pipeline(derived: DerivedInstance) -> dict[str, Fraction]:
-    # the engine certifies its output stable on the derived market
-    return derived.project(stable_half_matching(derived.inst))
+def _run_pipeline(derived: DerivedInstance, mode: str | None = None) -> dict[str, Fraction]:
+    # the engine certifies its output stable on the derived market; a
+    # stable solve's projection is certified in its blocking mode here
+    out = derived.project(stable_half_matching(derived.inst))
+    bad = mode and blocking_edges(derived.origin, out, mode)
+    if bad:
+        raise VerificationFailed(f"projection admits {mode}-blocking edges {bad}")
+    return out
 
 
 def solve_max_srti(inst: Instance) -> dict[str, Fraction]:
@@ -73,20 +78,12 @@ def solve_max_srti(inst: Instance) -> dict[str, Fraction]:
     Ties and parallel edges are both welcome. The output is integral
     whenever the instance admits no odd preference cycle.
     """
-    out = _run_pipeline(build_srti_reduction(inst))
-    bad = blocking_edges(inst, out, "weak")
-    if bad:
-        raise VerificationFailed(f"projection admits blocking edges {bad}")
-    return out
+    return _run_pipeline(build_srti_reduction(inst), "weak")
 
 
 def solve_max_gamma(inst: Instance) -> dict[str, Fraction]:
     """A gamma-stable half-matching within 3/2 of the largest one."""
-    out = _run_pipeline(build_gamma_reduction(inst))
-    bad = blocking_edges(inst, out, "gamma")
-    if bad:
-        raise VerificationFailed(f"projection admits gamma-blocking edges {bad}")
-    return out
+    return _run_pipeline(build_gamma_reduction(inst), "gamma")
 
 
 def solve_max_pri(inst: Instance) -> dict[str, Fraction]:

@@ -3,6 +3,7 @@ import copy
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -44,7 +45,7 @@ from halfmatch.io import (
 )
 from halfmatch.engine import enumerate_half_matchings
 from halfmatch.popularity import SCOPES, is_popular
-from halfmatch.solvers import max_weight_dual, solve_max_pri
+from halfmatch.solvers import max_weight_dual, solve_max_pri, solve_max_srti
 
 from conftest import rational_market
 
@@ -891,7 +892,7 @@ def _solved(tmp_path, generate, tag):
 def _rewrite(inst, res_path, doc):
     """Write doc back with its stats re-derived from its matching."""
     m = {eid: parse_rational(val) for eid, val in doc["matching"].items()}
-    doc["stats"] = _stats_record(inst, m)
+    doc["stats"] = _stats_record(inst, m, doc["verification"].get("critical"))
     res_path.write_text(json.dumps(doc))
 
 
@@ -1005,6 +1006,87 @@ def test_verify_refuses_popularity_claims_on_a_market_with_ties_under_python_o(t
     assert run.returncode == 1, run.stderr
     assert run.stderr == ("verification failure: solve-max-pri requires strict "
                           "(tie-free) preferences\n")
+
+
+def test_verify_refuses_a_gamma_result_on_a_market_without_thresholds(tmp_path, capsys):
+    # an honest srti result relabelled as solve-gamma: the market has no
+    # gamma section, so the gamma rule cannot be read, and verify says so
+    # as a failed check, not as bad input
+    inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"],
+                                        "solve-max-srti")
+    doc = json.loads(res_path.read_text())
+    doc["solver"], doc["verification"]["mode"] = "solve-gamma", "gamma"
+    res_path.write_text(serialize_result(doc))
+    message = "solve-gamma requires gamma/delta on every (edge, endpoint)"
+    for bound in (0, 10):
+        assert check_result(inst, doc, instance_digest(inst), bound) == [message]
+        capsys.readouterr()
+        assert main(["verify", "--input", str(inst_path), "--result", str(res_path),
+                     "--oracle-bound", str(bound)]) == 1
+        assert capsys.readouterr() == ("", f"verification failure: {message}\n")
+
+
+def test_crit_stats_measure_the_critical_set_the_solve_used(tmp_path, capsys):
+    # the file's critical set is v01, v02, v05; the solve saturates the
+    # override and leaves v02 open, and both critical_ok claims say true
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "2", "--n", "9", "--edge-density", "0.3",
+                 "--critical-count", "3", "--output", str(inst_path)]) == 0
+    inst = load_instance(str(inst_path))
+    assert sorted(inst.critical) == ["v01", "v02", "v05"]
+    assert main(["solve-pop-crit", "--input", str(inst_path), "--critical", "v00,v03,v04",
+                 "--output", str(res_path)]) == 0
+    doc = load_result(str(res_path))
+    assert "v02" in doc["stats"]["unsaturated"]
+    assert doc["stats"]["critical_ok"] is doc["verification"]["critical_ok"] is True
+    capsys.readouterr()
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    # a stats field measured against the file's set no longer re-derives
+    doc["stats"]["critical_ok"] = False
+    assert check_result(inst, doc, instance_digest(inst)) == [
+        "stats field 'critical_ok' does not re-derive"]
+
+
+def test_maxw_stats_measure_the_dual_critical_set(tmp_path):
+    # the maxw output leaves part of the file's critical set open, but
+    # saturates every positive-potential vertex, the set it records
+    inst, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "3", "--n", "8", "--weight-min", "1", "--weight-max", "9",
+                   "--critical-count", "3"], "solve-pop-maxw")
+    doc = load_result(str(res_path))
+    assert not inst.critical <= set(doc["stats"]["saturated"])
+    assert doc["stats"]["critical_ok"] is True
+    assert check_result(inst, doc, instance_digest(inst), bound=10) == []
+
+
+def _sweep_claims(tag, inst):
+    """The claims ``tag`` writes, with values of the types it writes."""
+    return {
+        "solve-max-srti": {"mode": "weak", "blocking_edges": [], "stable": True},
+        "solve-gamma": {"mode": "gamma", "blocking_edges": [], "stable": True},
+        "solve-max-pri": {"derived_stable": True},
+        "solve-pop-crit": {"derived_stable": True, "critical": sorted(inst.critical),
+                           "critical_ok": True},
+        "solve-pop-maxw": {"derived_stable": True, "weights_source": "instance",
+                           "weight": "0", "dual_objective": "0", "critical": []},
+    }[tag]
+
+
+def test_check_result_returns_a_list_and_never_raises():
+    calls = 0
+    for seed, tie, preset, weights, count in itertools.product(
+            range(4), (0, 0.4), ("none", "generic"), (None, (1, 9)), (0, 2)):
+        inst = generate_random(seed, 6, tie_prob=tie, gamma_preset=preset,
+                               weight_range=weights, critical_count=count)
+        digest = instance_digest(inst)
+        for m, tag, bound in itertools.product(
+                (solve_max_srti(inst), {}), SOLVER_CLAIMS, (0, 8)):
+            doc = build_result(tag, inst, m, _sweep_claims(tag, inst), digest)
+            problems = check_result(inst, doc, digest, bound)
+            assert isinstance(problems, list) and {str}.issuperset(map(type, problems))
+            calls += 1
+    assert calls == 1280
 
 
 def test_cli_verify_demands_every_claim_of_the_solver(tmp_path, capsys):
@@ -1131,6 +1213,23 @@ def test_generate_and_bench_output_matches_the_golden_digest(capsys):
         digest.update(_stdout(capsys, ["bench", "--seeds", "3", "--n", "7", *flags]).encode())
     assert digest.hexdigest() == (
         "f6cca578b9ef43c5610afed841075b71d1f2cb76e0fc8626539e952edc4923ee"
+    )
+
+
+def test_result_files_match_the_golden_digest(tmp_path, capsys):
+    # every solve's result bytes on one market with weights, thresholds and
+    # a critical set, the pri result with its popularity claims
+    inst_path = tmp_path / "inst.json"
+    assert main(["generate", "--seed", "2", "--n", "9", "--edge-density", "0.3",
+                 "--weight-min", "1", "--weight-max", "9", "--critical-count", "2",
+                 "--gamma-preset", "generic", "--output", str(inst_path)]) == 0
+    digest = hashlib.sha256()
+    for tag in SOLVER_CLAIMS:
+        extra = ["--oracle-bound", "12"] if tag == "solve-max-pri" else []
+        digest.update(_stdout(capsys, [tag, "--input", str(inst_path), "--seed", "2",
+                                       *extra]).encode())
+    assert digest.hexdigest() == (
+        "8d7e28c16d08b4cc37a032519927157b0fd7dcb9e1320b483b0b62efcd50b2d3"
     )
 
 

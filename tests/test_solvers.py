@@ -37,7 +37,7 @@ from halfmatch.engine import (
 from halfmatch.generate import generate_random
 from halfmatch.io import parse_instance_text, serialize_instance
 from halfmatch.popularity import delta_feasible, is_popular, is_popular_critical
-from halfmatch.reductions import build_crit_reduction
+from halfmatch.reductions import DerivedInstance, build_crit_reduction
 from halfmatch.solvers import (
     DualSolution,
     InfeasibleCritical,
@@ -697,3 +697,18 @@ def test_edge_ids_with_a_tilde_give_the_renamed_result(rename):
                 {rename.format(eid[1:]): val for eid, val in m.items()}
                 for m in _five_solves(tied, strict)]
         assert _five_solves(renamed(tied), renamed(strict)) == want, f"seed {seed}"
+
+
+@pytest.mark.parametrize("solve, message", [
+    ("solve_max_srti", "projection admits weak-blocking edges"),
+    ("solve_max_gamma", "projection admits gamma-blocking edges"),
+])
+def test_a_stable_solve_certifies_its_projection(monkeypatch, solve, message):
+    # an empty projection is blocked by every edge: each stable solve must
+    # raise in its own mode, while pri certifies nothing after the engine
+    inst = generate_random(1, 6, gamma_preset="generic")
+    assert len(inst.edges) > 0
+    monkeypatch.setattr(DerivedInstance, "project", lambda derived, cert: {})
+    with pytest.raises(VerificationFailed, match=message):
+        getattr(solvers_module, solve)(inst)
+    assert solvers_module.solve_max_pri(inst) == {}
