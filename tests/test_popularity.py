@@ -1125,3 +1125,48 @@ def test_desk_comparisons_match_the_golden_digest(monkeypatch):
     assert digest.hexdigest() == (
         "a2ce2335a0a7a6c07d5b90a20ca9912e02f55c4cbbeb0c16cdd8ec4ff223b758"
     )
+
+
+def _desk_markets():
+    """The seed-1 desk-audit markets: the first 20 of each of 6, 7 and 8
+    edges among ``generate_random(s, 7, edge_density=0.35,
+    parallel_prob=0.1)`` from s = 1000 on."""
+    need = {6: 20, 7: 20, 8: 20}
+    for seed in itertools.count(1000):
+        if not any(need.values()):
+            return
+        inst = generate_random(seed, 7, edge_density=0.35, parallel_prob=0.1)
+        if need.get(len(inst.edges)):
+            need[len(inst.edges)] -= 1
+            yield inst
+
+
+def test_samples_and_sampled_verdicts_match_the_golden_digest():
+    # every rival the sampler yields, as (masses by edge rank, d) with ints
+    # and sequences told apart, for seeds 0, 1 and 7 and counts 0, 1, 50 and
+    # 200: on the desk markets, then on 200 markets of 3 to 14 vertices,
+    # parallel edges, isolated vertices and edgeless ones among them; then
+    # every field of the sampled verdict on pri's output at each desk market
+    desk = list(_desk_markets())
+    spread = [generate_random(s, 3 + s % 12, edge_density=(0.05, 0.2, 0.4, 0.7, 1.0)[s % 5],
+                              parallel_prob=0.3) for s in range(200)]
+    digest = hashlib.sha256()
+    for inst in desk + spread:
+        for seed in (0, 1, 7):
+            for count in (0, 1, 50, 200):
+                got = list(popularity._sampled(inst, seed, count))
+                assert len(got) == count
+                assert all(type(d) is int and all(type(x) is int for x in held)
+                           for held, d in got)
+                digest.update(json.dumps([[list(held), d] for held, d in got]).encode())
+    for inst in desk:
+        put = _plain(is_popular(inst, solve_max_pri(inst), bound=10, scope="sampled"))
+        digest.update(json.dumps(put).encode())
+    parallel = sum(len({frozenset((e.u, e.v)) for e in g.edges}) < len(g.edges) for g in spread)
+    isolated = sum(any(not g.incident(v) for v in g.vertices) for g in spread)
+    edgeless = sum(not g.edges for g in spread)
+    assert len(desk) == 60 and parallel >= 50 and isolated >= 30 and edgeless >= 3, (
+        parallel, isolated, edgeless)
+    assert digest.hexdigest() == (
+        "b550db7e0e797b8efe8f0ceea4afb0fed331daf2372221aed6359e31f61767c9"
+    )
