@@ -155,6 +155,8 @@ def _cmd_solve(args) -> int:
     tag = args.tag
     if tag not in MODES:  # the pri, crit and maxw solvers read no ties
         inst.require_strict(tag)
+    elif MODES[tag] == "gamma" and not inst.has_full_gamma():
+        raise InstanceError(f"{tag} requires gamma/delta on every (edge, endpoint)")
 
     # each solver certifies every claim recorded below before it returns;
     # `verify` re-derives them all from the file, independently

@@ -24,18 +24,21 @@ when M is integral, as Delta(M, N) is then linear in N; against a
 half-integral M a quarter-integral rival can do worse. They scan every
 rival in one form: its integer masses by edge rank over one denominator
 d. An enumerated rival is the engine's enumerator's own doubled values
-(d = 2), read in place; the sampled ones are drawn at once, a column per
-edge, over the lcm of each one's caps. At a vertex where M is whole the
-vote mass is linear in the rival, so those vertices are valued together
-as one dot product with a weight per edge, which is all of it when M is
-integral; the other vertices are swept, every one for every rival.
-Rivals are compared by the value of Delta alone (or of the product
-comparison), computed in integers, and a tie by size and then by masses
-in edge id order, also in integers. Only the worst rival gets a Fraction
-form, and a pairing (with its per-vertex votes) is built for it alone,
-and only when it is a counterexample. The pairings are computed in
-integers too: the comparisons scale their matchings to ints once and
-make each Fraction as a result leaves.
+(d = 2), read in place. The sampled ones take their draws from bulk
+outputs of the generator, each draw the top five bits of one 32-bit
+output, those above 16 rejected as randint rejects them; they are held a
+column per edge, with each vertex's cap taken once per sample and each
+edge's the larger of its two ends', over the lcm of each sample's caps.
+At a vertex where M is whole the vote mass is linear in the rival, so
+those vertices are valued together as one dot product with a weight per
+edge, which is all of it when M is integral; the other vertices are
+swept, every one for every rival. Rivals are compared by the value of
+Delta alone (or of the product comparison), computed in integers, and a
+tie by size and then by masses in edge id order, also in integers. Only
+the worst rival gets a Fraction form, and a pairing (with its per-vertex
+votes) is built for it alone, and only when it is a counterexample. The
+pairings are computed in integers too: the comparisons scale their
+matchings to ints once and make each Fraction as a result leaves.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, compress, islice, repeat
+from functools import partial, reduce
+from itertools import chain, compress, repeat
 from math import lcm
-from operator import floordiv, gt, mul, or_
+from operator import add, floordiv, gt, mul, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -670,10 +673,38 @@ def _check_count(count: int) -> None:
         raise ValueError(f"sample count {count} is negative")
 
 
-def _draws(rng: random.Random) -> Iterator[int]:
-    """``rng.randint(0, 16)`` again and again, as ``randint`` draws it: five
-    random bits, drawn again while above 16."""
-    return filter((17).__gt__, iter(partial(rng.getrandbits, 5), None))
+#: each byte b of an output's top byte as its top five bits, b >> 3; the
+#: bytes 136-255, whose five bits are 17-31, are deleted as randint rejects them
+_TOP5 = bytes(b >> 3 for b in range(256))
+_REJECTED = bytes(range(136, 256))
+
+
+def _draws(rng: random.Random, n: int) -> bytes:
+    """n draws of ``rng.randint(0, 16)``, taking the bits it takes.
+
+    randint takes the top five bits of one 32-bit output and draws again
+    while they exceed 16. ``getrandbits(32 * k)`` holds k outputs, least
+    significant first, so the top bytes of its little-endian form, each
+    shifted down by three with the rejected ones deleted, are the draws
+    of those k outputs. Each call asks for as many outputs as draws are
+    missing, and an output gives at most one draw, so the generator stops
+    at the n-th kept output, where n randint calls leave it.
+    """
+    out = b""
+    while len(out) < n:
+        k = n - len(out)
+        out += rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP5, _REJECTED)
+    return out
+
+
+def _sums(cols: Sequence[Sequence[int]]) -> Iterable[int]:
+    """Position by position, the sum of ``cols``; nothing when there is none."""
+    return reduce(partial(map, add), cols) if cols else ()
+
+
+def _cap(load: Sequence[int]) -> list[int]:
+    """A vertex's cap in each sample, max(16, L) for its load L."""
+    return [x if x > 16 else 16 for x in load]
 
 
 def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
@@ -681,26 +712,31 @@ def _sampled(inst: Instance, seed: int, count: int) -> Iterator[Rival]:
 
     Each edge draws raw in 0..16 and holds raw / max(16, L_u, L_v), where
     L is the sum of the raw draws at a vertex; a sample holds these as
-    raw * (d // cap) over the lcm d of its caps. Every vertex's mass is
-    checked to be at most d. The draws of all samples are held as one
-    column per edge rank, so loads, caps, lcms, masses and checks are maps
-    across the samples; an overload names its first sample's least vertex.
+    raw * (d // cap) over the lcm d of its caps. The draws of all samples
+    come from :func:`_draws` at once and are held as one column per edge
+    rank, so loads, caps, lcms, masses and checks are maps across the
+    samples: each vertex's cap max(16, L) once per sample (:func:`_cap`),
+    and each edge's cap the larger of its two ends'. Every vertex's mass
+    is checked to be at most d; an overload names its first sample's least
+    vertex.
     """
     width = len(inst.edges)
     if not width:  # no columns to map over: every sample is empty, over 1
         yield from repeat(((), 1), count)
         return
-    flat = list(islice(_draws(random.Random(f"halfmatch-sample-{seed}")), count * width))
+    flat = _draws(random.Random(f"halfmatch-sample-{seed}"), count * width)
     raw = [flat[r::width] for r in range(width)]
     at = [inst._ranks[v] for v in inst.vertices]
-    load = [list(map(sum, zip(*[raw[r] for r in ranks]))) for ranks in at]  # [] if no edge
-    caps = [list(map(max, repeat(16), load[u], load[v])) for u, v in zip(inst._end_u, inst._end_v)]
+    cap = [_cap(_sums([raw[r] for r in ranks])) for ranks in at]  # [] if no edge
+    caps = [[a if a > b else b for a, b in zip(cap[u], cap[v])]
+            for u, v in zip(inst._end_u, inst._end_v)]
     d = list(map(lcm, *caps))
-    held = [list(map(mul, col, map(floordiv, d, cap))) for col, cap in zip(raw, caps)]
-    mass = [map(sum, zip(*[held[r] for r in ranks])) for ranks in at]
-    over = [(k, x) for x, col in enumerate(mass) for k in compress(range(count), map(gt, col, d))]
-    if over:
-        raise MatchingError(f"sampled rival overloads vertex {inst.vertices[min(over)[1]]!r}")
+    held = [list(map(mul, col, map(floordiv, d, c))) for col, c in zip(raw, caps)]
+    over = lambda ranks: map(gt, _sums([held[r] for r in ranks]), d)  # by sample
+    if any(map(any, map(over, at))):  # the report is built only for an overload
+        _, x = min((k, x) for x, ranks in enumerate(at)
+                   for k in compress(range(count), over(ranks)))
+        raise MatchingError(f"sampled rival overloads vertex {inst.vertices[x]!r}")
     yield from zip(zip(*held), d)
 
 

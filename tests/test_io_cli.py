@@ -1026,6 +1026,19 @@ def test_verify_refuses_a_gamma_result_on_a_market_without_thresholds(tmp_path, 
         assert capsys.readouterr() == ("", f"verification failure: {message}\n")
 
 
+def test_solve_gamma_refuses_a_market_without_thresholds_by_its_own_name(tmp_path, capsys):
+    # solve-gamma names itself, as verify and the tie refusals do, before
+    # the reduction is built; no result file is written
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "1", "--n", "6", "--output", str(inst_path)]) == 0
+    assert not load_instance(str(inst_path)).has_full_gamma()
+    capsys.readouterr()
+    assert main(["solve-gamma", "--input", str(inst_path), "--output", str(res_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: solve-gamma requires gamma/delta on every (edge, endpoint)\n")
+    assert not res_path.exists()
+
+
 def test_crit_stats_measure_the_critical_set_the_solve_used(tmp_path, capsys):
     # the file's critical set is v01, v02, v05; the solve saturates the
     # override and leaves v02 open, and both critical_ok claims say true

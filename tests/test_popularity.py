@@ -532,7 +532,7 @@ def test_an_overloaded_sample_is_refused(monkeypatch, five_agent_market):
     # caps of 16 whatever the loads: within ten samples some vertex draws
     # more than 16 in all, and the integer load check raises, not asserts
     inst, m, _ = five_agent_market
-    monkeypatch.setattr(popularity, "max", lambda *args: 16, raising=False)
+    monkeypatch.setattr(popularity, "_cap", lambda load: [16 for _ in load])
     with pytest.raises(MatchingError, match="sampled rival overloads vertex"):
         sample_fractional_matchings(inst, seed=9, count=10)
     with pytest.raises(MatchingError, match="sampled rival overloads vertex"):
@@ -558,7 +558,7 @@ def test_an_overloaded_sample_names_its_least_vertex(monkeypatch):
     # with every cap 16 the refusal names the vertex a per-sample check
     # meets first: the first overloaded sample, then its least vertex
     # index, though a later sample may overload a vertex of smaller index
-    monkeypatch.setattr(popularity, "max", lambda *args: 16, raising=False)
+    monkeypatch.setattr(popularity, "_cap", lambda load: [16 for _ in load])
     later = smaller_later = clean = 0
     for seed in range(60):
         inst = generate_random(seed, 4 + seed % 5, edge_density=0.3, parallel_prob=0.1)
@@ -832,9 +832,9 @@ def test_sampler_draws_are_randint_draws():
     generator left in the same state."""
     for seed in range(50):
         mine, ref = (random.Random(f"halfmatch-sample-{seed}") for _ in range(2))
-        draws = popularity._draws(mine)
         for count in (1, 17, 1400):
-            assert list(itertools.islice(draws, count)) == [ref.randint(0, 16) for _ in range(count)]
+            draws = popularity._draws(mine, count)
+            assert list(draws) == [ref.randint(0, 16) for _ in range(count)]
             assert mine.getstate() == ref.getstate()
 
 
