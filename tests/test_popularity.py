@@ -827,7 +827,7 @@ def test_sampler_matches_the_fraction_sampler():
 
 
 def test_sampler_draws_are_randint_draws():
-    """The sampler's inline draws take the bits ``randint(0, 16)`` takes, on
+    """The sampler's bulk draws take the bits ``randint(0, 16)`` takes, on
     the seeds the verdicts and the tests give it: the same values, and the
     generator left in the same state."""
     for seed in range(50):
