@@ -37,11 +37,9 @@ from .popularity import (
     Pairing,
     PopularityVerdict,
     delta_feasible,
-    delta_product,
     delta_sensible,
     is_popular,
     is_popular_critical,
-    is_popular_mixed,
     min_cost_transport,
     vote,
 )

@@ -406,8 +406,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     may be (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor
     add one; a pri, crit or maxw result on a market with ties is refused,
     and a gamma result on one lacking a threshold; the matching, its stats
-    and the claims re-derive field by field, a flag as a JSON boolean,
-    popularity claims by their shape.
+    (no field more than a solve writes) and the claims re-derive field by
+    field, a flag as a JSON boolean, popularity claims by their shape.
     The re-solves: a maxw result's dual, whose optimum the weight must be
     and whose positive-potential set the critical set; on 1 to ``bound``
     edges, pri's verdict in the scope it records, pri's derived stability
@@ -454,6 +454,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         got = recorded.get(key)
         if type(got) is not type(val) or got != val:  # 1 == True, but 1 is no flag
             problems.append(f"stats field {key!r} does not re-derive")
+    problems += [f"stats holds {key!r}, which no solve writes"
+                 for key in recorded if key not in stats]
 
     if mode:
         bad = blocking_edges(inst, m, mode)

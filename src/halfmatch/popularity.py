@@ -33,12 +33,12 @@ At a vertex where M is whole the vote mass is linear in the rival, so
 those vertices are valued together as one dot product with a weight per
 edge, which is all of it when M is integral; the other vertices are
 swept, every one for every rival. Rivals are compared by the value of
-Delta alone (or of the product comparison), computed in integers, and a
-tie by size and then by masses in edge id order, also in integers. Only
-the worst rival gets a Fraction form, and a pairing (with its per-vertex
-votes) is built for it alone, and only when it is a counterexample. The
-pairings are computed in integers too: the comparisons scale their
-matchings to ints once and make each Fraction as a result leaves.
+Delta alone, computed in integers, and a tie by size and then by masses
+in edge id order, also in integers. Only the worst rival gets a Fraction
+form, and a pairing (with its per-vertex votes) is built for it alone,
+and only when it is a counterexample. The pairings are computed in
+integers too: the comparisons scale their matchings to ints once and
+make each Fraction as a result leaves.
 """
 
 from __future__ import annotations
@@ -442,39 +442,6 @@ def _product_point(
             else m_int.get(k[0], 0) * n_int.get(k[0], 0) for k in index], d * d
 
 
-# ---------------------------------------------------------------------------
-# the product pairing (mixed-popularity comparison)
-
-
-def delta_product(
-    inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
-) -> Fraction:
-    """Vote mass under the independent product pairing of M and N, valued
-    by :func:`_product_value` on n's masses by edge rank (:func:`_by_rank`)."""
-    _require(inst, "the product comparison", m, n)
-    d, held = _by_rank(inst, n)
-    t, big = _product_value(inst, m)([held.get(r, 0) for r in range(len(inst.edges))], d)
-    return Fraction(t, big)
-
-
-def _product_value(
-    inst: Instance, m: Mapping[str, Fraction]
-) -> Callable[[Sequence[int], int], tuple[int, int]]:
-    """The value of :func:`delta_product` against a rival held as ints, as
-    :func:`_feasible_value` gives it, over D = base * d with base the lcm of
-    m's denominators.
-
-    The value is linear in the rival's masses, by :func:`_product_weights`.
-    """
-    base, scaled = _by_rank(inst, m)
-    weight, fixed = _product_weights(inst, base, scaled, inst.vertices)
-
-    def value(held: Sequence[int], d: int) -> tuple[int, int]:
-        return sum(map(mul, weight, held)) + fixed * d, base * d
-
-    return value
-
-
 def _product_weights(
     inst: Instance, base: int, scaled: Mapping[int, int], vertices: Iterable[str]
 ) -> tuple[list[int], int]:
@@ -625,16 +592,6 @@ def is_popular(
         rivals = chain(rivals, _sampled(inst, seed, samples))
     return _scan(inst, rivals, _feasible_value(inst, m),
                  lambda n: _delta_feasible(inst, m, n), SCOPES[scope])
-
-
-def is_popular_mixed(
-    inst: Instance, m: Mapping[str, Fraction], bound: int = 10
-) -> PopularityVerdict:
-    """Whether no half-integral rival beats m under the product pairing."""
-    _require(inst, "the product comparison", m)
-    return _scan(inst, _enumerated(inst, bound), _product_value(inst, m),
-                 lambda n: DeltaResult(delta_product(inst, m, n), Pairing("product", {}), {}),
-                 "popular mixed")
 
 
 def is_popular_critical(

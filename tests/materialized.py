@@ -26,7 +26,10 @@ the matching checked is whole were valued by one weight per edge: every
 vertex's row swept for every rival. :func:`looped_product` is the product
 comparison as ``popularity`` computed it before every rival was valued by
 one weight per edge: a Fraction sum over every pair of items at every
-vertex.
+vertex. :func:`delta_product` and :func:`is_popular_mixed` are the
+product comparison and the mixed verdict (Kavitha, Mestre & Nasre, TCS
+2011) as ``popularity`` last computed them, on the kernels it keeps.
+:func:`proposals` is deferred acceptance on strict bipartite markets.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from halfmatch.core import (
@@ -51,7 +55,10 @@ from halfmatch.core import (
     matching_size,
 )
 from halfmatch.engine import BoundExceeded
-from halfmatch.popularity import _masses, vote
+from halfmatch.popularity import (
+    DeltaResult, Pairing, PopularityVerdict, _by_rank, _enumerated, _masses, _product_weights,
+    _require, _scan, vote,
+)
 
 
 def strict_instance(
@@ -618,3 +625,61 @@ def looped_product(inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fr
                     if b:
                         total += a * b * vote(inst, v, x, y)
     return total
+
+
+# the product comparison and the mixed verdict, on the kernels the package keeps
+
+
+def delta_product(inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
+                  ) -> Fraction:
+    """Vote mass under the independent product pairing of M and N."""
+    _require(inst, "the product comparison", m, n)
+    d, held = _by_rank(inst, n)
+    return Fraction(*_product_value(inst, m)([held.get(r, 0) for r in range(len(inst.edges))], d))
+
+
+def _product_value(inst: Instance, m: Mapping[str, Fraction]
+                   ) -> Callable[[Sequence[int], int], tuple[int, int]]:
+    """:func:`delta_product` against the rival of masses ``held[r] / d`` by
+    edge rank, as the pair (t, base * d), base the lcm of m's denominators."""
+    base, scaled = _by_rank(inst, m)
+    weight, fixed = _product_weights(inst, base, scaled, inst.vertices)
+    return lambda held, d: (sum(map(mul, weight, held)) + fixed * d, base * d)
+
+
+def is_popular_mixed(inst: Instance, m: Mapping[str, Fraction], bound: int = 10
+                     ) -> PopularityVerdict:
+    """Whether no half-integral rival beats m under the product pairing."""
+    _require(inst, "the product comparison", m)
+    return _scan(inst, _enumerated(inst, bound), _product_value(inst, m),
+                 lambda n: DeltaResult(delta_product(inst, m, n), Pairing("product", {}), {}),
+                 "popular mixed")
+
+
+# deferred acceptance on strict bipartite markets
+
+
+def proposals(inst: Instance, levels: int) -> dict[str, Fraction]:
+    """The even-index vertices propose along their strict orders, one
+    proposal per edge, so parallel edges are separate proposals; one
+    rejected along its whole list proposes again from its first edge one
+    level up, while levels last. A receiver holds the best offer by level,
+    then by its own order. One level is Gale–Shapley; two give the
+    dominant matching, a popular matching of maximum size."""
+    todo = {a: [(lv, eid) for lv in range(levels) for eid in inst.strict_order(a)][::-1]
+            for a in inst.vertices if inst.index(a) % 2 == 0}
+    free, held = list(todo), {}
+    while free:
+        a = free.pop()
+        if not todo[a]:
+            continue  # rejected along its whole list at every level
+        lv, eid = todo[a].pop()
+        b = other(inst, eid, a)
+        offer, kept = (lv, inst.pval(b, eid), a, eid), held.get(b)
+        if kept and kept > offer:
+            free.append(a)
+            continue
+        if kept:
+            free.append(kept[2])
+        held[b] = offer
+    return {eid: ONE for *_, eid in held.values()}

@@ -32,7 +32,6 @@ from halfmatch.popularity import (
     delta_feasible,
     delta_sensible,
     is_popular,
-    is_popular_mixed,
     min_cost_transport,
 )
 from halfmatch.solvers import (
@@ -45,6 +44,7 @@ from halfmatch.solvers import (
     solve_pop_maxw,
 )
 
+from materialized import is_popular_mixed
 from test_popularity import enumerate_basic_plans
 
 F = Fraction

@@ -630,6 +630,22 @@ def test_cli_verify_rejects_a_claim_its_solver_never_writes(tmp_path, capsys, cl
         assert f"verification holds {key!r}, which solve-max-srti does not write" in err
 
 
+@pytest.mark.parametrize("tag", list(SOLVER_CLAIMS))
+def test_cli_verify_rejects_a_stats_field_no_solve_writes(tmp_path, capsys, tag):
+    generate = ["--seed", "2", "--n", "12", "--weight-min", "1", "--weight-max", "9",
+                "--critical-count", "2", "--gamma-preset", "generic"]
+    _, inst_path, res_path = _solved(tmp_path, generate, tag)
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    doc["stats"]["size_is_max"] = True
+    res_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: stats holds 'size_is_max', which no solve writes\n")
+
+
 @pytest.mark.parametrize("claim", ["popular", "counterexample"])
 def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, claim):
     # each edit keeps the claims' shape, so verify passes it without the

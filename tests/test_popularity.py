@@ -32,20 +32,19 @@ from halfmatch.popularity import (
     PopularityVerdict,
     _delta_feasible,
     _feasible_value,
-    _product_value,
     delta_feasible,
-    delta_product,
     delta_sensible,
     is_popular,
     is_popular_critical,
-    is_popular_mixed,
     min_cost_transport,
     sample_fractional_matchings,
     vote,
 )
 
 from conftest import make_path, make_triangle, sparse
-from materialized import looped_product, swept_value
+from materialized import (
+    _product_value, delta_product, is_popular_mixed, looped_product, swept_value,
+)
 
 F = Fraction
 H = HALF

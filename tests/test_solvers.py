@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from halfmatch.core import (
     blocking_edges,
     is_saturated,
     matching_size,
+    saturated_vertices,
     validate_instance,
 )
 from halfmatch.cover import (
@@ -51,6 +53,7 @@ from halfmatch.solvers import (
 )
 
 from conftest import make_path
+from materialized import proposals
 from test_cover import assert_same_fractions, fraction_cover_matching, oracle_markets
 from test_popularity import _plain
 
@@ -223,6 +226,51 @@ def test_pri_popular_and_largest_on_small_sweep():
         assert matching_size(out) == max_popular_size(inst, bound=6), f"seed {seed}"
         done += 1
     assert done >= 20
+
+
+# -- textbook oracles on bipartite markets ---------------------------------------------
+
+
+def test_largest_popular_half_matchings_share_the_dominant_saturated_set():
+    # on bipartite desk markets, every popular half-matching of the largest
+    # size (half-integral scope, by enumeration) has the size and the
+    # saturated set of the dominant matching, which two-level proposals give:
+    # the observation the sweep below asserts of pri's output
+    markets = several = 0
+    for seed in range(200):
+        inst = generate_random(seed, 4 + seed % 5, edge_density=0.5, parallel_prob=0.2,
+                               bipartite=True)
+        if not 0 < len(inst.edges) <= 6:
+            continue
+        popular = [m for m in enumerate_half_matchings(inst, bound=6)
+                   if is_popular(inst, m, bound=6).popular]
+        top = max(map(matching_size, popular))
+        largest = [m for m in popular if matching_size(m) == top]
+        dominant = proposals(inst, 2)
+        assert matching_size(dominant) == top, seed
+        full = saturated_vertices(inst, dominant)
+        assert all(saturated_vertices(inst, m) == full for m in largest), seed
+        markets += 1
+        several += len(largest) > 1
+    assert markets >= 80 and several >= 20, (markets, several)
+
+
+def test_srti_and_pri_meet_the_textbook_oracles_on_sparse_bipartite_markets():
+    # every stable matching of a strict bipartite market saturates the
+    # vertices Gale-Shapley's does, and a popular matching of maximum size
+    # has the dominant matching's size; parallel edges are separate proposals
+    sizes, apart = (10, 20, 40, 100, 200), 0
+    for seed in range(300):
+        n = sizes[seed % len(sizes)]
+        inst = generate_random(seed, n, edge_density=5 / n, parallel_prob=0.2, bipartite=True)
+        stable, dominant = proposals(inst, 1), proposals(inst, 2)
+        srti, pri = solve_max_srti(inst), solve_max_pri(inst)
+        assert set(srti.values()) <= {ONE} and set(pri.values()) <= {ONE}, seed
+        assert saturated_vertices(inst, srti) == saturated_vertices(inst, stable), seed
+        assert matching_size(pri) == matching_size(dominant), seed
+        assert saturated_vertices(inst, pri) == saturated_vertices(inst, dominant), seed
+        apart += matching_size(dominant) > matching_size(stable)
+    assert apart >= 200, apart  # the two oracles tell the two solvers apart
 
 
 # -- duals ---------------------------------------------------------------------------
@@ -712,3 +760,10 @@ def test_a_stable_solve_certifies_its_projection(monkeypatch, solve, message):
     with pytest.raises(VerificationFailed, match=message):
         getattr(solvers_module, solve)(inst)
     assert solvers_module.solve_max_pri(inst) == {}
+
+
+def test_the_readme_quick_start_runs_as_written():
+    # the python block under "## Library quick start", asserts kept under -O
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec", optimize=0), {})
