@@ -16,8 +16,9 @@ the guarantee the construction was designed for:
 * ``build_pri_reduction``    two copies per edge (good/bad): the
   projection is a maximum-size popular half-matching;
 * ``build_crit_reduction``   one middle copy plus, per critical
-  endpoint, |C| leveled copies: the projection saturates the critical
-  set and is popular among matchings that do.
+  endpoint, |C ∩ K| leveled copies, K the edge's connected component:
+  the projection saturates the critical set and is popular among
+  matchings that do.
 
 A construction is nothing but each vertex's strict order over the
 copies, emitted as an :class:`engine.CopyMarket` whose orders list copy
@@ -37,9 +38,10 @@ Remaining ties go by edge id: all four are deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import lcm
 from typing import Sequence
 
@@ -189,7 +191,8 @@ def build_crit_reduction(
     origin: Instance, critical: frozenset[str] | set[str],
     keep: Sequence[bool] | None = None,
 ) -> DerivedInstance:
-    """Middle copies plus |C| leveled copies per critical endpoint.
+    """Middle copies plus s = |C ∩ K| leveled copies per critical endpoint,
+    K the connected component of the edge among the (kept) edges.
 
     An extra copy at level j (1-based) is the j-th best for the
     non-critical side and the j-th worst for the critical side; an
@@ -201,27 +204,50 @@ def build_crit_reduction(
     inside every level class. An empty critical set degenerates to an
     isomorphic copy of the input.
 
-    ``keep``, by edge rank, builds the market on the kept edges alone: an
-    edge not kept has no copies and leaves every order. The copies, their
-    ends, orders and ids are those built on the sub-market of the kept
-    edges, and the projection is onto ``origin``.
+    A vertex's order lists copies of its own edges only, all in its
+    component, so one component's levels never meet another's: each
+    component gets the construction of K taken as its own market, which
+    needs |C ∩ K| levels (Kavitha, FSTTCS 2021), and both critical
+    saturation and popularity decompose by component.
+
+    ``keep``, one entry per edge by edge rank, builds the market on the
+    kept edges alone: an edge not kept has no copies and leaves every
+    order. The copies, their ends, orders and ids are those built on the
+    sub-market of the kept edges, and the projection is onto ``origin``.
     """
     crit = frozenset(critical)
     unknown = sorted(crit - set(origin.vertices))
     if unknown:
         raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
-    s = len(crit)
+    if keep is not None and len(keep) != len(origin.edges):
+        raise InstanceError(f"keep has {len(keep)} entries for {len(origin.edges)} edges")
     is_crit = [v in crit for v in origin.vertices]
-    levels_u, levels_w = (tuple(f"~{t}{j}" for j in range(1, s + 1)) for t in "uw")
-    shapes = [("~0",) + levels_u * cu + levels_w * cw for cw in (0, 1) for cu in (0, 1)]
     lo, hi = _ends(origin)
-    bundles = [shapes[is_crit[a] + 2 * is_crit[b]] for a, b in zip(lo, hi)]
+    ends = zip(lo, hi) if keep is None else zip(compress(lo, keep), compress(hi, keep))
+    root = list(range(len(is_crit)))  # union-find over the kept edges' ends, halving paths
+    for a, b in ends:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        root[a] = b
+    for x, a in enumerate(root):  # each vertex's component, by its root
+        while root[a] != a:
+            a = root[a]
+        root[x] = a
+    count = Counter(compress(root, is_crit))  # |C ∩ K| by the root of K
+    level = [count[a] for a in root]  # each vertex's s
+    shapes = {}
+    for s in set(level):
+        levels_u, levels_w = (tuple(f"~{t}{j}" for j in range(1, s + 1)) for t in "uw")
+        shapes[s] = [("~0",) + levels_u * cu + levels_w * cw for cw in (0, 1) for cu in (0, 1)]
+    bundles = [shapes[level[a]][is_crit[a] + 2 * is_crit[b]] for a, b in zip(lo, hi)]
     if keep is not None:
         bundles = [b if k else () for b, k in zip(bundles, keep)]
     first = list(accumulate(map(len, bundles), initial=0))
     orders = []
     for x, v in enumerate(origin.vertices):
-        ranks = origin.strict_ranks(v)
+        ranks, s = origin.strict_ranks(v), level[x]
         if keep is not None:
             ranks = [r for r in ranks if keep[r]]
         # level j of the lower end's bundle is copy first + j, of the higher end's

@@ -10,7 +10,10 @@ for ``lower_endpoint`` and :func:`other`, methods of ``Instance`` until
 their last callers in the package went, and the rank view (``_rank``,
 ``_ranks``, ``_starts`` and the index and valuation of each end of an
 edge, ``_end_u``, ``_end_v``, ``_value_u`` and ``_value_v``) that
-``strict_instance`` now fills in as validation does.
+``strict_instance`` now fills in as validation does. The crit builder
+finds the components of the kept edges by its own search and takes a
+level count per component: by default the package's |C ∩ K|, while
+``lambda K: len(C)`` gives the |C| levels it once had everywhere.
 :func:`restarting_reduce` is the lazy engine as it was when each
 rotation's walk began again at the first long list.
 
@@ -230,9 +233,14 @@ def build_pri_reduction(origin: Instance) -> DerivedInstance:
 
 
 def build_crit_reduction(
-    origin: Instance, critical: frozenset[str] | set[str]
+    origin: Instance, critical: frozenset[str] | set[str],
+    keep: Sequence[bool] | None = None,
+    levels: Callable[[frozenset[str]], int] | None = None,
 ) -> DerivedInstance:
-    """Middle copies plus |C| leveled copies per critical endpoint.
+    """Middle copies plus s_K leveled copies per critical endpoint, where
+    K is the component of the kept edges that holds the edge and s_K =
+    ``levels(K)``, by default |C ∩ K|; ``lambda K: len(C)`` is the rule
+    of one level count for the whole market.
 
     An extra copy at level j (1-based) is the j-th best for the
     non-critical side and the j-th worst for the critical side; an
@@ -242,7 +250,8 @@ def build_crit_reduction(
     bundles are added. Each vertex ranks levels +s..+1, then the middle
     copies ``~0``, then levels -1..-s, with its original strict order
     inside every level class. An empty critical set degenerates to an
-    isomorphic copy of the input.
+    isomorphic copy of the input. ``keep``, by edge rank, drops the edges
+    not kept before anything else.
     """
     crit = frozenset(critical)
     unknown = crit - set(origin.vertices)
@@ -250,18 +259,32 @@ def build_crit_reduction(
         raise InstanceError(
             f"critical set contains unknown vertex {sorted(unknown)[0]!r}"
         )
-    s = len(crit)
+    kept = {e.eid for i, e in enumerate(origin.edges) if keep is None or keep[i]}
+    level = {}  # each vertex's s, found by a breadth-first search of its component
+    for v in origin.vertices:
+        if v in level:
+            continue
+        seen, queue = {v}, deque([v])
+        while queue:
+            x = queue.popleft()
+            for eid in origin.incident(x):
+                y = other(origin, eid, x)
+                if eid in kept and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        s = len(crit & seen) if levels is None else levels(frozenset(seen))
+        level.update(dict.fromkeys(seen, s))
 
-    origin_of = {e.eid + "~0": e.eid for e in origin.edges}
+    origin_of = {e.eid + "~0": e.eid for e in origin.edges if e.eid in kept}
     for e in origin.edges:
         low = lower_endpoint(origin, e.eid)
         for x, tag in ((low, "u"), (other(origin, e.eid, low), "w")):
-            if x in crit:
-                origin_of.update((f"{e.eid}~{tag}{j}", e.eid) for j in range(1, s + 1))
+            if e.eid in kept and x in crit:
+                origin_of.update((f"{e.eid}~{tag}{j}", e.eid) for j in range(1, level[x] + 1))
 
     orders = {}
     for v in origin.vertices:
-        mine = origin.strict_order(v)
+        mine, s = [eid for eid in origin.strict_order(v) if eid in kept], level[v]
         bundles = {eid: _copies(origin, v, eid, ("~u", "~w")) for eid in mine}
         # v's own bundle (first) ranks below the middle copies, its partner's above
         up = [bundles[eid][1] for eid in mine if other(origin, eid, v) in crit]

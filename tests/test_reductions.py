@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -11,6 +12,7 @@ from halfmatch.core import (
     InstanceError,
     MatchingError,
     VerificationFailed,
+    saturated_vertices,
     validate_instance,
 )
 from halfmatch.engine import CopyMarket, StablePartitionCert, stable_half_matching
@@ -21,6 +23,7 @@ from halfmatch.reductions import (
     build_pri_reduction,
     build_srti_reduction,
 )
+from halfmatch.solvers import max_weight_dual
 
 import materialized
 from conftest import make_triangle, rational_market
@@ -462,6 +465,125 @@ def test_crit_copy_counts_on_random_instances():
         assert materialize(der).is_strict()
 
 
+@pytest.mark.parametrize("keep", [[True], "ab", [True] * 12], ids=["short", "str", "long"])
+def test_crit_refuses_a_keep_mask_of_another_length(keep):
+    inst = generate_random(3, 6, edge_density=0.6)
+    assert len(inst.edges) == 9
+    with pytest.raises(InstanceError, match=f"keep has {len(keep)} entries for 9 edges"):
+        build_crit_reduction(inst, inst.vertices[:2], keep)
+    with pytest.raises(InstanceError, match="unknown vertex 'ghost'"):  # refused first
+        build_crit_reduction(inst, {"ghost"}, keep)
+
+
+def _level_markets(seeds):
+    """Seeded inputs of the crit construction: n = 3..40 (most of them
+    small), density 0.08..0.6, parallel edges up to 0.3, and by seed % 4
+    the market's own critical set; a random one, unsaturatable ones
+    included; a random one on a random keep mask; or a weighted market's
+    positive-potential vertices on its ``max_weight_dual`` tight edges."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = 3 + int(38 * rng.random() ** 3)
+        kind = seed % 4
+        inst = generate_random(seed, n, edge_density=0.08 * 7.5 ** rng.random(),
+                               parallel_prob=rng.uniform(0, 0.3),
+                               weight_range=(1, 9) if kind == 3 else None,
+                               critical_count=rng.randint(0, n) if kind == 0 else 0)
+        crit, keep = inst.critical, None
+        if kind in (1, 2):
+            crit = frozenset(rng.sample(inst.vertices, rng.randint(0, n)))
+        if kind == 2:
+            keep = [rng.random() < 0.7 for _ in inst.edges]
+        if kind == 3:
+            dual = max_weight_dual(inst, inst.weights)
+            crit, keep = dual.critical, [e.eid in dual.tight_edges for e in inst.edges]
+        yield seed, inst, crit, keep
+
+
+def _projected(inst, crit, keep, levels=None):
+    """The engine's projection on the materialized crit market whose
+    component K has ``levels(K)`` levels (by default |C ∩ K|)."""
+    der = materialized.build_crit_reduction(inst, crit, keep, levels)
+    return der.project(stable_half_matching(der.inst).matching)
+
+
+def test_component_levels_project_as_whole_market_levels():
+    # |C ∩ K| levels per component against the |C| levels of the whole
+    # market, built independently, through the same engine
+    fewer = open_crit = 0
+    for seed, inst, crit, keep in _level_markets(range(2000)):
+        der = build_crit_reduction(inst, crit, keep)
+        got = der.project(stable_half_matching(der.inst))
+        assert got == _projected(inst, crit, keep, lambda K: len(crit)), seed
+        whole = sum(1 + len(crit) * ((e.u in crit) + (e.v in crit))
+                    for e, k in zip(inst.edges, keep or repeat(True)) if k)
+        fewer += len(der.inst.edges) < whole
+        open_crit += not crit <= saturated_vertices(inst, got)
+    assert fewer >= 600 and open_crit >= 600, (fewer, open_crit)
+
+
+def test_component_levels_equal_the_materialized_builder_with_masks():
+    for seed, inst, crit, keep in _level_markets(range(300)):
+        der, want = (build_crit_reduction(inst, crit, keep),
+                     materialized.build_crit_reduction(inst, crit, keep))
+        for v in inst.vertices:
+            assert derived_order(der, v) == want.inst.strict_order(v), seed
+        assert origin_of(der) == dict(want.origin_of), seed
+        assert materialize(der).edges == want.inst.edges, seed
+
+
+def test_levels_above_the_component_count_project_alike():
+    for seed, inst, crit, keep in _level_markets(range(0, 2000, 10)):
+        got = _projected(inst, crit, keep)
+        for t in (1, 2, 5):
+            assert _projected(inst, crit, keep, lambda K: len(crit & K) + t) == got, (seed, t)
+
+
+def _ranked(vertices, orders):
+    """The strict market whose vertex v ranks its edges as ``orders[v]``
+    lists them, best first; an edge's ends are the two orders listing it."""
+    ends = {}
+    for v in vertices:
+        for eid in orders.get(v, ()):
+            ends.setdefault(eid, []).append(v)
+    return validate_instance(
+        vertices, [(eid, *ends[eid]) for eid in sorted(ends)],
+        pref={v: {eid: 9 - i for i, eid in enumerate(orders.get(v, ()))} for v in vertices})
+
+
+# The first market of _level_markets (seed 13) where one level fewer on a
+# component changes the projection has |C ∩ K| = 1: with no level at all,
+# v02 is left open. The first with |C ∩ K| >= 2 is seed 58's kept edges,
+# where v01 is isolated and the other 9 vertices hold all three critical
+# ones: two levels give another critical matching, three the projection of
+# |C| levels
+FEWER_LEVELS = [
+    (("v00", "v01", "v02"),
+     {"v00": ["e000", "e002", "e001"], "v01": ["e000", "e003"],
+      "v02": ["e002", "e003", "e001"]},
+     {"v02"}, {"e000": HALF, "e002": HALF, "e003": HALF}, {"e000": ONE}),
+    (tuple(f"v{i:02d}" for i in range(10)),
+     {"v00": ["e000"], "v02": ["e003", "e005", "e004", "e000"],
+      "v03": ["e004", "e003", "e006", "e007"], "v04": ["e009", "e008"],
+      "v05": ["e012", "e011", "e013"], "v06": ["e005"],
+      "v07": ["e011", "e007", "e008", "e014", "e006"], "v08": ["e014", "e012"],
+      "v09": ["e013", "e009"]},
+     {"v00", "v03", "v07"}, dict.fromkeys(["e000", "e006", "e009", "e012"], ONE),
+     dict.fromkeys(["e000", "e007", "e009", "e012"], ONE)),
+]
+
+
+@pytest.mark.parametrize("vertices, orders, crit, today, fewer", FEWER_LEVELS,
+                         ids=["seed-13", "seed-58"])
+def test_one_level_fewer_on_a_component_changes_the_projection(
+        vertices, orders, crit, today, fewer):
+    inst = _ranked(vertices, orders)
+    der = build_crit_reduction(inst, crit)
+    assert der.project(stable_half_matching(der.inst)) == today
+    assert _projected(inst, crit, None, lambda K: len(crit)) == today
+    assert _projected(inst, crit, None, lambda K: len(crit & K) - 1) == fewer
+
+
 # -- projection ---------------------------------------------------------------
 
 
@@ -575,5 +697,5 @@ def test_derived_markets_match_the_golden_digest():
             }
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "bf747f49bfbcae5759eb881585c547a8b797047f0b4cb35270d743a789bd15da"
+        "b9360fe580cdd001e6aee540c02a1500b992437936413f880e6d51cda002e12c"
     )
