@@ -21,7 +21,8 @@ below check that over all enumerated half-integral rivals (the vertices
 of the degree-constrained polytope), optionally supplemented by seeded
 random fractional rivals. The vertices cover every fractional rival only
 when M is integral, as Delta(M, N) is then linear in N; against a
-half-integral M a quarter-integral rival can do worse. They scan every
+half-integral M a quarter-integral rival can do worse. So no sample is
+drawn for an integral M that the vertices leave popular. They scan every
 rival in one form: its integer masses by edge rank over one denominator
 d. An enumerated rival is the engine's enumerator's own doubled values
 (d = 2), read in place. The sampled ones take their draws from bulk
@@ -479,7 +480,7 @@ def _product_weights(
 class PopularityVerdict:
     popular: bool
     scope: str
-    checked: int
+    checked: int  # rivals covered; an integral popular m's samples are settled, not scanned
     worst_value: Fraction
     counterexample: tuple[dict[str, Fraction], DeltaResult] | None
 
@@ -494,23 +495,17 @@ def _fractions(inst: Instance, held: Sequence[int], d: int) -> dict[str, Fractio
     return {e.eid: Fraction(x, d) for e, x in zip(inst.edges, held) if x}
 
 
-def _scan(
-    inst: Instance,
-    rivals: Iterable[Rival],
-    value_of: Callable[[Sequence[int], int], tuple[int, int]],
-    build: Callable[[Mapping[str, Fraction]], DeltaResult],
-    scope: str,
-) -> PopularityVerdict:
-    """The worst rival by value (ties: larger, then lexicographically smallest).
+def _worst(rivals: Iterable[Rival], value_of: Callable[[Sequence[int], int], tuple[int, int]],
+           worst: tuple | None = None, checked: int = 0) -> tuple[tuple | None, int]:
+    """The worst rival by value (ties: larger, then lexicographically
+    smallest) as (t, D, a copy of held, d), and the count of rivals, both
+    taken on from ``worst`` and ``checked`` of an earlier scan.
 
     ``value_of`` gives each rival's value as an integer pair (t, D),
-    meaning t/D with D > 0, and values are compared by cross-multiplying.
-    The worst so far is kept as ints, a tie ordered by :func:`_precedes`;
-    only the final worst gets a Fraction form, and ``build`` runs for it
-    alone, and only when it is a counterexample.
+    meaning t/D with D > 0, compared by cross-multiplying; a tie is
+    ordered by :func:`_precedes`.
     """
-    worst = None  # (t, D, a copy of held, d)
-    for checked, (held, d) in enumerate(rivals, 1):
+    for checked, (held, d) in enumerate(rivals, checked + 1):
         # all of held is read here, before the next rival is pulled: the
         # enumerator moves its list in place from one rival to the next
         t, big = value_of(held, d)
@@ -519,6 +514,21 @@ def _scan(
             if order > 0 or (order == 0 and not _precedes(held, d, worst[2], worst[3])):
                 continue
         worst = (t, big, list(held), d)
+    return worst, checked
+
+
+def _scan(
+    inst: Instance,
+    rivals: Iterable[Rival],
+    value_of: Callable[[Sequence[int], int], tuple[int, int]],
+    build: Callable[[Mapping[str, Fraction]], DeltaResult],
+    scope: str,
+    worst: tuple | None = None,
+    checked: int = 0,
+) -> PopularityVerdict:
+    """The verdict of :func:`_worst`: only the final worst gets a Fraction
+    form, and ``build`` runs for it alone, and only when it is a counterexample."""
+    worst, checked = _worst(rivals, value_of, worst, checked)
     if worst is None:
         return PopularityVerdict(True, scope, 0, ZERO, None)
     t, big, held, d = worst
@@ -582,16 +592,25 @@ def is_popular(
     in integers; the reported counterexample is the worst rival (ties:
     larger, then lexicographically smallest), with its feasible pairing,
     built for it alone.
+
+    No sample is drawn for an integral m (whole everywhere, :func:`_whole`)
+    popular among the enumerated rivals, m among them: the worst value is 0
+    and Delta(m, .) is linear, so no sample values below it. ``checked``
+    counts the samples all the same.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown popularity scope {scope!r}")
     _check_count(samples)
     _require(inst, "delta over feasible pairings", m)
-    rivals = _enumerated(inst, bound)
+    value_of, rivals = _feasible_value(inst, m), _enumerated(inst, bound)
+    worst, checked = None, 0
     if scope == "sampled":
-        rivals = chain(rivals, _sampled(inst, seed, samples))
-    return _scan(inst, rivals, _feasible_value(inst, m),
-                 lambda n: _delta_feasible(inst, m, n), SCOPES[scope])
+        worst, checked = _worst(rivals, value_of)
+        rivals = _sampled(inst, seed, samples)
+        if worst[0] == 0 and all(_whole(inst, m)):  # integral and popular: settled
+            rivals, checked = (), checked + samples
+    return _scan(inst, rivals, value_of, lambda n: _delta_feasible(inst, m, n),
+                 SCOPES[scope], worst, checked)
 
 
 def is_popular_critical(

@@ -210,7 +210,7 @@ def build_crit_reduction(
     needs |C ∩ K| levels (Kavitha, FSTTCS 2021), and both critical
     saturation and popularity decompose by component.
 
-    ``keep``, one entry per edge by edge rank, builds the market on the
+    ``keep``, one bool per edge by edge rank, builds the market on the
     kept edges alone: an edge not kept has no copies and leaves every
     order. The copies, their ends, orders and ids are those built on the
     sub-market of the kept edges, and the projection is onto ``origin``.
@@ -221,6 +221,9 @@ def build_crit_reduction(
         raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
     if keep is not None and len(keep) != len(origin.edges):
         raise InstanceError(f"keep has {len(keep)} entries for {len(origin.edges)} edges")
+    if keep is not None and not {bool}.issuperset(map(type, keep)):
+        bad = next(k for k in keep if type(k) is not bool)
+        raise InstanceError(f"keep holds {bad!r}, which is not a bool")
     is_crit = [v in crit for v in origin.vertices]
     lo, hi = _ends(origin)
     ends = zip(lo, hi) if keep is None else zip(compress(lo, keep), compress(hi, keep))

@@ -32,6 +32,10 @@ one weight per edge: a Fraction sum over every pair of items at every
 vertex. :func:`delta_product` and :func:`is_popular_mixed` are the
 product comparison and the mixed verdict (Kavitha, Mestre & Nasre, TCS
 2011) as ``popularity`` last computed them, on the kernels it keeps.
+:func:`full_sampled_verdict` is the sampled verdict as one scan of every
+enumerated rival and then every sample, as ``is_popular`` found it before
+it settled an integral matching popular among the enumerated rivals
+without drawing a sample.
 :func:`proposals` is deferred acceptance on strict bipartite markets.
 """
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -59,8 +64,8 @@ from halfmatch.core import (
 )
 from halfmatch.engine import BoundExceeded
 from halfmatch.popularity import (
-    DeltaResult, Pairing, PopularityVerdict, _by_rank, _enumerated, _masses, _product_weights,
-    _require, _scan, vote,
+    SCOPES, DeltaResult, Pairing, PopularityVerdict, _by_rank, _delta_feasible, _enumerated,
+    _feasible_value, _masses, _product_weights, _require, _sampled, _scan, vote,
 )
 
 
@@ -677,6 +682,15 @@ def is_popular_mixed(inst: Instance, m: Mapping[str, Fraction], bound: int = 10
     return _scan(inst, _enumerated(inst, bound), _product_value(inst, m),
                  lambda n: DeltaResult(delta_product(inst, m, n), Pairing("product", {}), {}),
                  "popular mixed")
+
+
+def full_sampled_verdict(inst: Instance, m: Mapping[str, Fraction], bound: int = 10,
+                         samples: int = 200, seed: int = 0) -> PopularityVerdict:
+    """``is_popular(inst, m, bound, "sampled", samples, seed)``, every sample scanned."""
+    _require(inst, "delta over feasible pairings", m)
+    return _scan(inst, chain(_enumerated(inst, bound), _sampled(inst, seed, samples)),
+                 _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n),
+                 SCOPES["sampled"])
 
 
 # deferred acceptance on strict bipartite markets

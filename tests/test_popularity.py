@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -43,7 +44,8 @@ from halfmatch.popularity import (
 
 from conftest import make_path, make_triangle, sparse
 from materialized import (
-    _product_value, delta_product, is_popular_mixed, looped_product, swept_value,
+    _product_value, delta_product, full_sampled_verdict, is_popular_mixed, looped_product,
+    swept_value,
 )
 
 F = Fraction
@@ -1169,3 +1171,87 @@ def test_samples_and_sampled_verdicts_match_the_golden_digest():
     assert digest.hexdigest() == (
         "b550db7e0e797b8efe8f0ceea4afb0fed331daf2372221aed6359e31f61767c9"
     )
+
+
+# -- samples settled by the half scope ------------------------------------------
+
+
+def _integral(inst, rng):
+    """A random integral matching: edges in random order, each taken with
+    probability 0.7 while both of its ends are free."""
+    free, m = set(inst.vertices), {}
+    for e in rng.sample(inst.edges, len(inst.edges)):
+        if e.u in free and e.v in free and rng.random() < 0.7:
+            free -= {e.u, e.v}
+            m[e.eid] = ONE
+    return m
+
+
+def test_sampled_verdicts_equal_the_full_scan():
+    # an integral m that the enumerated rivals leave popular draws no
+    # sample; every sampled verdict still equals one scan of every
+    # enumerated rival and then every sample. On the markets of at most 7
+    # edges among 400 seeds: pri's and srti's outputs, two random integral
+    # matchings and a random half-integral one, for sample seeds 0, 1 and 7
+    tally = collections.Counter()
+    for s in range(400):
+        inst = generate_random(s, 3 + s % 5, edge_density=(0.3, 0.6, 0.9)[s % 3],
+                               parallel_prob=0.3)
+        if len(inst.edges) > 7:
+            continue
+        rng = random.Random(s)
+        halves = [m for m in enumerate_half_matchings(inst, 7) if H in m.values()]
+        matchings = [solve_max_pri(inst), solve_max_srti(inst), _integral(inst, rng),
+                     _integral(inst, rng)] + rng.sample(halves, min(1, len(halves)))
+        for m in matchings:
+            for seed in (0, 1, 7):
+                got = is_popular(inst, m, scope="sampled", seed=seed)
+                assert got == full_sampled_verdict(inst, m, seed=seed), (s, m, seed)
+                tally[set(m.values()) <= {ONE}, got.popular] += 1
+        tally["parallel"] += len({frozenset((e.u, e.v)) for e in inst.edges}) < len(inst.edges)
+        tally["isolated"] += any(not inst.incident(v) for v in inst.vertices)
+    assert sum(tally[k] for k in itertools.product((True, False), repeat=2)) >= 2000, tally
+    assert min(tally[k] for k in itertools.product((True, False), repeat=2)) >= 150, tally
+    assert tally["parallel"] >= 100 and tally["isolated"] >= 50, tally
+
+
+def _refuse_draws(rng, n):
+    raise RuntimeError("samples drawn")
+
+
+def test_an_integral_popular_matching_draws_no_sample(monkeypatch):
+    # generate --seed 3 --n 7 --edge-density 0.4: pri's output is integral
+    # and popular, so the sampled verdict is the half verdict with the
+    # samples counted; seed 7's output is half-integral, and an unpopular
+    # integral matching goes on into the samples too
+    whole = generate_random(3, 7, edge_density=0.4)
+    m = solve_max_pri(whole)
+    assert set(m.values()) == {ONE}
+    half = is_popular(whole, m, scope="half")
+    monkeypatch.setattr(popularity, "_draws", _refuse_draws)
+    assert half.popular
+    assert is_popular(whole, m, scope="sampled", samples=0) == dataclasses.replace(
+        half, scope=popularity.SCOPES["sampled"])
+    for count in (1, 200, 10**6):
+        assert is_popular(whole, m, scope="sampled", samples=count) == dataclasses.replace(
+            half, scope=popularity.SCOPES["sampled"], checked=half.checked + count)
+    split = generate_random(7, 7, edge_density=0.4)
+    tie = generate_random(26, 6, edge_density=0.5)
+    for inst, n in ((split, solve_max_pri(split)), (tie, {"e001": ONE})):
+        assert H in n.values() or not is_popular(inst, n).popular
+        with pytest.raises(RuntimeError, match="samples drawn"):
+            is_popular(inst, n, scope="sampled")
+
+
+def test_a_tied_sample_moves_an_unpopular_integral_counterexample():
+    # samples never move an integral matching's popular flag or worst
+    # value, but against an unpopular one a fractional rival of the same
+    # value and size that sorts first becomes the counterexample, so only
+    # a popular integral matching is settled without its samples
+    inst = generate_random(26, 6, edge_density=0.5)
+    m = {"e001": ONE}
+    half, sampled = is_popular(inst, m), is_popular(inst, m, scope="sampled", seed=0)
+    assert (half.popular, half.worst_value) == (sampled.popular, sampled.worst_value) == (False, -1)
+    assert half.counterexample[0] == {"e000": H, "e002": H}
+    assert sampled.counterexample[0] == {"e000": F(1, 9), "e002": F(8, 9)}
+    assert sampled == full_sampled_verdict(inst, m, seed=0)

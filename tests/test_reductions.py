@@ -475,6 +475,21 @@ def test_crit_refuses_a_keep_mask_of_another_length(keep):
         build_crit_reduction(inst, {"ghost"}, keep)
 
 
+@pytest.mark.parametrize("keep, bad, copies", [("abcdefghi", "'a'", 23), ([None] * 9, "None", 0),
+                                               ([1, 0, 2, 0, 1, 1, 1, 1, 1], "1", 17)],
+                         ids=["str", "none", "int"])
+def test_crit_refuses_a_keep_mask_of_other_than_bools(keep, bad, copies):
+    # read by truthiness, each built the copies of its mask as bools
+    inst = generate_random(3, 6, edge_density=0.6)
+    assert len(inst.edges) == len(keep) == 9
+    with pytest.raises(InstanceError, match=f"^keep holds {bad}, which is not a bool$"):
+        build_crit_reduction(inst, inst.vertices[:2], keep)
+    with pytest.raises(InstanceError, match="unknown vertex 'ghost'"):  # refused first
+        build_crit_reduction(inst, {"ghost"}, keep)
+    as_bools = build_crit_reduction(inst, inst.vertices[:2], [bool(k) for k in keep])
+    assert len(as_bools.inst.origin) == copies
+
+
 def _level_markets(seeds):
     """Seeded inputs of the crit construction: n = 3..40 (most of them
     small), density 0.08..0.6, parallel edges up to 0.3, and by seed % 4
