@@ -14,7 +14,7 @@ exceeds M:
   of every edge, which couples the vertices and is solved here as one
   exact linear program; when every vertex is *whole* for one of the two
   matchings (all of its mass on one edge, or none), the program's one
-  feasible point is the product pairing, read off in closed form.
+  feasible point is the product pairing, read off with no program built.
 
 M is popular when Delta(M, N) >= 0 against every rival N; the verifiers
 below check that over all enumerated half-integral rivals (the vertices
@@ -360,8 +360,7 @@ def delta_sensible(
     product m(a) * n(b), staying unmatched holding each side's rest. The
     product pairing meets every row at every vertex, so when each vertex
     is whole for m or for n it is the program's only feasible point, and
-    its optimum: x is read off it (:func:`_product_point`), checked
-    against every row and for x >= 0, and the simplex is skipped.
+    its optimum, read off it with no program built (:func:`_forced_sensible`).
     """
     _require(inst, "delta over sensible pairings", m, n)
     footprint = sum((len(inst.incident(v)) + 1) ** 2 for v in inst.vertices)
@@ -370,6 +369,9 @@ def delta_sensible(
             f"sensible-pairing program needs {footprint} variables, "
             f"over the limit of {SENSIBLE_LP_LIMIT}"
         )
+
+    if all(map(or_, _whole(inst, m), _whole(inst, n))):
+        return _forced_sensible(inst, m, n)
 
     # columns in order of first use; both endpoints share an edge's diagonal
     index: dict[tuple, int] = {}
@@ -399,20 +401,7 @@ def delta_sensible(
                 j = var(v, x, y)
                 costs[j] = costs.get(j, 0) + vote(inst, v, x, y)
 
-    cost_vec = [costs.get(j, 0) for j in range(len(index))]
-    if all(map(or_, _whole(inst, m), _whole(inst, n))):
-        point, big = _product_point(inst, m, n, index)
-        if min(point, default=0) < 0 or any(
-            sum(c * point[j] for j, c in row.items()) * b.denominator != b.numerator * big
-            for row, b in zip(rows, rhs)
-        ):
-            raise VerificationFailed(
-                "the product pairing is negative or misses a row of the sensible program")
-        x = [Fraction(a, big) if a else ZERO for a in point]
-        value = Fraction(sum(map(mul, cost_vec, point)), big)
-    else:
-        x, value = simplex.solve_min(cost_vec, rows, rhs)
-
+    x, value = simplex.solve_min([costs.get(j, 0) for j in range(len(index))], rows, rhs)
     phi: dict[str, dict[tuple[Item, Item], Fraction]] = {v: {} for v in inst.vertices}
     votes: dict[str, Fraction] = {v: ZERO for v in inst.vertices}
     for key, val in zip(index, x):
@@ -429,18 +418,54 @@ def delta_sensible(
     return DeltaResult(value=value, pairing=Pairing("sensible", phi), votes=votes)
 
 
-def _product_point(
-    inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction], index: Iterable[tuple]
-) -> tuple[list[int], int]:
-    """The product pairing phi_v(a, b) = m(a) * n(b), staying unmatched
-    holding each matching's unmatched rest, as ints over one denominator
-    D: its entries times D, in the order of the program's columns
-    ``index``, and D."""
+def _forced_sensible(inst: Instance, m: Mapping[str, Fraction], n: Mapping[str, Fraction]
+                     ) -> DeltaResult:
+    """:func:`delta_sensible` where each vertex is whole for m or for n: the
+    product pairing (:func:`_product_entries`) as ints over d * d, for the
+    lcm d of m's and n's denominators, in the program's column order (a
+    diagonal at its first end in vertex order), with no program built.
+
+    One pass stands in for the program's rows and x >= 0: at each vertex
+    the row and column sums are m's and n's masses times d, the rests
+    included, no entry is negative, and each diagonal, one variable of the
+    program, is equal at both of its ends.
+    """
     d, m_int, n_int = _scaled(m, n)
-    at = {v: (_masses(inst, m_int, v, d), _masses(inst, n_int, v, d)) for v in inst.vertices}
-    # a diagonal names no vertex: both of its ends give it m(a) * n(a)
-    return [at[k[0]][0][k[1]] * at[k[0]][1][k[2]] if len(k) == 3
-            else m_int.get(k[0], 0) * n_int.get(k[0], 0) for k in index], d * d
+    big, total, bad, shared = d * d, 0, False, {}
+    phi: dict[str, dict[tuple[Item, Item], Fraction]] = {v: {} for v in inst.vertices}
+    votes: dict[str, Fraction] = {}
+    for v in inst.vertices:
+        mass_m, mass_n = _masses(inst, m_int, v, d), _masses(inst, n_int, v, d)
+        rows, cols = {x: -a * d for x, a in mass_m.items()}, {y: -b * d for y, b in mass_n.items()}
+        pref, empty, t = inst.pref[v].get, inst.pref_empty[v], 0
+        for (x, y), a in _product_entries(mass_m, mass_n).items():
+            rows[x], cols[y], bad = rows.get(x, 0) + a, cols.get(y, 0) + a, bad or a < 0
+            if x == y is not None:
+                if x not in shared:
+                    e, shared[x] = inst.edge(x), a
+                    phi[e.u][x, y] = phi[e.v][x, y] = Fraction(a, big)
+                else:
+                    bad |= shared.pop(x) != a
+            elif x is not None or y is not None:  # (None, None) is no variable
+                phi[v][x, y] = Fraction(a, big)
+                px, py = pref(x, empty), pref(y, empty)
+                t += a * ((px > py) - (px < py))
+        bad |= any(rows.values()) or any(cols.values())
+        votes[v], total = Fraction(t, big), total + t
+    if bad or shared:
+        raise VerificationFailed(
+            "the product pairing is negative or misses a row of the sensible program")
+    return DeltaResult(Fraction(total, big), Pairing("sensible", phi), votes)
+
+
+def _product_entries(mass_m: Mapping[Item, int], mass_n: Mapping[Item, int]) -> dict[tuple, int]:
+    """The product pairing m(a) * n(b) at a vertex of masses ``mass_m`` and
+    ``mass_n`` (:func:`_masses`) over the items both hold, (None, None) too.
+    A forced vertex's one side holds one item, so these come in the other
+    side's incidence order, the order in which the program makes their
+    columns: under the earlier of an entry's two items, unmatched last.
+    """
+    return {(x, y): a * b for x, a in mass_m.items() if a for y, b in mass_n.items() if b}
 
 
 def _product_weights(

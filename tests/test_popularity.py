@@ -310,16 +310,20 @@ def test_sensible_witness_satisfies_marginals(five_agent_market):
 
 def test_forced_sensible_pairings_equal_the_simplex(monkeypatch):
     # where each vertex is whole for m or for n the program's one feasible
-    # point is the product pairing, read off without the simplex; the
-    # simplex on the same program must give the same x, value, pairing and
-    # votes, each mapping in the same insertion order
-    solved, points = [], []
-    real_solve, real_point = simplex.solve_min, popularity._product_point
+    # point is the product pairing, read off with no program built; the
+    # simplex on the same program must give the same value, pairing and
+    # votes, each mapping in the same insertion order. Each market is also
+    # taken with staying unmatched valued below 0 at every other vertex, and
+    # that vertex's valuations shifted so that its last edge is valued 0:
+    # the closed form reads pref_empty where the program calls vote(), and
+    # only there would reading 0 for staying unmatched tie that edge
+    solved, entries = [], []
+    real_solve, real_entries = simplex.solve_min, popularity._product_entries
     monkeypatch.setattr(simplex, "solve_min",
                         lambda *args: solved.append(real_solve(*args)) or solved[-1])
-    monkeypatch.setattr(popularity, "_product_point",
-                        lambda *args: points.append(real_point(*args)) or points[-1])
-    forced = mixed = unforced = 0
+    monkeypatch.setattr(popularity, "_product_entries",
+                        lambda *args: entries.append(real_entries(*args)) or entries[-1])
+    forced = mixed = unforced = lowered = 0
     for seed, inst, picked in _whole_sweep():
         rivals = list(enumerate_half_matchings(inst, bound=10))
         pairs = list(itertools.product([m for ms in picked.values() for m in ms][::3],
@@ -331,65 +335,97 @@ def test_forced_sensible_pairings_equal_the_simplex(monkeypatch):
             ((rivals[a], rivals[b]) for a, b in itertools.permutations(range(len(rivals)), 2)
              if not (all(whole[a]) or all(whole[b]))
              and all(map(operator.or_, whole[a], whole[b]))), 8)
-        for m, n in pairs:
-            wm, wn = popularity._whole(inst, m), popularity._whole(inst, n)
-            del solved[:], points[:]
-            got = delta_sensible(inst, m, n)
+        lowered_at = inst.vertices[::2]
+        low = validate_instance(inst.vertices, inst.edges, {
+            v: {e: x - min(p.values()) for e, x in p.items()} if v in lowered_at else p
+            for v, p in inst.pref.items()
+        }, pref_empty={v: F(-1 - i, 3) for i, v in enumerate(lowered_at)})
+        for market, (m, n) in itertools.product((inst, low), pairs):
+            wm, wn = popularity._whole(market, m), popularity._whole(market, n)
+            del solved[:], entries[:]
+            got = delta_sensible(market, m, n)
             if not all(map(operator.or_, wm, wn)):
-                assert len(solved) == 1 and not points
+                assert len(solved) == 1 and not entries
                 unforced += 1
                 continue
-            assert not solved and len(points) == 1
+            assert not solved and len(entries) == len(market.vertices)
             with monkeypatch.context() as patch:
                 patch.setattr(popularity, "_whole", lambda inst, g: [False] * len(inst.vertices))
-                want = delta_sensible(inst, m, n)
-            (x, value), (point, big) = solved[0], points[0]
-            assert [Fraction(a, big) for a in point] == x and got.value == value
-            assert got == want, (seed, m, n)
-            for v in inst.vertices:
+                want = delta_sensible(market, m, n)
+            assert len(solved) == 1 and got.value == solved[0][1]
+            assert got == want, (seed, market is low, m, n)
+            for v in market.vertices:
                 assert list(got.pairing.phi[v].items()) == list(want.pairing.phi[v].items())
             assert list(got.votes.items()) == list(want.votes.items())
             forced += 1
             mixed += not (all(wm) or all(wn))
-    assert forced >= 600 and mixed >= 150 and unforced >= 300, (forced, mixed, unforced)
+            lowered += market is low
+    assert forced >= 1200 and mixed >= 300 and unforced >= 600 and lowered >= 600, (
+        forced, mixed, unforced, lowered)
 
 
-def test_a_wrong_forced_pairing_is_refused(monkeypatch, five_agent_market):
-    # the forced x is checked against every row of the program and for
-    # x >= 0 before it is used: a point off one row fails, and so does a
-    # negative one that meets every row over a negative denominator; the
-    # check raises, so it holds under python -O too
-    inst, m, _ = five_agent_market
-    n = solve_max_pri(inst)
-    real = popularity._product_point
-    off_row = lambda *args: ([a + (j == 0) for j, a in enumerate(real(*args)[0])], real(*args)[1])
-    negative = lambda *args: ([-a for a in real(*args)[0]], -real(*args)[1])
-    for wrong in (off_row, negative):
-        monkeypatch.setattr(popularity, "_product_point", wrong)
-        with pytest.raises(VerificationFailed, match="is negative or misses a row"):
-            delta_sensible(inst, n, m)
+def test_a_wrong_forced_pairing_is_refused():
+    # the forced pairing is checked before it is used: an entry off its row
+    # fails; so does a negative one, moved round a cycle of entries so that
+    # every row and column still balances; and so does a diagonal that
+    # differs at its two ends. The check raises, so it holds under python -O
     script = textwrap.dedent("""
         from halfmatch import popularity
         from halfmatch.core import VerificationFailed
         from halfmatch.generate import generate_random
-        from halfmatch.solvers import solve_max_pri
+        from halfmatch.solvers import solve_max_pri, solve_max_srti
 
-        inst = generate_random(1000, 7, edge_density=0.35, parallel_prob=0.1)
-        m = solve_max_pri(inst)
-        real = popularity._product_point
-        popularity._product_point = lambda *args: ([0] * len(real(*args)[0]), 1)
-        try:
-            popularity.delta_sensible(inst, m, {})
-        except VerificationFailed as exc:
-            print(exc)
+        def off_row(got, x, y, k):
+            got[x, y] += 1
+            return x != y
+
+        def negative(got, a, b, k):  # (a, b) moves round (a, -), (-, -), (-, b)
+            if None in (a, b) or a == b:
+                return False
+            got[a, b] -= k
+            got[a, None] = got.get((a, None), 0) + k
+            got[None, b] = got.get((None, b), 0) + k
+            got[None, None] = got.get((None, None), 0) - k
+            return True
+
+        def diagonal(got, x, y, k):
+            got[x, y] += 1
+            return x == y
+
+        inst = generate_random(1003, 7, edge_density=0.35, parallel_prob=0.1)
+        m, n = solve_max_pri(inst), solve_max_srti(inst)
+        real = popularity._product_entries
+        for edit in (off_row, negative, diagonal):
+            done = []
+
+            def entries(mass_m, mass_n, edit=edit, done=done):
+                got = real(mass_m, mass_n)
+                for (x, y), k in got.items():
+                    wrong = dict(got)
+                    if not done and edit(wrong, x, y, k):
+                        done.append((x, y))
+                        return wrong
+                return got
+
+            popularity._product_entries = entries
+            try:
+                popularity.delta_sensible(inst, m, n)
+            except VerificationFailed as exc:
+                print(edit.__name__, done, exc)
+            else:
+                print(edit.__name__, done, "accepted")
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(halfmatch.__file__)))
-    run = subprocess.run([sys.executable, "-O", "-c", script],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == (
-        "the product pairing is negative or misses a row of the sensible program\n")
+    refused = "the product pairing is negative or misses a row of the sensible program"
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable, *flags, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == ["off_row", "negative", "diagonal"]
+        for line in lines:
+            assert line.endswith(refused) and "[]" not in line, (flags, line)
 
 
 # -- product pairing ------------------------------------------------------------
@@ -962,11 +998,12 @@ def _sampled_candidates(inst, m, samples, seed):
 
 @pytest.mark.parametrize("market", ["single_edge", "five_agent_market"])
 def test_a_sampled_verdict_stays_on_integers(monkeypatch, request, market):
-    # single edge: the samples with raw 16 tie M's own value 0 and are
-    # ordered in ints; five agents: half-integral rivals beat m, one pairing
-    # is built. Either way the final worst alone gets a Fraction form
+    # single edge: m holds e at 1/2, so its samples are scanned, and those
+    # with raw 16 tie the worst value, -1, of e at 1, and are ordered in ints;
+    # five agents: half-integral rivals beat m, one pairing is built. Either
+    # way the final worst alone gets a Fraction form
     if market == "single_edge":
-        inst, m = request.getfixturevalue(market), {"e": ONE}
+        inst, m = request.getfixturevalue(market), {"e": HALF}
     else:
         inst, m, _ = request.getfixturevalue(market)
     candidates, sampled = _sampled_candidates(inst, m, 200, seed=4)
