@@ -177,7 +177,7 @@ def _simplex_transport(sup, dem, cost):
 
 @dataclass(frozen=True)
 class Pairing:
-    kind: str  # feasible | sensible | product
+    kind: str  # feasible | sensible
     phi: Mapping[str, Mapping[tuple[Item, Item], Fraction]]
 
 
@@ -333,7 +333,8 @@ def _feasible_value(
 
 
 #: delta_sensible refuses programs larger than this many pair variables;
-#: the count grows as the sum of (degree + 1)^2 over the vertices.
+#: the count grows as the sum of (degree + 1)^2 over the vertices. A forced
+#: comparison builds no program, so it answers at any size.
 SENSIBLE_LP_LIMIT = 4000
 
 
@@ -363,15 +364,12 @@ def delta_sensible(
     its optimum, read off it with no program built (:func:`_forced_sensible`).
     """
     _require(inst, "delta over sensible pairings", m, n)
-    footprint = sum((len(inst.incident(v)) + 1) ** 2 for v in inst.vertices)
-    if footprint > SENSIBLE_LP_LIMIT:
-        raise BoundExceeded(
-            f"sensible-pairing program needs {footprint} variables, "
-            f"over the limit of {SENSIBLE_LP_LIMIT}"
-        )
-
     if all(map(or_, _whole(inst, m), _whole(inst, n))):
         return _forced_sensible(inst, m, n)
+    footprint = sum((len(inst.incident(v)) + 1) ** 2 for v in inst.vertices)
+    if footprint > SENSIBLE_LP_LIMIT:
+        raise BoundExceeded(f"sensible-pairing program needs {footprint} variables, "
+                            f"over the limit of {SENSIBLE_LP_LIMIT}")
 
     # columns in order of first use; both endpoints share an edge's diagonal
     index: dict[tuple, int] = {}
@@ -542,20 +540,13 @@ def _worst(rivals: Iterable[Rival], value_of: Callable[[Sequence[int], int], tup
     return worst, checked
 
 
-def _scan(
-    inst: Instance,
-    rivals: Iterable[Rival],
-    value_of: Callable[[Sequence[int], int], tuple[int, int]],
-    build: Callable[[Mapping[str, Fraction]], DeltaResult],
-    scope: str,
-    worst: tuple | None = None,
-    checked: int = 0,
-) -> PopularityVerdict:
-    """The verdict of :func:`_worst`: only the final worst gets a Fraction
-    form, and ``build`` runs for it alone, and only when it is a counterexample."""
-    worst, checked = _worst(rivals, value_of, worst, checked)
-    if worst is None:
-        return PopularityVerdict(True, scope, 0, ZERO, None)
+def _verdict(inst: Instance, worst: tuple, checked: int,
+             build: Callable[[Mapping[str, Fraction]], DeltaResult], scope: str
+             ) -> PopularityVerdict:
+    """The verdict on ``worst`` of :func:`_worst`, among ``checked`` rivals,
+    never None: every stream starts with the empty rival or, for a critical
+    m, holds a vertex of the polytope's face where m lies. Only it gets a
+    Fraction form, and ``build`` runs for it alone, only for a counterexample."""
     t, big, held, d = worst
     rival = _fractions(inst, held, d)
     counter = (rival, build(rival)) if t < 0 else None
@@ -618,8 +609,8 @@ def is_popular(
     larger, then lexicographically smallest), with its feasible pairing,
     built for it alone.
 
-    No sample is drawn for an integral m (whole everywhere, :func:`_whole`)
-    popular among the enumerated rivals, m among them: the worst value is 0
+    No sample is drawn for an integral m (each value 0 or 1) popular
+    among the enumerated rivals, m among them: the worst value is 0
     and Delta(m, .) is linear, so no sample values below it. ``checked``
     counts the samples all the same.
     """
@@ -627,15 +618,14 @@ def is_popular(
         raise ValueError(f"unknown popularity scope {scope!r}")
     _check_count(samples)
     _require(inst, "delta over feasible pairings", m)
-    value_of, rivals = _feasible_value(inst, m), _enumerated(inst, bound)
-    worst, checked = None, 0
+    value_of = _feasible_value(inst, m)
+    worst, checked = _worst(_enumerated(inst, bound), value_of)
     if scope == "sampled":
-        worst, checked = _worst(rivals, value_of)
-        rivals = _sampled(inst, seed, samples)
-        if worst[0] == 0 and all(_whole(inst, m)):  # integral and popular: settled
-            rivals, checked = (), checked + samples
-    return _scan(inst, rivals, value_of, lambda n: _delta_feasible(inst, m, n),
-                 SCOPES[scope], worst, checked)
+        if worst[0] == 0 and all(val.denominator == 1 for val in m.values()):
+            checked += samples  # integral and popular: settled
+        else:
+            worst, checked = _worst(_sampled(inst, seed, samples), value_of, worst, checked)
+    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n), SCOPES[scope])
 
 
 def is_popular_critical(
@@ -659,11 +649,10 @@ def is_popular_critical(
     for v in crit:
         if v not in m_full:
             raise InstanceError(f"matching does not saturate critical vertex {v!r}")
-    return _scan(
-        inst, _enumerated(inst, bound, [inst.index(v) for v in crit]), _feasible_value(inst, m),
-        lambda n: _delta_feasible(inst, m, n),
-        "popular among critical (half-integral scope)",
-    )
+    worst, checked = _worst(_enumerated(inst, bound, [inst.index(v) for v in crit]),
+                            _feasible_value(inst, m))
+    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n),
+                    "popular among critical (half-integral scope)")
 
 
 def _check_count(count: int) -> None:

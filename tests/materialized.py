@@ -65,7 +65,7 @@ from halfmatch.core import (
 from halfmatch.engine import BoundExceeded
 from halfmatch.popularity import (
     SCOPES, DeltaResult, Pairing, PopularityVerdict, _by_rank, _delta_feasible, _enumerated,
-    _feasible_value, _masses, _product_weights, _require, _sampled, _scan, vote,
+    _feasible_value, _masses, _product_weights, _require, _sampled, _verdict, _worst, vote,
 )
 
 
@@ -679,18 +679,20 @@ def is_popular_mixed(inst: Instance, m: Mapping[str, Fraction], bound: int = 10
                      ) -> PopularityVerdict:
     """Whether no half-integral rival beats m under the product pairing."""
     _require(inst, "the product comparison", m)
-    return _scan(inst, _enumerated(inst, bound), _product_value(inst, m),
-                 lambda n: DeltaResult(delta_product(inst, m, n), Pairing("product", {}), {}),
-                 "popular mixed")
+    worst, checked = _worst(_enumerated(inst, bound), _product_value(inst, m))
+    return _verdict(inst, worst, checked,
+                    lambda n: DeltaResult(delta_product(inst, m, n), Pairing("product", {}), {}),
+                    "popular mixed")
 
 
 def full_sampled_verdict(inst: Instance, m: Mapping[str, Fraction], bound: int = 10,
                          samples: int = 200, seed: int = 0) -> PopularityVerdict:
     """``is_popular(inst, m, bound, "sampled", samples, seed)``, every sample scanned."""
     _require(inst, "delta over feasible pairings", m)
-    return _scan(inst, chain(_enumerated(inst, bound), _sampled(inst, seed, samples)),
-                 _feasible_value(inst, m), lambda n: _delta_feasible(inst, m, n),
-                 SCOPES["sampled"])
+    worst, checked = _worst(chain(_enumerated(inst, bound), _sampled(inst, seed, samples)),
+                            _feasible_value(inst, m))
+    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n),
+                    SCOPES["sampled"])
 
 
 # deferred acceptance on strict bipartite markets

@@ -316,3 +316,20 @@ def test_a_broken_kernel_fails_a_postcondition(monkeypatch, single_edge, phase, 
     monkeypatch.setattr(cover_module, "_phase", phase)
     with pytest.raises(VerificationFailed, match=message):
         max_weight_cover_matching(double_cover(single_edge), {"e": F(4, 3)})
+
+
+def test_a_kernel_that_matches_a_right_copy_twice_fails_the_weight_check(monkeypatch):
+    # on the path a-b-c each left copy takes its first arc (b takes ab<), so
+    # a and c both take b's right copy: every edge is covered and every
+    # matched one tight, and no unmatched copy holds potential, but the
+    # matched weight 3 counts b's right potential twice against the
+    # objective 2. Over a matching the weight check follows from the four
+    # before it; this is what it adds
+    def matches_b_twice(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right):
+        for u, out in enumerate(arcs):
+            mate_left[u] = mate_right[head[out[0]]] = out[0]
+        y_left[:], y_right[:] = [0, 1, 0], [0, 1, 0]
+
+    monkeypatch.setattr(cover_module, "_phase", matches_b_twice)
+    with pytest.raises(VerificationFailed, match="cover matching weight differs"):
+        max_weight_cover_matching(double_cover(make_path("a")), {"ab": 1, "bc": 1})

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -703,3 +704,39 @@ def test_engine_rejects_an_order_that_misses_its_copies(orders, culprit):
     with pytest.raises(VerificationFailed, match=culprit):
         stable_half_matching(_path_market(orders))
     assert stable_half_matching(_path_market([[0], [1, 0], [1]])).matching == {"bc": ONE}
+
+
+@pytest.mark.parametrize("eu, ev, orders, walked, message", [
+    ([0, 0, 0, 1], [1, 2, 2, 2], [[0, 1, 2], [0, 3], [2, 1, 3]], [[0, 1, 2], [3, 0], [2, 1, 3]],
+     "rotation walk meets a short list at 'b'"),
+    ([1, 1, 1], [2, 0, 2], [[1], [0, 1, 2], [2, 0]], [[1], [2, 0, 1], [2, 0]],
+     "rotation walk meets a short list at 'a'"),
+    ([1, 1, 0, 2], [2, 0, 1, 1], [[2, 1], [2, 0, 3, 1], [3, 0]], [[1, 2], [2, 0, 3, 1], [3, 0]],
+     "rotation eliminates nothing"),
+])
+def test_the_rotation_walk_refuses_positions_of_other_orders(eu, ev, orders, walked, message):
+    # the positions are taken from ``orders``, which the engine solves, and
+    # the walk reads ``walked``, one vertex's order reshuffled: it meets lists
+    # shorter than its positions say, or a rotation whose second entries sit
+    # at or past their acceptors' tails. The checks raise, under python -O too
+    market = CopyMarket(("a", "b", "c"), eu, ev, orders, range(len(eu)),
+                        [f"e{c}" for c in range(len(eu))], [""] * len(eu))
+    pu, pv = _positions(market)
+    stable_half_matching(market)
+    with pytest.raises(VerificationFailed, match=message):
+        _reduce(dataclasses.replace(market, orders=walked), pu, pv)
+
+
+@pytest.mark.parametrize("lists, message", [
+    ([[0], [], [1, 2]], "singleton list of 'a' is not mirrored"),
+    ([[0, 2], [0, 1, 3], [1, 2]], "courting cycle meets 'b' with a long list"),
+])
+def test_the_partition_refuses_lists_no_reduction_leaves(lists, message):
+    # a triangle with a second copy of bc: a one-entry list names a partner
+    # whose list is other, or a courting cycle meets a list of three
+    market = CopyMarket(("a", "b", "c"), [0, 1, 2, 1], [1, 2, 0, 2],
+                        [[0, 2], [0, 1, 3], [1, 2, 3]], [0, 1, 2, 1], ("ab", "bc", "ca"),
+                        ["", "", "", "~2"])
+    pu, pv = _positions(market)
+    with pytest.raises(VerificationFailed, match=message):
+        _partition(market, lists, pu, pv)

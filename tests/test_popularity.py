@@ -285,11 +285,31 @@ def test_sensible_integral_self_is_zero(single_edge):
 
 
 def test_sensible_refuses_oversized_programs():
+    # the limit sizes the program, so it refuses only an unforced comparison:
+    # the empty matchings, whole everywhere, build none and are compared at
+    # any size, while one triangle held at 1/2 by both sides needs the program
     from halfmatch.engine import BoundExceeded
 
     big = generate_random(0, 40, edge_density=0.6, tie_prob=0.0)
+    assert delta_sensible(big, {}, {}).value == 0
+    ends = {frozenset((e.u, e.v)): e.eid for e in big.edges}
+    triangle = next(t for t in itertools.combinations(big.vertices, 3)
+                    if all(frozenset(p) in ends for p in itertools.combinations(t, 2)))
+    cycle = {ends[frozenset(p)]: H for p in itertools.combinations(triangle, 2)}
     with pytest.raises(BoundExceeded, match="sensible-pairing program"):
-        delta_sensible(big, {}, {})
+        delta_sensible(big, cycle, cycle)
+
+
+def test_forced_sensible_comparisons_at_scale():
+    # at n = 400 every program is far over the limit, but pri's and srti's
+    # outputs leave each vertex whole for one of them, so both comparisons
+    # are forced; at a vertex whole for one side the feasible comparison is
+    # the product comparison too, so the two values are equal
+    for seed in range(10):
+        inst = generate_random(seed, 400, edge_density=6 / 399, parallel_prob=0.1)
+        p, a = solve_max_pri(inst), solve_max_srti(inst)
+        for m, n in ((p, a), (a, p)):
+            assert delta_sensible(inst, m, n).value == delta_feasible(inst, m, n).value, seed
 
 
 def test_sensible_witness_satisfies_marginals(five_agent_market):

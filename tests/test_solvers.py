@@ -379,6 +379,29 @@ def test_a_cover_result_that_overloads_a_vertex_fails(monkeypatch):
         max_weight_dual(make_path("a"), {"ab": F(1), "bc": F(1)})
 
 
+@pytest.mark.parametrize("matched, y, message", [
+    # ab carries the witness's weight 1 though y_a + y_b = 4/2 exceeds it
+    ({"ab>", "ab<"}, {"a": 0, "b": 4, "c": -2}, "witness uses a slack edge"),
+    # half of ab, tight, carries the weight 1/2 while b, at 3/2, is half open
+    ({"ab>"}, {"a": -1, "b": 3, "c": -1}, "witness leaves a positive-potential vertex open"),
+])
+def test_a_cover_result_with_a_negative_potential_fails(monkeypatch, matched, y, message):
+    # the potentials (in halves) are feasible on the path a-b-c of unit weights,
+    # sum to the witness's weight and load no vertex past 1. With no potential
+    # below 0 that makes every witness edge tight and every positive vertex
+    # saturated (complementary slackness), and the cover refuses a negative
+    # potential itself, so only a forged cover result reaches these checks
+    def forged(cov, weights):
+        res = max_weight_cover_matching(cov, weights)
+        return dataclasses.replace(res, matched=frozenset(matched),
+                                   y_left={v: F(x) for v, x in y.items()},
+                                   y_right=dict.fromkeys(y, ZERO))
+
+    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", forged)
+    with pytest.raises(VerificationFailed, match=message):
+        max_weight_dual(make_path("a"), {"ab": F(1), "bc": F(1)})
+
+
 def test_the_dual_scales_once_and_passes_the_cover_ints(monkeypatch):
     # the market of CI's "rational weights through the integer dual" step:
     # denominators 2, 3, 4 and 5, so L = 60
@@ -433,6 +456,20 @@ def test_pop_crit_infeasible_star():
     )
     with pytest.raises(InfeasibleCritical):
         solve_pop_crit(star, {"x", "y"})
+
+
+@pytest.mark.parametrize("solve, args, message", [
+    # c can be saturated, so an output leaving it open is the pipeline's fault
+    (solve_pop_crit, (make_path("a"), {"c"}), re.escape("critical vertices left open: ['c']")),
+    (solve_pop_maxw, (make_path("a"), {"ab": F(2), "bc": F(1)}),
+     "output weight 0 differs from the optimum 2"),
+], ids=["crit", "maxw"])
+def test_a_pipeline_output_that_misses_the_claim_fails(monkeypatch, solve, args, message):
+    # an empty projection saturates nothing and weighs 0: both checks raise,
+    # so they hold under python -O too
+    monkeypatch.setattr(solvers_module, "_run_pipeline", lambda derived, mode=None: {})
+    with pytest.raises(VerificationFailed, match=message):
+        solve(*args)
 
 
 def test_pop_crit_random_feasible_pairs():
