@@ -256,8 +256,9 @@ def _positions(market: CopyMarket) -> tuple[list[int], list[int]]:
 
     eu, ev = market.eu, market.ev
     pu, pv = [-1] * len(eu), [-1] * len(eu)
+    position = list(range(max(map(len, market.orders), default=0)))  # one int per position
     for x, o in enumerate(market.orders):
-        for p, e in enumerate(o):
+        for p, e in zip(position, o):
             if eu[e] == x and pu[e] < 0:
                 pu[e] = p
             elif ev[e] == x and pv[e] < 0:

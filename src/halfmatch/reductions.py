@@ -211,9 +211,9 @@ def build_crit_reduction(
     saturation and popularity decompose by component.
 
     ``keep``, one bool per edge by edge rank, builds the market on the
-    kept edges alone: an edge not kept has no copies and leaves every
-    order. The copies, their ends, orders and ids are those built on the
-    sub-market of the kept edges, and the projection is onto ``origin``.
+    kept edges alone: an edge not kept has no copies, leaves every order
+    and ties with nothing. The copies, their ends, orders and ids are those
+    built on the sub-market of the kept edges; the projection is onto ``origin``.
     """
     crit = frozenset(critical)
     unknown = sorted(crit - set(origin.vertices))
@@ -248,18 +248,26 @@ def build_crit_reduction(
     if keep is not None:
         bundles = [b if k else () for b, k in zip(bundles, keep)]
     first = list(accumulate(map(len, bundles), initial=0))
+    copy = list(range(first[-1]))  # one int per copy, shared by both ends' orders
     orders = []
     for x, v in enumerate(origin.vertices):
-        ranks, s = origin.strict_ranks(v), level[x]
-        if keep is not None:
+        ranks, starts, s = origin._ranks[v], origin._starts[v], level[x]
+        if keep is None:
+            ranks = origin.strict_ranks(v)
+        else:  # a tie counts only between two kept edges
+            if len(starts) < len(ranks) and any(
+                    sum(map(keep.__getitem__, ranks[i:j])) > 1
+                    for i, j in zip(starts, starts[1:] + (len(ranks),))):
+                raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
             ranks = [r for r in ranks if keep[r]]
         # level j of the lower end's bundle is copy first + j, of the higher end's
-        # last - s + j; v's own bundle ranks below the middle copies, its partner's above
+        # last - s + j; v's own bundle ranks below the middle copies, its partner's above.
+        # A bundle's levels are contiguous: zipping one slice per bundle lists them by level
         up = [first[r + 1] - 1 - s if lo[r] == x else first[r]
               for r in ranks if is_crit[lo[r] + hi[r] - x]]
         down = [first[r] if lo[r] == x else first[r + 1] - 1 - s
                 for r in ranks] if is_crit[x] else []
-        orders.append([c + j for j in range(s, 0, -1) for c in up]
-                      + [first[r] for r in ranks]
-                      + [c + j for j in range(1, s + 1) for c in down])
+        orders.append([*chain.from_iterable(zip(*[copy[c + s:c:-1] for c in up])),
+                       *[first[r] for r in ranks],
+                       *chain.from_iterable(zip(*[copy[c + 1:c + s + 1] for c in down]))])
     return _derive(origin, lo, hi, bundles, orders)

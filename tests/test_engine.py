@@ -706,6 +706,22 @@ def test_engine_rejects_an_order_that_misses_its_copies(orders, culprit):
     assert stable_half_matching(_path_market([[0], [1, 0], [1]])).matching == {"bc": ONE}
 
 
+def test_positions_share_one_int_per_position_past_the_small_int_cache():
+    # 300 parallel copies of one edge, a ranking them 0..299 and b the reverse:
+    # positions above 256 are not cached ints, and both ends draw on one list
+    k = 300
+    market = CopyMarket(("a", "b"), [0] * k, [1] * k, [list(range(k)), list(range(k))[::-1]],
+                        [0] * k, ("ab",), [f"~{c}" for c in range(k)])
+    pu, pv = _positions(market)
+    at = [dict(map(reversed, enumerate(o))) for o in market.orders]  # copy -> position
+    assert pu == [at[0][c] for c in market.edges] and pv == [at[1][c] for c in market.edges]
+    assert pv == pu[::-1]
+    assert len(set(map(id, pu + pv))) <= max(map(len, market.orders)) == k
+    for vertices in (("a", "b"), ()):
+        edgeless = CopyMarket(vertices, [], [], [[] for _ in vertices], [], (), [])
+        assert _positions(edgeless) == ([], [])
+
+
 @pytest.mark.parametrize("eu, ev, orders, walked, message", [
     ([0, 0, 0, 1], [1, 2, 2, 2], [[0, 1, 2], [0, 3], [2, 1, 3]], [[0, 1, 2], [3, 0], [2, 1, 3]],
      "rotation walk meets a short list at 'b'"),

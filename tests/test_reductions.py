@@ -2,7 +2,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import repeat
+from collections import Counter
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -23,7 +24,7 @@ from halfmatch.reductions import (
     build_pri_reduction,
     build_srti_reduction,
 )
-from halfmatch.solvers import max_weight_dual
+from halfmatch.solvers import max_weight_dual, restrict_to_edges, solve_pop_maxw
 
 import materialized
 from conftest import make_triangle, rational_market
@@ -488,6 +489,101 @@ def test_crit_refuses_a_keep_mask_of_other_than_bools(keep, bad, copies):
         build_crit_reduction(inst, {"ghost"}, keep)
     as_bools = build_crit_reduction(inst, inst.vertices[:2], [bool(k) for k in keep])
     assert len(as_bools.inst.origin) == copies
+
+
+def test_a_masked_crit_build_refuses_ties_between_kept_edges_only():
+    # a ties ab with ac; with ac dropped the masked build is the build on the
+    # sub-market of ab and bc, which has no tie
+    inst = validate_instance(["a", "b", "c"],
+                             [("ab", "a", "b"), ("ac", "a", "c"), ("bc", "b", "c")],
+                             {"a": {"ab": 1, "ac": 1}, "b": {"ab": 2, "bc": 1},
+                              "c": {"ac": 1, "bc": 2}})
+    der = build_crit_reduction(inst, {"a"}, [True, False, True])
+    sub = build_crit_reduction(restrict_to_edges(inst, {"ab", "bc"}), {"a"})
+    assert len(der.inst.edges) == 3
+    assert der.inst.orders == sub.inst.orders
+    assert (der.inst.eu, der.inst.ev) == (sub.inst.eu, sub.inst.ev)
+    ids = [list(map(d.inst.copy_id, d.inst.edges)) for d in (der, sub)]
+    assert ids[0] == ids[1] == ["ab~0", "ab~u1", "bc~0"]
+    tie = "^strict preferences required: vertex 'a' has ties$"
+    for keep in ([True, True, False], [True, True, True], None):
+        with pytest.raises(InstanceError, match=tie):
+            build_crit_reduction(inst, {"a"}, keep)
+    # the maxw solve refuses any tie before its dual, whose tight edge here is ab alone
+    with pytest.raises(InstanceError, match="^solve_pop_maxw requires strict"):
+        solve_pop_maxw(inst, {"ab": F(5), "ac": F(1), "bc": F(1)})
+
+
+def _arithmetic_crit_orders(inst, crit, keep):
+    """Each vertex's crit order by the arithmetic the builder used before
+    its orders shared one int per copy: level j of a bundle is ``c + j``,
+    computed again at each end; s = |C ∩ K| over the kept edges' component
+    K, found by a search of its own."""
+    kept = [True] * len(inst.edges) if keep is None else keep
+    rank = {e.eid: r for r, e in enumerate(inst.edges)}
+    x_of = {v: x for x, v in enumerate(inst.vertices)}
+    lo = [min(x_of[e.u], x_of[e.v]) for e in inst.edges]
+    hi = [max(x_of[e.u], x_of[e.v]) for e in inst.edges]
+    is_crit = [v in crit for v in inst.vertices]
+    comp = _components(inst, keep)
+    level = [len(crit & comp[v]) for v in inst.vertices]
+    sizes = [(1 + level[lo[r]] * (is_crit[lo[r]] + is_crit[hi[r]])) * kept[r]
+             for r in range(len(inst.edges))]
+    first = list(accumulate(sizes, initial=0))
+    orders = []
+    for x, v in enumerate(inst.vertices):
+        ranks, s = [rank[eid] for eid in inst.strict_order(v) if kept[rank[eid]]], level[x]
+        up = [first[r + 1] - 1 - s if lo[r] == x else first[r]
+              for r in ranks if is_crit[lo[r] + hi[r] - x]]
+        down = [first[r] if lo[r] == x else first[r + 1] - 1 - s
+                for r in ranks] if is_crit[x] else []
+        orders.append([c + j for j in range(s, 0, -1) for c in up]
+                      + [first[r] for r in ranks]
+                      + [c + j for j in range(1, s + 1) for c in down])
+    return orders
+
+
+def test_crit_orders_share_one_int_per_copy():
+    # both ends' orders hold one int object for a copy: past the small-int
+    # cache (above 256) there are as many objects as distinct copies
+    seen = Counter()
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(12, 40)
+        inst = generate_random(seed, n, edge_density=rng.choice((0.06, 0.12, 0.4)),
+                               parallel_prob=rng.uniform(0, 0.3), weight_range=(1, 9))
+        dual = max_weight_dual(inst, inst.weights)
+        tight = [e.eid in dual.tight_edges for e in inst.edges]
+        everyone, one = frozenset(inst.vertices), frozenset(inst.vertices[:1])
+        for crit, keep in ((frozenset(), None), (one, None), (everyone, None),
+                           (dual.critical, tight), (everyone, tight)):
+            der = build_crit_reduction(inst, crit, keep)
+            orders = der.inst.orders
+            assert orders == _arithmetic_crit_orders(inst, crit, keep), seed
+            big = [c for o in orders for c in o if c > 256]
+            assert len(set(map(id, big))) == len(set(big)), seed
+            comp = _components(inst, keep)
+            parts = len({comp[e.u] for e, k in zip(inst.edges, keep or repeat(True)) if k})
+            seen[min(parts, 2), len(set(big)) > 0] += 1
+    assert min(seen[k] for k in ((1, True), (2, True), (1, False), (2, False))) >= 5, seen
+
+
+def _components(inst, keep):
+    """Each vertex's component over the kept edges, as a frozenset."""
+    rank = {e.eid: r for r, e in enumerate(inst.edges)}
+    comp = {}
+    for v in inst.vertices:
+        if v in comp:
+            continue
+        seen, stack = {v}, [v]
+        while stack:
+            for eid in inst.incident(stack.pop()):
+                y = {inst.edge(eid).u, inst.edge(eid).v} - seen
+                if (keep is None or keep[rank[eid]]) and y:
+                    seen |= y
+                    stack += y
+        comp.update(dict.fromkeys(seen, frozenset(seen)))
+    return comp
 
 
 def _level_markets(seeds):
