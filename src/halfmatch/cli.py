@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scope", choices=list(SCOPES), default="half")
         elif tag == "solve-pop-crit":
             p.add_argument("--critical", help="comma-separated critical vertices "
-                           "(defaults to the instance's set)")
+                           "(defaults to the instance's set; an empty value names none)")
         elif tag == "solve-pop-maxw":
             p.add_argument("--weights", choices=["instance", "unit"],
                            default="instance", help="weight source")
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
     elif tag == "solve-pop-crit":
         crit = (
             frozenset(x for x in args.critical.split(",") if x)
-            if args.critical
+            if args.critical is not None
             else inst.critical
         )
         m = solve_pop_crit(inst, crit)

@@ -210,25 +210,26 @@ def build_crit_reduction(
     needs |C ∩ K| levels (Kavitha, FSTTCS 2021), and both critical
     saturation and popularity decompose by component.
 
-    ``keep``, one bool per edge by edge rank, builds the market on the
-    kept edges alone: an edge not kept has no copies, leaves every order
-    and ties with nothing. The copies, their ends, orders and ids are those
-    built on the sub-market of the kept edges; the projection is onto ``origin``.
+    ``keep``, one bool per edge by edge rank and all true when omitted,
+    builds the market on the kept edges alone: an edge not kept has no copies
+    and leaves every order, so a tie counts only between two kept edges. Copies,
+    ends, orders and ids are the kept sub-market's, projected onto ``origin``.
     """
     crit = frozenset(critical)
     unknown = sorted(crit - set(origin.vertices))
     if unknown:
         raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
-    if keep is not None and len(keep) != len(origin.edges):
+    if keep is None:
+        keep = [True] * len(origin.edges)
+    elif len(keep) != len(origin.edges):
         raise InstanceError(f"keep has {len(keep)} entries for {len(origin.edges)} edges")
-    if keep is not None and not {bool}.issuperset(map(type, keep)):
+    elif not {bool}.issuperset(map(type, keep)):
         bad = next(k for k in keep if type(k) is not bool)
         raise InstanceError(f"keep holds {bad!r}, which is not a bool")
     is_crit = [v in crit for v in origin.vertices]
     lo, hi = _ends(origin)
-    ends = zip(lo, hi) if keep is None else zip(compress(lo, keep), compress(hi, keep))
     root = list(range(len(is_crit)))  # union-find over the kept edges' ends, halving paths
-    for a, b in ends:
+    for a, b in zip(compress(lo, keep), compress(hi, keep)):
         while root[a] != a:
             root[a] = a = root[root[a]]
         while root[b] != b:
@@ -244,22 +245,18 @@ def build_crit_reduction(
     for s in set(level):
         levels_u, levels_w = (tuple(f"~{t}{j}" for j in range(1, s + 1)) for t in "uw")
         shapes[s] = [("~0",) + levels_u * cu + levels_w * cw for cw in (0, 1) for cu in (0, 1)]
-    bundles = [shapes[level[a]][is_crit[a] + 2 * is_crit[b]] for a, b in zip(lo, hi)]
-    if keep is not None:
-        bundles = [b if k else () for b, k in zip(bundles, keep)]
+    bundles = [shapes[level[a]][is_crit[a] + 2 * is_crit[b]] if k else ()
+               for a, b, k in zip(lo, hi, keep)]
     first = list(accumulate(map(len, bundles), initial=0))
     copy = list(range(first[-1]))  # one int per copy, shared by both ends' orders
     orders = []
     for x, v in enumerate(origin.vertices):
         ranks, starts, s = origin._ranks[v], origin._starts[v], level[x]
-        if keep is None:
-            ranks = origin.strict_ranks(v)
-        else:  # a tie counts only between two kept edges
-            if len(starts) < len(ranks) and any(
-                    sum(map(keep.__getitem__, ranks[i:j])) > 1
-                    for i, j in zip(starts, starts[1:] + (len(ranks),))):
-                raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
-            ranks = [r for r in ranks if keep[r]]
+        if len(starts) < len(ranks) and any(  # a tie counts only between two kept edges
+                sum(map(keep.__getitem__, ranks[i:j])) > 1
+                for i, j in zip(starts, starts[1:] + (len(ranks),))):
+            raise InstanceError(f"strict preferences required: vertex {v!r} has ties")
+        ranks = [r for r in ranks if keep[r]]
         # level j of the lower end's bundle is copy first + j, of the higher end's
         # last - s + j; v's own bundle ranks below the middle copies, its partner's above.
         # A bundle's levels are contiguous: zipping one slice per bundle lists them by level

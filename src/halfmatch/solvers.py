@@ -232,7 +232,8 @@ def _pop_maxw(
     inst: Instance, weights: Mapping[str, Fraction]
 ) -> tuple[dict[str, Fraction], DualSolution]:
     """:func:`solve_pop_maxw`'s matching together with the dual it used."""
-    # checked first: the crit builder meets a tie only after the dual
+    # refuses every tie before the dual; a tie that touches a slack edge
+    # passes the masked crit build, so this is its only refusal
     inst.require_strict("solve_pop_maxw")
     dual = max_weight_dual(inst, weights)
     tight = set(dual.tight_edges)

@@ -532,6 +532,20 @@ def test_cli_pop_crit_and_maxw(tmp_path, five_agent_market, capsys):
     assert main(["verify", "--input", str(inst_path), "--result", str(w_path)]) == 0
 
 
+@pytest.mark.parametrize("override", ["", ","])
+def test_cli_an_empty_critical_override_records_no_critical_vertex(tmp_path, override):
+    # the instance names three critical vertices; a given but empty --critical names none
+    inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["generate", "--seed", "3", "--n", "8", "--edge-density", "0.5",
+                 "--critical-count", "3", "--output", str(inst_path)]) == 0
+    assert load_instance(str(inst_path)).critical == {"v00", "v03", "v05"}
+    assert main(["solve-pop-crit", "--input", str(inst_path), "--critical", override,
+                 "--output", str(res_path)]) == 0
+    verification = load_result(str(res_path))["verification"]
+    assert verification["critical"] == [] and verification["critical_ok"] is True
+    assert main(["verify", "--input", str(inst_path), "--result", str(res_path)]) == 0
+
+
 @pytest.mark.parametrize("tag, key, value, message", [
     ("solve-pop-crit", "critical_ok", False, "critical_ok flag does not re-derive"),
     ("solve-pop-maxw", "dual_objective", "999", "dual objective differs from the weight"),

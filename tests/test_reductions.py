@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from collections import Counter
 from itertools import accumulate, repeat
+from operator import attrgetter
 
 import pytest
 
@@ -555,11 +556,16 @@ def test_crit_orders_share_one_int_per_copy():
         dual = max_weight_dual(inst, inst.weights)
         tight = [e.eid in dual.tight_edges for e in inst.edges]
         everyone, one = frozenset(inst.vertices), frozenset(inst.vertices[:1])
+        every = [True] * len(inst.edges)
         for crit, keep in ((frozenset(), None), (one, None), (everyone, None),
+                           (one, every), (everyone, every),
                            (dual.critical, tight), (everyone, tight)):
             der = build_crit_reduction(inst, crit, keep)
             orders = der.inst.orders
             assert orders == _arithmetic_crit_orders(inst, crit, keep), seed
+            if keep is every:  # keeping every edge is building with no mask
+                fields = attrgetter("eu", "ev", "orders", "origin", "labels", "tags")
+                assert fields(der.inst) == fields(build_crit_reduction(inst, crit).inst), seed
             big = [c for o in orders for c in o if c > 256]
             assert len(set(map(id, big))) == len(set(big)), seed
             comp = _components(inst, keep)
