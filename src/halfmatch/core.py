@@ -82,6 +82,20 @@ def _valuation(x: Rational) -> int | Fraction:
     return r.numerator if r.denominator == 1 else r
 
 
+def _critical_set(critical: Iterable[str], known: Container[str]) -> frozenset[str]:
+    """``critical`` as a set of vertices of ``known``; :class:`InstanceError`
+    on a str, which would read as the set of its characters, then on an
+    unknown vertex, naming the least."""
+    if isinstance(critical, str):
+        raise InstanceError(
+            f"a critical set is a collection of vertices, not the str {critical!r}")
+    crit = frozenset(critical)
+    unknown = sorted(v for v in crit if v not in known)
+    if unknown:
+        raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
+    return crit
+
+
 #: the views of an :class:`Instance`, by name
 _VIEWS: dict[str, Callable[[Instance], Any]] = {
     "pref": lambda inst: {v: dict(zip(inst._ids(ranks), inst._values_of(v)))
@@ -333,10 +347,7 @@ def _instance(
         scaled = {k: (k[0] * (d // k[1]), k[2] * (d // k[3])) for k in ints}
         at_u, at_v = (list(map(scaled.get, side)) if ints else () for side in (at_u, at_v))
 
-    crit = frozenset(critical or ())
-    unknown = crit - index.keys()
-    if unknown:
-        raise InstanceError(f"critical set contains unknown vertex {sorted(unknown)[0]!r}")
+    crit = _critical_set(() if critical is None else critical, index)
 
     return Instance(
         vertices=vs, edges=es, weights=w, critical=crit,

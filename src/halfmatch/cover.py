@@ -8,16 +8,17 @@ maximum weight is twice G's fractional one, which lets bipartite
 machinery (augmenting paths, dual potentials) answer fractional
 questions about G exactly.
 
-The Hungarian method here runs on lists indexed by vertex-name rank and
-cover-id rank, and on Python ints: the weights are scaled once by the lcm
-L of their denominators, every potential, slack and shift then stays
-integral, and the results become ``Fraction``s (divided by L) only when
-they are returned. Both callers in the package pass int weights (the
-dual scales its rational weights itself), so for them L = 1 and every
-returned value is an integer. Phases are rooted in canonical vertex
-order; every other choice goes to the least vertex name, then to the
-least cover id. Scaling by L > 0 keeps every comparison's outcome, so
-ties break as they would in ``Fraction`` arithmetic.
+The Hungarian method here (:func:`_hungarian`) runs on lists indexed by
+vertex-name rank and cover-id rank, and on Python ints: the weights are
+scaled once by the lcm L of their denominators, every potential, slack
+and shift then stays integral, and the results become ``Fraction``s
+(divided by L) only when they are returned. Both callers in the package
+pass int weights (the dual scales its rational weights itself), so for
+them L = 1 and every returned value is an integer. Phases are rooted in
+canonical vertex order; every other choice goes to the least vertex
+name, then to the least cover id. Scaling by L > 0 keeps every
+comparison's outcome, so ties break as they would in ``Fraction``
+arithmetic. The popularity dual runs the kernel on its own indices.
 """
 
 from __future__ import annotations
@@ -143,6 +144,35 @@ def scale_to_ints(values: Iterable[int | Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in vals]
 
 
+def _hungarian(n: int, tail: list[int], head: list[int], w: list[int],
+               roots: Iterable[int], start: Iterable[int] = ()
+               ) -> tuple[list[int], list[int], list[int | None]]:
+    """The Hungarian method on n left and n right vertices, arc c joining
+    left ``tail[c]`` to right ``head[c]`` at the int weight ``w[c]``, matched
+    only if positive: each arc of ``start`` in turn is matched if tight with
+    both ends free, then a phase runs from each of ``roots`` unmatched at a
+    positive potential. Returns the left and the right potentials and each
+    left's matched arc or None."""
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    y_left = [0] * n  # each left's largest arc weight
+    for c, (u, x) in enumerate(zip(tail, w)):
+        if x > 0:
+            arcs[u].append(c)
+            if x > y_left[u]:
+                y_left[u] = x
+    y_right = [0] * n
+    mate_left: list[int | None] = [None] * n
+    mate_right: list[int | None] = [None] * n
+    for c in start:  # every right is still at 0, so tight means the left's largest
+        u, r = tail[c], head[c]
+        if 0 < w[c] == y_left[u] and mate_left[u] is None and mate_right[r] is None:
+            mate_left[u] = mate_right[r] = c
+    for u in roots:
+        if y_left[u] > 0 and mate_left[u] is None:
+            _phase(u, arcs, tail, head, w, y_left, y_right, mate_left, mate_right)
+    return y_left, y_right, mate_left
+
+
 def max_weight_cover_matching(
     cover: DoubleCover, weights: Mapping[str, int | Fraction]
 ) -> CoverMatchingResult:
@@ -168,18 +198,7 @@ def max_weight_cover_matching(
     tail = [rank[ce.left] for ce in cover.edges]
     head = [rank[ce.right] for ce in cover.edges]
     scale, w = scale_to_ints(weights.get(ce.origin, ZERO) for ce in cover.edges)
-    arcs: list[list[int]] = [[] for _ in range(n)]
-    for c, u in enumerate(tail):
-        if w[c] > 0:
-            arcs[u].append(c)
-    y_left = [max((w[c] for c in arcs[u]), default=0) for u in range(n)]
-    y_right = [0] * n
-    mate_left: list[int | None] = [None] * n
-    mate_right: list[int | None] = [None] * n
-    for v in verts:
-        u = rank[v]
-        if y_left[u] > 0 and mate_left[u] is None:
-            _phase(u, arcs, tail, head, w, y_left, y_right, mate_left, mate_right)
+    y_left, y_right, mate_left = _hungarian(n, tail, head, w, map(rank.__getitem__, verts))
 
     matched = [c for c in mate_left if c is not None]
     total = sum(w[c] for c in matched)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from operator import lt
 from typing import Iterator, Sequence
@@ -249,26 +250,30 @@ class CopyMarket:
 def _positions(market: CopyMarket) -> tuple[list[int], list[int]]:
     """Each copy's position in the orders of its ``eu`` and its ``ev`` end;
     :class:`VerificationFailed`, naming the vertex, unless every order
-    lists exactly the copies at its vertex, each once."""
-    def misordered(x: int) -> VerificationFailed:
-        return VerificationFailed(
-            f"the order of {market.vertices[x]!r} does not list its copies once each")
-
+    lists exactly the copies at its vertex, each once. Positions past the
+    small-int cache, in a market of more than 256 copies, are one shared
+    int object each."""
     eu, ev = market.eu, market.ev
     pu, pv = [-1] * len(eu), [-1] * len(eu)
-    position = list(range(max(map(len, market.orders), default=0)))  # one int per position
+    at = enumerate if len(eu) <= 256 else partial(
+        zip, list(range(max(map(len, market.orders), default=0))))
     for x, o in enumerate(market.orders):
-        for p, e in zip(position, o):
+        for p, e in at(o):
             if eu[e] == x and pu[e] < 0:
                 pu[e] = p
             elif ev[e] == x and pv[e] < 0:
                 pv[e] = p
             else:  # listed twice, or not a copy at x
-                raise misordered(x)
+                raise _misordered(market, x)
     for ends, pos in ((eu, pu), (ev, pv)):
         if -1 in pos:  # a copy missing at this end
-            raise misordered(ends[pos.index(-1)])
+            raise _misordered(market, ends[pos.index(-1)])
     return pu, pv
+
+
+def _misordered(market: CopyMarket, x: int) -> VerificationFailed:
+    return VerificationFailed(
+        f"the order of {market.vertices[x]!r} does not list its copies once each")
 
 
 def _reduce(market: CopyMarket, pu: list[int], pv: list[int]) -> list[list[int]]:

@@ -51,7 +51,7 @@ from .core import (
     matching_stats,
 )
 from .engine import enumerate_half_matchings
-from .popularity import SCOPES, is_popular, is_popular_critical
+from .popularity import SCOPES, dual_worst, is_popular, is_popular_critical
 from .solvers import max_weight_dual, restrict_to_edges
 
 
@@ -396,8 +396,8 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     already certified, and this re-derives them independently. A clean
     re-verification returns an empty list. One rule orders the checks:
     every one-pass check runs first, and only a result with no problem
-    reaches a re-solve, :func:`is_popular`, :func:`max_weight_dual` or
-    :func:`is_popular_critical`.
+    reaches a re-solve, :func:`is_popular`, :func:`max_weight_dual`,
+    :func:`is_popular_critical` or :func:`dual_worst`.
 
     One pass: the digest must be ``digest``, :func:`instance_digest` of
     ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes, and
@@ -414,7 +414,10 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     through what it implies (the matching is popular in the half-integral
     scope, and no larger half-matching is), and a crit or maxw matching
     popular among its critical rivals (for maxw, those on the dual's tight
-    edges: the maximum-weight rivals).
+    edges: the maximum-weight rivals); past the bound, at any size, an
+    integral pri, crit or maxw matching popular among the same rivals, all
+    of them fractional, by :func:`dual_worst` (for maxw, on the tight edges
+    as a keep mask, with no second market built).
     """
     problems: list[str] = []
     within = 0 < len(inst.edges) <= bound
@@ -514,6 +517,14 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         market = inst if tight is None else restrict_to_edges(inst, tight)
         if not is_popular_critical(market, m, frozenset(ver["critical"]), bound=bound).popular:
             problems.append("matching is not popular among critical rivals")
+    # past the bound, an integral pri, crit or maxw matching's popularity by one dual
+    if not problems and not within and not mode and stats["integral"]:
+        keep = None if tight is None else [e.eid in tight for e in inst.edges]
+        worst, _ = dual_worst(inst, m, ver.get("critical", ()), keep)
+        if worst < 0:
+            among = " among critical rivals" if "critical" in ver else ""
+            problems.append(f"matching is not popular{among}: "
+                            f"a rival has delta {format_rational(worst)}")
     return problems
 
 

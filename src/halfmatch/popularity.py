@@ -21,11 +21,16 @@ below check that over all enumerated half-integral rivals (the vertices
 of the degree-constrained polytope), optionally supplemented by seeded
 random fractional rivals. The vertices cover every fractional rival only
 when M is integral, as Delta(M, N) is then linear in N; against a
-half-integral M a quarter-integral rival can do worse. So no sample is
-drawn for an integral M that the vertices leave popular. They scan every
-rival in one form: its integer masses by edge rank over one denominator
-d. An enumerated rival is the engine's enumerator's own doubled values
-(d = 2), read in place. The sampled ones take their draws from bulk
+half-integral M a quarter-integral rival can do worse. The linear form
+also makes an integral M's worst value one maximum-weight fractional
+matching: :func:`dual_worst` runs the cover's Hungarian kernel on the
+product comparison's weights and proves M popular, at any size, by a
+one-pass check of the potentials. A verdict on an integral M that the
+check proves popular is read off the proof: its rivals are counted, not
+valued, and no sample is drawn. Every other M is scanned, every rival in
+one form: its integer masses by edge rank over one denominator d. An
+enumerated rival is the engine's enumerator's own doubled values (d = 2),
+read in place. The sampled ones take their draws from bulk
 outputs of the generator, each draw the top five bits of one 32-bit
 output, those above 16 rejected as randint rejects them; they are held a
 column per edge, with each vertex's cap taken once per sample and each
@@ -60,9 +65,11 @@ from .core import (
     InstanceError,
     MatchingError,
     VerificationFailed,
+    _critical_set,
     check_matching,
     saturated_vertices,
 )
+from .cover import _hungarian
 from .engine import BoundExceeded, _Assignments
 from . import simplex
 
@@ -484,13 +491,17 @@ def _product_weights(
     fixed = 0
     for v in vertices:
         ranks = inst.strict_ranks(v)
-        matched = sum(scaled.get(r, 0) for r in ranks)  # the rest of base stays unmatched
-        above = 0
+        matched = sum(map(scaled.get, ranks, repeat(0)))  # the rest of base stays unmatched
+        # c(r) - c(None) = above - (base - above - a) - matched, held as
+        # step = 2 * above - base - matched, plus a where m holds r
+        step = -base - matched
         for r in ranks:
-            a = scaled.get(r, 0)
-            # c(r) = above - (base - above - a), and c(None) = matched
-            weight[r] += 2 * above + a - base - matched
-            above += a
+            a = scaled.get(r)
+            if a:
+                weight[r] += step + a
+                step += 2 * a
+            else:
+                weight[r] += step
         fixed += matched
     return weight, fixed
 
@@ -575,15 +586,16 @@ def _precedes(a: Sequence[int], da: int, b: Sequence[int], db: int) -> bool:
 
 def _enumerated(inst: Instance, bound: int, saturating: Sequence[int] = ()) -> Iterator[Rival]:
     """Every half-integral rival whose doubled load is 2 at each vertex index
-    in ``saturating``, in canonical order, over d = 2.
+    in ``saturating``, in canonical order, over d = 2; :class:`BoundExceeded`
+    at once, before any rival is asked for, on more than ``bound`` edges.
 
     Each is the enumerator's own list of doubled values by edge rank, which
     it moves in place to the next rival.
     """
     walk = _Assignments(inst, bound)
-    for _ in walk:
-        if not saturating or all(walk.load[x] == 2 for x in saturating):
-            yield walk.val, 2
+    load = walk.load
+    return ((walk.val, 2) for _ in walk
+            if not saturating or all(load[x] == 2 for x in saturating))
 
 
 #: the label an :func:`is_popular` verdict carries, by the scope it checked
@@ -609,50 +621,149 @@ def is_popular(
     larger, then lexicographically smallest), with its feasible pairing,
     built for it alone.
 
-    No sample is drawn for an integral m (each value 0 or 1) popular
-    among the enumerated rivals, m among them: the worst value is 0
-    and Delta(m, .) is linear, so no sample values below it. ``checked``
-    counts the samples all the same.
+    An integral m (each value 0 or 1) that :func:`dual_worst` proves
+    popular against every fractional rival is settled in either scope with
+    no rival valued and no sample drawn: worst value 0, no counterexample,
+    and ``checked`` the enumerated rivals, counted in one walk, plus the
+    samples. Every other m is scanned.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown popularity scope {scope!r}")
     _check_count(samples)
     _require(inst, "delta over feasible pairings", m)
+    rivals = _enumerated(inst, bound)
+    if all(val.denominator == 1 for val in m.values()) and _dual(inst, m, ()) is None:
+        return PopularityVerdict(True, SCOPES[scope], sum(1 for _ in rivals)
+                                 + samples * (scope == "sampled"), ZERO, None)
     value_of = _feasible_value(inst, m)
-    worst, checked = _worst(_enumerated(inst, bound), value_of)
+    worst, checked = _worst(rivals, value_of)
     if scope == "sampled":
-        if worst[0] == 0 and all(val.denominator == 1 for val in m.values()):
-            checked += samples  # integral and popular: settled
-        else:
-            worst, checked = _worst(_sampled(inst, seed, samples), value_of, worst, checked)
+        worst, checked = _worst(_sampled(inst, seed, samples), value_of, worst, checked)
     return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n), SCOPES[scope])
 
 
 def is_popular_critical(
     inst: Instance,
     m: Mapping[str, Fraction],
-    critical: frozenset[str] | set[str],
+    critical: Iterable[str],
     bound: int = 10,
 ) -> PopularityVerdict:
     """Popularity restricted to rivals saturating the critical set.
 
     A rival saturates v when the enumerator's doubled load at v is 2.
-    Raises :class:`InstanceError` on an unknown critical vertex, then on
-    one m leaves unsaturated, naming the least such vertex.
+    Raises :class:`InstanceError` on a critical set given as a str, then
+    on an unknown critical vertex, then on one m leaves unsaturated, naming
+    the least such vertex. An integral m that :func:`dual_worst` proves
+    popular among the saturating fractional rivals is settled as in
+    :func:`is_popular`, ``checked`` counting the saturating rivals.
     """
     _require(inst, "delta over feasible pairings", m)
-    crit = sorted(critical)
-    unknown = [v for v in crit if v not in inst._index]
-    if unknown:
-        raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
-    m_full = saturated_vertices(inst, m)
+    crit = _critical(inst, m, critical)
+    rivals = _enumerated(inst, bound, crit)
+    label = "popular among critical (half-integral scope)"
+    if all(val.denominator == 1 for val in m.values()) and _dual(inst, m, crit) is None:
+        return PopularityVerdict(True, label, sum(1 for _ in rivals), ZERO, None)
+    worst, checked = _worst(rivals, _feasible_value(inst, m))
+    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n), label)
+
+
+def _critical(inst: Instance, m: Mapping[str, Fraction], critical: Iterable[str]) -> list[int]:
+    """The indices of the known (:func:`~halfmatch.core._critical_set`)
+    ``critical`` vertices in name order; :class:`InstanceError` naming the
+    least one m leaves open."""
+    crit = sorted(_critical_set(critical, inst._index))
+    m_full = crit and saturated_vertices(inst, m)
     for v in crit:
         if v not in m_full:
             raise InstanceError(f"matching does not saturate critical vertex {v!r}")
-    worst, checked = _worst(_enumerated(inst, bound, [inst.index(v) for v in crit]),
-                            _feasible_value(inst, m))
-    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n),
-                    "popular among critical (half-integral scope)")
+    return [inst.index(v) for v in crit]
+
+
+def dual_worst(
+    inst: Instance,
+    m: Mapping[str, Fraction],
+    critical: Iterable[str] = (),
+    keep: Sequence[bool] | None = None,
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """The worst value of Delta(m, x) over the fractional rivals x on the
+    kept edges (``keep``: a flag per edge rank, all true when omitted) that
+    saturate ``critical``, for an integral m, and a rival of that value:
+    m itself at 0, else the dual's half-integral witness.
+
+    Delta(m, x) = K + sum c_e x_e (:func:`_product_weights`, base 1), so
+    the worst value is K - nu, nu the largest weight under w_e = -c_e; B
+    per critical endpoint adds B|C| to each saturating rival. The
+    potentials y of ``cover._hungarian`` prove m popular by weak duality,
+    for any B >= 0, when y >= 0, y_u + y_v >= w_e on each kept edge and
+    sum y <= K + B|C| (:func:`_bounds`). B = 2 sum |c_e| + 1 makes this
+    exact: a half-integral x open at a critical vertex loses B/2 there and
+    gains at most sum |c_e|, as |x_e - m_e| <= 1, so every maximum
+    saturates C. A failed check is certified: the witness must be a
+    saturating fractional matching of weight sum y under a y that passes
+    with sum y as the cap, else :class:`VerificationFailed`.
+
+    Raises what :func:`is_popular_critical` does, then ValueError on an m
+    that is not integral or a ``keep`` of another length or false on m.
+    """
+    _require(inst, "delta over feasible pairings", m)
+    crit = _critical(inst, m, critical)
+    if any(val.denominator != 1 for val in m.values()):
+        raise ValueError("the popularity dual takes an integral matching only")
+    if keep is not None and (len(keep) != len(inst.edges)
+                             or not all(keep[inst._rank[eid]] for eid, val in m.items() if val)):
+        raise ValueError("keep must hold one flag per edge, true on every edge of m")
+    found = _dual(inst, m, crit, keep)
+    if found is None:
+        return ZERO, {eid: val for eid, val in m.items() if val}
+    return Fraction(found[0], 2), _fractions(inst, found[1], 2)
+
+
+def _dual(inst: Instance, m: Mapping[str, Fraction], crit: Sequence[int],
+          keep: Sequence[bool] | None = None) -> tuple[int, list[int]] | None:
+    """:func:`dual_worst` in ints, on inputs it accepts: None when the check
+    proves m popular, else twice the worst value and the witness's doubled
+    masses by edge rank."""
+    held_m = _by_rank(inst, m)[1]
+    c, fixed = _product_weights(inst, 1, held_m, inst.vertices)
+    kept = list(range(len(c))) if keep is None else list(compress(range(len(c)), keep))
+    k, n = len(kept), len(inst.vertices)
+    eu, ev = [inst._end_u[r] for r in kept], [inst._end_v[r] for r in kept]
+    big = 2 * sum(abs(c[r]) for r in kept) + 1 if crit else 0  # B
+    bonus = [0] * n
+    for x in crit:
+        bonus[x] = big
+    w = [bonus[u] + bonus[v] - c[r] for u, v, r in zip(eu, ev, kept)]
+    # arc a is edge kept[a % k] from its u end, or from its v end once a >= k;
+    # m's arcs start the matching where each is its left's largest
+    start = [a for a, r in enumerate(kept) if held_m.get(r)]
+    y_left, y_right, mate = _hungarian(n, eu + ev, ev + eu, w + w, range(n),
+                                       start + [a + k for a in start])
+    y = list(map(add, y_left, y_right))  # twice the potentials
+    if _bounds(y, eu, ev, w, 2 * (fixed + big * len(crit))):
+        return None
+    held, load, weight = [0] * len(c), [0] * n, 0
+    for a in mate:
+        if a is None:
+            continue
+        a %= k
+        held[kept[a]] += 1
+        load[eu[a]] += 1
+        load[ev[a]] += 1
+        weight += w[a]
+    if (max(load, default=0) > 2 or any(load[x] != 2 for x in crit) or weight != sum(y)
+            or not _bounds(y, eu, ev, w, weight)):
+        raise VerificationFailed("the popularity dual neither proves the matching popular "
+                                 "nor gives a maximum rival")
+    return sum(map(mul, c, held)) + 2 * fixed, held
+
+
+def _bounds(y: Sequence[int], eu: Sequence[int], ev: Sequence[int], w: Sequence[int],
+            cap: int) -> bool:
+    """The one-pass check of twice the potentials, ``y`` by vertex index:
+    y >= 0, y_u + y_v >= 2 w_i on each edge i = (``eu[i]``, ``ev[i]``) and
+    sum y <= ``cap``, which then bounds twice every fractional weight."""
+    return (min(y, default=0) >= 0 and sum(y) <= cap
+            and all(y[u] + y[v] >= 2 * x for u, v, x in zip(eu, ev, w)))
 
 
 def _check_count(count: int) -> None:

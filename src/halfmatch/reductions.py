@@ -51,6 +51,7 @@ from .core import (
     Instance,
     InstanceError,
     MatchingError,
+    _critical_set,
     check_matching,
 )
 from .engine import CopyMarket, StablePartitionCert
@@ -215,10 +216,7 @@ def build_crit_reduction(
     and leaves every order, so a tie counts only between two kept edges. Copies,
     ends, orders and ids are the kept sub-market's, projected onto ``origin``.
     """
-    crit = frozenset(critical)
-    unknown = sorted(crit - set(origin.vertices))
-    if unknown:
-        raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
+    crit = _critical_set(critical, origin._index)
     if keep is None:
         keep = [True] * len(origin.edges)
     elif len(keep) != len(origin.edges):

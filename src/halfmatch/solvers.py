@@ -37,6 +37,7 @@ from .core import (
     Instance,
     Rational,
     VerificationFailed,
+    _critical_set,
     _instance,
     _rat,
     blocking_edges,
@@ -187,8 +188,8 @@ def solve_pop_crit(
     Only an output leaving a critical vertex open runs the feasibility check:
     :class:`InfeasibleCritical` if it fails, else :class:`VerificationFailed`.
     """
-    crit = frozenset(critical)
-    out = _run_pipeline(build_crit_reduction(inst, crit))  # rejects unknown vertices
+    crit = _critical_set(critical, inst._index)
+    out = _run_pipeline(build_crit_reduction(inst, crit))
     open_crit = sorted(crit - saturated_vertices(inst, out))
     if open_crit and not max_cardinality_saturating(double_cover(inst), crit):
         raise InfeasibleCritical("no fractional matching saturates the critical set")

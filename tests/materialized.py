@@ -35,7 +35,11 @@ product comparison and the mixed verdict (Kavitha, Mestre & Nasre, TCS
 :func:`full_sampled_verdict` is the sampled verdict as one scan of every
 enumerated rival and then every sample, as ``is_popular`` found it before
 it settled an integral matching popular among the enumerated rivals
-without drawing a sample.
+without drawing a sample; :func:`full_half_verdict` and
+:func:`full_critical_verdict` are the half-scope and critical verdicts as
+one scan of every enumerated rival, as ``is_popular`` and
+``is_popular_critical`` found them before an integral matching that one
+dual proves popular was settled without valuing a rival.
 :func:`proposals` is deferred acceptance on strict bipartite markets.
 """
 
@@ -64,8 +68,9 @@ from halfmatch.core import (
 )
 from halfmatch.engine import BoundExceeded
 from halfmatch.popularity import (
-    SCOPES, DeltaResult, Pairing, PopularityVerdict, _by_rank, _delta_feasible, _enumerated,
-    _feasible_value, _masses, _product_weights, _require, _sampled, _verdict, _worst, vote,
+    SCOPES, DeltaResult, Pairing, PopularityVerdict, _by_rank, _critical, _delta_feasible,
+    _enumerated, _feasible_value, _masses, _product_weights, _require, _sampled, _verdict, _worst,
+    vote,
 )
 
 
@@ -693,6 +698,25 @@ def full_sampled_verdict(inst: Instance, m: Mapping[str, Fraction], bound: int =
                             _feasible_value(inst, m))
     return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n),
                     SCOPES["sampled"])
+
+
+def full_half_verdict(inst: Instance, m: Mapping[str, Fraction], bound: int = 10
+                      ) -> PopularityVerdict:
+    """``is_popular(inst, m, bound)``, every enumerated rival scanned."""
+    _require(inst, "delta over feasible pairings", m)
+    worst, checked = _worst(_enumerated(inst, bound), _feasible_value(inst, m))
+    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n),
+                    SCOPES["half"])
+
+
+def full_critical_verdict(inst: Instance, m: Mapping[str, Fraction], critical: Iterable[str],
+                          bound: int = 10) -> PopularityVerdict:
+    """``is_popular_critical(inst, m, critical, bound)``, every saturating rival scanned."""
+    _require(inst, "delta over feasible pairings", m)
+    crit = _critical(inst, m, critical)
+    worst, checked = _worst(_enumerated(inst, bound, crit), _feasible_value(inst, m))
+    return _verdict(inst, worst, checked, lambda n: _delta_feasible(inst, m, n),
+                    "popular among critical (half-integral scope)")
 
 
 # deferred acceptance on strict bipartite markets

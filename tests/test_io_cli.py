@@ -662,8 +662,9 @@ def test_cli_verify_rejects_a_stats_field_no_solve_writes(tmp_path, capsys, tag)
 
 @pytest.mark.parametrize("claim", ["popular", "counterexample"])
 def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, claim):
-    # each edit keeps the claims' shape, so verify passes it without the
-    # oracle, and only the re-run verdict refutes it
+    # each edit keeps the claims' shape, so without the oracle verify passes
+    # the popular matching's, while the dual refutes the empty matching
+    # itself; with it, the re-run verdict refutes each claim
     inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
     assert main(["generate", "--seed", "1", "--n", "6", "--edge-density", "0.4",
                  "--output", str(inst_path)]) == 0
@@ -685,8 +686,10 @@ def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, claim):
         assert delta < 0
         ver["counterexample"]["delta"] = format_rational(delta - 1)
         _rewrite(inst, res_path, doc)
-    assert main(verify) == 0
     capsys.readouterr()
+    assert main(verify) == (claim == "counterexample")
+    assert ("matching is not popular: a rival has delta" in capsys.readouterr().err) == (
+        claim == "counterexample")
     assert main([*verify, "--oracle-bound", "8"]) == 1
     assert f"recorded {claim!r} does not re-derive" in capsys.readouterr().err
 
@@ -894,7 +897,8 @@ def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
     # the single edge e000 is beaten by a rival by 4; the claims is_popular
     # writes for it pass the shape check and re-derive under the oracle.
     # A pri matching must be popular, so the oracle still refuses the
-    # matching itself, and for that alone
+    # matching itself, and for that alone; without it the dual does, and
+    # finds the same worst delta
     inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
     doc = json.loads(res_path.read_text())
     m = {"e000": ONE}
@@ -904,8 +908,10 @@ def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
     assert doc["verification"]["counterexample"]["delta"] == "-4"
     _rewrite(inst, res_path, doc)
     verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
-    assert main(verify) == 0
     capsys.readouterr()
+    assert main(verify) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: matching is not popular: a rival has delta -4\n")
     assert main([*verify, "--oracle-bound", "8"]) == 1
     assert capsys.readouterr().err == (
         "verification failure: matching is not popular (half-integral scope)\n")
@@ -970,7 +976,8 @@ def test_check_result_alone_rejects_a_maxw_result_below_the_maximum(tmp_path):
 
 def test_check_result_alone_runs_the_critical_oracle(tmp_path):
     # seed 7's maxw output is popular among the maximum-weight rivals; as a
-    # crit result on the same critical set, a critical rival beats it by 3
+    # crit result on the same critical set, a critical rival beats it by 3,
+    # found by the dual past the bound and by the oracle within it
     inst, _, res_path = _solved(
         tmp_path, ["--seed", "7", "--n", "5", "--edge-density", "0.6", "--weight-min", "1",
                    "--weight-max", "5"], "solve-pop-maxw")
@@ -979,7 +986,8 @@ def test_check_result_alone_runs_the_critical_oracle(tmp_path):
     doc["solver"] = "solve-pop-crit"
     doc["verification"] = {"derived_stable": True, "critical_ok": True,
                            "critical": doc["verification"]["critical"]}
-    assert check_result(inst, doc, digest) == []
+    assert check_result(inst, doc, digest) == [
+        "matching is not popular among critical rivals: a rival has delta -3"]
     assert check_result(inst, doc, digest, bound=10) == [
         "matching is not popular among critical rivals"]
 
@@ -1755,3 +1763,45 @@ def test_cli_contract_holds_on_mutated_files(valid_files, data):
             assert main(argv) in (0, 2)
         code = main(["verify", "--input", str(inst_path), "--result", str(res_path), *oracle])
     assert code in ((2,) if malformed else (1, 2) if foreign else (0, 1, 2))
+
+
+def test_verify_checks_an_integral_pri_result_popular_past_the_bound(tmp_path, capsys):
+    # generate --seed 5 --n 12 --edge-density 0.4 has 27 edges, past any
+    # enumeration. Its pri output is integral and verifies; emptied, with
+    # its stats rewritten to match, it fails verify with no --oracle-bound,
+    # the dual finding a rival that beats it by 12
+    inst, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "5", "--n", "12", "--edge-density", "0.4"], "solve-max-pri")
+    doc = json.loads(res_path.read_text())
+    assert len(inst.edges) == 27 and doc["stats"]["integral"] is True
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc["matching"] = {}
+    _rewrite(inst, res_path, doc)
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: matching is not popular: a rival has delta -12\n")
+
+
+def test_verify_checks_an_integral_maxw_result_on_the_tight_edges(tmp_path, capsys):
+    # generate --seed 3 --n 8 --edge-density 0.5 --weight-min 1 --weight-max 4:
+    # e003, e004 and e007 at 1 have the maximum weight and saturate the
+    # dual's critical set, but a maximum-weight rival beats them by 1. The
+    # dual on the tight edges finds it without --oracle-bound, the oracle
+    # within it
+    inst, inst_path, res_path = _solved(
+        tmp_path, ["--seed", "3", "--n", "8", "--edge-density", "0.5", "--weight-min", "1",
+                   "--weight-max", "4"], "solve-pop-maxw")
+    verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
+    assert main(verify) == 0
+    doc = json.loads(res_path.read_text())
+    doc["matching"] = {"e003": "1", "e004": "1", "e007": "1"}
+    _rewrite(inst, res_path, doc)
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert capsys.readouterr().err == ("verification failure: matching is not popular among "
+                                       "critical rivals: a rival has delta -1\n")
+    assert main([*verify, "--oracle-bound", "8"]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: matching is not popular among critical rivals\n")

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -44,8 +45,8 @@ from halfmatch.popularity import (
 
 from conftest import make_path, make_triangle, sparse
 from materialized import (
-    _product_value, delta_product, full_sampled_verdict, is_popular_mixed, looped_product,
-    swept_value,
+    _product_value, delta_product, full_critical_verdict, full_half_verdict,
+    full_sampled_verdict, is_popular_mixed, looped_product, swept_value,
 )
 
 F = Fraction
@@ -1312,3 +1313,206 @@ def test_a_tied_sample_moves_an_unpopular_integral_counterexample():
     assert half.counterexample[0] == {"e000": H, "e002": H}
     assert sampled.counterexample[0] == {"e000": F(1, 9), "e002": F(8, 9)}
     assert sampled == full_sampled_verdict(inst, m, seed=0)
+
+
+# -- integral verdicts settled by one dual ----------------------------------------
+
+
+def _dual_sweep():
+    """(kind, seed, market, matching): the golden sweep's markets and
+    matchings, then seeded markets of at most 9 edges, strict, with parallel
+    edges, staying unmatched valued below zero at every other one, each
+    with pri's and srti's outputs, two random integral matchings, the empty
+    one and one half-integral one."""
+    for seed in range(40):  # the golden digest's markets and matchings
+        inst = generate_random(seed, 3 + seed % 3, edge_density=0.5, parallel_prob=0.3)
+        if seed % 2:
+            inst = validate_instance(
+                inst.vertices, inst.edges, inst.pref,
+                pref_empty={v: F(-1 - i, 2) for i, v in enumerate(inst.vertices[::2])})
+        if len(inst.edges) > 6:
+            continue
+        rivals = list(enumerate_half_matchings(inst, bound=6))
+        for m in rivals[:: max(1, len(rivals) // 3)][:2] + [stable_half_matching(inst).matching]:
+            yield "golden", seed, inst, m
+    for seed in range(260):
+        inst = generate_random(seed, 4 + seed % 4, edge_density=(0.35, 0.5, 0.7)[seed % 3],
+                               parallel_prob=0.2)
+        if seed % 2:
+            inst = validate_instance(
+                inst.vertices, inst.edges, inst.pref,
+                pref_empty={v: F(-1 - i, 3) for i, v in enumerate(inst.vertices[::2])})
+        if not 0 < len(inst.edges) <= 9:
+            continue
+        rng = random.Random(seed)
+        halves = [m for m in enumerate_half_matchings(inst, 9) if H in m.values()]
+        for m in [solve_max_pri(inst), solve_max_srti(inst), _integral(inst, rng),
+                  _integral(inst, rng), {}] + rng.sample(halves, min(1, len(halves))):
+            yield "seeded", seed, inst, m
+
+
+def _sweep_verdicts(inst, m, seed, bound):
+    """The half, sampled and critical verdicts on m, and their full scans;
+    the critical set is the first two vertices m saturates."""
+    crit = [v for v in inst.vertices if is_saturated(inst, m, v)][:2]
+    got = [is_popular(inst, m, bound=bound),
+           is_popular(inst, m, bound=bound, scope="sampled", samples=20, seed=seed),
+           is_popular_critical(inst, m, crit, bound=bound)]
+    want = [full_half_verdict(inst, m, bound),
+            full_sampled_verdict(inst, m, bound, samples=20, seed=seed),
+            full_critical_verdict(inst, m, crit, bound)]
+    return got, want
+
+
+def test_the_dual_settles_verdicts_as_the_full_scan():
+    # every field of each verdict equals one scan of every rival: where an
+    # integral matching is proved popular by the dual (its rivals counted,
+    # none valued) and where it is not (unpopular, or half-integral)
+    tally = collections.Counter()
+    for kind, seed, inst, m in _dual_sweep():
+        got, want = _sweep_verdicts(inst, m, seed, 9)
+        assert got == want, (kind, seed, m)
+        whole = all(val.denominator == 1 for val in m.values())
+        for verdict in want:
+            tally[kind, whole, verdict.popular] += 1
+        tally["below zero"] += len(want) * any(x < 0 for x in inst.pref_empty.values())
+    seeded = [tally["seeded", w, p] for w in (True, False) for p in (True, False)]
+    assert sum(seeded) >= 2000 and min(seeded[:2]) >= 500 and sum(seeded[2:]) >= 300, tally
+    assert tally["golden", True, True] >= 50 and tally["below zero"] >= 900, tally
+
+
+def _refuse_values(inst, m):
+    raise RuntimeError("a rival was valued")
+
+
+def test_a_popular_integral_verdict_values_no_rival(monkeypatch):
+    # with the rival valuation made to raise, every verdict on a popular
+    # integral matching still returns, equal to the full scan; seed 26's
+    # unpopular integral matching and seed 7's half-integral pri output
+    # are scanned, so their verdicts raise
+    popular = []
+    for _, seed, inst, m in _dual_sweep():
+        if all(val.denominator == 1 for val in m.values()):
+            want = _sweep_verdicts(inst, m, seed, 9)[1]
+            if all(v.popular for v in want):
+                popular.append((inst, m, seed, want))
+    split = generate_random(7, 7, edge_density=0.4)
+    scanned = [(generate_random(26, 6, edge_density=0.5), {"e001": ONE}),
+               (split, solve_max_pri(split))]
+    monkeypatch.setattr(popularity, "_feasible_value", _refuse_values)
+    for inst, m, seed, want in popular:
+        assert _sweep_verdicts(inst, m, seed, 9)[0] == want
+    for inst, m in scanned:
+        with pytest.raises(RuntimeError, match="a rival was valued"):
+            is_popular(inst, m)
+    assert len(popular) >= 300, len(popular)
+
+
+def test_a_tampered_dual_fails_the_one_pass_check(monkeypatch):
+    # generate --seed 0 --n 7 --edge-density 0.3: pri's output is integral
+    # and popular, and twice the dual's potentials prove it, summing to the
+    # cap 2K, K the 6 matched vertices. Raising one potential breaks the sum,
+    # moving a unit off a tight edge's end onto the isolated vertex breaks
+    # that edge, and the isolated vertex at -1 breaks y >= 0, each alone.
+    # A kernel returning any of them makes the dual refuse, not answer
+    inst = generate_random(0, 7, edge_density=0.3)
+    m = solve_max_pri(inst)
+    seen, real = [], popularity._hungarian
+    monkeypatch.setattr(popularity, "_hungarian",
+                        lambda *args: seen.append((args, real(*args))) or seen[-1][1])
+    assert popularity.dual_worst(inst, m) == (0, m) and set(m.values()) == {ONE}
+    (n, tail, _, w2, _, _), (y_left, y_right, mate) = seen[0]
+    k = len(tail) // 2
+    eu, ev, w = tail[:k], tail[k:], w2[:k]
+    y = list(map(operator.add, y_left, y_right))
+    cap = 2 * 2 * len(m)
+    isolated = [x for x in range(n) if x not in eu + ev]
+    tight = [i for i in range(k) if w[i] > 0 and y[eu[i]] + y[ev[i]] == 2 * w[i] and y_left[eu[i]]]
+    assert popularity._bounds(y, eu, ev, w, cap) and sum(y) == cap and isolated and tight
+    z, u = isolated[0], eu[tight[0]]
+
+    def holds(y):  # the three conditions, each alone
+        return (min(y) >= 0, all(y[a] + y[b] >= 2 * x for a, b, x in zip(eu, ev, w)),
+                sum(y) <= cap)
+
+    tampered = {"sum": {0: 1}, "edge": {u: -1, z: 1}, "sign": {z: -1}}
+    for broken, shift in tampered.items():
+        left = [x + shift.get(v, 0) for v, x in enumerate(y_left)]
+        bad = list(map(operator.add, left, y_right))
+        assert holds(bad) == tuple(what != broken for what in ("sign", "edge", "sum")), broken
+        assert not popularity._bounds(bad, eu, ev, w, cap), broken
+        monkeypatch.setattr(popularity, "_hungarian", lambda *args: (left, y_right, mate))
+        with pytest.raises(VerificationFailed, match="neither proves"):
+            popularity.dual_worst(inst, m)
+
+
+def _best_time(call, repeat=3):
+    """The least wall time of ``repeat`` calls, and the last call's result."""
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out = call()
+        spent = time.perf_counter() - start
+        best = spent if best is None else min(best, spent)
+    return best, out
+
+
+def test_the_dual_checks_pri_at_n_400_for_less_than_the_solves():
+    # generate_random(seed, 400, edge_density=d / 399, parallel_prob=0.1),
+    # seeds 0-9, d = 2.5 and 6: pri's output is integral on 12 of the 20
+    # strict markets, and the dual proves each popular, at any size. The
+    # 12 checks together take less time than the 12 solves that gave them
+    # (each the best of 3 runs)
+    solves = checks = 0
+    popular = []
+    for d in (2.5, 6):
+        for seed in range(10):
+            inst = generate_random(seed, 400, edge_density=d / 399, parallel_prob=0.1)
+            spent, m = _best_time(lambda: solve_max_pri(inst))
+            if set(m.values()) == {ONE}:
+                solves += spent
+                spent, (worst, rival) = _best_time(lambda: popularity.dual_worst(inst, m))
+                checks += spent
+                popular.append((d, seed, worst == 0 and rival == m))
+    assert [(d, seed) for d, seed, _ in popular] == [
+        (2.5, 0), (2.5, 3), (2.5, 4), (2.5, 5), (2.5, 6), (2.5, 9),
+        (6, 0), (6, 2), (6, 4), (6, 5), (6, 6), (6, 7)]
+    assert all(ok for _, _, ok in popular)
+    assert checks < solves, (checks, solves)
+
+
+def test_the_dual_on_a_keep_mask_is_the_scan_on_the_sub_market():
+    # maximum-weight rivals are the critical ones on the dual's tight edges:
+    # on weighted markets of at most 9 edges, every integral maximum-weight
+    # matching that saturates the dual's critical set gets, from the dual
+    # with the tight edges as a keep mask, the worst value that one scan of
+    # the sub-market's saturating rivals finds, and a rival of that value
+    from halfmatch.solvers import max_weight_dual, restrict_to_edges
+    tally = collections.Counter()
+    for seed in range(300):
+        inst = generate_random(seed, 5 + seed % 4, edge_density=0.5,
+                               weight_range=((1, 4), (1, 1), (2, 9))[seed % 3])
+        if not 0 < len(inst.edges) <= 9:
+            continue
+        dual = max_weight_dual(inst, inst.weights)
+        tight = set(dual.tight_edges)
+        keep = [e.eid in tight for e in inst.edges]
+        sub = restrict_to_edges(inst, tight)
+        for m in enumerate_half_matchings(inst, 9):
+            weight = sum(inst.weights[eid] * val for eid, val in m.items())
+            if (H in m.values() or weight != dual.objective
+                    or not all(is_saturated(inst, m, v) for v in dual.critical)):
+                continue
+            worst, rival = popularity.dual_worst(inst, m, dual.critical, keep)
+            assert worst == full_critical_verdict(sub, m, dual.critical, 9).worst_value
+            assert delta_feasible(sub, m, rival).value == worst
+            assert all(is_saturated(inst, rival, v) for v in dual.critical)
+            tally[worst == 0] += 1
+    assert tally[True] >= 120 and tally[False] >= 50, tally
+    inst = generate_random(3, 8, edge_density=0.5, weight_range=(1, 4))
+    with pytest.raises(ValueError, match="keep must hold one flag per edge"):
+        popularity.dual_worst(inst, {"e000": ONE}, keep=[False] * 8)
+    with pytest.raises(ValueError, match="keep must hold one flag per edge"):
+        popularity.dual_worst(inst, {"e000": ONE}, keep=[True] * 7)
+    with pytest.raises(ValueError, match="integral matching only"):
+        popularity.dual_worst(inst, {"e000": H})

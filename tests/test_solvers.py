@@ -804,3 +804,29 @@ def test_the_readme_quick_start_runs_as_written():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("## Library quick start\n", 1)[1].split("```python\n", 1)[1]
     exec(compile(block.split("```", 1)[0], "README.md", "exec", optimize=0), {})
+
+
+def test_a_critical_set_given_as_a_str_is_refused_everywhere():
+    # a str would read as the set of its characters: "v00" as {"v", "0"},
+    # and "ab" on vertices a, b and c as {a, b}. Every entry point that
+    # takes a critical set refuses it with one message; a set of the same
+    # names is taken
+    from halfmatch.popularity import dual_worst, is_popular_critical
+    from halfmatch.reductions import build_crit_reduction
+    with pytest.raises(InstanceError, match="^a critical set is a collection of vertices, "
+                                            "not the str 'v00'$"):
+        solve_pop_crit(generate_random(1, 6, edge_density=0.5), "v00")
+    edges = [("ab", "a", "b"), ("bc", "b", "c")]
+    pref = {"a": {"ab": 1}, "b": {"ab": 2, "bc": 1}, "c": {"bc": 1}}
+    inst = validate_instance(["a", "b", "c"], edges, pref)
+    m = {"ab": Fraction(1)}
+    calls = [lambda crit: solve_pop_crit(inst, crit),
+             lambda crit: is_popular_critical(inst, m, crit),
+             lambda crit: build_crit_reduction(inst, crit),
+             lambda crit: validate_instance(["a", "b", "c"], edges, pref, critical=crit),
+             lambda crit: dual_worst(inst, m, crit)]
+    for call in calls:
+        call({"a", "b"})
+        with pytest.raises(InstanceError, match="^a critical set is a collection of "
+                                                "vertices, not the str 'ab'$"):
+            call("ab")
