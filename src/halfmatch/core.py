@@ -82,14 +82,19 @@ def _valuation(x: Rational) -> int | Fraction:
     return r.numerator if r.denominator == 1 else r
 
 
-def _critical_set(critical: Iterable[str], known: Container[str]) -> frozenset[str]:
-    """``critical`` as a set of vertices of ``known``; :class:`InstanceError`
-    on a str, which would read as the set of its characters, then on an
-    unknown vertex, naming the least."""
+def _vertex_set(critical: Iterable[str]) -> frozenset[str]:
+    """``critical`` as a set; :class:`InstanceError` on a str, which would
+    read as the set of its characters."""
     if isinstance(critical, str):
         raise InstanceError(
             f"a critical set is a collection of vertices, not the str {critical!r}")
-    crit = frozenset(critical)
+    return frozenset(critical)
+
+
+def _critical_set(critical: Iterable[str], known: Container[str]) -> frozenset[str]:
+    """``critical`` as a set of vertices of ``known``; :class:`InstanceError`
+    on a str (:func:`_vertex_set`), then on an unknown vertex, naming the least."""
+    crit = _vertex_set(critical)
     unknown = sorted(v for v in crit if v not in known)
     if unknown:
         raise InstanceError(f"critical set contains unknown vertex {unknown[0]!r}")
@@ -569,8 +574,10 @@ class MatchingStats:
 def matching_stats(
     inst: Instance, m: Mapping[str, Fraction], critical: Iterable[str] | None = None
 ) -> MatchingStats:
-    """Aggregate size, saturation, integrality and critical coverage of m."""
-    crit = frozenset(critical) if critical is not None else inst.critical
+    """Aggregate size, saturation, integrality and critical coverage of m; a
+    critical vertex the instance does not have counts as left open, and a
+    str as a critical set is refused."""
+    crit = inst.critical if critical is None else _vertex_set(critical)
     d, load = _loads(inst, m)
     sat = tuple(v for v, x in load.items() if x == d)
     sat_set = set(sat)

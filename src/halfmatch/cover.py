@@ -9,26 +9,29 @@ machinery (augmenting paths, dual potentials) answer fractional
 questions about G exactly.
 
 The Hungarian method here (:func:`_hungarian`) runs on lists indexed by
-vertex-name rank and cover-id rank, and on Python ints: the weights are
-scaled once by the lcm L of their denominators, every potential, slack
-and shift then stays integral, and the results become ``Fraction``s
-(divided by L) only when they are returned. Both callers in the package
-pass int weights (the dual scales its rational weights itself), so for
-them L = 1 and every returned value is an integer. Phases are rooted in
-canonical vertex order; every other choice goes to the least vertex
-name, then to the least cover id. Scaling by L > 0 keeps every
+vertex-name rank and cover-id rank, and on Python ints. Its adapter
+:func:`max_weight_cover_matching` scales the weights once by the lcm L of
+their denominators, so every potential, slack and shift stays integral,
+checks the result (:func:`_certify`) and makes ``Fraction``s (divided by
+L) only when it returns; its one caller in the package,
+:func:`max_cardinality_saturating`, passes ints, so L = 1. Phases are
+rooted in canonical vertex order; every other choice goes to the least
+vertex name, then to the least cover id. Scaling by L > 0 keeps every
 comparison's outcome, so ties break as they would in ``Fraction``
-arithmetic. The popularity dual runs the kernel on its own indices.
+arithmetic. The maximum-weight dual (``solvers.max_weight_dual``) runs
+the kernel on the same indices without the named cover, and checks it
+by :func:`_certify` too; the popularity dual runs it on its own indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import ZERO, Instance, VerificationFailed
+from .core import ZERO, Edge, Instance, VerificationFailed
 
 
 class CoverEdge(NamedTuple):
@@ -56,12 +59,19 @@ class DoubleCover:
         return self._by_id[cid]
 
 
+def _cover_ids(edges: Sequence[Edge]) -> list[tuple[str, int]]:
+    """Each cover id in sorted order with its arc a: a < k is e> of edge a,
+    a >= k e< of edge a - k, for the k ``edges``."""
+    return sorted(zip([e.eid + ">" for e in edges] + [e.eid + "<" for e in edges],
+                      range(2 * len(edges))))
+
+
 def double_cover(inst: Instance) -> DoubleCover:
-    edges = []
-    for e in inst.edges:
-        edges.append(CoverEdge(e.eid + ">", e.u, e.v, e.eid))
-        edges.append(CoverEdge(e.eid + "<", e.v, e.u, e.eid))
-    es = tuple(sorted(edges))
+    k, edges = len(inst.edges), []
+    for cid, a in _cover_ids(inst.edges):
+        e = inst.edges[a % k]
+        edges.append(CoverEdge(cid, e.u, e.v, e.eid) if a < k else CoverEdge(cid, e.v, e.u, e.eid))
+    es = tuple(edges)
     return DoubleCover(inst=inst, edges=es, _by_id={ce.cid: ce for ce in es})
 
 
@@ -83,24 +93,45 @@ def _phase(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right) ->
     into the matching, or the root itself falls to zero potential. Vertices
     are name ranks and edges cover-id ranks, so the least index wins a tie.
     Weights and potentials are ints, and every shift is an int.
+
+    A shift lowers every tree left and every outside slack and raises every
+    tree right by the same delta, so it only raises one ``offset``, and each
+    tree vertex takes the shifts since it joined when the phase ends. Until
+    then a tree left holds its potential plus the offset when it joined, and
+    each outside right its least slack plus the offset (its raw slack), also
+    in a heap of (raw slack, right) whose top is the least right of least
+    slack; entries that the tree or a smaller slack made stale are skipped.
     """
+    # the potentials are feasible when a phase starts, so no raw slack is negative
+    raw = [-1] * len(y_right)  # right -> least raw slack, -1 if unreached, -2 in the tree
+    via = [0] * len(y_right)  # ... and its least cover edge, tight once in the tree
+    heap: list[tuple[int, int]] = []
+    entry: dict[int, int] = {}  # right in the tree -> the offset when it joined
     lefts = [root]
-    entry: dict[int, int] = {}  # right in the tree -> tight cover edge into it
-    slack: dict[int, tuple[int, int]] = {}  # outside right -> least (gap, edge)
+    offset = 0
+    low = y_left[root]  # the least raw potential of a tree left
     new: int | None = root
     while True:
         if new is not None:  # scan the arcs of the left that just joined
+            y_left[new] = base = y_left[new] + offset
+            if base < low:
+                low = base
             for c in arcs[new]:
                 r = head[c]
-                if r not in entry:
-                    key = (y_left[new] + y_right[r] - w[c], c)
-                    if r not in slack or key < slack[r]:
-                        slack[r] = key
+                gap = base + y_right[r] - w[c]
+                s = raw[r]
+                if gap < s or s == -1:
+                    raw[r], via[r] = gap, c
+                    heappush(heap, (gap, r))
+                elif gap == s and c < via[r]:
+                    via[r] = c
             new = None
-        ready = [r for r, (gap, _) in slack.items() if gap == 0]
-        if ready:
-            r = min(ready)
-            entry[r] = slack.pop(r)[1]
+        while heap and heap[0][0] != raw[heap[0][1]]:
+            heappop(heap)
+        if heap and heap[0][0] == offset:
+            r = heappop(heap)[1]
+            entry[r] = offset
+            raw[r] = -2
             c = mate_right[r]
             if c is None:
                 break
@@ -111,25 +142,20 @@ def _phase(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right) ->
             new = tail[c]
             lefts.append(new)
             continue
-        bound = min(y_left[u] for u in lefts)
-        delta = min([gap for gap, _ in slack.values()] + [bound])
-        if delta > 0:
-            for u in lefts:
-                y_left[u] -= delta
-            for r in entry:
-                y_right[r] += delta
-            for r, (gap, c) in slack.items():
-                slack[r] = (gap - delta, c)
-        zeroed = [u for u in lefts if y_left[u] == 0]
-        if zeroed:
-            u = min(zeroed)
-            if u == root:
-                return  # the root may stay unmatched at zero potential
-            r = head[mate_left[u]]
-            mate_left[u] = mate_right[r] = None
+        offset = min(heap[0][0], low) if heap else low
+        if low == offset:
+            u = min(u for u in lefts if y_left[u] == low)
+            r = None  # the root may stay unmatched at zero potential
+            if u != root:
+                r = head[mate_left[u]]
+                mate_left[u] = mate_right[r] = None
             break
-    while True:  # alternate tree arcs into the matching from r up to the root
-        c = entry[r]
+    for u in lefts:
+        y_left[u] -= offset
+    for x, at in entry.items():
+        y_right[x] += offset - at
+    while r is not None:  # alternate tree arcs into the matching from r up to the root
+        c = via[r]
         old = mate_left[tail[c]]
         mate_left[tail[c]] = mate_right[r] = c
         if old is None:
@@ -173,6 +199,34 @@ def _hungarian(n: int, tail: list[int], head: list[int], w: list[int],
     return y_left, y_right, mate_left
 
 
+def _certify(cids: Sequence[str], tail: Sequence[int], head: Sequence[int],
+             w: Sequence[int], y_left: Sequence[int], y_right: Sequence[int],
+             mate_left: Sequence[int | None]) -> int:
+    """The kernel's result checked as an optimum, or :class:`VerificationFailed`
+    naming the first failure: y_left + y_right >= w on every arc (named by
+    ``cids``) and = w on each matched one, no negative potential, none
+    positive on an unmatched copy, and the matched weight, which it returns,
+    equal to the potential sum."""
+    for c, (u, r, x) in enumerate(zip(tail, head, w)):
+        if y_left[u] + y_right[r] < x:
+            raise VerificationFailed(f"cover dual infeasible at {cids[c]}")
+    matched = [c for c in mate_left if c is not None]
+    right_open = [True] * len(y_right)
+    for c in matched:
+        if y_left[tail[c]] + y_right[head[c]] != w[c]:
+            raise VerificationFailed(f"matched cover edge {cids[c]} is slack")
+        right_open[head[c]] = False
+    if min(y_left, default=0) < 0 or min(y_right, default=0) < 0:
+        raise VerificationFailed("negative cover potential")
+    if any(y > 0 and c is None for y, c in zip(y_left, mate_left)) or any(
+            y > 0 and free for y, free in zip(y_right, right_open)):
+        raise VerificationFailed("positive potential on an unmatched cover vertex")
+    total = sum(w[c] for c in matched)
+    if total != sum(y_left) + sum(y_right):
+        raise VerificationFailed("cover matching weight differs from the dual objective")
+    return total
+
+
 def max_weight_cover_matching(
     cover: DoubleCover, weights: Mapping[str, int | Fraction]
 ) -> CoverMatchingResult:
@@ -186,38 +240,21 @@ def max_weight_cover_matching(
     vertex order, and every tie goes to the least vertex name, then to
     the least cover id.
 
-    The Hungarian method and the five postconditions run on the weights
-    times L, the lcm of their denominators, as ints; the potentials and
-    the weight are returned as ``Fraction``s over L. Int weights make
-    L = 1, and every returned value an integer.
+    The Hungarian method and the postconditions (:func:`_certify`) run on
+    the weights times L, the lcm of their denominators, as ints; the
+    potentials and the weight are returned as ``Fraction``s over L. Int
+    weights make L = 1, and every returned value an integer.
     """
     verts = cover.inst.vertices
     rank = {v: i for i, v in enumerate(sorted(verts))}
-    n = len(verts)
     # cover.edges is sorted by cover id, so its positions are cover-id ranks
     tail = [rank[ce.left] for ce in cover.edges]
     head = [rank[ce.right] for ce in cover.edges]
     scale, w = scale_to_ints(weights.get(ce.origin, ZERO) for ce in cover.edges)
-    y_left, y_right, mate_left = _hungarian(n, tail, head, w, map(rank.__getitem__, verts))
-
+    y_left, y_right, mate_left = _hungarian(len(verts), tail, head, w,
+                                            map(rank.__getitem__, verts))
+    total = _certify([ce.cid for ce in cover.edges], tail, head, w, y_left, y_right, mate_left)
     matched = [c for c in mate_left if c is not None]
-    total = sum(w[c] for c in matched)
-    for c, ce in enumerate(cover.edges):
-        if y_left[tail[c]] + y_right[head[c]] < w[c]:
-            raise VerificationFailed(f"cover dual infeasible at {ce.cid}")
-    for c in matched:
-        if y_left[tail[c]] + y_right[head[c]] != w[c]:
-            raise VerificationFailed(f"matched cover edge {cover.edges[c].cid} is slack")
-    if any(y < 0 for y in y_left) or any(y < 0 for y in y_right):
-        raise VerificationFailed("negative cover potential")
-    matched_left = {tail[c] for c in matched}
-    matched_right = {head[c] for c in matched}
-    if any(y_left[u] != 0 for u in range(n) if u not in matched_left) or any(
-        y_right[r] != 0 for r in range(n) if r not in matched_right
-    ):
-        raise VerificationFailed("positive potential on an unmatched cover vertex")
-    if total != sum(y_left) + sum(y_right):
-        raise VerificationFailed("cover matching weight differs from the dual objective")
     return CoverMatchingResult(
         matched=frozenset(cover.edges[c].cid for c in matched),
         y_left={v: Fraction(y_left[rank[v]], scale) for v in verts},

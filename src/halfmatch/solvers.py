@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .core import (
@@ -44,10 +45,7 @@ from .core import (
     saturated_vertices,
 )
 from .cover import (
-    double_cover,
-    max_cardinality_saturating,
-    max_weight_cover_matching,
-    scale_to_ints,
+    _certify, _cover_ids, _hungarian, double_cover, max_cardinality_saturating, scale_to_ints,
 )
 from .engine import stable_half_matching
 from .reductions import (
@@ -127,55 +125,57 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolu
     weights count as zero.
 
     The weights are scaled once, by the lcm L of their denominators, and
-    the cover gets the ints L*w_e: its potentials come back as integers,
-    and y_left + y_right = 2L*y_v. Tightness, feasibility, the critical
-    set and the witness checks run on the ints 2L*y_v and 2L*w_e, and
+    the cover's Hungarian kernel runs on the ints L*w_e, with vertices by
+    name rank and arcs by cover-id rank, as :func:`max_weight_cover_matching`
+    numbers them: its potentials are integers, and y_left + y_right =
+    2L*y_v. Tightness, feasibility, the critical set and the witness checks
+    run on the ints 2L*y_v and 2L*w_e, then the cover's own postconditions;
     each potential becomes a ``Fraction`` once, on the way out.
     """
-    eids = [e.eid for e in inst.edges]
-    scale, scaled = scale_to_ints(_rat(weights.get(eid, ZERO)) for eid in eids)
-    cov = double_cover(inst)
-    res = max_weight_cover_matching(cov, dict(zip(eids, scaled)))
-    w_int = {eid: 2 * x for eid, x in zip(eids, scaled)}  # 2L * w_e
-    y_int = {}  # 2L * y_v
+    edges, k = inst.edges, len(inst.edges)
+    scale, scaled = scale_to_ints(_rat(weights.get(e.eid, ZERO)) for e in edges)
+    rank = {v: i for i, v in enumerate(sorted(inst.vertices))}
+    eu, ev = [rank[e.u] for e in edges], [rank[e.v] for e in edges]
+    cover = _cover_ids(edges)  # e> is (u, v') and e< is (v, u') for edge e = (u, v)
+    arc = [a for _, a in cover]
+    tail, head, w = ([xs[a] for a in arc] for xs in (eu + ev, ev + eu, scaled + scaled))
+    y_left, y_right, mate = _hungarian(len(rank), tail, head, w, [rank[v] for v in inst.vertices])
     for v in inst.vertices:
-        left, right = res.y_left[v], res.y_right[v]
-        if left.denominator != 1 or right.denominator != 1:
+        if type(y_left[rank[v]]) is not int or type(y_right[rank[v]]) is not int:
             raise VerificationFailed(f"cover potential of {v!r} is not an integer")
-        y_int[v] = left.numerator + right.numerator
-    y = {v: Fraction(y_int[v], 2 * scale) for v in inst.vertices}
-    objective_int = sum(y_int.values())
-    objective = Fraction(objective_int, 2 * scale)
-    tight = tuple(
-        e.eid for e in inst.edges if y_int[e.u] + y_int[e.v] == w_int[e.eid]
-    )
-    critical = frozenset(v for v in inst.vertices if y_int[v] > 0)
+    y_int = list(map(add, y_left, y_right))  # 2L * y_v by name rank
+    objective_int = sum(y_int)
+    sums = [y_int[u] + y_int[v] for u, v in zip(eu, ev)]
+    tight = tuple(e.eid for e, s, x in zip(edges, sums, scaled) if s == 2 * x)
+    critical = frozenset(v for v in inst.vertices if y_int[rank[v]] > 0)
 
-    for e in inst.edges:  # dual feasibility
-        if y_int[e.u] + y_int[e.v] < w_int[e.eid]:
+    for e, s, x in zip(edges, sums, scaled):  # dual feasibility
+        if s < 2 * x:
             raise VerificationFailed(f"dual infeasible at {e.eid}")
-    # one pass over the matched cover copies, each worth 1/2 of its origin:
-    # the witness, and its loads and weight counted in halves
+    # one pass over the matched cover copies in cover-id order, each worth
+    # 1/2 of its origin: the witness, and its loads and weight counted in halves
     witness: dict[str, Fraction] = {}
-    load = dict.fromkeys(inst.vertices, 0)
+    load = [0] * len(rank)
     got = 0  # 4L times the witness weight
-    for cid in sorted(res.matched):
-        ce = cov.edge(cid)
-        witness[ce.origin] = ONE if ce.origin in witness else HALF
-        load[ce.left] += 1
-        load[ce.right] += 1
-        got += w_int[ce.origin]
-    if any(x > 2 for x in load.values()):
+    for c in sorted(c for c in mate if c is not None):
+        eid = edges[arc[c] % k].eid
+        witness[eid] = ONE if eid in witness else HALF
+        load[tail[c]] += 1
+        load[head[c]] += 1
+        got += 2 * w[c]
+    if max(load, default=0) > 2:
         raise VerificationFailed("witness overloads a vertex")
     if got != 2 * objective_int:
         raise VerificationFailed("witness weight differs from the dual objective")
     tight_set = set(tight)
     if any(eid not in tight_set for eid in witness):
         raise VerificationFailed("witness uses a slack edge")
-    if any(load[v] != 2 for v in critical):
+    if any(load[rank[v]] != 2 for v in critical):
         raise VerificationFailed("witness leaves a positive-potential vertex open")
+    _certify([cid for cid, _ in cover], tail, head, w, y_left, y_right, mate)
     return DualSolution(
-        y=y, objective=objective, tight_edges=tight, critical=critical,
+        y={v: Fraction(y_int[rank[v]], 2 * scale) for v in inst.vertices},
+        objective=Fraction(objective_int, 2 * scale), tight_edges=tight, critical=critical,
         witness=witness,
     )
 

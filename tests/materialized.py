@@ -41,6 +41,11 @@ one scan of every enumerated rival, as ``is_popular`` and
 ``is_popular_critical`` found them before an integral matching that one
 dual proves popular was settled without valuing a rival.
 :func:`proposals` is deferred acceptance on strict bipartite markets.
+
+:func:`named_cover_dual` is ``solvers.max_weight_dual`` as it was when it
+reached the cover's Hungarian kernel through the named cover
+(:func:`halfmatch.cover.double_cover`) and
+:func:`halfmatch.cover.max_weight_cover_matching`'s Fraction potentials.
 """
 
 from __future__ import annotations
@@ -61,17 +66,21 @@ from halfmatch.core import (
     Instance,
     InstanceError,
     MatchingError,
+    Rational,
     VerificationFailed,
+    _rat,
     blocking_edges,
     check_matching,
     matching_size,
 )
+from halfmatch.cover import double_cover, max_weight_cover_matching, scale_to_ints
 from halfmatch.engine import BoundExceeded
 from halfmatch.popularity import (
     SCOPES, DeltaResult, Pairing, PopularityVerdict, _by_rank, _critical, _delta_feasible,
     _enumerated, _feasible_value, _masses, _product_weights, _require, _sampled, _verdict, _worst,
     vote,
 )
+from halfmatch.solvers import DualSolution
 
 
 def strict_instance(
@@ -746,3 +755,58 @@ def proposals(inst: Instance, levels: int) -> dict[str, Fraction]:
             free.append(kept[2])
         held[b] = offer
     return {eid: ONE for *_, eid in held.values()}
+
+
+# the maximum-weight dual through the named cover
+
+
+def named_cover_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolution:
+    """The maximum-weight dual of the cover's matching on the ints L*w_e,
+    L the lcm of the weights' denominators, checked on the ints 2L*y_v and
+    2L*w_e."""
+    eids = [e.eid for e in inst.edges]
+    scale, scaled = scale_to_ints(_rat(weights.get(eid, ZERO)) for eid in eids)
+    cov = double_cover(inst)
+    res = max_weight_cover_matching(cov, dict(zip(eids, scaled)))
+    w_int = {eid: 2 * x for eid, x in zip(eids, scaled)}  # 2L * w_e
+    y_int = {}  # 2L * y_v
+    for v in inst.vertices:
+        left, right = res.y_left[v], res.y_right[v]
+        if left.denominator != 1 or right.denominator != 1:
+            raise VerificationFailed(f"cover potential of {v!r} is not an integer")
+        y_int[v] = left.numerator + right.numerator
+    y = {v: Fraction(y_int[v], 2 * scale) for v in inst.vertices}
+    objective_int = sum(y_int.values())
+    objective = Fraction(objective_int, 2 * scale)
+    tight = tuple(
+        e.eid for e in inst.edges if y_int[e.u] + y_int[e.v] == w_int[e.eid]
+    )
+    critical = frozenset(v for v in inst.vertices if y_int[v] > 0)
+
+    for e in inst.edges:  # dual feasibility
+        if y_int[e.u] + y_int[e.v] < w_int[e.eid]:
+            raise VerificationFailed(f"dual infeasible at {e.eid}")
+    # one pass over the matched cover copies, each worth 1/2 of its origin:
+    # the witness, and its loads and weight counted in halves
+    witness: dict[str, Fraction] = {}
+    load = dict.fromkeys(inst.vertices, 0)
+    got = 0  # 4L times the witness weight
+    for cid in sorted(res.matched):
+        ce = cov.edge(cid)
+        witness[ce.origin] = ONE if ce.origin in witness else HALF
+        load[ce.left] += 1
+        load[ce.right] += 1
+        got += w_int[ce.origin]
+    if any(x > 2 for x in load.values()):
+        raise VerificationFailed("witness overloads a vertex")
+    if got != 2 * objective_int:
+        raise VerificationFailed("witness weight differs from the dual objective")
+    tight_set = set(tight)
+    if any(eid not in tight_set for eid in witness):
+        raise VerificationFailed("witness uses a slack edge")
+    if any(load[v] != 2 for v in critical):
+        raise VerificationFailed("witness leaves a positive-potential vertex open")
+    return DualSolution(
+        y=y, objective=objective, tight_edges=tight, critical=critical,
+        witness=witness,
+    )

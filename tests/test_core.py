@@ -393,6 +393,18 @@ def test_matching_stats(five_agent_market, single_edge):
     assert stats1.critical_ok and stats1.integral
 
 
+def test_matching_stats_refuses_a_str_and_leaves_an_unknown_vertex_open():
+    inst = validate_instance(["a", "b", "c"], [("ab", "a", "b")],
+                             pref={"a": {"ab": 1}, "b": {"ab": 1}})
+    m = {"ab": ONE}
+    for bad in ("ab", "abc"):  # once read as the sets of their characters
+        with pytest.raises(InstanceError, match="not the str"):
+            matching_stats(inst, m, bad)
+    assert matching_stats(inst, m, ["a", "b"]).critical_ok
+    # verify reports such a list as a problem, so the stats read it as open
+    assert not matching_stats(inst, m, ["a", "z"]).critical_ok
+
+
 def test_check_matching_rejects_overload(single_edge):
     inst = validate_instance(
         ["a", "b", "c"],

@@ -227,7 +227,9 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 def oracle_markets():
     """Seeded markets with parallel edges, each with weights that are
     integral, rational over small or distinct prime denominators (so the
-    lcm is large), negative, zero or missing."""
+    lcm is large), negative, zero or missing; then larger ones with unit
+    weights or weights in {1, 2}, whose many equal slacks leave the phase's
+    choices to the rank order, and whose shifts leave stale heap entries."""
     for seed in range(48):
         rng = random.Random(seed)
         inst = generate_random(seed, 3 + seed % 10, edge_density=0.6, parallel_prob=0.3)
@@ -244,6 +246,12 @@ def oracle_markets():
             elif rng.random() < 0.6:  # the rest are missing
                 weights[e.eid] = F(rng.randint(0, 5), rng.choice((1, 7, 9)))
         yield inst, weights, rng
+    for seed in range(48, 60):
+        rng = random.Random(seed)
+        n = 20 + 60 * (seed - 48) // 11  # 20 to 80
+        inst = generate_random(seed, n, edge_density=(2 + seed % 3) / n, parallel_prob=0.2)
+        top = 1 + seed % 2
+        yield inst, {e.eid: F(rng.randint(1, top)) for e in inst.edges}, rng
 
 
 def assert_same_fractions(got, want):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from halfmatch import core as core_module
+from halfmatch import cover as cover_module
 from halfmatch import generate as generate_module
 from halfmatch import io as io_module
 from halfmatch import solvers as solvers_module
@@ -53,7 +54,7 @@ from halfmatch.solvers import (
 )
 
 from conftest import make_path
-from materialized import proposals
+from materialized import named_cover_dual, proposals
 from test_cover import assert_same_fractions, fraction_cover_matching, oracle_markets
 from test_popularity import _plain
 
@@ -351,53 +352,61 @@ def test_dual_equals_the_fraction_oracle():
             assert type(got.objective) is Fraction
 
 
+def _forged_kernel(monkeypatch, **change):
+    """Make the dual's Hungarian kernel return its lists with ``change``:
+    ``y_left`` and ``y_right`` by vertex-name rank, ``mate`` each left's
+    matched arc by cover-id rank."""
+    real = solvers_module._hungarian
+
+    def forged(*args):
+        got = dict(zip(("y_left", "y_right", "mate"), real(*args)))
+        return tuple({**got, **change}.values())
+
+    monkeypatch.setattr(solvers_module, "_hungarian", forged)
+
+
 @pytest.mark.parametrize("change, message", [
-    ({"y_left": {"a": ZERO, "b": ZERO}}, "dual infeasible at e"),
-    ({"matched": frozenset({"e>"})}, "witness weight differs from the dual objective"),
-    # the cover gets ints, so its potentials must come back as integers
-    ({"y_left": {"a": F(1, 7), "b": F(4)}}, "of 'a' is not an integer"),
+    ({"y_left": [0, 0]}, "dual infeasible at e"),
+    ({"mate": [1, None]}, "witness weight differs from the dual objective"),  # e> only
+    # the kernel gets ints, so its potentials must come back as integers
+    ({"y_left": [F(1, 7), 4]}, "of 'a' is not an integer"),
 ])
 def test_a_broken_cover_result_fails_a_dual_check(monkeypatch, single_edge, change,
                                                   message):
-    # the checks raise, so they hold under python -O too
-    def broken(cov, weights):
-        return dataclasses.replace(max_weight_cover_matching(cov, weights), **change)
-
-    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", broken)
+    # the checks raise, so they hold under python -O too; the cover ids
+    # e< and e> are arcs 0 and 1, and the kernel matches a to e> and b to e<
+    _forged_kernel(monkeypatch, **change)
     with pytest.raises(VerificationFailed, match=message):
         max_weight_dual(single_edge, {"e": F(4, 3)})
 
 
-def test_a_cover_result_that_overloads_a_vertex_fails(monkeypatch):
-    # matching both copies of ab and one of bc gives b a load of 3/2
-    def broken(cov, weights):
-        res = max_weight_cover_matching(cov, weights)
-        return dataclasses.replace(res, matched=frozenset({"ab>", "ab<", "bc>"}))
+# the cover ids of the path a-b-c by rank: ab< = (b, a'), ab> = (a, b'),
+# bc< = (c, b') and bc> = (b, c')
+_AB_LT, _AB_GT, _BC_LT = 0, 1, 2
 
-    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", broken)
+
+def test_a_cover_result_that_overloads_a_vertex_fails(monkeypatch):
+    # matching ab>, ab< and bc< gives b a load of 3/2: its plain copy once
+    # and its primed copy twice
+    _forged_kernel(monkeypatch, mate=[_AB_GT, _AB_LT, _BC_LT])
     with pytest.raises(VerificationFailed, match="witness overloads a vertex"):
         max_weight_dual(make_path("a"), {"ab": F(1), "bc": F(1)})
 
 
 @pytest.mark.parametrize("matched, y, message", [
     # ab carries the witness's weight 1 though y_a + y_b = 4/2 exceeds it
-    ({"ab>", "ab<"}, {"a": 0, "b": 4, "c": -2}, "witness uses a slack edge"),
+    ([_AB_GT, _AB_LT, None], [0, 4, -2], "witness uses a slack edge"),
     # half of ab, tight, carries the weight 1/2 while b, at 3/2, is half open
-    ({"ab>"}, {"a": -1, "b": 3, "c": -1}, "witness leaves a positive-potential vertex open"),
+    ([_AB_GT, None, None], [-1, 3, -1], "witness leaves a positive-potential vertex open"),
 ])
 def test_a_cover_result_with_a_negative_potential_fails(monkeypatch, matched, y, message):
     # the potentials (in halves) are feasible on the path a-b-c of unit weights,
     # sum to the witness's weight and load no vertex past 1. With no potential
     # below 0 that makes every witness edge tight and every positive vertex
-    # saturated (complementary slackness), and the cover refuses a negative
-    # potential itself, so only a forged cover result reaches these checks
-    def forged(cov, weights):
-        res = max_weight_cover_matching(cov, weights)
-        return dataclasses.replace(res, matched=frozenset(matched),
-                                   y_left={v: F(x) for v, x in y.items()},
-                                   y_right=dict.fromkeys(y, ZERO))
-
-    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", forged)
+    # saturated (complementary slackness), and the cover's own postconditions
+    # refuse a negative potential, so only a forged kernel result reaches these
+    # checks
+    _forged_kernel(monkeypatch, mate=matched, y_left=y, y_right=[0, 0, 0])
     with pytest.raises(VerificationFailed, match=message):
         max_weight_dual(make_path("a"), {"ab": F(1), "bc": F(1)})
 
@@ -413,18 +422,63 @@ def test_the_dual_scales_once_and_passes_the_cover_ints(monkeypatch):
               "c": {"ca": 3, "bc": 2, "cd": 1}, "d": {"cd": 2, "de": 1}, "e": {"de": 1}},
     )
     weights = {"ab": F(3, 2), "bc": F(5, 3), "ca": F(7, 4), "cd": F(2, 5), "de": F(-1, 2)}
-    calls = []
+    calls, real = [], solvers_module._hungarian
 
-    def spy(cov, ws):
-        calls.append(dict(ws))
-        return max_weight_cover_matching(cov, ws)
+    def spy(n, tail, head, w, roots):
+        calls.append(list(w))
+        return real(n, tail, head, w, roots)
 
-    monkeypatch.setattr(solvers_module, "max_weight_cover_matching", spy)
+    monkeypatch.setattr(solvers_module, "_hungarian", spy)
     dual = max_weight_dual(inst, weights)
-    assert calls == [{eid: w * 60 for eid, w in weights.items()}]
-    assert all(type(w) is int for w in calls[0].values())
+    cids = sorted(eid + side for eid in weights for side in "<>")
+    assert calls == [[weights[cid[:-1]] * 60 for cid in cids]]
+    assert all(type(w) is int for w in calls[0])
     assert dual.objective == F(59, 24)
     assert dual == fraction_dual(inst, weights)
+
+
+def _renamed(inst, ids):
+    """The same market with edge i's id ``ids[i]``, and weights to match."""
+    new = dict(zip((e.eid for e in inst.edges), ids))
+    return validate_instance(
+        list(inst.vertices),
+        [(new[e.eid], e.u, e.v) for e in inst.edges],
+        pref={v: {new[eid]: x for eid, x in inst.pref[v].items()} for v in inst.vertices},
+        weights={new[eid]: x for eid, x in (inst.weights or {}).items()},
+    )
+
+
+def test_the_dual_equals_the_named_cover_reference(monkeypatch):
+    # field by field, the witness and the potentials in their insertion order,
+    # without the named cover: on the golden sweep's markets, and on markets
+    # whose edge ids do not sort as their cover ids do (";" and "=" sort below
+    # "<", so "a;<" and "a=>" come before "a<" and "a>")
+    markets = [(inst, weights) for inst, weights, _ in _golden_markets()]
+    stems, apart = ["a", "a;", "a=", "a;<", "a<", "b", "b=", "b;", "a;;", "b<<"], 0
+    for seed in range(20):
+        inst = generate_random(seed, 4 + seed % 5, edge_density=0.7, parallel_prob=0.3,
+                               weight_range=(1, 1 + seed % 3))
+        inst = _renamed(inst, [stems[i % 10] + "x" * (i // 10) for i in range(len(inst.edges))])
+        markets.append((inst, inst.weights))
+        eids = sorted(e.eid for e in inst.edges)
+        apart += sorted(e + side for e in eids for side in "<>") != [
+            e + side for e in eids for side in "<>"]
+    assert apart >= 15, apart
+    want = [named_cover_dual(inst, weights) for inst, weights in markets]
+
+    def refused(*args):
+        raise AssertionError("the dual reached the named cover")
+
+    monkeypatch.setattr(solvers_module, "double_cover", refused)
+    monkeypatch.setattr(cover_module, "double_cover", refused)
+    monkeypatch.setattr(cover_module, "max_weight_cover_matching", refused)
+    for (inst, weights), ref in zip(markets, want):
+        got = max_weight_dual(inst, weights)
+        assert got == ref
+        assert list(got.y.items()) == list(ref.y.items())
+        assert list(got.witness.items()) == list(ref.witness.items())
+        assert_same_fractions(got.y, ref.y)
+        assert type(got.objective) is Fraction
 
 
 def test_the_dual_reads_only_exact_weights(single_edge):
