@@ -19,8 +19,26 @@ rooted in canonical vertex order; every other choice goes to the least
 vertex name, then to the least cover id. Scaling by L > 0 keeps every
 comparison's outcome, so ties break as they would in ``Fraction``
 arithmetic. The maximum-weight dual (``solvers.max_weight_dual``) runs
-the kernel on the same indices without the named cover, and checks it
-by :func:`_certify` too; the popularity dual runs it on its own indices.
+the kernel on the same indices without the named cover, with every arc
+as its start, and checks it by :func:`_certify` too; the popularity dual
+runs it on its own indices, with its matching's arcs as the start.
+
+A start moves the mates, never the potentials. Rights start at 0 and rise
+only in a shift of delta, on the tree's rights T. Each tree left l is the
+root or the mate of a right of T, its potential is its best surplus
+max(0, max_r w - y_r) >= delta, reached only on its tight arcs, all in T,
+and its other arcs have slack >= delta. Tree lefts that demand only
+within some T' <= T, and outnumber T', hold the root and the mates of T',
+so T' holds all that the tree reaches: T' = T. Let p be the least right
+potentials among optimal duals (they form a lattice: Shapley and Shubik
+1971), and say y_right <= p before the shift. At y_right + t on T,
+0 <= t < delta, the tree lefts demand as before, so Demange, Gale and
+Sotomayor's lemma (1986: if more bidders than S has items demand only
+within S, and no part of S is so overdemanded by them, every equilibrium
+above the prices prices all of S higher) gives p > y_right + t on T, so
+y_right <= p still holds after the shift. The run ends at an optimal
+dual, so y_right = p, and each y_left is the best surplus against p,
+whatever was matched.
 """
 
 from __future__ import annotations
@@ -177,7 +195,8 @@ def _hungarian(n: int, tail: list[int], head: list[int], w: list[int],
     left ``tail[c]`` to right ``head[c]`` at the int weight ``w[c]``, matched
     only if positive: each arc of ``start`` in turn is matched if tight with
     both ends free, then a phase runs from each of ``roots`` unmatched at a
-    positive potential. Returns the left and the right potentials and each
+    positive potential. Returns the left and the right potentials, which no
+    ``start`` or order of ``roots`` changes (module docstring), and each
     left's matched arc or None."""
     arcs: list[list[int]] = [[] for _ in range(n)]
     y_left = [0] * n  # each left's largest arc weight

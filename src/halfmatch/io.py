@@ -409,7 +409,9 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     (no field more than a solve writes) and the claims re-derive field by
     field, a flag as a JSON boolean, popularity claims by their shape.
     The re-solves: a maxw result's dual, whose optimum the weight must be
-    and whose positive-potential set the critical set; on 1 to ``bound``
+    and whose positive-potential set the critical set (a set that only the
+    market and weights fix, not the matches the dual's kernel made, so a
+    solve and this re-solve agree); on 1 to ``bound``
     edges, pri's verdict in the scope it records, pri's derived stability
     through what it implies (the matching is popular in the half-integral
     scope, and no larger half-matching is), and a crit or maxw matching

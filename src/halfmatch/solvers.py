@@ -128,9 +128,17 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolu
     the cover's Hungarian kernel runs on the ints L*w_e, with vertices by
     name rank and arcs by cover-id rank, as :func:`max_weight_cover_matching`
     numbers them: its potentials are integers, and y_left + y_right =
-    2L*y_v. Tightness, feasibility, the critical set and the witness checks
-    run on the ints 2L*y_v and 2L*w_e, then the cover's own postconditions;
-    each potential becomes a ``Fraction`` once, on the way out.
+    2L*y_v. Every arc, in cover-id order, is its start, so each arc tight
+    from the outset is matched before any phase runs. Tightness, feasibility,
+    the critical set and the witness checks run on the ints 2L*y_v and
+    2L*w_e, then the cover's own postconditions; each potential becomes a
+    ``Fraction`` once, on the way out.
+
+    ``y`` (in the instance's vertex order), ``objective``, ``tight_edges``
+    and ``critical`` are a function of the market and the weights alone:
+    the kernel ends at the optimal dual with the least right potentials,
+    whatever its start matched (``cover``'s module docstring). Only the
+    ``witness`` depends on the matches the kernel made.
     """
     edges, k = inst.edges, len(inst.edges)
     scale, scaled = scale_to_ints(_rat(weights.get(e.eid, ZERO)) for e in edges)
@@ -139,7 +147,8 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolu
     cover = _cover_ids(edges)  # e> is (u, v') and e< is (v, u') for edge e = (u, v)
     arc = [a for _, a in cover]
     tail, head, w = ([xs[a] for a in arc] for xs in (eu + ev, ev + eu, scaled + scaled))
-    y_left, y_right, mate = _hungarian(len(rank), tail, head, w, [rank[v] for v in inst.vertices])
+    y_left, y_right, mate = _hungarian(len(rank), tail, head, w, [rank[v] for v in inst.vertices],
+                                       range(len(w)))
     for v in inst.vertices:
         if type(y_left[rank[v]]) is not int or type(y_right[rank[v]]) is not int:
             raise VerificationFailed(f"cover potential of {v!r} is not an integer")

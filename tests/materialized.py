@@ -45,7 +45,10 @@ dual proves popular was settled without valuing a rival.
 :func:`named_cover_dual` is ``solvers.max_weight_dual`` as it was when it
 reached the cover's Hungarian kernel through the named cover
 (:func:`halfmatch.cover.double_cover`) and
-:func:`halfmatch.cover.max_weight_cover_matching`'s Fraction potentials.
+:func:`halfmatch.cover.max_weight_cover_matching`'s Fraction potentials,
+with no start. :func:`dual_faults` compares a dual with such a cold one on
+every field but the witness, which depends on the matches a start made,
+and checks that witness by its own properties.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from halfmatch.core import (
     blocking_edges,
     check_matching,
     matching_size,
+    saturated_vertices,
 )
 from halfmatch.cover import double_cover, max_weight_cover_matching, scale_to_ints
 from halfmatch.engine import BoundExceeded
@@ -810,3 +814,33 @@ def named_cover_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSol
         y=y, objective=objective, tight_edges=tight, critical=critical,
         witness=witness,
     )
+
+
+def dual_faults(inst: Instance, weights: Mapping[str, Rational], got: DualSolution,
+                cold: DualSolution) -> list[str]:
+    """Each way ``got`` fails to be the cold-start dual ``cold`` with a
+    witness of its own: a field other than the witness that differs (``y``
+    also in its insertion order and in being ``Fraction``s), or a witness
+    that leaves the tight edges, weighs other than the objective, is not a
+    half-matching or leaves a critical vertex open. Raises nothing, so a
+    check under ``python -O`` can name what failed."""
+    faults = [name for name in ("objective", "tight_edges", "critical")
+              if getattr(got, name) != getattr(cold, name)]
+    if list(got.y.items()) != list(cold.y.items()) or not all(
+            type(x) is Fraction for x in got.y.values()):
+        faults.append("y")
+    if type(got.objective) is not Fraction:
+        faults.append("objective is not a Fraction")
+    witness = got.witness
+    if not set(witness) <= set(got.tight_edges):
+        faults.append("witness uses a slack edge")
+    if sum((_rat(weights.get(eid, ZERO)) * x for eid, x in witness.items()),
+           ZERO) != got.objective:
+        faults.append("witness weight differs from the objective")
+    try:
+        check_matching(inst, witness, half=True)
+    except MatchingError as err:
+        faults.append(f"witness is no half-matching: {err}")
+    if not got.critical <= saturated_vertices(inst, witness):
+        faults.append("witness leaves a critical vertex open")
+    return faults
