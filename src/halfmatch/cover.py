@@ -9,19 +9,23 @@ machinery (augmenting paths, dual potentials) answer fractional
 questions about G exactly.
 
 The Hungarian method here (:func:`_hungarian`) runs on lists indexed by
-vertex-name rank and cover-id rank, and on Python ints. Its adapter
-:func:`max_weight_cover_matching` scales the weights once by the lcm L of
-their denominators, so every potential, slack and shift stays integral,
-checks the result (:func:`_certify`) and makes ``Fraction``s (divided by
-L) only when it returns; its one caller in the package,
-:func:`max_cardinality_saturating`, passes ints, so L = 1. Phases are
-rooted in canonical vertex order; every other choice goes to the least
-vertex name, then to the least cover id. Scaling by L > 0 keeps every
-comparison's outcome, so ties break as they would in ``Fraction``
-arithmetic. The maximum-weight dual (``solvers.max_weight_dual``) runs
-the kernel on the same indices without the named cover, with every arc
-as its start, and checks it by :func:`_certify` too; the popularity dual
-runs it on its own indices, with its matching's arcs as the start.
+vertex and by arc, and on Python ints. The package reaches it through one
+routine, :func:`_fractional_dual`, which lays the cover's arcs out one way
+(arc i joins eu[i] to ev[i]', arc k + i joins ev[i] to eu[i]'), runs the
+kernel from a start it is given and makes one check of the result:
+``solvers.max_weight_dual`` starts from every arc,
+:func:`max_cardinality_saturating` too, with weight 1 per required
+endpoint, and the popularity dual from its matching's arcs, with its
+critical set to saturate and a cap that proves the matching popular.
+Phases are rooted in vertex order; every other choice goes to the least
+vertex, then to the least arc. The potentials depend on neither (below),
+so only the witness depends on the arc layout. The named cover
+(:func:`double_cover`) and its adapter :func:`max_weight_cover_matching`,
+which scales the weights once by the lcm L of their denominators (L > 0
+keeps every comparison's outcome, so ties break as in ``Fraction``
+arithmetic), checks the kernel's result by :func:`_certify` and returns
+``Fraction``s over L, are the tests' reference; every choice there goes
+to the least vertex name, then to the least cover id.
 
 A start moves the mates, never the potentials. Rights start at 0 and rise
 only in a shift of delta, on the tree's rights T. Each tree left l is the
@@ -47,9 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import ZERO, Edge, Instance, VerificationFailed
+from .core import ZERO, Instance, VerificationFailed
 
 
 class CoverEdge(NamedTuple):
@@ -77,19 +82,9 @@ class DoubleCover:
         return self._by_id[cid]
 
 
-def _cover_ids(edges: Sequence[Edge]) -> list[tuple[str, int]]:
-    """Each cover id in sorted order with its arc a: a < k is e> of edge a,
-    a >= k e< of edge a - k, for the k ``edges``."""
-    return sorted(zip([e.eid + ">" for e in edges] + [e.eid + "<" for e in edges],
-                      range(2 * len(edges))))
-
-
 def double_cover(inst: Instance) -> DoubleCover:
-    k, edges = len(inst.edges), []
-    for cid, a in _cover_ids(inst.edges):
-        e = inst.edges[a % k]
-        edges.append(CoverEdge(cid, e.u, e.v, e.eid) if a < k else CoverEdge(cid, e.v, e.u, e.eid))
-    es = tuple(edges)
+    es = tuple(sorted([CoverEdge(e.eid + ">", e.u, e.v, e.eid) for e in inst.edges]
+                      + [CoverEdge(e.eid + "<", e.v, e.u, e.eid) for e in inst.edges]))
     return DoubleCover(inst=inst, edges=es, _by_id={ce.cid: ce for ce in es})
 
 
@@ -108,9 +103,9 @@ class CoverMatchingResult:
 def _phase(root, arcs, tail, head, w, y_left, y_right, mate_left, mate_right) -> None:
     """One Hungarian phase: grow an alternating tree from the unmatched left
     ``root`` until a path to a free right or to a zero-potential left flips
-    into the matching, or the root itself falls to zero potential. Vertices
-    are name ranks and edges cover-id ranks, so the least index wins a tie.
-    Weights and potentials are ints, and every shift is an int.
+    into the matching, or the root itself falls to zero potential. The least
+    vertex index, then the least arc index, wins a tie. Weights and
+    potentials are ints, and every shift is an int.
 
     A shift lowers every tree left and every outside slack and raises every
     tree right by the same delta, so it only raises one ``offset``, and each
@@ -218,6 +213,48 @@ def _hungarian(n: int, tail: list[int], head: list[int], w: list[int],
     return y_left, y_right, mate_left
 
 
+def _fractional_dual(n: int, eu: list[int], ev: list[int], w: list[int],
+                     start: Iterable[int], saturate: Iterable[int] = (),
+                     cap: int | None = None) -> tuple[list[int], list[int] | None]:
+    """The largest fractional matching on vertices 0..n-1, edge i joining
+    ``eu[i]`` to ``ev[i]`` at the int weight ``w[i]``, by :func:`_hungarian`
+    on the cover (module docstring) from the arcs of ``start``: twice the
+    optimal potentials y by vertex, and the witness's doubled masses by edge,
+    or None in their place when sum y <= ``cap``.
+
+    One check, else :class:`VerificationFailed`: y >= 0 and y_u + y_v >= 2 w_i
+    on every edge i, and then, unless sum y <= ``cap`` (weak duality has then
+    bounded twice every fractional weight by it), the witness loads no vertex
+    past 2 and each of ``saturate`` to exactly 2, and weighs sum y. By weak
+    duality and complementary slackness both are then optimal, the witness
+    lies on tight edges and saturates every vertex of positive potential.
+    """
+    k = len(w)
+    y_left, y_right, mate = _hungarian(n, eu + ev, ev + eu, w + w, range(n), start)
+    y = list(map(add, y_left, y_right))
+    if min(y, default=0) < 0:
+        raise VerificationFailed("negative dual potential")
+    for i, (u, v, x) in enumerate(zip(eu, ev, w)):
+        if y[u] + y[v] < 2 * x:
+            raise VerificationFailed(f"dual infeasible at edge {i}")
+    if cap is not None and sum(y) <= cap:
+        return y, None
+    held, load = [0] * k, [0] * n
+    for c in mate:
+        if c is not None:
+            c %= k
+            held[c] += 1
+            load[eu[c]] += 1
+            load[ev[c]] += 1
+    if max(load, default=0) > 2:
+        raise VerificationFailed("witness overloads a vertex")
+    if any(load[x] != 2 for x in saturate):
+        raise VerificationFailed("witness leaves a vertex to saturate open")
+    if sum(map(mul, held, w)) != sum(y):
+        raise VerificationFailed("witness weight differs from the dual objective")
+    return y, held
+
+
 def _certify(cids: Sequence[str], tail: Sequence[int], head: Sequence[int],
              w: Sequence[int], y_left: Sequence[int], y_right: Sequence[int],
              mate_left: Sequence[int | None]) -> int:
@@ -282,23 +319,11 @@ def max_weight_cover_matching(
     )
 
 
-def max_cardinality_saturating(
-    cover: DoubleCover, required: frozenset[str]
-) -> bool:
-    """Whether some cover matching matches every plain and primed copy
-    of the required vertices (hence some fractional matching saturates
-    them all).
-    """
-    if not required:
-        return True
-    weights = {}  # ints, so the kernel's scale is 1
-    for e in cover.inst.edges:
-        w = 0
-        if e.u in required:
-            w += 1
-        if e.v in required:
-            w += 1
-        if w > 0:
-            weights[e.eid] = w
-    best = max_weight_cover_matching(cover, weights)
-    return best.weight == 2 * len(required)
+def max_cardinality_saturating(inst: Instance, required: frozenset[str]) -> bool:
+    """Whether some fractional matching of ``inst`` saturates every required
+    vertex: with weight 1 per required endpoint its largest weight is then
+    |required|, twice which is the sum of :func:`_fractional_dual`'s y."""
+    need = [v in required for v in inst.vertices]
+    w = [need[u] + need[v] for u, v in zip(inst._end_u, inst._end_v)]
+    y, _ = _fractional_dual(len(need), inst._end_u, inst._end_v, w, range(2 * len(w)))
+    return sum(y) == 2 * len(required)

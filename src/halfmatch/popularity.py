@@ -69,7 +69,7 @@ from .core import (
     check_matching,
     saturated_vertices,
 )
-from .cover import _hungarian
+from .cover import _fractional_dual
 from .engine import BoundExceeded, _Assignments
 from . import simplex
 
@@ -693,22 +693,26 @@ def dual_worst(
     Delta(m, x) = K + sum c_e x_e (:func:`_product_weights`, base 1), so
     the worst value is K - nu, nu the largest weight under w_e = -c_e; B
     per critical endpoint adds B|C| to each saturating rival. The
-    potentials y of ``cover._hungarian`` prove m popular by weak duality,
-    for any B >= 0, when y >= 0, y_u + y_v >= w_e on each kept edge and
-    sum y <= K + B|C| (:func:`_bounds`). B = 2 sum |c_e| + 1 makes this
-    exact: a half-integral x open at a critical vertex loses B/2 there and
-    gains at most sum |c_e|, as |x_e - m_e| <= 1, so every maximum
-    saturates C. A failed check is certified: the witness must be a
-    saturating fractional matching of weight sum y under a y that passes
-    with sum y as the cap, else :class:`VerificationFailed`.
+    potentials y of ``cover._fractional_dual`` prove m popular by weak
+    duality, for any B >= 0, when its check passes (y >= 0, y_u + y_v >= w_e
+    on each kept edge) and sum y <= K + B|C|, its cap. B = 2 sum |c_e| + 1
+    makes this exact: a half-integral x open at a critical vertex loses B/2
+    there and gains at most sum |c_e|, as |x_e - m_e| <= 1, so every
+    maximum saturates C. Past the cap the same check certifies the witness:
+    a fractional matching saturating C, of weight sum y, else
+    :class:`VerificationFailed`.
 
     Raises what :func:`is_popular_critical` does, then ValueError on an m
-    that is not integral or a ``keep`` of another length or false on m.
+    that is not integral, InstanceError on a ``keep`` entry that is not a
+    bool, and ValueError on a ``keep`` of another length or false on m.
     """
     _require(inst, "delta over feasible pairings", m)
     crit = _critical(inst, m, critical)
     if any(val.denominator != 1 for val in m.values()):
         raise ValueError("the popularity dual takes an integral matching only")
+    if keep is not None and not {bool}.issuperset(map(type, keep)):
+        bad = next(k for k in keep if type(k) is not bool)
+        raise InstanceError(f"keep holds {bad!r}, which is not a bool")
     if keep is not None and (len(keep) != len(inst.edges)
                              or not all(keep[inst._rank[eid]] for eid, val in m.items() if val)):
         raise ValueError("keep must hold one flag per edge, true on every edge of m")
@@ -726,44 +730,22 @@ def _dual(inst: Instance, m: Mapping[str, Fraction], crit: Sequence[int],
     held_m = _by_rank(inst, m)[1]
     c, fixed = _product_weights(inst, 1, held_m, inst.vertices)
     kept = list(range(len(c))) if keep is None else list(compress(range(len(c)), keep))
-    k, n = len(kept), len(inst.vertices)
     eu, ev = [inst._end_u[r] for r in kept], [inst._end_v[r] for r in kept]
     big = 2 * sum(abs(c[r]) for r in kept) + 1 if crit else 0  # B
-    bonus = [0] * n
+    bonus = [0] * len(inst.vertices)
     for x in crit:
         bonus[x] = big
     w = [bonus[u] + bonus[v] - c[r] for u, v, r in zip(eu, ev, kept)]
-    # arc a is edge kept[a % k] from its u end, or from its v end once a >= k;
     # m's arcs start the matching where each is its left's largest
     start = [a for a, r in enumerate(kept) if held_m.get(r)]
-    y_left, y_right, mate = _hungarian(n, eu + ev, ev + eu, w + w, range(n),
-                                       start + [a + k for a in start])
-    y = list(map(add, y_left, y_right))  # twice the potentials
-    if _bounds(y, eu, ev, w, 2 * (fixed + big * len(crit))):
+    found = _fractional_dual(len(bonus), eu, ev, w, start + [a + len(kept) for a in start],
+                             crit, 2 * (fixed + big * len(crit)))[1]
+    if found is None:
         return None
-    held, load, weight = [0] * len(c), [0] * n, 0
-    for a in mate:
-        if a is None:
-            continue
-        a %= k
-        held[kept[a]] += 1
-        load[eu[a]] += 1
-        load[ev[a]] += 1
-        weight += w[a]
-    if (max(load, default=0) > 2 or any(load[x] != 2 for x in crit) or weight != sum(y)
-            or not _bounds(y, eu, ev, w, weight)):
-        raise VerificationFailed("the popularity dual neither proves the matching popular "
-                                 "nor gives a maximum rival")
+    held = [0] * len(c)
+    for r, x in zip(kept, found):
+        held[r] = x
     return sum(map(mul, c, held)) + 2 * fixed, held
-
-
-def _bounds(y: Sequence[int], eu: Sequence[int], ev: Sequence[int], w: Sequence[int],
-            cap: int) -> bool:
-    """The one-pass check of twice the potentials, ``y`` by vertex index:
-    y >= 0, y_u + y_v >= 2 w_i on each edge i = (``eu[i]``, ``ev[i]``) and
-    sum y <= ``cap``, which then bounds twice every fractional weight."""
-    return (min(y, default=0) >= 0 and sum(y) <= cap
-            and all(y[u] + y[v] >= 2 * x for u, v, x in zip(eu, ev, w)))
 
 
 def _check_count(count: int) -> None:

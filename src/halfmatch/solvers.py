@@ -28,12 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Mapping
 
 from .core import (
-    HALF,
-    ONE,
     ZERO,
     Instance,
     Rational,
@@ -44,9 +41,7 @@ from .core import (
     blocking_edges,
     saturated_vertices,
 )
-from .cover import (
-    _certify, _cover_ids, _hungarian, double_cover, max_cardinality_saturating, scale_to_ints,
-)
+from .cover import _fractional_dual, max_cardinality_saturating, scale_to_ints
 from .engine import stable_half_matching
 from .reductions import (
     DerivedInstance,
@@ -125,13 +120,10 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolu
     weights count as zero.
 
     The weights are scaled once, by the lcm L of their denominators, and
-    the cover's Hungarian kernel runs on the ints L*w_e, with vertices by
-    name rank and arcs by cover-id rank, as :func:`max_weight_cover_matching`
-    numbers them: its potentials are integers, and y_left + y_right =
-    2L*y_v. Every arc, in cover-id order, is its start, so each arc tight
-    from the outset is matched before any phase runs. Tightness, feasibility,
-    the critical set and the witness checks run on the ints 2L*y_v and
-    2L*w_e, then the cover's own postconditions; each potential becomes a
+    ``cover._fractional_dual`` runs the kernel on the ints L*w_e, with
+    every arc as its start, so each arc tight from the outset is matched
+    before any phase runs, and checks its result; the tight edges and the
+    critical set are read off the ints 2L*y_v, and each potential becomes a
     ``Fraction`` once, on the way out.
 
     ``y`` (in the instance's vertex order), ``objective``, ``tight_edges``
@@ -140,52 +132,16 @@ def max_weight_dual(inst: Instance, weights: Mapping[str, Rational]) -> DualSolu
     whatever its start matched (``cover``'s module docstring). Only the
     ``witness`` depends on the matches the kernel made.
     """
-    edges, k = inst.edges, len(inst.edges)
-    scale, scaled = scale_to_ints(_rat(weights.get(e.eid, ZERO)) for e in edges)
-    rank = {v: i for i, v in enumerate(sorted(inst.vertices))}
-    eu, ev = [rank[e.u] for e in edges], [rank[e.v] for e in edges]
-    cover = _cover_ids(edges)  # e> is (u, v') and e< is (v, u') for edge e = (u, v)
-    arc = [a for _, a in cover]
-    tail, head, w = ([xs[a] for a in arc] for xs in (eu + ev, ev + eu, scaled + scaled))
-    y_left, y_right, mate = _hungarian(len(rank), tail, head, w, [rank[v] for v in inst.vertices],
-                                       range(len(w)))
-    for v in inst.vertices:
-        if type(y_left[rank[v]]) is not int or type(y_right[rank[v]]) is not int:
-            raise VerificationFailed(f"cover potential of {v!r} is not an integer")
-    y_int = list(map(add, y_left, y_right))  # 2L * y_v by name rank
-    objective_int = sum(y_int)
-    sums = [y_int[u] + y_int[v] for u, v in zip(eu, ev)]
-    tight = tuple(e.eid for e, s, x in zip(edges, sums, scaled) if s == 2 * x)
-    critical = frozenset(v for v in inst.vertices if y_int[rank[v]] > 0)
-
-    for e, s, x in zip(edges, sums, scaled):  # dual feasibility
-        if s < 2 * x:
-            raise VerificationFailed(f"dual infeasible at {e.eid}")
-    # one pass over the matched cover copies in cover-id order, each worth
-    # 1/2 of its origin: the witness, and its loads and weight counted in halves
-    witness: dict[str, Fraction] = {}
-    load = [0] * len(rank)
-    got = 0  # 4L times the witness weight
-    for c in sorted(c for c in mate if c is not None):
-        eid = edges[arc[c] % k].eid
-        witness[eid] = ONE if eid in witness else HALF
-        load[tail[c]] += 1
-        load[head[c]] += 1
-        got += 2 * w[c]
-    if max(load, default=0) > 2:
-        raise VerificationFailed("witness overloads a vertex")
-    if got != 2 * objective_int:
-        raise VerificationFailed("witness weight differs from the dual objective")
-    tight_set = set(tight)
-    if any(eid not in tight_set for eid in witness):
-        raise VerificationFailed("witness uses a slack edge")
-    if any(load[rank[v]] != 2 for v in critical):
-        raise VerificationFailed("witness leaves a positive-potential vertex open")
-    _certify([cid for cid, _ in cover], tail, head, w, y_left, y_right, mate)
+    scale, w = scale_to_ints(_rat(weights.get(e.eid, ZERO)) for e in inst.edges)
+    eu, ev = inst._end_u, inst._end_v
+    y, held = _fractional_dual(len(inst.vertices), eu, ev, w, range(2 * len(w)))
     return DualSolution(
-        y={v: Fraction(y_int[rank[v]], 2 * scale) for v in inst.vertices},
-        objective=Fraction(objective_int, 2 * scale), tight_edges=tight, critical=critical,
-        witness=witness,
+        y={v: Fraction(x, 2 * scale) for v, x in zip(inst.vertices, y)},
+        objective=Fraction(sum(y), 2 * scale),
+        tight_edges=tuple(e.eid for e, u, v, x in zip(inst.edges, eu, ev, w)
+                          if y[u] + y[v] == 2 * x),
+        critical=frozenset(v for v, x in zip(inst.vertices, y) if x > 0),
+        witness={e.eid: Fraction(h, 2) for e, h in zip(inst.edges, held) if h},
     )
 
 
@@ -200,7 +156,7 @@ def solve_pop_crit(
     crit = _critical_set(critical, inst._index)
     out = _run_pipeline(build_crit_reduction(inst, crit))
     open_crit = sorted(crit - saturated_vertices(inst, out))
-    if open_crit and not max_cardinality_saturating(double_cover(inst), crit):
+    if open_crit and not max_cardinality_saturating(inst, crit):
         raise InfeasibleCritical("no fractional matching saturates the critical set")
     if open_crit:
         raise VerificationFailed(f"critical vertices left open: {open_crit}")

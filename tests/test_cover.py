@@ -107,21 +107,20 @@ def test_dual_matches_bruteforce_on_small_instances():
 
 def test_saturation_feasibility():
     path = make_path("a")
-    cov = double_cover(path)
-    assert max_cardinality_saturating(cov, frozenset())
-    assert max_cardinality_saturating(cov, frozenset({"b"}))
-    assert max_cardinality_saturating(cov, frozenset({"a", "b"}))
+    assert max_cardinality_saturating(path, frozenset())
+    assert max_cardinality_saturating(path, frozenset({"b"}))
+    assert max_cardinality_saturating(path, frozenset({"a", "b"}))
     # a and c can both be saturated (ab and bc at once is too much for b,
     # but a needs ab=1 and c needs bc=1, overloading b) -> infeasible
-    assert not max_cardinality_saturating(cov, frozenset({"a", "c"}))
+    assert not max_cardinality_saturating(path, frozenset({"a", "c"}))
 
     star = validate_instance(
         ["m", "x", "y"],
         [("mx", "m", "x"), ("my", "m", "y")],
         pref={"m": {"mx": 2, "my": 1}, "x": {"mx": 1}, "y": {"my": 1}},
     )
-    assert not max_cardinality_saturating(double_cover(star), frozenset({"x", "y"}))
-    assert max_cardinality_saturating(double_cover(star), frozenset({"m"}))
+    assert not max_cardinality_saturating(star, frozenset({"x", "y"}))
+    assert max_cardinality_saturating(star, frozenset({"m"}))
 
 
 # -- the Fraction kernel as the oracle -----------------------------------------
@@ -286,7 +285,7 @@ def test_saturation_verdicts_equal_the_fraction_oracle():
         names = sorted(inst.vertices)
         for k in (1, 2, 3, len(names) // 2, len(names)):
             required = frozenset(rng.sample(names, k))
-            got = max_cardinality_saturating(cov, required)
+            got = max_cardinality_saturating(inst, required)
             assert got is fraction_saturating(cov, required)
             verdicts.append(got)
     assert True in verdicts and False in verdicts

@@ -26,7 +26,7 @@ from halfmatch.engine import enumerate_half_matchings, stable_half_matching
 from halfmatch.generate import generate_random
 from halfmatch.solvers import solve_max_pri, solve_max_srti
 import halfmatch
-from halfmatch import popularity, simplex
+from halfmatch import cover, popularity, simplex
 from halfmatch.popularity import (
     DeltaResult,
     ImbalancedTransport,
@@ -1417,8 +1417,8 @@ def test_a_tampered_dual_fails_the_one_pass_check(monkeypatch):
     # A kernel returning any of them makes the dual refuse, not answer
     inst = generate_random(0, 7, edge_density=0.3)
     m = solve_max_pri(inst)
-    seen, real = [], popularity._hungarian
-    monkeypatch.setattr(popularity, "_hungarian",
+    seen, real = [], cover._hungarian
+    monkeypatch.setattr(cover, "_hungarian",
                         lambda *args: seen.append((args, real(*args))) or seen[-1][1])
     assert popularity.dual_worst(inst, m) == (0, m) and set(m.values()) == {ONE}
     (n, tail, _, w2, _, _), (y_left, y_right, mate) = seen[0]
@@ -1428,22 +1428,45 @@ def test_a_tampered_dual_fails_the_one_pass_check(monkeypatch):
     cap = 2 * 2 * len(m)
     isolated = [x for x in range(n) if x not in eu + ev]
     tight = [i for i in range(k) if w[i] > 0 and y[eu[i]] + y[ev[i]] == 2 * w[i] and y_left[eu[i]]]
-    assert popularity._bounds(y, eu, ev, w, cap) and sum(y) == cap and isolated and tight
-    z, u = isolated[0], eu[tight[0]]
 
     def holds(y):  # the three conditions, each alone
         return (min(y) >= 0, all(y[a] + y[b] >= 2 * x for a, b, x in zip(eu, ev, w)),
                 sum(y) <= cap)
 
-    tampered = {"sum": {0: 1}, "edge": {u: -1, z: 1}, "sign": {z: -1}}
-    for broken, shift in tampered.items():
+    assert all(holds(y)) and sum(y) == cap and isolated and tight
+    z, u = isolated[0], eu[tight[0]]
+    tampered = {"sum": ({0: 1}, "witness weight differs"),
+                "edge": ({u: -1, z: 1}, "dual infeasible at edge"),
+                "sign": ({z: -1}, "negative dual potential")}
+    for broken, (shift, message) in tampered.items():
         left = [x + shift.get(v, 0) for v, x in enumerate(y_left)]
         bad = list(map(operator.add, left, y_right))
         assert holds(bad) == tuple(what != broken for what in ("sign", "edge", "sum")), broken
-        assert not popularity._bounds(bad, eu, ev, w, cap), broken
-        monkeypatch.setattr(popularity, "_hungarian", lambda *args: (left, y_right, mate))
-        with pytest.raises(VerificationFailed, match="neither proves"):
+        monkeypatch.setattr(cover, "_hungarian", lambda *args: (left, y_right, mate))
+        with pytest.raises(VerificationFailed, match=message):
             popularity.dual_worst(inst, m)
+
+
+def test_a_witness_that_leaves_a_critical_vertex_open_fails(monkeypatch):
+    # on generate --seed 0 --n 5 --edge-density 0.5, m = {e005} (v02-v03) is
+    # unpopular among the rivals saturating v02 (worst -3), so no cap settles
+    # it and the dual's witness must saturate v02. A kernel that keeps the
+    # potentials but drops every mate at v02 loads no vertex past 2 and
+    # leaves v02 open, and the dual refuses
+    inst = generate_random(0, 5, edge_density=0.5)
+    m, crit = {"e005": ONE}, ["v02"]
+    worst, rival = popularity.dual_worst(inst, m, crit)
+    assert worst == -3 and rival["e005"] == ONE
+    real, x = cover._hungarian, inst.index("v02")
+
+    def forged(n, tail, head, *rest):
+        y_left, y_right, mate = real(n, tail, head, *rest)
+        return y_left, y_right, [None if c is not None and x in (tail[c], head[c]) else c
+                                 for c in mate]
+
+    monkeypatch.setattr(cover, "_hungarian", forged)
+    with pytest.raises(VerificationFailed, match="witness leaves a vertex to saturate open"):
+        popularity.dual_worst(inst, m, crit)
 
 
 def _best_time(call, repeat=3):
@@ -1514,5 +1537,7 @@ def test_the_dual_on_a_keep_mask_is_the_scan_on_the_sub_market():
         popularity.dual_worst(inst, {"e000": ONE}, keep=[False] * 8)
     with pytest.raises(ValueError, match="keep must hold one flag per edge"):
         popularity.dual_worst(inst, {"e000": ONE}, keep=[True] * 7)
+    with pytest.raises(InstanceError, match="^keep holds 'no', which is not a bool$"):
+        popularity.dual_worst(inst, {"e000": ONE}, keep=["no"] * 8)
     with pytest.raises(ValueError, match="integral matching only"):
         popularity.dual_worst(inst, {"e000": H})

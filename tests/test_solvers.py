@@ -39,7 +39,7 @@ from halfmatch.engine import (
 )
 from halfmatch.generate import generate_random
 from halfmatch.io import parse_instance_text, serialize_instance
-from halfmatch.popularity import delta_feasible, is_popular, is_popular_critical
+from halfmatch.popularity import delta_feasible, dual_worst, is_popular, is_popular_critical
 from halfmatch.reductions import DerivedInstance, build_crit_reduction
 from halfmatch.solvers import (
     DualSolution,
@@ -54,7 +54,7 @@ from halfmatch.solvers import (
 )
 
 from conftest import make_path
-from materialized import dual_faults, named_cover_dual, proposals
+from materialized import dual_faults, full_critical_verdict, named_cover_dual, proposals
 from test_cover import fraction_cover_matching, oracle_markets
 from test_popularity import _plain
 
@@ -351,36 +351,36 @@ def test_dual_equals_the_fraction_oracle():
 
 
 def _forged_kernel(monkeypatch, **change):
-    """Make the dual's Hungarian kernel return its lists with ``change``:
-    ``y_left`` and ``y_right`` by vertex-name rank, ``mate`` each left's
-    matched arc by cover-id rank."""
-    real = solvers_module._hungarian
+    """Make the cover's Hungarian kernel return its lists with ``change``:
+    ``y_left`` and ``y_right`` by vertex index, ``mate`` each left's matched
+    arc (arc i is edge i from its u end, arc k + i from its v end)."""
+    real = cover_module._hungarian
 
     def forged(*args):
         got = dict(zip(("y_left", "y_right", "mate"), real(*args)))
         return tuple({**got, **change}.values())
 
-    monkeypatch.setattr(solvers_module, "_hungarian", forged)
+    monkeypatch.setattr(cover_module, "_hungarian", forged)
 
 
 @pytest.mark.parametrize("change, message", [
     ({"y_left": [0, 0]}, "dual infeasible at e"),
-    ({"mate": [1, None]}, "witness weight differs from the dual objective"),  # e> only
-    # the kernel gets ints, so its potentials must come back as integers
-    ({"y_left": [F(1, 7), 4]}, "of 'a' is not an integer"),
+    ({"mate": [0, None]}, "witness weight differs from the dual objective"),  # (a, b') only
+    # a Fraction potential too low for the edge
+    ({"y_left": [F(1, 7), 4]}, "dual infeasible at edge 0"),
 ])
 def test_a_broken_cover_result_fails_a_dual_check(monkeypatch, single_edge, change,
                                                   message):
-    # the checks raise, so they hold under python -O too; the cover ids
-    # e< and e> are arcs 0 and 1, and the kernel matches a to e> and b to e<
+    # the checks raise, so they hold under python -O too; arc 0 is (a, b')
+    # and arc 1 is (b, a'), and the kernel matches a to arc 0 and b to arc 1
     _forged_kernel(monkeypatch, **change)
     with pytest.raises(VerificationFailed, match=message):
         max_weight_dual(single_edge, {"e": F(4, 3)})
 
 
-# the cover ids of the path a-b-c by rank: ab< = (b, a'), ab> = (a, b'),
-# bc< = (c, b') and bc> = (b, c')
-_AB_LT, _AB_GT, _BC_LT = 0, 1, 2
+# the arcs of the path a-b-c: ab from a = (a, b'), bc from b = (b, c'),
+# ab from b = (b, a') and bc from c = (c, b')
+_AB_GT, _AB_LT, _BC_LT = 0, 2, 3
 
 
 def test_a_cover_result_that_overloads_a_vertex_fails(monkeypatch):
@@ -393,17 +393,17 @@ def test_a_cover_result_that_overloads_a_vertex_fails(monkeypatch):
 
 @pytest.mark.parametrize("matched, y, message", [
     # ab carries the witness's weight 1 though y_a + y_b = 4/2 exceeds it
-    ([_AB_GT, _AB_LT, None], [0, 4, -2], "witness uses a slack edge"),
+    ([_AB_GT, _AB_LT, None], [0, 4, -2], "negative dual potential"),
     # half of ab, tight, carries the weight 1/2 while b, at 3/2, is half open
-    ([_AB_GT, None, None], [-1, 3, -1], "witness leaves a positive-potential vertex open"),
+    ([_AB_GT, None, None], [-1, 3, -1], "negative dual potential"),
 ])
 def test_a_cover_result_with_a_negative_potential_fails(monkeypatch, matched, y, message):
     # the potentials (in halves) are feasible on the path a-b-c of unit weights,
     # sum to the witness's weight and load no vertex past 1. With no potential
-    # below 0 that makes every witness edge tight and every positive vertex
-    # saturated (complementary slackness), and the cover's own postconditions
-    # refuse a negative potential, so only a forged kernel result reaches these
-    # checks
+    # below 0 that would make every witness edge tight and every positive
+    # vertex saturated (complementary slackness), so the one check that
+    # refuses a negative potential also refuses a slack witness edge and an
+    # open positive vertex
     _forged_kernel(monkeypatch, mate=matched, y_left=y, y_right=[0, 0, 0])
     with pytest.raises(VerificationFailed, match=message):
         max_weight_dual(make_path("a"), {"ab": F(1), "bc": F(1)})
@@ -420,17 +420,17 @@ def test_the_dual_scales_once_and_passes_the_cover_ints(monkeypatch):
               "c": {"ca": 3, "bc": 2, "cd": 1}, "d": {"cd": 2, "de": 1}, "e": {"de": 1}},
     )
     weights = {"ab": F(3, 2), "bc": F(5, 3), "ca": F(7, 4), "cd": F(2, 5), "de": F(-1, 2)}
-    calls, real = [], solvers_module._hungarian
+    calls, real = [], cover_module._hungarian
 
     def spy(n, tail, head, w, roots, start):
         calls.append((list(w), list(start)))
         return real(n, tail, head, w, roots, start)
 
-    monkeypatch.setattr(solvers_module, "_hungarian", spy)
+    monkeypatch.setattr(cover_module, "_hungarian", spy)
     dual = max_weight_dual(inst, weights)
-    cids = sorted(eid + side for eid in weights for side in "<>")
-    # the start offers every arc, in cover-id order
-    assert calls == [([weights[cid[:-1]] * 60 for cid in cids], list(range(len(cids))))]
+    arcs = sorted(weights) * 2  # each edge from its u end, then from its v end
+    # the start offers every arc, in edge-rank order
+    assert calls == [([weights[eid] * 60 for eid in arcs], list(range(len(arcs))))]
     assert all(type(w) is int for w in calls[0][0])
     assert dual.objective == F(59, 24)
     assert dual_faults(inst, weights, dual, fraction_dual(inst, weights)) == []
@@ -452,7 +452,11 @@ def test_the_dual_equals_the_named_cover_reference(monkeypatch):
     # checked by its own properties, the potentials in their insertion order,
     # without the named cover: on the golden sweep's markets, and on markets
     # whose edge ids do not sort as their cover ids do (";" and "=" sort below
-    # "<", so "a;<" and "a=>" come before "a<" and "a>")
+    # "<", so "a;<" and "a=>" come before "a<" and "a>"). No other solver
+    # reaches it either: solve_pop_crit's outcomes on the crit sweep are the
+    # named cover's feasibility-first ones, and the popularity dual gives each
+    # integral crit output's worst value, among its critical rivals and among
+    # all, that a scan of the rivals finds
     markets = [(inst, weights) for inst, weights, _ in _golden_markets()]
     stems, apart = ["a", "a;", "a=", "a;<", "a<", "b", "b=", "b;", "a;;", "b<<"], 0
     for seed in range(20):
@@ -465,15 +469,26 @@ def test_the_dual_equals_the_named_cover_reference(monkeypatch):
             e + side for e in eids for side in "<>"]
     assert apart >= 15, apart
     want = [named_cover_dual(inst, weights) for inst, weights in markets]
+    crit_markets = [(inst, crit, _crit_outcome(_feasibility_first, inst, crit))
+                    for inst, crit in _crit_sweep()]
+    assert [out == "infeasible" for *_, out in crit_markets].count(True) >= 40
+    worst = [(inst, out, among, full_critical_verdict(inst, out, among, 8).worst_value)
+             for inst, crit, out in crit_markets
+             if out != "infeasible" and len(inst.edges) <= 8 and set(out.values()) <= {ONE}
+             for among in (crit, ())]
+    assert len(worst) >= 40 and min(value for *_, value in worst) < 0, len(worst)
 
     def refused(*args):
-        raise AssertionError("the dual reached the named cover")
+        raise AssertionError("a solver reached the named cover")
 
-    monkeypatch.setattr(solvers_module, "double_cover", refused)
     monkeypatch.setattr(cover_module, "double_cover", refused)
     monkeypatch.setattr(cover_module, "max_weight_cover_matching", refused)
     for (inst, weights), ref in zip(markets, want):
         assert dual_faults(inst, weights, max_weight_dual(inst, weights), ref) == []
+    for inst, crit, out in crit_markets:
+        assert _crit_outcome(solve_pop_crit, inst, crit) == out, sorted(crit)
+    for inst, m, crit, value in worst:
+        assert dual_worst(inst, m, crit)[0] == value, sorted(crit)
 
 
 def _start_markets():
@@ -579,7 +594,8 @@ def _feasibility_first(inst, crit):
     """solve_pop_crit as it ran before it trusted a saturating output: the
     feasibility matching on the double cover first, then the pipeline."""
     derived = build_crit_reduction(inst, crit)
-    if not max_cardinality_saturating(double_cover(inst), crit):
+    weights = {e.eid: (e.u in crit) + (e.v in crit) for e in inst.edges}
+    if max_weight_cover_matching(double_cover(inst), weights).weight != 2 * len(crit):
         raise InfeasibleCritical("no fractional matching saturates the critical set")
     out = derived.project(stable_half_matching(derived.inst))
     if not all(is_saturated(inst, out, v) for v in crit):
@@ -784,21 +800,24 @@ def test_dual_layer_matches_the_golden_digest():
     # cover matchings and potentials, optimal duals, saturation verdicts and
     # the maxw and crit matchings built on them, as the cover solver computed
     # them when it still ran on name-keyed maps; only the dual's witness is
-    # the warm-started kernel's (with it left out, the digest is b1d9af19...
-    # before and after the start)
-    digest = hashlib.sha256()
-    put = lambda obj: digest.update(json.dumps(_plain(obj)).encode())
+    # the warm-started kernel's on the shared arc layout, so the digest with
+    # it left out is the one from before the start and the layout
+    full, bare = hashlib.sha256(), hashlib.sha256()
+
+    def put(obj, *witness):
+        bare.update(json.dumps(_plain(obj)).encode())
+        full.update(json.dumps(_plain([*obj, *witness] if witness else obj)).encode())
+
     for inst, weights, rng in _golden_markets():
         cov = double_cover(inst)
         res = max_weight_cover_matching(cov, weights)
         put([sorted(res.matched), res.y_left, res.y_right, res.weight])
         dual = max_weight_dual(inst, weights)
-        put([dual.y, dual.objective, dual.tight_edges, sorted(dual.critical),
-             dual.witness])
+        put([dual.y, dual.objective, dual.tight_edges, sorted(dual.critical)], dual.witness)
         names = sorted(inst.vertices)
         for k in (1, 2, 3, len(names)):
             required = frozenset(rng.sample(names, min(k, len(names))))
-            put(max_cardinality_saturating(cov, required))
+            put(max_cardinality_saturating(inst, required))
         if len(inst.vertices) > 10:
             continue
         put(solve_pop_maxw(inst, weights))
@@ -807,8 +826,11 @@ def test_dual_layer_matches_the_golden_digest():
             put(solve_pop_crit(inst, crit))
         except InfeasibleCritical:
             put("infeasible")
-    assert digest.hexdigest() == (
-        "413434b4f7b8bcbd5530ccd47f13601faf81d622537d979de736b29cd22e39b8"
+    assert bare.hexdigest() == (
+        "b1d9af1961187e0303ede6f69556f7149bb098aef15b151425b3ed89c0588243"
+    )
+    assert full.hexdigest() == (
+        "5f1591da4fb906126b7ed5a9f1a51a2aeef601c7f5cc9e9dcc46c07c95c8c59e"
     )
 
 
