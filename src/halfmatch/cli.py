@@ -18,6 +18,7 @@ from .generate import GAMMA_PRESETS, generate_random
 from .io import (
     MODES,
     SOLVER_CLAIMS,
+    _market_fault,
     _popularity_claims,
     build_result,
     check_result,
@@ -153,10 +154,8 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input)
     tag = args.tag
-    if tag not in MODES:  # the pri, crit and maxw solvers read no ties
-        inst.require_strict(tag)
-    elif MODES[tag] == "gamma" and not inst.has_full_gamma():
-        raise InstanceError(f"{tag} requires gamma/delta on every (edge, endpoint)")
+    if fault := _market_fault(inst, tag):
+        raise InstanceError(fault)
 
     # each solver certifies every claim recorded below before it returns;
     # `verify` re-derives them all from the file, independently

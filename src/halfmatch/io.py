@@ -388,38 +388,38 @@ def _result_matching(doc: Mapping[str, Any]) -> dict[str, Fraction]:
     return parse_matching(doc.get("matching", {}))
 
 
+def _market_fault(inst: Instance, solver: str) -> str | None:
+    """Why ``solver`` reads no market like ``inst``, else None."""
+    if solver not in MODES and not inst.is_strict():  # pri, crit and maxw read no ties
+        return f"{solver} requires strict (tie-free) preferences"
+    if MODES.get(solver) == "gamma" and not inst.has_full_gamma():
+        return f"{solver} requires gamma/delta on every (edge, endpoint)"
+    return None
+
+
 def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
                  bound: int = 0) -> list[str]:
     """Re-derive everything a result file claims; returns the failures.
 
     Only ``verify`` calls it: a solve writes the claims its solver has
     already certified, and this re-derives them independently. A clean
-    re-verification returns an empty list. One rule orders the checks:
-    every one-pass check runs first, and only a result with no problem
-    reaches a re-solve, :func:`is_popular`, :func:`max_weight_dual`,
-    :func:`is_popular_critical` or :func:`dual_worst`.
+    re-verification returns an empty list. Every one-pass check runs
+    first, and only a result with no problem reaches a re-solve.
 
     One pass: the digest must be ``digest``, :func:`instance_digest` of
-    ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes, and
-    their values of the types ``load_result`` requires, or nothing more is
-    checked; the solver tag decides which claims must be present and which
-    may be (:data:`SOLVER_CLAIMS`), so a file can neither skip a check nor
-    add one; a pri, crit or maxw result on a market with ties is refused,
-    and a gamma result on one lacking a threshold; the matching, its stats
-    (no field more than a solve writes) and the claims re-derive field by
-    field, a flag as a JSON boolean, popularity claims by their shape.
-    The re-solves: a maxw result's dual, whose optimum the weight must be
-    and whose positive-potential set the critical set (a set that only the
-    market and weights fix, not the matches the dual's kernel made, so a
-    solve and this re-solve agree); on 1 to ``bound``
-    edges, pri's verdict in the scope it records, pri's derived stability
-    through what it implies (the matching is popular in the half-integral
-    scope, and no larger half-matching is), and a crit or maxw matching
-    popular among its critical rivals (for maxw, those on the dual's tight
-    edges: the maximum-weight rivals); past the bound, at any size, an
-    integral pri, crit or maxw matching popular among the same rivals, all
-    of them fractional, by :func:`dual_worst` (for maxw, on the tight edges
-    as a keep mask, with no second market built).
+    ``inst``; the keys must be the :data:`RESULT_KEYS` a solve writes, with
+    values of the types ``load_result`` requires, or nothing more is
+    checked; the solver tag decides which claims must and may be present
+    (:data:`SOLVER_CLAIMS`); the market must be one the solver reads
+    (:func:`_market_fault`); the matching, its stats (no field more than a
+    solve writes) and the claims re-derive field by field, a flag as a JSON
+    boolean, popularity claims by their shape.
+    The re-solves: on 1 to ``bound`` edges, pri's verdict in the scope it
+    records; a maxw result's dual, whose optimum the weight must be and
+    whose positive-potential set the critical set (a set the market and
+    weights alone fix, so a solve and this re-solve agree); a pri, crit or
+    maxw matching's popularity, by :func:`_unpopular`; and on 1 to
+    ``bound`` edges, no half-matching larger than a pri matching popular.
     """
     problems: list[str] = []
     within = 0 < len(inst.edges) <= bound
@@ -434,11 +434,9 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     solver = result.get("solver")
     if not isinstance(solver, str) or solver not in SOLVER_CLAIMS:
         return problems + [f"unknown solver tag {solver!r}"]
+    if fault := _market_fault(inst, solver):
+        return problems + [fault]
     mode = MODES.get(solver)
-    if not mode and not inst.is_strict():  # the pri, crit and maxw solvers read no ties
-        return problems + [f"{solver} requires strict (tie-free) preferences"]
-    if mode == "gamma" and not inst.has_full_gamma():
-        return problems + [f"{solver} requires gamma/delta on every (edge, endpoint)"]
     ver = result.get("verification", {})
     problems += [f"verification lacks the {key!r} claim"
                  for key in SOLVER_CLAIMS[solver] if key not in ver]
@@ -470,7 +468,7 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
             problems.append("stability flag does not re-derive")
         if bad:
             problems.append(f"matching is blocked by {bad}")
-    if ver.get("derived_stable", True) is not True:  # re-derived below, within the bound
+    if ver.get("derived_stable", True) is not True:  # what it implies re-derives below
         problems.append("derived stability flag is not true")
     if solver == "solve-max-pri" and any(key in ver for key in POPULARITY_CLAIMS):
         problems += _popularity_problems(inst, ver)
@@ -504,8 +502,6 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         claims = _popularity_claims(inst, m, bound, scope)
         problems += [f"recorded {key!r} does not re-derive"
                      for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
-    if not problems and within and solver == "solve-max-pri":
-        problems += _pri_maximality(inst, m, bound)
     tight = None
     if solver == "solve-pop-maxw":  # the weight must be the optimum: solve the dual again
         dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
@@ -514,32 +510,33 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         if ver["critical"] != sorted(dual.critical):
             problems.append("recorded critical set is not the dual's positive-potential set")
         tight = set(dual.tight_edges)  # the maximum-weight rivals are the critical ones on them
-    # crit's and maxw's critical oracle, once the dual re-derives too
-    if not problems and within and "critical" in ver:
-        market = inst if tight is None else restrict_to_edges(inst, tight)
-        if not is_popular_critical(market, m, frozenset(ver["critical"]), bound=bound).popular:
-            problems.append("matching is not popular among critical rivals")
-    # past the bound, an integral pri, crit or maxw matching's popularity by one dual
-    if not problems and not within and not mode and stats["integral"]:
-        keep = None if tight is None else [e.eid in tight for e in inst.edges]
-        worst, _ = dual_worst(inst, m, ver.get("critical", ()), keep)
-        if worst < 0:
-            among = " among critical rivals" if "critical" in ver else ""
-            problems.append(f"matching is not popular{among}: "
-                            f"a rival has delta {format_rational(worst)}")
+    if not problems and not mode:
+        problems += _unpopular(inst, m, ver.get("critical"), tight, bound)
+    if not problems and within and solver == "solve-max-pri":  # what derived stability implies
+        size = matching_size(m)
+        for n in enumerate_half_matchings(inst, bound):
+            if matching_size(n) > size and not _unpopular(inst, n, None, None, bound):
+                problems.append(f"a larger half-matching is popular: {format_matching(n)}")
+                break
     return problems
 
 
-def _pri_maximality(inst: Instance, m: Mapping[str, Fraction], bound: int) -> list[str]:
-    """What a pri result's derived stability implies, re-derived by
-    enumeration: m is popular in the half-integral scope, and no larger
-    half-matching is (the first one found is named)."""
-    if not is_popular(inst, m, bound=bound).popular:
-        return ["matching is not popular (half-integral scope)"]
-    size = matching_size(m)
-    for n in enumerate_half_matchings(inst, bound):
-        if matching_size(n) > size and is_popular(inst, n, bound=bound).popular:
-            return [f"a larger half-matching is popular: {format_matching(n)}"]
+def _unpopular(inst: Instance, m: Mapping[str, Fraction], critical: list[str] | None,
+               tight: set[str] | None, bound: int) -> list[str]:
+    """Why m is not popular among the rivals that saturate ``critical``
+    (None for pri) on the ``tight`` edges (None: all). One rule: an
+    integral m by :func:`dual_worst`, exact at any size; a half-integral
+    m by :func:`is_popular_critical` on 1 to ``bound`` edges, else trusted."""
+    among = " among critical rivals" if critical is not None else ""
+    if all(val.denominator == 1 for val in m.values()):
+        keep = None if tight is None else [e.eid in tight for e in inst.edges]
+        worst, _ = dual_worst(inst, m, critical or (), keep)
+        if worst < 0:
+            return [f"matching is not popular{among}: a rival has delta {format_rational(worst)}"]
+    elif 0 < len(inst.edges) <= bound:
+        market = inst if tight is None else restrict_to_edges(inst, tight)
+        if not is_popular_critical(market, m, frozenset(critical or ()), bound=bound).popular:
+            return [f"matching is not popular{among or ' (half-integral scope)'}"]
     return []
 
 

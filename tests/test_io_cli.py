@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import functools
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfmatch import cli, core
+from halfmatch import cli, core, popularity
 from halfmatch import io as result_io
 from halfmatch.cli import _popularity_claims, main
 from halfmatch.core import (
@@ -44,8 +45,11 @@ from halfmatch.io import (
     _stats_record,
 )
 from halfmatch.engine import enumerate_half_matchings
-from halfmatch.popularity import SCOPES, is_popular
-from halfmatch.solvers import max_weight_dual, solve_max_pri, solve_max_srti
+from halfmatch.popularity import SCOPES, dual_worst, is_popular, is_popular_critical
+from halfmatch.solvers import (
+    InfeasibleCritical, _pop_maxw, max_weight_dual, restrict_to_edges, solve_max_pri,
+    solve_max_srti, solve_pop_crit,
+)
 
 from conftest import rational_market
 
@@ -736,7 +740,7 @@ def test_check_result_re_solves_nothing_after_a_failed_one_pass_claim(
     inst, doc = load_instance(str(inst_path)), json.loads(res_path.read_text())
     assert len(inst.edges) <= 10
     calls = []
-    for name in ("is_popular", "max_weight_dual", "is_popular_critical"):
+    for name in ("is_popular", "max_weight_dual", "is_popular_critical", "dual_worst"):
         def counted(*args, _real=getattr(result_io, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -896,9 +900,8 @@ def test_cli_verify_checks_popularity_claims_without_the_oracle(tmp_path, capsys
 def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
     # the single edge e000 is beaten by a rival by 4; the claims is_popular
     # writes for it pass the shape check and re-derive under the oracle.
-    # A pri matching must be popular, so the oracle still refuses the
-    # matching itself, and for that alone; without it the dual does, and
-    # finds the same worst delta
+    # A pri matching must be popular, so the dual still refuses the
+    # integral matching itself, and for that alone, at every bound
     inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
     doc = json.loads(res_path.read_text())
     m = {"e000": ONE}
@@ -914,7 +917,7 @@ def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
         "verification failure: matching is not popular: a rival has delta -4\n")
     assert main([*verify, "--oracle-bound", "8"]) == 1
     assert capsys.readouterr().err == (
-        "verification failure: matching is not popular (half-integral scope)\n")
+        "verification failure: matching is not popular: a rival has delta -4\n")
 
 
 def _solved(tmp_path, generate, tag):
@@ -977,7 +980,7 @@ def test_check_result_alone_rejects_a_maxw_result_below_the_maximum(tmp_path):
 def test_check_result_alone_runs_the_critical_oracle(tmp_path):
     # seed 7's maxw output is popular among the maximum-weight rivals; as a
     # crit result on the same critical set, a critical rival beats it by 3,
-    # found by the dual past the bound and by the oracle within it
+    # found by the dual at every bound, as the matching is integral
     inst, _, res_path = _solved(
         tmp_path, ["--seed", "7", "--n", "5", "--edge-density", "0.6", "--weight-min", "1",
                    "--weight-max", "5"], "solve-pop-maxw")
@@ -989,7 +992,7 @@ def test_check_result_alone_runs_the_critical_oracle(tmp_path):
     assert check_result(inst, doc, digest) == [
         "matching is not popular among critical rivals: a rival has delta -3"]
     assert check_result(inst, doc, digest, bound=10) == [
-        "matching is not popular among critical rivals"]
+        "matching is not popular among critical rivals: a rival has delta -3"]
 
 
 def _tied_result(tmp_path, kind):
@@ -1788,8 +1791,7 @@ def test_verify_checks_an_integral_maxw_result_on_the_tight_edges(tmp_path, caps
     # generate --seed 3 --n 8 --edge-density 0.5 --weight-min 1 --weight-max 4:
     # e003, e004 and e007 at 1 have the maximum weight and saturate the
     # dual's critical set, but a maximum-weight rival beats them by 1. The
-    # dual on the tight edges finds it without --oracle-bound, the oracle
-    # within it
+    # dual on the tight edges finds it with and without --oracle-bound
     inst, inst_path, res_path = _solved(
         tmp_path, ["--seed", "3", "--n", "8", "--edge-density", "0.5", "--weight-min", "1",
                    "--weight-max", "4"], "solve-pop-maxw")
@@ -1803,5 +1805,133 @@ def test_verify_checks_an_integral_maxw_result_on_the_tight_edges(tmp_path, caps
     assert capsys.readouterr().err == ("verification failure: matching is not popular among "
                                        "critical rivals: a rival has delta -1\n")
     assert main([*verify, "--oracle-bound", "8"]) == 1
-    assert capsys.readouterr().err == (
-        "verification failure: matching is not popular among critical rivals\n")
+    assert capsys.readouterr().err == ("verification failure: matching is not popular among "
+                                       "critical rivals: a rival has delta -1\n")
+
+
+def _popular_results():
+    """Each honest pri, crit and maxw result on seeded strict markets, on
+    both sides of 10 edges, as (inst, tag, m, claims, critical, tight): the
+    claims each solve writes, the critical set its rivals saturate (None for
+    pri) and, for maxw, the dual's tight edges."""
+    for n, seed in itertools.product((5, 6, 7, 8), range(10)):
+        inst = generate_random(seed, n, edge_density=0.5, weight_range=(1, 3),
+                               critical_count=2)
+        yield inst, "solve-max-pri", solve_max_pri(inst), {"derived_stable": True}, None, None
+        try:
+            m = solve_pop_crit(inst, inst.critical)
+            crit = sorted(inst.critical)
+            yield inst, "solve-pop-crit", m, {"derived_stable": True, "critical": crit,
+                                              "critical_ok": True}, crit, None
+        except InfeasibleCritical:
+            pass
+        m, dual = _pop_maxw(inst, result_weights(inst, "instance"))
+        claims = _maxw_claims(dual)
+        yield inst, "solve-pop-maxw", m, claims, claims["critical"], set(dual.tight_edges)
+
+
+def _maxw_claims(dual):
+    """The claims solve-pop-maxw writes for ``dual``, on the instance's weights."""
+    weight = format_rational(dual.objective)
+    return {"derived_stable": True, "weights_source": "instance", "weight": weight,
+            "dual_objective": weight, "critical": sorted(dual.critical)}
+
+
+def _integral(m):
+    return all(val.denominator == 1 for val in m.values())
+
+
+def test_check_result_decides_an_integral_matching_by_the_dual_alone(monkeypatch):
+    # every honest integral result verifies at bound 10, within it or past
+    # it, with the rival scan and the critical oracle made to raise; each
+    # forged one fails with the dual's message, whose delta is the scan's
+    # worst within the bound. The forgeries: pri emptied, crit emptied on
+    # an empty critical set, and any other integral maximum-weight matching
+    # on the tight edges, saturating the critical set, that the scan refutes
+    honest, forged, kinds = [], [], collections.Counter()
+    for inst, tag, m, claims, crit, tight in _popular_results():
+        if not _integral(m):
+            continue
+        within = 0 < len(inst.edges) <= 10
+        honest.append((inst, build_result(tag, inst, m, claims, instance_digest(inst))))
+        kinds[tag, within] += 1
+        market = inst if tight is None else restrict_to_edges(inst, tight)
+        if tag == "solve-pop-maxw":
+            w = result_weights(inst, "instance")
+            rivals = [n for n in enumerate_half_matchings(market, 10) if _integral(n)
+                      and format_rational(sum(w[eid] * val for eid, val in n.items()))
+                      == claims["weight"]] if within else []
+        else:  # emptied, crit's on an empty critical set
+            rivals = [{}]
+            if crit is not None:
+                crit = claims["critical"] = []
+        for n in rivals:
+            if crit and not _stats_record(inst, n, crit)["critical_ok"]:
+                continue
+            worst = (is_popular_critical(market, n, crit or (), bound=10).worst_value
+                     if within else dual_worst(inst, n)[0])
+            if worst < 0:
+                among = "" if crit is None else " among critical rivals"
+                forged.append((inst, build_result(tag, inst, n, claims, instance_digest(inst)),
+                               f"matching is not popular{among}: a rival has delta "
+                               f"{format_rational(worst)}"))
+                kinds["forged", tag] += 1
+    assert min(kinds[tag, within] for tag in ("solve-max-pri", "solve-pop-crit", "solve-pop-maxw")
+               for within in (True, False)) >= 10, kinds
+    assert min(kinds["forged", tag] for tag in ("solve-max-pri", "solve-pop-crit",
+                                                "solve-pop-maxw")) >= 5, kinds
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an integral matching reached the rival scan")
+    maximality = []
+    monkeypatch.setattr(popularity, "_enumerated", refused)
+    monkeypatch.setattr(result_io, "is_popular_critical", refused)
+    # a pri result's maximality walks the larger half-matchings, a claim of
+    # its own, which the scan may still have to settle: here the walk is empty
+    monkeypatch.setattr(result_io, "enumerate_half_matchings",
+                        lambda inst, bound: maximality.append(inst) or iter(()))
+    for inst, doc in honest:
+        assert check_result(inst, doc, instance_digest(inst), bound=10) == [], doc
+    assert len(maximality) == kinds["solve-max-pri", True]
+    for inst, doc, message in forged:
+        assert check_result(inst, doc, instance_digest(inst), bound=10) == [message]
+    assert len(maximality) == kinds["solve-max-pri", True]
+    monkeypatch.undo()
+
+    # a half-integral maxw result reaches the critical oracle within the
+    # bound, on the tight edges, and past it is taken on trust; one the
+    # oracle refutes keeps its message, as does a half-integral pri matching
+    calls = []
+
+    def spied(market, m, critical, bound):
+        calls.append((len(market.edges), m))
+        return is_popular_critical(market, m, critical, bound=bound)
+    monkeypatch.setattr(result_io, "is_popular_critical", spied)
+    half = 0
+    for seed in range(20):
+        inst = generate_random(seed, 5, edge_density=0.6, weight_range=(1, 5))
+        m, dual = _pop_maxw(inst, result_weights(inst, "instance"))
+        if _integral(m):
+            continue
+        half += 1
+        digest = instance_digest(inst)
+        doc = build_result("solve-pop-maxw", inst, m, _maxw_claims(dual), digest)
+        assert 0 < len(inst.edges) <= 10
+        calls.clear()
+        assert check_result(inst, doc, digest, bound=10) == []
+        assert calls == [(len(dual.tight_edges), m)]
+        calls.clear()
+        assert check_result(inst, doc, digest, bound=len(inst.edges) - 1) == []
+        assert calls == []
+    assert half >= 5
+    inst = generate_random(2, 6, edge_density=0.5, weight_range=(1, 3))
+    m = {"e000": F(1, 2), "e001": F(1, 2), "e003": F(1, 2), "e004": F(1, 2), "e006": ONE}
+    dual, digest = max_weight_dual(inst, result_weights(inst, "instance")), instance_digest(inst)
+    for tag, claims, message in (
+            ("solve-pop-maxw", _maxw_claims(dual),
+             "matching is not popular among critical rivals"),
+            ("solve-max-pri", {"derived_stable": True},
+             "matching is not popular (half-integral scope)")):
+        doc = build_result(tag, inst, m, claims, digest)
+        assert check_result(inst, doc, digest, bound=10) == [message]
+        assert check_result(inst, doc, digest, bound=len(inst.edges) - 1) == []
