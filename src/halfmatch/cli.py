@@ -19,7 +19,6 @@ from .io import (
     MODES,
     SOLVER_CLAIMS,
     _market_fault,
-    _popularity_claims,
     build_result,
     check_result,
     format_rational,
@@ -30,7 +29,7 @@ from .io import (
     serialize_instance,
     serialize_result,
 )
-from .popularity import SCOPES
+from .popularity import SCOPES, is_popular
 from .solvers import (
     InfeasibleCritical,
     VerificationFailed,
@@ -167,7 +166,11 @@ def _cmd_solve(args) -> int:
         m = solve_max_pri(inst)
         verification = {"derived_stable": True}
         if 0 < len(inst.edges) <= args.oracle_bound:
-            verification.update(_popularity_claims(inst, m, args.oracle_bound, args.scope))
+            verdict = is_popular(inst, m, bound=args.oracle_bound, scope=args.scope)
+            if not verdict.popular:
+                raise VerificationFailed("solve-max-pri output is not popular: a rival has "
+                                         f"delta {format_rational(verdict.worst_value)}")
+            verification.update(popular=True, popular_scope=verdict.scope)
     elif tag == "solve-pop-crit":
         crit = (
             frozenset(x for x in args.critical.split(",") if x)

@@ -40,7 +40,6 @@ from .core import (
     Edge,
     Instance,
     InstanceError,
-    MatchingError,
     Rational,
     ZERO,
     _instance,
@@ -50,7 +49,7 @@ from .core import (
     matching_size,
     matching_stats,
 )
-from .engine import enumerate_half_matchings
+from .engine import _Assignments
 from .popularity import SCOPES, dual_worst, is_popular, is_popular_critical
 from .solvers import max_weight_dual, restrict_to_edges
 
@@ -338,7 +337,8 @@ SOLVER_CLAIMS: dict[str, tuple[str, ...]] = {
     "solve-pop-maxw": ("derived_stable", "weights_source", "weight", "dual_objective",
                        "critical"),
 }
-POPULARITY_CLAIMS = ("popular", "popular_scope", "counterexample")  #: solve-max-pri's, if any
+#: the claims solve-max-pri writes with ``--oracle-bound``, only when its verdict holds
+POPULARITY_CLAIMS = ("popular", "popular_scope")
 #: the keys build_result writes, sorted
 RESULT_KEYS = ["instance_digest", "matching", "seed", "solver", "stats", "verification"]
 #: the stability mode each stable solve writes, by its solver tag
@@ -413,16 +413,18 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     (:data:`SOLVER_CLAIMS`); the market must be one the solver reads
     (:func:`_market_fault`); the matching, its stats (no field more than a
     solve writes) and the claims re-derive field by field, a flag as a JSON
-    boolean, popularity claims by their shape.
-    The re-solves: on 1 to ``bound`` edges, pri's verdict in the scope it
-    records; a maxw result's dual, whose optimum the weight must be and
-    whose positive-potential set the critical set (a set the market and
+    boolean, popularity claims by their shape (:func:`_popularity_problems`).
+    The re-solves: a maxw result's dual, whose optimum the weight must be
+    and whose positive-potential set the critical set (a set the market and
     weights alone fix, so a solve and this re-solve agree); a pri, crit or
-    maxw matching's popularity, by :func:`_unpopular`; and on 1 to
-    ``bound`` edges, no half-matching larger than a pri matching popular.
+    maxw matching's popularity, by :func:`_unpopular`, which decides pri's
+    ``popular`` claim in either scope; then, on 1 to ``bound`` edges, a
+    half-integral pri matching recorded in the sampled scope by
+    :func:`~halfmatch.popularity.is_popular` in that scope, and no
+    half-matching larger than a pri matching popular: each leaf's size is
+    read in halves off the enumerator, and only a larger leaf is built.
     """
     problems: list[str] = []
-    within = 0 < len(inst.edges) <= bound
     if result.get("instance_digest") != digest:
         problems.append("instance digest mismatch")
     if sorted(result) != RESULT_KEYS:  # the keys build_result writes, no more, no fewer
@@ -471,7 +473,7 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
     if ver.get("derived_stable", True) is not True:  # what it implies re-derives below
         problems.append("derived stability flag is not true")
     if solver == "solve-max-pri" and any(key in ver for key in POPULARITY_CLAIMS):
-        problems += _popularity_problems(inst, ver)
+        problems += _popularity_problems(ver)
     if "critical" in ver:
         known = set(inst.vertices)
         crit = ver["critical"]
@@ -497,11 +499,6 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
             problems.append("recorded dual objective differs from the weight")
     if problems:  # no re-solve below reads a result with a failed one-pass claim
         return problems
-    if "popular_scope" in ver and within:  # pri's verdict reads only the instance and m
-        scope = next(key for key, label in SCOPES.items() if label == ver["popular_scope"])
-        claims = _popularity_claims(inst, m, bound, scope)
-        problems += [f"recorded {key!r} does not re-derive"
-                     for key in POPULARITY_CLAIMS if ver.get(key) != claims.get(key)]
     tight = None
     if solver == "solve-pop-maxw":  # the weight must be the optimum: solve the dual again
         dual = max_weight_dual(inst, result_weights(inst, ver["weights_source"]))
@@ -512,13 +509,16 @@ def check_result(inst: Instance, result: Mapping[str, Any], digest: str,
         tight = set(dual.tight_edges)  # the maximum-weight rivals are the critical ones on them
     if not problems and not mode:
         problems += _unpopular(inst, m, ver.get("critical"), tight, bound)
-    if not problems and within and solver == "solve-max-pri":  # what derived stability implies
-        size = matching_size(m)
-        for n in enumerate_half_matchings(inst, bound):
-            if matching_size(n) > size and not _unpopular(inst, n, None, None, bound):
-                problems.append(f"a larger half-matching is popular: {format_matching(n)}")
-                break
-    return problems
+    if problems or solver != "solve-max-pri" or not 0 < len(inst.edges) <= bound:
+        return problems
+    if (ver.get("popular_scope") == SCOPES["sampled"] and not stats["integral"]
+            and not is_popular(inst, m, bound=bound, scope="sampled").popular):
+        return ["matching is not popular (sampled scope)"]
+    size, walk = int(2 * matching_size(m)), _Assignments(inst, bound)
+    for halves in walk:  # what derived stability implies: no larger leaf popular
+        if halves > size and not _unpopular(inst, n := walk.matching(), None, None, bound):
+            return [f"a larger half-matching is popular: {format_matching(n)}"]
+    return []
 
 
 def _unpopular(inst: Instance, m: Mapping[str, Fraction], critical: list[str] | None,
@@ -540,43 +540,16 @@ def _unpopular(inst: Instance, m: Mapping[str, Fraction], critical: list[str] | 
     return []
 
 
-def _popularity_claims(inst: Instance, m: Mapping[str, Fraction], bound: int,
-                       scope: str) -> dict[str, Any]:
-    """The popularity claims solve-max-pri records, from a verdict in ``scope``."""
-    verdict = is_popular(inst, m, bound=bound, scope=scope)
-    claims = {"popular": verdict.popular, "popular_scope": verdict.scope}
-    if verdict.counterexample:
-        rival, res = verdict.counterexample
-        claims["counterexample"] = {"matching": format_matching(rival),
-                                    "delta": format_rational(res.value)}
-    return claims
-
-
-def _popularity_problems(inst: Instance, ver: Mapping[str, Any]) -> list[str]:
-    """What is malformed in recorded popularity claims, whose values only
-    the oracle re-derives: the flag and its scope come together, the scope
-    is a label :func:`~halfmatch.popularity.is_popular` writes, and a
-    counterexample, a half-matching with its negative delta, comes exactly
-    when the flag is false."""
+def _popularity_problems(ver: Mapping[str, Any]) -> list[str]:
+    """What is malformed in recorded popularity claims: the flag and its
+    scope come together, the flag is true (solve-max-pri writes only a
+    verdict that certifies its output), and the scope is a label
+    :func:`~halfmatch.popularity.is_popular` writes."""
     problems = []
     if "popular" not in ver or "popular_scope" not in ver:
         problems.append("popular and popular_scope are not recorded together")
-    if type(ver.get("popular", False)) is not bool:
-        problems.append("popularity flag is not a JSON boolean")
+    if ver.get("popular", True) is not True:
+        problems.append("popularity flag is not true")
     if ver.get("popular_scope", SCOPES["half"]) not in SCOPES.values():
         problems.append("popular_scope is not a scope label is_popular writes")
-    if ("counterexample" in ver) != (ver.get("popular") is False):
-        problems.append("a counterexample is recorded if and only if popular is false")
-    if "counterexample" not in ver:
-        return problems
-    counter = ver["counterexample"]
-    if (not isinstance(counter, dict) or sorted(counter) != ["delta", "matching"]
-            or not isinstance(counter["matching"], dict)):
-        return problems + ["counterexample holds other than a matching and a delta"]
-    try:
-        check_matching(inst, parse_matching(counter["matching"]), half=True)
-        if parse_rational(counter["delta"]) >= 0:
-            raise InstanceError("its delta is not negative")
-    except (InstanceError, MatchingError) as exc:
-        problems.append(f"counterexample invalid: {exc}")
     return problems

@@ -295,7 +295,7 @@ def _feasible_value(
     :func:`_product_weights` over the whole vertices, each a multiple of
     base, so they are held as one weight per edge rank and a fixed part,
     both divided by base. When m is whole everywhere it is integral, base
-    is 1 and D is d, and a rival's value is one dot product.
+    is 1, D is d, and no row is swept.
 
     At the other, *split* vertices one sweep from the best item finds U:
     a demand item adds to a pool, and a surplus item takes what it can
@@ -308,8 +308,6 @@ def _feasible_value(
     weight, fixed = [w // base for w in weight], fixed // base
     rows = [[(r, scaled.get(r, 0)) for r in inst.strict_ranks(v)]
             for v, w in zip(inst.vertices, whole) if not w]
-    if not rows:
-        return lambda held, d: (sum(map(mul, weight, held)) + fixed * d, d)
 
     def value(held: Sequence[int], d: int) -> tuple[int, int]:
         big = lcm(base, d)

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import copy
+import dataclasses
 import functools
 import hashlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from halfmatch import cli, core, popularity
 from halfmatch import io as result_io
-from halfmatch.cli import _popularity_claims, main
+from halfmatch.cli import main
 from halfmatch.core import (
     ONE, InstanceError, VerificationFailed, matching_size, validate_instance,
 )
@@ -576,8 +577,8 @@ def test_cli_verify_rejects_a_tampered_solver_claim(tmp_path, capsys, tag, key, 
 @pytest.mark.parametrize("tag, key, value, message", [
     ("solve-pop-maxw", "derived_stable", False, "derived stability flag is not true"),
     ("solve-pop-maxw", "derived_stable", "no", "derived stability flag is not true"),
-    ("solve-max-pri", "popular", "yes", "popularity flag is not a JSON boolean"),
-    ("solve-max-pri", "popular", 1, "popularity flag is not a JSON boolean"),
+    ("solve-max-pri", "popular", "yes", "popularity flag is not true"),
+    ("solve-max-pri", "popular", 1, "popularity flag is not true"),
 ])
 def test_cli_verify_rejects_a_claim_it_cannot_re_derive(tmp_path, capsys, tag, key, value,
                                                         message):
@@ -666,9 +667,10 @@ def test_cli_verify_rejects_a_stats_field_no_solve_writes(tmp_path, capsys, tag)
 
 @pytest.mark.parametrize("claim", ["popular", "counterexample"])
 def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, claim):
-    # each edit keeps the claims' shape, so without the oracle verify passes
-    # the popular matching's, while the dual refutes the empty matching
-    # itself; with it, the re-run verdict refutes each claim
+    # solve-max-pri writes only a verdict that certifies its output, so a
+    # recorded refutation fails the one-pass check at every bound: the
+    # popular matching called unpopular, beaten by no rival, and the empty
+    # matching with its honest counterexample, its delta one lower
     inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
     assert main(["generate", "--seed", "1", "--n", "6", "--edge-density", "0.4",
                  "--output", str(inst_path)]) == 0
@@ -679,23 +681,24 @@ def test_cli_verify_re_derives_every_popularity_claim(tmp_path, capsys, claim):
     doc = json.loads(res_path.read_text())
     ver = doc["verification"]
     assert ver["popular"] is True
-    if claim == "popular":  # a popular matching called unpopular, beaten by no rival
+    if claim == "popular":
         ver.update(popular=False, counterexample={"matching": {}, "delta": "-1"})
         res_path.write_text(json.dumps(doc))
-    else:  # the empty matching's honest counterexample, its delta one lower
+    else:
         inst = load_instance(str(inst_path))
         doc["matching"] = {}
-        ver.update(_popularity_claims(inst, {}, 8, "half"))
-        delta = parse_rational(ver["counterexample"]["delta"])
-        assert delta < 0
-        ver["counterexample"]["delta"] = format_rational(delta - 1)
+        verdict = is_popular(inst, {}, bound=8)
+        rival, res = verdict.counterexample
+        assert res.value < 0
+        ver.update(popular=False, popular_scope=verdict.scope, counterexample={
+            "matching": format_matching(rival), "delta": format_rational(res.value - 1)})
         _rewrite(inst, res_path, doc)
-    capsys.readouterr()
-    assert main(verify) == (claim == "counterexample")
-    assert ("matching is not popular: a rival has delta" in capsys.readouterr().err) == (
-        claim == "counterexample")
-    assert main([*verify, "--oracle-bound", "8"]) == 1
-    assert f"recorded {claim!r} does not re-derive" in capsys.readouterr().err
+    for bound in ("0", "8"):
+        capsys.readouterr()
+        assert main([*verify, "--oracle-bound", bound]) == 1
+        assert capsys.readouterr().err == (
+            f"verification failure: {FOREIGN_COUNTEREXAMPLE}\n"
+            f"verification failure: {NOT_TRUE}\n")
 
 
 def test_cli_verify_re_runs_the_recorded_scope(tmp_path, capsys):
@@ -772,7 +775,7 @@ def test_verify_refuses_a_popular_pri_result_below_the_maximum_size(tmp_path, ca
     assert matching_size(solve_max_pri(inst)) == 3
     digest = instance_digest(inst)
     src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
-    for claims in ({}, _popularity_claims(inst, m, 8, "half")):
+    for claims in ({}, {"popular": True, "popular_scope": SCOPES["half"]}):
         res_path = tmp_path / f"pri-{len(claims)}.json"
         result = build_result("solve-max-pri", inst, m, {"derived_stable": True, **claims},
                               digest)
@@ -848,34 +851,33 @@ def test_check_result_reports_the_shape_verify_refuses(tmp_path, capsys, key, va
 OWN = object()  # stands for the result's own matching
 BAD_SCOPE = "popular_scope is not a scope label is_popular writes"
 APART = "popular and popular_scope are not recorded together"
-UNPAIRED = "a counterexample is recorded if and only if popular is false"
+FOREIGN_COUNTEREXAMPLE = "verification holds 'counterexample', which solve-max-pri does not write"
+NOT_TRUE = "popularity flag is not true"
+REFUTED = (FOREIGN_COUNTEREXAMPLE, NOT_TRUE)
 
 
-@pytest.mark.parametrize("edits, message", [
-    ({"popular_scope": 7}, BAD_SCOPE),
-    ({"popular_scope": "popular (every fractional rival)"}, BAD_SCOPE),
-    ({"popular": None}, APART),
-    ({"popular_scope": None}, APART),
-    ({"counterexample": "banana"}, UNPAIRED),
-    ({"popular": False}, UNPAIRED),
-    ({"popular": False, "counterexample": "banana"},
-     "counterexample holds other than a matching and a delta"),
+@pytest.mark.parametrize("edits, messages", [
+    ({"popular_scope": 7}, (BAD_SCOPE,)),
+    ({"popular_scope": "popular (every fractional rival)"}, (BAD_SCOPE,)),
+    ({"popular": None}, (APART,)),
+    ({"popular_scope": None}, (APART,)),
+    ({"counterexample": "banana"}, (FOREIGN_COUNTEREXAMPLE,)),
+    ({"popular": False}, (NOT_TRUE,)),
+    ({"popular": False, "counterexample": "banana"}, REFUTED),
     ({"popular": False, "counterexample": {"matching": OWN, "delta": "-1", "rivals": 3}},
-     "counterexample holds other than a matching and a delta"),
-    ({"popular": False, "counterexample": {"matching": OWN, "delta": "1/2"}},
-     "counterexample invalid: its delta is not negative"),
-    ({"popular": False, "counterexample": {"matching": OWN, "delta": "banana"}},
-     "counterexample invalid: malformed rational 'banana'"),
+     REFUTED),
+    ({"popular": False, "counterexample": {"matching": OWN, "delta": "1/2"}}, REFUTED),
+    ({"popular": False, "counterexample": {"matching": OWN, "delta": "banana"}}, REFUTED),
     ({"popular": False, "counterexample": {"matching": {"zz": "1"}, "delta": "-1"}},
-     "counterexample invalid: value for unknown edge 'zz'"),
-    ({"popular": False, "counterexample": {"matching": ["e000"], "delta": "-1"}},
-     "counterexample holds other than a matching and a delta"),
+     REFUTED),
+    ({"popular": False, "counterexample": {"matching": ["e000"], "delta": "-1"}}, REFUTED),
 ], ids=["scope-7", "scope-unknown", "no-popular", "no-scope", "counterexample-banana",
         "no-counterexample", "false-banana", "extra-key", "delta-positive",
         "delta-banana", "unknown-edge", "matching-list"])
 def test_cli_verify_checks_popularity_claims_without_the_oracle(tmp_path, capsys, edits,
-                                                                 message):
-    # 8 edges: within solve-max-pri's --oracle-bound 8, over verify's default 0
+                                                                 messages):
+    # 8 edges, within solve-max-pri's --oracle-bound 8: the claims' shape
+    # is one pass, so each edit fails alike without the oracle and with it
     inst_path, res_path = tmp_path / "inst.json", tmp_path / "result.json"
     assert main(["generate", "--seed", "1", "--n", "6", "--output", str(inst_path)]) == 0
     assert main(["solve-max-pri", "--input", str(inst_path), "--output", str(res_path),
@@ -892,32 +894,46 @@ def test_cli_verify_checks_popularity_claims_without_the_oracle(tmp_path, capsys
                 value = {**value, "matching": doc["matching"]}
             doc["verification"][key] = value
     res_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(verify) == 1
-    assert f"verification failure: {message}" in capsys.readouterr().err
+    for bound in ("0", "8"):
+        capsys.readouterr()
+        assert main([*verify, "--oracle-bound", bound]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"verification failure: {message}\n" for message in messages)
 
 
-def test_cli_verify_accepts_an_honest_counterexample(tmp_path, capsys):
-    # the single edge e000 is beaten by a rival by 4; the claims is_popular
-    # writes for it pass the shape check and re-derive under the oracle.
-    # A pri matching must be popular, so the dual still refuses the
-    # integral matching itself, and for that alone, at every bound
+def test_solve_max_pri_writes_no_output_its_verdict_refutes(tmp_path, monkeypatch, capsys):
+    # a solver double returns the single edge e000, which a rival beats by
+    # 4: the solve's own verdict refutes it, so it fails its postcondition
+    # and writes nothing, with asserts stripped too. The same matching
+    # written without claims fails verify by the dual at every bound
     inst, inst_path, res_path = _solved(tmp_path, ["--seed", "1", "--n", "6"], "solve-max-pri")
+    assert len(inst.edges) == 8
+    out_path = tmp_path / "refuted.json"
+    solve = ["solve-max-pri", "--input", str(inst_path), "--output", str(out_path),
+             "--oracle-bound", "8"]
+    message = ("self-verification failed: solve-max-pri output is not popular: "
+               "a rival has delta -4\n")
+    monkeypatch.setattr(cli, "solve_max_pri", lambda inst: {"e000": ONE})
+    capsys.readouterr()
+    assert main(solve) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not out_path.exists()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys; from halfmatch import cli, core; "
+         "cli.solve_max_pri = lambda inst: {'e000': core.ONE}; sys.exit(cli.main(sys.argv[1:]))",
+         *solve], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", message)
+    assert not out_path.exists()
     doc = json.loads(res_path.read_text())
-    m = {"e000": ONE}
-    doc["matching"] = format_matching(m)
-    doc["verification"] = {"derived_stable": True,
-                           **_popularity_claims(inst, m, 8, "half")}
-    assert doc["verification"]["counterexample"]["delta"] == "-4"
+    doc["matching"] = {"e000": "1"}
     _rewrite(inst, res_path, doc)
     verify = ["verify", "--input", str(inst_path), "--result", str(res_path)]
-    capsys.readouterr()
-    assert main(verify) == 1
-    assert capsys.readouterr().err == (
-        "verification failure: matching is not popular: a rival has delta -4\n")
-    assert main([*verify, "--oracle-bound", "8"]) == 1
-    assert capsys.readouterr().err == (
-        "verification failure: matching is not popular: a rival has delta -4\n")
+    for bound in ("0", "8"):
+        assert main([*verify, "--oracle-bound", bound]) == 1
+        assert capsys.readouterr().err == (
+            "verification failure: matching is not popular: a rival has delta -4\n")
 
 
 def _solved(tmp_path, generate, tag):
@@ -1809,6 +1825,65 @@ def test_verify_checks_an_integral_maxw_result_on_the_tight_edges(tmp_path, caps
                                        "critical rivals: a rival has delta -1\n")
 
 
+def test_check_result_decides_recorded_pri_claims_without_a_second_verdict(monkeypatch):
+    # every honest integral pri result within the bound, its claims in
+    # either scope as solve-max-pri writes them, verifies at bound 10 with
+    # is_popular made to raise: the dual that settles the matching settles
+    # the claims too
+    results = []
+    for inst, tag, m, claims, _, _ in _popular_results():
+        if tag != "solve-max-pri" or not _integral(m) or not 0 < len(inst.edges) <= 10:
+            continue
+        for scope in SCOPES:
+            verdict = is_popular(inst, m, bound=10, scope=scope)
+            assert verdict.popular
+            ver = {**claims, "popular": True, "popular_scope": verdict.scope}
+            results.append((inst, build_result(tag, inst, m, ver, instance_digest(inst))))
+    assert len(results) >= 20
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify ran a second popularity verdict")
+    monkeypatch.setattr(result_io, "is_popular", refused)
+    for inst, doc in results:
+        assert check_result(inst, doc, instance_digest(inst), bound=10) == [], doc
+
+
+def test_check_result_runs_the_sampled_verdict_only_on_a_half_integral_pri_matching(
+        monkeypatch):
+    # a half-integral pri result recorded in the sampled scope reaches
+    # is_popular in that scope once within the bound and never past it; one
+    # recorded in the half scope never reaches it. A refuting verdict fails
+    # the result with the sampled scope's message
+    calls, refute = [], False
+
+    def spied(inst, m, bound, scope):
+        calls.append(scope)
+        verdict = is_popular(inst, m, bound=bound, scope=scope)
+        return dataclasses.replace(verdict, popular=False) if refute else verdict
+    results = []
+    for inst, tag, m, claims, _, _ in _popular_results():
+        if tag == "solve-max-pri" and not _integral(m) and 0 < len(inst.edges) <= 10:
+            for scope in SCOPES:
+                assert is_popular(inst, m, bound=10, scope=scope).popular
+                ver = {**claims, "popular": True, "popular_scope": SCOPES[scope]}
+                results.append((inst, scope, build_result(tag, inst, m, ver,
+                                                          instance_digest(inst))))
+    assert len(results) >= 8
+    monkeypatch.setattr(result_io, "is_popular", spied)
+    for inst, scope, doc in results:
+        digest = instance_digest(inst)
+        calls.clear()
+        assert check_result(inst, doc, digest, bound=10) == []
+        assert calls == ["sampled"] * (scope == "sampled")
+        calls.clear()
+        assert check_result(inst, doc, digest, bound=len(inst.edges) - 1) == []
+        assert calls == []
+        refute = True
+        assert check_result(inst, doc, digest, bound=10) == (
+            ["matching is not popular (sampled scope)"] * (scope == "sampled"))
+        refute = False
+
+
 def _popular_results():
     """Each honest pri, crit and maxw result on seeded strict markets, on
     both sides of 10 edges, as (inst, tag, m, claims, critical, tight): the
@@ -1888,7 +1963,7 @@ def test_check_result_decides_an_integral_matching_by_the_dual_alone(monkeypatch
     monkeypatch.setattr(result_io, "is_popular_critical", refused)
     # a pri result's maximality walks the larger half-matchings, a claim of
     # its own, which the scan may still have to settle: here the walk is empty
-    monkeypatch.setattr(result_io, "enumerate_half_matchings",
+    monkeypatch.setattr(result_io, "_Assignments",
                         lambda inst, bound: maximality.append(inst) or iter(()))
     for inst, doc in honest:
         assert check_result(inst, doc, instance_digest(inst), bound=10) == [], doc
